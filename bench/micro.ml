@@ -1,8 +1,8 @@
 (* Microbenchmarks (Bechamel): raw throughput of the erasure-coding
-   primitives this implementation hand-rolls — the compute cost a FAB
-   brick pays per block on the wire-side of the protocol.
+   and version-log primitives this implementation hand-rolls — the
+   compute cost a FAB brick pays per block.
 
-   Four groups:
+   Five groups:
    - "erasure": the codec-level primitives (encode/decode/modify) under
      the default (fastest available) GF(2^8) kernel;
    - "kernel": the GF(2^8) slice kernels against the reference
@@ -13,7 +13,9 @@
      available kernel backend — the head-to-head the split-table and
      SIMD work is judged by;
    - "plan": decode with a warm decode-plan cache vs re-running
-     Gaussian elimination on every call.
+     Gaussian elimination on every call;
+   - "slog": the version log's entry checksum, and the [Slog.head]
+     query a targeted replica read makes, at 4 KiB and 64 KiB blocks.
 
    [json_out] (set by bench/main.ml's --json flag) additionally writes
    every row to BENCH_micro.json so the perf trajectory is
@@ -162,6 +164,21 @@ let plan_tests () =
            Erasure.Codec.decode_into codec decode_input ~into));
   ]
 
+(* The checksum every log query re-verifies, and a replica-read-shaped
+   [head] on a two-entry log ((LowTS, nil) under one written block): it
+   verifies the newest entry only. *)
+let slog_tests size =
+  let b = Bytes.init size (fun i -> Char.chr ((i * 7 + 3) land 0xff)) in
+  let log = Core.Slog.create ~block_size:size in
+  Core.Slog.add log (Core.Timestamp.make ~time:1 ~pid:0) (Some b);
+  let kib = Printf.sprintf "%dKiB" (size / 1024) in
+  [
+    Test.make ~name:("checksum " ^ kib)
+      (Staged.stage (fun () -> ignore (Core.Slog.checksum (Some b))));
+    Test.make ~name:("head " ^ kib)
+      (Staged.stage (fun () -> ignore (Core.Slog.head log)));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Harness                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -220,7 +237,7 @@ let write_json path rows =
   Printf.printf "  wrote %d rows to %s\n" total path
 
 let run () =
-  Util.section "MICRO | erasure-coding primitive throughput (4 KiB blocks)";
+  Util.section "MICRO | codec and version-log primitive throughput";
   Printf.printf "  gf kernel: %s (simd level %d; available: %s)\n"
     (K.name (K.default ()))
     K.simd_level
@@ -232,6 +249,8 @@ let run () =
         ("kernel", kernel_tests (), block_size);
         ("fused", fused_tests (), fused_m * block_size);
         ("plan", plan_tests (), plan_block_size);
+        ("slog", slog_tests block_size, block_size);
+        ("slog", slog_tests 65536, 65536);
       ]
   in
   let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in

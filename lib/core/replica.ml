@@ -23,8 +23,11 @@ let state t stripe =
 
 (* The replica's current notion of the most recent timestamp, carried
    on every reply so that coordinators with logical clocks can catch
-   up after an abort. *)
-let cur_ts st = Ts.max st.ord_ts (Slog.max_ts st.log)
+   up after an abort. Each handler reads its log head [val_ts] once on
+   entry and passes it here, advanced to its own [add] if it made one:
+   a brick's handlers are serialized (one receive loop per address on
+   mc, one thread on sim), so nothing can change the log in between. *)
+let cur_ts st val_ts = Ts.max st.ord_ts val_ts
 
 let my_pos t stripe =
   Config.pos_of_addr t.cfg ~stripe (Brick.id t.brick)
@@ -33,10 +36,17 @@ let set_ord_ts t st ts =
   st.ord_ts <- ts;
   Brick.count_nvram_write t.brick
 
-(* [Read, targets] — Algorithm 2, lines 38-44. *)
+(* [Read, targets] — Algorithm 2, lines 38-44. A targeted replica
+   reads its version and block in one [Slog.head] descent. *)
 let handle_read t ctx stripe targets =
   let st = state t stripe in
-  let val_ts = Slog.max_ts st.log in
+  let targeted = List.mem (Brick.id t.brick) targets in
+  let val_ts, newest =
+    if targeted then
+      let v, (_, b) = Slog.head st.log in
+      (v, Some b)
+    else (Slog.max_ts st.log, None)
+  in
   (* The unsafe_skip_order variant drops the write-order barrier: a
      replica with a pending Order promise (ord_ts > val_ts) answers as
      if its value were current, hiding in-flight writes from fast
@@ -46,22 +56,23 @@ let handle_read t ctx stripe targets =
     t.cfg.Config.unsafe_skip_order || Ts.( >= ) val_ts st.ord_ts
   in
   let block =
-    if status && List.mem (Brick.id t.brick) targets then begin
-      Brick.count_disk_read ~ctx t.brick;
-      Some (snd (Slog.max_block st.log))
-    end
-    else None
+    match newest with
+    | Some _ when status ->
+        Brick.count_disk_read ~ctx t.brick;
+        newest
+    | Some _ | None -> None
   in
-  Message.Read_r { status; val_ts; block; cur_ts = cur_ts st }
+  Message.Read_r { status; val_ts; block; cur_ts = cur_ts st val_ts }
 
 (* [Order, ts] — lines 45-48. Re-delivery of an Order already in force
    (ord_ts = ts) re-acknowledges. *)
 let handle_order t stripe ts =
   let st = state t stripe in
-  let fresh = Ts.( > ) ts (Slog.max_ts st.log) && Ts.( >= ) ts st.ord_ts in
+  let val_ts = Slog.max_ts st.log in
+  let fresh = Ts.( > ) ts val_ts && Ts.( >= ) ts st.ord_ts in
   let status = fresh || Ts.equal st.ord_ts ts in
   if fresh && not (Ts.equal st.ord_ts ts) then set_ord_ts t st ts;
-  Message.Order_r { status; cur_ts = cur_ts st }
+  Message.Order_r { status; cur_ts = cur_ts st val_ts }
 
 (* [Order&Read, j, max, ts] — lines 49-56.
 
@@ -76,10 +87,9 @@ let handle_order t stripe ts =
    harness exists to catch. *)
 let handle_order_read t ctx stripe target max ts =
   let st = state t stripe in
+  let val_ts = Slog.max_ts st.log in
   let skip = t.cfg.Config.unsafe_skip_order in
-  let status =
-    skip || (Ts.( > ) ts (Slog.max_ts st.log) && Ts.( >= ) ts st.ord_ts)
-  in
+  let status = skip || (Ts.( > ) ts val_ts && Ts.( >= ) ts st.ord_ts) in
   let lts = ref Ts.low and block = ref None in
   if status then begin
     if (not skip) && not (Ts.equal st.ord_ts ts) then set_ord_ts t st ts;
@@ -97,7 +107,8 @@ let handle_order_read t ctx stripe target max ts =
           if b <> None then Brick.count_disk_read ~ctx t.brick
       | None -> ()
   end;
-  Message.Order_read_r { status; lts = !lts; block = !block; cur_ts = cur_ts st }
+  Message.Order_read_r
+    { status; lts = !lts; block = !block; cur_ts = cur_ts st val_ts }
 
 (* The unsafe_skip_order variant also drops the order barrier on the
    store side: a replica accepts a Write/Modify above its log head even
@@ -121,98 +132,90 @@ let ord_barrier t st ts =
    replicas disagree on the content of version [ts]. *)
 let handle_write t ctx stripe block ts =
   let st = state t stripe in
+  let val_ts = Slog.max_ts st.log in
+  let logged = Slog.find st.log ts in
   let already =
-    match Slog.find st.log ts with
+    match logged with
     | Some (Some existing) -> Bytes.equal existing block
-    | Some None -> false
-    | None -> false
+    | Some None | None -> false
   in
   let status =
     already
-    || ((not (Slog.mem st.log ts))
-       && Ts.( > ) ts (Slog.max_ts st.log)
-       && ord_barrier t st ts)
+    || (Option.is_none logged && Ts.( > ) ts val_ts && ord_barrier t st ts)
   in
-  if status && not already then begin
+  let stored = status && not already in
+  if stored then begin
     Slog.add st.log ts (Some block);
     Brick.count_disk_write ~ctx t.brick;
     Brick.count_nvram_write t.brick
   end;
-  Message.Write_r { status; cur_ts = cur_ts st }
+  Message.Write_r
+    { status; cur_ts = cur_ts st (if stored then ts else val_ts) }
 
-(* Compute this replica's new log entry for a block-level write of
-   data position [j]: the new block at p_j, a re-encoded parity block
-   at parity processes, a timestamp-only marker elsewhere. The parity
-   case allocates exactly one block (the log retains it); the delta is
-   computed on a pooled scratch buffer. *)
-let modify_entry t ctx st ~stripe ~pos ~j ~bj ~b =
-  let m = Config.m t.cfg ~stripe in
-  if pos = j then Some b
-  else if pos >= m then begin
-    Brick.count_disk_read ~ctx t.brick;
-    let codec = Config.codec t.cfg ~stripe in
-    let out = Bytes.copy (snd (Slog.max_block st.log)) in
-    let d = Brick.scratch_take t.brick ~len:(Bytes.length b) in
-    Erasure.Codec.delta_into ~old_data:bj ~new_data:b ~into:d;
-    Erasure.Codec.apply_delta_into codec ~data_idx:j ~parity_idx:(pos - m)
-      ~delta:d ~parity:out;
-    Brick.scratch_release t.brick d;
-    Some out
-  end
-  else None
-
-(* [Modify, j, bj, b, tsj, ts] — Algorithm 3, lines 88-98. *)
-let handle_modify t ctx stripe j bj b tsj ts =
+(* The three Modify handlers: Algorithm 3, lines 88-98. [entry ~pos
+   parity] builds this replica's new log entry at stripe position
+   [pos]; [parity] is [Some (parity_idx, newest)] exactly at a parity
+   position, whose update folds a change into its newest real block
+   [newest]. Such a position reads its version and that block in one
+   [Slog.head] descent; the others need only [max-ts]. *)
+let modify t ctx stripe tsj ts entry =
   let st = state t stripe in
   let already = Slog.mem st.log ts in
-  let status =
-    already
-    || (Ts.equal tsj (Slog.max_ts st.log) && ord_barrier t st ts)
+  let pos = my_pos t stripe in
+  let m = Config.m t.cfg ~stripe in
+  let val_ts, parity =
+    match pos with
+    | Some p when p >= m ->
+        let v, (_, b) = Slog.head st.log in
+        (v, Some (p - m, b))
+    | Some _ | None -> (Slog.max_ts st.log, None)
   in
-  if status && not already then begin
-    match my_pos t stripe with
-    | None -> ()
-    | Some pos ->
-        let entry = modify_entry t ctx st ~stripe ~pos ~j ~bj ~b in
-        Slog.add st.log ts entry;
-        if entry <> None then Brick.count_disk_write ~ctx t.brick;
-        Brick.count_nvram_write t.brick
-  end;
-  Message.Modify_r { status; cur_ts = cur_ts st }
+  let status = already || (Ts.equal tsj val_ts && ord_barrier t st ts) in
+  let val_ts =
+    match pos with
+    | Some p when status && not already ->
+        let e = entry ~pos:p parity in
+        Slog.add st.log ts e;
+        if e <> None then Brick.count_disk_write ~ctx t.brick;
+        Brick.count_nvram_write t.brick;
+        Ts.max val_ts ts
+    | Some _ | None -> val_ts
+  in
+  Message.Modify_r { status; cur_ts = cur_ts st val_ts }
+
+(* [Modify, j, bj, b, tsj, ts]: the new block at p_j, a re-encoded
+   parity block at parity processes, a timestamp-only marker
+   elsewhere. The parity case allocates exactly one block (the log
+   retains it); the delta is computed on a pooled scratch buffer. *)
+let handle_modify t ctx stripe j bj b tsj ts =
+  modify t ctx stripe tsj ts (fun ~pos parity ->
+      match parity with
+      | Some (parity_idx, newest) ->
+          Brick.count_disk_read ~ctx t.brick;
+          let out = Bytes.copy newest in
+          let d = Brick.scratch_take t.brick ~len:(Bytes.length b) in
+          Erasure.Codec.delta_into ~old_data:bj ~new_data:b ~into:d;
+          Erasure.Codec.apply_delta_into
+            (Config.codec t.cfg ~stripe)
+            ~data_idx:j ~parity_idx ~delta:d ~parity:out;
+          Brick.scratch_release t.brick d;
+          Some out
+      | None -> if pos = j then Some b else None)
 
 (* Bandwidth-optimized Modify (section 5.2): p_j receives the new
    block, parity processes receive the precomputed delta to fold into
    their current block, other data processes receive no payload. *)
 let handle_modify_delta t ctx stripe j payload tsj ts =
-  let st = state t stripe in
-  let already = Slog.mem st.log ts in
-  let status =
-    already
-    || (Ts.equal tsj (Slog.max_ts st.log) && ord_barrier t st ts)
-  in
-  if status && not already then begin
-    match my_pos t stripe with
-    | None -> ()
-    | Some pos ->
-        let m = Config.m t.cfg ~stripe in
-        let entry =
-          match payload with
-          | Some payload when pos = j -> Some payload
-          | Some payload when pos >= m ->
-              Brick.count_disk_read ~ctx t.brick;
-              let old_parity = snd (Slog.max_block st.log) in
-              Some
-                (Erasure.Codec.apply_delta
-                   (Config.codec t.cfg ~stripe)
-                   ~data_idx:j ~parity_idx:(pos - m) ~delta:payload
-                   ~old_parity)
-          | Some _ | None -> None
-        in
-        Slog.add st.log ts entry;
-        if entry <> None then Brick.count_disk_write ~ctx t.brick;
-        Brick.count_nvram_write t.brick
-  end;
-  Message.Modify_r { status; cur_ts = cur_ts st }
+  modify t ctx stripe tsj ts (fun ~pos parity ->
+      match (payload, parity) with
+      | Some payload, None when pos = j -> Some payload
+      | Some delta, Some (parity_idx, old_parity) ->
+          Brick.count_disk_read ~ctx t.brick;
+          Some
+            (Erasure.Codec.apply_delta
+               (Config.codec t.cfg ~stripe)
+               ~data_idx:j ~parity_idx ~delta ~old_parity)
+      | Some _, None | None, _ -> None)
 
 (* [Modify_multi, j0, olds, news, tsj, ts] — the footnote-2 extension
    of the Modify handler to a contiguous range of data blocks. A data
@@ -220,53 +223,36 @@ let handle_modify_delta t ctx stripe j payload tsj ts =
    folds every block's change into its current parity block, and data
    processes outside the range log a timestamp-only marker. *)
 let handle_modify_multi t ctx stripe j0 olds news tsj ts =
-  let st = state t stripe in
-  let already = Slog.mem st.log ts in
-  let status =
-    already
-    || (Ts.equal tsj (Slog.max_ts st.log) && ord_barrier t st ts)
-  in
-  if status && not already then begin
-    match my_pos t stripe with
-    | None -> ()
-    | Some pos ->
-        let m = Config.m t.cfg ~stripe in
-        let len = Array.length olds in
-        let entry =
-          if pos >= j0 && pos < j0 + len then Some news.(pos - j0)
-          else if pos >= m then begin
-            Brick.count_disk_read ~ctx t.brick;
-            (* Fold every block's change into one fresh parity buffer
-               (the log retains it). The per-block deltas land in pooled
-               scratch buffers and are applied in one batched pass, so
-               the parity block is read and written once however many
-               blocks the write covers. *)
-            let codec = Config.codec t.cfg ~stripe in
-            let out = Bytes.copy (snd (Slog.max_block st.log)) in
-            let blen = Bytes.length out in
-            let ds =
-              Array.init len (fun _ -> Brick.scratch_take t.brick ~len:blen)
-            in
-            let deltas =
-              Array.mapi
-                (fun i d ->
-                  Erasure.Codec.delta_into ~old_data:olds.(i)
-                    ~new_data:news.(i) ~into:d;
-                  (j0 + i, d))
-                ds
-            in
-            Erasure.Codec.apply_deltas_into codec ~parity_idx:(pos - m)
-              ~deltas ~parity:out;
-            Array.iter (Brick.scratch_release t.brick) ds;
-            Some out
-          end
-          else None
-        in
-        Slog.add st.log ts entry;
-        if entry <> None then Brick.count_disk_write ~ctx t.brick;
-        Brick.count_nvram_write t.brick
-  end;
-  Message.Modify_r { status; cur_ts = cur_ts st }
+  let len = Array.length olds in
+  modify t ctx stripe tsj ts (fun ~pos parity ->
+      match parity with
+      | Some (parity_idx, newest) ->
+          Brick.count_disk_read ~ctx t.brick;
+          (* Fold every block's change into one fresh parity buffer
+             (the log retains it). The per-block deltas land in pooled
+             scratch buffers and are applied in one batched pass, so
+             the parity block is read and written once however many
+             blocks the write covers. *)
+          let out = Bytes.copy newest in
+          let blen = Bytes.length out in
+          let ds =
+            Array.init len (fun _ -> Brick.scratch_take t.brick ~len:blen)
+          in
+          let deltas =
+            Array.mapi
+              (fun i d ->
+                Erasure.Codec.delta_into ~old_data:olds.(i)
+                  ~new_data:news.(i) ~into:d;
+                (j0 + i, d))
+              ds
+          in
+          Erasure.Codec.apply_deltas_into
+            (Config.codec t.cfg ~stripe)
+            ~parity_idx ~deltas ~parity:out;
+          Array.iter (Brick.scratch_release t.brick) ds;
+          Some out
+      | None ->
+          if pos >= j0 && pos < j0 + len then Some news.(pos - j0) else None)
 
 (* [Gc, before] — section 5.1. One-way; no reply. *)
 let handle_gc t stripe before =

@@ -21,14 +21,28 @@ type t = {
          the write a crash can tear. *)
 }
 
-(* FNV-1a folded into OCaml's 63-bit int; a bot marker hashes to a
+(* FNV-1a over 32-bit words in OCaml's 63-bit int: one 8-byte load per
+   step, its halves folded as two xor-multiply rounds, then one round
+   per tail byte. Each round is a bijection of the running sum (xor,
+   then a multiply by an odd prime), so changing any one input word —
+   flipping any one bit — changes the result. A bot marker hashes to a
    fixed tag so torn marker records are detectable too. *)
+let prime = 0x100000001b3
+
 let checksum = function
   | None -> 0x1ae16a3b2f90404f
   | Some b ->
+      let len = Bytes.length b in
       let h = ref 0x3bf29ce484222325 in
-      Bytes.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) b;
-      !h land max_int
+      for i = 0 to (len / 8) - 1 do
+        let w = Bytes.get_int64_le b (8 * i) in
+        h := (!h lxor (Int64.to_int w land 0xffffffff)) * prime;
+        h := (!h lxor Int64.to_int (Int64.shift_right_logical w 32)) * prime
+      done;
+      for j = len land lnot 7 to len - 1 do
+        h := (!h lxor Char.code (Bytes.unsafe_get b j)) * prime
+      done;
+      !h
 
 let intact e = e.sum = checksum e.block
 let fresh block = { block; sum = checksum block }
@@ -72,68 +86,67 @@ let find t ts =
 
 let mem t ts = find t ts <> None
 
+(* The queries scan newest-first and verify an entry only when they
+   consult it: each stops at the first entry that answers it, so older
+   entries are never hashed. [older bound entries] is the log strictly
+   below [bound], newest first, produced lazily. *)
+let rec older bound entries () =
+  match TsMap.find_last_opt (fun ts -> Timestamp.( < ) ts bound) entries with
+  | None -> Seq.Nil
+  | Some ((ts, _) as x) -> Seq.Cons (x, older ts entries)
+
+let newest t = older Timestamp.high t.entries
+
+let rec first p s =
+  match s () with
+  | Seq.Nil -> None
+  | Seq.Cons ((ts, e), rest) -> if p e then Some (ts, e, rest) else first p rest
+
+(* An intact non-bot entry; markers are skipped without a check. *)
+let real e = Option.is_some e.block && intact e
+
 let max_ts t =
-  let best =
-    TsMap.fold
-      (fun ts e acc -> if intact e then Some ts else acc)
-      t.entries None
-  in
-  match best with Some ts -> ts | None -> Timestamp.low
+  match first intact (newest t) with
+  | Some (ts, _, _) -> ts
+  | None -> Timestamp.low
 
-let newest_real_below_or_at t bound =
-  (* Newest intact non-bot entry with timestamp <= bound. *)
-  TsMap.fold
-    (fun ts e acc ->
-      if Timestamp.( > ) ts bound then acc
-      else
-        match e.block with
-        | Some b when intact e -> Some (ts, b)
-        | Some _ | None -> acc)
-    t.entries None
+let head t =
+  (* With every real entry damaged the log is detectably empty, which
+     reads as an unwritten register; the quorum repairs this brick as
+     long as at most f members are in that state. *)
+  let nil = (Timestamp.low, t.nil) in
+  match first intact (newest t) with
+  | None -> (Timestamp.low, nil)
+  | Some (ts, { block = Some b; _ }, _) -> (ts, (ts, b))
+  | Some (ts, _, rest) -> (
+      match first real rest with
+      | Some (r, { block = Some b; _ }, _) -> (ts, (r, b))
+      | Some _ | None -> (ts, nil))
 
-let max_block t =
-  match newest_real_below_or_at t (max_ts t) with
-  | Some (ts, b) -> (ts, b)
-  | None ->
-      (* Every intact real entry was damaged: the log is detectably
-         empty, which reads identically to an unwritten register. The
-         quorum repairs this brick as long as at most f members are in
-         this state. *)
-      (Timestamp.low, t.nil)
+(* Markers above the newest real entry cost a tag compare, not a hash. *)
+let max_block t = snd (head t)
 
 let max_below t bound =
-  let lts =
-    TsMap.fold
-      (fun ts e acc ->
-        if Timestamp.( >= ) ts bound then acc
-        else if intact e then Some ts
-        else acc)
-      t.entries None
-  in
-  match lts with
+  match first intact (older bound t.entries) with
   | None -> None
-  | Some lts ->
-      let content =
-        match newest_real_below_or_at t lts with
-        | Some (_, b) -> Some b
-        | None -> None
-      in
-      (match TsMap.find_opt lts t.entries with
-      | Some ({ block = Some b; _ } as e) when intact e -> Some (lts, Some b)
-      | _ -> Some (lts, content))
+  | Some (lts, { block = Some b; _ }, _) -> Some (lts, Some b)
+  | Some (lts, _, rest) ->
+      Some (lts, Option.bind (first real rest) (fun (_, e, _) -> e.block))
 
 let gc t ~before =
-  let newest = max_ts t in
-  let newest_real = fst (max_block t) in
-  let keep ts _ =
-    Timestamp.( >= ) ts before
-    || Timestamp.equal ts newest
-    || Timestamp.equal ts newest_real
-  in
-  let kept = TsMap.filter keep t.entries in
-  let removed = TsMap.cardinal t.entries - TsMap.cardinal kept in
-  t.entries <- kept;
-  removed
+  (* Only entries older than [before] are visited, and none is hashed:
+     [head] names the two that must stay. *)
+  let newest, (newest_real, _) = head t in
+  let old, _, _ = TsMap.split before t.entries in
+  TsMap.fold
+    (fun ts _ removed ->
+      if Timestamp.equal ts newest || Timestamp.equal ts newest_real then
+        removed
+      else begin
+        t.entries <- TsMap.remove ts t.entries;
+        removed + 1
+      end)
+    old 0
 
 let size t = TsMap.cardinal t.entries
 
@@ -144,26 +157,21 @@ let checksum_errors t =
   TsMap.fold (fun _ e acc -> if intact e then acc else acc + 1) t.entries 0
 
 let corrupt_newest t =
-  let ts, block = max_block t in
-  let copy = Bytes.copy block in
-  Bytes.set copy 0 (Char.chr (Char.code (Bytes.get copy 0) lxor 0x40));
-  (* The checksum is recomputed over the flipped content: this models
-     corruption below the checksum's radar (bad RAM at write time,
-     firmware writing the wrong bits with a valid CRC). Only scrub's
-     cross-brick decode can catch it. *)
-  t.entries <- TsMap.add ts (fresh (Some copy)) t.entries
+  match first real (newest t) with
+  | Some (ts, { block = Some block; _ }, _) ->
+      let copy = Bytes.copy block in
+      Bytes.set copy 0 (Char.chr (Char.code (Bytes.get copy 0) lxor 0x40));
+      (* The checksum is recomputed over the flipped content: this
+         models corruption below the checksum's radar (bad RAM at
+         write time, firmware writing the wrong bits with a valid CRC).
+         Only scrub's cross-brick decode can catch it. *)
+      t.entries <- TsMap.add ts (fresh (Some copy)) t.entries
+  | Some _ | None -> ()
 
 let damage_newest t =
-  match
-    TsMap.fold
-      (fun ts e acc ->
-        match e.block with
-        | Some _ when intact e -> Some (ts, e)
-        | Some _ | None -> acc)
-      t.entries None
-  with
+  match first real (newest t) with
   | None -> None
-  | Some (ts, e) ->
+  | Some (ts, e, _) ->
       e.sum <- e.sum lxor 1;
       Some ts
 

@@ -14,7 +14,11 @@
     and [max-below]. {!gc} implements the section 5.1 trimming rule:
     once a write with timestamp [ts] is known complete, every entry
     strictly older than [ts] can go — except that the newest entry is
-    always retained so that [max-ts] never moves backwards. *)
+    always retained so that [max-ts] never moves backwards.
+
+    Each pair carries a content checksum. Queries scan newest-first,
+    verify every entry they consult and stop at the first intact one
+    that answers them; a damaged entry reads as absent. *)
 
 type t
 
@@ -38,6 +42,10 @@ val find : t -> Timestamp.t -> Bytes.t option option
 (** [find t ts] is [Some value] if an entry exists ([value] itself
     being [None] for a bot marker). *)
 
+val checksum : Bytes.t option -> int
+(** The checksum stamped on each entry: 32-bit-word FNV-1a, changed by
+    any single-bit flip; a bot marker hashes to a fixed tag. *)
+
 val max_ts : t -> Timestamp.t
 (** Highest timestamp in the log. *)
 
@@ -46,6 +54,10 @@ val max_block : t -> Timestamp.t * Bytes.t
     entry is checksum-damaged the log reads as an unwritten register,
     [(LowTS, nil)] — the quorum then repairs this process as long as
     at most [f] members are in that state. *)
+
+val head : t -> Timestamp.t * (Timestamp.t * Bytes.t)
+(** [head t] is [(max_ts t, max_block t)], found in one newest-first
+    descent: an entry that answers both is verified once. *)
 
 val max_below : t -> Timestamp.t -> (Timestamp.t * Bytes.t option) option
 (** [max_below t ts] is [Some (lts, content)] where [lts] is the
@@ -80,11 +92,12 @@ val entries : t -> (Timestamp.t * Bytes.t option) list
 val block_size : t -> int
 
 val corrupt_newest : t -> unit
-(** Flip a bit in the newest non-bot block {e and} restamp its
+(** Flip a bit in the newest intact non-bot entry {e and} restamp its
     checksum — simulated silent corruption below the checksum's radar
     (bad RAM at write time, firmware writing wrong bits with a valid
     CRC). Invisible to single-replica reads; only {!val:Volume.scrub}'s
-    cross-brick decode can catch it. *)
+    cross-brick decode can catch it. A no-op when no intact real entry
+    exists: it never adds an entry. *)
 
 val damage_newest : t -> Timestamp.t option
 (** Corrupt the newest intact non-bot entry {e detectably}: its stored

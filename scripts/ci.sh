@@ -40,6 +40,9 @@ dune build @chaos-mc-smoke
 echo "== @report-smoke (geometry matrix report, deterministic + valid) =="
 dune build @report-smoke
 
+echo "== @vdbench-selftest (same-seed sim output identical, read-back checks fire) =="
+dune build @vdbench-selftest
+
 echo "== bench_diff self-test (exit codes 0 / 1 / 2) =="
 # Three tiny fixtures: a baseline, a regressed copy (p99 doubled,
 # throughput halved), and an incompatible copy (different gf_kernel).

@@ -183,6 +183,244 @@ let test_tear_skips_deduped_add () =
   Alcotest.(check bool) "no-op add is not tearable" true
     (Slog.tear_last l = None)
 
+let test_corrupt_newest_never_resurrects () =
+  (* Regression: with no intact real entry left, corrupt_newest used to
+     corrupt max_block's (LowTS, nil) fallback, inserting a new LowTS
+     entry with non-zero "unwritten" content. *)
+  let l = Slog.create ~block_size:bs in
+  Slog.add l (ts 5) (Some (blk 'a'));
+  ignore (Slog.gc l ~before:(ts 5));
+  Alcotest.(check int) "LowTS collected" 1 (Slog.size l);
+  ignore (Slog.damage_newest l);
+  Slog.corrupt_newest l;
+  Alcotest.(check int) "nothing added" 1 (Slog.size l);
+  let mts, mb = Slog.max_block l in
+  Alcotest.(check bool) "reads as unwritten" true
+    (Ts.equal mts Ts.low && Bytes.for_all (fun c -> c = '\000') mb)
+
+let test_corrupt_newest_restamps () =
+  (* The newest intact real entry is rewritten in place, below the
+     checksum's radar: it stays intact, with different content. *)
+  let l = Slog.create ~block_size:bs in
+  Slog.add l (ts 5) (Some (blk 'a'));
+  Slog.add l (ts 7) None;
+  Slog.corrupt_newest l;
+  Alcotest.(check int) "same entries" 3 (Slog.size l);
+  Alcotest.(check int) "no checksum error" 0 (Slog.checksum_errors l);
+  match Slog.find l (ts 5) with
+  | Some (Some b) ->
+      Alcotest.(check bool) "content flipped" false (Bytes.equal b (blk 'a'))
+  | _ -> Alcotest.fail "entry 5"
+
+let test_damage_newest () =
+  let l = Slog.create ~block_size:bs in
+  Slog.add l (ts 5) (Some (blk 'a'));
+  Slog.add l (ts 9) (Some (blk 'b'));
+  Slog.add l (ts 12) None;
+  let damages what expect =
+    Alcotest.(check (option string)) what
+      (Option.map Ts.to_string expect)
+      (Option.map Ts.to_string (Slog.damage_newest l))
+  in
+  damages "skips the marker" (Some (ts 9));
+  damages "skips damaged 9" (Some (ts 5));
+  damages "then the nil block" (Some Ts.low);
+  damages "nothing intact" None;
+  Alcotest.(check int) "three errors" 3 (Slog.checksum_errors l);
+  Alcotest.(check bool) "marker still the head" true
+    (Ts.equal (Slog.max_ts l) (ts 12));
+  let mts, mb = Slog.max_block l in
+  Alcotest.(check bool) "reads as unwritten" true
+    (Ts.equal mts Ts.low && Bytes.for_all (fun c -> c = '\000') mb);
+  (* A later add at the same timestamp repairs the entry. *)
+  Slog.add l (ts 9) (Some (blk 'b'));
+  Alcotest.(check int) "two errors" 2 (Slog.checksum_errors l);
+  let mts, mb = Slog.max_block l in
+  Alcotest.(check bool) "repaired" true
+    (Ts.equal mts (ts 9) && Bytes.equal mb (blk 'b'))
+
+(* Every single-bit flip of a stored block is caught. The log keeps the
+   caller's buffer by reference, so flipping a bit in it models rot of
+   the stored record. 13 bytes exercise the checksum's tail loop. *)
+let test_checksum_detects_every_bit size () =
+  let l = Slog.create ~block_size:size in
+  let b = Bytes.init size (fun i -> Char.chr ((i * 37 + 11) land 0xff)) in
+  Slog.add l (ts 5) (Some b);
+  let flip i bit =
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)))
+  in
+  for i = 0 to size - 1 do
+    for bit = 0 to 7 do
+      flip i bit;
+      if Slog.find l (ts 5) <> None || Slog.checksum_errors l <> 1 then
+        Alcotest.failf "flip of byte %d bit %d undetected" i bit;
+      flip i bit;
+      if Slog.find l (ts 5) <> Some (Some b) || Slog.checksum_errors l <> 0
+      then Alcotest.failf "byte %d bit %d: not intact after restore" i bit
+    done
+  done
+
+(* A list-based oracle with the log's original whole-log fold
+   semantics: the newest-first queries must answer exactly as it does
+   after every step of a random history. *)
+module Model = struct
+  type e = { ts : Ts.t; block : Bytes.t option; ok : bool }
+
+  (* Oldest first. *)
+  type t = { mutable es : e list; mutable last : Ts.t option }
+
+  let create () =
+    { es = [ { ts = Ts.low; block = Some (Bytes.make bs '\000'); ok = true } ];
+      last = None }
+
+  let nil = (Ts.low, Bytes.make bs '\000')
+  let fold f l acc = List.fold_left (fun acc e -> f e acc) acc l.es
+  let intact l t = List.exists (fun e -> e.ok && Ts.equal e.ts t) l.es
+
+  let put l e =
+    l.es <-
+      List.sort
+        (fun a b -> Ts.compare a.ts b.ts)
+        (e :: List.filter (fun x -> not (Ts.equal x.ts e.ts)) l.es)
+
+  let add l t block =
+    if not (intact l t) then begin
+      put l { ts = t; block = Option.map Bytes.copy block; ok = true };
+      l.last <- Some t
+    end
+
+  let find l t =
+    List.find_map
+      (fun e -> if e.ok && Ts.equal e.ts t then Some e.block else None)
+      l.es
+
+  let max_ts l =
+    fold (fun e acc -> if e.ok then e.ts else acc) l Ts.low
+
+  let real_at_or_below l bound =
+    fold
+      (fun e acc ->
+        match e.block with
+        | Some b when e.ok && Ts.( <= ) e.ts bound -> Some (e.ts, b)
+        | Some _ | None -> acc)
+      l None
+
+  let max_block l =
+    Option.value (real_at_or_below l (max_ts l)) ~default:nil
+
+  let max_below l bound =
+    let below e acc = if e.ok && Ts.( < ) e.ts bound then Some e.ts else acc in
+    match fold below l None with
+    | None -> None
+    | Some lts -> Some (lts, Option.map snd (real_at_or_below l lts))
+
+  let gc l ~before =
+    let newest = max_ts l and newest_real = fst (max_block l) in
+    let keep e =
+      Ts.( >= ) e.ts before || Ts.equal e.ts newest || Ts.equal e.ts newest_real
+    in
+    let n = List.length l.es in
+    l.es <- List.filter keep l.es;
+    n - List.length l.es
+
+  let newest_real l =
+    fold (fun e acc -> if e.ok && e.block <> None then Some e else acc) l None
+
+  let damage_newest l =
+    Option.map (fun e -> put l { e with ok = false }; e.ts) (newest_real l)
+
+  let corrupt_newest l =
+    match newest_real l with
+    | Some ({ block = Some b; _ } as e) ->
+        let c = Bytes.copy b in
+        Bytes.set c 0 (Char.chr (Char.code (Bytes.get c 0) lxor 0x40));
+        put l { e with block = Some c }
+    | Some _ | None -> ()
+
+  let tear_last l =
+    match l.last with
+    | None -> None
+    | Some t ->
+        l.last <- None;
+        if intact l t then begin
+          put l
+            { (List.find (fun e -> Ts.equal e.ts t) l.es) with ok = false };
+          Some t
+        end
+        else None
+
+  let size l = List.length l.es
+  let errors l = List.length (List.filter (fun e -> not e.ok) l.es)
+end
+
+let test_queries_match_model () =
+  let horizon = 12 in
+  let rng = Random.State.make [| 20040628 |] in
+  let ts_s t = Ts.to_string t in
+  let blk_s = function None -> "bot" | Some b -> Bytes.to_string b in
+  let check_all step l m =
+    let where what = Printf.sprintf "step %d: %s" step what in
+    let eq what show a b =
+      if a <> b then
+        Alcotest.failf "%s: %s <> %s" (where what) (show a) (show b)
+    in
+    let pair (t, b) = ts_s t ^ "/" ^ Bytes.to_string b in
+    eq "max_ts" ts_s (Model.max_ts m) (Slog.max_ts l);
+    eq "max_block" pair (Model.max_block m) (Slog.max_block l);
+    eq "head" (fun (t, p) -> ts_s t ^ " " ^ pair p)
+      (Model.max_ts m, Model.max_block m)
+      (Slog.head l);
+    eq "size" string_of_int (Model.size m) (Slog.size l);
+    eq "checksum_errors" string_of_int (Model.errors m)
+      (Slog.checksum_errors l);
+    let below = function
+      | None -> "none"
+      | Some (t, c) -> ts_s t ^ " " ^ blk_s c
+    in
+    let bounds = Ts.low :: Ts.high :: List.init (horizon + 2) ts in
+    List.iter
+      (fun b ->
+        eq ("max_below " ^ ts_s b) below (Model.max_below m b)
+          (Slog.max_below l b);
+        eq ("find " ^ ts_s b)
+          (function None -> "absent" | Some c -> blk_s c)
+          (Model.find m b) (Slog.find l b);
+        eq ("mem " ^ ts_s b) string_of_bool (Model.find m b <> None)
+          (Slog.mem l b))
+      bounds
+  in
+  for _ = 1 to 100 do
+    let l = Slog.create ~block_size:bs and m = Model.create () in
+    for step = 1 to 40 do
+      let t = ts (1 + Random.State.int rng horizon) in
+      let opt show a b =
+        if a <> b then
+          Alcotest.failf "step %d: %s <> %s" step
+            (Option.fold ~none:"none" ~some:show a)
+            (Option.fold ~none:"none" ~some:show b)
+      in
+      (match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 ->
+          let b =
+            if Random.State.bool rng then
+              Some
+                (Bytes.init bs (fun _ -> Char.chr (Random.State.int rng 256)))
+            else None
+          in
+          Model.add m t b;
+          Slog.add l t b
+      | 4 ->
+          let removed = Model.gc m ~before:t in
+          Alcotest.(check int) "gc removed" removed (Slog.gc l ~before:t)
+      | 5 | 6 -> opt ts_s (Model.damage_newest m) (Slog.damage_newest l)
+      | 7 | 8 -> opt ts_s (Model.tear_last m) (Slog.tear_last l)
+      | _ ->
+          Model.corrupt_newest m;
+          Slog.corrupt_newest l);
+      check_all step l m
+    done
+  done
+
 let qtest name gen f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:200 ~name gen f)
 
@@ -243,6 +481,23 @@ let () =
           Alcotest.test_case "preserves newest" `Quick
             test_gc_preserves_newest_even_if_old;
           Alcotest.test_case "idempotent" `Quick test_gc_idempotent;
+        ] );
+      ( "damage",
+        [
+          Alcotest.test_case "damage_newest" `Quick test_damage_newest;
+          Alcotest.test_case "corrupt_newest never resurrects" `Quick
+            test_corrupt_newest_never_resurrects;
+          Alcotest.test_case "corrupt_newest restamps" `Quick
+            test_corrupt_newest_restamps;
+          Alcotest.test_case "checksum catches every bit (64 B)" `Quick
+            (test_checksum_detects_every_bit 64);
+          Alcotest.test_case "checksum catches every bit (13 B)" `Quick
+            (test_checksum_detects_every_bit 13);
+        ] );
+      ( "model",
+        [
+          Alcotest.test_case "queries match the fold model" `Quick
+            test_queries_match_model;
         ] );
       ( "tear",
         [
