@@ -43,13 +43,18 @@ let () =
   in
   (* Standalone CI helpers: print the kernel backends usable on this
      machine (one per line, for shell loops), or run the split-vs-table
-     regression gate. Both exit without touching the sections. *)
+     or hardware-vs-portable CRC32C regression gate. Each exits without
+     touching the sections. *)
   if List.mem "--list-kernels" args then begin
     Micro.list_kernels ();
     exit 0
   end;
   if List.mem "--check-split" args then begin
     Micro.check_split ();
+    exit 0
+  end;
+  if List.mem "--check-crc" args then begin
+    Micro.check_crc ();
     exit 0
   end;
   (* Smoke runs write *.smoke.json so they can never clobber the

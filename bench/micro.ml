@@ -22,7 +22,10 @@
    machine-tracked; [smoke] (--smoke) shrinks the measurement quota so
    a CI alias can exercise the harness in well under a second.
    [check_split] (--check-split) is a pass/fail gate: the split64
-   kernel must not regress below the table kernel on rs(10,14) encode. *)
+   kernel must not regress below the table kernel on rs(10,14) encode.
+   [check_crc] (--check-crc) is another: where the SSE4.2 CRC32C path
+   is in use it must hash 64 KiB at least 2x faster than the portable
+   slicing-by-8 path. *)
 
 open Bechamel
 open Toolkit
@@ -218,6 +221,7 @@ let write_json path rows =
             ("plan_block_size", I plan_block_size);
             ("gf_kernel", S (K.name (K.default ())));
             ("simd_level", I K.simd_level);
+            ("crc32c", S Core.Crc32c.kernel);
           ]
       ()
   in
@@ -242,6 +246,7 @@ let run () =
     (K.name (K.default ()))
     K.simd_level
     (String.concat " " (List.map K.name (K.available_impls ())));
+  Printf.printf "  crc32c: %s\n" Core.Crc32c.kernel;
   let rows =
     List.concat_map measure_group
       [
@@ -296,5 +301,37 @@ let check_split () =
   if split_ns > table_ns /. 0.9 then begin
     Printf.eprintf
       "check-split: FAIL: split64 kernel slower than 0.9x table kernel\n";
+    exit 1
+  end
+
+(* Directly timed, like [check_split]. The SSE4.2 path exists only for
+   speed: fail CI if, where it is in use, it is not at least 2x faster
+   than the portable loop on a 64 KiB block (the stream-large entry
+   size). Without SSE4.2 both calls run the same loop and there is
+   nothing to gate. *)
+let check_crc () =
+  let b = Bytes.init 65536 (fun i -> Char.chr ((i * 7 + 3) land 0xff)) in
+  let time f =
+    let iters = 2000 in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (f b))
+    done;
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to iters do
+      ignore (Sys.opaque_identity (f b))
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9
+  in
+  let kernel_ns = time Core.Crc32c.bytes in
+  let portable_ns = time Core.Crc32c.portable in
+  Printf.printf
+    "check-crc: crc32c 64KiB  %s %.0f ns (%.3f ns/B)  portable %.0f ns (%.3f \
+     ns/B)  (%.2fx)\n"
+    Core.Crc32c.kernel kernel_ns (kernel_ns /. 65536.) portable_ns
+    (portable_ns /. 65536.) (portable_ns /. kernel_ns);
+  if Core.Crc32c.kernel <> "portable" && kernel_ns > portable_ns /. 2. then begin
+    Printf.eprintf
+      "check-crc: FAIL: %s crc32c path not 2x faster than the portable path\n"
+      Core.Crc32c.kernel;
     exit 1
   end

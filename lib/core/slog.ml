@@ -21,28 +21,13 @@ type t = {
          the write a crash can tear. *)
 }
 
-(* FNV-1a over 32-bit words in OCaml's 63-bit int: one 8-byte load per
-   step, its halves folded as two xor-multiply rounds, then one round
-   per tail byte. Each round is a bijection of the running sum (xor,
-   then a multiply by an odd prime), so changing any one input word —
-   flipping any one bit — changes the result. A bot marker hashes to a
-   fixed tag so torn marker records are detectable too. *)
-let prime = 0x100000001b3
-
+(* CRC32C (Crc32c): it changes on every single-bit error and every
+   error burst of at most 32 bits. A bot marker carries a fixed tag
+   above the CRC's 32-bit range, so no marker record can ever carry a
+   block's checksum, and a torn marker is detectable too. *)
 let checksum = function
   | None -> 0x1ae16a3b2f90404f
-  | Some b ->
-      let len = Bytes.length b in
-      let h = ref 0x3bf29ce484222325 in
-      for i = 0 to (len / 8) - 1 do
-        let w = Bytes.get_int64_le b (8 * i) in
-        h := (!h lxor (Int64.to_int w land 0xffffffff)) * prime;
-        h := (!h lxor Int64.to_int (Int64.shift_right_logical w 32)) * prime
-      done;
-      for j = len land lnot 7 to len - 1 do
-        h := (!h lxor Char.code (Bytes.unsafe_get b j)) * prime
-      done;
-      !h
+  | Some b -> Crc32c.bytes b
 
 let intact e = e.sum = checksum e.block
 let fresh block = { block; sum = checksum block }

@@ -43,11 +43,15 @@ val find : t -> Timestamp.t -> Bytes.t option option
     being [None] for a bot marker). *)
 
 val checksum : Bytes.t option -> int
-(** The checksum stamped on each entry: 32-bit-word FNV-1a, changed by
-    any single-bit flip; a bot marker hashes to a fixed tag. *)
+(** The checksum stamped on each entry: the block's CRC32C
+    ({!Crc32c.bytes}, in [0, 0xffffffff]), which changes on every
+    single-bit error and every error burst of at most 32 bits. A bot
+    marker hashes to a fixed tag above [0xffffffff], so it can never
+    equal a block's checksum. *)
 
 val max_ts : t -> Timestamp.t
-(** Highest timestamp in the log. *)
+(** Highest timestamp among the log's intact entries, bot markers
+    included; [LowTS] if every entry is checksum-damaged. *)
 
 val max_block : t -> Timestamp.t * Bytes.t
 (** The intact non-bot entry with the highest timestamp. If every real

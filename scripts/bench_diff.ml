@@ -17,8 +17,8 @@
      determinism gate (same seed, same commit => identical report).
 
    Meta stamps guard against apples-to-oranges comparisons: if the two
-   files disagree on gf_kernel / simd_level / geometry / workload
-   shape / runtime backend / domain count the diff refuses to run
+   files disagree on gf_kernel / simd_level / crc32c / geometry /
+   workload shape / runtime backend / domain count the diff refuses to run
    (exit 2) unless --force is given — sim delta units and mc
    wall-clock seconds must never be compared as if commensurable.
    meta.date, meta.git and meta.ocaml_version are always ignored (they
@@ -345,7 +345,8 @@ let () =
      that change what is being measured (not just how well). *)
   let guard_keys =
     [
-      "meta.gf_kernel"; "meta.simd_level"; "meta.geometries"; "meta.profiles";
+      "meta.gf_kernel"; "meta.simd_level"; "meta.crc32c"; "meta.geometries";
+      "meta.profiles";
       "meta.m"; "meta.n"; "meta.bricks"; "meta.stripes"; "meta.block_size";
       "meta.clients"; "meta.ops"; "meta.window"; "meta.faults"; "meta.slos";
       "meta.seed"; "meta.tool"; "meta.runtime"; "meta.domains";

@@ -11,7 +11,7 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== @bench-smoke (microbenchmark harness + split-kernel gate) =="
+echo "== @bench-smoke (microbenchmark harness + split-kernel and CRC32C gates) =="
 dune build @bench-smoke
 
 echo "== micro bench per GF(2^8) kernel backend =="
@@ -44,27 +44,31 @@ echo "== @vdbench-selftest (same-seed sim output identical, read-back checks fir
 dune build @vdbench-selftest
 
 echo "== bench_diff self-test (exit codes 0 / 1 / 2) =="
-# Three tiny fixtures: a baseline, a regressed copy (p99 doubled,
-# throughput halved), and an incompatible copy (different gf_kernel).
-# bench_diff must pass the identical pair, fail the regressed pair,
-# and refuse the incompatible pair — each with its documented exit
-# code, since scripts/ci-style wiring keys off exactly those.
+# Four tiny fixtures: a baseline, a regressed copy (p99 doubled,
+# throughput halved), and two incompatible copies (different gf_kernel;
+# different CRC32C checksum kernel). bench_diff must pass the identical
+# pair, fail the regressed pair, and refuse each incompatible pair —
+# each with its documented exit code, since scripts/ci-style wiring
+# keys off exactly those.
 BD="$(pwd)/_build/default/scripts/bench_diff.exe"
 dune build scripts/bench_diff.exe
 T="$(mktemp -d)"
 trap 'rm -rf "$T"' EXIT
 cat > "$T/base.json" <<'EOF'
-{"meta": {"date": "2026-01-01T00:00:00Z", "gf_kernel": "table", "simd_level": 0, "seed": 1},
+{"meta": {"date": "2026-01-01T00:00:00Z", "gf_kernel": "table", "simd_level": 0, "crc32c": "sse4.2", "seed": 1},
  "cells": [{"name": "rep-2/web", "latency": {"p50": 2.0, "p99": 6.0}, "throughput": 0.5, "slo": [{"name": "read p99 < 6", "compliant": true}]}]}
 EOF
 sed -e 's/"p99": 6.0/"p99": 12.0/' -e 's/"throughput": 0.5/"throughput": 0.2/' \
     -e 's/"compliant": true/"compliant": false/' "$T/base.json" > "$T/worse.json"
 sed -e 's/"gf_kernel": "table"/"gf_kernel": "ref"/' "$T/base.json" > "$T/alien.json"
+sed -e 's/"crc32c": "sse4.2"/"crc32c": "portable"/' "$T/base.json" > "$T/alien_crc.json"
 "$BD" "$T/base.json" "$T/base.json" --exact
 rc=0; "$BD" "$T/base.json" "$T/worse.json" --threshold 10 || rc=$?
 [ "$rc" -eq 1 ] || { echo "bench_diff: expected exit 1 on regression, got $rc"; exit 1; }
 rc=0; "$BD" "$T/base.json" "$T/alien.json" >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "bench_diff: expected exit 2 on meta mismatch, got $rc"; exit 1; }
+rc=0; "$BD" "$T/base.json" "$T/alien_crc.json" >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "bench_diff: expected exit 2 on crc32c mismatch, got $rc"; exit 1; }
 rc=0; "$BD" "$T/base.json" "$T/worse.json" --threshold 10 --rule p99:-1 --rule throughput:-1 --rule compliant:-1 >/dev/null || rc=$?
 [ "$rc" -eq 0 ] || { echo "bench_diff: expected exit 0 with rules disabled, got $rc"; exit 1; }
 echo "bench_diff self-test OK"

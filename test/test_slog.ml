@@ -241,7 +241,8 @@ let test_damage_newest () =
 
 (* Every single-bit flip of a stored block is caught. The log keeps the
    caller's buffer by reference, so flipping a bit in it models rot of
-   the stored record. 13 bytes exercise the checksum's tail loop. *)
+   the stored record. 13 bytes exercise the checksum's tail loop;
+   4096 bytes are a full 4 KiB block. *)
 let test_checksum_detects_every_bit size () =
   let l = Slog.create ~block_size:size in
   let b = Bytes.init size (fun i -> Char.chr ((i * 37 + 11) land 0xff)) in
@@ -259,6 +260,40 @@ let test_checksum_detects_every_bit size () =
       then Alcotest.failf "byte %d bit %d: not intact after restore" i bit
     done
   done
+
+(* RFC 3720 section B.4 known answers, plus the customary check value
+   of "123456789". The CRC is read as a number, so 0x8a9136aa is the
+   value the RFC lists as the bytes aa 36 91 8a. *)
+let test_crc32c_known_answers () =
+  let check name want b =
+    Alcotest.(check string) name (Printf.sprintf "%08x" want)
+      (Printf.sprintf "%08x" (Slog.checksum (Some b)))
+  in
+  check "32 x 00" 0x8a9136aa (Bytes.make 32 '\000');
+  check "32 x ff" 0x62a8ab43 (Bytes.make 32 '\255');
+  check "32 ascending" 0x46dd794e (Bytes.init 32 Char.chr);
+  check "32 descending" 0x113fdb5c (Bytes.init 32 (fun i -> Char.chr (31 - i)));
+  check "123456789" 0xe3069283 (Bytes.of_string "123456789")
+
+(* The hardware path (when this CPU has one) and the portable path
+   agree on every length around the 8-byte step and its tail, and on
+   the two block sizes the benchmarks use. *)
+let test_crc32c_paths_agree () =
+  let agree len =
+    let b = Bytes.init len (fun i -> Char.chr ((i * 131 + len) land 0xff)) in
+    let hw = Core.Crc32c.bytes b and sw = Core.Crc32c.portable b in
+    if hw <> sw then
+      Alcotest.failf "length %d: %s %08x, portable %08x" len Core.Crc32c.kernel
+        hw sw
+  in
+  for len = 0 to 300 do
+    agree len
+  done;
+  List.iter agree [ 4096; 65536; 65536 + 7 ]
+
+let test_marker_tag_outside_crc_range () =
+  Alcotest.(check bool) "bot tag > 0xffffffff" true
+    (Slog.checksum None > 0xffffffff)
 
 (* A list-based oracle with the log's original whole-log fold
    semantics: the newest-first queries must answer exactly as it does
@@ -493,6 +528,16 @@ let () =
             (test_checksum_detects_every_bit 64);
           Alcotest.test_case "checksum catches every bit (13 B)" `Quick
             (test_checksum_detects_every_bit 13);
+          Alcotest.test_case "checksum catches every bit (4096 B)" `Quick
+            (test_checksum_detects_every_bit 4096);
+        ] );
+      ( "crc32c",
+        [
+          Alcotest.test_case "known answers" `Quick test_crc32c_known_answers;
+          Alcotest.test_case "hardware and portable paths agree" `Quick
+            test_crc32c_paths_agree;
+          Alcotest.test_case "bot tag outside CRC range" `Quick
+            test_marker_tag_outside_crc_range;
         ] );
       ( "model",
         [
