@@ -335,8 +335,8 @@ let x6 () =
       ignore (Coordinator.write_stripe c ~stripe:0 new_stripe));
   ignore
     (Dessim.Engine.schedule cl.Cluster.engine ~delay:1.5 (fun () ->
-         Simnet.Net.set_link_down cl.Cluster.net ~src:2 ~dst:1 true;
-         Simnet.Net.set_link_down cl.Cluster.net ~src:2 ~dst:2 true));
+         Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:2 ~dst:1 true;
+         Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:2 ~dst:2 true));
   ignore
     (Dessim.Engine.schedule cl.Cluster.engine ~delay:4.5 (fun () ->
          Brick.crash cl.Cluster.bricks.(2)));
@@ -368,7 +368,7 @@ let x6 () =
   ignore
     (Dessim.Engine.schedule cl.Cluster.engine ~delay:1.5 (fun () ->
          for dst = 1 to 3 do
-           Simnet.Net.set_link_down cl.Cluster.net ~src:3 ~dst true
+           Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:3 ~dst true
          done));
   ignore
     (Dessim.Engine.schedule cl.Cluster.engine ~delay:4.5 (fun () ->
@@ -376,7 +376,7 @@ let x6 () =
   ignore
     (Dessim.Engine.schedule cl.Cluster.engine ~delay:5.0 (fun () ->
          for dst = 1 to 3 do
-           Simnet.Net.set_link_down cl.Cluster.net ~src:3 ~dst false
+           Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:3 ~dst false
          done;
          Brick.recover cl.Cluster.bricks.(3)));
   Cluster.run ~horizon:30. cl;

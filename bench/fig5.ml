@@ -50,8 +50,8 @@ let run () =
       ignore (Coordinator.write_stripe c ~stripe:0 [| blk "v'" |]));
   ignore
     (Dessim.Engine.schedule engine ~delay:1.5 (fun () ->
-         Simnet.Net.set_link_down cl.Cluster.net ~src:1 ~dst:0 true;
-         Simnet.Net.set_link_down cl.Cluster.net ~src:1 ~dst:2 true));
+         Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:1 ~dst:0 true;
+         Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:1 ~dst:2 true));
   let crash_at = ref 0. in
   ignore
     (Dessim.Engine.schedule engine ~delay:4.5 (fun () ->
@@ -82,8 +82,8 @@ let run () =
 
   (* Process a recovers — in the naive protocol its higher-timestamped
      v' would now win. *)
-  Simnet.Net.set_link_down cl.Cluster.net ~src:1 ~dst:0 false;
-  Simnet.Net.set_link_down cl.Cluster.net ~src:1 ~dst:2 false;
+  Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:1 ~dst:0 false;
+  Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:1 ~dst:2 false;
   Brick.recover cl.Cluster.bricks.(1);
   Printf.printf "  process a recovered with its leftover v'\n";
   let r3 = do_read "read3 (after a recovered)" 2 in

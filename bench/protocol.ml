@@ -1,7 +1,6 @@
 (* Protocol-level benchmarks for the request-pipelining optimizations:
-   serial vs pipelined multi-stripe I/O, cold vs warm write rounds
-   (order-phase elision via the coordinator timestamp cache), and
-   per-destination message coalescing.
+   serial vs pipelined multi-stripe I/O, and cold vs warm write rounds
+   (order-phase elision via the coordinator timestamp cache).
 
    Each comparison varies exactly one knob on otherwise identical
    volumes (same seed, same geometry, same request stream), so the
@@ -25,7 +24,7 @@ type run_result = {
   requests : int;
   oks : int;
   elapsed : float; (* delta units *)
-  msgs : float; (* network envelopes *)
+  msgs : float; (* network messages *)
   latencies : float list; (* per request, in request order *)
   stats : Obs.Stats.stats option;
 }
@@ -34,11 +33,10 @@ type run_result = {
    back, from one client fiber. [observe_from] attaches a fresh stats
    aggregator after that many requests completed (so warm-up traffic is
    excluded from phase accounting). *)
-let run_requests ?observe_from ~window ~ts_cache ~coalesce ~write ~requests ()
-    =
+let run_requests ?observe_from ~window ~ts_cache ~write ~requests () =
   let volume =
     Fab.Volume.create ~m ~n ~stripes:volume_stripes ~block_size ~seed:1
-      ~ts_cache ~coalesce ~pipeline_window:window ()
+      ~ts_cache ~pipeline_window:window ()
   in
   let cluster = Fab.Volume.cluster volume in
   let engine = cluster.Core.Cluster.engine in
@@ -126,20 +124,18 @@ let run () =
 
   (* -- serial vs pipelined ------------------------------------------ *)
   let serial_r =
-    run_requests ~window:1 ~ts_cache:false ~coalesce:false ~write:false
-      ~requests ()
+    run_requests ~window:1 ~ts_cache:false ~write:false ~requests ()
   in
   let serial_w =
-    run_requests ~window:1 ~ts_cache:false ~coalesce:false ~write:true
-      ~requests ()
+    run_requests ~window:1 ~ts_cache:false ~write:true ~requests ()
   in
   let piped_r =
-    run_requests ~window:span_stripes ~ts_cache:false ~coalesce:false
-      ~write:false ~requests ()
+    run_requests ~window:span_stripes ~ts_cache:false ~write:false
+      ~requests ()
   in
   let piped_w =
-    run_requests ~window:span_stripes ~ts_cache:false ~coalesce:false
-      ~write:true ~requests ()
+    run_requests ~window:span_stripes ~ts_cache:false ~write:true
+      ~requests ()
   in
   let line name r =
     Printf.printf
@@ -163,11 +159,11 @@ let run () =
   Util.subsection "Order-phase elision (coordinator timestamp cache)";
   let cold =
     run_requests ~observe_from:0 ~window:span_stripes ~ts_cache:true
-      ~coalesce:false ~write:true ~requests:1 ()
+      ~write:true ~requests:1 ()
   in
   let warm =
     run_requests ~observe_from:warmup ~window:span_stripes ~ts_cache:true
-      ~coalesce:false ~write:true ~requests:(warmup + requests) ()
+      ~write:true ~requests:(warmup + requests) ()
   in
   let cold_stats = Option.get cold.stats in
   let warm_stats = Option.get warm.stats in
@@ -187,19 +183,6 @@ let run () =
   Printf.printf "  msgs/req: cold %.1f, warm %.1f (an elided order round \
                  saves its 2n messages)\n"
     (per_req cold cold.msgs) (per_req warm warm.msgs);
-
-  (* -- per-destination coalescing ------------------------------------ *)
-  Util.subsection "Per-destination coalescing (pipelined writes)";
-  let nocoal = piped_w in
-  let coal =
-    run_requests ~window:span_stripes ~ts_cache:false ~coalesce:true
-      ~write:true ~requests ()
-  in
-  Printf.printf
-    "  envelopes/req: %.1f uncoalesced vs %.1f coalesced (%.1fx fewer; \
-     payload bytes unchanged)\n"
-    (per_req nocoal nocoal.msgs) (per_req coal coal.msgs)
-    (per_req nocoal nocoal.msgs /. per_req coal coal.msgs);
 
   (* -- JSON ----------------------------------------------------------- *)
   Option.iter
@@ -255,13 +238,6 @@ let run () =
               ("warm_requests", I warm.requests);
               num "cold_msgs_per_req" (per_req cold cold.msgs);
               num "warm_msgs_per_req" (per_req warm warm.msgs);
-            ];
-          section "coalescing"
-            [
-              num "uncoalesced_envelopes_per_req" (per_req nocoal nocoal.msgs);
-              num "coalesced_envelopes_per_req" (per_req coal coal.msgs);
-              num "envelope_reduction"
-                (per_req nocoal nocoal.msgs /. per_req coal coal.msgs);
             ];
         ]
       in

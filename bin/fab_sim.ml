@@ -127,8 +127,8 @@ let write_stats_json path ~meta ~metrics ~obs_stats ~client_latency ~elapsed
   close_out oc
 
 let run_workload runtime_name domains m n bricks stripes block_size clients
-    ops profile drop seed optimized pipeline_window no_ts_cache no_coalesce
-    trace trace_out trace_chrome stats_json =
+    ops profile drop seed optimized pipeline_window no_ts_cache trace
+    trace_out trace_chrome stats_json =
   if m < 1 || n <= m then `Error (false, "need 1 <= m < n")
   else if pipeline_window < 1 then `Error (false, "need pipeline-window >= 1")
   else if runtime_name <> "sim" && runtime_name <> "mc" then
@@ -142,15 +142,13 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
         Fab.Volume.create ~m ~n
           ?bricks:(if bricks = 0 then None else Some bricks)
           ~stripes ~block_size ~seed ~optimized_modify:optimized
-          ~ts_cache:(not no_ts_cache) ~coalesce:(not no_coalesce)
-          ~pipeline_window
+          ~ts_cache:(not no_ts_cache) ~pipeline_window
           ~net_config:{ Simnet.Net.default_config with drop }
           ()
       else begin
         (* Multicore backend: every concurrent client gets its own
            coordinator brick so logical (time, pid) timestamps stay
-           unique; message coalescing is a same-instant notion and is
-           left off under wall-clock time. *)
+           unique. *)
         let nbricks = if bricks = 0 then max n clients else bricks in
         let layout_kind =
           if nbricks = n then Fab.Layout.Fixed else Fab.Layout.Rotating
@@ -184,7 +182,6 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
             ("drop", Obs.Json.F drop);
             ("pipeline_window", Obs.Json.I pipeline_window);
             ("ts_cache", Obs.Json.B (not no_ts_cache));
-            ("coalesce", Obs.Json.B (not no_coalesce));
             ( "gf_kernel",
               Obs.Json.S (Erasure.Codec.kernel_name (Fab.Volume.codec volume))
             );
@@ -353,10 +350,6 @@ let workload_cmd =
            ~doc:"Disable coordinator timestamp caching (order-round \
                  elision on warm sequential writes).")
   in
-  let no_coalesce =
-    Arg.(value & flag & info [ "no-coalesce" ]
-           ~doc:"Disable per-destination message coalescing.")
-  in
   let trace =
     Arg.(value & flag & info [ "trace" ]
            ~doc:"Print a protocol trace (every event) to stderr.")
@@ -382,8 +375,8 @@ let workload_cmd =
       ret
         (const run_workload $ runtime_name $ domains $ m $ n $ bricks
         $ stripes $ block_size $ clients $ ops $ profile $ drop $ seed
-        $ optimized $ pipeline_window $ no_ts_cache $ no_coalesce $ trace
-        $ trace_out $ trace_chrome $ stats_json))
+        $ optimized $ pipeline_window $ no_ts_cache $ trace $ trace_out
+        $ trace_chrome $ stats_json))
 
 (* ---------------- explain ---------------- *)
 

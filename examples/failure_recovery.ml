@@ -47,7 +47,7 @@ let partial_write cl ~doomed ~reach data =
     (Dessim.Engine.schedule engine ~delay:1.5 (fun () ->
          for dst = 0 to n - 1 do
            if not (List.mem dst reach) then
-             Simnet.Net.set_link_down cl.Cluster.net ~src:doomed ~dst true
+             Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:doomed ~dst true
          done));
   ignore
     (Dessim.Engine.schedule engine ~delay:4.5 (fun () ->
@@ -55,7 +55,7 @@ let partial_write cl ~doomed ~reach data =
   ignore
     (Dessim.Engine.schedule engine ~delay:5.0 (fun () ->
          for dst = 0 to n - 1 do
-           Simnet.Net.set_link_down cl.Cluster.net ~src:doomed ~dst false
+           Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:doomed ~dst false
          done;
          Brick.recover cl.Cluster.bricks.(doomed)));
   Cluster.run ~horizon:50. cl
@@ -134,7 +134,7 @@ let scenario_partition () =
    with
   | Some (Ok ()) -> say "  wrote 'A' before the partition\n"
   | _ -> failwith "seed");
-  Simnet.Net.partition cl.Cluster.net [ [ 0; 1; 2; 3 ]; [ 4 ] ];
+  Simnet.Faultnet.partition (Cluster.faultnet cl) [ [ 0; 1; 2; 3 ]; [ 4 ] ];
   say "  partitioned: {0,1,2,3} | {4}  (quorum size is 4)\n";
   ignore (show_read cl ~coord:1 ~stripe:0 "read from the majority side");
   (match
@@ -143,7 +143,7 @@ let scenario_partition () =
    with
   | None -> say "  read from the isolated brick 4 -> stalls (no quorum), as it must\n"
   | Some _ -> say "  unexpected completion on minority side!\n");
-  Simnet.Net.heal cl.Cluster.net;
+  Simnet.Faultnet.heal (Cluster.faultnet cl);
   say "  partition healed\n";
   ignore (show_read cl ~coord:4 ~stripe:0 "read via brick 4 after healing");
   say "\n"

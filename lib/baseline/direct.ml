@@ -35,7 +35,8 @@ let create ?(seed = 42) ?(block_size = 1024) ~m ~n () =
   let runtime = Runtime_sim.of_engine engine in
   let metrics = Metrics.Registry.create () in
   let net =
-    Simnet.Net.create ~metrics engine ~config:Simnet.Net.default_config ~n
+    Simnet.Net.create ~metrics engine ~config:Simnet.Net.default_config
+      ~faults:(Simnet.Faultnet.create ~seed ~n) ~n
   in
   let rpc =
     Quorum.Rpc.create ~rt:runtime ~transport:(Quorum.Rpc.of_net net)

@@ -77,7 +77,10 @@ let create ?(seed = 42) ?(net_config = Simnet.Net.default_config)
   let engine = Dessim.Engine.create ~seed () in
   let runtime = Runtime_sim.of_engine engine in
   let metrics = Metrics.Registry.create () in
-  let net = Simnet.Net.create ~metrics engine ~config:net_config ~n:count in
+  let net =
+    Simnet.Net.create ~metrics engine ~config:net_config
+      ~faults:(Simnet.Faultnet.create ~seed ~n:count) ~n:count
+  in
   let rpc =
     Quorum.Rpc.create ~rt:runtime ~transport:(Quorum.Rpc.of_net net)
       ~req_bytes:bytes_on_wire ~rep_bytes:bytes_on_wire

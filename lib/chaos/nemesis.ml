@@ -1,18 +1,12 @@
 module Cluster = Core.Cluster
-module Faultnet = Core.Faultnet
-module Net = Simnet.Net
+module Faultnet = Simnet.Faultnet
 
 type t = {
   cluster : Cluster.t;
   base_drop : float;
   time_scale : float;
-  base_config : Net.config;
-      (* sim network config at install; [Slow] stacks on top of it and
-         [restore] returns to it *)
   lock : Mutex.t;
   mutable timers : Runtime.timer list;
-  (* directed links the plan took down and has not yet revived *)
-  mutable downed : (int * int) list;
   mutable skewed : int list;
   mutable applied : (float * Plan.fault) list;
   mutable restored : bool;
@@ -80,54 +74,32 @@ let fault_error cl fault =
     | Plan.Drop _ | Plan.Link_down _ | Plan.Link_up _ | Plan.Slow _ ->
         None
 
-(* Apply one fault to the environment. [base] is the sim network's
-   pre-chaos config ([Slow] adds on top of it); [time_scale] converts
-   a [Slow]'s plan units into mc wall-clock seconds. *)
-let apply_env ~time_scale ~base cl fault =
-  match Cluster.faultnet cl with
-  | None -> (
-      let net = cl.Cluster.net in
-      match fault with
-      | Plan.Crash i -> Cluster.crash cl i
-      | Plan.Recover i -> Cluster.recover cl i
-      | Plan.Partition groups -> Net.partition net groups
-      | Plan.Heal -> Net.heal net
-      | Plan.Drop p -> Net.set_drop net p
-      | Plan.Link_down (src, dst) -> Net.set_link_down net ~src ~dst true
-      | Plan.Link_up (src, dst) -> Net.set_link_down net ~src ~dst false
-      | Plan.Slow (d, j) ->
-          Net.set_delay net
-            ~delay:(base.Net.delay +. d)
-            ~jitter:(base.Net.jitter +. j)
-      | Plan.Skew (i, skew) ->
-          Core.Clock.set_skew
-            (Core.Coordinator.clock cl.Cluster.coordinators.(i))
-            skew
-      | Plan.Torn_crash i -> torn_crash cl i
-      | Plan.Bit_rot (brick, stripe) ->
-          on_log cl brick stripe Core.Slog.corrupt_newest
-      | Plan.Sector_error (brick, stripe) ->
-          on_log cl brick stripe (fun slog ->
-              ignore (Core.Slog.damage_newest slog)))
-  | Some fnet -> (
-      match fault with
-      | Plan.Crash i -> Cluster.crash cl i
-      | Plan.Recover i -> Cluster.recover cl i
-      | Plan.Partition groups -> Faultnet.partition fnet groups
-      | Plan.Heal -> Faultnet.heal fnet
-      | Plan.Drop p -> Faultnet.set_drop fnet p
-      | Plan.Link_down (src, dst) ->
-          Faultnet.set_link_down fnet ~src ~dst true
-      | Plan.Link_up (src, dst) ->
-          Faultnet.set_link_down fnet ~src ~dst false
-      | Plan.Slow (d, j) ->
-          Faultnet.set_delay fnet ~delay:(d *. time_scale)
-            ~jitter:(j *. time_scale)
-      | Plan.Skew _ | Plan.Torn_crash _ | Plan.Bit_rot _
-      | Plan.Sector_error _ ->
-          (* install/inject reject these on mc; never silently no-op *)
-          Printf.eprintf "chaos: nemesis: BUG: %s reached mc apply\n%!"
-            (Plan.fault_label fault))
+(* Apply one fault to the environment. Network faults go through the
+   deployment's Faultnet on either backend; [time_scale] converts a
+   [Slow]'s plan units into runtime time units. The sim-only faults
+   never reach here on mc: install/inject reject them first. *)
+let apply_env ~time_scale cl fault =
+  let fnet = Cluster.faultnet cl in
+  match fault with
+  | Plan.Crash i -> Cluster.crash cl i
+  | Plan.Recover i -> Cluster.recover cl i
+  | Plan.Partition groups -> Faultnet.partition fnet groups
+  | Plan.Heal -> Faultnet.heal fnet
+  | Plan.Drop p -> Faultnet.set_drop fnet p
+  | Plan.Link_down (src, dst) -> Faultnet.set_link_down fnet ~src ~dst true
+  | Plan.Link_up (src, dst) -> Faultnet.set_link_down fnet ~src ~dst false
+  | Plan.Slow (d, j) ->
+      Faultnet.set_delay fnet ~delay:(d *. time_scale)
+        ~jitter:(j *. time_scale)
+  | Plan.Skew (i, skew) ->
+      Core.Clock.set_skew
+        (Core.Coordinator.clock cl.Cluster.coordinators.(i))
+        skew
+  | Plan.Torn_crash i -> torn_crash cl i
+  | Plan.Bit_rot (brick, stripe) ->
+      on_log cl brick stripe Core.Slog.corrupt_newest
+  | Plan.Sector_error (brick, stripe) ->
+      on_log cl brick stripe (fun slog -> ignore (Core.Slog.damage_newest slog))
 
 let apply t fault =
   Mutex.lock t.lock;
@@ -140,14 +112,10 @@ let apply t fault =
       ~finally:(fun () -> Mutex.unlock t.lock)
       (fun () ->
         (match fault with
-        | Plan.Link_down (s, d) -> t.downed <- (s, d) :: t.downed
-        | Plan.Link_up (s, d) ->
-            t.downed <- List.filter (( <> ) (s, d)) t.downed
         | Plan.Skew (i, _) ->
             if not (List.mem i t.skewed) then t.skewed <- i :: t.skewed
         | _ -> ());
-        apply_env ~time_scale:t.time_scale ~base:t.base_config t.cluster
-          fault;
+        apply_env ~time_scale:t.time_scale t.cluster fault;
         t.applied <-
           (Runtime.now t.cluster.Cluster.runtime, fault) :: t.applied;
         emit_fault t.cluster fault)
@@ -196,10 +164,8 @@ let install ?(base_drop = 0.) ?(time_scale = 1.) ?(lenient = false) plan
       cluster;
       base_drop;
       time_scale;
-      base_config = Net.config cluster.Cluster.net;
       lock = Mutex.create ();
       timers = [];
-      downed = [];
       skewed = [];
       applied = [];
       restored = false;
@@ -207,8 +173,8 @@ let install ?(base_drop = 0.) ?(time_scale = 1.) ?(lenient = false) plan
   in
   (* The fault closures capture [t], so [t] itself must be the record
      handed to [restore]: rebuilding it with [{ t with timers }] would
-     leave restore looking at empty [downed]/[skewed] lists while the
-     closures mutate the original's. *)
+     leave restore looking at an empty [skewed] list while the closures
+     mutate the original's. *)
   let now_units = (now0 -. epoch) /. time_scale in
   t.timers <-
     List.map
@@ -237,25 +203,14 @@ let restore t =
       (fun () ->
         List.iter Runtime.cancel timers;
         let cl = t.cluster in
-        (match Cluster.faultnet cl with
-        | None ->
-            let net = cl.Cluster.net in
-            Net.heal net;
-            Net.set_drop net t.base_drop;
-            List.iter
-              (fun (src, dst) -> Net.set_link_down net ~src ~dst false)
-              t.downed;
-            t.downed <- [];
-            Net.set_delay net ~delay:t.base_config.Net.delay
-              ~jitter:t.base_config.Net.jitter;
-            List.iter
-              (fun i ->
-                Core.Clock.set_skew
-                  (Core.Coordinator.clock cl.Cluster.coordinators.(i))
-                  0.)
-              t.skewed;
-            t.skewed <- []
-        | Some fnet -> Faultnet.reset fnet ~drop:t.base_drop);
+        Faultnet.reset (Cluster.faultnet cl) ~drop:t.base_drop;
+        List.iter
+          (fun i ->
+            Core.Clock.set_skew
+              (Core.Coordinator.clock cl.Cluster.coordinators.(i))
+              0.)
+          t.skewed;
+        t.skewed <- [];
         Array.iteri
           (fun i b -> if not (Brick.is_alive b) then Cluster.recover cl i)
           cl.Cluster.bricks)
@@ -266,6 +221,5 @@ let inject ?(time_scale = 1.) cluster fault =
   | Some msg ->
       invalid_arg (Printf.sprintf "Chaos.Nemesis.inject: %s" msg)
   | None -> ());
-  apply_env ~time_scale ~base:(Net.config cluster.Cluster.net) cluster
-    fault;
+  apply_env ~time_scale cluster fault;
   emit_fault cluster fault

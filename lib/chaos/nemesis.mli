@@ -4,17 +4,17 @@
     [install] schedules every plan event on the cluster's {e runtime}
     (the sim engine's virtual-time queue, or the multicore backend's
     timer wheel); when the runtime reaches an event's time the
-    corresponding fault is applied. On the sim backend faults go
-    through {!Simnet.Net}'s mutators, {!Core.Clock.set_skew}, and the
+    corresponding fault is applied. Network faults go through the
+    deployment's {!Simnet.Faultnet} ({!Core.Cluster.faultnet}), the
+    one fault model both backends share, and crashes through
+    {!Core.Cluster.crash} / {!Core.Cluster.recover} (on mc these
+    really tear down and restart the brick's receive loop, DESIGN 4i).
+    The sim-only faults go through {!Core.Clock.set_skew} and the
     storage-fault entry points ({!Core.Slog.tear_last},
-    {!Core.Slog.corrupt_newest}, {!Core.Slog.damage_newest}); on the
-    multicore backend network faults go through the deployment's
-    {!Core.Faultnet} and crashes through {!Core.Cluster.crash} /
-    {!Core.Cluster.recover}, which really tear down and restart the
-    brick's receive loop (DESIGN 4i). Each applied fault emits the
-    same [Obs.Fault] event (actor [Sim], op [-1]) on both backends
-    when observability is on, so fault injections appear in traces
-    interleaved with protocol phases.
+    {!Core.Slog.corrupt_newest}, {!Core.Slog.damage_newest}). Each
+    applied fault emits the same [Obs.Fault] event (actor [Sim], op
+    [-1]) on both backends when observability is on, so fault
+    injections appear in traces interleaved with protocol phases.
 
     Not every fault has a faithful multicore implementation: [Skew]
     would be a silent no-op on the mc backend's logical clocks, and
@@ -27,7 +27,7 @@
     deployment behind the protocol's back. Call {!restore} after the
     plan's horizon to return the environment (not the stored state) to
     health: partitions healed, drop probability back to [base_drop],
-    downed links revived, delay/jitter back to baseline, skews zeroed,
+    downed links revived, added delay/jitter removed, skews zeroed,
     crashed bricks recovered. Storage corruption is deliberately left
     in place — repairing it is the protocol's job (recovery reads,
     {!Fab.Volume.scrub}). *)
@@ -80,6 +80,7 @@ val inject : ?time_scale:float -> Core.Cluster.t -> Plan.fault -> unit
     for the cluster's backend (same rejections as {!install}), applies
     it, and emits the [Obs.Fault] event. No bookkeeping — the caller
     undoes what it injects (benchmarks driving crash/heal cycles).
-    [time_scale] scales a [Slow]'s units as in {!install}; a sim
-    [Slow] stacks on the network config current at the call.
+    [time_scale] scales a [Slow]'s units as in {!install}; a [Slow]
+    replaces any earlier added delay and adds to the sim channel's own
+    delay.
     @raise Invalid_argument on a sim-only fault on mc. *)

@@ -1,3 +1,5 @@
+module Faultnet = Simnet.Faultnet
+
 (* Multicore backend plumbing. [boxes] elements are swapped on brick
    restart (crash closes a box; recover installs a fresh one), so the
    send path re-reads the array on every message: a send racing a
@@ -23,13 +25,15 @@ type mc_net = {
          coordinators'); filled once wiring completes *)
 }
 
-type backend = Sim | Mc of mc_net
+(* Both backends carry the deployment's one fault model: the sim
+   network consults it inside [Net.send], the mc transport in
+   [mc_transport]'s send. *)
+type backend = Sim of Faultnet.t | Mc of mc_net
 
 type t = {
   engine : Dessim.Engine.t;
   runtime : Runtime.t;
   backend : backend;
-  net : ((Message.t, Message.t) Quorum.Rpc.envelope) Simnet.Net.t;
   rpc : (Message.t, Message.t) Quorum.Rpc.t;
   metrics : Metrics.Registry.t;
   obs : Obs.t;
@@ -51,7 +55,7 @@ let default_codec ~m ~n =
 (* Shared wiring: engine, network, RPC, bricks, replicas and
    coordinators around a configuration built by [make_cfg]. *)
 let wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
-    ?retry_cap ?coalesce ~make_cfg () =
+    ?retry_cap ~make_cfg () =
   let engine = Dessim.Engine.create ~seed () in
   let runtime = Runtime_sim.of_engine engine in
   let metrics = Metrics.Registry.create () in
@@ -71,14 +75,16 @@ let wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
                    phase = None;
                    kind = Obs.Queue_depth { depth = pending };
                  })));
+  let faults = Faultnet.create ~seed ~n:nbricks in
   let net =
-    Simnet.Net.create ~metrics ~obs engine ~config:net_config ~n:nbricks
+    Simnet.Net.create ~metrics ~obs engine ~config:net_config ~faults
+      ~n:nbricks
   in
   let rpc =
     Quorum.Rpc.create ~rt:runtime ~transport:(Quorum.Rpc.of_net net) ~metrics
       ~req_bytes:Message.bytes_on_wire ~rep_bytes:Message.bytes_on_wire
       ~req_label:Message.label ~rep_label:Message.label ?retry_every
-      ?retry_backoff ?retry_cap ?coalesce
+      ?retry_backoff ?retry_cap
       ~grace:(net_config.Simnet.Net.delay +. net_config.Simnet.Net.jitter)
       ()
   in
@@ -103,8 +109,7 @@ let wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
   {
     engine;
     runtime;
-    backend = Sim;
-    net;
+    backend = Sim faults;
     rpc;
     metrics;
     obs;
@@ -116,8 +121,8 @@ let wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
 
 let create ?(seed = 42) ?(net_config = Simnet.Net.default_config) ?bricks
     ?layout ?(block_size = 1024) ?(clock = Logical) ?gc_enabled
-    ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order ?coalesce
-    ?retry_every ?retry_backoff ?retry_cap ~m ~n () =
+    ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order ?retry_every
+    ?retry_backoff ?retry_cap ~m ~n () =
   let nbricks = match bricks with Some b -> b | None -> n in
   if nbricks < n then invalid_arg "Core.Cluster.create: bricks < n";
   let layout =
@@ -130,7 +135,7 @@ let create ?(seed = 42) ?(net_config = Simnet.Net.default_config) ?bricks
   let codec = default_codec ~m ~n in
   let mq = Quorum.Mquorum.create ~n ~m in
   wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
-    ?retry_cap ?coalesce
+    ?retry_cap
     ~make_cfg:(fun ~runtime ~rpc ~metrics ~obs ->
       Config.create ~codec ~mq ~block_size ~runtime ~rpc ~metrics ~layout
         ~obs ?gc_enabled ?optimized_modify ?ts_cache ?deadline
@@ -139,11 +144,11 @@ let create ?(seed = 42) ?(net_config = Simnet.Net.default_config) ?bricks
 
 let create_policied ?(seed = 42) ?(net_config = Simnet.Net.default_config)
     ?(block_size = 1024) ?(clock = Logical) ?gc_enabled ?optimized_modify
-    ?ts_cache ?deadline ?unsafe_skip_order ?coalesce ?retry_every
-    ?retry_backoff ?retry_cap ~bricks:nbricks ~policy_of () =
+    ?ts_cache ?deadline ?unsafe_skip_order ?retry_every ?retry_backoff
+    ?retry_cap ~bricks:nbricks ~policy_of () =
   if nbricks < 1 then invalid_arg "Core.Cluster.create_policied: no bricks";
   wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
-    ?retry_cap ?coalesce
+    ?retry_cap
     ~make_cfg:(fun ~runtime ~rpc ~metrics ~obs ->
       Config.create_policied ~policy_of ~block_size ~runtime ~rpc ~metrics
         ~obs ?gc_enabled ?optimized_modify ?ts_cache ?deadline
@@ -197,7 +202,8 @@ let mc_transport rt pool ~metrics ~n =
   let mc =
     {
       pool;
-      fnet = Faultnet.create ~n;
+      (* No seed to take here: mc runs promise no determinism. *)
+      fnet = Faultnet.create ~seed:0 ~n;
       boxes = Array.init n (fun _ -> Runtime.Mailbox.create rt);
       exits = Array.make n None;
       handlers = Array.make n None;
@@ -238,8 +244,7 @@ let mc_transport rt pool ~metrics ~n =
 
 let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
     ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order
-    ?(retry_every = 0.05) ?retry_backoff ?retry_cap ?coalesce ?shards ~m ~n
-    () =
+    ?(retry_every = 0.05) ?retry_backoff ?retry_cap ?shards ~m ~n () =
   let nbricks = match bricks with Some b -> b | None -> n in
   if nbricks < n then invalid_arg "Core.Cluster.create_mc: bricks < n";
   let layout =
@@ -259,7 +264,7 @@ let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
     Quorum.Rpc.create ~rt:runtime ~transport ~metrics
       ~req_bytes:Message.bytes_on_wire ~rep_bytes:Message.bytes_on_wire
       ~req_label:Message.label ~rep_label:Message.label ~retry_every
-      ?retry_backoff ?retry_cap ?coalesce ?shards
+      ?retry_backoff ?retry_cap ?shards
       ~grace:(retry_every /. 4.) ()
   in
   let codec = default_codec ~m ~n in
@@ -289,20 +294,13 @@ let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
         Coordinator.create cfg ~brick:b
           ~clock:(Clock.logical ~pid:(nbricks + Brick.id b)))
       bricks;
-  (* Placeholder engine/net so the record keeps its sim-facing fields;
-     nothing ever runs or routes through them on this backend. *)
+  (* Placeholder engine so the record keeps its sim-facing field;
+     nothing ever runs on it on this backend. *)
   let engine = Dessim.Engine.create ~seed:0 () in
-  let net =
-    Simnet.Net.create
-      ~metrics:(Metrics.Registry.create ())
-      engine
-      ~config:Simnet.Net.default_config ~n:1
-  in
   {
     engine;
     runtime;
     backend = Mc mc;
-    net;
     rpc;
     metrics;
     obs;
@@ -314,19 +312,19 @@ let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
 
 let run ?(horizon = 100_000.) t =
   match t.backend with
-  | Sim ->
+  | Sim _ ->
       Dessim.Engine.run ~until:(Dessim.Engine.now t.engine +. horizon)
         t.engine
   | Mc { pool; _ } -> Runtime_mc.await_idle pool
 
 let await_quiesce t =
   match t.backend with
-  | Sim -> run t
+  | Sim _ -> run t
   | Mc { pool; _ } -> Runtime_mc.await_idle pool
 
 let try_quiesce ?timeout t =
   match t.backend with
-  | Sim ->
+  | Sim _ ->
       run t;
       true
   | Mc { pool; _ } -> (
@@ -338,7 +336,7 @@ let try_quiesce ?timeout t =
 
 let shutdown t =
   match t.backend with
-  | Sim -> ()
+  | Sim _ -> ()
   | Mc { pool; boxes; _ } ->
       Array.iter Runtime.Mailbox.close boxes;
       Runtime_mc.shutdown pool;
@@ -364,7 +362,7 @@ let shutdown t =
       set "runtime.mailbox.drain.batches" (float_of_int batches);
       set "runtime.mailbox.drain.msgs" (float_of_int drained)
 
-let is_mc t = match t.backend with Sim -> false | Mc _ -> true
+let is_mc t = match t.backend with Sim _ -> false | Mc _ -> true
 
 let spawn ?(coord = 0) t f =
   Runtime.spawn t.runtime (fun () -> f t.coordinators.(coord))
@@ -383,7 +381,7 @@ let run_op ?(coord = 0) ?horizon t f =
    box and are lost, like frames to a dead host. *)
 let crash t i =
   match t.backend with
-  | Sim -> Brick.crash t.bricks.(i)
+  | Sim _ -> Brick.crash t.bricks.(i)
   | Mc mc ->
       Mutex.lock mc.lifecycle;
       if Brick.is_alive t.bricks.(i) then begin
@@ -421,7 +419,7 @@ let mc_resync t (mc : mc_net) i =
    task is non-daemon. *)
 let recover t i =
   match t.backend with
-  | Sim -> Brick.recover t.bricks.(i)
+  | Sim _ -> Brick.recover t.bricks.(i)
   | Mc mc ->
       if not (Brick.is_alive t.bricks.(i)) then
         Runtime.spawn t.runtime (fun () ->
@@ -439,5 +437,5 @@ let recover t i =
             Mutex.unlock mc.lifecycle;
             if dead then mc_resync t mc i)
 
-let faultnet t = match t.backend with Sim -> None | Mc mc -> Some mc.fnet
+let faultnet t = match t.backend with Sim f -> f | Mc mc -> mc.fnet
 let snapshot t = Metrics.Snapshot.take t.metrics

@@ -18,7 +18,6 @@ type t = {
       (** The substrate protocol code schedules on; identical
           behavior to [engine] on the sim backend. *)
   backend : backend;
-  net : ((Message.t, Message.t) Quorum.Rpc.envelope) Simnet.Net.t;
   rpc : (Message.t, Message.t) Quorum.Rpc.t;
   metrics : Metrics.Registry.t;
   obs : Obs.t;
@@ -49,7 +48,6 @@ val create :
   ?ts_cache:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
-  ?coalesce:bool ->
   ?retry_every:float ->
   ?retry_backoff:float ->
   ?retry_cap:float ->
@@ -65,10 +63,10 @@ val create :
     clocks, deterministic network with unit delay, GC on.
 
     [ts_cache] (default off) enables coordinator timestamp caching and
-    order-round elision ({!Config.t.ts_cache}); [coalesce] (default
-    off) batches same-instant same-destination messages into one
-    envelope ({!Quorum.Rpc.create}). Both are off by default so the
-    per-operation message and round counts of Table 1 remain exact.
+    order-round elision ({!Config.t.ts_cache}); it is off by default
+    so the per-operation message and round counts of Table 1 remain
+    exact. [seed] drives both the engine and the deployment's
+    {!faultnet}.
 
     [deadline] bounds every coordinator operation in sim-time units
     (fail-fast [`Unavailable], {!Config.t.deadline});
@@ -87,7 +85,6 @@ val create_policied :
   ?ts_cache:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
-  ?coalesce:bool ->
   ?retry_every:float ->
   ?retry_backoff:float ->
   ?retry_cap:float ->
@@ -113,7 +110,6 @@ val create_mc :
   ?retry_every:float ->
   ?retry_backoff:float ->
   ?retry_cap:float ->
-  ?coalesce:bool ->
   ?shards:int ->
   m:int ->
   n:int ->
@@ -128,14 +124,12 @@ val create_mc :
     wall-clock seconds here, not simulated delta units. Coordinators
     use logical clocks; give each concurrent client its own
     coordinator (e.g. [~bricks:(max n clients)]) so (time, pid)
-    timestamps stay unique. [coalesce] (default off) batches
-    same-destination sends behind a 0-delay flush timer, best-effort
-    under wall-clock time; [shards] sizes the RPC pending table's lock
+    timestamps stay unique. [shards] sizes the RPC pending table's lock
     sharding (see {!Quorum.Rpc.create}); [unsafe_skip_order] enables
     the deliberately broken protocol variant so the chaos soak can
     prove its checker bites under real parallelism too. No determinism
-    and no virtual time — but fault injection works here: every send
-    passes through a {!Faultnet} ({!faultnet}), and {!crash}/{!recover}
+    and no virtual time — but fault injection works here as on sim:
+    every send passes through the {!faultnet}, and {!crash}/{!recover}
     really tear down and restart the brick's receive loop (DESIGN 4i).
     Verify protocol behavior on the sim backend; benchmark wall-clock
     numbers and hunt races on this one. Tear down with {!shutdown}. *)
@@ -197,10 +191,10 @@ val recover : t -> int -> unit
     {!try_quiesce} wait for the restart to finish. No-op if the brick
     is already alive. *)
 
-val faultnet : t -> Faultnet.t option
-(** The mc backend's fault-injection layer; [None] on sim (use
-    {!Simnet.Net}'s mutators there). The chaos nemesis dispatches on
-    this. *)
+val faultnet : t -> Simnet.Faultnet.t
+(** The deployment's fault model, on either backend: every message
+    takes one verdict from it on its way to the fabric. The chaos
+    nemesis injects network faults through it. *)
 
 val snapshot : t -> Metrics.Snapshot.t
 (** Snapshot all counters (messages, bytes, disk I/O). *)

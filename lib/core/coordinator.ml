@@ -367,9 +367,10 @@ let read_prev_stripe t ~stripe ~op ~dl ts =
       in
       if List.length blocks >= Config.m t.cfg ~stripe then
         Ok
-          (Erasure.Codec.decode
-             (Config.codec t.cfg ~stripe)
-             (List.filteri (fun i _ -> i < Config.m t.cfg ~stripe) blocks))
+          ( max',
+            Erasure.Codec.decode
+              (Config.codec t.cfg ~stripe)
+              (List.filteri (fun i _ -> i < Config.m t.cfg ~stripe) blocks) )
       else if Ts.equal max' Ts.low then
         (* Nothing older remains anywhere in this quorum, yet no
            version had m blocks. Unreachable in well-formed histories
@@ -387,7 +388,7 @@ let recover_with t ~stripe ~op ~dl ~patch =
   let ts = Clock.new_ts t.clock in
   match read_prev_stripe t ~stripe ~op ~dl ts with
   | Error `Aborted -> Error `Aborted
-  | Ok data -> (
+  | Ok (_, data) -> (
       patch data;
       match store_stripe t ~stripe ~op ~dl data ts with
       | Ok () -> Ok data
@@ -423,8 +424,7 @@ let check_stripe_shape t ~stripe data =
 let write_stripe t ~stripe data =
   check_stripe_shape t ~stripe data;
   traced t ~stripe "write-stripe" (fun op dl ->
-      let cold () =
-        let ts = Clock.new_ts t.clock in
+      let cold ts =
         let replies =
           quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Order (fun _ ->
               Message.Order { stripe; ts })
@@ -435,20 +435,21 @@ let write_stripe t ~stripe data =
         end
         else store_stripe t ~stripe ~op ~dl data ts
       in
+      let ts = Clock.new_ts t.clock in
       match cache_find t ~stripe with
-      | Some e ->
-          let ts = Clock.new_ts t.clock in
-          if Ts.( > ) ts e.cts then begin
-            emit_elided t ~op Obs.Order;
-            match store_stripe t ~stripe ~op ~dl data ts with
-            | Ok () -> Ok ()
-            | Error `Aborted ->
-                (* The elided write lost a race; the entry is already
-                   invalidated, pay the two rounds once. *)
-                cold ()
-          end
-          else cold ()
-      | None -> cold ())
+      | Some e when Ts.( > ) ts e.cts -> (
+          emit_elided t ~op Obs.Order;
+          match store_stripe t ~stripe ~op ~dl data ts with
+          | Ok () -> Ok ()
+          | Error `Aborted ->
+              (* The elided write lost a race; the entry is already
+                 invalidated, pay the two rounds once — at the same
+                 timestamp. Members may already log the refused
+                 store, and a recovery may have rolled it forward and
+                 a newer write superseded it since: a fresh, higher
+                 timestamp would resurrect it over that write. *)
+              cold ts)
+      | Some _ | None -> cold ts)
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm 3: block access                                           *)
@@ -550,7 +551,7 @@ let fast_write_block t ~stripe ~op ~dl j b ts =
           quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify
             (modify_req t ~stripe j ~bj b ~tsj ts)
         in
-        Some (finish_modify t ~stripe ~op ts ~cblocks replies)
+        Some (finish_modify t ~stripe ~op ts ~cblocks replies, tsj)
     | Some _ | None -> None
 
 (* Warm fast-write-block: when the cache holds the stripe's full
@@ -575,12 +576,29 @@ let warm_write_block t ~stripe ~op ~dl j b ts =
         quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify
           (modify_req t ~stripe j ~bj:blocks.(j) b ~tsj:cts ts)
       in
-      Some (finish_modify t ~stripe ~op ts ~cblocks replies)
+      Some (finish_modify t ~stripe ~op ts ~cblocks replies, cts)
   | _ -> None
 
+(* Reconstruct the newest stripe version below [ts] for a slow write
+   at [ts]. After a failed Modify round at the same [ts] ([basis] is
+   [Some] of that round's basis version), some members may already log
+   the Modify's entry at [ts], and a slow store whose acks miss them
+   completes beside it. So the slow path may only store at [ts] what
+   the Modify stored — a patch of the same basis — or one timestamp
+   would name two stripe contents and a read could decode a mix of
+   them. Any other version aborts instead; the Modify then stays a
+   partial write. *)
+let read_basis t ~stripe ~op ~dl ~basis ts =
+  match (read_prev_stripe t ~stripe ~op ~dl ts, basis) with
+  | Ok (version, _), Some b when not (Ts.equal b version) ->
+      cache_invalidate t ~stripe;
+      Error `Aborted
+  | Ok (_, data), _ -> Ok data
+  | (Error `Aborted as e), _ -> e
+
 (* slow-write-block (lines 83-87): reconstruct, patch block j, store. *)
-let slow_write_block t ~stripe ~op ~dl j b ts =
-  match read_prev_stripe t ~stripe ~op ~dl ts with
+let slow_write_block t ~stripe ~op ~dl ~basis j b ts =
+  match read_basis t ~stripe ~op ~dl ~basis ts with
   | Error `Aborted -> Error `Aborted
   | Ok data ->
       data.(j) <- b;
@@ -679,7 +697,7 @@ let fast_write_blocks t ~stripe ~op ~dl j0 news ts =
           quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify (fun _ ->
               Message.Modify_multi { stripe; j0; olds; news; tsj; ts })
         in
-        Some (finish_modify t ~stripe ~op ts ~cblocks replies)
+        Some (finish_modify t ~stripe ~op ts ~cblocks replies, tsj)
       end
   end
 
@@ -696,11 +714,11 @@ let warm_write_blocks t ~stripe ~op ~dl j0 news ts =
         quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify (fun _ ->
             Message.Modify_multi { stripe; j0; olds; news; tsj = cts; ts })
       in
-      Some (finish_modify t ~stripe ~op ts ~cblocks:(Some nb) replies)
+      Some (finish_modify t ~stripe ~op ts ~cblocks:(Some nb) replies, cts)
   | _ -> None
 
-let slow_write_blocks t ~stripe ~op ~dl j0 news ts =
-  match read_prev_stripe t ~stripe ~op ~dl ts with
+let slow_write_blocks t ~stripe ~op ~dl ~basis j0 news ts =
+  match read_basis t ~stripe ~op ~dl ~basis ts with
   | Error `Aborted -> Error `Aborted
   | Ok data ->
       Array.iteri (fun i b -> data.(j0 + i) <- b) news;
@@ -718,33 +736,36 @@ let write_blocks t ~stripe j0 news =
   else
     traced t ~stripe "write-blocks" @@ fun op dl ->
     let ts = Clock.new_ts t.clock in
+    let slow basis = slow_write_blocks t ~stripe ~op ~dl ~basis j0 news ts in
     match warm_write_blocks t ~stripe ~op ~dl j0 news ts with
-    | Some (Ok ()) -> Ok ()
-    | Some (Error `Aborted) -> slow_write_blocks t ~stripe ~op ~dl j0 news ts
+    | Some (Ok (), _) -> Ok ()
+    | Some (Error `Aborted, tsj) -> slow (Some tsj)
     | None -> (
         match fast_write_blocks t ~stripe ~op ~dl j0 news ts with
-        | Some (Ok ()) -> Ok ()
-        | Some (Error `Aborted) | None ->
-            slow_write_blocks t ~stripe ~op ~dl j0 news ts)
+        | Some (Ok (), _) -> Ok ()
+        | Some (Error `Aborted, tsj) -> slow (Some tsj)
+        | None -> slow None)
 
 (* write-block (lines 70-73). *)
 let write_block t ~stripe j b =
   check_block_shape t ~stripe j b;
   traced t ~stripe "write-block" (fun op dl ->
   let ts = Clock.new_ts t.clock in
+  let slow basis = slow_write_block t ~stripe ~op ~dl ~basis j b ts in
+  (* Per the paper, any fast-path failure falls back to the slow path
+     with the same timestamp. If the fast path's Modify partially
+     applied, replicas that logged it refuse the slow path's messages
+     — and if the slow store completes without them, it stored what
+     they did ([read_basis]); the partial write is otherwise rolled
+     forward or back by the next read. *)
   match warm_write_block t ~stripe ~op ~dl j b ts with
-  | Some (Ok ()) -> Ok ()
-  | Some (Error `Aborted) -> slow_write_block t ~stripe ~op ~dl j b ts
+  | Some (Ok (), _) -> Ok ()
+  | Some (Error `Aborted, tsj) -> slow (Some tsj)
   | None -> (
       match fast_write_block t ~stripe ~op ~dl j b ts with
-      | Some (Ok ()) -> Ok ()
-      | Some (Error `Aborted) | None ->
-          (* Per the paper, any fast-path failure falls back to the slow
-             path with the same timestamp. If the fast path's Modify
-             partially applied, replicas that logged it will refuse the
-             slow path's messages and the operation aborts — the partial
-             write is then rolled forward or back by the next read. *)
-          slow_write_block t ~stripe ~op ~dl j b ts))
+      | Some (Ok (), _) -> Ok ()
+      | Some (Error `Aborted, tsj) -> slow (Some tsj)
+      | None -> slow None))
 
 (* ------------------------------------------------------------------ *)
 (* Scrubbing: detect and repair silent block corruption               *)

@@ -22,7 +22,6 @@ val create :
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
   ?ts_cache:bool ->
-  ?coalesce:bool ->
   ?op_retries:int ->
   ?pipeline_window:int ->
   bricks:int ->

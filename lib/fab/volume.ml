@@ -16,7 +16,7 @@ type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
 
 let create ?seed ?net_config ?bricks ?layout ?(block_size = 1024) ?clock
     ?gc_enabled ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order
-    ?coalesce ?retry_backoff ?retry_cap ?(op_retries = 3)
+    ?retry_backoff ?retry_cap ?(op_retries = 3)
     ?(pipeline_window = 8) ~m ~n ~stripes () =
   if op_retries < 1 then invalid_arg "Fab.Volume.create: op_retries < 1";
   if stripes <= 0 then invalid_arg "Fab.Volume.create: stripes <= 0";
@@ -32,7 +32,7 @@ let create ?seed ?net_config ?bricks ?layout ?(block_size = 1024) ?clock
   let cluster =
     Core.Cluster.create ?seed ?net_config ~bricks:nbricks ~layout:layout_fn
       ~block_size ?clock ?gc_enabled ?optimized_modify ?ts_cache ?deadline
-      ?unsafe_skip_order ?coalesce ?retry_backoff ?retry_cap ~m ~n ()
+      ?unsafe_skip_order ?retry_backoff ?retry_cap ~m ~n ()
   in
   { cluster; m; stripes; block_size; op_retries; pipeline_window;
     stripe_offset = 0 }

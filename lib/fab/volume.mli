@@ -27,7 +27,6 @@ val create :
   ?ts_cache:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
-  ?coalesce:bool ->
   ?retry_backoff:float ->
   ?retry_cap:float ->
   ?op_retries:int ->
@@ -48,8 +47,8 @@ val create :
     A request spanning several stripes dispatches its per-stripe
     operations concurrently, at most [pipeline_window] (default 8) in
     flight; [~pipeline_window:1] recovers strictly serial extent
-    order. [ts_cache]/[coalesce] enable the order-elision and
-    message-coalescing optimizations; [deadline], [retry_backoff],
+    order. [ts_cache] enables the order-elision optimization;
+    [deadline], [retry_backoff],
     [retry_cap] and [unsafe_skip_order] are forwarded to
     {!Core.Cluster.create}. *)
 

@@ -78,7 +78,6 @@ type kind =
   | Phase_end
   | Phase_elided
   | Msg_send of { dst : int; bytes : int; label : string; bg : bool }
-  | Msg_queued of { dst : int; bytes : int; label : string }
   | Msg_recv of { src : int; label : string }
   | Msg_drop of { dst : int; bytes : int; bg : bool }
   | Io_read of { blocks : int }
@@ -102,7 +101,6 @@ let ev_name = function
   | Phase_end -> "phase_end"
   | Phase_elided -> "phase_elided"
   | Msg_send _ -> "msg_send"
-  | Msg_queued _ -> "msg_queued"
   | Msg_recv _ -> "msg_recv"
   | Msg_drop _ -> "msg_drop"
   | Io_read _ -> "io_read"
@@ -133,9 +131,6 @@ let pp_event fmt ev =
   | Phase_start -> Format.fprintf fmt "[%s] phase %tstart%t" a ph op
   | Phase_end -> Format.fprintf fmt "[%s] phase %tend%t" a ph op
   | Phase_elided -> Format.fprintf fmt "[%s] phase %tELIDED%t" a ph op
-  | Msg_queued { dst; bytes; label } ->
-      Format.fprintf fmt "[%s] ~> b%d %s (%dB, coalesced)%t" a dst label bytes
-        op
   | Msg_send { dst; bytes; label; bg } ->
       Format.fprintf fmt "[%s] -> b%d %s (%dB%s)%t" a dst label bytes
         (if bg then ", bg" else "")
@@ -340,8 +335,6 @@ let to_json ev =
     | Msg_send { dst; bytes; label; bg } ->
         [ ("dst", Json.I dst); ("bytes", Json.I bytes); ("msg", Json.S label) ]
         @ (if bg then [ ("bg", Json.B true) ] else [])
-    | Msg_queued { dst; bytes; label } ->
-        [ ("dst", Json.I dst); ("bytes", Json.I bytes); ("msg", Json.S label) ]
     | Msg_recv { src; label } ->
         [ ("src", Json.I src); ("msg", Json.S label) ]
     | Msg_drop { dst; bytes; bg } ->
@@ -408,13 +401,6 @@ let of_json line =
           | "phase_start" -> Phase_start
           | "phase_end" -> Phase_end
           | "phase_elided" -> Phase_elided
-          | "msg_queued" ->
-              Msg_queued
-                {
-                  dst = get "dst" Json.to_int "int";
-                  bytes = get "bytes" Json.to_int "int";
-                  label = get "msg" Json.to_string "string";
-                }
           | "msg_send" ->
               Msg_send
                 {
@@ -710,9 +696,6 @@ let chrome oc =
           match ev.phase with Some p -> phase_name p | None -> "phase"
         in
         instant (name ^ " elided") []
-    | Msg_queued { dst; bytes; label } ->
-        instant "msg_queued"
-          [ ("msg", Json.S label); ("dst", Json.I dst); ("bytes", Json.I bytes) ]
     | Msg_send { dst; bytes; label; _ } ->
         instant "msg_send"
           [ ("msg", Json.S label); ("dst", Json.I dst); ("bytes", Json.I bytes) ]
@@ -805,8 +788,8 @@ module Stats = struct
     order : int Queue.t;  (* completed op ids, oldest first *)
     finished : (int, op_stat) Hashtbl.t;
         (* retained completed records by op id: events arriving after
-           the span closed (a coalesced background message flushing
-           right after span_end) update the completed record instead
+           the span closed (a background message sent right after
+           span_end) update the completed record instead
            of re-opening the op as live. *)
     mutable evicted : int;
     mutable evicted_floor : int;
@@ -991,12 +974,6 @@ module Stats = struct
                 s.open_phase <- None
             | _ -> ()))
     | Msg_send { bytes; _ } ->
-        let s = op_stat t ev.op in
-        s.msgs <- s.msgs + 1;
-        s.bytes <- s.bytes + bytes
-    | Msg_queued { bytes; _ } ->
-        (* An op's share of a coalesced batch envelope: counted as one
-           of the op's messages (the batch itself is untagged). *)
         let s = op_stat t ev.op in
         s.msgs <- s.msgs + 1;
         s.bytes <- s.bytes + bytes
@@ -1225,7 +1202,7 @@ module Timeline = struct
         incr ("out." ^ outcome_name outcome);
         if outcome = Ok then incr ("ops." ^ op_kind)
     | Phase_start | Phase_end | Phase_elided -> ()
-    | Msg_send { bytes; _ } | Msg_queued { bytes; _ } ->
+    | Msg_send { bytes; _ } ->
         incr "msgs";
         incr ~by:(float_of_int bytes) "bytes"
     | Msg_recv _ -> ()

@@ -70,10 +70,6 @@ type kind =
           order round of a warm write); [phase] names the round that
           did not happen. *)
   | Msg_send of { dst : int; bytes : int; label : string; bg : bool }
-  | Msg_queued of { dst : int; bytes : int; label : string }
-      (** One operation's item inside a coalesced batch envelope: the
-          envelope itself is an untagged [Msg_send]; each constituent
-          is attributed to its operation by one of these. *)
   | Msg_recv of { src : int; label : string }
   | Msg_drop of { dst : int; bytes : int; bg : bool }
   | Io_read of { blocks : int }

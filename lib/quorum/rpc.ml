@@ -4,9 +4,6 @@ type ('req, 'rep) envelope =
   | Request of int * Obs.ctx * 'req
   | Reply of int * Obs.ctx * 'rep
   | Oneway of Obs.ctx * 'req
-  | Batch of ('req, 'rep) envelope list
-      (* Several same-instant messages for one destination, delivered
-         as one envelope with one delay sample. *)
 
 exception Unavailable
 
@@ -62,14 +59,6 @@ type ('req, 'rep) pending = {
   ctx : Obs.ctx;
 }
 
-(* One staged message awaiting its key's flush event. *)
-type ('req, 'rep) item = {
-  it_env : ('req, 'rep) envelope;
-  it_bytes : int;
-  it_label : string;
-  it_ctx : Obs.ctx;
-}
-
 (* One slice of the pending table. Call ids are dealt round-robin
    (rid land (nshards-1)), so concurrent coordinators touch different
    locks; claim-based completion needs only the owning shard's lock. *)
@@ -89,11 +78,6 @@ type ('req, 'rep) t = {
   retry_backoff : float;
   retry_cap : float;
   grace : float;
-  coalesce : bool;
-  staged : (int * int * bool, ('req, 'rep) item list ref) Hashtbl.t;
-      (* (src, dst, background) -> items newest-first; the first item
-         staged for a key schedules that key's same-instant flush. *)
-  slock : Mutex.t;  (* guards staged *)
   retries : Metrics.Counter.t;
   contention : Metrics.Counter.t;  (* shard-lock try_lock misses *)
   obs : Obs.t;
@@ -116,7 +100,7 @@ let lock_shard t sh =
 let create ~rt ~transport ?(metrics = Metrics.Registry.create ()) ~req_bytes
     ~rep_bytes ?(req_label = fun _ -> "req") ?(rep_label = fun _ -> "rep")
     ?(retry_every = 8.0) ?(retry_backoff = 2.0) ?retry_cap ?(grace = 1.0)
-    ?(coalesce = false) ?(shards = 16) () =
+    ?(shards = 16) () =
   if retry_backoff < 1.0 then
     invalid_arg "Quorum.Rpc.create: retry_backoff < 1";
   if shards < 1 || shards land (shards - 1) <> 0 then
@@ -135,9 +119,6 @@ let create ~rt ~transport ?(metrics = Metrics.Registry.create ()) ~req_bytes
     retry_backoff;
     retry_cap;
     grace;
-    coalesce;
-    staged = Hashtbl.create 16;
-    slock = Mutex.create ();
     retries = Metrics.Registry.counter metrics "rpc.retries";
     contention = Metrics.Registry.counter metrics "rpc.shard.contention";
     obs = transport.xobs;
@@ -147,82 +128,6 @@ let create ~rt ~transport ?(metrics = Metrics.Registry.create ()) ~req_bytes
           { slk = Mutex.create (); tbl = Hashtbl.create 8 });
     handlers = Array.make transport.xn None;
   }
-
-(* --- per-destination coalescing ------------------------------------ *)
-
-let flush t ((src, dst, background) as key) =
-  Mutex.lock t.slock;
-  let found = Hashtbl.find_opt t.staged key in
-  (match found with Some _ -> Hashtbl.remove t.staged key | None -> ());
-  Mutex.unlock t.slock;
-  match found with
-  | None -> ()
-  | Some items -> (
-      match List.rev !items with
-      | [] -> ()
-      | [ it ] ->
-          (* A lone message goes out exactly as an uncoalesced send. *)
-          t.transport.xsend ~background ~ctx:it.it_ctx
-            ~info:(Some it.it_label) ~src ~dst ~bytes_on_wire:it.it_bytes
-            it.it_env
-      | its ->
-          let bytes = List.fold_left (fun a it -> a + it.it_bytes) 0 its in
-          (* The batch envelope pays one delay/drop sample and carries
-             the summed payload; each constituent is attributed to its
-             own operation with a Msg_queued event. *)
-          if Obs.enabled t.obs then begin
-            let now = Runtime.now t.rt in
-            List.iter
-              (fun it ->
-                Obs.emit t.obs
-                  {
-                    Obs.time = now;
-                    actor = Obs.Brick src;
-                    op = it.it_ctx.Obs.op;
-                    phase = it.it_ctx.Obs.phase;
-                    kind =
-                      Obs.Msg_queued
-                        { dst; bytes = it.it_bytes; label = it.it_label };
-                  })
-              its
-          end;
-          let info =
-            if Obs.enabled t.obs then
-              Some (Printf.sprintf "batch[%d]" (List.length its))
-            else None
-          in
-          t.transport.xsend ~background ~ctx:Obs.no_ctx ~info ~src ~dst
-            ~bytes_on_wire:bytes
-            (Batch (List.map (fun it -> it.it_env) its)))
-
-(* Route every outgoing message through the per-destination staging
-   buffer. The flush runs as a fresh timer event at the same instant,
-   after the currently-running event has staged everything it wants to
-   send, so all same-instant messages for one destination share one
-   envelope. With coalescing off this is exactly a transport send. *)
-let stage t ~src ~dst ~background ~ctx ~label ~bytes env =
-  if not t.coalesce then
-    t.transport.xsend ~background ~ctx ~info:(Some label) ~src ~dst
-      ~bytes_on_wire:bytes env
-  else begin
-    let key = (src, dst, background) in
-    let it =
-      { it_env = env; it_bytes = bytes; it_label = label; it_ctx = ctx }
-    in
-    Mutex.lock t.slock;
-    let first =
-      match Hashtbl.find_opt t.staged key with
-      | Some items ->
-          items := it :: !items;
-          false
-      | None ->
-          Hashtbl.replace t.staged key (ref [ it ]);
-          true
-    in
-    Mutex.unlock t.slock;
-    if first then
-      ignore (Runtime.timer t.rt ~delay:0. (fun () -> flush t key))
-  end
 
 let cancel_timers p =
   (match p.retry_timer with Some tm -> Runtime.cancel tm | None -> ());
@@ -321,7 +226,7 @@ let deliver_reply t rid src rep =
       if gone then Runtime.cancel tm
 
 let install_dispatcher t addr =
-  let rec handle ~src env =
+  let handle ~src env =
     match env with
     | Request (rid, ctx, req) -> (
         match t.handlers.(addr) with
@@ -333,14 +238,14 @@ let install_dispatcher t addr =
                 let label =
                   if Obs.enabled t.obs then t.rep_label rep else "msg"
                 in
-                stage t ~src:addr ~dst:src ~background:false ~ctx ~label
-                  ~bytes:(t.rep_bytes rep) (Reply (rid, ctx, rep))))
+                t.transport.xsend ~background:false ~ctx ~info:(Some label)
+                  ~src:addr ~dst:src ~bytes_on_wire:(t.rep_bytes rep)
+                  (Reply (rid, ctx, rep))))
     | Oneway (ctx, req) -> (
         match t.handlers.(addr) with
         | None -> ()
         | Some handler -> ignore (handler ~src ~ctx req))
     | Reply (rid, _ctx, rep) -> deliver_reply t rid src rep
-    | Batch items -> List.iter (handle ~src) items
   in
   t.transport.xregister addr handle
 
@@ -362,8 +267,8 @@ let broadcast t ~src ~ctx ~targets make_req rid =
     (fun dst ->
       let req = make_req dst in
       let label = if Obs.enabled t.obs then t.req_label req else "msg" in
-      stage t ~src ~dst ~background:false ~ctx ~label
-        ~bytes:(t.req_bytes req)
+      t.transport.xsend ~background:false ~ctx ~info:(Some label) ~src ~dst
+        ~bytes_on_wire:(t.req_bytes req)
         (Request (rid, ctx, req)))
     targets
 
@@ -492,6 +397,7 @@ let notify t ~coord ~members ?(ctx = Obs.no_ctx) req =
   let label = if Obs.enabled t.obs then t.req_label req else "msg" in
   List.iter
     (fun dst ->
-      stage t ~src ~dst ~background:true ~ctx ~label ~bytes:(t.req_bytes req)
+      t.transport.xsend ~background:true ~ctx ~info:(Some label) ~src ~dst
+        ~bytes_on_wire:(t.req_bytes req)
         (Oneway (ctx, req)))
     members

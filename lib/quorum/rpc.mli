@@ -69,7 +69,6 @@ val create :
   ?retry_backoff:float ->
   ?retry_cap:float ->
   ?grace:float ->
-  ?coalesce:bool ->
   ?shards:int ->
   unit ->
   ('req, 'rep) t
@@ -93,20 +92,6 @@ val create :
     [metrics] under ["rpc.retries"]. [req_label]/[rep_label] give
     short human names for messages in traces (only evaluated when the
     transport's observability hub is enabled).
-
-    With [~coalesce:true] (default [false]), all messages one process
-    sends to one destination at the same instant are batched into a
-    single envelope: one network message, one delay and drop sample,
-    payload bytes summed — the fan-in a real NIC and RPC stack gives
-    concurrent stripe operations for free. A message alone in its
-    batch is sent exactly as an uncoalesced one, so serial workloads
-    are unaffected. The network's [Msg_send]/[Msg_recv] events and
-    ["net.msgs"] counters count envelopes; each constituent of a
-    multi-message batch is additionally attributed to its own
-    operation with an [Obs.Msg_queued] event. (On the wall-clock
-    multicore backend "the same instant" means "before the 0-delay
-    flush timer fires" — coalescing is best-effort there and is
-    normally left off.)
 
     The pending-call table is split into [shards] independently locked
     slices (default 16; must be a power of two), call ids dealt

@@ -1,7 +1,7 @@
-(* Fault interposition for the multicore transport: the mc backend's
-   counterpart of Simnet's fault knobs (drop probability, partitions,
-   directed dead links, added delay/jitter), sitting between
-   [Cluster]'s xsend and the destination mailbox.
+(* The one fault model for both backends: drop probability,
+   partitions, directed dead links and added delay/jitter, decided once
+   per message between the RPC layer and the fabric (Net's delay model
+   on sim, the destination mailbox on mc).
 
    Concurrency contract (DESIGN 4i): the whole fault configuration is
    one immutable [state] record held in an [Atomic.t]. Senders read it
@@ -16,7 +16,7 @@
 
 type state = {
   drop : float;  (* independent per-message drop probability *)
-  delay : float;  (* added one-way delay, seconds *)
+  delay : float;  (* added one-way delay, in runtime time units *)
   jitter : float;  (* extra delay drawn uniformly from [0, jitter) *)
   groups : int array option;  (* partition group per address *)
   downed : (int * int) list;  (* directed dead links (src, dst) *)
@@ -26,7 +26,7 @@ type verdict =
   | Deliver
   | Dropped  (* random loss *)
   | Cut  (* partition or dead link *)
-  | Delay of float  (* deliver after this many seconds *)
+  | Delay of float  (* deliver after this much extra time *)
 
 type stats = { delivered : int; dropped : int; cut : int; delayed : int }
 
@@ -43,24 +43,12 @@ type t = {
 
 let healthy = { drop = 0.; delay = 0.; jitter = 0.; groups = None; downed = [] }
 
-let create ~n =
-  if n <= 0 then invalid_arg "Core.Faultnet.create: n <= 0";
-  {
-    n;
-    st = Atomic.make healthy;
-    wlock = Mutex.create ();
-    salt = Atomic.make 0x9E3779B9;
-    delivered = Atomic.make 0;
-    dropped = Atomic.make 0;
-    cut = Atomic.make 0;
-    delayed = Atomic.make 0;
-  }
-
 (* Lock-free uniform sampler: a counter stepped by a fetch-and-add and
-   scrambled through a splitmix-style finalizer. Not the runtime's rng
-   on purpose — drop sampling runs on whatever thread sends (including
-   the timer thread's retransmissions), and no determinism is promised
-   on this backend anyway. *)
+   scrambled through a splitmix-style finalizer. Not the engine's rng
+   on purpose: fault draws never perturb the stream fault-free code
+   samples, and on mc they run on whatever thread sends (including the
+   timer thread's retransmissions). Single-threaded sim runs draw the
+   same sequence for the same seed. *)
 let mix x =
   let x = x lxor (x lsr 29) in
   let x = x * 0x2545F4914F6CDD1D in
@@ -68,12 +56,25 @@ let mix x =
   let x = x * 0x27BB2EE687B0B0FD in
   x lxor (x lsr 31)
 
+let create ~seed ~n =
+  if n <= 0 then invalid_arg "Simnet.Faultnet.create: n <= 0";
+  {
+    n;
+    st = Atomic.make healthy;
+    wlock = Mutex.create ();
+    salt = Atomic.make (mix seed);
+    delivered = Atomic.make 0;
+    dropped = Atomic.make 0;
+    cut = Atomic.make 0;
+    delayed = Atomic.make 0;
+  }
+
 let uniform t =
   let x = mix (Atomic.fetch_and_add t.salt 0x9E3779B9) in
   float_of_int (x land ((1 lsl 30) - 1)) /. 1073741824.
 
 let check_addr t a =
-  if a < 0 || a >= t.n then invalid_arg "Core.Faultnet: address out of range"
+  if a < 0 || a >= t.n then invalid_arg "Simnet.Faultnet: address out of range"
 
 (* Serialized read-modify-write of the snapshot. *)
 let update t f =
@@ -83,12 +84,12 @@ let update t f =
 
 let set_drop t p =
   if p < 0. || p >= 1. then
-    invalid_arg "Core.Faultnet.set_drop: need 0 <= p < 1 for fair loss";
+    invalid_arg "Simnet.Faultnet.set_drop: need 0 <= p < 1 for fair loss";
   update t (fun st -> { st with drop = p })
 
 let set_delay t ~delay ~jitter =
   if delay < 0. || jitter < 0. then
-    invalid_arg "Core.Faultnet.set_delay: negative delay";
+    invalid_arg "Simnet.Faultnet.set_delay: negative delay";
   update t (fun st -> { st with delay; jitter })
 
 let partition t groups_l =
@@ -99,11 +100,11 @@ let partition t groups_l =
         (fun a ->
           check_addr t a;
           if assignment.(a) <> -1 then
-            invalid_arg "Core.Faultnet.partition: address in two groups";
+            invalid_arg "Simnet.Faultnet.partition: address in two groups";
           assignment.(a) <- gid)
         members)
     groups_l;
-  (* Unlisted addresses share one implicit group, as in Simnet.Net. *)
+  (* Unlisted addresses share one implicit group. *)
   let implicit = List.length groups_l in
   Array.iteri
     (fun a g -> if g = -1 then assignment.(a) <- implicit)
@@ -122,7 +123,7 @@ let set_link_down t ~src ~dst down =
 (* One-shot return to health; [drop] is the nemesis's base probability. *)
 let reset t ~drop =
   if drop < 0. || drop >= 1. then
-    invalid_arg "Core.Faultnet.reset: need 0 <= drop < 1";
+    invalid_arg "Simnet.Faultnet.reset: need 0 <= drop < 1";
   update t (fun _ -> { healthy with drop })
 
 let decide t ~src ~dst =

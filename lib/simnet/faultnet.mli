@@ -1,9 +1,11 @@
-(** Fault interposition for the multicore transport (DESIGN 4i).
+(** The one fault model for both backends (DESIGN 4i).
 
-    The mc backend's counterpart of {!Simnet.Net}'s fault knobs: a
-    per-message drop probability, network partitions, directed dead
-    links, and added delay/jitter, applied between the cluster's send
-    path and the destination mailbox.
+    The paper's section 2 network is a set of fair-loss channels that
+    may drop, reorder and partition. Every message on either backend
+    takes one verdict from {!decide} between the RPC layer and the
+    fabric — {!Net}'s delay model on the simulator, the destination
+    mailbox on the multicore backend: a per-message drop probability,
+    network partitions, directed dead links, and added delay/jitter.
 
     Atomicity contract: the entire fault configuration is one immutable
     snapshot in an [Atomic.t]. A sender reads it exactly once per
@@ -21,7 +23,7 @@ type verdict =
   | Deliver  (** pass the message through now *)
   | Dropped  (** random loss (counted) *)
   | Cut  (** suppressed by a partition or dead link (counted) *)
-  | Delay of float  (** deliver after this many seconds *)
+  | Delay of float  (** deliver after this much extra time *)
 
 type stats = {
   delivered : int;  (** messages passed through (including delayed) *)
@@ -39,9 +41,12 @@ type state = {
 }
 (** One immutable fault-configuration snapshot. *)
 
-val create : n:int -> t
+val create : seed:int -> n:int -> t
 (** A healthy fabric over addresses [0 .. n-1]: no drops, no
-    partition, no delay. @raise Invalid_argument if [n <= 0]. *)
+    partition, no delay. [seed] starts the lock-free sampler that
+    draws drops and jitter; on the simulator the same seed gives the
+    same draws, and a healthy fabric draws nothing at all.
+    @raise Invalid_argument if [n <= 0]. *)
 
 val decide : t -> src:int -> dst:int -> verdict
 (** The send-path hook: one atomic snapshot read plus (at most) two
@@ -51,13 +56,15 @@ val set_drop : t -> float -> unit
 (** @raise Invalid_argument unless [0 <= p < 1] (fair loss). *)
 
 val set_delay : t -> delay:float -> jitter:float -> unit
-(** Added one-way delay in seconds; extra delay uniform in
-    [0, jitter). [~delay:0. ~jitter:0.] restores immediate delivery.
-    @raise Invalid_argument on negative values. *)
+(** Added one-way delay in the runtime's time unit (delta on the
+    simulator, seconds on the multicore backend); extra delay uniform
+    in [0, jitter). [~delay:0. ~jitter:0.] restores immediate
+    delivery. @raise Invalid_argument on negative values. *)
 
 val partition : t -> int list list -> unit
-(** Split the fabric into groups; unlisted addresses form an implicit
-    extra group (same convention as {!Simnet.Net.partition}).
+(** [partition t groups] splits the fabric: messages flow only within
+    a group. Addresses not listed form an implicit extra group.
+    Messages already in flight are unaffected.
     @raise Invalid_argument if an address appears in two groups. *)
 
 val heal : t -> unit

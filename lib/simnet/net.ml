@@ -7,10 +7,9 @@ let default_config = { delay = 1.0; jitter = 0.; drop = 0. }
 type 'msg t = {
   engine : Dessim.Engine.t;
   n : int;
-  mutable config : config;
+  config : config;
+  faults : Faultnet.t;
   handlers : (src:addr -> 'msg -> unit) option array;
-  mutable groups : int array option;  (* partition group per address *)
-  dead_links : (addr * addr, unit) Hashtbl.t;
   msgs : Metrics.Counter.t;
   bytes : Metrics.Counter.t;
   bg_msgs : Metrics.Counter.t;
@@ -22,15 +21,18 @@ type 'msg t = {
 }
 
 let create ?(metrics = Metrics.Registry.create ()) ?(obs = Obs.create ())
-    engine ~config ~n =
+    engine ~config ~faults ~n =
   if n <= 0 then invalid_arg "Simnet.Net.create: n <= 0";
+  if config.drop < 0. || config.drop >= 1. then
+    invalid_arg "Simnet.Net.create: need 0 <= drop < 1 for fair loss";
+  if config.delay < 0. || config.jitter < 0. then
+    invalid_arg "Simnet.Net.create: negative delay";
   {
     engine;
     n;
     config;
+    faults;
     handlers = Array.make n None;
-    groups = None;
-    dead_links = Hashtbl.create 8;
     msgs = Metrics.Registry.counter metrics "net.msgs";
     bytes = Metrics.Registry.counter metrics "net.bytes";
     bg_msgs = Metrics.Registry.counter metrics "net.msgs.bg";
@@ -43,7 +45,6 @@ let create ?(metrics = Metrics.Registry.create ()) ?(obs = Obs.create ())
 
 let n t = t.n
 let obs t = t.obs
-let engine t = t.engine
 
 let check_addr t a =
   if a < 0 || a >= t.n then invalid_arg "Simnet.Net: address out of range"
@@ -51,13 +52,6 @@ let check_addr t a =
 let register t a handler =
   check_addr t a;
   t.handlers.(a) <- Some handler
-
-let reachable t src dst =
-  (not (Hashtbl.mem t.dead_links (src, dst)))
-  &&
-  match t.groups with
-  | None -> true
-  | Some groups -> groups.(src) = groups.(dst)
 
 let send ?(background = false) ?(ctx = Obs.no_ctx) ?info t ~src ~dst
     ~bytes_on_wire msg =
@@ -68,8 +62,15 @@ let send ?(background = false) ?(ctx = Obs.no_ctx) ?info t ~src ~dst
   Metrics.Counter.incr ~by:(float_of_int bytes_on_wire)
     (if background then t.bg_bytes else t.bytes);
   let rng = Dessim.Engine.rng t.engine in
+  (* The fault verdict first (cuts are checked at send time: a message
+     sent across one is lost, like a frame into an unplugged switch
+     port), then the base channel's own loss. *)
+  let verdict = Faultnet.decide t.faults ~src ~dst in
   let dropped =
-    t.config.drop > 0. && Random.State.float rng 1.0 < t.config.drop
+    match verdict with
+    | Faultnet.Dropped | Faultnet.Cut -> true
+    | Faultnet.Deliver | Faultnet.Delay _ ->
+        t.config.drop > 0. && Random.State.float rng 1.0 < t.config.drop
   in
   if dropped then Metrics.Counter.incr t.drops;
   let observing = Obs.enabled t.obs in
@@ -94,14 +95,12 @@ let send ?(background = false) ?(ctx = Obs.no_ctx) ?info t ~src ~dst
           kind = Obs.Msg_drop { dst; bytes = bytes_on_wire; bg = background };
         }
   end;
-  (* Partitions are checked at send time: a message sent across a
-     partition is lost, like a frame into an unplugged switch port. *)
-  if (not dropped) && reachable t src dst then begin
+  if not dropped then begin
     let delay =
       t.config.delay
-      +.
-      if t.config.jitter > 0. then Random.State.float rng t.config.jitter
-      else 0.
+      +. (if t.config.jitter > 0. then Random.State.float rng t.config.jitter
+          else 0.)
+      +. match verdict with Faultnet.Delay d -> d | _ -> 0.
     in
     t.inflight.(dst) <- t.inflight.(dst) + 1;
     if observing then
@@ -131,39 +130,3 @@ let send ?(background = false) ?(ctx = Obs.no_ctx) ?info t ~src ~dst
   end
 
 let count_dead_drop t = Metrics.Counter.incr t.drops_dead
-
-let partition t groups =
-  let assignment = Array.make t.n (-1) in
-  List.iteri
-    (fun gid members ->
-      List.iter
-        (fun a ->
-          check_addr t a;
-          if assignment.(a) <> -1 then
-            invalid_arg "Simnet.Net.partition: address in two groups";
-          assignment.(a) <- gid)
-        members)
-    groups;
-  (* Unlisted addresses share one implicit group. *)
-  let implicit = List.length groups in
-  Array.iteri (fun a g -> if g = -1 then assignment.(a) <- implicit) assignment;
-  t.groups <- Some assignment
-
-let heal t = t.groups <- None
-let set_drop t p =
-  if p < 0. || p >= 1. then
-    invalid_arg "Simnet.Net.set_drop: need 0 <= p < 1 for fair loss";
-  t.config <- { t.config with drop = p }
-
-let set_delay t ~delay ~jitter =
-  if delay < 0. || jitter < 0. then
-    invalid_arg "Simnet.Net.set_delay: negative delay";
-  t.config <- { t.config with delay; jitter }
-
-let config t = t.config
-
-let set_link_down t ~src ~dst down =
-  check_addr t src;
-  check_addr t dst;
-  if down then Hashtbl.replace t.dead_links (src, dst) ()
-  else Hashtbl.remove t.dead_links (src, dst)

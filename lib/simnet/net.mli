@@ -2,17 +2,24 @@
 
     Channels between processes deliver each message after a one-way
     delay, may drop messages independently with a fixed probability,
-    may reorder them (through delay jitter), and may be partitioned.
-    Channels never corrupt messages. Fair loss holds as long as the
-    drop probability is below 1: a message retransmitted forever gets
-    through infinitely often, which is what the paper's [quorum()]
-    primitive builds on.
+    and may reorder them (through delay jitter). Channels never
+    corrupt messages. Fair loss holds as long as the drop probability
+    is below 1: a message retransmitted forever gets through
+    infinitely often, which is what the paper's [quorum()] primitive
+    builds on.
+
+    The [config] is the fault-free channel. Injected faults — network
+    splits, dead links, extra loss and delay — come from the network's
+    {!Faultnet}, the same fault model the multicore backend uses: each
+    message takes one {!Faultnet.decide} verdict before this channel
+    model applies its own delay and loss.
 
     The network counts messages and payload bytes into a
     {!Metrics.Registry} under the names ["net.msgs"] and
-    ["net.bytes"] (plus ["net.drops"] for simulated losses and
-    ["net.drops.dead"] for messages to unregistered or crashed
-    destinations); Table 1 reproductions read those counters. When the deployment's {!Obs.t}
+    ["net.bytes"] (plus ["net.drops"] for every lost message, whether
+    the channel or a fault verdict lost it, and ["net.drops.dead"] for
+    messages to unregistered or crashed destinations); Table 1
+    reproductions read those counters. When the deployment's {!Obs.t}
     hub is enabled the network additionally emits [Msg_send] /
     [Msg_recv] / [Msg_drop] events attributed to the sending
     operation, and per-destination [Queue_depth] samples. *)
@@ -37,9 +44,12 @@ type 'msg t
 
 val create :
   ?metrics:Metrics.Registry.t -> ?obs:Obs.t -> Dessim.Engine.t ->
-  config:config -> n:int -> 'msg t
-(** [create engine ~config ~n] is a network over addresses
-    [0 .. n-1]. The default [obs] hub is a fresh, disabled one. *)
+  config:config -> faults:Faultnet.t -> n:int -> 'msg t
+(** [create engine ~config ~faults ~n] is a network over addresses
+    [0 .. n-1] whose sends consult [faults]. The default [obs] hub is
+    a fresh, disabled one.
+    @raise Invalid_argument unless [0 <= drop < 1] (fair loss),
+    [delay >= 0] and [jitter >= 0]. *)
 
 val register : 'msg t -> addr -> (src:addr -> 'msg -> unit) -> unit
 (** [register t a handler] installs the message handler for address
@@ -64,42 +74,14 @@ val send :
     excludes from operation costs.
     [bytes_on_wire] is the accounted payload size — the register layer
     passes the number of block bytes carried, matching the paper's
-    bandwidth unit B. Sending to a crashed or partitioned-away process
-    is allowed; the message is just lost or ignored.
+    bandwidth unit B. Sending to a crashed or cut-off process
+    is allowed; the message is just lost or ignored. A
+    {!Faultnet.Delay} verdict adds its delay to the channel's.
     [ctx] attributes the emitted observability events to an operation
     and phase; [info] is a short human label for the message (shown in
     traces), defaulting to ["msg"]. *)
-
-val partition : 'msg t -> addr list list -> unit
-(** [partition t groups] splits the network: messages flow only within
-    a group. Addresses not listed form an implicit extra group.
-    In-flight messages are unaffected. *)
-
-val heal : 'msg t -> unit
-(** Remove any partition. *)
-
-val set_drop : 'msg t -> float -> unit
-(** Change the drop probability for subsequently sent messages. *)
-
-val set_link_down : 'msg t -> src:addr -> dst:addr -> bool -> unit
-(** [set_link_down t ~src ~dst down] kills or revives the directed
-    link; used for fine-grained fault injection. *)
-
-val set_delay : 'msg t -> delay:float -> jitter:float -> unit
-(** Change the one-way delay and jitter for subsequently sent messages
-    (the chaos stack's [Slow] fault). In-flight messages keep the
-    delay they were sent with. @raise Invalid_argument on negative
-    values. *)
-
-val config : 'msg t -> config
-(** The current delay/jitter/drop configuration; the nemesis captures
-    it at install time so restore can put it back. *)
 
 val n : 'msg t -> int
 
 val obs : 'msg t -> Obs.t
 (** The observability hub events are emitted to. *)
-
-val engine : 'msg t -> Dessim.Engine.t
-(** The engine deliveries are scheduled on; layers above use it to
-    schedule their own work (e.g. batch flushes) at send instants. *)

@@ -25,7 +25,7 @@ done
 echo "== @obs-smoke (pipelined traced workload -> fab_sim explain) =="
 dune build @obs-smoke
 
-echo "== @bench-protocol-smoke (pipelining / elision / coalescing) =="
+echo "== @bench-protocol-smoke (pipelining / order elision) =="
 dune build @bench-protocol-smoke
 
 echo "== @parallel-smoke (multicore backend, runtime assertions armed) =="

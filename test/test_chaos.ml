@@ -10,12 +10,14 @@
      flight; Volume.scrub repairs every corrupted block and the final
      history is strictly linearizable.
    - The harness is deterministic: same (plan, seed, knobs) produces a
-     byte-identical event trace.
+     byte-identical event trace, also under seeded random loss and
+     delay, and the deployment seed reaches the fault model.
    - The deliberately broken --chaos-unsafe-skip-order variant is
      caught by the harness and ddmin-shrinks to a small reproducer that
      still fails unsafe and passes safe. *)
 
 module Cluster = Core.Cluster
+module Faultnet = Simnet.Faultnet
 module Coordinator = Core.Coordinator
 module Plan = Chaos.Plan
 module Harness = Chaos.Harness
@@ -334,11 +336,7 @@ let with_mc_cluster f =
     Cluster.create_mc ~domains:2 ~m:2 ~n:5 ~block_size:bs ~deadline:0.05
       ~retry_every:0.01 ()
   in
-  let fnet =
-    match Cluster.faultnet cl with
-    | Some fnet -> fnet
-    | None -> Alcotest.fail "mc cluster has no faultnet"
-  in
+  let fnet = Cluster.faultnet cl in
   Fun.protect
     ~finally:(fun () ->
       if Cluster.try_quiesce ~timeout:30. cl then Cluster.shutdown cl
@@ -409,12 +407,12 @@ let test_mc_restore_cancels_pending () =
       (* idempotent *)
       Alcotest.(check int) "nothing applied" 0
         (List.length (Chaos.Nemesis.applied nem));
-      let s = Core.Faultnet.stats fnet in
-      Alcotest.(check int) "no drops" 0 s.Core.Faultnet.dropped;
-      Alcotest.(check int) "no cuts" 0 s.Core.Faultnet.cut;
-      let snap = Core.Faultnet.snapshot fnet in
-      Alcotest.(check bool) "no partition" true (snap.Core.Faultnet.groups = None);
-      Alcotest.(check (float 0.)) "no drop rate" 0. snap.Core.Faultnet.drop;
+      let s = Faultnet.stats fnet in
+      Alcotest.(check int) "no drops" 0 s.Faultnet.dropped;
+      Alcotest.(check int) "no cuts" 0 s.Faultnet.cut;
+      let snap = Faultnet.snapshot fnet in
+      Alcotest.(check bool) "no partition" true (snap.Faultnet.groups = None);
+      Alcotest.(check (float 0.)) "no drop rate" 0. snap.Faultnet.drop;
       match mc_write cl ~coord:0 "pending-ok" with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "write failed on a healthy deployment")
@@ -440,12 +438,12 @@ let test_mc_faults_bite_and_heal () =
           end
       in
       wait_applied 500;
-      let cut0 = (Core.Faultnet.stats fnet).Core.Faultnet.cut in
+      let cut0 = (Faultnet.stats fnet).Faultnet.cut in
       (* Coordinator 0 is alone on its side: 1 < q = 4. *)
       (match mc_write cl ~coord:0 "partitioned" with
       | Error (`Unavailable | `Aborted) -> ()
       | Ok () -> Alcotest.fail "write reached a quorum across the partition");
-      let cut1 = (Core.Faultnet.stats fnet).Core.Faultnet.cut in
+      let cut1 = (Faultnet.stats fnet).Faultnet.cut in
       Alcotest.(check bool)
         (Printf.sprintf "partition suppressed messages (%d > %d)" cut1 cut0)
         true (cut1 > cut0);
@@ -453,9 +451,9 @@ let test_mc_faults_bite_and_heal () =
       (match mc_write cl ~coord:0 "healed" with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "write failed after restore");
-      let snap = Core.Faultnet.snapshot fnet in
+      let snap = Faultnet.snapshot fnet in
       Alcotest.(check bool) "partition gone" true
-        (snap.Core.Faultnet.groups = None);
+        (snap.Faultnet.groups = None);
       Alcotest.(check int) "applied exactly the partition" 1
         (List.length (Chaos.Nemesis.applied nem)))
 
@@ -489,6 +487,60 @@ let test_trace_determinism () =
     [ r1.Harness.ok; r1.Harness.aborted; r1.Harness.unavailable ]
     [ r2.Harness.ok; r2.Harness.aborted; r2.Harness.unavailable ];
   Alcotest.(check bool) "clean run" false (Harness.failed r1)
+
+(* Random loss, added delay and a partition on sim, all drawn by the
+   deployment's Faultnet: the same seed replays byte-for-byte (faults
+   included), and the seed reaches the fault sampler. *)
+let seeded_fault_run ~seed =
+  let plan =
+    Plan.make ~name:"seeded-faults" ~horizon:120.
+      [
+        { Plan.at = 0.; fault = Plan.Drop 0.2 };
+        { Plan.at = 0.; fault = Plan.Slow (0.5, 2.) };
+        { Plan.at = 30.; fault = Plan.Partition [ [ 0; 1 ]; [ 2; 3; 4 ] ] };
+        { Plan.at = 60.; fault = Plan.Heal };
+      ]
+  in
+  let cl = Cluster.create ~seed ~m:2 ~n:5 ~block_size:bs ~deadline:100. () in
+  let engine = cl.Cluster.engine in
+  let buf = Buffer.create (1 lsl 16) in
+  Obs.add_sink cl.Cluster.obs
+    (Obs.Sink.make (fun ev ->
+         Buffer.add_string buf (Obs.to_json ev);
+         Buffer.add_char buf '\n'));
+  let nem = Chaos.Nemesis.install plan cl in
+  for coord = 0 to 2 do
+    Cluster.spawn ~coord cl (fun c ->
+        for k = 1 to 8 do
+          Dessim.Fiber.suspend (fun r ->
+              ignore
+                (Dessim.Engine.schedule engine ~delay:5. (fun () ->
+                     Dessim.Fiber.resume r ())));
+          let stripe = (coord + k) mod 3 in
+          if k mod 2 = 0 then
+            ignore (Coordinator.read_stripe c ~stripe)
+          else
+            ignore
+              (Coordinator.write_stripe c ~stripe
+                 (Array.init 2 (fun j ->
+                      value_block (Printf.sprintf "c%dk%dj%d" coord k j))))
+        done)
+  done;
+  Dessim.Engine.run ~until:plan.Plan.horizon engine;
+  Chaos.Nemesis.restore nem;
+  Cluster.run cl;
+  (Buffer.contents buf, Faultnet.stats (Cluster.faultnet cl))
+
+let test_seeded_faults_determinism () =
+  let t1, s1 = seeded_fault_run ~seed:21 in
+  let t2, s2 = seeded_fault_run ~seed:21 in
+  Alcotest.(check bool) "faults bit" true
+    (s1.Faultnet.dropped > 0 && s1.Faultnet.cut > 0
+    && s1.Faultnet.delayed > 0);
+  Alcotest.(check bool) "byte-identical traces" true (String.equal t1 t2);
+  Alcotest.(check bool) "identical fault stats" true (s1 = s2);
+  let _, s3 = seeded_fault_run ~seed:22 in
+  Alcotest.(check bool) "another seed, other fault draws" true (s1 <> s3)
 
 (* --- bundled plans stay clean; the unsafe variant is caught --- *)
 
@@ -570,6 +622,8 @@ let () =
       ( "harness",
         [
           Alcotest.test_case "trace determinism" `Slow test_trace_determinism;
+          Alcotest.test_case "seeded faults replay" `Slow
+            test_seeded_faults_determinism;
           Alcotest.test_case "bundled plans clean" `Slow
             test_bundled_plans_clean;
           Alcotest.test_case "unsafe variant caught and shrunk" `Slow

@@ -216,10 +216,10 @@ let fuzz_round ~seed =
     let at = Random.State.float rng 150. in
     ignore
       (Dessim.Engine.schedule engine ~delay:at (fun () ->
-           Simnet.Net.partition cl.Cluster.net [ side ]));
+           Simnet.Faultnet.partition (Cluster.faultnet cl) [ side ]));
     ignore
       (Dessim.Engine.schedule engine ~delay:(at +. 30.) (fun () ->
-           Simnet.Net.heal cl.Cluster.net))
+           Simnet.Faultnet.heal (Cluster.faultnet cl)))
   end;
 
   (* Fault injection: random crash/recover pairs. *)

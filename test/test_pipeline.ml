@@ -3,16 +3,16 @@
    Where test_fuzz drives single register instances through the
    coordinator API, this suite drives whole multi-stripe Volume
    requests with every protocol optimization enabled at once —
-   scatter-gather pipelining (window 8), the coordinator timestamp
-   cache (order-phase elision) and per-destination message coalescing
-   — under message loss, partitions and brick crash/recovery. Each
+   scatter-gather pipelining (window 8) and the coordinator timestamp
+   cache (order-phase elision) — under message loss, partitions and
+   brick crash/recovery. Each
    logical block keeps its own history; every history must admit a
    conforming total order even though the optimizations reorder rounds
    and skip order phases.
 
    A second test pins down determinism: two runs from the same seed,
-   with pipelining and coalescing on, must emit byte-identical JSONL
-   traces. This is what makes `explain` replay and the bench numbers
+   with pipelining and the timestamp cache on, must emit byte-identical
+   JSONL traces. This is what makes `explain` replay and the bench numbers
    trustworthy — the optimizations must not introduce any ordering
    decided by anything but the seeded simulation. *)
 
@@ -43,7 +43,7 @@ let fuzz_round ~seed =
   let drop = [| 0.; 0.05; 0.1 |].(Random.State.int rng 3) in
   let jitter = [| 0.; 0.; 2.5 |].(Random.State.int rng 3) in
   let v =
-    V.create ~seed ~m ~n ~stripes ~block_size ~ts_cache:true ~coalesce:true
+    V.create ~seed ~m ~n ~stripes ~block_size ~ts_cache:true
       ~pipeline_window:8
       ~net_config:{ Simnet.Net.default_config with drop; jitter }
       ()
@@ -136,10 +136,10 @@ let fuzz_round ~seed =
     let at = Random.State.float rng 150. in
     ignore
       (Dessim.Engine.schedule engine ~delay:at (fun () ->
-           Simnet.Net.partition cl.Core.Cluster.net [ side ]));
+           Simnet.Faultnet.partition (Core.Cluster.faultnet cl) [ side ]));
     ignore
       (Dessim.Engine.schedule engine ~delay:(at +. 30.) (fun () ->
-           Simnet.Net.heal cl.Core.Cluster.net))
+           Simnet.Faultnet.heal (Core.Cluster.faultnet cl)))
   end;
 
   (* Crash/recover non-coordinator bricks; the crash hook resets the
@@ -189,7 +189,7 @@ let test_pipelined_more_faults () =
 let jsonl_trace ~seed =
   let buf = Buffer.create (1 lsl 16) in
   let v =
-    V.create ~seed ~m ~n ~stripes ~block_size ~ts_cache:true ~coalesce:true
+    V.create ~seed ~m ~n ~stripes ~block_size ~ts_cache:true
       ~pipeline_window:8
       ~net_config:{ Simnet.Net.default_config with drop = 0.05 }
       ()

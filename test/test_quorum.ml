@@ -127,7 +127,7 @@ let quorum_props =
 
 type harness = {
   e : E.t;
-  net : ((string, string) Rpc.envelope) Simnet.Net.t;
+  faults : Simnet.Faultnet.t;
   rpc : (string, string) Rpc.t;
   bricks : Brick.t array;
 }
@@ -136,7 +136,8 @@ let harness ?(n = 5) ?(config = Simnet.Net.default_config) () =
   let e = E.create () in
   let metrics = Metrics.Registry.create () in
   let rt = Runtime_sim.of_engine e in
-  let net = Simnet.Net.create ~metrics e ~config ~n in
+  let faults = Simnet.Faultnet.create ~seed:1 ~n in
+  let net = Simnet.Net.create ~metrics e ~config ~faults ~n in
   let rpc =
     Rpc.create ~rt ~transport:(Rpc.of_net net) ~req_bytes:String.length
       ~rep_bytes:String.length ~retry_every:8. ~grace:1. ()
@@ -149,7 +150,7 @@ let harness ?(n = 5) ?(config = Simnet.Net.default_config) () =
           if Brick.is_alive b then Some (Printf.sprintf "%s/%d" req i)
           else None))
     bricks;
-  { e; net; rpc; bricks }
+  { e; faults; rpc; bricks }
 
 let members n = List.init n Fun.id
 
@@ -204,7 +205,7 @@ let test_coordinator_crash_cancels () =
   let h = harness () in
   (* No servers installed in a fresh partitioned net would be complex;
      instead partition the coordinator away so the call hangs. *)
-  Simnet.Net.partition h.net [ [ 0 ]; [ 1; 2; 3; 4 ] ];
+  Simnet.Faultnet.partition h.faults [ [ 0 ]; [ 1; 2; 3; 4 ] ];
   let cancelled = ref false in
   let completed = ref false in
   Dessim.Fiber.spawn (fun () ->

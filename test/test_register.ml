@@ -314,7 +314,7 @@ let inject_partial_write cl ~stripe ~doomed ~reach data =
     (Dessim.Engine.schedule eng ~delay:1.5 (fun () ->
          for dst = 0 to n - 1 do
            if not (List.mem dst reach) then
-             Simnet.Net.set_link_down cl.Cluster.net ~src:doomed ~dst true
+             Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:doomed ~dst true
          done));
   ignore
     (Dessim.Engine.schedule eng ~delay:4.5 (fun () ->
@@ -322,10 +322,76 @@ let inject_partial_write cl ~stripe ~doomed ~reach data =
   ignore
     (Dessim.Engine.schedule eng ~delay:5.0 (fun () ->
          for dst = 0 to n - 1 do
-           Simnet.Net.set_link_down cl.Cluster.net ~src:doomed ~dst false
+           Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:doomed ~dst false
          done;
          Brick.recover cl.Cluster.bricks.(doomed)));
   Cluster.run ~horizon:20. cl
+
+(* A block write's Modify round applies on the members whose newest
+   version is its basis and is refused elsewhere; the slow path then
+   stores at the same timestamp. With the Modify's takers cut off from
+   the coordinator, a slow store can complete without them, so it must
+   patch the Modify's basis or abort: otherwise one timestamp names two
+   stripe contents, and a read decoding across them returns garbage. *)
+let test_slow_write_one_content_per_ts () =
+  let m = 2 and n = 6 in
+  (* q = 4: a slow-path quorum can miss two members. *)
+  let cl = Cluster.create ~m ~n () in
+  check_ok "initial write" (write cl ~stripe:0 (stripe_data 'A' m));
+  (* Version B reaches only data member 0 and parity member 2. *)
+  inject_partial_write cl ~stripe:0 ~doomed:4 ~reach:[ 0; 2 ] (stripe_data 'B' m);
+  let coord = 3 in
+  Core.Clock.observe
+    (Coordinator.clock cl.Cluster.coordinators.(coord))
+    (Ts.make ~time:1000 ~pid:0);
+  let fnet = Cluster.faultnet cl in
+  (* The Order&Read round is in by t+2; cut the Modify takers' replies
+     before the Modify round's come back. *)
+  ignore
+    (Dessim.Engine.schedule cl.Cluster.engine ~delay:2.5 (fun () ->
+         List.iter
+           (fun src -> Simnet.Faultnet.set_link_down fnet ~src ~dst:coord true)
+           [ 0; 2 ]));
+  (match
+     Cluster.run_op ~coord cl (fun c ->
+         Coordinator.write_block c ~stripe:0 0 (Bytes.make bs 'C'))
+   with
+  | Some _ -> ()
+  | None -> Alcotest.fail "block write did not finish");
+  Simnet.Faultnet.reset fnet ~drop:0.;
+  (* Every m members holding a block at the newest timestamp decode to
+     the same stripe. *)
+  let logs =
+    List.init n (fun p ->
+        (p, Option.get (Core.Replica.log cl.Cluster.replicas.(p) ~stripe:0)))
+  in
+  let newest =
+    List.fold_left
+      (fun acc (_, l) -> Ts.max acc (fst (Core.Slog.max_block l)))
+      Ts.low logs
+  in
+  let holders =
+    List.filter_map
+      (fun (p, l) ->
+        match Core.Slog.find l newest with
+        | Some (Some b) -> Some (p, b)
+        | Some None | None -> None)
+      logs
+  in
+  let codec = Core.Config.codec cl.Cluster.cfg ~stripe:0 in
+  let decode pair = Erasure.Codec.decode codec pair in
+  let first = decode (List.filteri (fun i _ -> i < m) holders) in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun k b ->
+          if k > i then
+            Alcotest.(check bool)
+              (Printf.sprintf "members %d and %d decode alike" (fst a) (fst b))
+              true
+              (Array.for_all2 Bytes.equal first (decode [ a; b ])))
+        holders)
+    holders
 
 let test_partial_write_rolled_back () =
   (* Figure 5 as a full scenario: a write reaching fewer than m
@@ -768,6 +834,8 @@ let () =
           Alcotest.test_case "block read after partial write" `Quick
             test_read_block_after_partial_write;
           Alcotest.test_case "recover idempotent" `Quick test_recover_idempotent;
+          Alcotest.test_case "slow write keeps one content per timestamp"
+            `Quick test_slow_write_one_content_per_ts;
         ] );
       ( "faults",
         [
