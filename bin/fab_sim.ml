@@ -430,7 +430,7 @@ let print_breakdown obs_stats =
         phases;
       Printf.printf "\n")
     (Obs.Stats.phase_breakdown obs_stats);
-  match Obs.Stats.elided_by_kind obs_stats with
+  (match Obs.Stats.elided_by_kind obs_stats with
   | [] -> ()
   | elided ->
       Printf.printf "\nelided phases (order rounds skipped via timestamp \
@@ -442,7 +442,17 @@ let print_breakdown obs_stats =
                (List.map
                   (fun (p, c) -> Printf.sprintf "%s=%d" (Obs.phase_name p) c)
                   counts)))
-        elided
+        elided);
+  match Obs.Stats.retargets obs_stats with
+  | [] -> ()
+  | rows ->
+      Printf.printf
+        "\nrouted around suspected bricks (ops, mean delta from the \
+         re-target to the op's end):\n";
+      List.iter
+        (fun (b, kind, ops, mean) ->
+          Printf.printf "  b%-5d %-13s %6d %8.1f\n" b kind ops mean)
+        rows
 
 let print_per_op obs_stats =
   Printf.printf "\nper-operation spans:\n";

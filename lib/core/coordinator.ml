@@ -6,12 +6,21 @@ module Ts = Timestamp
    block write whose basis version was not cached). See DESIGN 4d. *)
 type cache_entry = { cts : Ts.t; cblocks : Bytes.t array option }
 
+module Addrs = Set.Make (Int)
+
 type t = {
   cfg : Config.t;
   brick : Brick.t;
   clock : Clock.t;
   mutable retry_hint : bool;
   ts_cache : (int, cache_entry) Hashtbl.t;  (* stripe -> entry *)
+  suspects : Addrs.t Atomic.t;
+      (* Members that missed a call they were targeted by and have not
+         replied to this coordinator since. An immutable set behind one
+         atomic: the common empty case costs a single load, and
+         coordinator tasks on several domains update it by CAS. *)
+  retargets : Metrics.Counter.t;  (* "coord.retargets" *)
+  suspicions : Metrics.Counter.t;  (* "coord.suspects" *)
 }
 
 type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
@@ -22,14 +31,28 @@ type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
 let cache_capacity = 1024
 
 let create cfg ~brick ~clock =
-  let t = { cfg; brick; clock; retry_hint = false; ts_cache = Hashtbl.create 16 }
+  let counter = Metrics.Registry.counter cfg.Config.metrics in
+  let t =
+    {
+      cfg;
+      brick;
+      clock;
+      retry_hint = false;
+      ts_cache = Hashtbl.create 16;
+      suspects = Atomic.make Addrs.empty;
+      retargets = counter "coord.retargets";
+      suspicions = counter "coord.suspects";
+    }
   in
-  (* A crashed coordinator loses its cache: after recovery it must not
-     elide order rounds based on pre-crash commits. Brick.crash clears
-     the hook table before running hooks, so the hook re-registers
-     itself to stay armed across repeated crash/recover cycles. *)
+  (* A crashed coordinator loses its cache and its suspicions: after
+     recovery it must not elide order rounds based on pre-crash
+     commits, nor route around bricks it last saw before the crash.
+     Brick.crash clears the hook table before running hooks, so the
+     hook re-registers itself to stay armed across repeated
+     crash/recover cycles. *)
   let rec hook () =
     Hashtbl.reset t.ts_cache;
+    Atomic.set t.suspects Addrs.empty;
     ignore (Brick.add_crash_hook brick hook)
   in
   ignore (Brick.add_crash_hook brick hook);
@@ -183,6 +206,31 @@ let emit_phase t ~op ~phase kind =
       kind;
     }
 
+(* ------------------------------------------------------------------ *)
+(* Suspicion: members that just missed a call they were targeted by    *)
+(* ------------------------------------------------------------------ *)
+
+let suspected t a = Addrs.mem a (Atomic.get t.suspects)
+
+let suspects t = Addrs.elements (Atomic.get t.suspects)
+
+let rec suspect t a =
+  let s = Atomic.get t.suspects in
+  if not (Addrs.mem a s) then
+    if Atomic.compare_and_set t.suspects s (Addrs.add a s) then
+      Metrics.Counter.incr t.suspicions
+    else suspect t a
+
+(* A member leaves the set as soon as it appears in any reply. Reads
+   are broadcast to every member, so a revived brick clears itself. *)
+let rec absolve t replies =
+  let s = Atomic.get t.suspects in
+  if not (Addrs.is_empty s) then begin
+    let s' = List.fold_left (fun acc (a, _) -> Addrs.remove a acc) s replies in
+    if s' != s && not (Atomic.compare_and_set t.suspects s s') then
+      absolve t replies
+  end
+
 (* One quorum round = one protocol phase of the operation's span.
    [proposed] is the round's own timestamp when it carries one, so the
    timestamp cache does not mistake it for foreign activity. *)
@@ -204,7 +252,37 @@ let quorum_call ?until ?(proposed = Ts.low) t ~stripe ~op ~dl ~phase make_req =
   if observing then emit_phase t ~op ~phase Obs.Phase_end;
   observe_replies t replies;
   cache_observe t ~stripe ~proposed replies;
+  absolve t replies;
   replies
+
+(* A round addressed at [targets]: it waits for every target (up to
+   the RPC grace period past a bare quorum), and suspects each target
+   that did not answer. *)
+let targeted_call ?proposed t ~stripe ~op ~dl ~phase ~targets make_req =
+  let until replies =
+    List.for_all (fun a -> List.mem_assoc a replies) targets
+  in
+  let replies =
+    quorum_call ~until ?proposed t ~stripe ~op ~dl ~phase make_req
+  in
+  List.iter
+    (fun a -> if not (List.mem_assoc a replies) then suspect t a)
+    targets;
+  replies
+
+(* Record that the operation routes around suspected member [a]: a
+   read re-targeted at other members, or a block write sent straight
+   to the slow path. *)
+let emit_retarget t ~op a =
+  if Obs.enabled t.cfg.Config.obs then
+    Obs.emit t.cfg.Config.obs
+      {
+        Obs.time = Runtime.now t.cfg.Config.runtime;
+        actor = Obs.Coord (Brick.id t.brick);
+        op;
+        phase = None;
+        kind = Obs.Retarget { suspect = a };
+      }
 
 (* Mark a protocol phase the operation proved it could skip (the warm
    write paths below); `fab_sim explain` counts these per op kind. *)
@@ -218,18 +296,28 @@ let notify_gc t ~stripe ~op ts =
       ~ctx:(Obs.ctx ~phase:Obs.Gc op)
       (Message.Gc { stripe; before = ts })
 
-(* Pick m distinct random members as read targets. *)
+(* Pick m distinct random members as read targets, none of them
+   suspected; [None] when fewer than m members are not. With nothing
+   suspected, this is the paper's draw. *)
 let pick_targets t ~stripe =
-  let members = Array.copy (Config.members_array t.cfg ~stripe) in
-  let rng = Runtime.rng t.cfg.Config.runtime in
+  let all = Config.members_array t.cfg ~stripe in
+  let members =
+    if Addrs.is_empty (Atomic.get t.suspects) then Array.copy all
+    else Array.of_list (List.filter (fun a -> not (suspected t a)) (Array.to_list all))
+  in
+  let m = Config.m t.cfg ~stripe in
   let n = Array.length members in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = members.(i) in
-    members.(i) <- members.(j);
-    members.(j) <- tmp
-  done;
-  Array.to_list (Array.sub members 0 (Config.m t.cfg ~stripe))
+  if n < m then None
+  else begin
+    let rng = Runtime.rng t.cfg.Config.runtime in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let tmp = members.(i) in
+      members.(i) <- members.(j);
+      members.(j) <- tmp
+    done;
+    Some (Array.to_list (Array.sub members 0 m))
+  end
 
 let pos_of t ~stripe addr =
   match Config.pos_of_addr t.cfg ~stripe addr with
@@ -261,35 +349,6 @@ let unanimous_version replies =
 (* ------------------------------------------------------------------ *)
 (* Algorithm 1: stripe access                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* fast-read-stripe (lines 5-11): one round, no state modified. *)
-let fast_read_stripe t ~stripe ~op ~dl =
-  let targets = pick_targets t ~stripe in
-  let until replies =
-    List.for_all (fun a -> List.mem_assoc a replies) targets
-  in
-  let replies =
-    quorum_call ~until t ~stripe ~op ~dl ~phase:Obs.Fast_read (fun _ ->
-        Message.Read { stripe; targets })
-  in
-  match unanimous_version replies with
-  | None -> None
-  | Some _ ->
-      let blocks =
-        List.filter_map
-          (fun (src, r) ->
-            match r with
-            | Message.Read_r { block = Some b; _ } ->
-                Some (pos_of t ~stripe src, b)
-            | _ -> None)
-          replies
-      in
-      if List.length blocks >= Config.m t.cfg ~stripe then
-        Some
-          (Erasure.Codec.decode
-             (Config.codec t.cfg ~stripe)
-             (List.filteri (fun i _ -> i < Config.m t.cfg ~stripe) blocks))
-      else None
 
 let all_status_true replies =
   List.for_all
@@ -398,12 +457,105 @@ let recover t ~stripe =
   traced t ~stripe "recover" (fun op dl ->
       recover_with t ~stripe ~op ~dl ~patch:ignore)
 
-(* read-stripe (lines 1-4). *)
+(* The outcome of one Read round asking [targets] for their blocks. *)
+type read_round =
+  | Blocks of (int * Bytes.t) list
+      (* Every reply status-true at one version — the fast-read
+         condition — and every target's block, as (position, block) in
+         target order. *)
+  | Silent of (int * Message.t) list
+      (* The replies agree as above, but some target did not answer. *)
+  | Mixed  (* A refused status or two versions: a partial write. *)
+
+let read_round t ~stripe ~op ~dl targets =
+  let replies =
+    targeted_call t ~stripe ~op ~dl ~phase:Obs.Fast_read ~targets (fun _ ->
+        Message.Read { stripe; targets })
+  in
+  match unanimous_version replies with
+  | None -> Mixed
+  | Some _ ->
+      if not (List.for_all (fun a -> List.mem_assoc a replies) targets) then
+        Silent replies
+      else
+        let blocks =
+          List.filter_map
+            (fun a ->
+              match List.assoc a replies with
+              | Message.Read_r { block = Some b; _ } -> Some (pos_of t ~stripe a, b)
+              | _ -> None)
+            targets
+        in
+        if List.length blocks = List.length targets then Blocks blocks
+        else Mixed
+
+(* The degraded read (DESIGN 2, deviation 4): re-issue the Read at the first m
+   members, in position order, that satisfy [ok] and are not
+   suspected, and decode the stripe from their blocks. Safe by the
+   fast-read-stripe argument — its own round must again show every
+   status true at one version, and any m blocks of that version decode
+   to it — so nothing is written. Position order prefers data members,
+   whose blocks the decode copies, and keeps one decode plan per
+   suspect set. [None] when fewer than m such members exist or the
+   round fails that check. [avoid] names the members the read routes
+   around, for the trace. *)
+let degraded_read t ~stripe ~op ~dl ~avoid ~ok =
+  let m = Config.m t.cfg ~stripe in
+  let live =
+    List.filter (fun a -> ok a && not (suspected t a)) (Config.members t.cfg ~stripe)
+  in
+  if List.length live < m then None
+  else begin
+    Metrics.Counter.incr t.retargets;
+    List.iter (emit_retarget t ~op) avoid;
+    match read_round t ~stripe ~op ~dl (List.filteri (fun i _ -> i < m) live) with
+    | Blocks blocks ->
+        Some (Erasure.Codec.decode (Config.codec t.cfg ~stripe) blocks)
+    | Silent _ | Mixed -> None
+  end
+
+(* True when one of [addrs] is suspected; one load while none is. *)
+let routes_around t addrs =
+  let s = Atomic.get t.suspects in
+  (not (Addrs.is_empty s)) && List.exists (fun a -> Addrs.mem a s) addrs
+
+(* The one read path of read-block and read-blocks. The fast path
+   (lines 61-69) asks [targets] — the addressed members — for their
+   blocks, and [of_blocks] builds the result from them. A read whose
+   target is suspected, or stays silent while the other replies agree,
+   takes the degraded read instead; [of_stripe] projects the decoded
+   stripe. Section 4 recovery, which writes the stripe back, runs only
+   when a round shows a refused status or two versions. *)
+let read_via t ~stripe ~op ~dl targets ~of_blocks ~of_stripe =
+  let recovered () = Result.map of_stripe (recover t ~stripe) in
+  let degraded ~avoid ~ok =
+    match degraded_read t ~stripe ~op ~dl ~avoid ~ok with
+    | Some data -> Ok (of_stripe data)
+    | None -> recovered ()
+  in
+  if routes_around t targets then
+    degraded ~avoid:(List.filter (suspected t) targets) ~ok:(fun _ -> true)
+  else
+    match read_round t ~stripe ~op ~dl targets with
+    | Blocks blocks -> Ok (of_blocks blocks)
+    | Silent replies ->
+        degraded
+          ~avoid:(List.filter (fun a -> not (List.mem_assoc a replies)) targets)
+          ~ok:(fun a -> List.mem_assoc a replies)
+    | Mixed -> recovered ()
+
+(* read-stripe (lines 1-11). Its m targets are random and never
+   suspected; a target that misses the round becomes suspected, and
+   this read still recovers, as the paper's does. *)
 let read_stripe t ~stripe =
   traced t ~stripe "read-stripe" (fun op dl ->
-      match fast_read_stripe t ~stripe ~op ~dl with
-      | Some data -> Ok data
-      | None -> recover t ~stripe)
+      match pick_targets t ~stripe with
+      | None -> recover t ~stripe
+      | Some targets -> (
+          match read_round t ~stripe ~op ~dl targets with
+          | Blocks blocks ->
+              Ok (Erasure.Codec.decode (Config.codec t.cfg ~stripe) blocks)
+          | Silent _ | Mixed -> recover t ~stripe))
 
 let check_stripe_shape t ~stripe data =
   if Array.length data <> Config.m t.cfg ~stripe then
@@ -466,27 +618,10 @@ let read_block t ~stripe j =
   if j < 0 || j >= Config.m t.cfg ~stripe then
     invalid_arg "Core.Coordinator: block index out of range";
   traced t ~stripe "read-block" (fun op dl ->
-  let addr_j = (Config.members_array t.cfg ~stripe).(j) in
-  let targets = [ addr_j ] in
-  let until replies = List.mem_assoc addr_j replies in
-  let replies =
-    quorum_call ~until t ~stripe ~op ~dl ~phase:Obs.Fast_read (fun _ ->
-        Message.Read { stripe; targets })
-  in
-  let fast =
-    match unanimous_version replies with
-    | None -> None
-    | Some _ -> (
-        match List.assoc_opt addr_j replies with
-        | Some (Message.Read_r { block = Some b; _ }) -> Some b
-        | _ -> None)
-  in
-  match fast with
-  | Some b -> Ok b
-  | None -> (
-      match recover t ~stripe with
-      | Ok data -> Ok data.(j)
-      | Error _ as e -> e))
+      read_via t ~stripe ~op ~dl
+        [ (Config.members_array t.cfg ~stripe).(j) ]
+        ~of_blocks:(fun blocks -> snd (List.hd blocks))
+        ~of_stripe:(fun data -> data.(j)))
 
 (* Build the per-destination request of a Modify round writing block
    [j] := [b] against old content [bj] at basis version [tsj]. *)
@@ -533,12 +668,25 @@ let patched_cache_blocks t ~stripe ~tsj patches =
       Some nb
   | _ -> None
 
+(* A block write whose addressed members include a suspected one skips
+   the fast path: its Order&Read could not complete before the grace
+   wait, and the caller's slow path at the same timestamp (basis
+   [None]: no Modify ran) needs no reply from them. *)
+let skips_fast_path t ~op addrs =
+  if routes_around t addrs then begin
+    List.iter (fun a -> if suspected t a then emit_retarget t ~op a) addrs;
+    true
+  end
+  else false
+
 (* fast-write-block (lines 74-82). *)
 let fast_write_block t ~stripe ~op ~dl j b ts =
   let addr_j = (Config.members_array t.cfg ~stripe).(j) in
-  let until replies = List.mem_assoc addr_j replies in
+  if skips_fast_path t ~op [ addr_j ] then None
+  else
   let replies =
-    quorum_call ~until ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Order (fun _ ->
+    targeted_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Order
+      ~targets:[ addr_j ] (fun _ ->
         Message.Order_read
           { stripe; target = Message.Addr addr_j; max = Ts.high; ts })
   in
@@ -616,45 +764,15 @@ let range_addrs t ~stripe j0 len =
   let layout = Config.members_array t.cfg ~stripe in
   List.init len (fun i -> layout.(j0 + i))
 
-(* read-blocks: the fast read targets exactly the range; any anomaly
-   falls back to full recovery. *)
+(* read-blocks: the fast read targets exactly the range. *)
 let read_blocks t ~stripe j0 ~len =
   check_range t ~stripe j0 len;
   if len = Config.m t.cfg ~stripe then read_stripe t ~stripe
   else
     traced t ~stripe "read-blocks" @@ fun op dl ->
-    begin
-    let targets = range_addrs t ~stripe j0 len in
-    let until replies =
-      List.for_all (fun a -> List.mem_assoc a replies) targets
-    in
-    let replies =
-      quorum_call ~until t ~stripe ~op ~dl ~phase:Obs.Fast_read (fun _ ->
-          Message.Read { stripe; targets })
-    in
-    let fast =
-      match unanimous_version replies with
-      | None -> None
-      | Some _ ->
-          let blocks =
-            List.map
-              (fun a ->
-                match List.assoc_opt a replies with
-                | Some (Message.Read_r { block = Some b; _ }) -> Some b
-                | _ -> None)
-              targets
-          in
-          if List.for_all Option.is_some blocks then
-            Some (Array.of_list (List.map Option.get blocks))
-          else None
-    in
-    match fast with
-    | Some blocks -> Ok blocks
-    | None -> (
-        match recover t ~stripe with
-        | Ok data -> Ok (Array.sub data j0 len)
-        | Error _ as e -> e)
-  end
+    read_via t ~stripe ~op ~dl (range_addrs t ~stripe j0 len)
+      ~of_blocks:(fun blocks -> Array.of_list (List.map snd blocks))
+      ~of_stripe:(fun data -> Array.sub data j0 len)
 
 (* fast-write-blocks: one Order&Read round fetching the range's current
    blocks, then one Modify_multi round. The range's blocks must all be
@@ -663,11 +781,11 @@ let read_blocks t ~stripe j0 ~len =
 let fast_write_blocks t ~stripe ~op ~dl j0 news ts =
   let len = Array.length news in
   let targets = range_addrs t ~stripe j0 len in
-  let until replies =
-    List.for_all (fun a -> List.mem_assoc a replies) targets
-  in
+  if skips_fast_path t ~op targets then None
+  else
   let replies =
-    quorum_call ~until ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Order (fun _ ->
+    targeted_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Order ~targets
+      (fun _ ->
         Message.Order_read
           { stripe; target = Message.Addrs targets; max = Ts.high; ts })
   in

@@ -33,7 +33,11 @@ type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
 
 val read_stripe : t -> stripe:int -> Bytes.t array outcome
 (** Read the whole stripe: [m] data blocks. One round trip in the
-    common case; falls back to the two-phase recovery otherwise. *)
+    common case, asking [m] random members that are not {!suspects}
+    for their blocks. If one of them does not answer, the read is
+    re-targeted as in {!read_block}; it falls back to the two-phase
+    recovery only when a round shows a refused status or two
+    versions. *)
 
 val write_stripe : t -> stripe:int -> Bytes.t array -> unit outcome
 (** Two-phase write of [m] data blocks.
@@ -41,18 +45,33 @@ val write_stripe : t -> stripe:int -> Bytes.t array -> unit outcome
     or block size). *)
 
 val read_block : t -> stripe:int -> int -> Bytes.t outcome
-(** [read_block t ~stripe j] reads data block [j] (in [0, m)). *)
+(** [read_block t ~stripe j] reads data block [j] (in [0, m)).
+
+    The fast path is one round that asks block [j]'s member for it.
+    When that member is suspected, or does not answer within the RPC
+    grace period while the other replies show every status true at one
+    version, the read is {e re-targeted}: it re-issues the Read at the
+    first [m] members (in position order) that are not suspected and,
+    after a silent round, answered it, and decodes block [j] from their
+    blocks — the fast-read-stripe argument, so nothing is written. Only when a
+    round shows a refused status or two versions (a partial write)
+    does the read run the paper's section 4 recovery, which writes the
+    stripe back at a new timestamp. *)
 
 val write_block : t -> stripe:int -> int -> Bytes.t -> unit outcome
 (** [write_block t ~stripe j b] writes data block [j], updating parity
-    blocks via the erasure code's [modify] primitive on the fast path. *)
+    blocks via the erasure code's [modify] primitive on the fast path.
+    When block [j]'s member is suspected, the write skips the fast
+    path's Order&Read, which could not complete without it, and runs
+    the paper's slow path at the same timestamp. *)
 
 val read_blocks : t -> stripe:int -> int -> len:int -> Bytes.t array outcome
 (** [read_blocks t ~stripe j0 ~len] reads the contiguous data blocks
     [j0 .. j0+len-1] in one protocol operation (the multi-block
     extension of the paper's footnote 2). Costs one round trip on the
     fast path regardless of [len]; [len = m] degenerates to
-    {!read_stripe}.
+    {!read_stripe}. A range containing a suspected or silent member
+    takes the same re-targeted read as {!read_block}.
     @raise Invalid_argument if the range is out of bounds. *)
 
 val write_blocks : t -> stripe:int -> int -> Bytes.t array -> unit outcome
@@ -83,6 +102,16 @@ val scrub : t -> stripe:int -> int list outcome
     observed blocks equally well. The scrub also refreshes the stripe
     at a new timestamp, so it doubles as the re-sync pass a recovered
     brick runs. *)
+
+val suspects : t -> int list
+(** The members this coordinator currently routes around, sorted. A
+    member joins when it misses a call that targeted it (a read target,
+    or a block write's addressed member) and leaves as soon as it
+    appears in any reply to this coordinator; a coordinator crash
+    empties the set. While it is empty the protocol is exactly the
+    paper's: no extra random draws, no extra state changes. Counted in
+    the metrics registry as ["coord.suspects"] (members marked) and
+    ["coord.retargets"] (re-targeted reads). *)
 
 val hint_retry : t -> unit
 (** Flag the {e next} operation started on this coordinator as one its

@@ -83,6 +83,7 @@ type kind =
   | Io_read of { blocks : int }
   | Io_write of { blocks : int }
   | Timeout of { missing : int; attempt : int }
+  | Retarget of { suspect : int }
   | Queue_depth of { depth : int }
   | Fault of { label : string }
 
@@ -106,6 +107,7 @@ let ev_name = function
   | Io_read _ -> "io_read"
   | Io_write _ -> "io_write"
   | Timeout _ -> "timeout"
+  | Retarget _ -> "retarget"
   | Queue_depth _ -> "queue_depth"
   | Fault _ -> "fault"
 
@@ -143,6 +145,8 @@ let pp_event fmt ev =
   | Timeout { missing; attempt } ->
       Format.fprintf fmt "[%s] retransmit #%d, %d member(s) missing%t" a attempt
         missing op
+  | Retarget { suspect } ->
+      Format.fprintf fmt "[%s] route around suspected b%d%t" a suspect op
   | Queue_depth { depth } -> Format.fprintf fmt "[%s] queue depth %d" a depth
   | Fault { label } -> Format.fprintf fmt "[%s] FAULT %s" a label
 
@@ -343,6 +347,7 @@ let to_json ev =
     | Io_read { blocks } | Io_write { blocks } -> [ ("blocks", Json.I blocks) ]
     | Timeout { missing; attempt } ->
         [ ("missing", Json.I missing); ("attempt", Json.I attempt) ]
+    | Retarget { suspect } -> [ ("suspect", Json.I suspect) ]
     | Queue_depth { depth } -> [ ("depth", Json.I depth) ]
     | Fault { label } -> [ ("fault", Json.S label) ]
   in
@@ -430,6 +435,7 @@ let of_json line =
                   missing = get "missing" Json.to_int "int";
                   attempt = get "attempt" Json.to_int "int";
                 }
+          | "retarget" -> Retarget { suspect = get "suspect" Json.to_int "int" }
           | "queue_depth" ->
               Queue_depth { depth = get "depth" Json.to_int "int" }
           | "fault" -> Fault { label = get "fault" Json.to_string "string" }
@@ -708,6 +714,7 @@ let chrome oc =
     | Timeout { missing; attempt } ->
         instant "timeout"
           [ ("missing", Json.I missing); ("attempt", Json.I attempt) ]
+    | Retarget { suspect } -> instant "retarget" [ ("suspect", Json.I suspect) ]
     | Fault { label } -> instant "fault" [ ("fault", Json.S label) ]
     | Queue_depth { depth } ->
         let name =
@@ -748,6 +755,8 @@ module Stats = struct
     mutable timeouts : int;
     mutable disk_reads : int;
     mutable disk_writes : int;
+    mutable retargeted : (int * float) list;
+        (* suspected brick routed around, and when *)
   }
 
   (* Incremental per-op-kind aggregate, updated when a span completes,
@@ -800,6 +809,9 @@ module Stats = struct
     phase_agg : (phase, Metrics.Summary.t) Hashtbl.t;
         (* per-(op, phase) accumulated durations, across kinds *)
     queue_depth : (string, Metrics.Summary.t) Hashtbl.t;
+    retarget_agg : (int * string, int * float) Hashtbl.t;
+        (* (suspected brick, op kind) -> ops routed around it, summed
+           time from the re-target to the op's end *)
     mutable untagged_msgs : int;
     mutable untagged_bytes : int;
   }
@@ -821,6 +833,7 @@ module Stats = struct
       timeouts = 0;
       disk_reads = 0;
       disk_writes = 0;
+      retargeted = [];
     }
 
   let create ?(retain = 0) () =
@@ -836,6 +849,7 @@ module Stats = struct
       by_kind_agg = Hashtbl.create 8;
       phase_agg = Hashtbl.create 8;
       queue_depth = Hashtbl.create 8;
+      retarget_agg = Hashtbl.create 8;
       untagged_msgs = 0;
       untagged_bytes = 0;
     }
@@ -901,7 +915,16 @@ module Stats = struct
           match List.assoc_opt p a.elided_total with Some d -> d | None -> 0
         in
         a.elided_total <- (p, prev + c) :: List.remove_assoc p a.elided_total)
-      s.elided
+      s.elided;
+    (* An operation routes around each suspected brick once. *)
+    List.iter
+      (fun (b, since) ->
+        let key = (b, s.op_kind) in
+        let ops, total =
+          Option.value ~default:(0, 0.) (Hashtbl.find_opt t.retarget_agg key)
+        in
+        Hashtbl.replace t.retarget_agg key (ops + 1, total +. (s.t_end -. since)))
+      s.retargeted
 
   (* Drop the oldest retained completed records down to [keep]. *)
   let evict_down_to t keep =
@@ -994,6 +1017,9 @@ module Stats = struct
     | Timeout _ ->
         let s = op_stat t ev.op in
         s.timeouts <- s.timeouts + 1
+    | Retarget { suspect } ->
+        let s = op_stat t ev.op in
+        s.retargeted <- (suspect, ev.time) :: s.retargeted
     | Io_read { blocks } ->
         let s = op_stat t ev.op in
         s.disk_reads <- s.disk_reads + blocks
@@ -1082,6 +1108,14 @@ module Stats = struct
   let queue_depths t =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.queue_depth []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  (* (brick, kind, ops, mean time from re-target to op end), sorted. *)
+  let retargets t =
+    Hashtbl.fold
+      (fun (b, kind) (ops, total) acc ->
+        (b, kind, ops, total /. float_of_int ops) :: acc)
+      t.retarget_agg []
+    |> List.sort compare
 
   (* Write the derived distributions into a metrics registry: latency
      summaries and histograms under "op.<kind>.latency", summaries
@@ -1210,6 +1244,7 @@ module Timeline = struct
     | Io_read { blocks } -> incr ~by:(float_of_int blocks) "io.read"
     | Io_write { blocks } -> incr ~by:(float_of_int blocks) "io.write"
     | Timeout _ -> incr "retransmits"
+    | Retarget _ -> incr "retargets"
     | Queue_depth { depth } ->
         observe ("queue." ^ actor_name ev.actor) (float_of_int depth)
     | Fault { label } -> (

@@ -78,6 +78,12 @@ type kind =
       (** A retransmission round: [attempt] counts retransmissions of
           this call (1 = first retransmit), [missing] is how many
           members still owe a reply. *)
+  | Retarget of { suspect : int }
+      (** The coordinator routed the operation around brick [suspect],
+          which missed a call it was targeted by: a read re-issued at
+          other members (one extra fast-read round when the miss
+          happened in this op), or a block write sent straight to the
+          slow path. *)
   | Queue_depth of { depth : int }
   | Fault of { label : string }
       (** A chaos-nemesis action (crash, partition, bit-rot, ...);
@@ -239,6 +245,8 @@ module Stats : sig
     mutable timeouts : int;
     mutable disk_reads : int;
     mutable disk_writes : int;
+    mutable retargeted : (int * float) list;
+        (** [(brick, time)] of each {!Retarget} event *)
   }
 
   type stats
@@ -292,6 +300,12 @@ module Stats : sig
       completed ops; kinds with no elisions are absent. *)
 
   val queue_depths : stats -> (string * Metrics.Summary.t) list
+
+  val retargets : stats -> (int * string * int * float) list
+  (** Per suspected brick and op kind: [(brick, kind, ops, mean)], the
+      completed ops that routed around the brick ({!Retarget}) and the
+      mean time from the re-target to the op's end — the cost that
+      brick's absence added. Sorted. *)
 
   val materialize : stats -> Metrics.Registry.t -> unit
   (** Write the derived distributions into a registry:

@@ -32,11 +32,23 @@ let block_value b =
   | None -> Bytes.to_string b
 
 (* Run one scenario under the choice function [choose]; returns the
-   history. [choose pos alternatives] picks the event index for the
-   [pos]'th choice point. *)
-let run_scenario ~m ~n ~ops ~choose =
+   history of block 0 and how many reads were re-targeted.
+   [choose pos alternatives] picks the event index for the [pos]'th
+   choice point. [faults] crash or recover a brick at a time; those at
+   time 0 apply before the first op. *)
+let run_scenario ?(faults = []) ~m ~n ~ops ~choose () =
   let cl = Cluster.create ~m ~n ~block_size () in
   let engine = cl.Cluster.engine in
+  List.iter
+    (fun (at, fault) ->
+      let apply () =
+        match fault with
+        | `Crash b -> Cluster.crash cl b
+        | `Recover b -> Cluster.recover cl b
+      in
+      if at <= 0. then apply ()
+      else ignore (Dessim.Engine.schedule engine ~delay:at apply))
+    faults;
   let h = H.create () in
   let pos = ref 0 in
   Dessim.Engine.set_chooser engine
@@ -82,10 +94,34 @@ let run_scenario ~m ~n ~ops ~choose =
                      | Ok data ->
                          H.complete_read h id ~value:(block_value data.(0))
                            ~now:(now ())
+                     | Error _ -> H.abort h id ~now:(now ()))
+                 | `Write_block value ->
+                     let id =
+                       H.invoke h ~client:coord ~kind:H.Write ~written:value
+                         ~now:(now ()) ()
+                     in
+                     (match
+                        Coordinator.write_block cl.Cluster.coordinators.(coord)
+                          ~stripe:0 0 (value_block value)
+                      with
+                     | Ok () -> H.complete_write h id ~now:(now ())
+                     | Error _ -> H.abort h id ~now:(now ()))
+                 | `Read_blocks len ->
+                     (* Block 0 alone, or a range starting at it. *)
+                     let id =
+                       H.invoke h ~client:coord ~kind:H.Read ~now:(now ()) ()
+                     in
+                     (match
+                        Coordinator.read_blocks cl.Cluster.coordinators.(coord)
+                          ~stripe:0 0 ~len
+                      with
+                     | Ok blocks ->
+                         H.complete_read h id ~value:(block_value blocks.(0))
+                           ~now:(now ())
                      | Error _ -> H.abort h id ~now:(now ()))))))
     ops;
   Cluster.run ~horizon:1_000. cl;
-  h
+  (h, int_of_float (Metrics.Registry.value cl.Cluster.metrics "coord.retargets"))
 
 (* Bounded-exhaustive DFS over choice sequences. The prefix fixes the
    first choices; beyond it we take 0 and record how many alternatives
@@ -103,7 +139,7 @@ let explore ~m ~n ~ops ~budget check =
       alternatives := k :: !alternatives;
       if pos < Array.length !prefix then !prefix.(pos) else 0
     in
-    let h = run_scenario ~m ~n ~ops ~choose in
+    let h, _ = run_scenario ~m ~n ~ops ~choose () in
     check h;
     (* Build the taken-choice array for backtracking. *)
     let alts = Array.of_list (List.rev !alternatives) in
@@ -185,9 +221,71 @@ let test_random_schedules_erasure () =
         (3, 40., `Read);
       ]
     in
-    let h = run_scenario ~m:2 ~n:4 ~ops ~choose in
+    let h, _ = run_scenario ~m:2 ~n:4 ~ops ~choose () in
     check_linearizable "random schedule" h
   done
+
+let test_random_schedules_dead_member () =
+  (* Brick 0 — block 0's member — is down for the whole scenario, so
+     reads of block 0 alone or of a range over it are re-targeted at
+     live members and decoded, racing a stripe write and a block write
+     that takes the slow path; 300 random schedules of a 3-of-5
+     register. *)
+  let rng = Random.State.make [| 7 |] in
+  let fired = ref 0 and rounds = ref 0 in
+  for round = 1 to 300 do
+    let choose _pos k = Random.State.int rng k in
+    let ops =
+      [
+        (1, 0., `Write (Printf.sprintf "a%d" round));
+        (2, 0., `Write_block (Printf.sprintf "b%d" round));
+        (3, 1., `Read_blocks 1);
+        (4, 3., `Read_blocks 2);
+        (3, 5., `Read_blocks 2);
+        (4, 12., `Read_blocks 1);
+        (1, 30., `Read);
+      ]
+    in
+    let h, k = run_scenario ~faults:[ (0., `Crash 0) ] ~m:3 ~n:5 ~ops ~choose () in
+    check_linearizable "dead member schedule" h;
+    fired := !fired + k;
+    if k > 0 then incr rounds
+  done;
+  Printf.printf "re-targeted reads: %d, in %d of 300 schedules\n" !fired
+    !rounds;
+  Alcotest.(check bool) "the re-targeted read fired in most schedules" true
+    (!rounds >= 250)
+
+let test_random_schedules_stale_target () =
+  (* f = 2 (3-of-7): bricks 0 and 1 are down while a stripe write
+     completes; brick 1 then comes back stale. Coordinator 3 already
+     suspects brick 0, so its next read of block 0 goes straight to the
+     degraded read — whose first targets in position order include the
+     stale brick 1. Its round must see two versions and recover rather
+     than decode old and new blocks together. *)
+  let rng = Random.State.make [| 11 |] in
+  let fired = ref 0 in
+  for round = 1 to 200 do
+    let choose _pos k = Random.State.int rng k in
+    let ops =
+      [
+        (3, 1., `Read_blocks 1);
+        (2, 10., `Write (Printf.sprintf "a%d" round));
+        (3, 30., `Read_blocks 1);
+        (4, 31., `Read_blocks 2);
+        (2, 60., `Read);
+      ]
+    in
+    let h, k =
+      run_scenario
+        ~faults:[ (0., `Crash 0); (0., `Crash 1); (25., `Recover 1) ]
+        ~m:3 ~n:7 ~ops ~choose ()
+    in
+    check_linearizable "stale target schedule" h;
+    fired := !fired + k
+  done;
+  Printf.printf "re-targeted reads: %d over 200 schedules\n" !fired;
+  Alcotest.(check bool) "the re-targeted read fired" true (!fired >= 200)
 
 let () =
   Alcotest.run "explore"
@@ -202,5 +300,9 @@ let () =
             test_exhaustive_staggered_ops;
           Alcotest.test_case "random schedules (2-of-4)" `Slow
             test_random_schedules_erasure;
+          Alcotest.test_case "random schedules, dead data member" `Slow
+            test_random_schedules_dead_member;
+          Alcotest.test_case "random schedules, stale degraded target" `Slow
+            test_random_schedules_stale_target;
         ] );
     ]

@@ -34,13 +34,22 @@ type op_record = {
   mutable done_ : bool;
 }
 
-let fuzz_round ~seed =
+(* [dead_member] rounds run a geometry with f = 2, crash one data
+   member at the start and bring it back late, with no other crash or
+   partition: block reads and block ranges over it take the
+   re-targeted (degraded) read, and writes to it the slow path. A
+   second member is down for a while early on, so it comes back stale
+   and may be among a degraded read's targets. Returns the re-targeted
+   read count. *)
+let fuzz_round ?(dead_member = false) ~seed () =
   let rng = Random.State.make [| seed; 0xfab |] in
   let m, n =
-    match Random.State.int rng 3 with
-    | 0 -> (1, 3)
-    | 1 -> (2, 4)
-    | _ -> (3, 5)
+    if dead_member then (if Random.State.bool rng then (2, 6) else (3, 7))
+    else
+      match Random.State.int rng 3 with
+      | 0 -> (1, 3)
+      | 1 -> (2, 4)
+      | _ -> (3, 5)
   in
   let drop = [| 0.; 0.05; 0.15 |].(Random.State.int rng 3) in
   let jitter = [| 0.; 0.; 2.5 |].(Random.State.int rng 3) in
@@ -208,8 +217,25 @@ let fuzz_round ~seed =
     client (c mod n)
   done;
 
+  if dead_member then begin
+    let down ~at ~back b =
+      ignore
+        (Dessim.Engine.schedule engine ~delay:at (fun () ->
+             crashes := (b, Dessim.Engine.now engine) :: !crashes;
+             Brick.crash cl.Cluster.bricks.(b)));
+      ignore
+        (Dessim.Engine.schedule engine ~delay:back (fun () ->
+             Brick.recover cl.Cluster.bricks.(b)))
+    in
+    let victim = Random.State.int rng m in
+    down victim ~at:1. ~back:(100. +. Random.State.float rng 60.);
+    down
+      ((victim + 1 + Random.State.int rng (n - 1)) mod n)
+      ~at:2. ~back:(20. +. Random.State.float rng 30.)
+  end;
+
   (* Fault injection: a transient network partition. *)
-  if Random.State.int rng 2 = 0 then begin
+  if (not dead_member) && Random.State.int rng 2 = 0 then begin
     let cut = 1 + Random.State.int rng (n - 1) in
     let members = List.init n Fun.id in
     let side = List.filteri (fun i _ -> i < cut) members in
@@ -223,7 +249,7 @@ let fuzz_round ~seed =
   end;
 
   (* Fault injection: random crash/recover pairs. *)
-  let injections = Random.State.int rng 4 in
+  let injections = if dead_member then 0 else Random.State.int rng 4 in
   for _ = 1 to injections do
     let victim = Random.State.int rng n in
     let at = Random.State.float rng 200. in
@@ -274,17 +300,29 @@ let fuzz_round ~seed =
           Alcotest.failf
             "seed %d (m=%d n=%d drop=%.2f), block history %d: %a" seed m n
             drop idx Check.pp_violation v)
-    histories
+    histories;
+  int_of_float (Metrics.Registry.value cl.Cluster.metrics "coord.retargets")
 
 let test_fuzz_rounds () =
   for seed = 1 to 40 do
-    fuzz_round ~seed
+    ignore (fuzz_round ~seed ())
   done
 
 let test_fuzz_more_faults () =
   for seed = 100 to 120 do
-    fuzz_round ~seed
+    ignore (fuzz_round ~seed ())
   done
+
+let test_fuzz_dead_data_member () =
+  let fired = ref 0 and rounds = ref 0 in
+  for seed = 200 to 239 do
+    let k = fuzz_round ~dead_member:true ~seed () in
+    fired := !fired + k;
+    if k > 0 then incr rounds
+  done;
+  Printf.printf "re-targeted reads: %d, in %d of 40 rounds\n" !fired !rounds;
+  Alcotest.(check bool) "the re-targeted read fired in half the rounds" true
+    (!rounds >= 20)
 
 let () =
   Alcotest.run "fuzz"
@@ -293,5 +331,6 @@ let () =
         [
           Alcotest.test_case "randomized rounds" `Slow test_fuzz_rounds;
           Alcotest.test_case "more fault rounds" `Slow test_fuzz_more_faults;
+          Alcotest.test_case "dead data member" `Slow test_fuzz_dead_data_member;
         ] );
     ]

@@ -69,6 +69,8 @@ let sample_events =
       kind = Io_write { blocks = 1 } };
     { time = 3.5; actor = Coord 1; op = 3; phase = Some Recover;
       kind = Timeout { missing = 2; attempt = 1 } };
+    { time = 3.75; actor = Coord 1; op = 3; phase = None;
+      kind = Retarget { suspect = 4 } };
     { time = 4.; actor = Coord 1; op = 3; phase = Some Write;
       kind = Phase_end };
     { time = 4.5; actor = Sim; op = -1; phase = None;
@@ -165,6 +167,42 @@ let test_well_formed () =
 (* Two writers race on the same stripe: the loser's attempt aborts on
    the timestamp conflict and with_retries re-runs it, so its first
    span must end with outcome Retry (not Abort) and its last with Ok. *)
+(* Degraded reads on rs 5-of-8 with brick 4 down: the trace names brick
+   4 on every re-targeted read, survives the JSONL round trip, and the
+   replayed statistics charge each such read one extra round (2 delta,
+   the re-targeted Read) from the re-target to its end. *)
+let test_retarget_attribution () =
+  let cl = Cluster.create ~m:5 ~n:8 ~block_size () in
+  let data = Array.init 5 (fun i -> Bytes.make block_size (Char.chr (65 + i))) in
+  (match Cluster.run_op cl (fun c -> Coordinator.write_stripe c ~stripe:0 data) with
+  | Some (Ok ()) -> ()
+  | _ -> Alcotest.fail "prefill");
+  Cluster.crash cl 4;
+  let ring = Obs.Ring.create ~capacity:100_000 in
+  Obs.add_sink cl.Cluster.obs (Obs.Ring.sink ring);
+  for _ = 1 to 3 do
+    match Cluster.run_op cl (fun c -> Coordinator.read_block c ~stripe:0 4) with
+    | Some (Ok b) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(4))
+    | _ -> Alcotest.fail "degraded read"
+  done;
+  let events =
+    List.map
+      (fun ev ->
+        match Obs.of_json (Obs.to_json ev) with
+        | `Event ev' -> ev'
+        | _ -> Alcotest.fail "round trip")
+      (Obs.Ring.contents ring)
+  in
+  Alcotest.(check (list string)) "well-formed" [] (Obs.Check.well_formed events);
+  let stats = Obs.Stats.create () in
+  List.iter (Obs.Stats.feed stats) events;
+  Alcotest.(check (list (pair int (pair string (pair int (float 1e-9))))))
+    "per suspected brick and op kind"
+    [ (4, ("read-block", (3, 2.))) ]
+    (List.map
+       (fun (b, k, n, mean) -> (b, (k, (n, mean))))
+       (Obs.Stats.retargets stats))
+
 let test_retry_outcome () =
   let cl = Cluster.create ~seed:7 ~m:2 ~n:4 ~block_size () in
   let ring = Obs.Ring.create ~capacity:100_000 in
@@ -602,6 +640,8 @@ let () =
         [
           Alcotest.test_case "well-formedness checker" `Quick test_well_formed;
           Alcotest.test_case "retry outcome" `Quick test_retry_outcome;
+          Alcotest.test_case "retarget attribution" `Quick
+            test_retarget_attribution;
           Alcotest.test_case "randomized rounds" `Slow test_property_rounds;
         ] );
       ( "timeline",

@@ -530,6 +530,181 @@ let test_write_block_with_crashed_target () =
   | Some (Ok b) -> Alcotest.(check bool) "recovered brick reads new block" true (Bytes.equal b nb)
   | _ -> Alcotest.fail "read via recovered brick")
 
+(* ------------------------------------------------------------------ *)
+(* Degraded reads: decode from live members, route around suspects     *)
+(* ------------------------------------------------------------------ *)
+
+(* rs 5-of-8 with data brick 4 crashed after a prefill of [stripes]. *)
+let degraded_cluster ?(stripes = 4) () =
+  let cl = Cluster.create ~m:5 ~n:8 () in
+  let data = Array.init stripes (fun s -> stripe_data (Char.chr (65 + (5 * s))) 5) in
+  Array.iteri (fun s d -> check_ok "prefill" (write cl ~stripe:s d)) data;
+  Cluster.crash cl 4;
+  (cl, data)
+
+type tally = {
+  mutable recovers : int;  (* Recover rounds started *)
+  mutable orders : int;  (* Order rounds started *)
+  mutable retargeted : int list;  (* suspects of Retarget events *)
+}
+
+let tally cl =
+  let t = { recovers = 0; orders = 0; retargeted = [] } in
+  Obs.add_sink cl.Cluster.obs
+    (Obs.Sink.make (fun ev ->
+         match (ev.Obs.kind, ev.Obs.phase) with
+         | Obs.Phase_start, Some Obs.Recover -> t.recovers <- t.recovers + 1
+         | Obs.Phase_start, Some Obs.Order -> t.orders <- t.orders + 1
+         | Obs.Retarget { suspect }, _ -> t.retargeted <- suspect :: t.retargeted
+         | _ -> ()));
+  t
+
+let read_block_ok ?(coord = 0) cl ~stripe j =
+  match Cluster.run_op ~coord cl (fun c -> Coordinator.read_block c ~stripe j) with
+  | Some (Ok b) -> b
+  | _ -> Alcotest.failf "read_block s%d b%d failed" stripe j
+
+let counter cl name = Metrics.Registry.value cl.Cluster.metrics name
+
+let test_degraded_read_pass () =
+  (* Every block read back while brick 4 is down: reads of block 4 (and
+     ranges over it) decode from live members instead of recovering,
+     so the pass writes nothing. *)
+  let stripes = 4 in
+  let cl, data = degraded_cluster ~stripes () in
+  let t = tally cl in
+  let before = Cluster.snapshot cl in
+  for s = 0 to stripes - 1 do
+    for j = 0 to 4 do
+      Alcotest.(check bool)
+        (Printf.sprintf "s%d b%d" s j)
+        true
+        (Bytes.equal (read_block_ok cl ~stripe:s j) data.(s).(j))
+    done;
+    match
+      Cluster.run_op ~coord:1 cl (fun c -> Coordinator.read_blocks c ~stripe:s 3 ~len:2)
+    with
+    | Some (Ok got) ->
+        Alcotest.(check bool) "range over brick 4" true
+          (Bytes.equal got.(0) data.(s).(3) && Bytes.equal got.(1) data.(s).(4))
+    | _ -> Alcotest.fail "read_blocks over brick 4"
+  done;
+  let after = Cluster.snapshot cl in
+  let d name = Metrics.Snapshot.get after name -. Metrics.Snapshot.get before name in
+  Alcotest.(check int) "no Recover round" 0 t.recovers;
+  Alcotest.(check (float 0.)) "no disk writes" 0. (d "disk.writes");
+  Alcotest.(check (list int)) "every re-target routes around brick 4"
+    (List.init (2 * stripes) (fun _ -> 4))
+    t.retargeted;
+  Alcotest.(check (float 0.)) "coord.retargets" (float_of_int (2 * stripes))
+    (d "coord.retargets");
+  Alcotest.(check (float 0.)) "one suspicion per coordinator" 2.
+    (d "coord.suspects");
+  Alcotest.(check (list int)) "coordinator 0 suspects brick 4" [ 4 ]
+    (Coordinator.suspects cl.Cluster.coordinators.(0));
+  (* Once suspected, a read of block 4 skips the grace wait: one round. *)
+  let r, lat =
+    measure_latency ~coord:0 cl (fun c -> Coordinator.read_block c ~stripe:0 4)
+  in
+  (match r with
+  | Some (Ok b) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(0).(4))
+  | _ -> Alcotest.fail "suspected read");
+  Alcotest.(check (float 0.)) "one round (2 delta)" 2. lat
+
+let test_degraded_write_skips_fast_path () =
+  (* Read, then write brick 4's block: the write goes straight to the
+     slow path at its own timestamp — no Order&Read aimed at brick 4,
+     no grace wait. *)
+  let cl, data = degraded_cluster ~stripes:2 () in
+  ignore (read_block_ok cl ~stripe:0 4);
+  let t = tally cl in
+  let nb = Bytes.make bs 'z' in
+  let r, lat =
+    measure_latency ~coord:0 cl (fun c -> Coordinator.write_block c ~stripe:0 4 nb)
+  in
+  check_ok "write_block" r;
+  Alcotest.(check int) "no Order round" 0 t.orders;
+  Alcotest.(check (list int)) "routed around brick 4" [ 4 ] t.retargeted;
+  Alcotest.(check (float 0.)) "slow path only (4 delta)" 4. lat;
+  check_ok "write_blocks over brick 4"
+    (Cluster.run_op ~coord:0 cl (fun c ->
+         Coordinator.write_blocks c ~stripe:1 3 [| nb; nb |]));
+  Alcotest.(check int) "still no Order round" 0 t.orders;
+  data.(0).(4) <- nb;
+  data.(1).(3) <- nb;
+  data.(1).(4) <- nb;
+  check_stripe "stripe 0 read back" data.(0) (read cl ~coord:0 ~stripe:0 ());
+  check_stripe "stripe 1 read back" data.(1) (read cl ~coord:0 ~stripe:1 ());
+  Alcotest.(check bool) "block 4 degraded read" true
+    (Bytes.equal (read_block_ok cl ~stripe:0 4) nb)
+
+let test_recover_clears_suspicion () =
+  let cl, data = degraded_cluster ~stripes:2 () in
+  let c0 = cl.Cluster.coordinators.(0) in
+  ignore (read_block_ok cl ~stripe:0 4);
+  Alcotest.(check (list int)) "suspected" [ 4 ] (Coordinator.suspects c0);
+  Cluster.recover cl 4;
+  (* Any reply clears it; reads are broadcast to every member. *)
+  ignore (read_block_ok cl ~stripe:0 0);
+  Alcotest.(check (list int)) "cleared by its reply" [] (Coordinator.suspects c0);
+  let t = tally cl in
+  let r, lat =
+    measure_latency ~coord:0 cl (fun c -> Coordinator.read_block c ~stripe:1 4)
+  in
+  (match r with
+  | Some (Ok b) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(1).(4))
+  | _ -> Alcotest.fail "read after recover");
+  Alcotest.(check (list int)) "targets brick 4 again" [] t.retargeted;
+  Alcotest.(check (float 0.)) "fast path (2 delta)" 2. lat;
+  (* A coordinator crash forgets its suspicions. *)
+  Cluster.crash cl 4;
+  ignore (read_block_ok cl ~stripe:0 4);
+  Alcotest.(check (list int)) "suspected again" [ 4 ] (Coordinator.suspects c0);
+  Cluster.crash cl 0;
+  Cluster.recover cl 0;
+  Alcotest.(check (list int)) "crash empties the set" [] (Coordinator.suspects c0)
+
+let test_degraded_read_mc () =
+  (* The crash/recover case on the multicore backend: real mailbox
+     teardown, wall-clock grace period, suspicion updated by CAS. *)
+  let cl = Cluster.create_mc ~m:5 ~n:8 ~block_size:bs ~retry_every:0.01 () in
+  Fun.protect
+    ~finally:(fun () ->
+      if Cluster.try_quiesce ~timeout:30. cl then Cluster.shutdown cl
+      else Alcotest.fail "mc cluster failed to quiesce")
+    (fun () ->
+      let c = cl.Cluster.coordinators.(0) in
+      let data = stripe_data 'M' 5 in
+      (match Coordinator.write_stripe c ~stripe:0 data with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "prefill");
+      Cluster.crash cl 4;
+      let read j =
+        match Coordinator.read_block c ~stripe:0 j with
+        | Ok b -> b
+        | Error _ -> Alcotest.failf "mc read_block %d" j
+      in
+      for _ = 1 to 3 do
+        Alcotest.(check bool) "degraded value" true (Bytes.equal (read 4) data.(4))
+      done;
+      Alcotest.(check (list int)) "suspected" [ 4 ] (Coordinator.suspects c);
+      Alcotest.(check (float 0.)) "three re-targeted reads" 3.
+        (counter cl "coord.retargets");
+      Cluster.recover cl 4;
+      Cluster.await_quiesce cl;
+      (* Brick 4's reply races the others to the quorum; it lands among
+         the first q of n replies well within a few reads. *)
+      let rec until_cleared k =
+        ignore (read 0);
+        if Coordinator.suspects c <> [] then
+          if k = 0 then Alcotest.fail "suspicion never cleared"
+          else until_cleared (k - 1)
+      in
+      until_cleared 200;
+      Alcotest.(check bool) "direct value" true (Bytes.equal (read 4) data.(4));
+      Alcotest.(check (float 0.)) "no further re-target" 3.
+        (counter cl "coord.retargets"))
+
 let test_concurrent_writers_abort_or_serialize () =
   (* Two coordinators write the same stripe at the same instant: at
      most one wins per timestamp order; aborts are allowed but data
@@ -848,6 +1023,16 @@ let () =
             test_write_block_with_crashed_target;
           Alcotest.test_case "concurrent writers" `Quick
             test_concurrent_writers_abort_or_serialize;
+        ] );
+      ( "degraded-reads",
+        [
+          Alcotest.test_case "read pass writes nothing" `Quick
+            test_degraded_read_pass;
+          Alcotest.test_case "write skips the fast path" `Quick
+            test_degraded_write_skips_fast_path;
+          Alcotest.test_case "recover clears suspicion" `Quick
+            test_recover_clears_suspicion;
+          Alcotest.test_case "mc crash/recover" `Quick test_degraded_read_mc;
         ] );
       ( "gc",
         [
