@@ -23,16 +23,12 @@ open Util
    pressure is controlled by the number of stripes they spread over
    (fewer stripes = more write-write conflicts). *)
 let abort_rate ~clients ~stripes ~skew ~seed =
-  let clock =
-    if skew = 0. then Cluster.Logical
-    else
-      Cluster.Realtime
-        {
-          skew_of = (fun pid -> skew *. (float_of_int pid -. 2.));
-          resolution = 1.;
-        }
-  in
-  let cl = Cluster.create ~seed ~m:3 ~n:5 ~block_size:64 ~clock () in
+  let cl = Cluster.create ~seed ~m:3 ~n:5 ~block_size:64 () in
+  Array.iteri
+    (fun pid c ->
+      Core.Clock.set_skew (Coordinator.clock c)
+        (skew *. (float_of_int pid -. 2.)))
+    cl.Cluster.coordinators;
   let rng = Random.State.make [| seed; 77 |] in
   let ops_per_client = 40 in
   let total = ref 0 and aborts = ref 0 in
@@ -69,7 +65,7 @@ let x1 () =
     Printf.printf "  %-44s %9.2f%% %8d\n" name (100. *. rate) total
   in
   let r, t = abort_rate ~clients:1 ~stripes:4 ~skew:0. ~seed:11 in
-  show "1 client (no concurrency), logical clocks" r t;
+  show "1 client (no concurrency), no skew" r t;
   let r, t = abort_rate ~clients:4 ~stripes:64 ~skew:0. ~seed:12 in
   show "4 clients over 64 stripes (low conflict)" r t;
   let r, t = abort_rate ~clients:4 ~stripes:4 ~skew:0. ~seed:13 in

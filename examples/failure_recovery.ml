@@ -76,11 +76,6 @@ let scenario_partial_writes () =
   ignore (show_read cl ~coord:4 ~stripe:0 "read via the recovered coordinator");
   say "  => the partial 'X' was rolled back; it can never appear now\n\n";
 
-  (* Let coordinator 3's logical clock observe the current timestamps
-     (a coordinator that never talked to the stripe would propose a
-     stale timestamp and abort before writing anything). *)
-  ignore
-    (Cluster.run_op ~coord:3 cl (fun c -> Coordinator.read_stripe c ~stripe:0));
   say "  coordinator 3 starts writing 'Q' and crashes: blocks reach 3 bricks (= m)\n";
   partial_write cl ~doomed:3 ~reach:[ 0; 1; 2 ] (stripe_of 'Q' 3);
   ignore (show_read cl ~coord:2 ~stripe:0 "read after the crash");

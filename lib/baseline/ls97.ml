@@ -88,7 +88,9 @@ let create ?(seed = 42) ?(net_config = Simnet.Net.default_config)
       ()
   in
   let bricks = Array.init count (fun id -> Brick.create ~metrics runtime ~id) in
-  let clocks = Array.init count (fun pid -> Clock.logical ~pid) in
+  let clocks =
+    Array.init count (fun pid -> Clock.create ~now:runtime.Runtime.now ~pid)
+  in
   let states = Array.init count (fun _ -> Hashtbl.create 16) in
   let t =
     {

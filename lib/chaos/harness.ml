@@ -42,6 +42,10 @@ let block_value b =
   | Some i -> Bytes.sub_string b 0 i
   | None -> Bytes.to_string b
 
+(* Bound on each coordinator's clock skew, in plan units (δ on sim):
+   clocks agree to within about a hundred message delays. *)
+let clock_skew = 100.
+
 type op_record = {
   ids : (int * int) list;  (* (block index within stripe, history op id) *)
   stripe : int;
@@ -82,9 +86,9 @@ let run ?(backend = Sim) ?(m = 2) ?(n = 5) ?(stripes = 4) ?(clients = 3)
       if time_scale <= 0. then
         invalid_arg "Chaos.Harness.run: time_scale <= 0";
       if clients > n then
-        (* Each mc client needs its own coordinator: logical (time, pid)
-           timestamps are only unique with one concurrent client per
-           coordinator. *)
+        (* Each mc client needs its own coordinator: the coordinator's
+           timestamp cache and retry hint are plain mutable state, not
+           safe to share between domains. *)
         invalid_arg "Chaos.Harness.run: mc backend needs clients <= n");
   let cl =
     match backend with
@@ -98,6 +102,17 @@ let run ?(backend = Sim) ?(m = 2) ?(n = 5) ?(stripes = 4) ?(clients = 3)
   in
   let rt = cl.Cluster.runtime in
   let now () = Runtime.now rt in
+  (* Loosely synchronized clocks, as the paper assumes: each
+     coordinator's clock is off the common time base by a seeded skew
+     (own generator, so the workload draws below do not move). Without
+     it every clock agrees exactly and the order phase is almost never
+     tested against a stale timestamp. *)
+  (let srng = Random.State.make [| seed; 0x5c3 |] in
+   Array.iter
+     (fun c ->
+       Core.Clock.set_skew (Coordinator.clock c)
+         ((Random.State.float srng (2. *. clock_skew) -. clock_skew) *. ts))
+     cl.Cluster.coordinators);
   (* One lock for everything the clients share: histories, op records,
      counters, the written-values table and the trace buffer. Clients
      only hold it around bookkeeping, never across a protocol call.

@@ -91,7 +91,10 @@ val run :
     retries either finish or are exposed as stuck. [deadline] and the
     plan's times are in plan units on both backends; [Mc]'s
     [time_scale] converts them to seconds.
+    Each coordinator's clock gets a seeded skew of up to ±100 plan
+    units ({!Core.Clock.set_skew}): the paper's loosely synchronized
+    clocks, which the order phase must tolerate.
     @raise Invalid_argument on [Mc] with [clients > n] (each
-    concurrent mc client needs a dedicated coordinator for timestamp
-    uniqueness), [domains < 1], [time_scale <= 0], or a plan
+    concurrent mc client needs a dedicated coordinator: its timestamp
+    cache is not shared between domains), [domains < 1], [time_scale <= 0], or a plan
     containing sim-only faults ({!Nemesis.install}'s rejections). *)

@@ -7,7 +7,9 @@ type t = {
   time_scale : float;
   lock : Mutex.t;
   mutable timers : Runtime.timer list;
-  mutable skewed : int list;
+  mutable skewed : (int * float) list;
+      (* coordinator, and its clock's skew before the plan's first
+         [Skew] on it *)
   mutable applied : (float * Plan.fault) list;
   mutable restored : bool;
 }
@@ -42,19 +44,13 @@ let on_log cl brick stripe f =
   | None -> ()
 
 (* Which plan faults have no faithful multicore implementation, and
-   why. Skew would silently do nothing (mc coordinators run logical
-   clocks, whose [Clock.set_skew] is a no-op); the storage faults
-   mutate a brick's stripe logs from the nemesis timer thread, which
-   on mc would race the brick's live replica handlers. Every other
-   variant executes on mc. *)
+   why: the storage faults mutate a brick's stripe logs from the
+   nemesis timer thread, which on mc would race the brick's live
+   replica handlers. Every other variant executes on mc. *)
 let fault_error cl fault =
   if not (Cluster.is_mc cl) then None
   else
     match fault with
-    | Plan.Skew _ ->
-        Some
-          "skew: mc coordinators use logical clocks, on which \
-           Clock.set_skew is a silent no-op (sim Realtime clocks only)"
     | Plan.Torn_crash _ ->
         Some
           "torn-crash: storage faults mutate stripe logs from outside \
@@ -71,13 +67,15 @@ let fault_error cl fault =
            outside the brick's receive loop and would race live \
            handlers on mc (sim only)"
     | Plan.Crash _ | Plan.Recover _ | Plan.Partition _ | Plan.Heal
-    | Plan.Drop _ | Plan.Link_down _ | Plan.Link_up _ | Plan.Slow _ ->
+    | Plan.Drop _ | Plan.Link_down _ | Plan.Link_up _ | Plan.Slow _
+    | Plan.Skew _ ->
         None
 
 (* Apply one fault to the environment. Network faults go through the
    deployment's Faultnet on either backend; [time_scale] converts a
-   [Slow]'s plan units into runtime time units. The sim-only faults
-   never reach here on mc: install/inject reject them first. *)
+   [Slow]'s and a [Skew]'s plan units into runtime time units. The
+   sim-only faults never reach here on mc: install/inject reject them
+   first. *)
 let apply_env ~time_scale cl fault =
   let fnet = Cluster.faultnet cl in
   match fault with
@@ -94,7 +92,7 @@ let apply_env ~time_scale cl fault =
   | Plan.Skew (i, skew) ->
       Core.Clock.set_skew
         (Core.Coordinator.clock cl.Cluster.coordinators.(i))
-        skew
+        (skew *. time_scale)
   | Plan.Torn_crash i -> torn_crash cl i
   | Plan.Bit_rot (brick, stripe) ->
       on_log cl brick stripe Core.Slog.corrupt_newest
@@ -113,7 +111,13 @@ let apply t fault =
       (fun () ->
         (match fault with
         | Plan.Skew (i, _) ->
-            if not (List.mem i t.skewed) then t.skewed <- i :: t.skewed
+            if not (List.mem_assoc i t.skewed) then
+              t.skewed <-
+                ( i,
+                  Core.Clock.skew
+                    (Core.Coordinator.clock
+                       t.cluster.Cluster.coordinators.(i)) )
+                :: t.skewed
         | _ -> ());
         apply_env ~time_scale:t.time_scale t.cluster fault;
         t.applied <-
@@ -205,10 +209,10 @@ let restore t =
         let cl = t.cluster in
         Faultnet.reset (Cluster.faultnet cl) ~drop:t.base_drop;
         List.iter
-          (fun i ->
+          (fun (i, skew) ->
             Core.Clock.set_skew
               (Core.Coordinator.clock cl.Cluster.coordinators.(i))
-              0.)
+              skew)
           t.skewed;
         t.skewed <- [];
         Array.iteri

@@ -9,17 +9,16 @@
     one fault model both backends share, and crashes through
     {!Core.Cluster.crash} / {!Core.Cluster.recover} (on mc these
     really tear down and restart the brick's receive loop, DESIGN 4i).
-    The sim-only faults go through {!Core.Clock.set_skew} and the
-    storage-fault entry points ({!Core.Slog.tear_last},
+    Skew goes through {!Core.Clock.set_skew}, on either backend, and
+    the sim-only faults through the storage-fault entry points ({!Core.Slog.tear_last},
     {!Core.Slog.corrupt_newest}, {!Core.Slog.damage_newest}). Each
     applied fault emits the same [Obs.Fault] event (actor [Sim], op
     [-1]) on both backends when observability is on, so fault
     injections appear in traces interleaved with protocol phases.
 
-    Not every fault has a faithful multicore implementation: [Skew]
-    would be a silent no-op on the mc backend's logical clocks, and
-    the storage faults ([Torn_crash], [Bit_rot], [Sector_error])
-    would mutate stripe logs under a live replica's feet. [install]
+    Not every fault has a faithful multicore implementation: the
+    storage faults ([Torn_crash], [Bit_rot], [Sector_error]) would
+    mutate stripe logs under a live replica's feet. [install]
     rejects plans containing them on mc with an error naming the
     variant — never a silent no-op.
 
@@ -27,7 +26,8 @@
     deployment behind the protocol's back. Call {!restore} after the
     plan's horizon to return the environment (not the stored state) to
     health: partitions healed, drop probability back to [base_drop],
-    downed links revived, added delay/jitter removed, skews zeroed,
+    downed links revived, added delay/jitter removed, skewed clocks
+    back at their pre-plan skew,
     crashed bricks recovered. Storage corruption is deliberately left
     in place — repairing it is the protocol's job (recovery reads,
     {!Fab.Volume.scrub}). *)
@@ -46,7 +46,8 @@ val install :
     returns the network to. [time_scale] (default [1.], sim) maps one
     plan time unit to that many backend time units — on mc, where
     time is wall-clock seconds, [~time_scale:0.001] runs a
-    600-unit plan in 0.6 s. Plan times count from install on mc and
+    600-unit plan in 0.6 s. It scales [Slow]'s delays and [Skew]'s
+    offsets as well as event times. Plan times count from install on mc and
     from engine time 0 on sim (install after running the engine and
     earlier events collapse to immediate, exactly as before).
 

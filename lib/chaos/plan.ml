@@ -248,8 +248,8 @@ let bit_rot =
 
 (* The canned plan for the multicore backend: crashes, a partition,
    background drop and slow links — every fault here has a faithful mc
-   implementation (no storage faults, no clock skew), so the same text
-   runs on both backends. *)
+   implementation (no storage faults), so the same text runs on both
+   backends. *)
 let mc_mixed =
   make ~name:"mc-mixed" ~horizon:600.
     [

@@ -44,8 +44,8 @@ type fault =
           network's base config; on mc it is wall-clock units scaled
           by the nemesis's [time_scale]. *)
   | Skew of int * float
-      (** step brick [i]'s real-time clock skew (no-op on logical
-          clocks) *)
+      (** step coordinator [i]'s clock skew ({!Core.Clock.set_skew}),
+          in plan time units scaled like [Slow]'s *)
   | Torn_crash of int
       (** crash brick [i] with its most recent log append on every
           stripe torn: the entry's stored checksum no longer matches,
@@ -123,6 +123,6 @@ val random : rng:Random.State.t -> bricks:int -> horizon:float -> t
     fault episodes (crash/recover, partition/heal, link-down/up,
     drop/stop, slow/restore), each held for a random window then
     undone before the next begins. Draws only faults both backends
-    implement — no storage faults, no skew — so a failing random soak
-    replays on the sim backend.
+    implement (no storage faults; no skew either), so a failing random
+    soak replays on the sim backend.
     @raise Invalid_argument if [bricks < 2] or [horizon <= 0]. *)

@@ -1,46 +1,43 @@
-type source =
-  | Logical
-  | Realtime of {
-      engine : Dessim.Engine.t;
-      mutable skew : float;
-      resolution : float;
-    }
+(* A tick is 10^-6 of a runtime time unit: 1 us on mc (seconds), 10^-6
+   delta on sim. *)
+let ticks_per_unit = 1e6
 
-type t = { pid : int; source : source; mutable last : int }
+type t = {
+  pid : int;
+  now : unit -> float;
+  skew : float Atomic.t;
+  last : int Atomic.t;
+}
 
-let logical ~pid = { pid; source = Logical; last = 0 }
+let create ~now ~pid =
+  { pid; now; skew = Atomic.make 0.; last = Atomic.make 0 }
 
-let realtime engine ~pid ~skew ~resolution =
-  if resolution <= 0. then
-    invalid_arg "Core.Clock.realtime: resolution <= 0";
-  { pid; source = Realtime { engine; skew; resolution }; last = 0 }
-
+(* [last] is shared by every task of the coordinator, and on mc those
+   run on any domain: the CAS makes each returned time distinct and
+   strictly above every earlier one, whichever domain minted it. *)
 let new_ts t =
-  let time =
-    match t.source with
-    | Logical -> t.last + 1
-    | Realtime { engine; skew; resolution } ->
-        let wall =
-          int_of_float (Float.max 0. (Dessim.Engine.now engine +. skew)
-                        /. resolution)
-        in
-        (* Enforce per-process monotonicity even if the quantized wall
-           clock has not ticked since the last call. *)
-        Stdlib.max wall (t.last + 1)
+  let wall =
+    int_of_float
+      (Float.max 0.
+         (Float.floor ((t.now () +. Atomic.get t.skew) *. ticks_per_unit)))
   in
-  t.last <- time;
-  Timestamp.make ~time ~pid:t.pid
+  let rec bump () =
+    let last = Atomic.get t.last in
+    let time = Stdlib.max wall (last + 1) in
+    if Atomic.compare_and_set t.last last time then time else bump ()
+  in
+  Timestamp.make ~time:(bump ()) ~pid:t.pid
 
-let observe t ts =
-  match (t.source, ts) with
-  | Logical, Timestamp.Ts { time; _ } -> t.last <- Stdlib.max t.last time
-  | Logical, _ | Realtime _, _ -> ()
+let observe t = function
+  | Timestamp.Ts { time; _ } ->
+      let rec raise_to () =
+        let last = Atomic.get t.last in
+        if time > last && not (Atomic.compare_and_set t.last last time) then
+          raise_to ()
+      in
+      raise_to ()
+  | Timestamp.Low | Timestamp.High -> ()
 
 let pid t = t.pid
-
-let set_skew t skew =
-  match t.source with
-  | Logical -> ()
-  | Realtime r -> r.skew <- skew
-
-let skew t = match t.source with Logical -> 0. | Realtime r -> r.skew
+let set_skew t skew = Atomic.set t.skew skew
+let skew t = Atomic.get t.skew

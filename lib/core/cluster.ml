@@ -43,10 +43,6 @@ type t = {
   coordinators : Coordinator.t array;
 }
 
-type clock_kind =
-  | Logical
-  | Realtime of { skew_of : int -> float; resolution : float }
-
 let default_codec ~m ~n =
   if m = 1 then Erasure.Codec.replication ~n ()
   else if n = m + 1 then Erasure.Codec.parity ~m ()
@@ -54,7 +50,7 @@ let default_codec ~m ~n =
 
 (* Shared wiring: engine, network, RPC, bricks, replicas and
    coordinators around a configuration built by [make_cfg]. *)
-let wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
+let wire ~seed ~net_config ~nbricks ~retry_every ?retry_backoff
     ?retry_cap ~make_cfg () =
   let engine = Dessim.Engine.create ~seed () in
   let runtime = Runtime_sim.of_engine engine in
@@ -96,14 +92,8 @@ let wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
   let coordinators =
     Array.map
       (fun b ->
-        let pid = Brick.id b in
-        let clk =
-          match clock with
-          | Logical -> Clock.logical ~pid
-          | Realtime { skew_of; resolution } ->
-              Clock.realtime engine ~pid ~skew:(skew_of pid) ~resolution
-        in
-        Coordinator.create cfg ~brick:b ~clock:clk)
+        Coordinator.create cfg ~brick:b
+          ~clock:(Clock.create ~now:runtime.Runtime.now ~pid:(Brick.id b)))
       bricks
   in
   {
@@ -120,7 +110,7 @@ let wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
   }
 
 let create ?(seed = 42) ?(net_config = Simnet.Net.default_config) ?bricks
-    ?layout ?(block_size = 1024) ?(clock = Logical) ?gc_enabled
+    ?layout ?(block_size = 1024) ?gc_enabled
     ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order ?retry_every
     ?retry_backoff ?retry_cap ~m ~n () =
   let nbricks = match bricks with Some b -> b | None -> n in
@@ -134,7 +124,7 @@ let create ?(seed = 42) ?(net_config = Simnet.Net.default_config) ?bricks
   in
   let codec = default_codec ~m ~n in
   let mq = Quorum.Mquorum.create ~n ~m in
-  wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
+  wire ~seed ~net_config ~nbricks ~retry_every ?retry_backoff
     ?retry_cap
     ~make_cfg:(fun ~runtime ~rpc ~metrics ~obs ->
       Config.create ~codec ~mq ~block_size ~runtime ~rpc ~metrics ~layout
@@ -143,11 +133,11 @@ let create ?(seed = 42) ?(net_config = Simnet.Net.default_config) ?bricks
     ()
 
 let create_policied ?(seed = 42) ?(net_config = Simnet.Net.default_config)
-    ?(block_size = 1024) ?(clock = Logical) ?gc_enabled ?optimized_modify
+    ?(block_size = 1024) ?gc_enabled ?optimized_modify
     ?ts_cache ?deadline ?unsafe_skip_order ?retry_every ?retry_backoff
     ?retry_cap ~bricks:nbricks ~policy_of () =
   if nbricks < 1 then invalid_arg "Core.Cluster.create_policied: no bricks";
-  wire ~seed ~net_config ~nbricks ~clock ~retry_every ?retry_backoff
+  wire ~seed ~net_config ~nbricks ~retry_every ?retry_backoff
     ?retry_cap
     ~make_cfg:(fun ~runtime ~rpc ~metrics ~obs ->
       Config.create_policied ~policy_of ~block_size ~runtime ~rpc ~metrics
@@ -280,7 +270,8 @@ let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
   let coordinators =
     Array.map
       (fun b ->
-        Coordinator.create cfg ~brick:b ~clock:(Clock.logical ~pid:(Brick.id b)))
+        Coordinator.create cfg ~brick:b
+          ~clock:(Clock.create ~now:runtime.Runtime.now ~pid:(Brick.id b)))
       bricks
   in
   (* Recovery coordinators: [recover] replays the paper's section 4
@@ -292,7 +283,8 @@ let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
     Array.map
       (fun b ->
         Coordinator.create cfg ~brick:b
-          ~clock:(Clock.logical ~pid:(nbricks + Brick.id b)))
+          ~clock:
+            (Clock.create ~now:runtime.Runtime.now ~pid:(nbricks + Brick.id b)))
       bricks;
   (* Placeholder engine so the record keeps its sim-facing field;
      nothing ever runs on it on this backend. *)

@@ -30,19 +30,12 @@ type t = {
   coordinators : Coordinator.t array;
 }
 
-type clock_kind =
-  | Logical  (** Lamport clocks with reply-driven catch-up. *)
-  | Realtime of { skew_of : int -> float; resolution : float }
-      (** Loosely synchronized clocks; [skew_of pid] is the fixed
-          offset of brick [pid]'s clock. *)
-
 val create :
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?bricks:int ->
   ?layout:(int -> Simnet.Net.addr array) ->
   ?block_size:int ->
-  ?clock:clock_kind ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
   ?ts_cache:bool ->
@@ -59,8 +52,10 @@ val create :
     codec ([replication] when [m = 1], XOR [parity] when [n = m + 1]),
     [bricks = n], identity layout (brick [i] stores block [i] of every
     stripe) when [bricks = n] and a rotating layout (stripe [s] uses
-    bricks [(s + i) mod bricks]) otherwise, 1 KiB blocks, logical
-    clocks, deterministic network with unit delay, GC on.
+    bricks [(s + i) mod bricks]) otherwise, 1 KiB blocks,
+    deterministic network with unit delay, GC on. Every coordinator's
+    {!Clock} reads the deployment's [runtime] clock with zero skew;
+    skew one with {!Clock.set_skew}.
 
     [ts_cache] (default off) enables coordinator timestamp caching and
     order-round elision ({!Config.t.ts_cache}); it is off by default
@@ -79,7 +74,6 @@ val create_policied :
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?block_size:int ->
-  ?clock:clock_kind ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
   ?ts_cache:bool ->
@@ -121,10 +115,10 @@ val create_mc :
     on its own receive loop, and loops run in parallel across
     [domains] worker domains (default 1). Time-valued knobs
     ([deadline], [retry_every] — default 50 ms — [retry_cap]) are
-    wall-clock seconds here, not simulated delta units. Coordinators
-    use logical clocks; give each concurrent client its own
-    coordinator (e.g. [~bricks:(max n clients)]) so (time, pid)
-    timestamps stay unique. [shards] sizes the RPC pending table's lock
+    wall-clock seconds here, not simulated delta units. Every
+    coordinator's {!Clock}, the recovery coordinators' too, reads this
+    runtime's wall clock, and stays unique when the coordinator's
+    tasks run on several domains at once. [shards] sizes the RPC pending table's lock
     sharding (see {!Quorum.Rpc.create}); [unsafe_skip_order] enables
     the deliberately broken protocol variant so the chaos soak can
     prove its checker bites under real parallelism too. No determinism

@@ -125,7 +125,7 @@ val with_retries : ?attempts:int -> t -> (unit -> 'a outcome) -> 'a outcome
 (** [with_retries t f] runs [f] and re-runs it after an abort, up to
     [attempts] times (default 3) in total. Retrying is the client-side
     protocol the paper assumes: each attempt is a fresh operation with
-    a fresh timestamp, and because the coordinator's logical clock has
+    a fresh timestamp, and because the coordinator's clock has
     observed the replicas' timestamps during the failed attempt, a
     retry that lost only to a stale clock succeeds immediately.
     Genuine write-write conflicts may still abort. [`Unavailable] is

@@ -2,10 +2,10 @@
 
     Requests carry the stripe id so that one replica process serves
     every stripe hosted on its brick. Replies carry [cur_ts], the
-    replica's current notion of the latest timestamp; coordinators
-    with logical clocks fold it in so that a retry after an abort
-    proposes a large-enough timestamp (liveness aid only — safety
-    never depends on it).
+    replica's current notion of the latest timestamp; every
+    coordinator's clock folds it in ({!Clock.observe}) so that a retry
+    after an abort proposes a large-enough timestamp (liveness aid
+    only — safety never depends on it).
 
     [bytes_on_wire] implements Table 1's bandwidth accounting: only
     block payloads count, in units of the block size B. *)

@@ -22,7 +22,7 @@ let state t stripe =
       s
 
 (* The replica's current notion of the most recent timestamp, carried
-   on every reply so that coordinators with logical clocks can catch
+   on every reply so that coordinators' clocks ({!Clock.observe}) catch
    up after an abort. Each handler reads its log head [val_ts] once on
    entry and passes it here, advanced to its own [add] if it made one:
    a brick's handlers are serialized (one receive loop per address on

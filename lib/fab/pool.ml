@@ -19,7 +19,7 @@ type t = {
 (* The pool's policy table is consulted by every replica and
    coordinator; the cluster is created around a forward reference so
    the table can grow as volumes are created. *)
-let create ?seed ?net_config ?(block_size = 1024) ?clock ?gc_enabled
+let create ?seed ?net_config ?(block_size = 1024) ?gc_enabled
     ?optimized_modify ?ts_cache ?(op_retries = 3)
     ?(pipeline_window = 8) ~bricks () =
   if bricks < 1 then invalid_arg "Fab.Pool.create: no bricks";
@@ -44,8 +44,8 @@ let create ?seed ?net_config ?(block_size = 1024) ?clock ?gc_enabled
                  stripe))
   in
   let cluster =
-    Core.Cluster.create_policied ?seed ?net_config ~block_size ?clock
-      ?gc_enabled ?optimized_modify ?ts_cache ~bricks ~policy_of ()
+    Core.Cluster.create_policied ?seed ?net_config ~block_size ?gc_enabled
+      ?optimized_modify ?ts_cache ~bricks ~policy_of ()
   in
   let pool =
     {

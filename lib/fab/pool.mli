@@ -18,7 +18,6 @@ val create :
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?block_size:int ->
-  ?clock:Core.Cluster.clock_kind ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
   ?ts_cache:bool ->

@@ -21,7 +21,6 @@ val create :
   ?bricks:int ->
   ?layout:Layout.kind ->
   ?block_size:int ->
-  ?clock:Core.Cluster.clock_kind ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
   ?ts_cache:bool ->

@@ -243,9 +243,7 @@ let test_nemesis_restore () =
      and actually heals them — even when shrinking dropped the
      matching link-up / skew-reset events from the schedule. *)
   let cl =
-    Cluster.create ~seed:3 ~m:2 ~n:4 ~block_size:bs ~deadline:100.
-      ~clock:(Cluster.Realtime { skew_of = (fun _ -> 0.); resolution = 1. })
-      ()
+    Cluster.create ~seed:3 ~m:2 ~n:4 ~block_size:bs ~deadline:100. ()
   in
   let engine = cl.Cluster.engine in
   let plan =
@@ -369,13 +367,12 @@ let test_mc_rejects_sim_only_faults () =
               (contains ~needle:name msg)
         | _ -> Alcotest.failf "%s accepted on mc" name
       in
-      reject "skew" (Plan.Skew (1, 5.));
       reject "torn-crash" (Plan.Torn_crash 1);
       reject "bit-rot" (Plan.Bit_rot (1, 0));
       reject "sector-error" (Plan.Sector_error (1, 0));
-      (match Chaos.Nemesis.inject cl (Plan.Skew (1, 5.)) with
+      (match Chaos.Nemesis.inject cl (Plan.Bit_rot (1, 0)) with
       | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "inject skew accepted on mc");
+      | () -> Alcotest.fail "inject bit-rot accepted on mc");
       (* lenient: the sim-only event is skipped, the rest scheduled —
          and restore tears it all back down. *)
       let mixed =
@@ -416,6 +413,52 @@ let test_mc_restore_cancels_pending () =
       match mc_write cl ~coord:0 "pending-ok" with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "write failed on a healthy deployment")
+
+let test_mc_skew_restore () =
+  (* Skew runs on mc: the plan's offset is scaled by [time_scale] into
+     wall-clock seconds, moves the coordinator's timestamps, and
+     restore puts back the skew the clock had before the plan. *)
+  with_mc_cluster (fun cl _fnet ->
+      let rt = cl.Cluster.runtime in
+      let clk = Coordinator.clock cl.Cluster.coordinators.(0) in
+      Core.Clock.set_skew clk 0.005;
+      let plan =
+        Plan.make ~name:"mc-skew" ~horizon:400.
+          [ { Plan.at = 0.; fault = Plan.Skew (0, 42.) } ]
+      in
+      let nem = Chaos.Nemesis.install ~time_scale:0.001 plan cl in
+      let rec wait_applied tries =
+        if Chaos.Nemesis.applied nem = [] then
+          if tries = 0 then Alcotest.fail "skew event never fired"
+          else begin
+            Runtime.sleep rt 0.01;
+            wait_applied (tries - 1)
+          end
+      in
+      wait_applied 500;
+      Alcotest.(check (float 1e-12)) "skew applied, scaled" 0.042
+        (Core.Clock.skew clk);
+      let floor = int_of_float ((Runtime.now rt +. 0.042) *. 1e6) in
+      (match Core.Clock.new_ts clk with
+      | Core.Timestamp.Ts { time; _ } ->
+          Alcotest.(check bool) "timestamps lead by the skew" true
+            (time >= floor)
+      | _ -> Alcotest.fail "expected a concrete timestamp");
+      (match mc_write cl ~coord:0 "skewed" with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "write failed under skew");
+      Chaos.Nemesis.restore nem;
+      Alcotest.(check (float 0.)) "skew restored" 0.005 (Core.Clock.skew clk);
+      (* Coordinator 1's clock trails the skewed write by ~42 ms: its
+         first attempt may be refused, and the retry succeeds because
+         the refusal's replies caught its clock up. *)
+      let c1 = cl.Cluster.coordinators.(1) in
+      match
+        Coordinator.with_retries ~attempts:2 c1 (fun () ->
+            mc_write cl ~coord:1 "after-restore")
+      with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "write failed after restore")
 
 let test_mc_faults_bite_and_heal () =
   (* The PR 4 review bug, asserted on mc with the Faultnet counters: a
@@ -614,6 +657,8 @@ let () =
             test_mc_rejects_sim_only_faults;
           Alcotest.test_case "restore cancels pending timers" `Quick
             test_mc_restore_cancels_pending;
+          Alcotest.test_case "restore heals skew" `Quick
+            test_mc_skew_restore;
           Alcotest.test_case "faults bite and heal (faultnet counters)"
             `Quick test_mc_faults_bite_and_heal;
           Alcotest.test_case "harness smoke under real parallelism" `Slow

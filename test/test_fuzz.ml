@@ -53,21 +53,26 @@ let fuzz_round ?(dead_member = false) ~seed () =
   in
   let drop = [| 0.; 0.05; 0.15 |].(Random.State.int rng 3) in
   let jitter = [| 0.; 0.; 2.5 |].(Random.State.int rng 3) in
-  (* A third of the rounds run on loosely-synchronized real-time
-     clocks with real skew: more aborts, but never inconsistency. *)
-  let clock =
+  (* A third of the rounds skew every coordinator's clock by up to
+     20 delta either way: more aborts, but never inconsistency. *)
+  let skews =
     if Random.State.int rng 3 = 0 then
-      let skews = Array.init n (fun _ -> Random.State.float rng 40. -. 20.) in
-      Cluster.Realtime { skew_of = (fun pid -> skews.(pid)); resolution = 1. }
-    else Cluster.Logical
+      Some (Array.init n (fun _ -> Random.State.float rng 40. -. 20.))
+    else None
   in
   let cl =
-    Cluster.create ~seed ~m ~n ~block_size ~clock
+    Cluster.create ~seed ~m ~n ~block_size
       ~gc_enabled:(Random.State.bool rng)
       ~optimized_modify:(Random.State.bool rng)
       ~net_config:{ Simnet.Net.default_config with drop; jitter }
       ()
   in
+  Option.iter
+    (Array.iteri (fun pid skew ->
+         Core.Clock.set_skew
+           (Coordinator.clock cl.Cluster.coordinators.(pid))
+           skew))
+    skews;
   let engine = cl.Cluster.engine in
   let stripes = 2 in
   let histories = Array.init (stripes * m) (fun _ -> H.create ()) in

@@ -341,9 +341,14 @@ let test_slow_write_one_content_per_ts () =
   (* Version B reaches only data member 0 and parity member 2. *)
   inject_partial_write cl ~stripe:0 ~doomed:4 ~reach:[ 0; 2 ] (stripe_data 'B' m);
   let coord = 3 in
-  Core.Clock.observe
-    (Coordinator.clock cl.Cluster.coordinators.(coord))
-    (Ts.make ~time:1000 ~pid:0);
+  (* Coordinator 3 must propose above B: fold B's timestamp, the
+     newest on member 0, into its clock. *)
+  let partial_ts =
+    fst
+      (Core.Slog.max_block
+         (Option.get (Core.Replica.log cl.Cluster.replicas.(0) ~stripe:0)))
+  in
+  Core.Clock.observe (Coordinator.clock cl.Cluster.coordinators.(coord)) partial_ts;
   let fnet = Cluster.faultnet cl in
   (* The Order&Read round is in by t+2; cut the Modify takers' replies
      before the Modify round's come back. *)
@@ -565,6 +570,39 @@ let read_block_ok ?(coord = 0) cl ~stripe j =
   | _ -> Alcotest.failf "read_block s%d b%d failed" stripe j
 
 let counter cl name = Metrics.Registry.value cl.Cluster.metrics name
+
+let test_idle_coordinator_writes_fast () =
+  (* No concurrency: coordinator 0 writes blocks of stripe 0 five
+     times, then coordinator 1, idle until now, writes one block. Its
+     clock reads the same time base as coordinator 0's, so it proposes
+     above the stripe's newest version and the write takes the fast
+     path: Order&Read plus Modify, nothing refused, no recovery. *)
+  let m = 3 and n = 5 in
+  let cl = Cluster.create ~m ~n () in
+  for i = 0 to 4 do
+    check_ok "coordinator 0 write"
+      (Cluster.run_op ~coord:0 cl (fun c ->
+           Coordinator.write_block c ~stripe:0 (i mod m)
+             (Bytes.make bs (Char.chr (65 + i)))))
+  done;
+  let phases = ref [] and outcomes = ref [] in
+  Obs.add_sink cl.Cluster.obs
+    (Obs.Sink.make (fun ev ->
+         match (ev.Obs.kind, ev.Obs.phase) with
+         | Obs.Phase_start, Some p -> phases := p :: !phases
+         | Obs.Span_end { outcome; _ }, _ -> outcomes := outcome :: !outcomes
+         | _ -> ()));
+  let r, lat =
+    measure_latency ~coord:1 cl (fun c ->
+        Coordinator.write_block c ~stripe:0 1 (Bytes.make bs 'z'))
+  in
+  check_ok "coordinator 1 write" r;
+  Alcotest.(check (list string)) "two rounds: order, modify"
+    [ "order"; "modify" ]
+    (List.rev_map Obs.phase_name !phases);
+  Alcotest.(check bool) "no Retry or Abort span" true
+    (!outcomes = [ Obs.Ok ]);
+  Alcotest.(check (float 0.)) "4 delta" 4. lat
 
 let test_degraded_read_pass () =
   (* Every block read back while brick 4 is down: reads of block 4 (and
@@ -1023,6 +1061,8 @@ let () =
             test_write_block_with_crashed_target;
           Alcotest.test_case "concurrent writers" `Quick
             test_concurrent_writers_abort_or_serialize;
+          Alcotest.test_case "idle coordinator writes on the fast path"
+            `Quick test_idle_coordinator_writes_fast;
         ] );
       ( "degraded-reads",
         [

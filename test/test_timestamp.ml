@@ -57,9 +57,18 @@ let order_props =
 
 (* --- clocks --- *)
 
+(* The one clock kind reads an injected [now]. The "logical" cases pin
+   [now] (or step it back) so only the Lamport half moves the clock;
+   the "realtime" cases drive it from a sim engine. *)
+let frozen () = 0.
+
+let time_of = function
+  | Ts.Ts { time; _ } -> time
+  | Ts.Low | Ts.High -> Alcotest.fail "expected a concrete timestamp"
+
 let test_logical_monotonic_unique () =
-  let c1 = Clock.logical ~pid:1 in
-  let c2 = Clock.logical ~pid:2 in
+  let c1 = Clock.create ~now:frozen ~pid:1 in
+  let c2 = Clock.create ~now:frozen ~pid:2 in
   let all = ref [] in
   for _ = 1 to 100 do
     all := Clock.new_ts c1 :: Clock.new_ts c2 :: !all
@@ -67,36 +76,47 @@ let test_logical_monotonic_unique () =
   (* UNIQUENESS across both clocks. *)
   let sorted = List.sort_uniq Ts.compare !all in
   Alcotest.(check int) "unique" 200 (List.length sorted);
-  (* MONOTONICITY per clock. *)
+  (* MONOTONICITY per clock, also while [now] steps backwards. *)
+  let now = ref 5. in
+  let stepping = Clock.create ~now:(fun () -> !now) ~pid:3 in
   let check_monotonic c =
     let prev = ref (Clock.new_ts c) in
     for _ = 1 to 50 do
+      now := !now -. 0.1;
       let next = Clock.new_ts c in
       Alcotest.(check bool) "monotone" true (Ts.( < ) !prev next);
       prev := next
     done
   in
   check_monotonic c1;
-  check_monotonic c2
+  check_monotonic c2;
+  check_monotonic stepping
 
 let test_logical_observe () =
-  let c = Clock.logical ~pid:0 in
+  let c = Clock.create ~now:frozen ~pid:0 in
   Clock.observe c (ts 500 7);
   Alcotest.(check bool) "jumps past observed" true
     (Ts.( > ) (Clock.new_ts c) (ts 500 7));
   (* Observing something old never goes backwards. *)
   Clock.observe c (ts 3 0);
-  Alcotest.(check bool) "still above 500" true (Ts.( > ) (Clock.new_ts c) (ts 500 9))
+  Alcotest.(check bool) "still above 500" true (Ts.( > ) (Clock.new_ts c) (ts 500 9));
+  (* Catch-up works with a running [now] too: a clock one unit behind
+     jumps past a timestamp from one unit ahead. *)
+  let behind = Clock.create ~now:(fun () -> 10.) ~pid:1 in
+  Clock.set_skew behind (-1.);
+  Clock.observe behind (ts 11_000_000 2);
+  Alcotest.(check bool) "catches up past a clock ahead" true
+    (Ts.( > ) (Clock.new_ts behind) (ts 11_000_000 2))
 
 let test_logical_progress () =
   (* PROGRESS: a lagging clock invoked repeatedly eventually exceeds
-     any fixed timestamp. *)
-  let fast = Clock.logical ~pid:1 in
+     any fixed timestamp, even if [now] never moves. *)
+  let fast = Clock.create ~now:frozen ~pid:1 in
   for _ = 1 to 1000 do
     ignore (Clock.new_ts fast)
   done;
   let target = Clock.new_ts fast in
-  let slow = Clock.logical ~pid:0 in
+  let slow = Clock.create ~now:frozen ~pid:0 in
   let exceeded = ref false in
   for _ = 1 to 2000 do
     if Ts.( > ) (Clock.new_ts slow) target then exceeded := true
@@ -105,40 +125,103 @@ let test_logical_progress () =
 
 let test_realtime_follows_sim_clock () =
   let e = Dessim.Engine.create () in
-  let c = Clock.realtime e ~pid:0 ~skew:0. ~resolution:1. in
+  let rt = Runtime_sim.of_engine e in
+  let c = Clock.create ~now:rt.Runtime.now ~pid:0 in
   let t1 = Clock.new_ts c in
   ignore (Dessim.Engine.schedule e ~delay:100. ignore);
   Dessim.Engine.run e;
   let t2 = Clock.new_ts c in
-  (match (t1, t2) with
-  | Ts.Ts a, Ts.Ts b ->
-      Alcotest.(check bool) "tracks time" true (b.time - a.time >= 99)
-  | _ -> Alcotest.fail "expected concrete timestamps");
-  (* Monotonic even when the wall clock is stuck. *)
+  (* One tick is 10^-6 of a time unit. *)
+  Alcotest.(check int) "reads now in ticks" 100_000_000 (time_of t2);
+  Alcotest.(check bool) "tracks time" true (time_of t2 - time_of t1 >= 99_000_000);
+  (* Monotonic even when the runtime clock is stuck. *)
   let t3 = Clock.new_ts c in
-  Alcotest.(check bool) "bumped" true (Ts.( < ) t2 t3)
+  Alcotest.(check bool) "bumped" true (Ts.( < ) t2 t3);
+  (* Two clocks on one time base: a timestamp minted later is higher,
+     whichever pid minted it. *)
+  let other = Clock.create ~now:rt.Runtime.now ~pid:7 in
+  let early = Clock.new_ts other in
+  ignore (Dessim.Engine.schedule e ~delay:1. ignore);
+  Dessim.Engine.run e;
+  Alcotest.(check bool) "later write wins" true (Ts.( > ) (Clock.new_ts c) early)
 
 let test_realtime_skew () =
   let e = Dessim.Engine.create () in
+  let rt = Runtime_sim.of_engine e in
   ignore (Dessim.Engine.schedule e ~delay:1000. ignore);
   Dessim.Engine.run e;
-  let behind = Clock.realtime e ~pid:0 ~skew:(-500.) ~resolution:1. in
-  let ahead = Clock.realtime e ~pid:1 ~skew:500. ~resolution:1. in
-  (match (Clock.new_ts behind, Clock.new_ts ahead) with
-  | Ts.Ts b, Ts.Ts a ->
-      Alcotest.(check bool) "skew separates clocks" true (a.time - b.time >= 900)
-  | _ -> Alcotest.fail "expected concrete timestamps");
-  (* observe is a no-op on realtime clocks *)
-  Clock.observe behind (ts 1_000_000 5);
-  match Clock.new_ts behind with
-  | Ts.Ts b -> Alcotest.(check bool) "no jump" true (b.time < 10_000)
-  | _ -> Alcotest.fail "expected concrete timestamp"
+  let behind = Clock.create ~now:rt.Runtime.now ~pid:0 in
+  let ahead = Clock.create ~now:rt.Runtime.now ~pid:1 in
+  Clock.set_skew behind (-500.);
+  Clock.set_skew ahead 500.;
+  Alcotest.(check (float 0.)) "skew reads back" (-500.) (Clock.skew behind);
+  let b = Clock.new_ts behind and a = Clock.new_ts ahead in
+  Alcotest.(check bool) "skew separates clocks" true
+    (time_of a - time_of b >= 999_000_000);
+  (* observe pulls the lagging clock past what it saw. *)
+  Clock.observe behind a;
+  Alcotest.(check bool) "catches up" true (Ts.( > ) (Clock.new_ts behind) a);
+  (* A skew step backwards keeps the clock monotone, and a step
+     forwards moves it at once. *)
+  let before = Clock.new_ts ahead in
+  Clock.set_skew ahead 0.;
+  let after = Clock.new_ts ahead in
+  Alcotest.(check bool) "step back stays monotone" true (Ts.( < ) before after);
+  Alcotest.(check int) "leans on the bump" (time_of before + 1) (time_of after);
+  Clock.set_skew ahead 600.;
+  Alcotest.(check int) "step forward" 1_600_000_000 (time_of (Clock.new_ts ahead))
 
 let test_realtime_validation () =
-  let e = Dessim.Engine.create () in
-  Alcotest.check_raises "resolution"
-    (Invalid_argument "Core.Clock.realtime: resolution <= 0") (fun () ->
-      ignore (Clock.realtime e ~pid:0 ~skew:0. ~resolution:0.))
+  (* A reading below zero (runtime start with a negative skew) still
+     mints valid, increasing timestamps instead of raising. *)
+  let c = Clock.create ~now:frozen ~pid:0 in
+  Clock.set_skew c (-3.);
+  let t1 = Clock.new_ts c in
+  let t2 = Clock.new_ts c in
+  Alcotest.(check int) "first tick" 1 (time_of t1);
+  Alcotest.(check bool) "increasing" true (Ts.( < ) t1 t2)
+
+(* On mc a coordinator's tasks run on any domain: concurrent new_ts and
+   observe calls on one clock must still mint distinct timestamps, each
+   domain's strictly increasing. [now] is frozen so every call leans on
+   the shared [last]; the domains start together from a barrier, and
+   three rounds make a lost update all but certain to show. *)
+let test_concurrent_domains () =
+  let domains = 4 and per_domain = 100_000 in
+  for _ = 1 to 3 do
+    let c = Clock.create ~now:frozen ~pid:0 in
+    let ready = Atomic.make 0 in
+    let run () =
+      Atomic.incr ready;
+      while Atomic.get ready < domains do
+        Domain.cpu_relax ()
+      done;
+      let out = Array.make per_domain 0 in
+      for i = 0 to per_domain - 1 do
+        let t = time_of (Clock.new_ts c) in
+        if i mod 8 = 0 then Clock.observe c (ts (t + 3) 1);
+        out.(i) <- t
+      done;
+      out
+    in
+    let results =
+      List.init domains (fun _ -> Domain.spawn run) |> List.map Domain.join
+    in
+    List.iter
+      (fun out ->
+        for i = 1 to per_domain - 1 do
+          if out.(i) <= out.(i - 1) then
+            Alcotest.failf "domain sequence not increasing at %d: %d after %d"
+              i out.(i) out.(i - 1)
+        done)
+      results;
+    let all = Array.concat results in
+    Array.sort compare all;
+    for i = 1 to Array.length all - 1 do
+      if all.(i) = all.(i - 1) then
+        Alcotest.failf "time %d minted twice" all.(i)
+    done
+  done
 
 let () =
   Alcotest.run "timestamp"
@@ -161,5 +244,7 @@ let () =
             test_realtime_follows_sim_clock;
           Alcotest.test_case "realtime skew" `Quick test_realtime_skew;
           Alcotest.test_case "realtime validation" `Quick test_realtime_validation;
+          Alcotest.test_case "concurrent domains unique" `Quick
+            test_concurrent_domains;
         ] );
     ]
