@@ -51,15 +51,16 @@ let probe_minor_words rt =
   !words
 
 (* One deployment, [clients] concurrent clients of [ops] ops each.
-   Every client gets its own coordinator brick so logical (time, pid)
-   timestamps stay unique under real concurrency. *)
+   Every client gets its own coordinator brick, which spreads
+   coordinator work over the bricks the way FAB clients spread over
+   them. *)
 let run_one ~domains ~clients ~ops ~block_size =
   let nbricks = max n clients in
   let layout_kind = if nbricks = n then Fab.Layout.Fixed else Fab.Layout.Rotating in
   let cluster =
     Core.Cluster.create_mc ~domains ~bricks:nbricks
       ~layout:(Fab.Layout.make layout_kind ~bricks:nbricks ~n)
-      ~block_size ~ts_cache:true ~m ~n ()
+      ~block_size ~m ~n ()
   in
   let volume =
     Fab.Volume.of_cluster ~cluster ~m ~stripes ~block_size ~op_retries:8

@@ -2,10 +2,13 @@
    serial vs pipelined multi-stripe I/O, and cold vs warm write rounds
    (order-phase elision via the coordinator timestamp cache).
 
-   Each comparison varies exactly one knob on otherwise identical
-   volumes (same seed, same geometry, same request stream), so the
-   deltas are attributable. Latencies are in units of delta (one-way
-   network delay); one quorum round trip costs 2 delta.
+   Every run uses an otherwise identical volume (same seed, same
+   geometry, same request stream). The pipelining comparison varies
+   only [pipeline_window]; the write-rounds comparison varies only how
+   many requests came before the measured ones (cold = each stripe's
+   first write, warm = steady state), so the deltas are attributable.
+   Latencies are in units of delta (one-way network delay); one quorum
+   round trip costs 2 delta.
 
    [json_out] (set by bench/main.ml's --json flag) writes the numbers
    to BENCH_protocol.json; [smoke] (--smoke) shrinks request counts so
@@ -33,10 +36,10 @@ type run_result = {
    back, from one client fiber. [observe_from] attaches a fresh stats
    aggregator after that many requests completed (so warm-up traffic is
    excluded from phase accounting). *)
-let run_requests ?observe_from ~window ~ts_cache ~write ~requests () =
+let run_requests ?observe_from ~window ~write ~requests () =
   let volume =
     Fab.Volume.create ~m ~n ~stripes:volume_stripes ~block_size ~seed:1
-      ~ts_cache ~pipeline_window:window ()
+      ~pipeline_window:window ()
   in
   let cluster = Fab.Volume.cluster volume in
   let engine = cluster.Core.Cluster.engine in
@@ -124,18 +127,16 @@ let run () =
 
   (* -- serial vs pipelined ------------------------------------------ *)
   let serial_r =
-    run_requests ~window:1 ~ts_cache:false ~write:false ~requests ()
+    run_requests ~window:1 ~write:false ~requests ()
   in
   let serial_w =
-    run_requests ~window:1 ~ts_cache:false ~write:true ~requests ()
+    run_requests ~window:1 ~write:true ~requests ()
   in
   let piped_r =
-    run_requests ~window:span_stripes ~ts_cache:false ~write:false
-      ~requests ()
+    run_requests ~window:span_stripes ~write:false ~requests ()
   in
   let piped_w =
-    run_requests ~window:span_stripes ~ts_cache:false ~write:true
-      ~requests ()
+    run_requests ~window:span_stripes ~write:true ~requests ()
   in
   let line name r =
     Printf.printf
@@ -158,12 +159,12 @@ let run () =
   (* -- cold vs warm writes (order-phase elision) --------------------- *)
   Util.subsection "Order-phase elision (coordinator timestamp cache)";
   let cold =
-    run_requests ~observe_from:0 ~window:span_stripes ~ts_cache:true
-      ~write:true ~requests:1 ()
+    run_requests ~observe_from:0 ~window:span_stripes ~write:true
+      ~requests:1 ()
   in
   let warm =
-    run_requests ~observe_from:warmup ~window:span_stripes ~ts_cache:true
-      ~write:true ~requests:(warmup + requests) ()
+    run_requests ~observe_from:warmup ~window:span_stripes ~write:true
+      ~requests:(warmup + requests) ()
   in
   let cold_stats = Option.get cold.stats in
   let warm_stats = Option.get warm.stats in

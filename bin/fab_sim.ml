@@ -127,7 +127,7 @@ let write_stats_json path ~meta ~metrics ~obs_stats ~client_latency ~elapsed
   close_out oc
 
 let run_workload runtime_name domains m n bricks stripes block_size clients
-    ops profile drop seed optimized pipeline_window no_ts_cache trace
+    ops profile drop seed optimized pipeline_window trace
     trace_out trace_chrome stats_json =
   if m < 1 || n <= m then `Error (false, "need 1 <= m < n")
   else if pipeline_window < 1 then `Error (false, "need pipeline-window >= 1")
@@ -142,13 +142,13 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
         Fab.Volume.create ~m ~n
           ?bricks:(if bricks = 0 then None else Some bricks)
           ~stripes ~block_size ~seed ~optimized_modify:optimized
-          ~ts_cache:(not no_ts_cache) ~pipeline_window
+          ~pipeline_window
           ~net_config:{ Simnet.Net.default_config with drop }
           ()
       else begin
         (* Multicore backend: every concurrent client gets its own
-           coordinator brick so logical (time, pid) timestamps stay
-           unique. *)
+           coordinator brick, which spreads coordinator work over the
+           bricks the way FAB clients spread over them. *)
         let nbricks = if bricks = 0 then max n clients else bricks in
         let layout_kind =
           if nbricks = n then Fab.Layout.Fixed else Fab.Layout.Rotating
@@ -156,8 +156,7 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
         let cluster =
           Core.Cluster.create_mc ~domains ~bricks:nbricks
             ~layout:(Fab.Layout.make layout_kind ~bricks:nbricks ~n)
-            ~block_size ~optimized_modify:optimized
-            ~ts_cache:(not no_ts_cache) ~m ~n ()
+            ~block_size ~optimized_modify:optimized ~m ~n ()
         in
         Fab.Volume.of_cluster ~cluster ~m ~stripes ~block_size ~op_retries:3
           ~pipeline_window ~stripe_offset:0 ()
@@ -181,7 +180,6 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
             ("ops", Obs.Json.I ops);
             ("drop", Obs.Json.F drop);
             ("pipeline_window", Obs.Json.I pipeline_window);
-            ("ts_cache", Obs.Json.B (not no_ts_cache));
             ( "gf_kernel",
               Obs.Json.S (Erasure.Codec.kernel_name (Fab.Volume.codec volume))
             );
@@ -345,11 +343,6 @@ let workload_cmd =
            ~doc:"Max per-stripe operations of one request in flight \
                  (1 = serial extent order).")
   in
-  let no_ts_cache =
-    Arg.(value & flag & info [ "no-ts-cache" ]
-           ~doc:"Disable coordinator timestamp caching (order-round \
-                 elision on warm sequential writes).")
-  in
   let trace =
     Arg.(value & flag & info [ "trace" ]
            ~doc:"Print a protocol trace (every event) to stderr.")
@@ -375,7 +368,7 @@ let workload_cmd =
       ret
         (const run_workload $ runtime_name $ domains $ m $ n $ bricks
         $ stripes $ block_size $ clients $ ops $ profile $ drop $ seed
-        $ optimized $ pipeline_window $ no_ts_cache $ trace $ trace_out
+        $ optimized $ pipeline_window $ trace $ trace_out
         $ trace_chrome $ stats_json))
 
 (* ---------------- explain ---------------- *)

@@ -111,7 +111,7 @@ let wire ~seed ~net_config ~nbricks ~retry_every ?retry_backoff
 
 let create ?(seed = 42) ?(net_config = Simnet.Net.default_config) ?bricks
     ?layout ?(block_size = 1024) ?gc_enabled
-    ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order ?retry_every
+    ?optimized_modify ?deadline ?unsafe_skip_order ?retry_every
     ?retry_backoff ?retry_cap ~m ~n () =
   let nbricks = match bricks with Some b -> b | None -> n in
   if nbricks < n then invalid_arg "Core.Cluster.create: bricks < n";
@@ -128,21 +128,19 @@ let create ?(seed = 42) ?(net_config = Simnet.Net.default_config) ?bricks
     ?retry_cap
     ~make_cfg:(fun ~runtime ~rpc ~metrics ~obs ->
       Config.create ~codec ~mq ~block_size ~runtime ~rpc ~metrics ~layout
-        ~obs ?gc_enabled ?optimized_modify ?ts_cache ?deadline
-        ?unsafe_skip_order ())
+        ~obs ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order ())
     ()
 
 let create_policied ?(seed = 42) ?(net_config = Simnet.Net.default_config)
     ?(block_size = 1024) ?gc_enabled ?optimized_modify
-    ?ts_cache ?deadline ?unsafe_skip_order ?retry_every ?retry_backoff
+    ?deadline ?unsafe_skip_order ?retry_every ?retry_backoff
     ?retry_cap ~bricks:nbricks ~policy_of () =
   if nbricks < 1 then invalid_arg "Core.Cluster.create_policied: no bricks";
   wire ~seed ~net_config ~nbricks ~retry_every ?retry_backoff
     ?retry_cap
     ~make_cfg:(fun ~runtime ~rpc ~metrics ~obs ->
       Config.create_policied ~policy_of ~block_size ~runtime ~rpc ~metrics
-        ~obs ?gc_enabled ?optimized_modify ?ts_cache ?deadline
-        ?unsafe_skip_order ())
+        ~obs ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order ())
     ()
 
 (* --- multicore deployment ------------------------------------------ *)
@@ -233,7 +231,7 @@ let mc_transport rt pool ~metrics ~n =
   (transport, mc)
 
 let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
-    ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order
+    ?optimized_modify ?deadline ?unsafe_skip_order
     ?(retry_every = 0.05) ?retry_backoff ?retry_cap ?shards ~m ~n () =
   let nbricks = match bricks with Some b -> b | None -> n in
   if nbricks < n then invalid_arg "Core.Cluster.create_mc: bricks < n";
@@ -261,7 +259,7 @@ let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
   let mq = Quorum.Mquorum.create ~n ~m in
   let cfg =
     Config.create ~codec ~mq ~block_size ~runtime ~rpc ~metrics ~layout ~obs
-      ?gc_enabled ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order ()
+      ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order ()
   in
   let bricks =
     Array.init nbricks (fun id -> Brick.create ~metrics ~obs runtime ~id)

@@ -38,7 +38,6 @@ val create :
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
-  ?ts_cache:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
   ?retry_every:float ->
@@ -57,11 +56,11 @@ val create :
     {!Clock} reads the deployment's [runtime] clock with zero skew;
     skew one with {!Clock.set_skew}.
 
-    [ts_cache] (default off) enables coordinator timestamp caching and
-    order-round elision ({!Config.t.ts_cache}); it is off by default
-    so the per-operation message and round counts of Table 1 remain
-    exact. [seed] drives both the engine and the deployment's
-    {!faultnet}.
+    On stripes with [m > f], a coordinator's repeat
+    {!Coordinator.write_stripe} skips the Order round when its own last
+    full-quorum stripe store is the newest version it has seen (DESIGN
+    4d); a first write, and every block write, costs Table 1's rounds.
+    [seed] drives both the engine and the deployment's {!faultnet}.
 
     [deadline] bounds every coordinator operation in sim-time units
     (fail-fast [`Unavailable], {!Config.t.deadline});
@@ -76,7 +75,6 @@ val create_policied :
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
-  ?ts_cache:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
   ?retry_every:float ->
@@ -98,7 +96,6 @@ val create_mc :
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
-  ?ts_cache:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
   ?retry_every:float ->

@@ -22,14 +22,13 @@ type t = {
   obs : Obs.t;
   gc_enabled : bool;
   optimized_modify : bool;
-  ts_cache : bool;
   deadline : float option;
   unsafe_skip_order : bool;
 }
 
 let create_policied ~policy_of ~block_size ~runtime ~rpc ~metrics
     ?(obs = Obs.create ()) ?(gc_enabled = true) ?(optimized_modify = false)
-    ?(ts_cache = false) ?deadline ?(unsafe_skip_order = false) () =
+    ?deadline ?(unsafe_skip_order = false) () =
   if block_size <= 0 then invalid_arg "Core.Config: block_size <= 0";
   (match deadline with
   | Some d when d <= 0. -> invalid_arg "Core.Config: deadline <= 0"
@@ -43,18 +42,17 @@ let create_policied ~policy_of ~block_size ~runtime ~rpc ~metrics
     obs;
     gc_enabled;
     optimized_modify;
-    ts_cache;
     deadline;
     unsafe_skip_order;
   }
 
 let create ~codec ~mq ~block_size ~runtime ~rpc ~metrics ~layout ?obs
-    ?gc_enabled ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order () =
+    ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order () =
   let policy_of stripe = make_policy ~codec ~mq ~members:(layout stripe) in
   (* Validate eagerly on a representative stripe. *)
   ignore (policy_of 0);
   create_policied ~policy_of ~block_size ~runtime ~rpc ~metrics ?obs
-    ?gc_enabled ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order ()
+    ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order ()
 
 let policy t ~stripe = t.policy_of stripe
 let codec t ~stripe = (policy t ~stripe).codec

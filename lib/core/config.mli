@@ -44,15 +44,6 @@ type t = {
       (** Use the bandwidth-optimized block-write messages (section
           5.2): new block to p_j, precomputed delta to parities,
           timestamp-only to other data processes. *)
-  ts_cache : bool;
-      (** Let coordinators cache the timestamp of their own last
-          full-quorum write per stripe and elide the order round of
-          the next write when the cache is warm (a fall-back-safe
-          round-trip optimization; see DESIGN section 4d). Only honored
-          on stripes whose geometry satisfies [m > f] — elsewhere the
-          coordinator silently keeps the 2-round path, since a partial
-          unordered write could otherwise violate strict
-          linearizability. *)
   deadline : float option;
       (** Per-operation deadline in sim-time units. With [Some d],
           every coordinator operation that has not completed [d] after
@@ -85,7 +76,6 @@ val create :
   ?obs:Obs.t ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
-  ?ts_cache:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
   unit ->
@@ -104,7 +94,6 @@ val create_policied :
   ?obs:Obs.t ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
-  ?ts_cache:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
   unit ->

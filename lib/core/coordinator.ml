@@ -1,19 +1,17 @@
 module Ts = Timestamp
-
-(* One stripe's timestamp-cache entry: the newest timestamp this
-   coordinator committed to the stripe with a full quorum, plus the
-   stripe's decoded content at that version when known ([None] after a
-   block write whose basis version was not cached). See DESIGN 4d. *)
-type cache_entry = { cts : Ts.t; cblocks : Bytes.t array option }
-
 module Addrs = Set.Make (Int)
+module Stripes = Map.Make (Int)
 
 type t = {
   cfg : Config.t;
   brick : Brick.t;
   clock : Clock.t;
   mutable retry_hint : bool;
-  ts_cache : (int, cache_entry) Hashtbl.t;  (* stripe -> entry *)
+  cache : Ts.t Stripes.t Atomic.t;
+      (* The timestamp cache (DESIGN 4d): stripe -> the newest
+         timestamp this coordinator stored to it with a full quorum and
+         no foreign timestamp in sight. Immutable behind one atomic,
+         like [suspects]. *)
   suspects : Addrs.t Atomic.t;
       (* Members that missed a call they were targeted by and have not
          replied to this coordinator since. An immutable set behind one
@@ -26,7 +24,7 @@ type t = {
 type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
 
 (* Bound the cache so a coordinator sweeping a huge volume cannot
-   retain every stripe's blocks; flushing everything on overflow is
+   retain an entry per stripe; flushing everything on overflow is
    crude but keeps the common sequential-locality case warm. *)
 let cache_capacity = 1024
 
@@ -38,7 +36,7 @@ let create cfg ~brick ~clock =
       brick;
       clock;
       retry_hint = false;
-      ts_cache = Hashtbl.create 16;
+      cache = Atomic.make Stripes.empty;
       suspects = Atomic.make Addrs.empty;
       retargets = counter "coord.retargets";
       suspicions = counter "coord.suspects";
@@ -51,7 +49,7 @@ let create cfg ~brick ~clock =
      hook re-registers itself to stay armed across repeated
      crash/recover cycles. *)
   let rec hook () =
-    Hashtbl.reset t.ts_cache;
+    Atomic.set t.cache Stripes.empty;
     Atomic.set t.suspects Addrs.empty;
     ignore (Brick.add_crash_hook brick hook)
   in
@@ -67,22 +65,29 @@ let create cfg ~brick ~clock =
    Figure 5). Geometries with m <= f (e.g. 1-of-3 replication) keep
    the 2-round path unconditionally. *)
 let elision_on t ~stripe =
-  t.cfg.Config.ts_cache
-  && Config.m t.cfg ~stripe > Config.fault_bound t.cfg ~stripe
+  Config.m t.cfg ~stripe > Config.fault_bound t.cfg ~stripe
 
 let cache_find t ~stripe =
-  if elision_on t ~stripe then Hashtbl.find_opt t.ts_cache stripe else None
+  if elision_on t ~stripe then Stripes.find_opt stripe (Atomic.get t.cache)
+  else None
 
-let cache_invalidate t ~stripe = Hashtbl.remove t.ts_cache stripe
+(* Apply [f] to the cache by CAS; [f] returns its argument unchanged
+   when there is nothing to do, which skips the write. *)
+let rec cache_update t f =
+  let c = Atomic.get t.cache in
+  let c' = f c in
+  if c' != c && not (Atomic.compare_and_set t.cache c c') then
+    cache_update t f
 
-let cache_put t ~stripe entry =
-  if elision_on t ~stripe then begin
-    if
-      Hashtbl.length t.ts_cache >= cache_capacity
-      && not (Hashtbl.mem t.ts_cache stripe)
-    then Hashtbl.reset t.ts_cache;
-    Hashtbl.replace t.ts_cache stripe entry
-  end
+let cache_invalidate t ~stripe = cache_update t (Stripes.remove stripe)
+
+let cache_put t ~stripe ts =
+  if elision_on t ~stripe then
+    cache_update t (fun c ->
+        let full =
+          (not (Stripes.mem stripe c)) && Stripes.cardinal c >= cache_capacity
+        in
+        Stripes.add stripe ts (if full then Stripes.empty else c))
 
 (* Any reply showing a timestamp above the cached one — other than the
    round's own proposal, which timestamp uniqueness (time, pid) makes
@@ -99,18 +104,17 @@ let reply_cur_ts = function
   | _ -> None
 
 let cache_observe t ~stripe ~proposed replies =
-  if Hashtbl.length t.ts_cache > 0 then
-    match Hashtbl.find_opt t.ts_cache stripe with
-    | None -> ()
-    | Some e ->
-        if
-          List.exists
-            (fun (_, r) ->
-              match reply_cur_ts r with
-              | Some cur -> Ts.( > ) cur e.cts && not (Ts.equal cur proposed)
-              | None -> false)
-            replies
-        then cache_invalidate t ~stripe
+  match Stripes.find_opt stripe (Atomic.get t.cache) with
+  | None -> ()
+  | Some cts ->
+      if
+        List.exists
+          (fun (_, r) ->
+            match reply_cur_ts r with
+            | Some cur -> Ts.( > ) cur cts && not (Ts.equal cur proposed)
+            | None -> false)
+          replies
+      then cache_invalidate t ~stripe
 
 (* True when some reply saw a timestamp above our own proposal [ts]:
    a concurrent coordinator is past us already, so a commit at [ts]
@@ -284,8 +288,9 @@ let emit_retarget t ~op a =
         kind = Obs.Retarget { suspect = a };
       }
 
-(* Mark a protocol phase the operation proved it could skip (the warm
-   write paths below); `fab_sim explain` counts these per op kind. *)
+(* Mark a protocol phase the operation proved it could skip (an
+   elided write-stripe below); `fab_sim explain` counts these per op
+   kind. *)
 let emit_elided t ~op phase =
   if Obs.enabled t.cfg.Config.obs then emit_phase t ~op ~phase Obs.Phase_elided
 
@@ -382,11 +387,11 @@ let store_stripe t ~stripe ~op ~dl data ts =
   in
   if all_status_true replies then begin
     notify_gc t ~stripe ~op ts;
-    (* A full-quorum commit with the whole stripe content in hand warms
-       the cache — unless some member already saw a higher (foreign)
-       timestamp, in which case the entry would be born stale. *)
+    (* A full-quorum stripe store warms the cache — unless some member
+       already saw a higher (foreign) timestamp, in which case the
+       entry would be born stale. *)
     if foreign_above replies ts then cache_invalidate t ~stripe
-    else cache_put t ~stripe { cts = ts; cblocks = Some (Array.copy data) };
+    else cache_put t ~stripe ts;
     Ok ()
   end
   else begin
@@ -567,8 +572,8 @@ let check_stripe_shape t ~stripe data =
     data
 
 (* write-stripe (lines 12-16), with the order round elided when the
-   coordinator's last full-quorum write to the stripe is cached and no
-   foreign activity has been observed since (DESIGN 4d). The elided
+   coordinator's last full-quorum stripe store is cached and no foreign
+   activity has been observed since (DESIGN 4d). The elided
    write is safe regardless of cache staleness: replicas accept an
    unordered write only at a timestamp above everything they logged or
    promised, so it either commits like an ordered one or is refused —
@@ -589,7 +594,7 @@ let write_stripe t ~stripe data =
       in
       let ts = Clock.new_ts t.clock in
       match cache_find t ~stripe with
-      | Some e when Ts.( > ) ts e.cts -> (
+      | Some cts when Ts.( > ) ts cts -> (
           emit_elided t ~op Obs.Order;
           match store_stripe t ~stripe ~op ~dl data ts with
           | Ok () -> Ok ()
@@ -642,31 +647,17 @@ let modify_req t ~stripe j ~bj b ~tsj ts =
   end
   else fun _ -> Message.Modify { stripe; j; bj; b; tsj; ts }
 
-(* Commit bookkeeping of a modify round. [cblocks] is the full stripe
-   content after the patch when the caller knows it (warm path, or a
-   cold path whose basis version was cached); a timestamp-only entry
-   still elides a later full-stripe write's order round. *)
-let finish_modify t ~stripe ~op ts ~cblocks replies =
+(* Commit bookkeeping of a modify round. A commit leaves the cache as
+   it is: only full-stripe stores add entries. *)
+let finish_modify t ~stripe ~op ts replies =
   if all_status_true replies then begin
     notify_gc t ~stripe ~op ts;
-    if foreign_above replies ts then cache_invalidate t ~stripe
-    else cache_put t ~stripe { cts = ts; cblocks };
     Ok ()
   end
   else begin
     cache_invalidate t ~stripe;
     Error `Aborted
   end
-
-(* The stripe's content after applying [patches], when the cache holds
-   exactly the modify's basis version [tsj]; [None] otherwise. *)
-let patched_cache_blocks t ~stripe ~tsj patches =
-  match cache_find t ~stripe with
-  | Some { cts; cblocks = Some blocks } when Ts.equal cts tsj ->
-      let nb = Array.copy blocks in
-      List.iter (fun (j, b) -> nb.(j) <- b) patches;
-      Some nb
-  | _ -> None
 
 (* A block write whose addressed members include a suspected one skips
    the fast path: its Order&Read could not complete before the grace
@@ -694,38 +685,12 @@ let fast_write_block t ~stripe ~op ~dl j b ts =
   else
     match List.assoc_opt addr_j replies with
     | Some (Message.Order_read_r { lts = tsj; block = Some bj; _ }) ->
-        let cblocks = patched_cache_blocks t ~stripe ~tsj [ (j, b) ] in
         let replies =
           quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify
             (modify_req t ~stripe j ~bj b ~tsj ts)
         in
-        Some (finish_modify t ~stripe ~op ts ~cblocks replies, tsj)
+        Some (finish_modify t ~stripe ~op ts replies, tsj)
     | Some _ | None -> None
-
-(* Warm fast-write-block: when the cache holds the stripe's full
-   content at its newest version, the Order&Read round would only
-   re-fetch what the coordinator already knows — skip it and run the
-   modify round directly against the cached basis. A refusal (stale
-   cache or concurrent order) makes the caller fall back to the slow
-   path at the same timestamp, exactly as after a failed cold fast
-   path: the partial states are identical, because members apply a
-   modify only where the basis version matched — i.e. where their
-   content equalled the cached content. *)
-let warm_write_block t ~stripe ~op ~dl j b ts =
-  match cache_find t ~stripe with
-  | Some { cts; cblocks = Some blocks } when Ts.( > ) ts cts ->
-      emit_elided t ~op Obs.Order;
-      let cblocks =
-        let nb = Array.copy blocks in
-        nb.(j) <- b;
-        Some nb
-      in
-      let replies =
-        quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify
-          (modify_req t ~stripe j ~bj:blocks.(j) b ~tsj:cts ts)
-      in
-      Some (finish_modify t ~stripe ~op ts ~cblocks replies, cts)
-  | _ -> None
 
 (* Reconstruct the newest stripe version below [ts] for a slow write
    at [ts]. After a failed Modify round at the same [ts] ([basis] is
@@ -807,33 +772,13 @@ let fast_write_blocks t ~stripe ~op ~dl j0 news ts =
       if not (List.for_all (fun (l, _) -> Ts.equal l tsj) infos) then None
       else begin
         let olds = Array.of_list (List.map snd infos) in
-        let cblocks =
-          patched_cache_blocks t ~stripe ~tsj
-            (List.init len (fun i -> (j0 + i, news.(i))))
-        in
         let replies =
           quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify (fun _ ->
               Message.Modify_multi { stripe; j0; olds; news; tsj; ts })
         in
-        Some (finish_modify t ~stripe ~op ts ~cblocks replies, tsj)
+        Some (finish_modify t ~stripe ~op ts replies, tsj)
       end
   end
-
-(* Warm multi-block write; see [warm_write_block]. *)
-let warm_write_blocks t ~stripe ~op ~dl j0 news ts =
-  match cache_find t ~stripe with
-  | Some { cts; cblocks = Some blocks } when Ts.( > ) ts cts ->
-      emit_elided t ~op Obs.Order;
-      let len = Array.length news in
-      let olds = Array.sub blocks j0 len in
-      let nb = Array.copy blocks in
-      Array.iteri (fun i b -> nb.(j0 + i) <- b) news;
-      let replies =
-        quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify (fun _ ->
-            Message.Modify_multi { stripe; j0; olds; news; tsj = cts; ts })
-      in
-      Some (finish_modify t ~stripe ~op ts ~cblocks:(Some nb) replies, cts)
-  | _ -> None
 
 let slow_write_blocks t ~stripe ~op ~dl ~basis j0 news ts =
   match read_basis t ~stripe ~op ~dl ~basis ts with
@@ -855,14 +800,10 @@ let write_blocks t ~stripe j0 news =
     traced t ~stripe "write-blocks" @@ fun op dl ->
     let ts = Clock.new_ts t.clock in
     let slow basis = slow_write_blocks t ~stripe ~op ~dl ~basis j0 news ts in
-    match warm_write_blocks t ~stripe ~op ~dl j0 news ts with
+    match fast_write_blocks t ~stripe ~op ~dl j0 news ts with
     | Some (Ok (), _) -> Ok ()
     | Some (Error `Aborted, tsj) -> slow (Some tsj)
-    | None -> (
-        match fast_write_blocks t ~stripe ~op ~dl j0 news ts with
-        | Some (Ok (), _) -> Ok ()
-        | Some (Error `Aborted, tsj) -> slow (Some tsj)
-        | None -> slow None)
+    | None -> slow None
 
 (* write-block (lines 70-73). *)
 let write_block t ~stripe j b =
@@ -876,14 +817,10 @@ let write_block t ~stripe j b =
      — and if the slow store completes without them, it stored what
      they did ([read_basis]); the partial write is otherwise rolled
      forward or back by the next read. *)
-  match warm_write_block t ~stripe ~op ~dl j b ts with
+  match fast_write_block t ~stripe ~op ~dl j b ts with
   | Some (Ok (), _) -> Ok ()
   | Some (Error `Aborted, tsj) -> slow (Some tsj)
-  | None -> (
-      match fast_write_block t ~stripe ~op ~dl j b ts with
-      | Some (Ok (), _) -> Ok ()
-      | Some (Error `Aborted, tsj) -> slow (Some tsj)
-      | None -> slow None))
+  | None -> slow None)
 
 (* ------------------------------------------------------------------ *)
 (* Scrubbing: detect and repair silent block corruption               *)

@@ -40,9 +40,18 @@ val read_stripe : t -> stripe:int -> Bytes.t array outcome
     versions. *)
 
 val write_stripe : t -> stripe:int -> Bytes.t array -> unit outcome
-(** Two-phase write of [m] data blocks.
+(** Two-phase write of [m] data blocks: Order, then Write. When the
+    stripe's geometry has [m > f] and this coordinator's last
+    full-quorum stripe store to it is still the newest version it has
+    seen, the Order round is skipped (a [Phase_elided] event marks it)
+    and a refused Write falls back to both rounds at the same
+    timestamp (DESIGN 4d).
     @raise Invalid_argument if the stripe shape is wrong (block count
     or block size). *)
+
+val cache_capacity : int
+(** How many stripes' timestamps a coordinator caches for order
+    elision; adding one more empties the cache first. *)
 
 val read_block : t -> stripe:int -> int -> Bytes.t outcome
 (** [read_block t ~stripe j] reads data block [j] (in [0, m)).

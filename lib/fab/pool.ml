@@ -20,7 +20,7 @@ type t = {
    coordinator; the cluster is created around a forward reference so
    the table can grow as volumes are created. *)
 let create ?seed ?net_config ?(block_size = 1024) ?gc_enabled
-    ?optimized_modify ?ts_cache ?(op_retries = 3)
+    ?optimized_modify ?(op_retries = 3)
     ?(pipeline_window = 8) ~bricks () =
   if bricks < 1 then invalid_arg "Fab.Pool.create: no bricks";
   if op_retries < 1 then invalid_arg "Fab.Pool.create: op_retries < 1";
@@ -45,7 +45,7 @@ let create ?seed ?net_config ?(block_size = 1024) ?gc_enabled
   in
   let cluster =
     Core.Cluster.create_policied ?seed ?net_config ~block_size ?gc_enabled
-      ?optimized_modify ?ts_cache ~bricks ~policy_of ()
+      ?optimized_modify ~bricks ~policy_of ()
   in
   let pool =
     {

@@ -20,7 +20,6 @@ val create :
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
-  ?ts_cache:bool ->
   ?op_retries:int ->
   ?pipeline_window:int ->
   bricks:int ->

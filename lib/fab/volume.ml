@@ -15,7 +15,7 @@ type t = {
 type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
 
 let create ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
-    ?gc_enabled ?optimized_modify ?ts_cache ?deadline ?unsafe_skip_order
+    ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order
     ?retry_backoff ?retry_cap ?(op_retries = 3)
     ?(pipeline_window = 8) ~m ~n ~stripes () =
   if op_retries < 1 then invalid_arg "Fab.Volume.create: op_retries < 1";
@@ -31,7 +31,7 @@ let create ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
   let layout_fn = Layout.make kind ~bricks:nbricks ~n in
   let cluster =
     Core.Cluster.create ?seed ?net_config ~bricks:nbricks ~layout:layout_fn
-      ~block_size ?gc_enabled ?optimized_modify ?ts_cache ?deadline
+      ~block_size ?gc_enabled ?optimized_modify ?deadline
       ?unsafe_skip_order ?retry_backoff ?retry_cap ~m ~n ()
   in
   { cluster; m; stripes; block_size; op_retries; pipeline_window;

@@ -23,7 +23,6 @@ val create :
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
-  ?ts_cache:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
   ?retry_backoff:float ->
@@ -46,10 +45,8 @@ val create :
     A request spanning several stripes dispatches its per-stripe
     operations concurrently, at most [pipeline_window] (default 8) in
     flight; [~pipeline_window:1] recovers strictly serial extent
-    order. [ts_cache] enables the order-elision optimization;
-    [deadline], [retry_backoff],
-    [retry_cap] and [unsafe_skip_order] are forwarded to
-    {!Core.Cluster.create}. *)
+    order. [deadline], [retry_backoff], [retry_cap] and
+    [unsafe_skip_order] are forwarded to {!Core.Cluster.create}. *)
 
 val of_cluster :
   cluster:Core.Cluster.t ->

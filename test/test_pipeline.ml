@@ -43,7 +43,7 @@ let fuzz_round ~seed =
   let drop = [| 0.; 0.05; 0.1 |].(Random.State.int rng 3) in
   let jitter = [| 0.; 0.; 2.5 |].(Random.State.int rng 3) in
   let v =
-    V.create ~seed ~m ~n ~stripes ~block_size ~ts_cache:true
+    V.create ~seed ~m ~n ~stripes ~block_size
       ~pipeline_window:8
       ~net_config:{ Simnet.Net.default_config with drop; jitter }
       ()
@@ -189,7 +189,7 @@ let test_pipelined_more_faults () =
 let jsonl_trace ~seed =
   let buf = Buffer.create (1 lsl 16) in
   let v =
-    V.create ~seed ~m ~n ~stripes ~block_size ~ts_cache:true
+    V.create ~seed ~m ~n ~stripes ~block_size
       ~pipeline_window:8
       ~net_config:{ Simnet.Net.default_config with drop = 0.05 }
       ()

@@ -604,6 +604,130 @@ let test_idle_coordinator_writes_fast () =
     (!outcomes = [ Obs.Ok ]);
   Alcotest.(check (float 0.)) "4 delta" 4. lat
 
+(* ------------------------------------------------------------------ *)
+(* Order elision (DESIGN 4d)                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The rounds an operation ran ("order", "write", ...) and the rounds
+   it elided ("elided order"), in order, from attaching on. *)
+let round_log cl =
+  let log = ref [] in
+  Obs.add_sink cl.Cluster.obs
+    (Obs.Sink.make (fun ev ->
+         match (ev.Obs.kind, ev.Obs.phase) with
+         | Obs.Phase_start, Some p -> log := Obs.phase_name p :: !log
+         | Obs.Phase_elided, Some p ->
+             log := ("elided " ^ Obs.phase_name p) :: !log
+         | _ -> ()));
+  fun () ->
+    let rounds = List.rev !log in
+    log := [];
+    rounds
+
+let write_stripe_latency ?coord cl ~stripe tag =
+  let m = Core.Config.m cl.Cluster.cfg ~stripe in
+  let r, lat =
+    measure_latency ?coord cl (fun c ->
+        Coordinator.write_stripe c ~stripe (stripe_data tag m))
+  in
+  check_ok "write_stripe" r;
+  lat
+
+let test_repeat_write_stripe_elides () =
+  let cl = Cluster.create ~m:3 ~n:5 () in
+  let rounds = round_log cl in
+  Alcotest.(check (float 0.)) "first write 4 delta" 4.
+    (write_stripe_latency cl ~stripe:0 'A');
+  Alcotest.(check (list string)) "first write orders" [ "order"; "write" ]
+    (rounds ());
+  Alcotest.(check (float 0.)) "second write 2 delta" 2.
+    (write_stripe_latency cl ~stripe:0 'B');
+  Alcotest.(check (list string)) "second write elides its order round"
+    [ "elided order"; "write" ] (rounds ());
+  check_stripe "read back" (stripe_data 'B' 3) (read cl ~stripe:0 ())
+
+let test_block_write_never_elides () =
+  let cl = Cluster.create ~m:3 ~n:5 () in
+  ignore (write_stripe_latency cl ~stripe:0 'A');
+  ignore (write_stripe_latency cl ~stripe:0 'B');
+  let rounds = round_log cl in
+  let r, lat =
+    measure_latency cl (fun c ->
+        Coordinator.write_block c ~stripe:0 1 (Bytes.make bs 'z'))
+  in
+  check_ok "write_block" r;
+  Alcotest.(check (list string)) "Order&Read then Modify"
+    [ "order"; "modify" ] (rounds ());
+  Alcotest.(check (float 0.)) "fast path 4 delta" 4. lat
+
+let test_replication_never_elides () =
+  (* 1-of-3: f = 1 = m, so a partial unordered write could be missed
+     by a later quorum; every write keeps both rounds. *)
+  let cl = Cluster.create ~m:1 ~n:3 () in
+  let rounds = round_log cl in
+  for i = 0 to 2 do
+    Alcotest.(check (float 0.)) "4 delta" 4.
+      (write_stripe_latency cl ~stripe:0 (Char.chr (65 + i)))
+  done;
+  Alcotest.(check (list string)) "no round elided"
+    [ "order"; "write"; "order"; "write"; "order"; "write" ]
+    (rounds ())
+
+let test_crash_empties_cache () =
+  let cl = Cluster.create ~m:3 ~n:5 () in
+  ignore (write_stripe_latency cl ~stripe:0 'A');
+  Alcotest.(check (float 0.)) "warm" 2.
+    (write_stripe_latency cl ~stripe:0 'B');
+  Cluster.crash cl 0;
+  Cluster.recover cl 0;
+  let rounds = round_log cl in
+  Alcotest.(check (float 0.)) "cold after crash" 4.
+    (write_stripe_latency cl ~stripe:0 'C');
+  Alcotest.(check (list string)) "orders again" [ "order"; "write" ]
+    (rounds ())
+
+let test_cache_shared_across_domains () =
+  (* One coordinator, its write-stripe tasks spread over 4 domains, on
+     more stripes than the cache holds: entries are added, replaced
+     and flushed on overflow concurrently. *)
+  let m = 2 and bs = 64 and tasks = 8 and passes = 2 in
+  let stripes = Coordinator.cache_capacity + 100 in
+  let cl = Cluster.create_mc ~domains:4 ~m ~n:4 ~block_size:bs () in
+  let value s pass =
+    Array.init m (fun i -> Bytes.make bs (Char.chr (65 + ((s + i + pass) mod 26))))
+  in
+  let failures = Atomic.make 0 in
+  (* A corrupted table can loop forever: fail after a bound instead of
+     hanging, and leave a stuck pool unreaped (see try_quiesce). *)
+  let quiet () = Cluster.try_quiesce ~timeout:60. cl in
+  Fun.protect
+    ~finally:(fun () -> if quiet () then Cluster.shutdown cl)
+    (fun () ->
+      let c = cl.Cluster.coordinators.(0) in
+      for k = 0 to tasks - 1 do
+        Runtime.spawn cl.Cluster.runtime (fun () ->
+            try
+              for pass = 0 to passes - 1 do
+                for s = 0 to stripes - 1 do
+                  if s mod tasks = k then
+                    match Coordinator.write_stripe c ~stripe:s (value s pass) with
+                    | Ok () -> ()
+                    | Error _ -> Atomic.incr failures
+                done
+              done
+            with _ -> Atomic.incr failures)
+      done;
+      if not (quiet ()) then Alcotest.fail "writers stuck";
+      Alcotest.(check int) "every write succeeded, nothing raised" 0
+        (Atomic.get failures);
+      for s = 0 to stripes - 1 do
+        match Coordinator.read_stripe c ~stripe:s with
+        | Ok data ->
+            if not (Array.for_all2 Bytes.equal data (value s (passes - 1))) then
+              Alcotest.failf "stripe %d reads back wrong" s
+        | Error _ -> Alcotest.failf "stripe %d read failed" s
+      done)
+
 let test_degraded_read_pass () =
   (* Every block read back while brick 4 is down: reads of block 4 (and
      ranges over it) decode from live members instead of recovering,
@@ -1063,6 +1187,19 @@ let () =
             test_concurrent_writers_abort_or_serialize;
           Alcotest.test_case "idle coordinator writes on the fast path"
             `Quick test_idle_coordinator_writes_fast;
+        ] );
+      ( "order-elision",
+        [
+          Alcotest.test_case "repeat write-stripe elides order" `Quick
+            test_repeat_write_stripe_elides;
+          Alcotest.test_case "write-block keeps Order&Read" `Quick
+            test_block_write_never_elides;
+          Alcotest.test_case "1-of-3 never elides" `Quick
+            test_replication_never_elides;
+          Alcotest.test_case "crash empties the cache" `Quick
+            test_crash_empties_cache;
+          Alcotest.test_case "mc cache shared across domains" `Quick
+            test_cache_shared_across_domains;
         ] );
       ( "degraded-reads",
         [
