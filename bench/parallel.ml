@@ -36,6 +36,8 @@ type run_result = {
       (* minor-heap words allocated per completed op on the worker
          domain; meaningful (and only measured) at domains = 1, where
          every protocol task runs on that one domain. *)
+  sched : float * float * float;
+      (* runtime.sched.{resumed,parks,wakeups}, summed over workers *)
 }
 
 (* Read [Gc.minor_words] from inside the pool: spawned as a task so the
@@ -84,6 +86,10 @@ let run_one ~domains ~clients ~ops ~block_size =
   let elapsed = Runtime.now rt -. started in
   let words1 = if domains = 1 then probe_minor_words rt else 0. in
   Core.Cluster.shutdown cluster;
+  let counter name =
+    Metrics.Counter.value
+      (Metrics.Registry.counter cluster.Core.Cluster.metrics ("runtime.sched." ^ name))
+  in
   let total field = Array.fold_left (fun acc s -> acc + field s) 0 stats in
   let ops_done = total (fun s -> s.Workload.Client.ops) in
   let lat =
@@ -104,6 +110,7 @@ let run_one ~domains ~clients ~ops ~block_size =
       (if domains = 1 && ops_done > 0 then
          (words1 -. words0) /. float_of_int ops_done
        else 0.);
+    sched = (counter "resumed", counter "parks", counter "wakeups");
   }
 
 let pct r p =
@@ -390,17 +397,22 @@ let run () =
       (if hw = 1 then "" else "s");
   let results = List.map (fun d -> run_one ~domains:d ~clients ~ops ~block_size) sweep in
   let base = List.hd results in
-  Printf.printf "  %-8s | %10s | %12s | %10s | %10s | %8s\n" "domains"
-    "ops done" "ops/sec" "p50 (ms)" "p99 (ms)" "speedup";
-  Printf.printf "  %s\n" (String.make 72 '-');
+  Printf.printf "  %-8s | %10s | %12s | %10s | %10s | %8s | %10s | %8s | %8s\n"
+    "domains" "ops done" "ops/sec" "p50 (ms)" "p99 (ms)" "speedup"
+    "resumed/op" "parks" "wakeups";
+  Printf.printf "  %s\n" (String.make 107 '-');
   List.iter
     (fun r ->
-      Printf.printf "  %-8d | %10d | %12.0f | %10.3f | %10.3f | %7.2fx\n"
+      let resumed, parks, wakeups = r.sched in
+      Printf.printf
+        "  %-8d | %10d | %12.0f | %10.3f | %10.3f | %7.2fx | %10.1f | %8.0f | %8.0f\n"
         r.domains r.ops_done r.ops_per_sec
         (pct r 50. *. 1e3)
         (pct r 99. *. 1e3)
         (if base.ops_per_sec > 0. then r.ops_per_sec /. base.ops_per_sec
-         else 0.))
+         else 0.)
+        (resumed /. float_of_int (max 1 r.ops_done))
+        parks wakeups)
     results;
   Printf.printf "  gc: %.0f minor words per op (1-domain run)\n"
     base.minor_words_per_op;
@@ -512,6 +524,13 @@ let run () =
                      (if base.ops_per_sec > 0. then
                         r.ops_per_sec /. base.ops_per_sec
                       else 0.);
+                 ]
+                 @
+                 let resumed, parks, wakeups = r.sched in
+                 [
+                   num "sched_resumed" resumed;
+                   num "sched_parks" parks;
+                   num "sched_wakeups" wakeups;
                  ] ))
              results
         @ List.map

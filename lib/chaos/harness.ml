@@ -407,7 +407,7 @@ let run ?(backend = Sim) ?(m = 2) ?(n = 5) ?(stripes = 4) ?(clients = 3)
           (if quiesced then 0
            else begin
              (* A pool that failed to quiesce cannot be shut down
-                (reaping would hang on the stuck slot thread); leak it
+                (its domain would wait on the stuck fiber); leak it
                 loudly and let [stuck] fail the run. *)
              Printf.eprintf
                "chaos: harness: mc pool failed to quiesce (plan %s seed \

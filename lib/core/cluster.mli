@@ -138,8 +138,7 @@ val try_quiesce : ?timeout:float -> t -> bool
 (** {!await_quiesce} with an optional wall-clock bound (mc only; the
     sim engine always quiesces). Returns [false] if tasks are still
     live at the timeout — a stuck operation. Do not {!shutdown} after
-    a [false] return: reaping a pool with a stuck slot thread blocks
-    forever. *)
+    a [false] return: a domain waits for its stuck fiber forever. *)
 
 val shutdown : t -> unit
 (** Release backend resources. Multicore: close every brick mailbox,

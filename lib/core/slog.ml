@@ -32,9 +32,25 @@ let checksum = function
 let intact e = e.sum = checksum e.block
 let fresh block = { block; sum = checksum block }
 
+(* One all-zero block per block size, shared by every log: [nil] is
+   never mutated ([corrupt_newest] flips a copy), so a log need not own
+   it. The map is immutable behind one atomic, safe across domains. *)
+module Sizes = Map.Make (Int)
+
+let zeroes = Atomic.make Sizes.empty
+
+let rec zero_block n =
+  let m = Atomic.get zeroes in
+  match Sizes.find_opt n m with
+  | Some b -> b
+  | None ->
+      let b = Bytes.make n '\000' in
+      if Atomic.compare_and_set zeroes m (Sizes.add n b m) then b
+      else zero_block n
+
 let create ~block_size =
   if block_size <= 0 then invalid_arg "Core.Slog.create: block_size <= 0";
-  let nil = Bytes.make block_size '\000' in
+  let nil = zero_block block_size in
   {
     block_size;
     nil;

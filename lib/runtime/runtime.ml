@@ -7,11 +7,11 @@
    discrete-event engine (lib/dessim) and is the reproducible oracle;
    Runtime_mc runs tasks on OCaml 5 domains against the real clock.
 
-   Thread-safety contract: on the sim backend everything runs in one
-   thread, so no synchronization is needed but none hurts; on the mc
-   backend gate operations, mailboxes and ivars are safe to call from
-   any domain. Code that must work on both backends therefore uses the
-   structures in this module rather than rolling its own. *)
+   Contract: on the sim backend everything runs in one thread; on mc
+   gates, mailboxes and ivars are safe from any domain. On both, tasks
+   are fibers that block only through this module (gate, sleep, ivar,
+   mailbox, all, yield): a raw condvar wait, a busy-wait or a mutex
+   held across a suspension stalls a whole mc domain. *)
 
 exception Cancelled
 (* Raised inside a task whose pending suspension was cancelled (a
@@ -88,10 +88,9 @@ end
    FIFO batch with O(1) [Queue.transfer]s: N queued messages cost N/batch
    lock round-trips on the receive side instead of N, and the drained
    batch is popped with no synchronization at all (single consumer).
-   FIFO per sender holds because a sender task runs on one thread of
-   one domain, hence always appends to the same segment queue, and
-   transfers preserve segment order. Cross-sender interleaving is
-   unspecified (it always was under real concurrency).
+   FIFO per sender holds because a sender task stays on one domain,
+   hence always appends to the same segment queue, and transfers
+   preserve segment order. Cross-sender order is unspecified.
 
    A receiver that finds everything empty parks on a gate and is woken
    by the first send that observes a waiter ([nwaiters] lets the send
@@ -207,13 +206,11 @@ module Mailbox = struct
     check t;
     Mutex.unlock t.lock
 
-  (* Before paying for a park (a fresh gate, waiter bookkeeping, a
-     condvar round-trip on mc), yield and re-sweep this many times: in
-     request/reply ping-pong the sender usually produces the next
-     message within one scheduling quantum, so the yield converts most
-     parks into a thread switch. Uses the runtime's own [yield] —
-     a [Thread.yield] on mc, a deterministic 0-delay reschedule on
-     sim — so both backends keep identical mailbox semantics. *)
+  (* Before paying for a park (a fresh gate, waiter bookkeeping, and
+     a suspend plus resume), yield and re-sweep this many times: in
+     request/reply ping-pong a same-domain sender usually runs within
+     one yield, which saves the fiber switch of a park. The runtime's
+     own [yield] keeps mailbox semantics identical on both backends. *)
   let spin_budget = 2
 
   let recv ?timeout t =
@@ -320,13 +317,11 @@ end
 
 (* Domain-local buffer pools: free lists of [Bytes.t] keyed by exact
    length, one pool per domain ([Domain.DLS]) so acquire/release never
-   contend across domains. Within a domain the pool still takes a
-   (domain-private, hence uncontended) mutex: threads of one domain
-   never run OCaml in parallel, but a systhread switch can land inside
-   a Hashtbl operation. Buffers may be released on a different domain
-   than they were acquired on — they simply migrate to the releasing
-   domain's pool. Contents of an acquired buffer are arbitrary; callers
-   zero what they need. *)
+   contend across domains. The (uncontended) mutex is for the main
+   domain, whose threads (main, timer) a systhread switch can
+   interleave inside a Hashtbl operation; worker fibers never do.
+   A buffer released on another domain migrates to that pool.
+   Contents of an acquired buffer are arbitrary. *)
 module Bufpool = struct
   type cls = { mutable bufs : Bytes.t list; mutable spare : int }
   type pool = { plock : Mutex.t; classes : (int, cls) Hashtbl.t }

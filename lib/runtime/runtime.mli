@@ -10,7 +10,10 @@
 
     Coordinators, replicas, the quorum RPC layer and the workload
     clients are written against this interface, so the same protocol
-    code runs on both backends (DESIGN 4g). *)
+    code runs on both backends (DESIGN 4g). A task is a fiber that
+    blocks only through this module (gate, {!sleep}, ivar, mailbox,
+    {!all}, {!yield}); on mc a raw condvar wait, a busy-wait or a
+    [Mutex] held across a suspension stalls its whole domain. *)
 
 exception Cancelled
 (** Raised inside a task whose pending suspension was cancelled; the
@@ -45,7 +48,7 @@ type t = {
           domain-local self-seeded state. *)
   spawn : (unit -> unit) -> unit;
       (** Start a task. Sim: a fiber, run immediately to its first
-          suspension. Mc: a thread on one of the pool's domains. *)
+          suspension. Mc: a fiber on one of the pool's domains. *)
   yield : unit -> unit;
   timer : delay:float -> (unit -> unit) -> timer;
       (** Run a callback [delay] from now. Callbacks must not block. *)

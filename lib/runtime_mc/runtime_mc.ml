@@ -1,45 +1,32 @@
-(* OCaml 5 multicore backend: a pool of worker domains, each hosting
-   blocking tasks as systhreads, plus one timer thread driving
+(* OCaml 5 multicore backend: a pool of worker domains, each running
+   its tasks as effect-handler fibers, plus one timer thread driving
    wall-clock timers off a select(2) sleep with a self-pipe wakeup.
 
    Scheduling model (DESIGN 4g): [spawn] places the task on a domain
-   chosen round-robin (work sharing); the domain's dispatcher hands it
-   to a parked slot thread (or starts a new one), so a task may block
-   (mailbox recv, gate await, sleep) without stalling its domain — the
-   other threads of that domain keep running, and threads on different
-   domains run in parallel. Within one domain only one thread executes
-   OCaml code at a time; true parallelism equals the domain count.
+   chosen round-robin (work sharing), where it runs as a fiber. A
+   blocked task (mailbox recv, gate await, sleep) suspends its fiber
+   and the domain runs its next queued one: a message between two
+   tasks of one domain costs a queue push and a [continue], with no
+   OS thread switch. Within one domain fibers interleave only at
+   suspension points; true parallelism equals the domain count.
+   Timers live in a hashed wheel (DESIGN 4h, [add_timer]). No
+   determinism and no virtual time: the sim backend remains the
+   oracle, this one reports the hardware. *)
 
-   Hot-path design (DESIGN 4h): timers live in a hashed wheel (256
-   slots x 1ms ticks, O(1) arm/cancel, lazily purged cancellations,
-   batched expiry per sweep); the timer thread publishes how long it
-   intends to sleep so [timer] only writes the self-pipe when the new
-   deadline is earlier; slot threads are reused across tasks instead
-   of paying a Thread.create per spawn.
+type k = (unit, unit) Effect.Deep.continuation
 
-   What this backend does NOT give you: determinism (no seeded
-   schedule, no chooser), virtual time (now() is the wall clock),
-   fault injection (the chaos stack is sim-only), or message delay /
-   drop modelling. The sim backend remains the oracle; this one
-   reports what the hardware actually does. *)
-
-type task = { run : unit -> unit; daemon : bool }
-
-(* A reusable thread: parks on its own condvar between tasks, so a
-   steady-state workload spawns no threads at all. *)
-type slot = {
-  sm : Mutex.t;
-  sc : Condition.t;
-  mutable job : task option;
-  mutable stop : bool;
-}
+(* A run-queue entry: a new task, or a fiber to continue or cancel. *)
+type job = Start of (unit -> unit) * bool (* daemon? *) | Resume of k * bool
 
 type worker = {
-  wq : task Queue.t;
-  wm : Mutex.t;  (* guards wq / widle / nslots *)
-  wc : Condition.t;  (* new task, or a slot parked (reaped at shutdown) *)
-  mutable widle : slot list;
-  mutable nslots : int;  (* slot threads ever started on this worker *)
+  wq : job Queue.t;
+  wm : Mutex.t;  (* guards wq / sleeping / parks / wakeups *)
+  wc : Condition.t;  (* signalled by a push that finds the worker asleep *)
+  mutable sleeping : bool;
+  mutable fibers : int;  (* started, not finished; owned by the domain *)
+  mutable resumed : int;  (* owned by the domain *)
+  mutable parks : int;
+  mutable wakeups : int;
 }
 
 type tev = { at : float; mutable cancelled : bool; tf : unit -> unit }
@@ -75,7 +62,6 @@ type t = {
   t0 : float;
   mutable domains : unit Domain.t list;
   mutable timer_thread : Thread.t option;
-  mutable runtime : Runtime.t option;
 }
 
 let wall () = Unix.gettimeofday ()
@@ -85,96 +71,98 @@ let report_exn where exn =
   Printf.eprintf "runtime_mc: uncaught exception in %s: %s\n%!" where
     (Printexc.to_string exn)
 
-(* ---- worker domains ------------------------------------------------ *)
+(* ---- fibers and worker domains ----------------------------------- *)
 
-let finish_task t task =
-  if not task.daemon then begin
-    Mutex.lock t.lock;
-    t.live <- t.live - 1;
-    if t.live = 0 then Condition.broadcast t.idle;
-    Mutex.unlock t.lock
-  end
+(* This domain's worker; [None] on the main and timer threads. *)
+let current = Domain.DLS.new_key (fun () -> (None : worker option))
 
-let run_task t task =
-  (try task.run () with
-  | Runtime.Cancelled -> ()
-  | exn -> report_exn "task" exn);
-  finish_task t task
+(* Signals only a sleeping worker, so never from the pushing domain. *)
+let push w job =
+  Mutex.lock w.wm;
+  Queue.push job w.wq;
+  if w.sleeping then begin
+    w.sleeping <- false;
+    w.wakeups <- w.wakeups + 1;
+    Condition.signal w.wc
+  end;
+  Mutex.unlock w.wm
 
-(* Run tasks handed over by the dispatcher, parking between them. The
-   broadcast on [w.wc] is what lets the dispatcher's shutdown reap
-   know every slot is back. *)
-let rec slot_loop t w s =
-  Mutex.lock s.sm;
-  while s.job = None && not s.stop do
-    Condition.wait s.sc s.sm
-  done;
-  match s.job with
-  | None -> Mutex.unlock s.sm (* stop *)
-  | Some task ->
-      s.job <- None;
-      Mutex.unlock s.sm;
-      run_task t task;
-      Mutex.lock w.wm;
-      w.widle <- s :: w.widle;
-      Condition.broadcast w.wc;
-      Mutex.unlock w.wm;
-      slot_loop t w s
+(* A waiting fiber resumes on its home worker (mailbox FIFO per sender
+   needs a sender to stay on one domain); a thread uses its condvar. *)
+type waiter = Fiber of worker * k | Thread of Mutex.t * Condition.t
+type gate_state = Empty of waiter list | Opened | Aborted
+type _ Effect.t +=
+  | Suspend : gate_state Atomic.t -> unit Effect.t
+  | Yield : unit Effect.t
 
-let assign s task =
-  Mutex.lock s.sm;
-  s.job <- Some task;
-  Condition.signal s.sc;
-  Mutex.unlock s.sm
+let wake final = function
+  | Fiber (w, k) -> push w (Resume (k, final == Opened))
+  | Thread (m, c) -> Mutex.protect m (fun () -> Condition.broadcast c)
 
-(* Each worker domain loops popping tasks and handing them to a parked
-   slot thread (creating one only when all are busy); the dispatcher
-   itself never blocks on task work, so a burst of spawns is absorbed
-   promptly. On shutdown it drains the queue, waits for every slot to
-   park, and stops them — after which the domain can be joined. *)
+(* Register [wt], or wake it at once if the gate settled first. *)
+let rec add_waiter st wt =
+  match Atomic.get st with
+  | Empty ws as s ->
+      if not (Atomic.compare_and_set st s (Empty (wt :: ws))) then
+        add_waiter st wt
+  | (Opened | Aborted) as final -> wake final wt
+
+(* Runs each queued fiber to its next suspension, one queue batch at a
+   time; a gate await registers the continuation, a yield re-queues
+   it. Sleeps only on an empty queue, and exits once the pool is
+   stopping with the queue empty and none of its fibers alive. *)
 let dispatcher t w =
+  Domain.DLS.set current (Some w);
+  let handler daemon =
+    let finished () =
+      w.fibers <- w.fibers - 1;
+      if not daemon then begin
+        Mutex.lock t.lock;
+        t.live <- t.live - 1;
+        if t.live = 0 then Condition.broadcast t.idle;
+        Mutex.unlock t.lock
+      end
+    in
+    {
+      Effect.Deep.retc = finished;
+      exnc =
+        (fun exn ->
+          (match exn with Runtime.Cancelled -> () | _ -> report_exn "task" exn);
+          finished ());
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Suspend st ->
+              Some (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  add_waiter st (Fiber (w, k)))
+          | Yield -> Some (fun k -> push w (Resume (k, true)))
+          | _ -> None);
+    }
+  in
+  let task_h = handler false and daemon_h = handler true in
+  let run = function
+    | Start (f, daemon) ->
+        w.fibers <- w.fibers + 1;
+        Effect.Deep.match_with f () (if daemon then daemon_h else task_h)
+    | Resume (k, ok) ->
+        w.resumed <- w.resumed + 1;
+        if ok then Effect.Deep.continue k ()
+        else Effect.Deep.discontinue k Runtime.Cancelled
+  in
+  let batch = Queue.create () in
   let rec loop () =
     Mutex.lock w.wm;
-    while Queue.is_empty w.wq && not t.stopping do
+    while Queue.is_empty w.wq && not (t.stopping && w.fibers = 0) do
+      w.sleeping <- true;
+      w.parks <- w.parks + 1;
       Condition.wait w.wc w.wm
     done;
-    if not (Queue.is_empty w.wq) then begin
-      let task = Queue.pop w.wq in
-      match w.widle with
-      | s :: rest ->
-          w.widle <- rest;
-          Mutex.unlock w.wm;
-          assign s task;
-          loop ()
-      | [] ->
-          w.nslots <- w.nslots + 1;
-          Mutex.unlock w.wm;
-          let s =
-            {
-              sm = Mutex.create ();
-              sc = Condition.create ();
-              job = Some task;
-              stop = false;
-            }
-          in
-          ignore (Thread.create (fun () -> slot_loop t w s) ());
-          loop ()
-    end
-    else begin
-      (* stopping: every slot must park before the domain can exit *)
-      while List.length w.widle < w.nslots do
-        Condition.wait w.wc w.wm
-      done;
-      let slots = w.widle in
-      w.widle <- [];
-      Mutex.unlock w.wm;
-      List.iter
-        (fun s ->
-          Mutex.lock s.sm;
-          s.stop <- true;
-          Condition.signal s.sc;
-          Mutex.unlock s.sm)
-        slots
+    w.sleeping <- false;
+    Queue.transfer w.wq batch;
+    Mutex.unlock w.wm;
+    if not (Queue.is_empty batch) then begin
+      while not (Queue.is_empty batch) do run (Queue.pop batch) done;
+      loop ()
     end
   in
   loop ()
@@ -189,11 +177,7 @@ let enqueue t ~daemon f =
      wraps past max_int (fetch_and_add returns min_int there, and
      min_int mod 3 = -1). *)
   let i = Atomic.fetch_and_add t.rr 1 land max_int mod Array.length t.workers in
-  let w = t.workers.(i) in
-  Mutex.lock w.wm;
-  Queue.push { run = f; daemon } w.wq;
-  Condition.signal w.wc;
-  Mutex.unlock w.wm
+  push t.workers.(i) (Start (f, daemon))
 
 let set_spawn_cursor t v = Atomic.set t.rr v
 
@@ -201,14 +185,12 @@ let set_spawn_cursor t v = Atomic.set t.rr v
 
 let wake_byte = Bytes.make 1 '!'
 
-(* Both pipe ends are non-blocking. EAGAIN means the pipe is full — a
-   wakeup is already pending, so dropping the byte is correct (this is
-   what used to raise out of [timer ~delay]). *)
+(* Both pipe ends are non-blocking. EAGAIN (pipe full) means a wakeup
+   is already pending, so dropping the byte is correct. *)
 let rec wake_timer t =
   match Unix.write t.pipe_w wake_byte 0 1 with
   | _ -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> wake_timer t
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error _ -> ()
 
 (* Only the timer thread reads the pipe, so one static buffer is safe. *)
@@ -220,8 +202,7 @@ let drain_pipe t =
     | 0 -> ()
     | _ -> go () (* keep reading until the pipe is empty *)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
+    | exception Unix.Unix_error _ -> () (* EAGAIN: drained *)
   in
   go ()
 
@@ -332,41 +313,45 @@ let wheel_stats t =
 
 (* ---- gates --------------------------------------------------------- *)
 
-type gate_state = Empty | Opened | Aborted
+let rec settle st final =
+  match Atomic.get st with
+  | Empty ws as s ->
+      if Atomic.compare_and_set st s final then List.iter (wake final) ws
+      else settle st final
+  | Opened | Aborted -> ()
+
+let settled st = match Atomic.get st with Empty _ -> false | _ -> true
+
+(* A fiber suspends; any other thread waits on a condvar of its own. *)
+let await st =
+  match Atomic.get st with
+  | Opened -> ()
+  | Aborted -> raise Runtime.Cancelled
+  | Empty _ when Option.is_some (Domain.DLS.get current) ->
+      Effect.perform (Suspend st)
+  | Empty _ ->
+      let m = Mutex.create () and c = Condition.create () in
+      add_waiter st (Thread (m, c));
+      Mutex.protect m (fun () ->
+          while not (settled st) do Condition.wait c m done);
+      if Atomic.get st == Aborted then raise Runtime.Cancelled
 
 let gate () =
-  let m = Mutex.create () in
-  let c = Condition.create () in
-  let state = ref Empty in
-  let settle s =
-    Mutex.lock m;
-    if !state = Empty then state := s;
-    Condition.broadcast c;
-    Mutex.unlock m
-  in
+  let st = Atomic.make (Empty []) in
   {
-    Runtime.await =
-      (fun () ->
-        Mutex.lock m;
-        while !state = Empty do
-          Condition.wait c m
-        done;
-        let s = !state in
-        Mutex.unlock m;
-        if s = Aborted then raise Runtime.Cancelled);
-    open_ = (fun () -> settle Opened);
-    abort = (fun () -> settle Aborted);
-    live =
-      (fun () ->
-        Mutex.lock m;
-        let l = !state = Empty in
-        Mutex.unlock m;
-        l);
+    Runtime.await = (fun () -> await st);
+    open_ = (fun () -> settle st Opened);
+    abort = (fun () -> settle st Aborted);
+    live = (fun () -> not (settled st));
   }
+
+let yield () =
+  if Option.is_some (Domain.DLS.get current) then Effect.perform Yield
+  else Thread.yield ()
 
 (* ---- pool construction / lifecycle -------------------------------- *)
 
-(* Domain-local rng: threads of one domain never run concurrently, so
+(* Domain-local rng: fibers of one domain never run concurrently, so
    an unsynchronized per-domain state is race-free; cross-domain each
    has its own. No determinism is promised on this backend. *)
 let rng_key = Domain.DLS.new_key (fun () -> Random.State.make_self_init ())
@@ -374,7 +359,19 @@ let rng_key = Domain.DLS.new_key (fun () -> Random.State.make_self_init ())
 let hw_cores () = Domain.recommended_domain_count ()
 
 let runtime t =
-  match t.runtime with Some rt -> rt | None -> assert false
+  let rec rt =
+    {
+      Runtime.name = "mc";
+      now = (fun () -> now t);
+      rng = (fun () -> Domain.DLS.get rng_key);
+      spawn = (fun f -> enqueue t ~daemon:false f);
+      yield;
+      timer = (fun ~delay f -> add_timer t ~delay f);
+      gate;
+      all = (fun window thunks -> Runtime.all_generic rt window thunks);
+    }
+  in
+  rt
 
 let create ?(domains = 1) () =
   if domains < 1 then invalid_arg "Runtime_mc.create: domains < 1";
@@ -389,8 +386,9 @@ let create ?(domains = 1) () =
               wq = Queue.create ();
               wm = Mutex.create ();
               wc = Condition.create ();
-              widle = [];
-              nslots = 0;
+              sleeping = false;
+              fibers = 0;
+              resumed = 0; parks = 0; wakeups = 0;
             });
       rr = Atomic.make 0;
       lock = Mutex.create ();
@@ -411,26 +409,12 @@ let create ?(domains = 1) () =
       t0 = wall ();
       domains = [];
       timer_thread = None;
-      runtime = None;
     }
   in
   t.domains <-
     Array.to_list
       (Array.map (fun w -> Domain.spawn (fun () -> dispatcher t w)) t.workers);
   t.timer_thread <- Some (Thread.create (fun () -> timer_loop t) ());
-  let rec rt =
-    {
-      Runtime.name = "mc";
-      now = (fun () -> now t);
-      rng = (fun () -> Domain.DLS.get rng_key);
-      spawn = (fun f -> enqueue t ~daemon:false f);
-      yield = Thread.yield;
-      timer = (fun ~delay f -> add_timer t ~delay f);
-      gate;
-      all = (fun window thunks -> Runtime.all_generic rt window thunks);
-    }
-  in
-  t.runtime <- Some rt;
   t
 
 let spawn_daemon t f = enqueue t ~daemon:true f
@@ -466,8 +450,7 @@ let try_await_idle t ~timeout =
 
 (* Stop dispatchers and the timer thread, then join the domains. The
    caller must first unblock its daemon tasks (close their mailboxes):
-   a dispatcher only reaps its slots — and its domain only terminates —
-   once every slot thread has parked. *)
+   a domain only terminates once every fiber it started has finished. *)
 let shutdown t =
   Mutex.lock t.lock;
   if t.stopping then Mutex.unlock t.lock
@@ -487,3 +470,11 @@ let shutdown t =
     (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
     try Unix.close t.pipe_w with Unix.Unix_error _ -> ()
   end
+
+type sched_stats = { resumed : int; parks : int; wakeups : int }
+
+let sched_stats t =
+  Array.map
+    (fun (w : worker) ->
+      { resumed = w.resumed; parks = w.parks; wakeups = w.wakeups })
+    t.workers

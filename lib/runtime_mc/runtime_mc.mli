@@ -1,11 +1,14 @@
-(** OCaml 5 multicore runtime backend: a pool of worker domains with a
-    work-sharing dispatcher (tasks run on reusable slot threads of
-    their domain, so they may block without stalling it), wall-clock
-    timers in a hashed wheel driven by a dedicated select(2) thread,
-    and mutex+condvar gates (DESIGN 4g, hot paths 4h).
+(** OCaml 5 multicore runtime backend: worker domains that run tasks
+    as effect-handler fibers (work-sharing spawn), wall-clock timers in
+    a hashed wheel driven by a select(2) thread, and gates whose state
+    is one atomic (DESIGN 4g, hot paths 4h).
 
-    Gives real parallelism; gives up determinism, virtual time, and
-    fault injection — the sim backend stays the oracle for those. *)
+    Blocking contract: a task blocks only through runtime primitives
+    (gate, sleep, ivar, [Mailbox.recv], [all], [yield]). A raw condvar
+    wait or busy-wait stalls its whole domain, as does a [Mutex] held
+    across a suspension (a same-domain relock raises [Sys_error]).
+    Threads outside the pool await gates on a condvar of their own.
+    No determinism or virtual time: the sim backend is the oracle. *)
 
 type t
 (** A running pool of worker domains. *)
@@ -29,13 +32,13 @@ val try_await_idle : t -> timeout:float -> bool
 (** Like {!await_idle} but gives up after [timeout] wall-clock
     seconds, returning [false] with tasks still live. Used by the
     chaos harness: a stuck task must fail the soak, not hang it. Do
-    not call {!shutdown} after a [false] return — reaping a pool with
-    a stuck slot thread blocks forever; report and exit instead. *)
+    not call {!shutdown} after a [false] return — a domain waits for
+    its stuck fiber forever; report and exit instead. *)
 
 val shutdown : t -> unit
 (** Stop dispatchers and the timer thread and join the domains.
     Unblock daemon tasks first (close their mailboxes) — a domain only
-    terminates once all its threads have. Idempotent. *)
+    terminates once all its fibers have. Idempotent. *)
 
 val now : t -> float
 (** Wall-clock seconds since {!create}. *)
@@ -57,3 +60,9 @@ type wheel_stats = {
 val wheel_stats : t -> wheel_stats
 (** Timer-wheel counters since {!create}; the mc cluster materializes
     them as [runtime.wheel.*] metrics at shutdown. *)
+
+type sched_stats = { resumed : int; parks : int; wakeups : int }
+(** Per worker since {!create}, exact after {!shutdown}: fibers
+    resumed, idle parks, wake-ups pushed from another thread. *)
+
+val sched_stats : t -> sched_stats array

@@ -434,6 +434,98 @@ let test_mc_spawn_cursor_wrap () =
   Alcotest.(check int) "all tasks ran across the wrap" 64 (Atomic.get ran)
 
 (* ------------------------------------------------------------------ *)
+(* mc scheduler: tasks are fibers, blocking never costs a thread       *)
+(* ------------------------------------------------------------------ *)
+
+let with_pool ~domains f =
+  let pool = Runtime_mc.create ~domains () in
+  Fun.protect ~finally:(fun () -> Runtime_mc.shutdown pool) @@ fun () ->
+  f pool (Runtime_mc.runtime pool)
+
+let os_threads () = Array.length (Sys.readdir "/proc/self/task")
+
+(* Spin the calling (non-pool) thread until [cond] holds. *)
+let wait_until cond =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  Alcotest.(check bool) "condition reached" true (cond ())
+
+let test_mc_blocked_tasks_start_no_thread () =
+  if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
+  with_pool ~domains:1 @@ fun pool rt ->
+  (* One task first, so the worker domain is fully up before counting. *)
+  Runtime.spawn rt ignore;
+  Runtime_mc.await_idle pool;
+  let before = os_threads () in
+  let g = rt.Runtime.gate () in
+  let blocked = Atomic.make 0 and woke = Atomic.make 0 in
+  for _ = 1 to 1000 do
+    Runtime.spawn rt (fun () ->
+        Atomic.incr blocked;
+        g.Runtime.await ();
+        Atomic.incr woke)
+  done;
+  (* Opened even on failure: shutdown waits for every fiber. *)
+  Fun.protect ~finally:g.Runtime.open_ (fun () ->
+      wait_until (fun () -> Atomic.get blocked = 1000);
+      (* At most: threads of an earlier test's pool may still be exiting. *)
+      let after = os_threads () in
+      Alcotest.(check bool)
+        (Printf.sprintf "no OS thread per blocked task (%d -> %d)" before after)
+        true (after <= before));
+  Runtime_mc.await_idle pool;
+  Alcotest.(check int) "every task woke" 1000 (Atomic.get woke)
+
+let test_mc_ivar_across_pool_boundary () =
+  with_pool ~domains:1 @@ fun pool rt ->
+  let iv = Runtime.Ivar.create rt in
+  Runtime.spawn rt (fun () -> Runtime.Ivar.fill iv 41);
+  Alcotest.(check int) "main thread awaits a task's fill" 41
+    (Runtime.Ivar.await iv);
+  let back = Runtime.Ivar.create rt and got = ref 0 in
+  Runtime.spawn rt (fun () -> got := Runtime.Ivar.await back + 1);
+  Runtime.Ivar.fill back 41;
+  Runtime_mc.await_idle pool;
+  Alcotest.(check int) "task awaits the main thread's fill" 42 !got
+
+let test_mc_yield_lets_peer_run () =
+  with_pool ~domains:1 @@ fun pool rt ->
+  let flag = Atomic.make false and spins = ref 0 in
+  Runtime.spawn rt (fun () ->
+      while not (Atomic.get flag) do
+        incr spins;
+        Runtime.yield rt
+      done);
+  Runtime.spawn rt (fun () -> Atomic.set flag true);
+  Runtime_mc.await_idle pool;
+  Alcotest.(check bool) "spinner saw the peer's write" true (!spins >= 1)
+
+let test_mc_abort_runs_handlers () =
+  with_pool ~domains:1 @@ fun pool rt ->
+  let g = rt.Runtime.gate () in
+  let parked = Atomic.make false in
+  let caught = ref false and finalized = ref false and after = ref false in
+  Runtime.spawn rt (fun () ->
+      Fun.protect
+        ~finally:(fun () -> finalized := true)
+        (fun () ->
+          try
+            Atomic.set parked true;
+            g.Runtime.await ();
+            after := true
+          with Runtime.Cancelled ->
+            caught := true;
+            raise Runtime.Cancelled));
+  Fun.protect ~finally:g.Runtime.abort (fun () ->
+      wait_until (fun () -> Atomic.get parked));
+  Runtime_mc.await_idle pool;
+  Alcotest.(check bool) "Cancelled raised at the await" true !caught;
+  Alcotest.(check bool) "finally ran" true !finalized;
+  Alcotest.(check bool) "never resumed normally" false !after
+
+(* ------------------------------------------------------------------ *)
 (* Multicore soak: 4 domains, one register, strict linearizability     *)
 (* ------------------------------------------------------------------ *)
 
@@ -570,6 +662,17 @@ let () =
             test_mc_mailbox_close_race;
           Alcotest.test_case "spawn cursor wraps past max_int" `Quick
             test_mc_spawn_cursor_wrap;
+        ] );
+      ( "mc scheduler",
+        [
+          Alcotest.test_case "1000 blocked tasks start no OS thread" `Quick
+            test_mc_blocked_tasks_start_no_thread;
+          Alcotest.test_case "ivar across the pool boundary" `Quick
+            test_mc_ivar_across_pool_boundary;
+          Alcotest.test_case "yield lets a same-domain task run" `Quick
+            test_mc_yield_lets_peer_run;
+          Alcotest.test_case "abort runs a suspended fiber's handlers" `Quick
+            test_mc_abort_runs_handlers;
         ] );
       ( "multicore soak",
         [

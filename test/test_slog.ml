@@ -17,6 +17,34 @@ let test_initial_state () =
     (Bytes.for_all (fun c -> c = '\000') mb);
   Alcotest.(check int) "block size" bs (Slog.block_size l)
 
+let zeroes b = Bytes.for_all (fun c -> c = '\000') b
+
+(* Every log of one block size shares one immutable all-zero block. *)
+let test_nil_shared () =
+  let a = Slog.create ~block_size:bs and b = Slog.create ~block_size:bs in
+  Alcotest.(check bool) "same block" true
+    (snd (Slog.max_block a) == snd (Slog.max_block b));
+  let other = Slog.create ~block_size:(2 * bs) in
+  Alcotest.(check int) "own size" (2 * bs) (Bytes.length (snd (Slog.max_block other)))
+
+let test_nil_reads_zero_after_writes () =
+  let a = Slog.create ~block_size:bs in
+  Slog.add a (ts 1) (Some (blk 'x'));
+  ignore (Slog.gc a ~before:(ts 1));
+  let fresh = Slog.create ~block_size:bs in
+  let mts, mb = Slog.max_block fresh in
+  Alcotest.(check bool) "at Low" true (Ts.equal mts Ts.low);
+  Alcotest.(check bool) "unwritten log reads zeroes" true (zeroes mb)
+
+let test_corrupt_unwritten_keeps_nil () =
+  let a = Slog.create ~block_size:bs in
+  let shared = snd (Slog.max_block a) in
+  Slog.corrupt_newest a;
+  Alcotest.(check bool) "log sees the flip" false (zeroes (snd (Slog.max_block a)));
+  Alcotest.(check bool) "shared block still zero" true (zeroes shared);
+  Alcotest.(check bool) "fresh log reads zeroes" true
+    (zeroes (snd (Slog.max_block (Slog.create ~block_size:bs))))
+
 let test_add_and_queries () =
   let l = Slog.create ~block_size:bs in
   Slog.add l (ts 5) (Some (blk 'a'));
@@ -501,6 +529,11 @@ let () =
       ( "queries",
         [
           Alcotest.test_case "initial state" `Quick test_initial_state;
+          Alcotest.test_case "nil block shared" `Quick test_nil_shared;
+          Alcotest.test_case "unwritten log reads zeroes" `Quick
+            test_nil_reads_zero_after_writes;
+          Alcotest.test_case "corrupt_newest keeps the shared nil" `Quick
+            test_corrupt_unwritten_keeps_nil;
           Alcotest.test_case "add and queries" `Quick test_add_and_queries;
           Alcotest.test_case "marker as newest" `Quick test_marker_as_newest;
           Alcotest.test_case "max_below plain" `Quick test_max_below_plain;
