@@ -37,11 +37,7 @@ let abort_rate ~clients ~stripes ~skew ~seed =
     Cluster.spawn ~coord cl (fun c ->
         for i = 0 to ops_per_client - 1 do
           (* Random think time so operations interleave. *)
-          Dessim.Fiber.suspend (fun r ->
-              ignore
-                (Dessim.Engine.schedule cl.Cluster.engine
-                   ~delay:(Random.State.float rng 20.)
-                   (fun () -> Dessim.Fiber.resume r ())));
+          Runtime.sleep cl.Cluster.runtime (Random.State.float rng 20.);
           let stripe = Random.State.int rng stripes in
           let outcome =
             if i mod 2 = 0 then

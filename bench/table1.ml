@@ -123,11 +123,11 @@ let run_for ~m ~n =
   let measure_ls f =
     let before = L.snapshot t in
     let latency = ref nan in
-    Dessim.Fiber.spawn (fun () ->
-        let t0 = Dessim.Engine.now (L.engine t) in
-        ignore (f ());
-        latency := Dessim.Engine.now (L.engine t) -. t0);
-    L.run t;
+    ignore
+      (L.run_op t (fun () ->
+           let t0 = Dessim.Engine.now (L.engine t) in
+           ignore (f ());
+           latency := Dessim.Engine.now (L.engine t) -. t0));
     let after = L.snapshot t in
     let d name = Metrics.Snapshot.get after name -. Metrics.Snapshot.get before name in
     {

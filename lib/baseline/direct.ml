@@ -11,6 +11,7 @@ let bytes_on_wire = function
 
 type t = {
   engine : Dessim.Engine.t;
+  runtime : Runtime.t;
   rpc : (msg, msg) Quorum.Rpc.t;
   bricks : Brick.t array;
   codec : Erasure.Codec.t;
@@ -44,7 +45,7 @@ let create ?(seed = 42) ?(block_size = 1024) ~m ~n () =
   in
   let bricks = Array.init n (fun id -> Brick.create ~metrics runtime ~id) in
   let stores = Array.init n (fun _ -> Hashtbl.create 16) in
-  let t = { engine; rpc; bricks; codec; stores; m; n; block_size } in
+  let t = { engine; runtime; rpc; bricks; codec; stores; m; n; block_size } in
   Array.iteri
     (fun i _ ->
       Quorum.Rpc.serve rpc ~addr:i (fun ~src:_ ~ctx:_ msg ->
@@ -122,6 +123,6 @@ let run ?(horizon = 10_000.) t =
 
 let run_op ?horizon t f =
   let result = ref None in
-  Dessim.Fiber.spawn (fun () -> result := Some (f ()));
+  Runtime.spawn t.runtime (fun () -> result := Some (f ()));
   run ?horizon t;
   !result

@@ -18,6 +18,7 @@ type replica_reg = { mutable value : Bytes.t; mutable ts : Ts.t }
 
 type t = {
   engine : Dessim.Engine.t;
+  runtime : Runtime.t;
   metrics : Metrics.Registry.t;
   rpc : (msg, msg) Quorum.Rpc.t;
   bricks : Brick.t array;
@@ -95,6 +96,7 @@ let create ?(seed = 42) ?(net_config = Simnet.Net.default_config)
   let t =
     {
       engine;
+      runtime;
       metrics;
       rpc;
       bricks;
@@ -163,7 +165,7 @@ let run ?(horizon = 100_000.) t =
 
 let run_op ?horizon t f =
   let result = ref None in
-  Dessim.Fiber.spawn (fun () -> result := Some (f ()));
+  Runtime.spawn t.runtime (fun () -> result := Some (f ()));
   run ?horizon t;
   !result
 

@@ -2,9 +2,10 @@
     Algorithm 1 (stripe access) and Algorithm 3 (block access).
 
     Any brick can coordinate any operation; the designation is
-    per-operation. All operations must run inside a {!Dessim.Fiber} —
-    they suspend on quorum replies. If the coordinator brick crashes
-    mid-operation the fiber is cancelled and the operation becomes a
+    per-operation. All operations must run inside a runtime task
+    ({!Runtime.spawn}) — they suspend on quorum replies. If the
+    coordinator brick crashes mid-operation the task is cancelled
+    ({!Runtime.Cancelled}) and the operation becomes a
     partial operation, whose fate (roll forward or roll back) the next
     read's recovery decides, per the paper's strict linearizability.
 

@@ -1,11 +1,13 @@
 (* The runtime abstraction the protocol layers program against.
 
-   A backend provides time, task spawning and one-shot gates; every
-   higher-level blocking structure (sleep, ivars, mailboxes, the
-   scatter-gather join) is built here, once, on top of those three.
-   Two backends exist: Runtime_sim wraps the deterministic
-   discrete-event engine (lib/dessim) and is the reproducible oracle;
-   Runtime_mc runs tasks on OCaml 5 domains against the real clock.
+   A backend provides time and a scheduler for tasks; the task
+   machinery itself -- the Suspend/Yield effects, the one-shot gate,
+   and every blocking structure built on it (sleep, ivars, mailboxes,
+   the scatter-gather join) -- is defined here, once. Two backends
+   exist: Runtime_sim wraps the deterministic discrete-event engine
+   (lib/dessim) and is the reproducible oracle; Runtime_mc runs tasks
+   on OCaml 5 domains against the real clock. They differ only in the
+   effect handler they install (see [Task]).
 
    Contract: on the sim backend everything runs in one thread; on mc
    gates, mailboxes and ivars are safe from any domain. On both, tasks
@@ -15,9 +17,7 @@
 
 exception Cancelled
 (* Raised inside a task whose pending suspension was cancelled (a
-   coordinator crash tearing down its quorum calls). The sim backend
-   rebinds Dessim.Fiber.Cancelled to this same constructor, so a
-   single handler catches both worlds. *)
+   coordinator crash tearing down its quorum calls). *)
 
 (* Assertion mode: FAB_RUNTIME_DEBUG=1 turns on mailbox and gate
    invariant checks on every operation (used by @parallel-smoke). *)
@@ -40,20 +40,111 @@ type t = {
   now : unit -> float;
   rng : unit -> Random.State.t;
   spawn : (unit -> unit) -> unit;
-  yield : unit -> unit;
   timer : delay:float -> (unit -> unit) -> timer;
   gate : unit -> gate;
-  all : 'a. int option -> (unit -> 'a) list -> 'a list;
 }
+
+(* Tasks are effect-handler fibers. A task blocks by performing
+   [Suspend] on a gate's state: the backend's handler registers the
+   captured continuation as a waiter, and whoever settles the gate
+   hands it back to the backend's [resume] (sim: continue it inline,
+   inside the opener; mc: push it to its home worker's run queue).
+   [Yield] hands the continuation to [requeue] (sim: a 0-delay engine
+   event; mc: the back of the worker's queue). A thread outside any
+   task has no handler, so its [Suspend] raises [Effect.Unhandled]:
+   on mc it then waits on a condvar of its own, on sim (one thread,
+   nobody left to open the gate) the await fails. *)
+module Task = struct
+  type k = (unit, unit) Effect.Deep.continuation
+  type sched = { resume : k -> bool -> unit; requeue : k -> unit }
+  type waiter = Task of sched * k | Thread of Mutex.t * Condition.t
+
+  (* One atomic per gate: opening and aborting race by CAS, and the
+     waiters registered before the winning CAS are woken by it. More
+     than one task may wait (mc Cluster.recover parks two on one exit
+     gate); they wake most recent first. *)
+  type state = Empty of waiter list | Opened | Aborted
+
+  type _ Effect.t +=
+    | Suspend : state Atomic.t -> unit Effect.t
+    | Yield : unit Effect.t
+
+  let continue k opened =
+    if opened then Effect.Deep.continue k ()
+    else Effect.Deep.discontinue k Cancelled
+
+  let wake final = function
+    | Task (s, k) -> s.resume k (final == Opened)
+    | Thread (m, c) -> Mutex.protect m (fun () -> Condition.broadcast c)
+
+  (* Register [w], or wake it at once if the gate settled first. *)
+  let rec add_waiter st w =
+    match Atomic.get st with
+    | Empty ws as s ->
+        if not (Atomic.compare_and_set st s (Empty (w :: ws))) then
+          add_waiter st w
+    | (Opened | Aborted) as final -> wake final w
+
+  let rec settle st final =
+    match Atomic.get st with
+    | Empty ws as s ->
+        if Atomic.compare_and_set st s final then List.iter (wake final) ws
+        else settle st final
+    | Opened | Aborted -> ()
+
+  let settled st = match Atomic.get st with Empty _ -> false | _ -> true
+
+  let await ~threads st =
+    match Atomic.get st with
+    | Opened -> ()
+    | Aborted -> raise Cancelled
+    | Empty _ -> (
+        match Effect.perform (Suspend st) with
+        | () -> ()
+        | exception Effect.Unhandled _ ->
+            if not threads then
+              invalid_arg "Runtime: gate awaited outside a task";
+            let m = Mutex.create () and c = Condition.create () in
+            add_waiter st (Thread (m, c));
+            Mutex.protect m (fun () ->
+                while not (settled st) do Condition.wait c m done);
+            if Atomic.get st == Aborted then raise Cancelled)
+
+  let gate ~threads () =
+    let st = Atomic.make (Empty []) in
+    {
+      await = (fun () -> await ~threads st);
+      open_ = (fun () -> settle st Opened);
+      abort = (fun () -> settle st Aborted);
+      live = (fun () -> not (settled st));
+    }
+
+  let handler s ~retc ~exnc =
+    {
+      Effect.Deep.retc;
+      exnc;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Suspend st ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  add_waiter st (Task (s, k)))
+          | Yield -> Some (fun k -> s.requeue k)
+          | _ -> None);
+    }
+end
 
 let name t = t.name
 let now t = t.now ()
 let rng t = t.rng ()
 let spawn t f = t.spawn f
-let yield t = t.yield ()
 let timer t ~delay f = t.timer ~delay f
 let cancel (tm : timer) = tm.tcancel ()
-let all t ?window thunks = t.all window thunks
+
+(* Outside a task there is no peer to run: return at once. *)
+let yield (_ : t) =
+  try Effect.perform Task.Yield with Effect.Unhandled _ -> ()
 
 let sleep t delay =
   let g = t.gate () in
@@ -234,7 +325,7 @@ module Mailbox = struct
             | None -> false
           then None
           else if spins > 0 then begin
-            t.rt.yield ();
+            yield t.rt;
             loop (spins - 1)
           end
           else begin
@@ -361,15 +452,15 @@ module Bufpool = struct
     Mutex.unlock p.plock
 end
 
-(* Generic scatter-gather join used by the mc backend (the sim backend
-   delegates to Dessim.Fiber.all, whose scheduling the dessim-path
-   tests pin down byte-for-byte). Same contract: launch in input
-   order, at most [window] in flight, next thunk starts as one
-   settles; a cancelled child stops further launches, the rest drain,
-   then Cancelled re-raises in the caller; any other child exception
-   is re-raised in the caller once every child settled. *)
-let all_generic rt window thunks =
-  let window = match window with None -> max_int | Some w -> w in
+(* Scatter-gather join. The next index is taken under the lock and
+   its child spawned at once, so launch order is input order and, on
+   sim (where spawn runs the child inline to its first suspension),
+   each thunk starts exactly when the previous one suspended or
+   finished. A finishing child frees one slot and refills it. The
+   first cancelled or failed child stops further launches; the gate
+   opens when the last launched child settles, and the parent then
+   re-raises Cancelled, else the first other exception. *)
+let all t ?(window = max_int) thunks =
   if window < 1 then invalid_arg "Runtime.all: window < 1";
   match thunks with
   | [] -> []
@@ -378,56 +469,45 @@ let all_generic rt window thunks =
       let n = Array.length thunks in
       let results = Array.make n None in
       let lock = Mutex.create () in
-      let g = rt.gate () in
-      let cancelled = ref false in
-      let failed = ref None in
-      let active = ref 0 in
-      let next = ref 0 in
-      let settled = ref false in
-      let settle_locked () =
-        !active = 0 && (!cancelled || !failed <> None || !next >= n)
+      let g = t.gate () in
+      let cancelled = ref false and failed = ref None in
+      let active = ref 0 and next = ref 0 in
+      let take () =
+        Mutex.protect lock (fun () ->
+            if
+              !active < window && !next < n && (not !cancelled)
+              && !failed = None
+            then begin
+              let i = !next in
+              incr next;
+              incr active;
+              Some i
+            end
+            else None)
       in
-      let rec launch_ready () =
-        Mutex.lock lock;
-        let batch = ref [] in
-        while
-          !active < window && !next < n && (not !cancelled) && !failed = None
-        do
-          batch := !next :: !batch;
-          incr next;
-          incr active
-        done;
-        Mutex.unlock lock;
-        List.iter (fun i -> rt.spawn (fun () -> child i)) (List.rev !batch)
+      let rec launch () =
+        match take () with
+        | Some i ->
+            t.spawn (fun () -> child i);
+            launch ()
+        | None -> ()
       and child i =
-        (match thunks.(i) () with
-        | v ->
-            Mutex.lock lock;
-            results.(i) <- Some v;
-            decr active;
-            Mutex.unlock lock
-        | exception Cancelled ->
-            Mutex.lock lock;
-            cancelled := true;
-            decr active;
-            Mutex.unlock lock
-        | exception e ->
-            Mutex.lock lock;
-            if !failed = None then failed := Some e;
-            decr active;
-            Mutex.unlock lock);
-        launch_ready ();
-        maybe_open ()
-      and maybe_open () =
-        Mutex.lock lock;
-        let fire = settle_locked () && not !settled in
-        if fire then settled := true;
-        Mutex.unlock lock;
-        if fire then g.open_ ()
+        let outcome =
+          match thunks.(i) () with v -> Ok v | exception e -> Error e
+        in
+        let last =
+          Mutex.protect lock (fun () ->
+              decr active;
+              (match outcome with
+              | Ok v -> results.(i) <- Some v
+              | Error Cancelled -> cancelled := true
+              | Error e -> if !failed = None then failed := Some e);
+              !active = 0 && (!cancelled || !failed <> None || !next >= n))
+        in
+        if last then g.open_ () else launch ()
       in
-      launch_ready ();
-      maybe_open ();
+      launch ();
       g.await ();
       if !cancelled then raise Cancelled;
-      (match !failed with Some e -> raise e | None -> ());
+      Option.iter raise !failed;
       Array.to_list (Array.map Option.get results)

@@ -8,6 +8,10 @@
     - [Runtime_mc.create] runs tasks on OCaml 5 domains — wall-clock
       time, real parallelism, no determinism and no virtual time.
 
+    Both run tasks as effect-handler fibers through the one
+    implementation in {!Task}; they differ only in how a woken or
+    yielding task is resumed.
+
     Coordinators, replicas, the quorum RPC layer and the workload
     clients are written against this interface, so the same protocol
     code runs on both backends (DESIGN 4g). A task is a fiber that
@@ -16,9 +20,9 @@
     [Mutex] held across a suspension stalls its whole domain. *)
 
 exception Cancelled
-(** Raised inside a task whose pending suspension was cancelled; the
-    sim backend's [Dessim.Fiber.Cancelled] is rebound to this same
-    constructor, so one handler catches both. *)
+(** Raised inside a task whose pending suspension was cancelled: the
+    gate it awaits was aborted (a coordinator crash tearing down its
+    quorum calls). An escaping [Cancelled] ends a task silently. *)
 
 val debug : bool
 (** True when [FAB_RUNTIME_DEBUG=1]: mailbox/gate invariants are
@@ -26,10 +30,14 @@ val debug : bool
 
 type gate = {
   await : unit -> unit;
-      (** Block the calling task until the gate opens. One waiter per
-          gate. @raise Cancelled if the gate is aborted. *)
+      (** Block the calling task until the gate opens. Any number of
+          tasks may wait on one gate. Outside a task: on mc the
+          calling thread waits on a condvar of its own; on sim
+          nothing could ever open it, so the call fails.
+          @raise Cancelled if the gate is aborted.
+          @raise Invalid_argument outside a task on sim. *)
   open_ : unit -> unit;  (** Open the gate (one-shot; later calls no-op). *)
-  abort : unit -> unit;  (** Cancel the waiter instead of waking it. *)
+  abort : unit -> unit;  (** Cancel the waiters instead of waking them. *)
   live : unit -> bool;  (** Neither opened nor aborted yet. *)
 }
 (** A one-shot suspension point: the primitive every blocking
@@ -48,13 +56,13 @@ type t = {
           domain-local self-seeded state. *)
   spawn : (unit -> unit) -> unit;
       (** Start a task. Sim: a fiber, run immediately to its first
-          suspension. Mc: a fiber on one of the pool's domains. *)
-  yield : unit -> unit;
+          suspension; an exception other than {!Cancelled} escaping it
+          is re-raised to whoever was running it (usually
+          [Dessim.Engine.run]). Mc: a fiber on one of the pool's
+          domains; an escaping exception is reported on stderr. *)
   timer : delay:float -> (unit -> unit) -> timer;
       (** Run a callback [delay] from now. Callbacks must not block. *)
-  gate : unit -> gate;
-  all : 'a. int option -> (unit -> 'a) list -> 'a list;
-      (** Scatter-gather join; see {!all} for the wrapper. *)
+  gate : unit -> gate;  (** A fresh gate, built by {!Task.gate}. *)
 }
 
 val name : t -> string
@@ -62,6 +70,10 @@ val now : t -> float
 val rng : t -> Random.State.t
 val spawn : t -> (unit -> unit) -> unit
 val yield : t -> unit
+(** Let the other ready tasks run before continuing. Sim: the task is
+    re-queued as a 0-delay engine event. Mc: it goes to the back of
+    its worker's run queue. Outside a task it returns at once. *)
+
 val timer : t -> delay:float -> (unit -> unit) -> timer
 val cancel : timer -> unit
 
@@ -70,9 +82,16 @@ val sleep : t -> float -> unit
 
 val all : t -> ?window:int -> (unit -> 'a) list -> 'a list
 (** [all rt ?window thunks] runs every thunk as a child task, at most
-    [window] in flight, launch order = input order, and returns the
-    results in input order. Cancellation semantics match
-    [Dessim.Fiber.all] (to which the sim backend delegates).
+    [window] (default: unbounded) in flight, and returns the results
+    in input order. Launch order is input order; as a child finishes,
+    the next unlaunched thunk starts. Thunks that never suspend need
+    no running scheduler.
+
+    If a child raises, no further thunks are launched and the
+    children already running are left to settle (on a crash they
+    are typically being cancelled too). Once none remain, the parent
+    re-raises: {!Cancelled} if any child was cancelled, else the
+    first exception a child raised.
     @raise Invalid_argument if [window < 1]. *)
 
 (** One-shot write-once cell: fill-before-open publishes the value to
@@ -141,6 +160,35 @@ module Bufpool : sig
   val release : Bytes.t -> unit
 end
 
-val all_generic : t -> int option -> (unit -> 'a) list -> 'a list
-(** The portable join implementation (used by the mc backend; exposed
-    for backends that have no native one). *)
+(** The backend side: the one task implementation both backends
+    install. A task is run under {!handler}; when it blocks on a gate
+    or yields, the handler hands its continuation to the backend's
+    {!sched}. *)
+module Task : sig
+  type k = (unit, unit) Effect.Deep.continuation
+
+  type sched = {
+    resume : k -> bool -> unit;
+        (** Wake a task parked on a gate: [true] when the gate opened,
+            [false] when it was aborted (see {!continue}). Called by
+            whoever settles the gate. *)
+    requeue : k -> unit;  (** Continue a yielding task later. *)
+  }
+
+  val continue : k -> bool -> unit
+  (** [continue k opened] resumes [k] normally, or with {!Cancelled}
+      raised at its await when [opened] is [false]. *)
+
+  val handler :
+    sched ->
+    retc:(unit -> unit) ->
+    exnc:(exn -> unit) ->
+    (unit, unit) Effect.Deep.handler
+  (** The effect handler to run a task under
+      ([Effect.Deep.match_with f () (handler s ~retc ~exnc)]). *)
+
+  val gate : threads:bool -> unit -> gate
+  (** The gate every backend returns from [t.gate]: one atomic state,
+      settled by CAS. [threads] says whether a caller outside any task
+      may wait on a condvar ([true], mc) or must fail ([false], sim). *)
+end

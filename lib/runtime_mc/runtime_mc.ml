@@ -3,9 +3,10 @@
    wall-clock timers off a select(2) sleep with a self-pipe wakeup.
 
    Scheduling model (DESIGN 4g): [spawn] places the task on a domain
-   chosen round-robin (work sharing), where it runs as a fiber. A
-   blocked task (mailbox recv, gate await, sleep) suspends its fiber
-   and the domain runs its next queued one: a message between two
+   chosen round-robin (work sharing), where it runs as a fiber under
+   [Runtime.Task.handler]. A blocked task (mailbox recv, gate await,
+   sleep) suspends its fiber and the domain runs its next queued one;
+   the gate's opener pushes it back to this queue. A message between two
    tasks of one domain costs a queue push and a [continue], with no
    OS thread switch. Within one domain fibers interleave only at
    suspension points; true parallelism equals the domain count.
@@ -13,10 +14,10 @@
    determinism and no virtual time: the sim backend remains the
    oracle, this one reports the hardware. *)
 
-type k = (unit, unit) Effect.Deep.continuation
-
 (* A run-queue entry: a new task, or a fiber to continue or cancel. *)
-type job = Start of (unit -> unit) * bool (* daemon? *) | Resume of k * bool
+type job =
+  | Start of (unit -> unit) * bool (* daemon? *)
+  | Resume of Runtime.Task.k * bool
 
 type worker = {
   wq : job Queue.t;
@@ -73,9 +74,6 @@ let report_exn where exn =
 
 (* ---- fibers and worker domains ----------------------------------- *)
 
-(* This domain's worker; [None] on the main and timer threads. *)
-let current = Domain.DLS.new_key (fun () -> (None : worker option))
-
 (* Signals only a sleeping worker, so never from the pushing domain. *)
 let push w job =
   Mutex.lock w.wm;
@@ -87,32 +85,18 @@ let push w job =
   end;
   Mutex.unlock w.wm
 
-(* A waiting fiber resumes on its home worker (mailbox FIFO per sender
-   needs a sender to stay on one domain); a thread uses its condvar. *)
-type waiter = Fiber of worker * k | Thread of Mutex.t * Condition.t
-type gate_state = Empty of waiter list | Opened | Aborted
-type _ Effect.t +=
-  | Suspend : gate_state Atomic.t -> unit Effect.t
-  | Yield : unit Effect.t
-
-let wake final = function
-  | Fiber (w, k) -> push w (Resume (k, final == Opened))
-  | Thread (m, c) -> Mutex.protect m (fun () -> Condition.broadcast c)
-
-(* Register [wt], or wake it at once if the gate settled first. *)
-let rec add_waiter st wt =
-  match Atomic.get st with
-  | Empty ws as s ->
-      if not (Atomic.compare_and_set st s (Empty (wt :: ws))) then
-        add_waiter st wt
-  | (Opened | Aborted) as final -> wake final wt
-
 (* Runs each queued fiber to its next suspension, one queue batch at a
-   time; a gate await registers the continuation, a yield re-queues
-   it. Sleeps only on an empty queue, and exits once the pool is
+   time. A woken or yielding fiber is pushed back to this, its home
+   worker (mailbox FIFO per sender needs a sender to stay on one
+   domain). Sleeps only on an empty queue, and exits once the pool is
    stopping with the queue empty and none of its fibers alive. *)
 let dispatcher t w =
-  Domain.DLS.set current (Some w);
+  let sched =
+    {
+      Runtime.Task.resume = (fun k opened -> push w (Resume (k, opened)));
+      requeue = (fun k -> push w (Resume (k, true)));
+    }
+  in
   let handler daemon =
     let finished () =
       w.fibers <- w.fibers - 1;
@@ -123,31 +107,18 @@ let dispatcher t w =
         Mutex.unlock t.lock
       end
     in
-    {
-      Effect.Deep.retc = finished;
-      exnc =
-        (fun exn ->
-          (match exn with Runtime.Cancelled -> () | _ -> report_exn "task" exn);
-          finished ());
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend st ->
-              Some (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  add_waiter st (Fiber (w, k)))
-          | Yield -> Some (fun k -> push w (Resume (k, true)))
-          | _ -> None);
-    }
+    Runtime.Task.handler sched ~retc:finished ~exnc:(fun exn ->
+        (match exn with Runtime.Cancelled -> () | _ -> report_exn "task" exn);
+        finished ())
   in
   let task_h = handler false and daemon_h = handler true in
   let run = function
     | Start (f, daemon) ->
         w.fibers <- w.fibers + 1;
         Effect.Deep.match_with f () (if daemon then daemon_h else task_h)
-    | Resume (k, ok) ->
+    | Resume (k, opened) ->
         w.resumed <- w.resumed + 1;
-        if ok then Effect.Deep.continue k ()
-        else Effect.Deep.discontinue k Runtime.Cancelled
+        Runtime.Task.continue k opened
   in
   let batch = Queue.create () in
   let rec loop () =
@@ -311,44 +282,6 @@ let wheel_stats t =
   Mutex.unlock t.tlock;
   s
 
-(* ---- gates --------------------------------------------------------- *)
-
-let rec settle st final =
-  match Atomic.get st with
-  | Empty ws as s ->
-      if Atomic.compare_and_set st s final then List.iter (wake final) ws
-      else settle st final
-  | Opened | Aborted -> ()
-
-let settled st = match Atomic.get st with Empty _ -> false | _ -> true
-
-(* A fiber suspends; any other thread waits on a condvar of its own. *)
-let await st =
-  match Atomic.get st with
-  | Opened -> ()
-  | Aborted -> raise Runtime.Cancelled
-  | Empty _ when Option.is_some (Domain.DLS.get current) ->
-      Effect.perform (Suspend st)
-  | Empty _ ->
-      let m = Mutex.create () and c = Condition.create () in
-      add_waiter st (Thread (m, c));
-      Mutex.protect m (fun () ->
-          while not (settled st) do Condition.wait c m done);
-      if Atomic.get st == Aborted then raise Runtime.Cancelled
-
-let gate () =
-  let st = Atomic.make (Empty []) in
-  {
-    Runtime.await = (fun () -> await st);
-    open_ = (fun () -> settle st Opened);
-    abort = (fun () -> settle st Aborted);
-    live = (fun () -> not (settled st));
-  }
-
-let yield () =
-  if Option.is_some (Domain.DLS.get current) then Effect.perform Yield
-  else Thread.yield ()
-
 (* ---- pool construction / lifecycle -------------------------------- *)
 
 (* Domain-local rng: fibers of one domain never run concurrently, so
@@ -359,19 +292,14 @@ let rng_key = Domain.DLS.new_key (fun () -> Random.State.make_self_init ())
 let hw_cores () = Domain.recommended_domain_count ()
 
 let runtime t =
-  let rec rt =
-    {
-      Runtime.name = "mc";
-      now = (fun () -> now t);
-      rng = (fun () -> Domain.DLS.get rng_key);
-      spawn = (fun f -> enqueue t ~daemon:false f);
-      yield;
-      timer = (fun ~delay f -> add_timer t ~delay f);
-      gate;
-      all = (fun window thunks -> Runtime.all_generic rt window thunks);
-    }
-  in
-  rt
+  {
+    Runtime.name = "mc";
+    now = (fun () -> now t);
+    rng = (fun () -> Domain.DLS.get rng_key);
+    spawn = (fun f -> enqueue t ~daemon:false f);
+    timer = (fun ~delay f -> add_timer t ~delay f);
+    gate = Runtime.Task.gate ~threads:true;
+  }
 
 let create ?(domains = 1) () =
   if domains < 1 then invalid_arg "Runtime_mc.create: domains < 1";

@@ -1,7 +1,9 @@
 (** OCaml 5 multicore runtime backend: worker domains that run tasks
-    as effect-handler fibers (work-sharing spawn), wall-clock timers in
-    a hashed wheel driven by a select(2) thread, and gates whose state
-    is one atomic (DESIGN 4g, hot paths 4h).
+    under {!Runtime.Task.handler} (work-sharing spawn; a woken or
+    yielding task goes back on its home worker's run queue), and
+    wall-clock timers in a hashed wheel driven by a select(2) thread
+    (DESIGN 4g, hot paths 4h). Gates, sleep and the join are the
+    runtime's own.
 
     Blocking contract: a task blocks only through runtime primitives
     (gate, sleep, ivar, [Mailbox.recv], [all], [yield]). A raw condvar

@@ -1,70 +1,34 @@
-(* The deterministic backend: a thin veneer over Dessim. Every
-   closure compiles to exactly the engine/fiber call the protocol
-   layers used to make directly, in the same order, so a ported layer
-   produces byte-identical runs (the dessim-path regression tests pin
-   this down). *)
+(* The deterministic backend: Dessim's engine plus the runtime's task
+   handler. A woken task is continued inline, inside whoever opened
+   its gate, and a yielding task is re-queued as a 0-delay engine
+   event, so a run is a pure function of the engine's seed. *)
 
 module Engine = Dessim.Engine
-module Fiber = Dessim.Fiber
-
-type gate_state =
-  | Empty
-  | Waiting of unit Fiber.resumer
-  | Opened
-  | Aborted
-
-let gate () =
-  let state = ref Empty in
-  {
-    Runtime.await =
-      (fun () ->
-        match !state with
-        | Opened -> ()
-        | Aborted -> raise Runtime.Cancelled
-        | Waiting _ -> invalid_arg "Runtime_sim.gate: double await"
-        | Empty -> Fiber.suspend (fun r -> state := Waiting r));
-    open_ =
-      (fun () ->
-        match !state with
-        | Empty -> state := Opened
-        | Waiting r ->
-            state := Opened;
-            Fiber.resume r ()
-        | Opened | Aborted -> ());
-    abort =
-      (fun () ->
-        match !state with
-        | Empty -> state := Aborted
-        | Waiting r ->
-            state := Aborted;
-            Fiber.cancel r
-        | Opened | Aborted -> ());
-    live =
-      (fun () -> match !state with Empty | Waiting _ -> true | _ -> false);
-  }
 
 let of_engine engine =
+  let sched =
+    {
+      Runtime.Task.resume = Runtime.Task.continue;
+      requeue =
+        (fun k ->
+          ignore
+            (Engine.schedule engine ~delay:0. (fun () ->
+                 Runtime.Task.continue k true)));
+    }
+  in
+  let handler =
+    Runtime.Task.handler sched ~retc:ignore ~exnc:(function
+      | Runtime.Cancelled -> ()
+      | exn -> raise exn)
+  in
   {
     Runtime.name = "sim";
     now = (fun () -> Engine.now engine);
     rng = (fun () -> Engine.rng engine);
-    spawn = Fiber.spawn;
-    yield =
-      (fun () ->
-        Fiber.suspend (fun r ->
-            ignore
-              (Engine.schedule engine ~delay:0. (fun () -> Fiber.resume r ()))));
+    spawn = (fun f -> Effect.Deep.match_with f () handler);
     timer =
       (fun ~delay f ->
         let ev = Engine.schedule engine ~delay f in
         { Runtime.tcancel = (fun () -> Engine.cancel ev) });
-    gate;
-    (* Delegate to the fiber join verbatim: its exact scheduling is
-       what the pipelining tests fixed, and [all_generic] would add a
-       (harmless but pointless) mutex per join. *)
-    all =
-      (fun window thunks ->
-        match window with
-        | None -> Fiber.all thunks
-        | Some w -> Fiber.all ~window:w thunks);
+    gate = Runtime.Task.gate ~threads:false;
   }

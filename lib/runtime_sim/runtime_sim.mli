@@ -4,7 +4,8 @@
     chaos and linearizability harnesses run on. *)
 
 val of_engine : Dessim.Engine.t -> Runtime.t
-(** [of_engine e] is a runtime whose [now]/[rng]/[spawn]/[timer]
-    compile to exactly the corresponding [Dessim] calls; code ported
-    from direct engine use to the runtime produces byte-identical
-    runs. *)
+(** [of_engine e] is a runtime whose [now]/[rng]/[timer] are the
+    engine's. Tasks run under {!Runtime.Task.handler}: [spawn] runs a
+    task inline to its first suspension, a gate's opener continues
+    its waiter inline, and [yield] re-queues the task as a 0-delay
+    event. A gate awaited outside any task raises [Invalid_argument]. *)

@@ -95,8 +95,9 @@ let test_read_completes_partial_write () =
   (* Partial write: replicas 0 and 1 are down exactly while the Put
      messages arrive, so the new value lands only on replica 2; the
      writer then crashes before gathering a majority of acks. *)
-  Dessim.Fiber.spawn (fun () -> ignore (L.write t ~coord:2 ~reg:0 (blk 'p')));
   let eng = L.engine t in
+  Runtime.spawn (Runtime_sim.of_engine eng) (fun () ->
+      ignore (L.write t ~coord:2 ~reg:0 (blk 'p')));
   ignore (Dessim.Engine.schedule eng ~delay:2.5 (fun () -> L.crash t 0; L.crash t 1));
   ignore (Dessim.Engine.schedule eng ~delay:3.5 (fun () ->
       L.crash t 2;  (* the writer dies; its write reached only replica 2 *)

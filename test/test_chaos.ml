@@ -139,12 +139,6 @@ let test_scrub_under_fire () =
   let engine = cl.Cluster.engine in
   let histories = Array.init (stripes * m) (fun _ -> H.create ()) in
   let uid = ref 0 in
-  let sleep delay =
-    Dessim.Fiber.suspend (fun r ->
-        ignore
-          (Dessim.Engine.schedule engine ~delay (fun () ->
-               Dessim.Fiber.resume r ())))
-  in
   (* Stripe logs are created lazily by the first store, so rot that
      races the very first writes may find nothing — like the nemesis,
      treat that as a no-op unless the caller requires a target. *)
@@ -156,9 +150,9 @@ let test_scrub_under_fire () =
   (* Full-stripe writers (no read-modify-write, so corruption cannot
      launder itself into a freshly written version) racing bit rot. *)
   let writer coord rounds =
-    Dessim.Fiber.spawn (fun () ->
+    Runtime.spawn cl.Cluster.runtime (fun () ->
         for _ = 1 to rounds do
-          sleep (10. +. float_of_int (coord * 3));
+          Runtime.sleep cl.Cluster.runtime (10. +. float_of_int (coord * 3));
           incr uid;
           let stripe = !uid mod stripes in
           let values =
@@ -555,10 +549,7 @@ let seeded_fault_run ~seed =
   for coord = 0 to 2 do
     Cluster.spawn ~coord cl (fun c ->
         for k = 1 to 8 do
-          Dessim.Fiber.suspend (fun r ->
-              ignore
-                (Dessim.Engine.schedule engine ~delay:5. (fun () ->
-                     Dessim.Fiber.resume r ())));
+          Runtime.sleep cl.Cluster.runtime 5.;
           let stripe = (coord + k) mod 3 in
           if k mod 2 = 0 then
             ignore (Coordinator.read_stripe c ~stripe)

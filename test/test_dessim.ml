@@ -1,7 +1,6 @@
-(* Tests for the discrete-event engine and fibers. *)
+(* Tests for the discrete-event engine and the sim backend's tasks. *)
 
 module E = Dessim.Engine
-module Fiber = Dessim.Fiber
 
 let test_time_ordering () =
   let e = E.create () in
@@ -125,88 +124,98 @@ let test_determinism () =
   Alcotest.(check bool) "different seed, different trace" true
     (trace 5 <> trace 6)
 
-(* --- fibers --- *)
+(* --- the sim backend's tasks ---
+
+   Runtime_sim runs tasks under the runtime's effect handler: spawn
+   runs a task inline to its first suspension, a gate's opener
+   continues the waiter inline, and an escaping exception reaches
+   whoever was running the task. The schedule of every sim run rests
+   on these. *)
+
+let sim () =
+  let e = E.create () in
+  (e, Runtime_sim.of_engine e)
 
 let test_fiber_runs_immediately () =
+  let _, rt = sim () in
   let ran = ref false in
-  Fiber.spawn (fun () -> ran := true);
+  Runtime.spawn rt (fun () -> ran := true);
   Alcotest.(check bool) "ran synchronously" true !ran
 
 let test_suspend_resume () =
+  let _, rt = sim () in
   let got = ref 0 in
-  let saved = ref None in
-  Fiber.spawn (fun () ->
-      let v = Fiber.suspend (fun r -> saved := Some r) in
-      got := v);
+  let iv = Runtime.Ivar.create rt in
+  Runtime.spawn rt (fun () -> got := Runtime.Ivar.await iv);
   Alcotest.(check int) "not resumed yet" 0 !got;
-  (match !saved with
-  | Some r ->
-      Alcotest.(check bool) "live" true (Fiber.is_live r);
-      Fiber.resume r 42;
-      Alcotest.(check bool) "dead after resume" false (Fiber.is_live r)
-  | None -> Alcotest.fail "no resumer");
-  Alcotest.(check int) "resumed with value" 42 !got
+  Alcotest.(check bool) "live" true (Runtime.Ivar.is_live iv);
+  Runtime.Ivar.fill iv 42;
+  Alcotest.(check bool) "dead after fill" false (Runtime.Ivar.is_live iv);
+  Alcotest.(check int) "resumed inline, with the value" 42 !got
 
 let test_double_resume_noop () =
+  let _, rt = sim () in
   let count = ref 0 in
-  let saved = ref None in
-  Fiber.spawn (fun () ->
-      let _ = Fiber.suspend (fun r -> saved := Some r) in
+  let g = rt.Runtime.gate () in
+  Runtime.spawn rt (fun () ->
+      g.Runtime.await ();
       incr count);
-  let r = Option.get !saved in
-  Fiber.resume r 1;
-  Fiber.resume r 2;
-  Fiber.cancel r;
+  g.Runtime.open_ ();
+  g.Runtime.open_ ();
+  g.Runtime.abort ();
   Alcotest.(check int) "resumed once" 1 !count
 
 let test_cancel_unwinds () =
+  let _, rt = sim () in
   let reached = ref false in
   let cleaned = ref false in
-  let saved = ref None in
-  Fiber.spawn (fun () ->
+  let g = rt.Runtime.gate () in
+  Runtime.spawn rt (fun () ->
       Fun.protect
         ~finally:(fun () -> cleaned := true)
         (fun () ->
-          let _ = Fiber.suspend (fun r -> saved := Some r) in
+          g.Runtime.await ();
           reached := true));
-  Fiber.cancel (Option.get !saved);
-  Alcotest.(check bool) "code after suspend skipped" false !reached;
-  Alcotest.(check bool) "finally ran on cancel" true !cleaned
+  g.Runtime.abort ();
+  Alcotest.(check bool) "code after await skipped" false !reached;
+  Alcotest.(check bool) "finally ran inline on abort" true !cleaned
 
 let test_sequential_suspends () =
-  let e = E.create () in
+  let e, rt = sim () in
   let log = ref [] in
-  Fiber.spawn (fun () ->
+  Runtime.spawn rt (fun () ->
       for i = 1 to 3 do
-        let v =
-          Fiber.suspend (fun r ->
-              ignore (E.schedule e ~delay:1. (fun () -> Fiber.resume r i)))
-        in
-        log := v :: !log
+        Runtime.sleep rt 1.;
+        log := (i, E.now e) :: !log
       done);
   E.run e;
-  Alcotest.(check (list int)) "loop across suspends" [ 1; 2; 3 ] (List.rev !log)
+  Alcotest.(check (list (pair int (float 0.0))))
+    "loop across suspends"
+    [ (1, 1.); (2, 2.); (3, 3.) ]
+    (List.rev !log)
 
 let test_exception_propagates () =
+  let _, rt = sim () in
   Alcotest.check_raises "escaping exception" Exit (fun () ->
-      Fiber.spawn (fun () -> raise Exit))
+      Runtime.spawn rt (fun () -> raise Exit))
 
-(* --- scatter-gather join --- *)
-
-let sleep e delay =
-  Fiber.suspend (fun r ->
-      ignore (E.schedule e ~delay (fun () -> Fiber.resume r ())))
+let test_await_outside_task_fails () =
+  (* One thread and no task: nothing could ever open the gate. *)
+  let _, rt = sim () in
+  let g = rt.Runtime.gate () in
+  Alcotest.check_raises "await outside a task"
+    (Invalid_argument "Runtime: gate awaited outside a task") g.Runtime.await
 
 let test_all_results_in_order () =
-  let e = E.create () in
+  let e, rt = sim () in
   let got = ref None in
-  Fiber.spawn (fun () ->
+  Runtime.spawn rt (fun () ->
       let results =
-        Fiber.all
+        Runtime.all rt
           (List.init 5 (fun i ->
                fun () ->
                  (* Later thunks finish earlier. *)
-                 sleep e (float_of_int (10 - i));
+                 Runtime.sleep rt (float_of_int (10 - i));
                  i * i))
       in
       got := Some results);
@@ -214,88 +223,6 @@ let test_all_results_in_order () =
   Alcotest.(check (option (list int))) "input order" (Some [ 0; 1; 4; 9; 16 ])
     !got;
   Alcotest.(check (float 0.0)) "latency = max, not sum" 10. (E.now e)
-
-let test_all_synchronous_thunks () =
-  (* No thunk suspends: [all] must not need a running engine. *)
-  let got = ref None in
-  Fiber.spawn (fun () -> got := Some (Fiber.all [ (fun () -> 1); (fun () -> 2) ]));
-  Alcotest.(check (option (list int))) "immediate" (Some [ 1; 2 ]) !got;
-  Fiber.spawn (fun () -> got := Some (Fiber.all []));
-  Alcotest.(check (option (list int))) "empty" (Some []) !got
-
-let test_all_window_bounds_inflight () =
-  let e = E.create () in
-  let inflight = ref 0 in
-  let peak = ref 0 in
-  let finished = ref false in
-  Fiber.spawn (fun () ->
-      ignore
-        (Fiber.all ~window:3
-           (List.init 10 (fun _ ->
-                fun () ->
-                  incr inflight;
-                  if !inflight > !peak then peak := !inflight;
-                  sleep e 1.;
-                  decr inflight)));
-      finished := true);
-  E.run e;
-  Alcotest.(check bool) "join completed" true !finished;
-  Alcotest.(check int) "window respected" 3 !peak
-
-let test_all_window_one_is_serial () =
-  let e = E.create () in
-  let log = ref [] in
-  Fiber.spawn (fun () ->
-      ignore
-        (Fiber.all ~window:1
-           (List.init 4 (fun i ->
-                fun () ->
-                  log := (`Start i) :: !log;
-                  sleep e 1.;
-                  log := (`End i) :: !log))));
-  E.run e;
-  let expect = List.concat_map (fun i -> [ `Start i; `End i ]) [ 0; 1; 2; 3 ] in
-  Alcotest.(check bool) "strictly sequential" true (List.rev !log = expect)
-
-let test_all_rejects_nonpositive_window () =
-  (* The window bounds in-flight children; zero or negative can never
-     launch anything and must be rejected up front, not hang. *)
-  List.iter
-    (fun w ->
-      Alcotest.check_raises
-        (Printf.sprintf "window=%d" w)
-        (Invalid_argument "Dessim.Fiber.all: window < 1")
-        (fun () ->
-          Fiber.spawn (fun () ->
-              ignore (Fiber.all ~window:w [ (fun () -> ()) ]))))
-    [ 0; -1; -7 ]
-
-let test_all_cancellation () =
-  let e = E.create () in
-  let resumers = ref [] in
-  let after_join = ref false in
-  let cleaned = ref false in
-  Fiber.spawn (fun () ->
-      Fun.protect
-        ~finally:(fun () -> cleaned := true)
-        (fun () ->
-          ignore
-            (Fiber.all ~window:2
-               (List.init 4 (fun i ->
-                    fun () ->
-                      Fiber.suspend (fun r -> resumers := (i, r) :: !resumers))));
-          after_join := true));
-  (* Two children launched (window), both suspended. Cancel one, let the
-     other complete: the join must re-raise Cancelled in the parent and
-     never launch the remaining thunks. *)
-  Fiber.cancel (List.assoc 0 !resumers);
-  Alcotest.(check bool) "join still waiting" false !cleaned;
-  Fiber.resume (List.assoc 1 !resumers) ();
-  E.run e;
-  Alcotest.(check bool) "parent unwound by Cancelled" true !cleaned;
-  Alcotest.(check bool) "code after join skipped" false !after_join;
-  Alcotest.(check int) "later thunks never launched" 2
-    (List.length !resumers)
 
 let () =
   Alcotest.run "dessim"
@@ -323,20 +250,12 @@ let () =
           Alcotest.test_case "cancel unwinds" `Quick test_cancel_unwinds;
           Alcotest.test_case "sequential suspends" `Quick test_sequential_suspends;
           Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
+          Alcotest.test_case "await outside a task fails" `Quick
+            test_await_outside_task_fails;
         ] );
       ( "fiber-all",
         [
           Alcotest.test_case "results in input order" `Quick
             test_all_results_in_order;
-          Alcotest.test_case "synchronous thunks" `Quick
-            test_all_synchronous_thunks;
-          Alcotest.test_case "window bounds in-flight" `Quick
-            test_all_window_bounds_inflight;
-          Alcotest.test_case "window=1 is serial" `Quick
-            test_all_window_one_is_serial;
-          Alcotest.test_case "window < 1 rejected" `Quick
-            test_all_rejects_nonpositive_window;
-          Alcotest.test_case "cancellation drains and re-raises" `Quick
-            test_all_cancellation;
         ] );
     ]

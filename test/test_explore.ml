@@ -61,7 +61,7 @@ let run_scenario ?(faults = []) ~m ~n ~ops ~choose () =
     (fun (coord, delay, op) ->
       ignore
         (Dessim.Engine.schedule engine ~delay (fun () ->
-             Dessim.Fiber.spawn (fun () ->
+             Runtime.spawn cl.Cluster.runtime (fun () ->
                  let now () = Dessim.Engine.now engine in
                  match op with
                  | `Write value ->

@@ -81,12 +81,6 @@ let fuzz_round ?(dead_member = false) ~seed () =
   let crashes : (int * float) list ref = ref [] in
   let uid = ref 0 in
 
-  let sleep delay =
-    Dessim.Fiber.suspend (fun r ->
-        ignore
-          (Dessim.Engine.schedule engine ~delay (fun () ->
-               Dessim.Fiber.resume r ())))
-  in
 
   let record_op ~coord ~stripe ~blocks ~kind ~values =
     let now = Dessim.Engine.now engine in
@@ -121,11 +115,11 @@ let fuzz_round ?(dead_member = false) ~seed () =
   in
 
   let client coord =
-    Dessim.Fiber.spawn (fun () ->
+    Runtime.spawn cl.Cluster.runtime (fun () ->
         let c = cl.Cluster.coordinators.(coord) in
         let ops_count = 4 + Random.State.int rng 5 in
         for _ = 1 to ops_count do
-          sleep (Random.State.float rng 30.);
+          Runtime.sleep cl.Cluster.runtime (Random.State.float rng 30.);
           let stripe = Random.State.int rng stripes in
           match Random.State.int rng 6 with
           | 0 ->

@@ -315,12 +315,6 @@ let obs_round ~seed =
   Obs.add_sink cl.Cluster.obs (Obs.Ring.sink ring);
   Obs.add_sink cl.Cluster.obs (Obs.Stats.sink stats);
 
-  let sleep delay =
-    Dessim.Fiber.suspend (fun r ->
-        ignore
-          (Dessim.Engine.schedule engine ~delay (fun () ->
-               Dessim.Fiber.resume r ())))
-  in
 
   let nclients = 2 in
   let finished = ref 0 in
@@ -328,7 +322,7 @@ let obs_round ~seed =
     Cluster.spawn ~coord cl (fun c ->
         let ops_count = 3 + Random.State.int rng 4 in
         for _ = 1 to ops_count do
-          sleep (Random.State.float rng 25.);
+          Runtime.sleep cl.Cluster.runtime (Random.State.float rng 25.);
           let stripe = Random.State.int rng 2 in
           let attempt f = ignore (Coordinator.with_retries ~attempts:3 c f) in
           match Random.State.int rng 4 with
@@ -627,6 +621,39 @@ let test_stats_retention () =
   Obs.Stats.feed stats (ev ~op:0 ~phase:Obs.Write 99. Obs.Phase_start);
   Alcotest.(check int) "no zombie span" 0 (Obs.Stats.unfinished stats)
 
+(* ------------------------------------------------------------------ *)
+(* Cross-commit pin: an uncontended sim run is byte-identical          *)
+(* ------------------------------------------------------------------ *)
+
+(* One client, no faults, fixed seed: the JSONL event stream (what
+   [fab_sim workload --trace-out] writes after its meta line) is a
+   pure function of the sim scheduler and the protocol, so its digest
+   holds across commits. A change that moves any message, disk access
+   or phase of this run changes it; update the digest only in a
+   change meant to alter uncontended behaviour. Multi-stripe requests
+   route through the pipelined join. *)
+let uncontended_trace_md5 = "925ae2f5ec4604e90676aabdb3deb962"
+
+let test_uncontended_trace_digest () =
+  let v = Fab.Volume.create ~seed:5 ~m:5 ~n:8 ~stripes:16 ~block_size () in
+  let buf = Buffer.create (1 lsl 20) in
+  Obs.add_sink (Fab.Volume.cluster v).Cluster.obs
+    (Obs.Sink.make (fun ev ->
+         Buffer.add_string buf (Obs.to_json ev);
+         Buffer.add_char buf '\n'));
+  let gen =
+    Workload.Gen.make
+      { Workload.Gen.read_fraction = 0.5; addr = Uniform; op_blocks = 12 }
+      ~capacity_blocks:(Fab.Volume.capacity_blocks v)
+      ~rng:(Random.State.make [| 5; 0 |])
+  in
+  let stats = Workload.Client.fresh_stats () in
+  Workload.Client.spawn v ~coord:0 ~gen ~ops:60 stats;
+  Fab.Volume.run v;
+  Alcotest.(check int) "every op completed" 60 stats.Workload.Client.ops;
+  Alcotest.(check string) "trace digest" uncontended_trace_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "obs"
     [
@@ -660,5 +687,10 @@ let () =
         [
           Alcotest.test_case "bounded completed table" `Quick
             test_stats_retention;
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "uncontended trace digest" `Quick
+            test_uncontended_trace_digest;
         ] );
     ]

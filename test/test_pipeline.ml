@@ -54,21 +54,15 @@ let fuzz_round ~seed =
   let histories = Array.init capacity (fun _ -> H.create ()) in
   let uid = ref 0 in
 
-  let sleep delay =
-    Dessim.Fiber.suspend (fun r ->
-        ignore
-          (Dessim.Engine.schedule engine ~delay (fun () ->
-               Dessim.Fiber.resume r ())))
-  in
 
   (* Clients run on coordinators 0 and 1 only; fault injection is
      restricted to bricks 2..n-1, so no client operation is ever
      orphaned by a coordinator crash (test_fuzz covers that path). *)
   let client coord =
-    Dessim.Fiber.spawn (fun () ->
+    Runtime.spawn cl.Core.Cluster.runtime (fun () ->
         let ops = 5 + Random.State.int rng 4 in
         for _ = 1 to ops do
-          sleep (Random.State.float rng 40.);
+          Runtime.sleep cl.Core.Cluster.runtime (Random.State.float rng 40.);
           let count = 1 + Random.State.int rng 8 in
           let lba = Random.State.int rng (capacity - count + 1) in
           if Random.State.bool rng then begin
@@ -195,22 +189,15 @@ let jsonl_trace ~seed =
       ()
   in
   let cl = V.cluster v in
-  let engine = cl.Core.Cluster.engine in
   Obs.add_sink cl.Core.Cluster.obs
     (Obs.Sink.make (fun ev ->
          Buffer.add_string buf (Obs.to_json ev);
          Buffer.add_char buf '\n'));
-  let sleep delay =
-    Dessim.Fiber.suspend (fun r ->
-        ignore
-          (Dessim.Engine.schedule engine ~delay (fun () ->
-               Dessim.Fiber.resume r ())))
-  in
   let rng = Random.State.make [| seed; 0xDE7 |] in
   for c = 0 to 1 do
-    Dessim.Fiber.spawn (fun () ->
+    Runtime.spawn cl.Core.Cluster.runtime (fun () ->
         for k = 1 to 6 do
-          sleep (Random.State.float rng 25.);
+          Runtime.sleep cl.Core.Cluster.runtime (Random.State.float rng 25.);
           let count = 1 + Random.State.int rng 8 in
           let lba = Random.State.int rng (V.capacity_blocks v - count + 1) in
           if (c + k) mod 2 = 0 then

@@ -127,6 +127,7 @@ let quorum_props =
 
 type harness = {
   e : E.t;
+  rt : Runtime.t;
   faults : Simnet.Faultnet.t;
   rpc : (string, string) Rpc.t;
   bricks : Brick.t array;
@@ -150,14 +151,14 @@ let harness ?(n = 5) ?(config = Simnet.Net.default_config) () =
           if Brick.is_alive b then Some (Printf.sprintf "%s/%d" req i)
           else None))
     bricks;
-  { e; faults; rpc; bricks }
+  { e; rt; faults; rpc; bricks }
 
 let members n = List.init n Fun.id
 
 let test_basic_call () =
   let h = harness () in
   let result = ref None in
-  Dessim.Fiber.spawn (fun () ->
+  Runtime.spawn h.rt (fun () ->
       result :=
         Some
           (Rpc.call h.rpc ~coord:h.bricks.(0) ~members:(members 5) ~quorum:4
@@ -177,7 +178,7 @@ let test_call_with_crashed_members () =
   let h = harness () in
   Brick.crash h.bricks.(3);
   let result = ref None in
-  Dessim.Fiber.spawn (fun () ->
+  Runtime.spawn h.rt (fun () ->
       result :=
         Some
           (Rpc.call h.rpc ~coord:h.bricks.(0) ~members:(members 5) ~quorum:4
@@ -193,7 +194,7 @@ let test_call_with_crashed_members () =
 let test_retransmission_overcomes_loss () =
   let h = harness ~config:{ Simnet.Net.default_config with drop = 0.4 } () in
   let result = ref None in
-  Dessim.Fiber.spawn (fun () ->
+  Runtime.spawn h.rt (fun () ->
       result :=
         Some
           (Rpc.call h.rpc ~coord:h.bricks.(1) ~members:(members 5) ~quorum:5
@@ -208,15 +209,15 @@ let test_coordinator_crash_cancels () =
   Simnet.Faultnet.partition h.faults [ [ 0 ]; [ 1; 2; 3; 4 ] ];
   let cancelled = ref false in
   let completed = ref false in
-  Dessim.Fiber.spawn (fun () ->
+  Runtime.spawn h.rt (fun () ->
       match
         Rpc.call h.rpc ~coord:h.bricks.(0) ~members:(members 5) ~quorum:4
           (fun _ -> "doomed")
       with
       | _ -> completed := true
-      | exception Dessim.Fiber.Cancelled ->
+      | exception Runtime.Cancelled ->
           cancelled := true;
-          raise Dessim.Fiber.Cancelled);
+          raise Runtime.Cancelled);
   ignore (E.schedule h.e ~delay:50. (fun () -> Brick.crash h.bricks.(0)));
   E.run ~until:200. h.e;
   Alcotest.(check bool) "not completed" false !completed;
@@ -226,7 +227,7 @@ let test_until_waits_for_target () =
   let h = harness () in
   (* Delay replies from 4 by slowing its link; until-predicate wants 4. *)
   let result = ref None in
-  Dessim.Fiber.spawn (fun () ->
+  Runtime.spawn h.rt (fun () ->
       result :=
         Some
           (Rpc.call h.rpc ~coord:h.bricks.(0) ~members:(members 5) ~quorum:3
@@ -241,7 +242,7 @@ let test_until_gives_up_after_grace () =
   let h = harness () in
   Brick.crash h.bricks.(4);
   let result = ref None in
-  Dessim.Fiber.spawn (fun () ->
+  Runtime.spawn h.rt (fun () ->
       result :=
         Some
           (Rpc.call h.rpc ~coord:h.bricks.(0) ~members:(members 5) ~quorum:3
@@ -257,7 +258,7 @@ let test_until_gives_up_after_grace () =
 let test_per_destination_requests () =
   let h = harness () in
   let result = ref None in
-  Dessim.Fiber.spawn (fun () ->
+  Runtime.spawn h.rt (fun () ->
       result :=
         Some
           (Rpc.call h.rpc ~coord:h.bricks.(2) ~members:(members 5) ~quorum:5
@@ -289,7 +290,7 @@ let test_quorum_larger_than_members_rejected () =
   Alcotest.check_raises "too large"
     (Invalid_argument "Quorum.Rpc.call: quorum larger than member count")
     (fun () ->
-      Dessim.Fiber.spawn (fun () ->
+      Runtime.spawn h.rt (fun () ->
           ignore
             (Rpc.call h.rpc ~coord:h.bricks.(0) ~members:[ 0; 1 ] ~quorum:3
                (fun _ -> "x"))))

@@ -302,7 +302,7 @@ let inject_partial_write cl ~stripe ~doomed ~reach data =
      but cut the links for the Write phase only. We approximate by
      letting the whole two-phase write run with links cut to all but
      [reach] members *after* one round trip (the Order phase). *)
-  Dessim.Fiber.spawn (fun () ->
+  Runtime.spawn cl.Cluster.runtime (fun () ->
       ignore (Coordinator.write_stripe cl.Cluster.coordinators.(doomed) ~stripe data));
   (* The Order phase completes at t+2; cut links at t+2.5, before the
      Write phase's messages (sent at t+2) arrive?  Messages already in

@@ -3,7 +3,8 @@
    (Runtime_sim) and the OCaml 5 multicore pool (Runtime_mc) — pinning
    down the contract protocol code relies on: FIFO-per-sender
    mailboxes, monotone clocks, timer ordering and cancellation, sleep
-   ordering, and the scatter-gather join. Plus a multicore soak: four
+   ordering, gate abort, yield, and the scatter-gather join (window,
+   cancellation, exceptions). Plus a multicore soak: four
    domains hammer one erasure-coded register and the recorded history
    must be strictly linearizable (lib/linearize). *)
 
@@ -226,12 +227,159 @@ let test_all_join make () =
         "input order" [ "a"; "b"; "c"; "d" ] !results)
 
 let test_all_rejects_bad_window make () =
+  (* Zero or negative can never launch anything: rejected up front. *)
   with_harness make (fun h ->
-      let raised = ref false in
+      let raised = ref [] in
       h.go (fun () ->
-          try ignore (Runtime.all h.rt ~window:0 [ (fun () -> ()) ])
-          with Invalid_argument _ -> raised := true);
-      Alcotest.(check bool) "window < 1 rejected" true !raised)
+          List.iter
+            (fun w ->
+              try ignore (Runtime.all h.rt ~window:w [ (fun () -> ()) ])
+              with Invalid_argument m -> raised := m :: !raised)
+            [ 0; -1; -7 ]);
+      Alcotest.(check (list string))
+        "window < 1 rejected"
+        (List.init 3 (fun _ -> "Runtime.all: window < 1"))
+        !raised)
+
+let test_all_window_bounds_inflight make () =
+  with_harness make (fun h ->
+      let lk = Mutex.create () and inflight = ref 0 and peak = ref 0 in
+      let add d =
+        Mutex.protect lk (fun () ->
+            inflight := !inflight + d;
+            peak := max !peak !inflight)
+      in
+      h.go (fun () ->
+          ignore
+            (Runtime.all h.rt ~window:3
+               (List.init 10 (fun _ () ->
+                    add 1;
+                    Runtime.sleep h.rt 0.02;
+                    add (-1)))));
+      Alcotest.(check int) "window respected" 3 !peak)
+
+let test_all_window_one_is_serial make () =
+  with_harness make (fun h ->
+      let push, contents = locked_list () in
+      h.go (fun () ->
+          ignore
+            (Runtime.all h.rt ~window:1
+               (List.init 4 (fun i () ->
+                    push (`Start i);
+                    Runtime.sleep h.rt 0.01;
+                    push (`End i)))));
+      let expect =
+        List.concat_map (fun i -> [ `Start i; `End i ]) [ 0; 1; 2; 3 ]
+      in
+      Alcotest.(check bool) "strictly sequential" true (contents () = expect))
+
+let test_all_synchronous_thunks make () =
+  with_harness make (fun h ->
+      let got = ref [] and empty = ref [ 0 ] in
+      h.go (fun () ->
+          got := Runtime.all h.rt [ (fun () -> 1); (fun () -> 2) ];
+          empty := Runtime.all h.rt []);
+      Alcotest.(check (list int)) "immediate" [ 1; 2 ] !got;
+      Alcotest.(check (list int)) "empty" [] !empty)
+
+let test_all_cancellation make () =
+  (* Two children in flight, each parked on its own gate. Aborting
+     child 0's gate must stop further launches; the join keeps waiting
+     for child 1, then re-raises Cancelled in the parent. *)
+  with_harness make (fun h ->
+      let gates = Array.init 4 (fun _ -> h.rt.Runtime.gate ()) in
+      let launched = Atomic.make 0 in
+      let cleaned = Atomic.make false and after_join = ref false in
+      let waited = ref false in
+      h.go (fun () ->
+          Runtime.spawn h.rt (fun () ->
+              Fun.protect
+                ~finally:(fun () -> Atomic.set cleaned true)
+                (fun () ->
+                  ignore
+                    (Runtime.all h.rt ~window:2
+                       (List.init 4 (fun i () ->
+                            Atomic.incr launched;
+                            gates.(i).Runtime.await ())));
+                  after_join := true));
+          Runtime.sleep h.rt 0.02;
+          gates.(0).Runtime.abort ();
+          Runtime.sleep h.rt 0.02;
+          waited := not (Atomic.get cleaned);
+          gates.(1).Runtime.open_ ());
+      Alcotest.(check bool) "join waits for the live child" true !waited;
+      Alcotest.(check bool) "parent unwound by Cancelled" true
+        (Atomic.get cleaned);
+      Alcotest.(check bool) "code after join skipped" false !after_join;
+      Alcotest.(check int) "later thunks never launched" 2
+        (Atomic.get launched))
+
+let test_all_reraises_child_exception make () =
+  (* Any other exception stops further launches too, and re-raises in
+     the parent once the running children settled. *)
+  with_harness make (fun h ->
+      let outcome = ref `Returned and settled = ref false in
+      let launched = Atomic.make 0 in
+      h.go (fun () ->
+          match
+            Runtime.all h.rt ~window:2
+              [
+                (fun () ->
+                  Atomic.incr launched;
+                  Runtime.sleep h.rt 0.01;
+                  failwith "boom");
+                (fun () ->
+                  Atomic.incr launched;
+                  Runtime.sleep h.rt 0.03;
+                  settled := true);
+                (fun () -> Atomic.incr launched);
+              ]
+          with
+          | _ -> ()
+          | exception Failure m -> outcome := `Raised (m, !settled));
+      Alcotest.(check bool) "raised in the parent, after the live child" true
+        (!outcome = `Raised ("boom", true));
+      Alcotest.(check int) "third thunk never launched" 2
+        (Atomic.get launched))
+
+let test_yield_lets_peer_run make () =
+  (* A task spinning on [yield] lets the tasks it waits for run, also
+     those queued behind it on its own domain (four peers land on
+     every worker of the two-domain mc harness). *)
+  with_harness make (fun h ->
+      let peers = 4 in
+      let ran = Atomic.make 0 and spins = ref 0 in
+      h.go (fun () ->
+          Runtime.spawn h.rt (fun () ->
+              while Atomic.get ran < peers do
+                incr spins;
+                Runtime.yield h.rt
+              done);
+          for _ = 1 to peers do
+            Runtime.spawn h.rt (fun () -> Atomic.incr ran)
+          done);
+      Alcotest.(check bool) "spinner saw every peer" true (!spins >= 1))
+
+let test_abort_runs_handlers make () =
+  with_harness make (fun h ->
+      let caught = ref false and finalized = ref false and after = ref false in
+      h.go (fun () ->
+          let g = h.rt.Runtime.gate () in
+          Runtime.spawn h.rt (fun () ->
+              Fun.protect
+                ~finally:(fun () -> finalized := true)
+                (fun () ->
+                  try
+                    g.Runtime.await ();
+                    after := true
+                  with Runtime.Cancelled ->
+                    caught := true;
+                    raise Runtime.Cancelled));
+          Runtime.sleep h.rt 0.02;
+          g.Runtime.abort ());
+      Alcotest.(check bool) "Cancelled raised at the await" true !caught;
+      Alcotest.(check bool) "finally ran" true !finalized;
+      Alcotest.(check bool) "never resumed normally" false !after)
 
 let test_mailbox_fifo_fuzz make () =
   (* Heavier FIFO-per-sender fuzz than the smoke test above: four
@@ -490,41 +638,6 @@ let test_mc_ivar_across_pool_boundary () =
   Runtime_mc.await_idle pool;
   Alcotest.(check int) "task awaits the main thread's fill" 42 !got
 
-let test_mc_yield_lets_peer_run () =
-  with_pool ~domains:1 @@ fun pool rt ->
-  let flag = Atomic.make false and spins = ref 0 in
-  Runtime.spawn rt (fun () ->
-      while not (Atomic.get flag) do
-        incr spins;
-        Runtime.yield rt
-      done);
-  Runtime.spawn rt (fun () -> Atomic.set flag true);
-  Runtime_mc.await_idle pool;
-  Alcotest.(check bool) "spinner saw the peer's write" true (!spins >= 1)
-
-let test_mc_abort_runs_handlers () =
-  with_pool ~domains:1 @@ fun pool rt ->
-  let g = rt.Runtime.gate () in
-  let parked = Atomic.make false in
-  let caught = ref false and finalized = ref false and after = ref false in
-  Runtime.spawn rt (fun () ->
-      Fun.protect
-        ~finally:(fun () -> finalized := true)
-        (fun () ->
-          try
-            Atomic.set parked true;
-            g.Runtime.await ();
-            after := true
-          with Runtime.Cancelled ->
-            caught := true;
-            raise Runtime.Cancelled));
-  Fun.protect ~finally:g.Runtime.abort (fun () ->
-      wait_until (fun () -> Atomic.get parked));
-  Runtime_mc.await_idle pool;
-  Alcotest.(check bool) "Cancelled raised at the await" true !caught;
-  Alcotest.(check bool) "finally ran" true !finalized;
-  Alcotest.(check bool) "never resumed normally" false !after
-
 (* ------------------------------------------------------------------ *)
 (* Multicore soak: 4 domains, one register, strict linearizability     *)
 (* ------------------------------------------------------------------ *)
@@ -642,6 +755,20 @@ let conformance name make =
       Alcotest.test_case "all: join in input order" `Quick (test_all_join make);
       Alcotest.test_case "all: window < 1 rejected" `Quick
         (test_all_rejects_bad_window make);
+      Alcotest.test_case "all: window bounds in-flight" `Quick
+        (test_all_window_bounds_inflight make);
+      Alcotest.test_case "all: window=1 is serial" `Quick
+        (test_all_window_one_is_serial make);
+      Alcotest.test_case "all: synchronous and empty thunks" `Quick
+        (test_all_synchronous_thunks make);
+      Alcotest.test_case "all: cancel drains and re-raises" `Quick
+        (test_all_cancellation make);
+      Alcotest.test_case "all: child exception re-raises" `Quick
+        (test_all_reraises_child_exception make);
+      Alcotest.test_case "yield lets a same-domain task run" `Quick
+        (test_yield_lets_peer_run make);
+      Alcotest.test_case "abort unwinds a parked task" `Quick
+        (test_abort_runs_handlers make);
       Alcotest.test_case "mailbox FIFO fuzz" `Quick
         (test_mailbox_fifo_fuzz make);
       Alcotest.test_case "mailbox timeout racing live traffic" `Quick
@@ -669,10 +796,6 @@ let () =
             test_mc_blocked_tasks_start_no_thread;
           Alcotest.test_case "ivar across the pool boundary" `Quick
             test_mc_ivar_across_pool_boundary;
-          Alcotest.test_case "yield lets a same-domain task run" `Quick
-            test_mc_yield_lets_peer_run;
-          Alcotest.test_case "abort runs a suspended fiber's handlers" `Quick
-            test_mc_abort_runs_handlers;
         ] );
       ( "multicore soak",
         [

@@ -136,7 +136,7 @@ let test_disjoint_clients_no_aborts () =
      loop. *)
   let stats1 = Client.fresh_stats () and stats2 = Client.fresh_stats () in
   Client.spawn v ~coord:0 ~gen:(mk 0) ~ops:50 ~payload_tag:'a' stats1;
-  Dessim.Fiber.spawn (fun () ->
+  Runtime.spawn (Fab.Volume.cluster v).Core.Cluster.runtime (fun () ->
       for i = 0 to 49 do
         let lba = 10 + (i mod 10) in
         match Fab.Volume.write v ~coord:1 ~lba (Bytes.make 256 'b') with
