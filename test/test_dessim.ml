@@ -224,6 +224,94 @@ let test_all_results_in_order () =
     !got;
   Alcotest.(check (float 0.0)) "latency = max, not sum" 10. (E.now e)
 
+let test_all_synchronous_thunks () =
+  (* No thunk suspends: [all] must not need a running engine. *)
+  let _, rt = sim () in
+  let got = ref None in
+  Runtime.spawn rt (fun () ->
+      got := Some (Runtime.all rt [ (fun () -> 1); (fun () -> 2) ]));
+  Alcotest.(check (option (list int))) "immediate" (Some [ 1; 2 ]) !got;
+  Runtime.spawn rt (fun () -> got := Some (Runtime.all rt []));
+  Alcotest.(check (option (list int))) "empty" (Some []) !got
+
+let test_all_window_bounds_inflight () =
+  let e, rt = sim () in
+  let inflight = ref 0 in
+  let peak = ref 0 in
+  let finished = ref false in
+  Runtime.spawn rt (fun () ->
+      ignore
+        (Runtime.all rt ~window:3
+           (List.init 10 (fun _ ->
+                fun () ->
+                  incr inflight;
+                  if !inflight > !peak then peak := !inflight;
+                  Runtime.sleep rt 1.;
+                  decr inflight)));
+      finished := true);
+  E.run e;
+  Alcotest.(check bool) "join completed" true !finished;
+  Alcotest.(check int) "window respected" 3 !peak;
+  Alcotest.(check (float 0.0)) "ceil (10 / 3) rounds of 1 s" 4. (E.now e)
+
+let test_all_window_one_is_serial () =
+  let e, rt = sim () in
+  let log = ref [] in
+  Runtime.spawn rt (fun () ->
+      ignore
+        (Runtime.all rt ~window:1
+           (List.init 4 (fun i ->
+                fun () ->
+                  log := `Start i :: !log;
+                  Runtime.sleep rt 1.;
+                  log := `End i :: !log))));
+  E.run e;
+  let expect = List.concat_map (fun i -> [ `Start i; `End i ]) [ 0; 1; 2; 3 ] in
+  Alcotest.(check bool) "strictly sequential" true (List.rev !log = expect);
+  Alcotest.(check (float 0.0)) "latency = sum" 4. (E.now e)
+
+let test_all_rejects_nonpositive_window () =
+  (* The window bounds in-flight children; zero or negative can never
+     launch anything and must be rejected up front, not hang. *)
+  let _, rt = sim () in
+  List.iter
+    (fun w ->
+      Alcotest.check_raises
+        (Printf.sprintf "window=%d" w)
+        (Invalid_argument "Runtime.all: window < 1")
+        (fun () ->
+          Runtime.spawn rt (fun () ->
+              ignore (Runtime.all rt ~window:w [ (fun () -> ()) ]))))
+    [ 0; -1; -7 ]
+
+let test_all_cancellation () =
+  (* On sim every step below runs inline: no engine run is needed. Two
+     children launched (window), both parked. Abort one, let the other
+     complete: the join must re-raise Cancelled in the parent and never
+     launch the remaining thunks. *)
+  let _, rt = sim () in
+  let gates = Array.init 4 (fun _ -> rt.Runtime.gate ()) in
+  let launched = ref 0 in
+  let after_join = ref false in
+  let cleaned = ref false in
+  Runtime.spawn rt (fun () ->
+      Fun.protect
+        ~finally:(fun () -> cleaned := true)
+        (fun () ->
+          ignore
+            (Runtime.all rt ~window:2
+               (List.init 4 (fun i ->
+                    fun () ->
+                      incr launched;
+                      gates.(i).Runtime.await ())));
+          after_join := true));
+  gates.(0).Runtime.abort ();
+  Alcotest.(check bool) "join still waiting" false !cleaned;
+  gates.(1).Runtime.open_ ();
+  Alcotest.(check bool) "parent unwound by Cancelled" true !cleaned;
+  Alcotest.(check bool) "code after join skipped" false !after_join;
+  Alcotest.(check int) "later thunks never launched" 2 !launched
+
 let () =
   Alcotest.run "dessim"
     [
@@ -257,5 +345,15 @@ let () =
         [
           Alcotest.test_case "results in input order" `Quick
             test_all_results_in_order;
+          Alcotest.test_case "synchronous thunks" `Quick
+            test_all_synchronous_thunks;
+          Alcotest.test_case "window bounds in-flight" `Quick
+            test_all_window_bounds_inflight;
+          Alcotest.test_case "window=1 is serial" `Quick
+            test_all_window_one_is_serial;
+          Alcotest.test_case "window < 1 rejected" `Quick
+            test_all_rejects_nonpositive_window;
+          Alcotest.test_case "cancellation drains and re-raises" `Quick
+            test_all_cancellation;
         ] );
     ]
