@@ -342,6 +342,7 @@ let shutdown t =
       set "runtime.wheel.max_depth" (float_of_int ws.Runtime_mc.max_depth);
       set "runtime.wheel.fired" (float_of_int ws.Runtime_mc.fired);
       set "runtime.wheel.purged" (float_of_int ws.Runtime_mc.purged);
+      set "runtime.wheel.wakeups" (float_of_int ws.Runtime_mc.wakeups);
       let ss = Runtime_mc.sched_stats pool in
       let sched f = float_of_int (Array.fold_left (fun a s -> a + f s) 0 ss) in
       set "runtime.sched.resumed" (sched (fun s -> s.Runtime_mc.resumed));

@@ -19,7 +19,11 @@
     the deadline — the fail-fast answer when more than [n - q] bricks
     are unreachable. An unavailable operation may have partially
     applied; like a coordinator crash it leaves at worst a partial
-    write for the next read's recovery to resolve. *)
+    write for the next read's recovery to resolve.
+
+    Blocks that reads return, and blocks passed to writes, may be
+    shared with the replicas' logs (no read copies a block it can hand
+    over, {!Erasure.Codec.decode} included): treat them as read-only. *)
 
 type t
 

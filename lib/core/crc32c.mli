@@ -6,10 +6,12 @@
     error burst of at most 32 bits; a random corruption escapes it with
     probability 2{^-32}.
 
-    On x86-64 CPUs with SSE4.2 the [crc32] instruction computes it,
-    8 bytes per step; elsewhere a portable slicing-by-8 table loop
-    computes the same value. The choice is made once, when the module
-    initialises, from a CPU probe. *)
+    On x86-64 CPUs with SSE4.2 the [crc32] instruction computes it, as
+    three independent chains over adjacent chunks of the buffer that
+    are merged by zero-byte shift tables, so the instruction's latency
+    does not serialize the loop; elsewhere a portable slicing-by-8
+    table loop computes the same value. The choice is made once, when
+    the module initialises, from a CPU probe. *)
 
 val bytes : Bytes.t -> int
 (** [bytes b] is the CRC32C of all of [b], in [0, 0xffffffff]. *)

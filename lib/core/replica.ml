@@ -23,11 +23,25 @@ let state t stripe =
 
 (* The replica's current notion of the most recent timestamp, carried
    on every reply so that coordinators' clocks ({!Clock.observe}) catch
-   up after an abort. Each handler reads its log head [val_ts] once on
-   entry and passes it here, advanced to its own [add] if it made one:
+   up after an abort. Each handler reads its log head [val_ts] at most
+   once and passes it here, advanced to its own [add] if it made one:
    a brick's handlers are serialized (one receive loop per address on
-   mc, one thread on sim), so nothing can change the log in between. *)
-let cur_ts st val_ts = Ts.max st.ord_ts val_ts
+   mc, one thread on sim), so nothing can change the log in between.
+
+   [val_ts] is lazy, and is forced only when the answer depends on it.
+   It never exceeds [Slog.top_ts] (the newest logged timestamp, intact
+   or not), so once [ord_ts] reaches [top_ts] the maximum is [ord_ts]
+   whether or not the head is intact, and the head is not hashed. *)
+let cur_ts st val_ts =
+  if Ts.( >= ) st.ord_ts (Slog.top_ts st.log) then st.ord_ts
+  else Ts.max st.ord_ts (Lazy.force val_ts)
+
+(* [ts > val_ts], the freshness test of Write and Order. A [ts] above
+   every logged timestamp passes it whatever [val_ts] is, without
+   verifying the head; every other [ts] is compared with the verified
+   head. *)
+let newer st val_ts ts =
+  Ts.( > ) ts (Slog.top_ts st.log) || Ts.( > ) ts (Lazy.force val_ts)
 
 let my_pos t stripe =
   Config.pos_of_addr t.cfg ~stripe (Brick.id t.brick)
@@ -62,14 +76,15 @@ let handle_read t ctx stripe targets =
         newest
     | Some _ | None -> None
   in
-  Message.Read_r { status; val_ts; block; cur_ts = cur_ts st val_ts }
+  Message.Read_r
+    { status; val_ts; block; cur_ts = cur_ts st (Lazy.from_val val_ts) }
 
 (* [Order, ts] — lines 45-48. Re-delivery of an Order already in force
    (ord_ts = ts) re-acknowledges. *)
 let handle_order t stripe ts =
   let st = state t stripe in
-  let val_ts = Slog.max_ts st.log in
-  let fresh = Ts.( > ) ts val_ts && Ts.( >= ) ts st.ord_ts in
+  let val_ts = lazy (Slog.max_ts st.log) in
+  let fresh = Ts.( >= ) ts st.ord_ts && newer st val_ts ts in
   let status = fresh || Ts.equal st.ord_ts ts in
   if fresh && not (Ts.equal st.ord_ts ts) then set_ord_ts t st ts;
   Message.Order_r { status; cur_ts = cur_ts st val_ts }
@@ -108,7 +123,12 @@ let handle_order_read t ctx stripe target max ts =
       | None -> ()
   end;
   Message.Order_read_r
-    { status; lts = !lts; block = !block; cur_ts = cur_ts st val_ts }
+    {
+      status;
+      lts = !lts;
+      block = !block;
+      cur_ts = cur_ts st (Lazy.from_val val_ts);
+    }
 
 (* The unsafe_skip_order variant also drops the order barrier on the
    store side: a replica accepts a Write/Modify above its log head even
@@ -129,10 +149,12 @@ let ord_barrier t st ts =
    [ts] with different content (a Modify got there first, e.g. via a
    slow write-block reusing its fast phase's timestamp) refuses, as
    the paper's status check does — acknowledging would let two
-   replicas disagree on the content of version [ts]. *)
+   replicas disagree on the content of version [ts]. A [ts] above the
+   log's newest timestamp (the full-stripe write's common case) finds
+   no entry and needs no head: the old head is not hashed. *)
 let handle_write t ctx stripe block ts =
   let st = state t stripe in
-  let val_ts = Slog.max_ts st.log in
+  let val_ts = lazy (Slog.max_ts st.log) in
   let logged = Slog.find st.log ts in
   let already =
     match logged with
@@ -141,7 +163,7 @@ let handle_write t ctx stripe block ts =
   in
   let status =
     already
-    || (Option.is_none logged && Ts.( > ) ts val_ts && ord_barrier t st ts)
+    || (Option.is_none logged && newer st val_ts ts && ord_barrier t st ts)
   in
   let stored = status && not already in
   if stored then begin
@@ -150,7 +172,7 @@ let handle_write t ctx stripe block ts =
     Brick.count_nvram_write t.brick
   end;
   Message.Write_r
-    { status; cur_ts = cur_ts st (if stored then ts else val_ts) }
+    { status; cur_ts = cur_ts st (if stored then Lazy.from_val ts else val_ts) }
 
 (* The three Modify handlers: Algorithm 3, lines 88-98. [entry ~pos
    parity] builds this replica's new log entry at stripe position
@@ -181,7 +203,7 @@ let modify t ctx stripe tsj ts entry =
         Ts.max val_ts ts
     | Some _ | None -> val_ts
   in
-  Message.Modify_r { status; cur_ts = cur_ts st val_ts }
+  Message.Modify_r { status; cur_ts = cur_ts st (Lazy.from_val val_ts) }
 
 (* [Modify, j, bj, b, tsj, ts]: the new block at p_j, a re-encoded
    parity block at parity processes, a timestamp-only marker

@@ -32,9 +32,11 @@ let checksum = function
 let intact e = e.sum = checksum e.block
 let fresh block = { block; sum = checksum block }
 
-(* One all-zero block per block size, shared by every log: [nil] is
-   never mutated ([corrupt_newest] flips a copy), so a log need not own
-   it. The map is immutable behind one atomic, safe across domains. *)
+(* One all-zero block per block size, shared by every log, stored with
+   its checksum so a new log stamps its initial entry without hashing:
+   [nil] is never mutated ([corrupt_newest] flips a copy), so a log
+   need not own it. The map is immutable behind one atomic, safe across
+   domains. *)
 module Sizes = Map.Make (Int)
 
 let zeroes = Atomic.make Sizes.empty
@@ -42,19 +44,20 @@ let zeroes = Atomic.make Sizes.empty
 let rec zero_block n =
   let m = Atomic.get zeroes in
   match Sizes.find_opt n m with
-  | Some b -> b
+  | Some z -> z
   | None ->
       let b = Bytes.make n '\000' in
-      if Atomic.compare_and_set zeroes m (Sizes.add n b m) then b
+      let z = (b, checksum (Some b)) in
+      if Atomic.compare_and_set zeroes m (Sizes.add n z m) then z
       else zero_block n
 
 let create ~block_size =
   if block_size <= 0 then invalid_arg "Core.Slog.create: block_size <= 0";
-  let nil = zero_block block_size in
+  let nil, sum = zero_block block_size in
   {
     block_size;
     nil;
-    entries = TsMap.singleton Timestamp.low (fresh (Some nil));
+    entries = TsMap.singleton Timestamp.low { block = Some nil; sum };
     last_add = None;
   }
 
@@ -109,6 +112,13 @@ let real e = Option.is_some e.block && intact e
 let max_ts t =
   match first intact (newest t) with
   | Some (ts, _, _) -> ts
+  | None -> Timestamp.low
+
+(* No entry is verified: this is the bound every answer of [max_ts]
+   lies at or below. *)
+let top_ts t =
+  match TsMap.max_binding_opt t.entries with
+  | Some (ts, _) -> ts
   | None -> Timestamp.low
 
 let head t =

@@ -53,6 +53,13 @@ val max_ts : t -> Timestamp.t
 (** Highest timestamp among the log's intact entries, bot markers
     included; [LowTS] if every entry is checksum-damaged. *)
 
+val top_ts : t -> Timestamp.t
+(** Highest timestamp in the log, intact or not, with no entry
+    verified; [LowTS] for an empty log (a log that {!gc} emptied after
+    every entry was damaged). Always [max_ts t <= top_ts t], so a
+    timestamp above [top_ts t] is above [max_ts t] and has no entry,
+    whatever the entries' checksums say. *)
+
 val max_block : t -> Timestamp.t * Bytes.t
 (** The intact non-bot entry with the highest timestamp. If every real
     entry is checksum-damaged the log reads as an unwritten register,

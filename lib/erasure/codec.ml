@@ -283,12 +283,6 @@ let decode_into t blocks ~into =
   let plan = plan_for t idxs in
   K.apply_rows plan.p_rows ~srcs ~dsts:into
 
-let decode t blocks =
-  let len = check_indexed_blocks t blocks in
-  let into = Array.init t.m (fun _ -> Bytes.create len) in
-  decode_into t blocks ~into;
-  into
-
 (* ------------------------------------------------------------------ *)
 (* Deltas and parity updates                                           *)
 (* ------------------------------------------------------------------ *)
@@ -393,6 +387,26 @@ let recon_rows t plan ~idx =
       in
       Mutex.unlock t.plans.lock;
       rows
+
+(* The code is systematic, so a surviving data block is its own
+   decoding: it is returned as it is, and only an erased position gets
+   a new buffer, rebuilt through its memoized reconstruction row. The
+   plan is looked up either way, so the cache statistics count every
+   decode. *)
+let decode t blocks =
+  let len = check_indexed_blocks t blocks in
+  let idxs, srcs = sorted_inputs blocks in
+  let plan = plan_for t idxs in
+  let out = Array.make t.m None in
+  Array.iteri (fun k i -> if i < t.m then out.(i) <- Some srcs.(k)) idxs;
+  Array.mapi
+    (fun i -> function
+      | Some b -> b
+      | None ->
+          let d = Bytes.create len in
+          K.apply_rows (recon_rows t plan ~idx:i) ~srcs ~dsts:[| d |];
+          d)
+    out
 
 let reconstruct_into t ~idx blocks ~into =
   if idx < 0 || idx >= t.n then

@@ -81,6 +81,12 @@ val decode : t -> (int * Bytes.t) list -> Bytes.t array
     pairs [(index, block)] where [index] identifies the encoded block's
     position in [0, n).
 
+    The result aliases the input: a data block that is among the
+    inputs is returned as it is, not copied, and only an erased data
+    position gets a fresh buffer. Neither the inputs nor the result
+    may be mutated while the other is in use; the protocol layer only
+    decodes log blocks and read replies, which nothing mutates.
+
     Decoding consults a bounded per-codec LRU cache of decode plans
     keyed by the (sorted) index set, so repeated decodes over the same
     surviving set skip matrix inversion; see {!plan_cache_stats}.

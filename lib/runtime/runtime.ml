@@ -236,10 +236,15 @@ module Mailbox = struct
     if not (Atomic.get t.closed) then begin
       let seg = t.segs.((Domain.self () :> int) land (nsegs - 1)) in
       Mutex.lock seg.sq_lock;
-      Queue.push v seg.sq;
+      (* Checked again under the segment lock: a receiver that has seen
+         the close sweeps every segment under its lock, so a message is
+         either pushed before that sweep reaches this segment or not
+         pushed at all, never left behind the receiver's [None]. *)
+      let accepted = not (Atomic.get t.closed) in
+      if accepted then Queue.push v seg.sq;
       Mutex.unlock seg.sq_lock;
       (* Fast path: no parked receiver, no waiter lock. *)
-      if Atomic.get t.nwaiters > 0 then begin
+      if accepted && Atomic.get t.nwaiters > 0 then begin
         Mutex.lock t.lock;
         let w =
           match t.waiters with

@@ -30,7 +30,9 @@ type worker = {
   mutable wakeups : int;
 }
 
-type tev = { at : float; mutable cancelled : bool; tf : unit -> unit }
+(* [armed] is true until the timer is cancelled or claimed for firing,
+   whichever comes first; both happen under the wheel lock. *)
+type tev = { at : float; slot : int; mutable armed : bool; tf : unit -> unit }
 
 let wheel_slots = 256
 let wheel_mask = wheel_slots - 1
@@ -40,7 +42,7 @@ let wheel_tick = 0.001
    directly), and fires at most one select(2) wakeup after it is due —
    the wheel only bounds how coarsely the sweep walks time. *)
 
-type wheel_stats = { max_depth : int; fired : int; purged : int }
+type wheel_stats = { max_depth : int; fired : int; purged : int; wakeups : int }
 
 type t = {
   workers : worker array;
@@ -53,11 +55,13 @@ type t = {
   slots : tev list array;  (* slot = tick land wheel_mask *)
   slot_min : float array;  (* earliest [at] per slot; infinity if none *)
   slot_depth : int array;
+  slot_live : int array;  (* armed timers neither cancelled nor fired *)
   mutable last_tick : int;  (* highest tick already swept *)
   mutable sleep_until : float;  (* when the timer thread's sleep ends *)
   mutable wmax_depth : int;
   mutable wfired : int;
   mutable wpurged : int;  (* cancelled events removed without firing *)
+  mutable wwakeups : int;  (* returns of the timer thread's sleep *)
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
   t0 : float;
@@ -179,23 +183,42 @@ let drain_pipe t =
 
 let tick_of at = int_of_float (at /. wheel_tick)
 
-(* O(1) arm: push onto the event's slot, bump the slot's minimum, and
-   wake the timer thread only if it is asleep past the new deadline. *)
-let add_timer t ~delay f =
-  let ev = { at = now t +. Float.max 0. delay; cancelled = false; tf = f } in
+(* O(1) cancel: the event leaves its slot's live count at once and its
+   cell is purged lazily, at the slot's next sweep or arm. A slot whose
+   live timers are all cancelled no longer sets the timer thread's
+   deadline. *)
+let cancel t ev =
   Mutex.lock t.tlock;
-  let s = tick_of ev.at land wheel_mask in
+  if ev.armed then begin
+    ev.armed <- false;
+    t.slot_live.(ev.slot) <- t.slot_live.(ev.slot) - 1
+  end;
+  Mutex.unlock t.tlock
+
+(* O(1) arm: push onto the event's slot, bump the slot's minimum, and
+   wake the timer thread only if it is asleep past the new deadline. A
+   slot with no live timer holds only cancelled ones, which are dropped
+   here: a slot the sweep never visits cannot pile them up. *)
+let add_timer t ~delay f =
+  let at = now t +. Float.max 0. delay in
+  let s = tick_of at land wheel_mask in
+  let ev = { at; slot = s; armed = true; tf = f } in
+  Mutex.lock t.tlock;
+  if t.slot_live.(s) = 0 then begin
+    t.wpurged <- t.wpurged + t.slot_depth.(s);
+    t.slots.(s) <- [];
+    t.slot_depth.(s) <- 0;
+    t.slot_min.(s) <- infinity
+  end;
   t.slots.(s) <- ev :: t.slots.(s);
+  t.slot_live.(s) <- t.slot_live.(s) + 1;
   t.slot_depth.(s) <- t.slot_depth.(s) + 1;
   if t.slot_depth.(s) > t.wmax_depth then t.wmax_depth <- t.slot_depth.(s);
-  if ev.at < t.slot_min.(s) then t.slot_min.(s) <- ev.at;
-  let must_wake = ev.at < t.sleep_until in
+  if at < t.slot_min.(s) then t.slot_min.(s) <- at;
+  let must_wake = at < t.sleep_until in
   Mutex.unlock t.tlock;
   if must_wake then wake_timer t;
-  { Runtime.tcancel = (fun () -> ev.cancelled <- true) }
-  (* O(1) cancel: the flag is purged lazily at the slot's next sweep.
-     A stale slot_min can cause one spurious early wakeup, never a
-     missed or early fire. *)
+  { Runtime.tcancel = (fun () -> cancel t ev) }
 
 (* Walk the ticks since the last sweep (clamped to one revolution —
    each slot needs scanning at most once, since dueness is tested per
@@ -212,8 +235,12 @@ let sweep t nw =
       let keep = ref [] and kmin = ref infinity and kn = ref 0 in
       List.iter
         (fun ev ->
-          if ev.cancelled then t.wpurged <- t.wpurged + 1
-          else if ev.at <= nw then due := ev :: !due
+          if not ev.armed then t.wpurged <- t.wpurged + 1
+          else if ev.at <= nw then begin
+            ev.armed <- false;
+            t.slot_live.(s) <- t.slot_live.(s) - 1;
+            due := ev :: !due
+          end
           else begin
             keep := ev :: !keep;
             incr kn;
@@ -230,12 +257,14 @@ let sweep t nw =
   t.wfired <- t.wfired + List.length due;
   due
 
-(* Earliest deadline across the wheel; stale minima from cancelled
-   events only make this conservative (earlier). tlock held. *)
+(* Earliest deadline across the slots holding a live timer. A slot's
+   minimum can still be stale from a cancelled timer, which makes this
+   conservative (earlier) by one wakeup, after which the sweep
+   recomputes it. tlock held. *)
 let next_deadline t =
   let best = ref infinity in
   for s = 0 to wheel_mask do
-    if t.slot_min.(s) < !best then best := t.slot_min.(s)
+    if t.slot_live.(s) > 0 && t.slot_min.(s) < !best then best := t.slot_min.(s)
   done;
   !best
 
@@ -262,6 +291,7 @@ let timer_loop t =
       drain_pipe t;
       let nw = now t in
       Mutex.lock t.tlock;
+      if wait > 0. then t.wwakeups <- t.wwakeups + 1;
       let due = sweep t nw in
       t.sleep_until <- neg_infinity;
       Mutex.unlock t.tlock;
@@ -278,7 +308,14 @@ let timer_loop t =
 
 let wheel_stats t =
   Mutex.lock t.tlock;
-  let s = { max_depth = t.wmax_depth; fired = t.wfired; purged = t.wpurged } in
+  let s =
+    {
+      max_depth = t.wmax_depth;
+      fired = t.wfired;
+      purged = t.wpurged;
+      wakeups = t.wwakeups;
+    }
+  in
   Mutex.unlock t.tlock;
   s
 
@@ -327,11 +364,13 @@ let create ?(domains = 1) () =
       slots = Array.make wheel_slots [];
       slot_min = Array.make wheel_slots infinity;
       slot_depth = Array.make wheel_slots 0;
+      slot_live = Array.make wheel_slots 0;
       last_tick = -1;
       sleep_until = infinity (* wake on any arm until the first sleep *);
       wmax_depth = 0;
       wfired = 0;
       wpurged = 0;
+      wwakeups = 0;
       pipe_r;
       pipe_w;
       t0 = wall ();
@@ -358,23 +397,27 @@ let await_idle t =
   Mutex.unlock t.lock
 
 (* Bounded variant for chaos soaks: a stuck task (a liveness bug —
-   exactly what the soak hunts) must fail the run, not hang it.
-   OCaml's Condition has no timed wait, so this polls; 2 ms of poll
-   granularity is far below the soak's time scale. *)
+   exactly what the soak hunts) must fail the run, not hang it. The
+   wait is on [idle], like [await_idle]'s; a wheel timer at the
+   timeout broadcasts it too, and so does [shutdown], which stops the
+   timer thread. *)
 let try_await_idle t ~timeout =
-  let deadline = wall () +. timeout in
-  let rec go () =
-    Mutex.lock t.lock;
-    let live = t.live in
-    Mutex.unlock t.lock;
-    if live = 0 then true
-    else if wall () >= deadline then false
-    else begin
-      Thread.delay 0.002;
-      go ()
-    end
+  let expired = ref false in
+  let timer =
+    add_timer t ~delay:timeout (fun () ->
+        Mutex.lock t.lock;
+        expired := true;
+        Condition.broadcast t.idle;
+        Mutex.unlock t.lock)
   in
-  go ()
+  Mutex.lock t.lock;
+  while t.live > 0 && not (!expired || t.stopping) do
+    Condition.wait t.idle t.lock
+  done;
+  let idle = t.live = 0 in
+  Mutex.unlock t.lock;
+  timer.Runtime.tcancel ();
+  idle
 
 (* Stop dispatchers and the timer thread, then join the domains. The
    caller must first unblock its daemon tasks (close their mailboxes):
@@ -384,6 +427,7 @@ let shutdown t =
   if t.stopping then Mutex.unlock t.lock
   else begin
     t.stopping <- true;
+    Condition.broadcast t.idle;
     Mutex.unlock t.lock;
     Array.iter
       (fun w ->
@@ -393,6 +437,11 @@ let shutdown t =
       t.workers;
     wake_timer t;
     (match t.timer_thread with Some th -> Thread.join th | None -> ());
+    (* No thread is left to wake: a later arm must not write the pipe,
+       which is closed below. *)
+    Mutex.lock t.tlock;
+    t.sleep_until <- neg_infinity;
+    Mutex.unlock t.tlock;
     List.iter Domain.join t.domains;
     t.domains <- [];
     (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());

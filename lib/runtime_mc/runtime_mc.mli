@@ -32,10 +32,12 @@ val await_idle : t -> unit
 
 val try_await_idle : t -> timeout:float -> bool
 (** Like {!await_idle} but gives up after [timeout] wall-clock
-    seconds, returning [false] with tasks still live. Used by the
-    chaos harness: a stuck task must fail the soak, not hang it. Do
-    not call {!shutdown} after a [false] return — a domain waits for
-    its stuck fiber forever; report and exit instead. *)
+    seconds (a wheel timer wakes the wait), returning [false] with
+    tasks still live. Used by the chaos harness: a stuck task must
+    fail the soak, not hang it. Once {!shutdown} has begun it returns
+    at once, [true] only if no task is live. Do not call {!shutdown}
+    after a [false] return — a domain waits for its stuck fiber
+    forever; report and exit instead. *)
 
 val shutdown : t -> unit
 (** Stop dispatchers and the timer thread and join the domains.
@@ -57,6 +59,10 @@ type wheel_stats = {
   max_depth : int;  (** deepest any wheel slot has been *)
   fired : int;
   purged : int;  (** cancelled timers lazily removed without firing *)
+  wakeups : int;
+      (** returns of the timer thread from its sleep; a cancelled
+          timer no longer sets the thread's deadline, so these follow
+          the live timers, not the armed ones *)
 }
 
 val wheel_stats : t -> wheel_stats

@@ -468,6 +468,53 @@ let test_large_code () =
   Alcotest.(check bool) "wide code roundtrip" true
     (stripes_equal (C.decode codec blocks) stripe)
 
+(* [decode] hands surviving data blocks back as they are: with every
+   data block present the outputs are the inputs themselves. With a
+   parity block among the inputs, each erased position is a fresh
+   buffer (aliasing no input and no other output) holding the encoded
+   data, and no input is written. *)
+let test_decode_aliasing () =
+  let rng = Random.State.make [| 23 |] in
+  List.iter
+    (fun (m, n) ->
+      let codec = if n = m + 1 then C.parity ~m () else C.rs ~m ~n () in
+      let stripe = random_stripe rng m in
+      let enc = C.encode codec stripe in
+      let dec = C.decode codec (List.init m (fun i -> (i, enc.(i)))) in
+      Array.iteri
+        (fun i b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "(%d,%d) data block %d returned as is" m n i)
+            true (b == enc.(i)))
+        dec;
+      List.iter
+        (fun subset ->
+          let name =
+            Printf.sprintf "(%d,%d) from [%s]" m n
+              (String.concat "," (List.map string_of_int subset))
+          in
+          let inputs = List.map (fun i -> (i, enc.(i))) subset in
+          let before = List.map (fun (_, b) -> Bytes.copy b) inputs in
+          let dec = C.decode codec inputs in
+          Array.iteri
+            (fun i b ->
+              if List.mem i subset then
+                Alcotest.(check bool) (name ^ ": survivor as is") true
+                  (b == enc.(i))
+              else begin
+                Alcotest.(check bool) (name ^ ": erased is fresh") true
+                  (Array.for_all (fun e -> e != b) enc
+                  && List.length (List.filter (( == ) b) (Array.to_list dec))
+                     = 1);
+                Alcotest.(check bool) (name ^ ": erased rebuilt") true
+                  (Bytes.equal b stripe.(i))
+              end)
+            dec;
+          Alcotest.(check bool) (name ^ ": inputs untouched") true
+            (List.for_all2 (fun (_, b) c -> Bytes.equal b c) inputs before))
+        (List.filter (List.exists (fun i -> i >= m)) (subsets m 0 n)))
+    [ (2, 4); (3, 4); (5, 8) ]
+
 let () =
   Alcotest.run "erasure"
     [
@@ -478,6 +525,8 @@ let () =
           Alcotest.test_case "parity is xor" `Quick test_parity_codec_is_xor;
           Alcotest.test_case "replication copies" `Quick test_replication_copies;
           Alcotest.test_case "wide code" `Quick test_large_code;
+          Alcotest.test_case "decode returns survivors as is" `Quick
+            test_decode_aliasing;
         ] );
       ( "modify",
         [

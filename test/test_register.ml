@@ -899,6 +899,130 @@ let test_concurrent_writers_abort_or_serialize () =
         Alcotest.(check bool) "winner visible" true (is d2)
   | _ -> Alcotest.fail "post-conflict read"
 
+(* ------------------------------------------------------------------ *)
+(* Lazy head verification (DESIGN 4e)                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A Write or Order above every logged timestamp ([Slog.top_ts]) is
+   answered without hashing the log head. Its status and cur_ts must
+   still be the paper's rule computed from the verified head,
+   [Slog.max_ts]: on logs whose head is torn, damaged or a bot marker,
+   and on a log that gc emptied after damage. A timestamp at or below
+   [top_ts] must still be judged against the verified head. Raw
+   requests go to the replica on brick 1 of a 2-of-3 deployment. *)
+let test_lazy_head_rule () =
+  let module M = Core.Message in
+  let module Slog = Core.Slog in
+  let tsv ?(pid = 9) time = Ts.make ~time ~pid in
+  let block = Bytes.make bs 'w' in
+  let heads =
+    [
+      ( "torn head",
+        fun l ->
+          Slog.add l (tsv 2) (Some block);
+          Slog.add l (tsv 3) (Some (Bytes.make bs 'x'));
+          ignore (Slog.tear_last l) );
+      ( "damaged head",
+        fun l ->
+          Slog.add l (tsv 2) (Some block);
+          Slog.add l (tsv 3) (Some (Bytes.make bs 'x'));
+          ignore (Slog.damage_newest l) );
+      ( "bot-marker head",
+        fun l ->
+          Slog.add l (tsv 2) (Some block);
+          Slog.add l (tsv 3) None );
+      ( "emptied log",
+        fun l ->
+          Slog.add l (tsv 2) (Some block);
+          Slog.add l (tsv 3) (Some block);
+          ignore (Slog.gc l ~before:(tsv 3));
+          ignore (Slog.damage_newest l);
+          ignore (Slog.gc l ~before:(tsv 4));
+          Alcotest.(check int) "log emptied" 0 (Slog.size l);
+          Alcotest.(check bool) "top_ts of an empty log" true
+            (Ts.equal (Slog.top_ts l) Ts.low) );
+    ]
+  in
+  (* The paper's rule (lines 45-48, 57-60) from the verified head. *)
+  let expected l ~ord = function
+    | M.Order { ts; _ } ->
+        let v = Slog.max_ts l in
+        let fresh = Ts.( > ) ts v && Ts.( >= ) ts ord in
+        (fresh || Ts.equal ts ord, Ts.max (if fresh then ts else ord) v)
+    | M.Write { ts; block; _ } ->
+        let v = Slog.max_ts l in
+        let logged = Slog.find l ts in
+        let already = logged = Some (Some block) in
+        let stored =
+          (not already) && logged = None && Ts.( > ) ts v && Ts.( >= ) ts ord
+        in
+        (already || stored, Ts.max ord (if stored then ts else v))
+    | _ -> assert false
+  in
+  (* Probes run in order on a fresh deployment, after the head is set
+     up; an Order at 9 first makes the barrier refuse what follows. *)
+  let probes =
+    [
+      ("write above top", [ M.Write { stripe = 0; block; ts = tsv 6 } ]);
+      ("order above top", [ M.Order { stripe = 0; ts = tsv 6 } ]);
+      ( "write above top, refused by the barrier",
+        [ M.Order { stripe = 0; ts = tsv 9 }; M.Write { stripe = 0; block; ts = tsv 6 } ] );
+      ( "order above top, refused by the barrier",
+        [ M.Order { stripe = 0; ts = tsv 9 }; M.Order { stripe = 0; ts = tsv 6 } ] );
+      ( "write below top",
+        [ M.Write { stripe = 0; block; ts = tsv ~pid:10 2 } ] );
+      ("order below top", [ M.Order { stripe = 0; ts = tsv ~pid:10 2 } ]);
+      ("write at top", [ M.Write { stripe = 0; block; ts = tsv 3 } ]);
+    ]
+  in
+  let at_or_below_accepted = ref 0 in
+  List.iter
+    (fun (head, prepare) ->
+      List.iter
+        (fun (probe, msgs) ->
+          let cl = Cluster.create ~gc_enabled:false ~block_size:bs ~m:2 ~n:3 () in
+          let call msg =
+            match
+              Cluster.run_op cl (fun c ->
+                  Quorum.Rpc.call cl.Cluster.rpc ~coord:(Coordinator.brick c)
+                    ~members:[ 1 ] ~quorum:1 (fun _ -> msg))
+            with
+            | Some [ (_, (M.Order_r { status; cur_ts } | M.Write_r { status; cur_ts })) ]
+              ->
+                (status, cur_ts)
+            | _ -> Alcotest.failf "%s, %s: no reply" head probe
+          in
+          (* The first request creates the stripe's log on brick 1. *)
+          ignore (call (M.Order { stripe = 0; ts = tsv 1 }));
+          let r = cl.Cluster.replicas.(1) in
+          let l = Option.get (Core.Replica.log r ~stripe:0) in
+          prepare l;
+          List.iter
+            (fun msg ->
+              let want =
+                expected l ~ord:(Core.Replica.ord_ts r ~stripe:0) msg
+              in
+              let top = Slog.top_ts l in
+              let got = call msg in
+              let name = Printf.sprintf "%s, %s" head probe in
+              Alcotest.(check bool) (name ^ ": status") (fst want) (fst got);
+              Alcotest.(check string) (name ^ ": cur_ts")
+                (Ts.to_string (snd want)) (Ts.to_string (snd got));
+              match msg with
+              | M.Write { ts; _ } | M.Order { ts; _ }
+                when fst got && Ts.( <= ) ts top ->
+                  incr at_or_below_accepted
+              | _ -> ())
+            msgs)
+        probes)
+    heads;
+  (* At or below a torn or damaged head (time 3) the verified head
+     (time 2) decides: the Write and the Order at time 2, pid 10 and
+     the Write at time 3 (which repairs the head) are accepted there,
+     and nowhere else. *)
+  Alcotest.(check int) "accepted at or below a torn or damaged head" 6
+    !at_or_below_accepted
+
 let test_gc_bounds_logs () =
   let cl = Cluster.create ~m:3 ~n:5 () in
   for round = 0 to 19 do
@@ -1217,6 +1341,11 @@ let () =
           Alcotest.test_case "recover clears suspicion" `Quick
             test_recover_clears_suspicion;
           Alcotest.test_case "mc crash/recover" `Quick test_degraded_read_mc;
+        ] );
+      ( "lazy head",
+        [
+          Alcotest.test_case "above top_ts, the paper's rule" `Quick
+            test_lazy_head_rule;
         ] );
       ( "gc",
         [

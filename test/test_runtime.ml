@@ -778,6 +778,107 @@ let conformance name make =
         (test_mailbox_crash_reopen make);
     ] )
 
+(* ------------------------------------------------------------------ *)
+(* mc timer wheel and idle wait: no wakeup nobody asked for            *)
+(* ------------------------------------------------------------------ *)
+
+let wheel_wakeups pool = (Runtime_mc.wheel_stats pool).Runtime_mc.wakeups
+
+(* Every RPC arms a retransmission timer and cancels it when its
+   replies arrive. Cancelled timers, spread over some 150 wheel slots
+   here, must not keep setting the timer thread's deadline. *)
+let test_mc_cancelled_timers_no_wakeups () =
+  with_pool ~domains:1 @@ fun pool rt ->
+  let before = wheel_wakeups pool in
+  for i = 0 to 9_999 do
+    let delay = 0.01 +. (float_of_int i *. 0.000015) in
+    (rt.Runtime.timer ~delay ignore).Runtime.tcancel ()
+  done;
+  Thread.delay 0.2;
+  let woke = wheel_wakeups pool - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "timer thread woke %d times in 200 ms" woke)
+    true (woke <= 8)
+
+(* A live timer among cancelled neighbours (in its own slot and the
+   next) still fires, never before it is due, and at most one 1 ms
+   tick late; the median of ten is checked against the tick, so one
+   preemption of the timer thread by the OS cannot fail the test. *)
+let test_mc_live_timer_on_time () =
+  with_pool ~domains:1 @@ fun pool rt ->
+  let tick = 0.001 in
+  let lateness =
+    List.init 10 (fun i ->
+        let delay = 0.02 +. (float_of_int i *. 0.0003) in
+        let fired = Atomic.make None in
+        let due = Runtime_mc.now pool +. delay in
+        (rt.Runtime.timer ~delay ignore).Runtime.tcancel ();
+        ignore
+          (rt.Runtime.timer ~delay (fun () ->
+               Atomic.set fired (Some (Runtime_mc.now pool))));
+        (rt.Runtime.timer ~delay:(delay +. tick) ignore).Runtime.tcancel ();
+        wait_until (fun () -> Atomic.get fired <> None);
+        Option.get (Atomic.get fired) -. due)
+  in
+  List.iter
+    (fun late ->
+      Alcotest.(check bool)
+        (Printf.sprintf "fired %.0f us after due, not before" (late *. 1e6))
+        true (late >= 0.))
+    lateness;
+  let median = List.nth (List.sort compare lateness) 5 in
+  Alcotest.(check bool)
+    (Printf.sprintf "median lateness %.0f us within one tick" (median *. 1e6))
+    true (median <= tick)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let test_mc_try_await_idle_prompt () =
+  with_pool ~domains:1 @@ fun pool rt ->
+  Runtime.spawn rt (fun () -> Runtime.sleep rt 0.02);
+  let idle, took = timed (fun () -> Runtime_mc.try_await_idle pool ~timeout:5.) in
+  Alcotest.(check bool) "idle" true idle;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned after %.3f s, not at the timeout" took)
+    true (took < 1.)
+
+let test_mc_try_await_idle_times_out () =
+  with_pool ~domains:1 @@ fun pool rt ->
+  let g = rt.Runtime.gate () in
+  Runtime.spawn rt (fun () -> g.Runtime.await ());
+  (* Opened even on failure: shutdown waits for every fiber. *)
+  Fun.protect ~finally:g.Runtime.open_ (fun () ->
+      let idle, took =
+        timed (fun () -> Runtime_mc.try_await_idle pool ~timeout:0.1)
+      in
+      Alcotest.(check bool) "stuck task reported" false idle;
+      Alcotest.(check bool)
+        (Printf.sprintf "gave up after %.3f s" took)
+        true
+        (took >= 0.1 && took < 1.));
+  Runtime_mc.await_idle pool
+
+(* The timer that ends the wait runs on the timer thread, which
+   shutdown stops: the wait must not depend on it afterwards. *)
+let test_mc_try_await_idle_after_shutdown () =
+  let pool = Runtime_mc.create ~domains:1 () in
+  Runtime_mc.shutdown pool;
+  let idle, took =
+    timed (fun () -> Runtime_mc.try_await_idle pool ~timeout:10.)
+  in
+  Alcotest.(check bool) "nothing live" true idle;
+  Alcotest.(check bool) (Printf.sprintf "prompt (%.3f s)" took) true (took < 1.);
+  (* A task spawned after shutdown never runs. *)
+  Runtime.spawn (Runtime_mc.runtime pool) ignore;
+  let idle, took =
+    timed (fun () -> Runtime_mc.try_await_idle pool ~timeout:10.)
+  in
+  Alcotest.(check bool) "task still live" false idle;
+  Alcotest.(check bool) (Printf.sprintf "prompt (%.3f s)" took) true (took < 1.)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -796,6 +897,19 @@ let () =
             test_mc_blocked_tasks_start_no_thread;
           Alcotest.test_case "ivar across the pool boundary" `Quick
             test_mc_ivar_across_pool_boundary;
+        ] );
+      ( "mc timers",
+        [
+          Alcotest.test_case "cancelled timers wake nothing" `Quick
+            test_mc_cancelled_timers_no_wakeups;
+          Alcotest.test_case "live timer fires on time" `Quick
+            test_mc_live_timer_on_time;
+          Alcotest.test_case "try_await_idle returns when idle" `Quick
+            test_mc_try_await_idle_prompt;
+          Alcotest.test_case "try_await_idle times out" `Quick
+            test_mc_try_await_idle_times_out;
+          Alcotest.test_case "try_await_idle after shutdown" `Quick
+            test_mc_try_await_idle_after_shutdown;
         ] );
       ( "multicore soak",
         [

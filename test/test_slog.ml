@@ -304,11 +304,20 @@ let test_crc32c_known_answers () =
   check "123456789" 0xe3069283 (Bytes.of_string "123456789")
 
 (* The hardware path (when this CPU has one) and the portable path
-   agree on every length around the 8-byte step and its tail, and on
-   the two block sizes the benchmarks use. *)
+   agree on every length around the 8-byte step and its tail, on both
+   sides of each three-stream boundary (3 x 256 B and 3 x 8 KiB), on
+   the two block sizes the benchmarks use, and on a buffer long enough
+   to run the long loop several times. Each buffer is a length-seeded
+   pseudo-random stream, never periodic within the buffer, so a chunk
+   hashed twice, dropped or merged out of order changes the value. *)
 let test_crc32c_paths_agree () =
   let agree len =
-    let b = Bytes.init len (fun i -> Char.chr ((i * 131 + len) land 0xff)) in
+    let s = ref ((len * 2654435761) + 1) in
+    let b =
+      Bytes.init len (fun _ ->
+          s := ((!s * 1103515245) + 12345) land 0x3fffffff;
+          Char.chr ((!s lsr 16) land 0xff))
+    in
     let hw = Core.Crc32c.bytes b and sw = Core.Crc32c.portable b in
     if hw <> sw then
       Alcotest.failf "length %d: %s %08x, portable %08x" len Core.Crc32c.kernel
@@ -317,7 +326,11 @@ let test_crc32c_paths_agree () =
   for len = 0 to 300 do
     agree len
   done;
-  List.iter agree [ 4096; 65536; 65536 + 7 ]
+  List.iter agree
+    [
+      767; 768; 769; 4096; 24575; 24576; 24577; 65536; 65536 + 7;
+      (200 * 1024) + 3;
+    ]
 
 let test_marker_tag_outside_crc_range () =
   Alcotest.(check bool) "bot tag > 0xffffffff" true
