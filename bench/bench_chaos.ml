@@ -216,44 +216,40 @@ let run () =
       let num k v = (k, F v) in
       let doc =
         ( "meta",
-          Obs.Meta.standard ~runtime:"sim+mc" ~domains
-            ~extra:
-              [
-                ("tool", S "bench chaos");
-                ("m", I m);
-                ("n", I n);
-                ("stripes", I stripes);
-                ("block_size", I block_size);
-                num "deadline_u" deadline_u;
-                num "fault_u" fault_u;
-                num "recover_u" recover_u;
-                num "probe_gap_u" probe_gap_u;
-                num "mc_seconds_per_unit" ts;
-                ("cycles_per_kind", I cycles);
-                ("hw_cores", I hw);
-                ("smoke", B !smoke);
-              ]
-            () )
+          O
+            (Obs.Meta.standard ~runtime:"sim+mc" ~domains
+               ~extra:
+                 [
+                   ("tool", S "bench chaos");
+                   ("m", I m);
+                   ("n", I n);
+                   ("stripes", I stripes);
+                   ("block_size", I block_size);
+                   num "deadline_u" deadline_u;
+                   num "fault_u" fault_u;
+                   num "recover_u" recover_u;
+                   num "probe_gap_u" probe_gap_u;
+                   num "mc_seconds_per_unit" ts;
+                   ("cycles_per_kind", I cycles);
+                   ("hw_cores", I hw);
+                   ("smoke", B !smoke);
+                 ]
+               ()) )
         :: List.map
              (fun c ->
                ( c.backend ^ "_" ^ kind_name c.kind,
-                 [
-                   ("unit", S c.unit_);
-                   ("cycles", I c.cycles);
-                   num "ttr_p50" (pct c 50.);
-                   num "ttr_p99" (pct c 99.);
-                   num "ttr_max" (Metrics.Hist.max c.hist);
-                   num "ttr_mean" (Metrics.Hist.mean c.hist);
-                   num "availability_pct" c.availability_pct;
-                 ] ))
+                 O
+                   [
+                     ("unit", S c.unit_);
+                     ("cycles", I c.cycles);
+                     num "ttr_p50" (pct c 50.);
+                     num "ttr_p99" (pct c 99.);
+                     num "ttr_max" (Metrics.Hist.max c.hist);
+                     num "ttr_mean" (Metrics.Hist.mean c.hist);
+                     num "availability_pct" c.availability_pct;
+                   ] ))
              cells
       in
-      let oc = open_out path in
-      Printf.fprintf oc "{%s}\n"
-        (String.concat ",\n "
-           (List.map
-              (fun (name, fields) -> render (S name) ^ ": " ^ obj fields)
-              doc));
-      close_out oc;
+      to_file path (O doc);
       Printf.printf "  wrote %s\n" path)
     !json_out

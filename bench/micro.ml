@@ -208,37 +208,28 @@ let measure_group (group, tests, bytes_per_op) =
     results []
 
 let write_json path rows =
-  let oc = open_out path in
   (* Stamp run metadata (commit, date, geometry, selected kernel) so
      results files stay comparable across commits; see Obs.Meta. *)
+  let open Obs.Json in
   let meta =
     Obs.Meta.standard
       ~extra:
-        Obs.Json.
-          [
-            ("tool", S "bench micro");
-            ("block_size", I block_size);
-            ("plan_block_size", I plan_block_size);
-            ("gf_kernel", S (K.name (K.default ())));
-            ("simd_level", I K.simd_level);
-            ("crc32c", S Core.Crc32c.kernel);
-          ]
+        [
+          ("tool", S "bench micro");
+          ("block_size", I block_size);
+          ("plan_block_size", I plan_block_size);
+          ("gf_kernel", S (K.name (K.default ())));
+          ("simd_level", I K.simd_level);
+          ("crc32c", S Core.Crc32c.kernel);
+        ]
       ()
   in
-  Printf.fprintf oc "{\"meta\": %s,\n \"rows\": [\n"
-    (Obs.Json.obj meta);
-  let total = List.length rows in
-  List.iteri
-    (fun i (name, est) ->
-      let ns, mbps = match est with Some (ns, mb) -> (ns, mb) | None -> (0., 0.) in
-      Printf.fprintf oc
-        "  {\"name\": %S, \"ns_per_op\": %.1f, \"mb_per_s\": %.1f}%s\n" name ns
-        mbps
-        (if i = total - 1 then "" else ","))
-    rows;
-  output_string oc "]}\n";
-  close_out oc;
-  Printf.printf "  wrote %d rows to %s\n" total path
+  let row (name, est) =
+    let ns, mbps = match est with Some (ns, mb) -> (ns, mb) | None -> (0., 0.) in
+    O [ ("name", S name); ("ns_per_op", F ns); ("mb_per_s", F mbps) ]
+  in
+  to_file path (O [ ("meta", O meta); ("rows", A (List.map row rows)) ]);
+  Printf.printf "  wrote %d rows to %s\n" (List.length rows) path
 
 let run () =
   Util.section "MICRO | codec and version-log primitive throughput";

@@ -491,89 +491,85 @@ let run () =
       let num k v = (k, F v) in
       let doc =
         ( "meta",
-          Obs.Meta.standard ~runtime:"mc"
-            ~domains:(List.fold_left max 1 sweep)
-            ~gc_minor_words_per_op:base.minor_words_per_op
-            ~extra:
-              [
-                ("tool", S "bench parallel");
-                ("m", I m);
-                ("n", I n);
-                ("stripes", I stripes);
-                ("block_size", I block_size);
-                ("clients", I clients);
-                ("ops", I ops);
-                ("hw_cores", I hw);
-                ("smoke", B !smoke);
-                ("gf_kernel", S Gf256.Kernel.(name (default ())));
-              ]
-            () )
+          O
+            (Obs.Meta.standard ~runtime:"mc"
+               ~domains:(List.fold_left max 1 sweep)
+               ~gc_minor_words_per_op:base.minor_words_per_op
+               ~extra:
+                 [
+                   ("tool", S "bench parallel");
+                   ("m", I m);
+                   ("n", I n);
+                   ("stripes", I stripes);
+                   ("block_size", I block_size);
+                   ("clients", I clients);
+                   ("ops", I ops);
+                   ("hw_cores", I hw);
+                   ("smoke", B !smoke);
+                   ("gf_kernel", S Gf256.Kernel.(name (default ())));
+                 ]
+               ()) )
         :: List.map
              (fun r ->
+               let resumed, parks, wakeups = r.sched in
                ( Printf.sprintf "domains_%d" r.domains,
-                 [
-                   ("domains", I r.domains);
-                   ("ops_done", I r.ops_done);
-                   ("aborted", I r.aborted);
-                   ("unavailable", I r.unavailable);
-                   num "elapsed_s" r.elapsed;
-                   num "ops_per_sec" r.ops_per_sec;
-                   num "p50_ms" (pct r 50. *. 1e3);
-                   num "p99_ms" (pct r 99. *. 1e3);
-                   num "speedup_vs_1"
-                     (if base.ops_per_sec > 0. then
-                        r.ops_per_sec /. base.ops_per_sec
-                      else 0.);
-                 ]
-                 @
-                 let resumed, parks, wakeups = r.sched in
-                 [
-                   num "sched_resumed" resumed;
-                   num "sched_parks" parks;
-                   num "sched_wakeups" wakeups;
-                 ] ))
+                 O
+                   [
+                     ("domains", I r.domains);
+                     ("ops_done", I r.ops_done);
+                     ("aborted", I r.aborted);
+                     ("unavailable", I r.unavailable);
+                     num "elapsed_s" r.elapsed;
+                     num "ops_per_sec" r.ops_per_sec;
+                     num "p50_ms" (pct r 50. *. 1e3);
+                     num "p99_ms" (pct r 99. *. 1e3);
+                     num "speedup_vs_1"
+                       (if base.ops_per_sec > 0. then
+                          r.ops_per_sec /. base.ops_per_sec
+                        else 0.);
+                     num "sched_resumed" resumed;
+                     num "sched_parks" parks;
+                     num "sched_wakeups" wakeups;
+                   ] ))
              results
         @ List.map
             (fun (d, sh, si) ->
               ( Printf.sprintf "micro_pending_d%d" d,
-                [
-                  ("domains", I d);
-                  num "sharded_calls_per_sec" sh.calls_per_sec;
-                  num "single_calls_per_sec" si.calls_per_sec;
-                  num "speedup"
-                    (sh.calls_per_sec /. Float.max 1e-9 si.calls_per_sec);
-                  num "shard_lock_waits" sh.lock_waits;
-                ] ))
+                O
+                  [
+                    ("domains", I d);
+                    num "sharded_calls_per_sec" sh.calls_per_sec;
+                    num "single_calls_per_sec" si.calls_per_sec;
+                    num "speedup"
+                      (sh.calls_per_sec /. Float.max 1e-9 si.calls_per_sec);
+                    num "shard_lock_waits" sh.lock_waits;
+                  ] ))
             pend
         @ List.map
             (fun (d, b, l, avg) ->
               ( Printf.sprintf "micro_mailbox_d%d" d,
-                [
-                  ("domains", I d);
-                  num "batched_msgs_per_sec" b;
-                  num "legacy_msgs_per_sec" l;
-                  num "speedup" (b /. Float.max 1e-9 l);
-                  num "avg_drain_batch" avg;
-                ] ))
+                O
+                  [
+                    ("domains", I d);
+                    num "batched_msgs_per_sec" b;
+                    num "legacy_msgs_per_sec" l;
+                    num "speedup" (b /. Float.max 1e-9 l);
+                    num "avg_drain_batch" avg;
+                  ] ))
             mbox
         @ List.map
             (fun (d, r) ->
               ( Printf.sprintf "micro_timer_d%d" d,
-                [
-                  ("domains", I d);
-                  num "arms_per_sec" r.arms_per_sec;
-                  ("wheel_max_depth", I r.wheel.Runtime_mc.max_depth);
-                  ("wheel_fired", I r.wheel.Runtime_mc.fired);
-                  ("wheel_purged", I r.wheel.Runtime_mc.purged);
-                ] ))
+                O
+                  [
+                    ("domains", I d);
+                    num "arms_per_sec" r.arms_per_sec;
+                    ("wheel_max_depth", I r.wheel.Runtime_mc.max_depth);
+                    ("wheel_fired", I r.wheel.Runtime_mc.fired);
+                    ("wheel_purged", I r.wheel.Runtime_mc.purged);
+                  ] ))
             tmr
       in
-      let oc = open_out path in
-      Printf.fprintf oc "{%s}\n"
-        (String.concat ",\n "
-           (List.map
-              (fun (name, fields) -> render (S name) ^ ": " ^ obj fields)
-              doc));
-      close_out oc;
+      to_file path (O doc);
       Printf.printf "  wrote %s\n" path)
     !json_out

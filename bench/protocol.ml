@@ -189,7 +189,7 @@ let run () =
   Option.iter
     (fun path ->
       let open Obs.Json in
-      let section name fields = (name, fields) in
+      let section name fields = (name, O fields) in
       let num k v = (k, F v) in
       let doc =
         [
@@ -242,13 +242,6 @@ let run () =
             ];
         ]
       in
-      let oc = open_out path in
-      Printf.fprintf oc "{%s}\n"
-        (String.concat ",\n "
-           (List.map
-              (fun (name, fields) ->
-                render (S name) ^ ": " ^ obj fields)
-              doc));
-      close_out oc;
+      to_file path (O doc);
       Printf.printf "  wrote %s\n" path)
     !json_out

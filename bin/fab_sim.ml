@@ -20,8 +20,6 @@ open Cmdliner
 
 (* ---------------- JSON rendering helpers ---------------- *)
 
-let quote k = Obs.Json.render (Obs.Json.S k)
-
 let summary_fields s =
   let module S = Metrics.Summary in
   if S.count s = 0 then [ ("count", Obs.Json.I 0) ]
@@ -54,13 +52,6 @@ let hist_fields h =
       ("rel_error", Obs.Json.F (H.relative_error h));
     ]
 
-(* One nesting level: {"a": {...}, "b": {...}}. *)
-let nested entries =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, fields) -> quote k ^ ": " ^ Obs.Json.obj fields) entries)
-  ^ "}"
-
 (* ---------------- workload ---------------- *)
 
 let profile_conv =
@@ -88,7 +79,7 @@ let write_stats_json path ~meta ~metrics ~obs_stats ~client_latency ~elapsed
     List.filter_map
       (fun name ->
         Option.map
-          (fun s -> (name, summary_fields s))
+          (fun s -> (name, Obs.Json.O (summary_fields s)))
           (Metrics.Registry.summary_opt metrics name))
       (Metrics.Registry.summary_names metrics)
   in
@@ -97,34 +88,30 @@ let write_stats_json path ~meta ~metrics ~obs_stats ~client_latency ~elapsed
     List.map
       (fun (kind, count, phases) ->
         ( kind,
-          ("count", Obs.Json.I count)
-          :: List.map
-               (fun (p, mean) -> (Obs.phase_name p, Obs.Json.F mean))
-               phases
-          @ List.map
-              (fun (p, c) -> ("elided_" ^ Obs.phase_name p, Obs.Json.I c))
-              (Option.value ~default:[] (List.assoc_opt kind elided)) ))
+          Obs.Json.O
+            (("count", Obs.Json.I count)
+             :: List.map
+                  (fun (p, mean) -> (Obs.phase_name p, Obs.Json.F mean))
+                  phases
+            @ List.map
+                (fun (p, c) -> ("elided_" ^ Obs.phase_name p, Obs.Json.I c))
+                (Option.value ~default:[] (List.assoc_opt kind elided))) ))
       (Obs.Stats.phase_breakdown obs_stats)
   in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{%s: %s,\n %s: %s,\n %s: %s,\n %s: %s,\n %s: %s,\n %s: %s,\n\
-    \ %s: %s,\n %s: %s,\n %s: %s}\n"
-    (quote "meta") (Obs.Json.obj meta)
-    (quote "elapsed")
-    (Obs.Json.render (Obs.Json.F elapsed))
-    (quote "ops_done")
-    (Obs.Json.render (Obs.Json.I ops_done))
-    (quote "aborts")
-    (Obs.Json.render (Obs.Json.I aborts))
-    (quote "unfinished")
-    (Obs.Json.render (Obs.Json.I (Obs.Stats.unfinished obs_stats)))
-    (quote "client_latency")
-    (Obs.Json.obj (summary_fields client_latency))
-    (quote "counters") (Obs.Json.obj counters)
-    (quote "summaries") (nested summaries)
-    (quote "breakdown") (nested breakdown);
-  close_out oc
+  Obs.Json.(
+    to_file path
+      (O
+         [
+           ("meta", O meta);
+           ("elapsed", F elapsed);
+           ("ops_done", I ops_done);
+           ("aborts", I aborts);
+           ("unfinished", I (Obs.Stats.unfinished obs_stats));
+           ("client_latency", O (summary_fields client_latency));
+           ("counters", O counters);
+           ("summaries", O summaries);
+           ("breakdown", O breakdown);
+         ]))
 
 let run_workload runtime_name domains m n bricks stripes block_size clients
     ops profile drop seed optimized pipeline_window trace
@@ -567,25 +554,6 @@ let explain_cmd =
 
 (* ---------------- report ---------------- *)
 
-(* Nested JSON for BENCH_workload.json (Obs.Json is flat by design —
-   the event schema — so the report builds its own small tree). *)
-module Jt = struct
-  type t = O of (string * t) list | A of t list | L of Obs.Json.v
-
-  let rec render ?(level = 0) = function
-    | L v -> Obs.Json.render v
-    | A items -> "[" ^ String.concat ", " (List.map (render ~level) items) ^ "]"
-    | O [] -> "{}"
-    | O fields ->
-        let pad = String.make (2 * (level + 1)) ' ' in
-        "{\n"
-        ^ String.concat ",\n"
-            (List.map
-               (fun (k, v) -> pad ^ quote k ^ ": " ^ render ~level:(level + 1) v)
-               fields)
-        ^ "\n" ^ String.make (2 * level) ' ' ^ "}"
-end
-
 (* "rep-K" (K-way replication = 1-of-K) or "ec-M-N" (M-of-N code). *)
 let parse_geometry s =
   let fail () =
@@ -796,74 +764,71 @@ let cell_windows cell =
             Obs.Timeline.faults_in cell.c_timeline w ))
 
 let cell_json cell =
+  let open Obs.Json in
   let slo_fields (r : Obs.Slo.report) =
     ( Obs.Slo.name r.Obs.Slo.objective,
-      Jt.O
+      O
         [
-          ("total", Jt.L (Obs.Json.I r.Obs.Slo.total));
-          ("bad", Jt.L (Obs.Json.I r.Obs.Slo.bad));
-          ("budget_frac", Jt.L (Obs.Json.F r.Obs.Slo.budget_frac));
-          ("burn", Jt.L (Obs.Json.F r.Obs.Slo.burn));
-          ("compliant", Jt.L (Obs.Json.B r.Obs.Slo.compliant));
+          ("total", I r.Obs.Slo.total);
+          ("bad", I r.Obs.Slo.bad);
+          ("budget_frac", F r.Obs.Slo.budget_frac);
+          ("burn", F r.Obs.Slo.burn);
+          ("compliant", B r.Obs.Slo.compliant);
         ] )
   in
   let windows =
     List.map
       (fun (w, t0, n, p50, p99, p999, goodput, rtx, faults) ->
         let pc name v fields =
-          match v with Some v -> (name, Jt.L (Obs.Json.F v)) :: fields | None -> fields
+          match v with Some v -> (name, F v) :: fields | None -> fields
         in
-        Jt.O
-          (("w", Jt.L (Obs.Json.I w))
-           :: ("t0", Jt.L (Obs.Json.F t0))
-           :: ("n", Jt.L (Obs.Json.I n))
+        O
+          (("w", I w)
+           :: ("t0", F t0)
+           :: ("n", I n)
            :: (pc "p50" p50 @@ pc "p99" p99 @@ pc "p999" p999
                  [
-                   ("goodput", Jt.L (Obs.Json.F goodput));
-                   ("retransmits", Jt.L (Obs.Json.F rtx));
-                   ("faults", Jt.L (Obs.Json.S (String.concat "," faults)));
+                   ("goodput", F goodput);
+                   ("retransmits", F rtx);
+                   ("faults", S (String.concat "," faults));
                  ])))
       (cell_windows cell)
   in
   ( cell.c_name,
-    Jt.O
+    O
       [
-        ("geometry", Jt.L (Obs.Json.S cell.c_geom));
-        ("profile", Jt.L (Obs.Json.S cell.c_profile));
-        ("m", Jt.L (Obs.Json.I cell.c_m));
-        ("n", Jt.L (Obs.Json.I cell.c_n));
-        ("elapsed", Jt.L (Obs.Json.F cell.c_elapsed));
-        ("ops", Jt.L (Obs.Json.I cell.c_ops));
-        ("ok", Jt.L (Obs.Json.I cell.c_ok));
-        ("aborts", Jt.L (Obs.Json.I cell.c_aborts));
-        ("unavailable", Jt.L (Obs.Json.I cell.c_unavail));
+        ("geometry", S cell.c_geom);
+        ("profile", S cell.c_profile);
+        ("m", I cell.c_m);
+        ("n", I cell.c_n);
+        ("elapsed", F cell.c_elapsed);
+        ("ops", I cell.c_ops);
+        ("ok", I cell.c_ok);
+        ("aborts", I cell.c_aborts);
+        ("unavailable", I cell.c_unavail);
         ( "throughput",
-          Jt.L
-            (Obs.Json.F
-               (if cell.c_elapsed <= 0. then 0.
-                else float_of_int cell.c_ops /. cell.c_elapsed *. 1000.)) );
+          F
+            (if cell.c_elapsed <= 0. then 0.
+             else float_of_int cell.c_ops /. cell.c_elapsed *. 1000.) );
         ( "cost_per_op",
-          Jt.O
+          O
             [
-              ("msgs", Jt.L (Obs.Json.F cell.c_msgs));
-              ("net_blocks", Jt.L (Obs.Json.F cell.c_net_blocks));
-              ("disk_reads", Jt.L (Obs.Json.F cell.c_disk_reads));
-              ("disk_writes", Jt.L (Obs.Json.F cell.c_disk_writes));
+              ("msgs", F cell.c_msgs);
+              ("net_blocks", F cell.c_net_blocks);
+              ("disk_reads", F cell.c_disk_reads);
+              ("disk_writes", F cell.c_disk_writes);
             ] );
-        ("latency", Jt.O (List.map (fun (k, v) -> (k, Jt.L v)) (summary_fields cell.c_latency)));
-        ("latency_hist", Jt.O (List.map (fun (k, v) -> (k, Jt.L v)) (hist_fields cell.c_hist)));
+        ("latency", O (summary_fields cell.c_latency));
+        ("latency_hist", O (hist_fields cell.c_hist));
         ( "kinds",
-          Jt.O
+          O
             (List.map
                (fun (k, sum, h) ->
-                 ( k,
-                   Jt.O
-                     (List.map (fun (k, v) -> (k, Jt.L v)) (summary_fields sum)
-                     @ [ ("hist", Jt.O (List.map (fun (k, v) -> (k, Jt.L v)) (hist_fields h))) ]) ))
+                 (k, O (summary_fields sum @ [ ("hist", O (hist_fields h)) ])))
                cell.c_kinds) );
-        ("slo", Jt.O (List.map slo_fields cell.c_slos));
-        ("evicted", Jt.L (Obs.Json.I cell.c_evicted));
-        ("windows", Jt.A windows);
+        ("slo", O (List.map slo_fields cell.c_slos));
+        ("evicted", I cell.c_evicted);
+        ("windows", A windows);
       ] )
 
 let fnum v = Printf.sprintf "%.2f" v
@@ -1091,17 +1056,9 @@ let run_report geometries profiles stripes block_size clients ops seed window
               ]
             ()
         in
-        let doc =
-          Jt.O
-            [
-              ("meta", Jt.O (List.map (fun (k, v) -> (k, Jt.L v)) meta));
-              ("cells", Jt.O (List.map cell_json cells));
-            ]
-        in
-        let oc = open_out out in
-        output_string oc (Jt.render doc);
-        output_char oc '\n';
-        close_out oc;
+        Obs.Json.(
+          to_file out
+            (O [ ("meta", O meta); ("cells", O (List.map cell_json cells)) ]));
         write_report_md md ~meta ~window ~slos cells;
         Printf.printf "report: wrote %s and %s (%d cells)\n" out md
           (List.length cells);

@@ -232,7 +232,7 @@ let mc_transport rt pool ~metrics ~n =
 
 let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
     ?optimized_modify ?deadline ?unsafe_skip_order
-    ?(retry_every = 0.05) ?retry_backoff ?retry_cap ?shards ~m ~n () =
+    ?(retry_every = 0.05) ?retry_backoff ?retry_cap ~m ~n () =
   let nbricks = match bricks with Some b -> b | None -> n in
   if nbricks < n then invalid_arg "Core.Cluster.create_mc: bricks < n";
   let layout =
@@ -252,7 +252,7 @@ let create_mc ?(domains = 1) ?bricks ?layout ?(block_size = 1024) ?gc_enabled
     Quorum.Rpc.create ~rt:runtime ~transport ~metrics
       ~req_bytes:Message.bytes_on_wire ~rep_bytes:Message.bytes_on_wire
       ~req_label:Message.label ~rep_label:Message.label ~retry_every
-      ?retry_backoff ?retry_cap ?shards
+      ?retry_backoff ?retry_cap
       ~grace:(retry_every /. 4.) ()
   in
   let codec = default_codec ~m ~n in

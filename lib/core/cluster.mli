@@ -101,7 +101,6 @@ val create_mc :
   ?retry_every:float ->
   ?retry_backoff:float ->
   ?retry_cap:float ->
-  ?shards:int ->
   m:int ->
   n:int ->
   unit ->
@@ -115,8 +114,7 @@ val create_mc :
     wall-clock seconds here, not simulated delta units. Every
     coordinator's {!Clock}, the recovery coordinators' too, reads this
     runtime's wall clock, and stays unique when the coordinator's
-    tasks run on several domains at once. [shards] sizes the RPC pending table's lock
-    sharding (see {!Quorum.Rpc.create}); [unsafe_skip_order] enables
+    tasks run on several domains at once. [unsafe_skip_order] enables
     the deliberately broken protocol variant so the chaos soak can
     prove its checker bites under real parallelism too. No determinism
     and no virtual time — but fault injection works here as on sim:

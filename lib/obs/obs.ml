@@ -151,16 +151,21 @@ let pp_event fmt ev =
   | Fault { label } -> Format.fprintf fmt "[%s] FAULT %s" a label
 
 (* ------------------------------------------------------------------ *)
-(* Minimal flat JSON (we control both ends of the schema)              *)
+(* JSON: the one value type, writer and parser in the tree             *)
 (* ------------------------------------------------------------------ *)
 
 module Json = struct
-  type v = S of string | I of int | F of float | B of bool
+  type v =
+    | S of string
+    | I of int
+    | F of float
+    | B of bool
+    | A of v list
+    | O of (string * v) list
 
   exception Error of string
 
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
+  let add_escaped b s =
     String.iter
       (fun c ->
         match c with
@@ -172,27 +177,69 @@ module Json = struct
         | c when Char.code c < 32 ->
             Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
         | c -> Buffer.add_char b c)
-      s;
+      s
+
+  let escape s =
+    let b = Buffer.create (String.length s + 2) in
+    add_escaped b s;
     Buffer.contents b
 
-  let render = function
-    | S s -> "\"" ^ escape s ^ "\""
-    | I i -> string_of_int i
-    | F f ->
-        if Float.is_integer f && Float.abs f < 1e15 then
-          Printf.sprintf "%.1f" f
-        else Printf.sprintf "%.12g" f
-    | B b -> if b then "true" else "false"
+  let number f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else Printf.sprintf "%.12g" f
 
-  let obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> "\"" ^ k ^ "\":" ^ render v) fields)
-    ^ "}"
+  (* Compact ([pretty = false]): no whitespace at all. Pretty: each
+     object member on its own line, indented two spaces per level;
+     arrays stay on one line, their items separated by ", ". *)
+  let rec write ~pretty b level v =
+    let add = Buffer.add_string b in
+    match v with
+    | S s ->
+        add "\"";
+        add_escaped b s;
+        add "\""
+    | I i -> add (string_of_int i)
+    | F f -> add (number f)
+    | B x -> add (if x then "true" else "false")
+    | A items ->
+        add "[";
+        List.iteri
+          (fun i item ->
+            if i > 0 then add (if pretty then ", " else ",");
+            write ~pretty b level item)
+          items;
+        add "]"
+    | O [] -> add "{}"
+    | O fields ->
+        let newline l = if pretty then add ("\n" ^ String.make (2 * l) ' ') in
+        add "{";
+        List.iteri
+          (fun i (k, item) ->
+            if i > 0 then add ",";
+            newline (level + 1);
+            write ~pretty b level (S k);
+            add (if pretty then ": " else ":");
+            write ~pretty b (level + 1) item)
+          fields;
+        newline level;
+        add "}"
 
-  (* Parser for one-line flat objects: string / number / bool values
-     only — exactly what [obj] produces. *)
-  let parse_obj s =
+  let render v =
+    let b = Buffer.create 128 in
+    write ~pretty:false b 0 v;
+    Buffer.contents b
+
+  let obj fields = render (O fields)
+
+  let to_file path v =
+    let b = Buffer.create 4096 in
+    write ~pretty:true b 0 v;
+    Buffer.add_char b '\n';
+    let oc = open_out path in
+    Buffer.output_buffer oc b;
+    close_out oc
+
+  let parse s =
     let n = String.length s in
     let pos = ref 0 in
     let fail msg = raise (Error (Printf.sprintf "%s at byte %d" msg !pos)) in
@@ -204,12 +251,21 @@ module Json = struct
       c
     in
     let skip_ws () =
-      while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t') do
+      while
+        !pos < n
+        && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+      do
         incr pos
       done
     in
-    let expect c =
-      if next () <> c then fail (Printf.sprintf "expected %c" c)
+    let expect c = if next () <> c then fail (Printf.sprintf "expected %c" c) in
+    let literal word v =
+      let l = String.length word in
+      if !pos + l <= n && String.sub s !pos l = word then begin
+        pos := !pos + l;
+        v
+      end
+      else fail "bad literal"
     in
     let parse_string () =
       expect '"';
@@ -217,89 +273,96 @@ module Json = struct
       let rec loop () =
         match next () with
         | '"' -> Buffer.contents b
-        | '\\' -> (
-            match next () with
-            | '"' -> Buffer.add_char b '"'; loop ()
-            | '\\' -> Buffer.add_char b '\\'; loop ()
-            | 'n' -> Buffer.add_char b '\n'; loop ()
-            | 't' -> Buffer.add_char b '\t'; loop ()
-            | 'r' -> Buffer.add_char b '\r'; loop ()
-            | '/' -> Buffer.add_char b '/'; loop ()
-            | 'u' ->
+        | '\\' ->
+            (match next () with
+            | '"' -> Buffer.add_char b '"'
+            | '\\' -> Buffer.add_char b '\\'
+            | '/' -> Buffer.add_char b '/'
+            | 'n' -> Buffer.add_char b '\n'
+            | 't' -> Buffer.add_char b '\t'
+            | 'r' -> Buffer.add_char b '\r'
+            | 'b' -> Buffer.add_char b '\b'
+            | 'f' -> Buffer.add_char b '\012'
+            | 'u' -> (
                 if !pos + 4 > n then fail "truncated \\u escape";
                 let hex = String.sub s !pos 4 in
                 pos := !pos + 4;
-                (match int_of_string_opt ("0x" ^ hex) with
+                match int_of_string_opt ("0x" ^ hex) with
                 | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
                 | Some _ -> Buffer.add_char b '?'
-                | None -> fail "bad \\u escape");
-                loop ()
-            | _ -> fail "unknown escape")
-        | c -> Buffer.add_char b c; loop ()
+                | None -> fail "bad \\u escape")
+            | _ -> fail "unknown escape");
+            loop ()
+        | c ->
+            Buffer.add_char b c;
+            loop ()
       in
       loop ()
     in
-    let parse_value () =
+    let parse_number () =
+      let start = !pos in
+      while
+        !pos < n
+        &&
+        match s.[!pos] with
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      do
+        incr pos
+      done;
+      let tok = String.sub s start (!pos - start) in
+      match int_of_string_opt tok with
+      | Some i -> I i
+      | None -> (
+          match float_of_string_opt tok with
+          | Some f -> F f
+          | None -> fail "bad number")
+    in
+    (* [items close item] parses "item, item, ... close" after the
+       opening bracket has been consumed. *)
+    let items close item =
+      skip_ws ();
+      if peek () = Some close then begin
+        incr pos;
+        []
+      end
+      else
+        let rec loop acc =
+          let acc = item () :: acc in
+          skip_ws ();
+          match next () with
+          | ',' -> loop acc
+          | c when c = close -> List.rev acc
+          | _ -> fail (Printf.sprintf "expected , or %c" close)
+        in
+        loop []
+    in
+    let rec value () =
       skip_ws ();
       match peek () with
       | Some '"' -> S (parse_string ())
-      | Some 't' ->
-          if !pos + 4 <= n && String.sub s !pos 4 = "true" then begin
-            pos := !pos + 4;
-            B true
-          end
-          else fail "bad literal"
-      | Some 'f' ->
-          if !pos + 5 <= n && String.sub s !pos 5 = "false" then begin
-            pos := !pos + 5;
-            B false
-          end
-          else fail "bad literal"
-      | Some ('-' | '0' .. '9') ->
-          let start = !pos in
-          while
-            !pos < n
-            &&
-            match s.[!pos] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false
-          do
-            incr pos
-          done;
-          let tok = String.sub s start (!pos - start) in
-          (match int_of_string_opt tok with
-          | Some i -> I i
-          | None -> (
-              match float_of_string_opt tok with
-              | Some f -> F f
-              | None -> fail "bad number"))
-      | Some ('{' | '[') -> fail "nested values not allowed in event schema"
+      | Some 't' -> literal "true" (B true)
+      | Some 'f' -> literal "false" (B false)
+      | Some ('-' | '0' .. '9') -> parse_number ()
+      | Some '[' ->
+          incr pos;
+          A (items ']' value)
+      | Some '{' ->
+          incr pos;
+          O (items '}' member)
+      | Some 'n' -> fail "bad literal (null is not part of the schema)"
       | _ -> fail "expected value"
+    and member () =
+      skip_ws ();
+      let key = parse_string () in
+      skip_ws ();
+      expect ':';
+      (key, value ())
     in
+    let v = value () in
     skip_ws ();
-    expect '{';
-    let fields = ref [] in
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else begin
-      let rec members () =
-        skip_ws ();
-        let key = parse_string () in
-        skip_ws ();
-        expect ':';
-        let v = parse_value () in
-        fields := (key, v) :: !fields;
-        skip_ws ();
-        match next () with
-        | ',' -> members ()
-        | '}' -> ()
-        | _ -> fail "expected , or }"
-      in
-      members ()
-    end;
-    skip_ws ();
-    if !pos <> n then fail "trailing bytes after object";
-    List.rev !fields
+    if !pos <> n then fail "trailing bytes";
+    v
 
   let to_float = function I i -> Some (float_of_int i) | F f -> Some f | _ -> None
   let to_int = function I i -> Some i | _ -> None
@@ -355,7 +418,14 @@ let to_json ev =
 
 let of_json line =
   try
-    let fields = Json.parse_obj line in
+    let fields =
+      match Json.parse line with
+      | Json.O fields ->
+          if List.exists (function _, (Json.A _ | Json.O _) -> true | _ -> false) fields
+          then raise (Json.Error "nested values not allowed in event schema");
+          fields
+      | _ -> raise (Json.Error "expected an object")
+    in
     let get name conv what =
       match Option.bind (List.assoc_opt name fields) conv with
       | Some v -> v

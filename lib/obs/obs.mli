@@ -161,19 +161,42 @@ end
 (** {1 Wire format} *)
 
 module Json : sig
-  type v = S of string | I of int | F of float | B of bool
+  (** The one JSON codec in the tree: JSONL event lines, the trace
+      meta header, [--stats-json], every [BENCH_*.json] and the
+      [bench_diff] reader. There is no [null]: no writer emits one. *)
+
+  type v =
+    | S of string
+    | I of int
+    | F of float
+    | B of bool
+    | A of v list
+    | O of (string * v) list
 
   exception Error of string
 
   val escape : string -> string
-  val render : v -> string
-  val obj : (string * v) list -> string
+  (** String body escaping, without the surrounding quotes. *)
 
-  val parse_obj : string -> (string * v) list
-  (** Parse one flat JSON object (string/number/bool values only — the
-      event schema). @raise Error on malformed input. *)
+  val render : v -> string
+  (** Compact, with no whitespace. An integral [F] below 1e15 in
+      magnitude renders as [%.1f], any other [F] as [%.12g]. *)
+
+  val obj : (string * v) list -> string
+  (** [obj fields = render (O fields)]. *)
+
+  val to_file : string -> v -> unit
+  (** Write [v] indented (one object member per line, two spaces per
+      level, arrays on one line) plus a final newline. *)
+
+  val parse : string -> v
+  (** Parse exactly one value; surrounding whitespace is allowed,
+      anything else after it is not. @raise Error on malformed input,
+      [null] included. *)
 
   val to_float : v -> float option
+  (** [I] and [F] alike. *)
+
   val to_int : v -> int option
   val to_string : v -> string option
   val to_bool : v -> bool option

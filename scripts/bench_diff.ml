@@ -4,8 +4,9 @@
      bench_diff OLD.json NEW.json [--threshold PCT] [--rule PAT:PCT]
                 [--exact] [--ignore PATH] [--force] [--quiet]
 
-   Both files are flattened to dotted leaf paths (arrays of objects are
-   keyed by their "name"/"w" field when present, by index otherwise).
+   Both files are read with Obs.Json.parse and flattened to dotted
+   leaf paths (arrays of objects are keyed by their "name"/"w" field
+   when present, by index otherwise).
    Two modes:
 
    - default: numeric leaves present in both files are compared with a
@@ -27,176 +28,34 @@
    Exit codes: 0 = no regression, 1 = regression (or --exact
    difference), 2 = incompatible meta / unreadable input / usage. *)
 
-(* ---------------- recursive JSON ---------------- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then fail "unexpected end of input";
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c = if next () <> c then fail (Printf.sprintf "expected %c" c) in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail "bad literal"
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' -> (
-          (match next () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-              | Some _ -> Buffer.add_char b '?'
-              | None -> fail "bad \\u escape")
-          | _ -> fail "unknown escape");
-          loop ())
-      | c -> Buffer.add_char b c; loop ()
-    in
-    loop ()
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec loop () =
-            items := parse_value () :: !items;
-            skip_ws ();
-            match next () with
-            | ',' -> loop ()
-            | ']' -> ()
-            | _ -> fail "expected , or ]"
-          in
-          loop ();
-          Arr (List.rev !items)
-        end
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec loop () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match next () with
-            | ',' -> loop ()
-            | '}' -> ()
-            | _ -> fail "expected , or }"
-          in
-          loop ();
-          Obj (List.rev !fields)
-        end
-    | _ -> fail "expected value"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing bytes";
-  v
+open Obs.Json
 
 (* ---------------- flattening ---------------- *)
 
 (* Arrays of objects are keyed by a stable identity field when one
    exists, so inserting a window in the middle doesn't shift every
    later path. *)
-let arr_key (item : json) =
+let arr_key (item : v) =
   match item with
-  | Obj fields -> (
+  | O fields -> (
       match List.assoc_opt "name" fields with
-      | Some (Str s) -> Some s
-      | _ -> (
-          match List.assoc_opt "w" fields with
-          | Some (Num w) -> Some (Printf.sprintf "w%g" w)
-          | _ -> None))
+      | Some (S s) -> Some s
+      | _ ->
+          Option.map (Printf.sprintf "w%g")
+            (Option.bind (List.assoc_opt "w" fields) to_float))
   | _ -> None
 
-let flatten (j : json) : (string * json) list =
+(* Every number leaf becomes an [F], so [I 3] and [F 3.0] compare
+   equal: the writers' int/float choice is form, not content. *)
+let flatten (j : v) : (string * v) list =
   let out = ref [] in
   let rec go path j =
     match j with
-    | Obj fields ->
+    | O fields ->
         List.iter
           (fun (k, v) -> go (if path = "" then k else path ^ "." ^ k) v)
           fields
-    | Arr items ->
+    | A items ->
         List.iteri
           (fun i item ->
             let key =
@@ -206,17 +65,18 @@ let flatten (j : json) : (string * json) list =
             in
             go (Printf.sprintf "%s[%s]" path key) item)
           items
+    | I i -> out := (path, F (float_of_int i)) :: !out
     | leaf -> out := (path, leaf) :: !out
   in
   go "" j;
   List.rev !out
 
 let leaf_str = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Num f -> Printf.sprintf "%.12g" f
-  | Str s -> Printf.sprintf "%S" s
-  | Arr _ | Obj _ -> "<tree>"
+  | B b -> string_of_bool b
+  | F f -> Printf.sprintf "%.12g" f
+  | S s -> Printf.sprintf "%S" s
+  | I i -> string_of_int i
+  | A _ | O _ -> "<tree>"
 
 (* ---------------- direction classifier ---------------- *)
 
@@ -331,9 +191,9 @@ let () =
     match List.rev !files with [ a; b ] -> (a, b) | _ -> usage ()
   in
   let load path =
-    match parse_json (read_file path) with
+    match parse (read_file path) with
     | j -> flatten j
-    | exception Parse_error msg ->
+    | exception Error msg ->
         Printf.eprintf "bench_diff: %s: %s\n" path msg;
         exit 2
   in
@@ -408,7 +268,7 @@ let () =
         in
         if (not (ignored_path path)) && pct >= 0. then
           match (v, List.assoc_opt path new_leaves) with
-          | Num old_v, Some (Num new_v) -> (
+          | F old_v, Some (F new_v) -> (
                 match direction path with
                 | Neutral -> ()
                 | dir ->
@@ -424,9 +284,9 @@ let () =
                     if frac *. 100. > pct then
                       report "REGRESSION  %-40s %s -> %s (%+.1f%% worse, limit %g%%)"
                         path (leaf_str v)
-                        (leaf_str (Num new_v))
+                        (leaf_str (F new_v))
                         (frac *. 100.) pct)
-          | Bool true, Some (Bool false) when last_segment path = "compliant"
+          | B true, Some (B false) when last_segment path = "compliant"
             ->
               incr compared;
               report "REGRESSION  %-40s went non-compliant" path

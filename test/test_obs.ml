@@ -109,6 +109,151 @@ let test_json_meta_and_errors () =
   | _ -> Alcotest.fail "garbage accepted"
 
 (* ------------------------------------------------------------------ *)
+(* The JSON codec                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Strings lean on the bytes the escaper must handle: quotes,
+   backslashes, control bytes and bytes >= 128. *)
+let json_string =
+  QCheck.Gen.(
+    string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\031'; '/' ] ])
+      (0 -- 8))
+
+(* Floats that survive the [%.12g] format: negative, tiny and huge
+   exponents, and integral values on both sides of the 1e15 switch. *)
+let json_float =
+  QCheck.Gen.(
+    oneof
+      [
+        map2
+          (fun m e -> float_of_string (Printf.sprintf "%.12g" (m *. (10. ** float_of_int e))))
+          (float_range (-10.) 10.) (int_range (-40) 40);
+        map float_of_int small_signed_int;
+        map (fun e -> -.(10. ** float_of_int e)) (int_range 10 20);
+      ])
+
+let json_gen =
+  let open QCheck.Gen in
+  let open Obs.Json in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               map (fun s -> S s) json_string;
+               map (fun i -> I i) int;
+               map (fun f -> F f) json_float;
+               map (fun b -> B b) bool;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> A l) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map (fun l -> O l)
+                   (list_size (0 -- 4) (pair json_string (self (n / 4)))) );
+             ])
+
+let test_json_codec_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"parse (render v) = v"
+       (QCheck.make ~print:Obs.Json.render json_gen)
+       (fun v -> Obs.Json.parse (Obs.Json.render v) = v))
+
+(* The number format is part of the wire format: vdbench's stdout and
+   every BENCH file depend on it. *)
+let test_json_number_format () =
+  let open Obs.Json in
+  List.iter
+    (fun (want, v) -> Alcotest.(check string) want want (render v))
+    [
+      ("3.0", F 3.);
+      ("-2.0", F (-2.));
+      ("0.0", F 0.);
+      ("1e+15", F 1e15);
+      ("0.5", F 0.5);
+      ("-0.125", F (-0.125));
+      ("1e-07", F 1e-7);
+      ("0.333333333333", F (1. /. 3.));
+      ("123456.789", F 123456.789);
+      ("3", I 3);
+      ("-7", I (-7));
+      ("true", B true);
+      ({|"a\"b\\\n\t\u0001"|}, S "a\"b\\\n\t\001");
+      ({|{"k":1,"l":[],"o":{},"a":[1.5,"x"]}|},
+       O [ ("k", I 1); ("l", A []); ("o", O []); ("a", A [ F 1.5; S "x" ]) ]);
+    ];
+  Alcotest.(check string) "obj = render (O ...)"
+    (render (O [ ("x", B false) ]))
+    (obj [ ("x", B false) ])
+
+let test_json_to_file () =
+  let open Obs.Json in
+  let doc =
+    O
+      [
+        ("meta", O [ ("seed", I 9) ]);
+        ("rows", A [ O [ ("w", I 0) ]; O [] ]);
+        ("empty", O []);
+      ]
+  in
+  let path = Filename.temp_file "obs_json" ".json" in
+  to_file path doc;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check string) "layout"
+    "{\n\
+    \  \"meta\": {\n\
+    \    \"seed\": 9\n\
+    \  },\n\
+    \  \"rows\": [{\n\
+    \    \"w\": 0\n\
+    \  }, {}],\n\
+    \  \"empty\": {}\n\
+     }\n"
+    text;
+  Alcotest.(check bool) "parses back" true (parse text = doc)
+
+let test_json_rejects () =
+  List.iter
+    (fun input ->
+      match Obs.Json.parse input with
+      | v -> Alcotest.failf "accepted %S as %s" input (Obs.Json.render v)
+      | exception Obs.Json.Error _ -> ())
+    [
+      "{} x";
+      "{}}";
+      "1 2";
+      {|"abc|};
+      {|{"a":"b|};
+      "tru";
+      "fals";
+      "null";
+      {|{"a":null}|};
+      "[1,]";
+      {|{"a" 1}|};
+      "[1 2]";
+      "";
+      "-";
+    ]
+
+let test_json_nested_event () =
+  List.iter
+    (fun line ->
+      match Obs.of_json line with
+      | `Error _ -> ()
+      | _ -> Alcotest.failf "nested event line accepted: %s" line)
+    [
+      {|{"t":1.0,"actor":"c0","ev":"msg_recv","src":1,"msg":{"x":1}}|};
+      {|{"t":1.0,"actor":"c0","ev":"msg_recv","src":[1],"msg":"read"}|};
+      {|{"ev":"meta","git":{"sha":"x"}}|};
+      {|["t",1.0]|};
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Well-formedness checker                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -662,6 +807,14 @@ let () =
           Alcotest.test_case "ring" `Quick test_ring;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "meta and errors" `Quick test_json_meta_and_errors;
+        ] );
+      ( "json",
+        [
+          test_json_codec_roundtrip;
+          Alcotest.test_case "number format" `Quick test_json_number_format;
+          Alcotest.test_case "indented file" `Quick test_json_to_file;
+          Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
+          Alcotest.test_case "nested event line" `Quick test_json_nested_event;
         ] );
       ( "spans",
         [
