@@ -41,16 +41,11 @@ let () =
   let args =
     match Array.to_list Sys.argv with _ :: args -> args | [] -> []
   in
-  (* Standalone CI helpers: print the kernel backends usable on this
-     machine (one per line, for shell loops), or run the split-vs-table
-     or hardware-vs-portable CRC32C regression gate. Each exits without
-     touching the sections. *)
-  if List.mem "--list-kernels" args then begin
-    Micro.list_kernels ();
-    exit 0
-  end;
-  if List.mem "--check-split" args then begin
-    Micro.check_split ();
+  (* Standalone CI gates: SIMD-vs-portable GF(2^8) encode and
+     hardware-vs-portable CRC32C. Each exits without touching the
+     sections. *)
+  if List.mem "--check-gf" args then begin
+    Micro.check_gf ();
     exit 0
   end;
   if List.mem "--check-crc" args then begin

@@ -5,13 +5,11 @@
    Five groups:
    - "erasure": the codec-level primitives (encode/decode/modify) under
      the default (fastest available) GF(2^8) kernel;
-   - "kernel": the GF(2^8) slice kernels against the reference
-     implementations they replaced (64-bit-wide XOR vs byte-at-a-time,
-     coefficient product table vs branchy log/exp lookups), plus one
-     dispatched single-coefficient row per available kernel backend;
+   - "kernel": the 64-bit-wide XOR that delta computation uses, plus
+     one single-coefficient multiply-accumulate per available kernel;
    - "fused": the fused all-parity-rows encode of rs(10,14), once per
-     available kernel backend — the head-to-head the split-table and
-     SIMD work is judged by;
+     available kernel — SIMD against the portable C loop and the
+     scalar oracle;
    - "plan": decode with a warm decode-plan cache vs re-running
      Gaussian elimination on every call;
    - "slog": the version log's entry checksum, and the [Slog.head]
@@ -21,11 +19,11 @@
    every row to BENCH_micro.json so the perf trajectory is
    machine-tracked; [smoke] (--smoke) shrinks the measurement quota so
    a CI alias can exercise the harness in well under a second.
-   [check_split] (--check-split) is a pass/fail gate: the split64
-   kernel must not regress below the table kernel on rs(10,14) encode.
-   [check_crc] (--check-crc) is another: where the SSE4.2 CRC32C path
-   is in use it must hash 64 KiB at least 2x faster than the portable
-   slicing-by-8 path. *)
+   [check_gf] (--check-gf) is a pass/fail gate: where SIMD is
+   available the c_simd kernel must encode rs(10,14) at least 2x faster
+   than the portable C loop. [check_crc] (--check-crc) is another:
+   where the SSE4.2 CRC32C path is in use it must hash 64 KiB at least
+   2x faster than the portable slicing-by-8 path. *)
 
 open Bechamel
 open Toolkit
@@ -39,58 +37,22 @@ let block_size = 4096
 let stripe m =
   Array.init m (fun i -> Bytes.make block_size (Char.chr (33 + i)))
 
-(* ------------------------------------------------------------------ *)
-(* Reference kernels (the pre-optimization implementations), kept here
-   so every future run can compare the fast paths against them.        *)
-(* ------------------------------------------------------------------ *)
-
-let ref_exp = Array.init 510 (fun i -> Gf256.Field.exp_table i)
-let ref_log = Array.init 256 (fun a -> if a = 0 then 0 else Gf256.Field.log_table a)
-
-(* Byte-at-a-time XOR accumulate (the old c = 1 path). *)
-let scalar_xor_slice ~dst ~src =
-  for i = 0 to Bytes.length src - 1 do
-    Bytes.unsafe_set dst i
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst i)
-         lxor Char.code (Bytes.unsafe_get src i)))
-  done
-
-(* Zero-test plus two table lookups per byte (the old general path). *)
-let logexp_mul_slice ~dst ~src c =
-  let lc = ref_log.(c) in
-  for i = 0 to Bytes.length src - 1 do
-    let s = Char.code (Bytes.unsafe_get src i) in
-    if s <> 0 then
-      Bytes.unsafe_set dst i
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get dst i) lxor ref_exp.(lc + ref_log.(s))))
-  done
-
 let kernel_tests () =
   let src = Bytes.init block_size (fun i -> Char.chr ((i * 7 + 3) land 0xff)) in
   let dst = Bytes.make block_size '\001' in
-  let c = 0xb7 in
-  let table = Gf256.Field.mul_table c in
-  [
+  let xor =
     Test.make ~name:"xor wide64"
-      (Staged.stage (fun () -> Gf256.Field.mul_slice ~dst ~src 1));
-    Test.make ~name:"xor scalar"
-      (Staged.stage (fun () -> scalar_xor_slice ~dst ~src));
-    Test.make ~name:"mul table"
-      (Staged.stage (fun () -> Gf256.Field.mul_table_slice ~dst ~src table));
-    Test.make ~name:"mul log/exp"
-      (Staged.stage (fun () -> logexp_mul_slice ~dst ~src c));
-  ]
+      (Staged.stage (fun () -> Gf256.Field.mul_slice ~dst ~src 1))
+  in
   (* One dispatched single-coefficient multiply-accumulate per available
-     backend: what a parity-delta application costs under each kernel. *)
-  @ List.map
-      (fun impl ->
-        let mul = K.make_mul impl c in
-        Test.make
-          ~name:("mul_acc " ^ K.name impl)
-          (Staged.stage (fun () -> K.mul_acc mul ~dst ~src)))
-      (K.available_impls ())
+     kernel: what a parity-delta application costs under each. *)
+  let mul_acc impl =
+    let mul = K.make_mul impl 0xb7 in
+    Test.make
+      ~name:("mul_acc " ^ K.name impl)
+      (Staged.stage (fun () -> K.mul_acc mul ~dst ~src))
+  in
+  xor :: List.map mul_acc (K.available_impls ())
 
 let erasure_tests () =
   let mk_codec name codec m =
@@ -264,14 +226,12 @@ let run () =
 (* CI gates                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let list_kernels () =
-  List.iter (fun impl -> print_endline (K.name impl)) (K.available_impls ())
-
 (* Directly timed (not Bechamel: the smoke quota is too noisy for a
-   pass/fail gate) encode comparison. The split64 kernel exists to beat
-   the table kernel on fused multi-row maps; fail CI if it ever drops
-   below 0.9x table throughput on the reference rs(10,14) encode. *)
-let check_split () =
+   pass/fail gate) encode comparison. The SIMD loops exist only for
+   speed: fail CI if, where they are in use, rs(10,14) encode_into is
+   not at least 2x faster under c_simd than under the portable C loop.
+   Without SIMD there is only the portable loop and nothing to gate. *)
+let check_gf () =
   let time_encode impl =
     let codec, data, into = fused_encode_test impl in
     let iters = 200 in
@@ -284,18 +244,24 @@ let check_split () =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9
   in
-  let table_ns = time_encode K.Table in
-  let split_ns = time_encode K.Split64 in
-  Printf.printf
-    "check-split: rs(10,14) encode_into  table %.0f ns  split64 %.0f ns  (%.2fx)\n"
-    table_ns split_ns (table_ns /. split_ns);
-  if split_ns > table_ns /. 0.9 then begin
-    Printf.eprintf
-      "check-split: FAIL: split64 kernel slower than 0.9x table kernel\n";
-    exit 1
+  let portable_ns = time_encode K.C_portable in
+  if not (K.available K.C_simd) then
+    Printf.printf "check-gf: rs(10,14) encode_into  c_portable %.0f ns  (no SIMD)\n"
+      portable_ns
+  else begin
+    let simd_ns = time_encode K.C_simd in
+    Printf.printf
+      "check-gf: rs(10,14) encode_into  c_simd %.0f ns  c_portable %.0f ns  \
+       (%.2fx)\n"
+      simd_ns portable_ns (portable_ns /. simd_ns);
+    if simd_ns > portable_ns /. 2. then begin
+      Printf.eprintf
+        "check-gf: FAIL: c_simd kernel not 2x faster than the portable loop\n";
+      exit 1
+    end
   end
 
-(* Directly timed, like [check_split]. The SSE4.2 path exists only for
+(* Directly timed, like [check_gf]. The SSE4.2 path exists only for
    speed: fail CI if, where it is in use, it is not at least 2x faster
    than the portable loop on a 64 KiB block (the stream-large entry
    size). Without SSE4.2 both calls run the same loop and there is

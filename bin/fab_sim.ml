@@ -246,8 +246,8 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
       (Metrics.Registry.value metrics "disk.writes")
       (Metrics.Registry.value metrics "nvram.writes");
     (* Codec counters join the registry so --stats-json records the
-       decode-plan cache behavior and the selected GF(2^8) kernel
-       alongside the network and disk counters. *)
+       decode-plan cache behavior alongside the network and disk
+       counters (the GF(2^8) kernel is stamped in meta as gf_kernel). *)
     let codec = Fab.Volume.codec volume in
     let plan_hits, plan_misses, plan_entries =
       Erasure.Codec.plan_cache_stats codec
@@ -258,11 +258,6 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
       "codec.plan_misses";
     Metrics.Registry.incr ~by:(float_of_int plan_entries) metrics
       "codec.plan_entries";
-    List.iter
-      (fun (kname, count) ->
-        Metrics.Registry.incr ~by:(float_of_int count) metrics
-          ("codec.kernel." ^ kname))
-      (Gf256.Kernel.selection_counts ());
     Printf.printf "  codec         : %s kernel, plan cache %d hits / %d misses\n"
       (Erasure.Codec.kernel_name codec) plan_hits plan_misses;
     Obs.close obs;

@@ -8,18 +8,16 @@
 
    The hot paths are engineered like kernels (see DESIGN.md 4b):
    - every codec picks one Gf256.Kernel implementation at construction
-     (fastest available by default, overridable per codec or via the
-     FAB_GF_KERNEL environment variable) and precompiles its linear maps
-     against it, so steady-state encode/decode never branches on kernel
-     choice or builds a table;
+     (the CPU probe's choice by default, overridable per codec) and
+     precompiles its linear maps against it, so steady-state
+     encode/decode never branches on kernel choice or builds a table;
    - encode applies all n - m parity rows as one fused Kernel.rows map
      per stripe, and decode memoizes its inverted submatrix as a fused
      map in a bounded LRU keyed by the sorted surviving-index set, so
      repeated degraded reads and recovery over the same survivors skip
      Gaussian elimination and table setup entirely;
    - parity-delta application goes through per-(parity, data)
-     precompiled multipliers, including a batched entry point that folds
-     several deltas into a parity block in a single pass;
+     precompiled multipliers;
    - [encode_into]/[decode_into]/[reconstruct_into] write into
      caller-provided buffers so steady-state paths can reuse scratch
      instead of allocating per operation. *)
@@ -315,9 +313,9 @@ let apply_delta_into t ~data_idx ~parity_idx ~delta ~parity =
     invalid_arg "Erasure.Codec.apply_delta_into: size mismatch";
   K.mul_acc t.delta_muls.(parity_idx).(data_idx) ~dst:parity ~src:delta
 
-(* Fold several data-block deltas into one parity block with as few
-   passes over the parity bytes as the kernel allows. Equivalent to
-   iterating {!apply_delta_into}. *)
+(* Fold several data-block deltas into one parity block. Equivalent to
+   iterating {!apply_delta_into}, with every index and size checked
+   before the parity is touched. *)
 let apply_deltas_into t ~parity_idx ~deltas ~parity =
   if parity_idx < 0 || parity_idx >= t.n - t.m then
     invalid_arg "Erasure.Codec.apply_deltas_into: parity_idx out of range";
@@ -330,10 +328,7 @@ let apply_deltas_into t ~parity_idx ~deltas ~parity =
         invalid_arg "Erasure.Codec.apply_deltas_into: size mismatch")
     deltas;
   let row = t.delta_muls.(parity_idx) in
-  K.mul_acc_multi
-    (Array.map (fun (di, _) -> row.(di)) deltas)
-    ~dst:parity
-    ~srcs:(Array.map snd deltas)
+  Array.iter (fun (di, d) -> K.mul_acc row.(di) ~dst:parity ~src:d) deltas
 
 let apply_delta t ~data_idx ~parity_idx ~delta ~old_parity =
   check_delta_indices "apply_delta" t ~data_idx ~parity_idx;

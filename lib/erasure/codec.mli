@@ -16,9 +16,8 @@
     and [modify].
 
     Every codec is compiled against one {!Gf256.Kernel} implementation,
-    chosen at construction: the fastest kernel available on the machine
-    by default, overridable per codec with [?kernel] or process-wide
-    with the [FAB_GF_KERNEL] environment variable. All kernels compute
+    chosen at construction: {!Gf256.Kernel.default} (the CPU probe's
+    choice) unless [?kernel] names another. All kernels compute
     byte-identical results; see {!kernel_name}. *)
 
 type t
@@ -140,10 +139,10 @@ val apply_deltas_into :
   t -> parity_idx:int -> deltas:(int * Bytes.t) array -> parity:Bytes.t ->
   unit
 (** [apply_deltas_into t ~parity_idx ~deltas ~parity] folds several
-    [(data_idx, delta)] pairs into [parity] with as few passes over the
-    parity bytes as the kernel allows (multi-source accumulation under
-    the table kernels). Equivalent to calling {!apply_delta_into} once
-    per pair; used by replicas applying a multi-block write in one step.
+    [(data_idx, delta)] pairs into [parity], one pass per pair.
+    Equivalent to calling {!apply_delta_into} once per pair, but checks
+    every pair before touching [parity]; used by replicas applying a
+    multi-block write in one step.
     Deltas must not alias [parity].
     @raise Invalid_argument on out-of-range indices or size mismatch. *)
 

@@ -66,19 +66,13 @@ let log_table a =
   log.(a)
 
 (* ------------------------------------------------------------------ *)
-(* Slice kernels                                                       *)
+(* Slices and SPLIT(8,4) tables                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The slice operations are the inner loop of every encode, decode and
-   parity update, so they are engineered like kernels:
-
-   - c = 0 and c = 1 are special-cased (both are common in systematic
-     generator matrices). The c = 1 case — plain XOR accumulation — runs
-     8 bytes at a time over 64-bit words with a scalar tail.
-   - general coefficients use a per-coefficient 256-entry product table
-     (built lazily, cached for the process lifetime: at most 256 tables
-     of 256 bytes = 64 KiB), giving one unsafe table lookup per byte with
-     no branch instead of a zero test plus two log/exp lookups. *)
+(* Bulk slice multiplication lives in Gf256.Kernel. What stays here is
+   plain XOR accumulation (c = 1), 64 bits at a time, which delta
+   computation and the kernels' identity rows use; other coefficients
+   take a byte-at-a-time loop over the nibble tables. *)
 
 external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external unsafe_set_64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -99,207 +93,32 @@ let xor_slice_unchecked ~dst ~src len =
          lxor Char.code (Bytes.unsafe_get src i)))
   done
 
-let mul_tables : Bytes.t option array = Array.make field_size None
-
-let mul_table c =
-  check_element c;
-  match mul_tables.(c) with
-  | Some t -> t
-  | None ->
-      let t =
-        Bytes.init field_size (fun s ->
-            Char.unsafe_chr
-              (if c = 0 || s = 0 then 0 else exp.(log.(c) + log.(s))))
-      in
-      mul_tables.(c) <- Some t;
-      t
-
-let check_slice name ~dst ~src =
-  let len = Bytes.length src in
-  if Bytes.length dst <> len then
-    invalid_arg (Printf.sprintf "Gf256.Field.%s: length mismatch" name);
-  len
-
-let check_table name table =
-  if Bytes.length table <> field_size then
-    invalid_arg (Printf.sprintf "Gf256.Field.%s: not a 256-entry table" name)
-
-(* The table kernels also run 8 bytes per iteration: one wide source
-   load, eight table lookups reassembled into a word, one wide
-   xor-and-store. The int64 intermediates stay unboxed (cmmgen's let
-   unboxing); lookups and reassembly are 63-bit int arithmetic. Bytes
-   are extracted and reinserted at the same positions, so the kernel is
-   endian-agnostic. *)
-
-let[@inline] tbl table i = Char.code (Bytes.unsafe_get table i)
-
-let[@inline] lookup_word table s =
-  let lo = Int64.to_int s land 0xffffffff in
-  let hi = Int64.to_int (Int64.shift_right_logical s 32) land 0xffffffff in
-  let out_lo =
-    tbl table (lo land 0xff)
-    lor (tbl table ((lo lsr 8) land 0xff) lsl 8)
-    lor (tbl table ((lo lsr 16) land 0xff) lsl 16)
-    lor (tbl table (lo lsr 24) lsl 24)
-  in
-  let out_hi =
-    tbl table (hi land 0xff)
-    lor (tbl table ((hi lsr 8) land 0xff) lsl 8)
-    lor (tbl table ((hi lsr 16) land 0xff) lsl 16)
-    lor (tbl table (hi lsr 24) lsl 24)
-  in
-  Int64.logor (Int64.of_int out_lo) (Int64.shift_left (Int64.of_int out_hi) 32)
-
-let mul_table_slice_unchecked ~dst ~src table len =
-  let words = len lsr 3 in
-  for w = 0 to words - 1 do
-    let off = w lsl 3 in
-    unsafe_set_64 dst off
-      (Int64.logxor (unsafe_get_64 dst off)
-         (lookup_word table (unsafe_get_64 src off)))
-  done;
-  for i = words lsl 3 to len - 1 do
-    let s = Char.code (Bytes.unsafe_get src i) in
-    Bytes.unsafe_set dst i
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst i)
-         lxor Char.code (Bytes.unsafe_get table s)))
-  done
-
-let mul_table_slice_set_unchecked ~dst ~src table len =
-  let words = len lsr 3 in
-  for w = 0 to words - 1 do
-    let off = w lsl 3 in
-    unsafe_set_64 dst off (lookup_word table (unsafe_get_64 src off))
-  done;
-  for i = words lsl 3 to len - 1 do
-    let s = Char.code (Bytes.unsafe_get src i) in
-    Bytes.unsafe_set dst i (Bytes.unsafe_get table s)
-  done
-
-(* Multi-source accumulate: one read-modify-write pass over [dst] folds
-   in two (or four) table-mapped sources, halving (quartering) the dst
-   memory traffic compared to chaining single-source kernels. These are
-   the "acc2/acc4" building blocks of the fused codec kernels. *)
-
-let mul_table_slice_acc2_unchecked ~dst ~src1 t1 ~src2 t2 len =
-  let words = len lsr 3 in
-  for w = 0 to words - 1 do
-    let off = w lsl 3 in
-    unsafe_set_64 dst off
-      (Int64.logxor (unsafe_get_64 dst off)
-         (Int64.logxor
-            (lookup_word t1 (unsafe_get_64 src1 off))
-            (lookup_word t2 (unsafe_get_64 src2 off))))
-  done;
-  for i = words lsl 3 to len - 1 do
-    let s1 = Char.code (Bytes.unsafe_get src1 i) in
-    let s2 = Char.code (Bytes.unsafe_get src2 i) in
-    Bytes.unsafe_set dst i
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst i)
-         lxor Char.code (Bytes.unsafe_get t1 s1)
-         lxor Char.code (Bytes.unsafe_get t2 s2)))
-  done
-
-let mul_table_slice_acc4_unchecked ~dst ~src1 t1 ~src2 t2 ~src3 t3 ~src4 t4 len
-    =
-  let words = len lsr 3 in
-  for w = 0 to words - 1 do
-    let off = w lsl 3 in
-    let a =
-      Int64.logxor
-        (lookup_word t1 (unsafe_get_64 src1 off))
-        (lookup_word t2 (unsafe_get_64 src2 off))
-    in
-    let b =
-      Int64.logxor
-        (lookup_word t3 (unsafe_get_64 src3 off))
-        (lookup_word t4 (unsafe_get_64 src4 off))
-    in
-    unsafe_set_64 dst off
-      (Int64.logxor (unsafe_get_64 dst off) (Int64.logxor a b))
-  done;
-  for i = words lsl 3 to len - 1 do
-    let s1 = Char.code (Bytes.unsafe_get src1 i) in
-    let s2 = Char.code (Bytes.unsafe_get src2 i) in
-    let s3 = Char.code (Bytes.unsafe_get src3 i) in
-    let s4 = Char.code (Bytes.unsafe_get src4 i) in
-    Bytes.unsafe_set dst i
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst i)
-         lxor Char.code (Bytes.unsafe_get t1 s1)
-         lxor Char.code (Bytes.unsafe_get t2 s2)
-         lxor Char.code (Bytes.unsafe_get t3 s3)
-         lxor Char.code (Bytes.unsafe_get t4 s4)))
-  done
-
-let mul_table_slice_acc2 ~dst ~src1 t1 ~src2 t2 =
-  let len = check_slice "mul_table_slice_acc2" ~dst ~src:src1 in
-  if Bytes.length src2 <> len then
-    invalid_arg "Gf256.Field.mul_table_slice_acc2: length mismatch";
-  check_table "mul_table_slice_acc2" t1;
-  check_table "mul_table_slice_acc2" t2;
-  mul_table_slice_acc2_unchecked ~dst ~src1 t1 ~src2 t2 len
-
-let mul_table_slice_acc4 ~dst ~src1 t1 ~src2 t2 ~src3 t3 ~src4 t4 =
-  let len = check_slice "mul_table_slice_acc4" ~dst ~src:src1 in
-  if
-    Bytes.length src2 <> len || Bytes.length src3 <> len
-    || Bytes.length src4 <> len
-  then invalid_arg "Gf256.Field.mul_table_slice_acc4: length mismatch";
-  check_table "mul_table_slice_acc4" t1;
-  check_table "mul_table_slice_acc4" t2;
-  check_table "mul_table_slice_acc4" t3;
-  check_table "mul_table_slice_acc4" t4;
-  mul_table_slice_acc4_unchecked ~dst ~src1 t1 ~src2 t2 ~src3 t3 ~src4 t4 len
-
-(* ------------------------------------------------------------------ *)
-(* SPLIT(8,4) nibble tables                                            *)
-(* ------------------------------------------------------------------ *)
-
 (* For a coefficient c the product c * s splits over the nibbles of s:
-   c * s = c * (s_hi << 4) + c * s_lo, so two 16-entry tables — one for
-   each nibble — reproduce the full 256-entry product table in 32 bytes.
-   This is the table layout consumed by byte-shuffle SIMD (SSSE3
-   [pshufb], NEON [tbl]) and by the 64-bit lane-expanded kernels in
-   {!Gf256.Kernel}. Layout: bytes 0..15 are c * v, bytes 16..31 are
-   c * (v << 4). Cached per coefficient (256 * 32 B = 8 KiB total). *)
-
-let split_tables_cache : Bytes.t option array = Array.make field_size None
-
-let split_tables c =
-  check_element c;
-  match split_tables_cache.(c) with
-  | Some t -> t
-  | None ->
-      let mul_c s = if c = 0 || s = 0 then 0 else exp.(log.(c) + log.(s)) in
-      let t =
-        Bytes.init 32 (fun i ->
-            Char.unsafe_chr
-              (if i < 16 then mul_c i else mul_c ((i - 16) lsl 4)))
-      in
-      split_tables_cache.(c) <- Some t;
-      t
-
-let mul_table_slice ~dst ~src table =
-  let len = check_slice "mul_table_slice" ~dst ~src in
-  check_table "mul_table_slice" table;
-  mul_table_slice_unchecked ~dst ~src table len
-
-let mul_table_slice_set ~dst ~src table =
-  let len = check_slice "mul_table_slice_set" ~dst ~src in
-  check_table "mul_table_slice_set" table;
-  mul_table_slice_set_unchecked ~dst ~src table len
+   c * s = c * (s_hi << 4) + c * s_lo, so two 16-entry tables reproduce
+   the full product table in 32 bytes: bytes 0..15 are c * v, bytes
+   16..31 are c * (v << 4). One string holds all 256 pairs, built here
+   at module initialisation, so no domain ever writes it. *)
+let split_tables =
+  let mul_c c s = if c = 0 || s = 0 then 0 else exp.(log.(c) + log.(s)) in
+  String.init (field_size * 32) (fun i ->
+      let c = i lsr 5 and v = i land 31 in
+      Char.unsafe_chr (if v < 16 then mul_c c v else mul_c c ((v - 16) lsl 4)))
 
 let mul_slice ~dst ~src c =
-  let len = check_slice "mul_slice" ~dst ~src in
+  let len = Bytes.length src in
+  if Bytes.length dst <> len then
+    invalid_arg "Gf256.Field.mul_slice: length mismatch";
+  check_element c;
   if c = 0 then ()
   else if c = 1 then xor_slice_unchecked ~dst ~src len
-  else mul_table_slice_unchecked ~dst ~src (mul_table c) len
-
-let mul_slice_set ~dst ~src c =
-  let len = check_slice "mul_slice_set" ~dst ~src in
-  if c = 0 then Bytes.fill dst 0 len '\000'
-  else if c = 1 then Bytes.blit src 0 dst 0 len
-  else mul_table_slice_set_unchecked ~dst ~src (mul_table c) len
+  else
+    let base = c lsl 5 in
+    for i = 0 to len - 1 do
+      let s = Char.code (Bytes.unsafe_get src i) in
+      let p =
+        Char.code (String.unsafe_get split_tables (base + (s land 15)))
+        lxor Char.code (String.unsafe_get split_tables (base + 16 + (s lsr 4)))
+      in
+      Bytes.unsafe_set dst i
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get dst i) lxor p))
+    done

@@ -45,64 +45,21 @@ val log_table : t -> int
 
 val mul_slice : dst:Bytes.t -> src:Bytes.t -> t -> unit
 (** [mul_slice ~dst ~src c] sets [dst.(i) <- dst.(i) + c * src.(i)] for
-    every byte index [i] (a fused multiply-accumulate over byte buffers).
-    This is the inner loop of erasure encoding and decoding. The [c = 1]
-    case runs 64 bits at a time; general coefficients use a cached
-    per-coefficient product table ({!mul_table}).
-    @raise Invalid_argument if the buffers have different lengths. *)
-
-val mul_slice_set : dst:Bytes.t -> src:Bytes.t -> t -> unit
-(** [mul_slice_set ~dst ~src c] sets [dst.(i) <- c * src.(i)] for every
-    byte index [i] (overwriting [dst] rather than accumulating).
-    @raise Invalid_argument if the buffers have different lengths. *)
-
-val mul_table : t -> Bytes.t
-(** [mul_table c] is the 256-entry table with [mul_table c].[s] = [c * s].
-    Tables are built lazily and cached for the process lifetime, so
-    repeated calls with the same coefficient return the same buffer.
-    The returned bytes MUST NOT be mutated.
-    @raise Invalid_argument if [c] is out of range. *)
-
-val mul_table_slice : dst:Bytes.t -> src:Bytes.t -> Bytes.t -> unit
-(** [mul_table_slice ~dst ~src table] sets
-    [dst.(i) <- dst.(i) + table.[src.(i)]] for every byte index [i],
-    where [table] is a prebuilt {!mul_table}. One unsafe lookup per
-    byte, no branches; this is the kernel behind coefficient-table
-    encode and decode.
+    every byte index [i]. The [c = 1] case — plain XOR, what delta
+    computation and identity rows need — runs 64 bits at a time; other
+    coefficients take a byte-at-a-time loop over {!split_tables}. Bulk
+    multiplication belongs to {!Gf256.Kernel}.
     @raise Invalid_argument if the buffers have different lengths or
-    [table] is not 256 bytes. *)
+    [c] is out of range. *)
 
-val mul_table_slice_set : dst:Bytes.t -> src:Bytes.t -> Bytes.t -> unit
-(** [mul_table_slice_set ~dst ~src table] sets
-    [dst.(i) <- table.[src.(i)]] (overwriting rather than accumulating).
-    @raise Invalid_argument if the buffers have different lengths or
-    [table] is not 256 bytes. *)
-
-val mul_table_slice_acc2 :
-  dst:Bytes.t -> src1:Bytes.t -> Bytes.t -> src2:Bytes.t -> Bytes.t -> unit
-(** [mul_table_slice_acc2 ~dst ~src1 t1 ~src2 t2] sets
-    [dst.(i) <- dst.(i) + t1.[src1.(i)] + t2.[src2.(i)]]: two
-    table-mapped sources folded into [dst] in a single read-modify-write
-    pass, halving the destination memory traffic of two chained
-    {!mul_table_slice} calls.
-    @raise Invalid_argument on length mismatch or non-256-entry table. *)
-
-val mul_table_slice_acc4 :
-  dst:Bytes.t ->
-  src1:Bytes.t -> Bytes.t -> src2:Bytes.t -> Bytes.t ->
-  src3:Bytes.t -> Bytes.t -> src4:Bytes.t -> Bytes.t -> unit
-(** Four-source variant of {!mul_table_slice_acc2}: one pass over [dst]
-    accumulates four table-mapped sources. *)
-
-val split_tables : t -> Bytes.t
-(** [split_tables c] is the 32-byte SPLIT(8,4) table pair for [c]:
-    bytes [0..15] hold [c * v] for the low nibble [v], bytes [16..31]
-    hold [c * (v << 4)] for the high nibble, so
-    [c * s = lo.[s land 15] lxor hi.[s lsr 4]]. This is the layout
-    consumed by byte-shuffle SIMD (SSSE3 [pshufb] / NEON [tbl]) and by
-    the lane-expanded kernels in {!Gf256.Kernel}. Cached per
-    coefficient; the returned bytes MUST NOT be mutated.
-    @raise Invalid_argument if [c] is out of range. *)
+val split_tables : string
+(** The SPLIT(8,4) table pairs of all 256 coefficients, 32 bytes each
+    (8 KiB), built once at module initialisation. The pair for [c]
+    starts at byte [32 * c]: its bytes [0..15] hold [c * v] for the low
+    nibble [v], bytes [16..31] hold [c * (v lsl 4)] for the high
+    nibble, so [c * s] is the XOR of the bytes at [32 * c + (s land 15)]
+    and [32 * c + 16 + (s lsr 4)]. This is the layout the C kernels of
+    {!Gf256.Kernel} consume. Immutable, so any domain may read it. *)
 
 val check_element : t -> unit
 (** [check_element a] raises [Invalid_argument] unless [0 <= a <= 255].

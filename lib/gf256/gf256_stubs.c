@@ -1,23 +1,25 @@
-/* Optional SIMD kernels for GF(2^8) slice multiplication.
+/* GF(2^8) slice multiplication: one portable loop and the byte-shuffle
+ * SIMD loops, over the same tables and entry points.
  *
- * Every kernel consumes the SPLIT(8,4) table layout produced by
+ * Every loop consumes the SPLIT(8,4) table layout of
  * Gf256.Field.split_tables: 32 bytes per coefficient, bytes 0..15 the
  * products of the low nibble, bytes 16..31 the products of the high
  * nibble, so c * s = lo[s & 15] ^ hi[s >> 4]. A byte shuffle
  * (SSSE3 pshufb / NEON tbl) applies one 16-entry table to 16 (or 32)
  * source bytes per instruction — the ISA-L / klauspost technique.
  *
- * Dispatch is at runtime: gf256_simd_level reports 0 (no usable SIMD,
- * the OCaml side then never selects the c_simd kernel), 1 (SSSE3 or
- * NEON, 16 B per step) or 2 (AVX2, 32 B per step). The x86 paths are
- * compiled with per-function target attributes so no global -mavx2 /
- * -mssse3 flags are needed and the file builds on any compiler; on
- * unknown architectures everything falls back to a portable scalar
- * loop (still correct, merely not advertised as a SIMD level).
+ * Every entry point takes the SIMD level to run at as its first
+ * argument: 0 is the portable nibble-table loop (always available),
+ * 1 SSSE3 or NEON (16 B per step), 2 AVX2 (32 B per step).
+ * gf256_simd_level probes the highest level this CPU supports; the
+ * OCaml side never passes more. The x86 paths are compiled with
+ * per-function target attributes so no global -mavx2 / -mssse3 flags
+ * are needed and the file builds on any compiler; on other
+ * architectures only level 0 exists.
  *
  * All stubs are [@@noalloc]: they never allocate, raise, or touch the
- * OCaml heap beyond reading Bytes payloads. Length and table-size
- * validation happens on the OCaml side (Gf256.Kernel).
+ * OCaml heap beyond reading Bytes/string payloads. Length and
+ * table-size validation happens on the OCaml side (Gf256.Kernel).
  */
 
 #include <stdint.h>
@@ -38,7 +40,7 @@
 #endif
 
 /* ------------------------------------------------------------------ */
-/* Scalar reference pass (tails and non-SIMD fallback)                 */
+/* Portable pass (level 0, and the tails of the SIMD passes)          */
 /* ------------------------------------------------------------------ */
 
 static void scalar_pass(uint8_t *dst, const uint8_t *src,
@@ -210,10 +212,8 @@ static void neon_pass(uint8_t *dst, const uint8_t *src, const uint8_t *tbl,
 #endif /* GF256_NEON */
 
 /* ------------------------------------------------------------------ */
-/* Runtime dispatch                                                    */
+/* Dispatch on the level the caller passes                             */
 /* ------------------------------------------------------------------ */
-
-static int simd_level = -1;
 
 static int detect_level(void) {
 #if defined(GF256_X86_SIMD)
@@ -228,21 +228,18 @@ static int detect_level(void) {
 #endif
 }
 
-static inline int level(void) {
-  if (simd_level < 0) simd_level = detect_level();
-  return simd_level;
-}
-
-static void mul_pass(uint8_t *dst, const uint8_t *src, const uint8_t *tbl,
-                     long len, int set) {
+static void mul_pass(int level, uint8_t *dst, const uint8_t *src,
+                     const uint8_t *tbl, long len, int set) {
 #if defined(GF256_X86_SIMD)
-  switch (level()) {
+  switch (level) {
   case 2: avx2_pass(dst, src, tbl, len, set); return;
   case 1: ssse3_pass(dst, src, tbl, len, set); return;
   default: break;
   }
 #elif defined(GF256_NEON)
-  if (level() >= 1) { neon_pass(dst, src, tbl, len, set); return; }
+  if (level >= 1) { neon_pass(dst, src, tbl, len, set); return; }
+#else
+  (void)level;
 #endif
   scalar_pass(dst, src, tbl, 0, len, set);
 }
@@ -253,39 +250,41 @@ static void mul_pass(uint8_t *dst, const uint8_t *src, const uint8_t *tbl,
 
 CAMLprim value gf256_simd_level(value unit) {
   (void)unit;
-  return Val_long(level());
+  return Val_long(detect_level());
 }
 
 /* dst ^= table(src)  /  dst = table(src); tbl is one 32-byte pair. */
-CAMLprim value gf256_mul_acc_stub(value dst, value src, value tbl,
-                                  value vlen) {
-  mul_pass(Bytes_val(dst), Bytes_val(src), Bytes_val(tbl), Long_val(vlen), 0);
+CAMLprim value gf256_mul_acc_stub(value vlevel, value dst, value src,
+                                  value tbl, value vlen) {
+  mul_pass(Int_val(vlevel), Bytes_val(dst), Bytes_val(src), Bytes_val(tbl),
+           Long_val(vlen), 0);
   return Val_unit;
 }
 
-CAMLprim value gf256_mul_set_stub(value dst, value src, value tbl,
-                                  value vlen) {
-  mul_pass(Bytes_val(dst), Bytes_val(src), Bytes_val(tbl), Long_val(vlen), 1);
+CAMLprim value gf256_mul_set_stub(value vlevel, value dst, value src,
+                                  value tbl, value vlen) {
+  mul_pass(Int_val(vlevel), Bytes_val(dst), Bytes_val(src), Bytes_val(tbl),
+           Long_val(vlen), 1);
   return Val_unit;
 }
 
 /* Fused r x k linear map: dsts[p] (+)= sum_j tbls[p*k+j](srcs[j]).
- * [tbls] is one Bytes of r*k*32 table bytes; [srcs]/[dsts] are arrays
+ * [tbls] is one string of r*k*32 table bytes; [srcs]/[dsts] are arrays
  * of Bytes (payload pointers are stable: no allocation happens here).
  * When [acc] is 0 row p is overwritten by its j = 0 term; when 1 the
  * whole map accumulates into the existing dsts. Each (p, j) pass
  * streams src once and read-modify-writes dst from L1 — with the
  * tables held in registers this is the ISA-L "vect_mad" shape. */
-CAMLprim value gf256_rows_apply_native(value tbls, value srcs, value dsts,
-                                       value vk, value vr, value vlen,
-                                       value vacc) {
+CAMLprim value gf256_rows_apply_native(value vlevel, value tbls, value srcs,
+                                       value dsts, value vk, value vr,
+                                       value vlen, value vacc) {
   long k = Long_val(vk), r = Long_val(vr), len = Long_val(vlen);
-  int acc = Int_val(vacc);
+  int level = Int_val(vlevel), acc = Int_val(vacc);
   const uint8_t *tb = Bytes_val(tbls);
   long tiled = 0;
   long p, j, i;
 #if defined(GF256_X86_SIMD)
-  if (level() == 2) {
+  if (level == 2) {
     tiled = len & ~127L;
     for (p = 0; p < r; p++) {
       uint8_t *dst = Bytes_val(Field(dsts, p));
@@ -303,7 +302,7 @@ CAMLprim value gf256_rows_apply_native(value tbls, value srcs, value dsts,
       for (j = 0; j < k; j++) {
         const uint8_t *src = Bytes_val(Field(srcs, j));
         const uint8_t *tbl = tb + (p * k + j) * 32;
-        mul_pass(dst + tiled, src + tiled, tbl, len - tiled,
+        mul_pass(level, dst + tiled, src + tiled, tbl, len - tiled,
                  (!acc && j == 0) ? 1 : 0);
       }
     }
@@ -314,5 +313,5 @@ CAMLprim value gf256_rows_apply_native(value tbls, value srcs, value dsts,
 CAMLprim value gf256_rows_apply_bytecode(value *argv, int argn) {
   (void)argn;
   return gf256_rows_apply_native(argv[0], argv[1], argv[2], argv[3], argv[4],
-                                 argv[5], argv[6]);
+                                 argv[5], argv[6], argv[7]);
 }

@@ -1,52 +1,35 @@
 (* Kernel dispatch for GF(2^8) slice arithmetic.
 
-   Four interchangeable implementations of the same linear-map
-   primitives, selected per codec at construction time:
+   Two paths compute the same linear-map primitives:
 
    - [Scalar]: byte-at-a-time log/exp reference. Slow on purpose — it
-     is the ground truth every other kernel is property-tested against
-     and the honest "before" row in the microbenchmarks.
-   - [Table]: the PR-1 kernels — one 256-entry product table per
-     coefficient, applied 8 bytes per step ({!Field.mul_table_slice}).
-   - [Split64]: SPLIT(8,4) tables expanded into 64-bit lookup lanes.
-     For an r-row fused map each coefficient column gets a 256-entry
-     table of 64-bit words whose byte lane p holds [c_p * s]; one
-     lookup then feeds up to 8 output rows at once, and the interleaved
-     accumulator is de-interleaved into the row buffers after the last
-     source. r-fold fewer lookups than [Table] on multi-row maps.
-   - [C_simd]: the same SPLIT(8,4) tables handed to C stubs that apply
-     them 16/32 bytes per step with byte shuffles (SSSE3/AVX2 pshufb,
-     NEON tbl). Only offered when the stubs report usable SIMD.
+     is the oracle the C path is tested against.
+   - [C_portable] / [C_simd]: the C stubs in gf256_stubs.c, applying the
+     32-byte SPLIT(8,4) tables of {!Field.split_tables}. Both run the
+     same entry points; the impl only fixes the SIMD level passed to
+     them: 0 (the portable nibble-table loop) or the level the CPU
+     probe reported (SSSE3/AVX2 pshufb, NEON tbl; 16–64 bytes per
+     step).
 
-   All implementations share the trivial-row fast path: rows with at
-   most one nonzero coefficient (identity rows of decode plans over
-   surviving data blocks, replication rows) are served by blit /
-   zero-fill / single-table passes and never enter the fused engines,
-   so replicated and systematic-survivor workloads keep their
-   wide-XOR/memcpy speed under every kernel.
+   Rows with at most one nonzero coefficient (identity rows of decode
+   plans over surviving data blocks, replication rows) are served by
+   blit / zero-fill / single-coefficient passes and never enter the
+   fused C map, so replicated and systematic-survivor workloads keep
+   their wide-XOR/memcpy speed.
 
-   The module keeps one process-wide scratch buffer for the Split64
-   interleaved accumulator; like the rest of the codec hot paths it is
-   not safe for concurrent use from multiple domains. *)
+   Nothing here is mutable after construction: a codec's {!mul}s and
+   {!rows} may be applied from several domains at once. *)
 
 module F = Field
 
-type impl = Scalar | Table | Split64 | C_simd
+type impl = Scalar | C_portable | C_simd
 
-let all = [ Scalar; Table; Split64; C_simd ]
+let all = [ Scalar; C_portable; C_simd ]
 
 let name = function
   | Scalar -> "scalar"
-  | Table -> "table"
-  | Split64 -> "split64"
+  | C_portable -> "c_portable"
   | C_simd -> "c_simd"
-
-let of_name = function
-  | "scalar" -> Scalar
-  | "table" -> Table
-  | "split64" -> Split64
-  | "c_simd" -> C_simd
-  | s -> invalid_arg (Printf.sprintf "Gf256.Kernel.of_name: unknown kernel %S" s)
 
 (* ------------------------------------------------------------------ *)
 (* C stubs                                                             *)
@@ -54,82 +37,41 @@ let of_name = function
 
 external stub_simd_level : unit -> int = "gf256_simd_level" [@@noalloc]
 
-external c_mul_acc : Bytes.t -> Bytes.t -> Bytes.t -> int -> unit
+external c_mul_acc : int -> Bytes.t -> Bytes.t -> string -> int -> unit
   = "gf256_mul_acc_stub"
 [@@noalloc]
 
-external c_mul_set : Bytes.t -> Bytes.t -> Bytes.t -> int -> unit
+external c_mul_set : int -> Bytes.t -> Bytes.t -> string -> int -> unit
   = "gf256_mul_set_stub"
 [@@noalloc]
 
 external c_rows_apply :
-  Bytes.t -> Bytes.t array -> Bytes.t array -> int -> int -> int -> bool ->
-  unit = "gf256_rows_apply_bytecode" "gf256_rows_apply_native"
+  int -> string -> Bytes.t array -> Bytes.t array -> int -> int -> int ->
+  bool -> unit = "gf256_rows_apply_bytecode" "gf256_rows_apply_native"
 [@@noalloc]
 
 let simd_level = stub_simd_level ()
 
 let available = function
-  | Scalar | Table | Split64 -> true
+  | Scalar | C_portable -> true
   | C_simd -> simd_level > 0
 
 let available_impls () = List.filter available all
 
-let best_available () = if simd_level > 0 then C_simd else Split64
-
-let env_var = "FAB_GF_KERNEL"
-
-let default () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> best_available ()
-  | Some s ->
-      let impl =
-        try of_name (String.lowercase_ascii s)
-        with Invalid_argument _ ->
-          invalid_arg
-            (Printf.sprintf "%s=%S: unknown kernel (known: %s)" env_var s
-               (String.concat " " (List.map name all)))
-      in
-      if available impl then impl
-      else
-        invalid_arg
-          (Printf.sprintf "%s=%s: kernel unavailable on this machine" env_var
-             (name impl))
-
-(* Selection counters: how many codecs picked each implementation since
-   process start. Surfaced through Metrics.Registry by the simulator
-   CLI so --stats-json records which kernel served a run. *)
-let selections = Array.make 4 0
-
-let impl_index = function Scalar -> 0 | Table -> 1 | Split64 -> 2 | C_simd -> 3
+let default () = if simd_level > 0 then C_simd else C_portable
 
 let select ?impl () =
   let impl = match impl with Some i -> i | None -> default () in
   if not (available impl) then
     invalid_arg
       (Printf.sprintf "Gf256.Kernel.select: %s unavailable" (name impl));
-  selections.(impl_index impl) <- selections.(impl_index impl) + 1;
   impl
 
-let selection_counts () =
-  List.map (fun i -> (name i, selections.(impl_index i))) all
+(* The SIMD level a C impl passes to the stubs. *)
+let level = function C_simd -> simd_level | Scalar | C_portable -> 0
 
-(* ------------------------------------------------------------------ *)
-(* Wide-word helpers                                                   *)
-(* ------------------------------------------------------------------ *)
-
-external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external unsafe_set_64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-(* Process-wide scratch for the Split64 interleaved accumulator: 8
-   bytes (one lane word) per source byte, grown on demand. *)
-let scratch = ref Bytes.empty
-
-let ensure_scratch len =
-  let need = len lsl 3 in
-  if Bytes.length !scratch < need then
-    scratch := Bytes.create (max need 8192);
-  !scratch
+(* The 32-byte SPLIT(8,4) pair of one coefficient. *)
+let split c = String.sub F.split_tables (c lsl 5) 32
 
 (* ------------------------------------------------------------------ *)
 (* Scalar reference ops                                                *)
@@ -152,17 +94,11 @@ let scalar_mul_set ~dst ~src c len =
 (* Single-coefficient multipliers                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Both table layouts are precomputed at construction (and globally
-   cached per coefficient in Field), so the hot calls never allocate —
-   this also retires the last per-call [mul_table] lookups the old
-   codec paid on every delta application. *)
-type mul = { mimpl : impl; c : int; t256 : Bytes.t; t32 : Bytes.t }
+type mul = { mimpl : impl; c : int; tbl : string }
 
 let make_mul impl c =
   F.check_element c;
-  { mimpl = impl; c; t256 = F.mul_table c; t32 = F.split_tables c }
-
-let mul_coeff m = m.c
+  { mimpl = impl; c; tbl = split c }
 
 let check_pair name ~dst ~src =
   let len = Bytes.length src in
@@ -176,8 +112,7 @@ let mul_acc m ~dst ~src =
   | _ when m.c = 0 -> ()
   | Scalar -> scalar_mul_acc ~dst ~src m.c len
   | _ when m.c = 1 -> F.mul_slice ~dst ~src 1
-  | Table | Split64 -> F.mul_table_slice ~dst ~src m.t256
-  | C_simd -> c_mul_acc dst src m.t32 len
+  | C_portable | C_simd -> c_mul_acc (level m.mimpl) dst src m.tbl len
 
 let mul_set m ~dst ~src =
   let len = check_pair "mul_set" ~dst ~src in
@@ -185,71 +120,21 @@ let mul_set m ~dst ~src =
   | _ when m.c = 0 -> Bytes.fill dst 0 len '\000'
   | Scalar -> scalar_mul_set ~dst ~src m.c len
   | _ when m.c = 1 -> Bytes.blit src 0 dst 0 len
-  | Table | Split64 -> F.mul_table_slice_set ~dst ~src m.t256
-  | C_simd -> c_mul_set dst src m.t32 len
-
-(* Fold many (coefficient, source) products into one destination with
-   as few destination passes as the implementation allows. Used for
-   batched parity-delta application. *)
-let mul_acc_multi muls ~dst ~srcs =
-  let n = Array.length muls in
-  if Array.length srcs <> n then
-    invalid_arg "Gf256.Kernel.mul_acc_multi: arity mismatch";
-  if n > 0 then begin
-    let len = Bytes.length dst in
-    Array.iter
-      (fun s ->
-        if Bytes.length s <> len then
-          invalid_arg "Gf256.Kernel.mul_acc_multi: length mismatch")
-      srcs;
-    match muls.(0).mimpl with
-    | Scalar | C_simd ->
-        Array.iteri (fun i m -> mul_acc m ~dst ~src:srcs.(i)) muls
-    | Table | Split64 ->
-        (* XOR columns wide, general columns in acc4/acc2 chunks. *)
-        let gen = ref [] in
-        Array.iteri
-          (fun i m ->
-            if m.c = 1 then F.mul_slice ~dst ~src:srcs.(i) 1
-            else if m.c > 1 then gen := (srcs.(i), m.t256) :: !gen)
-          muls;
-        let rec chunks = function
-          | (s1, t1) :: (s2, t2) :: (s3, t3) :: (s4, t4) :: rest ->
-              F.mul_table_slice_acc4 ~dst ~src1:s1 t1 ~src2:s2 t2 ~src3:s3 t3
-                ~src4:s4 t4;
-              chunks rest
-          | (s1, t1) :: (s2, t2) :: rest ->
-              F.mul_table_slice_acc2 ~dst ~src1:s1 t1 ~src2:s2 t2;
-              chunks rest
-          | [ (s, t) ] -> F.mul_table_slice ~dst ~src:s t
-          | [] -> ()
-        in
-        chunks !gen
-  end
+  | C_portable | C_simd -> c_mul_set (level m.mimpl) dst src m.tbl len
 
 (* ------------------------------------------------------------------ *)
 (* Fused row-group application                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Trivial rows (at most one nonzero coefficient) bypass the fused
-   engines entirely. *)
+(* Trivial rows (at most one nonzero coefficient) bypass the fused map
+   entirely. *)
 type trivial = T_zero | T_one of int (* column; coefficient 1 *) | T_mul of int * mul
-
-(* A lane group: up to 8 dense output rows served by one set of
-   lane-expanded tables. [rows] are indices into the caller's dst
-   array; [tables.(j)] is the 256 x 8 B lane table of source column j. *)
-type lane_group = { g_rows : int array; g_tables : Bytes.t array }
 
 type dense =
   | D_none
-  | D_rowtables of { d_rows : int array; d_tables : Bytes.t array array }
-    (* Scalar (tables unused) and Table: one 256-table per (row, col). *)
-  | D_multi of { d_row : int; d_muls : mul array; d_srcidx : int array }
-    (* Split64 with a single dense row: multi-source acc2/acc4. *)
-  | D_lanes of lane_group array
-    (* Split64 with >= 2 dense rows: lane-fused groups. *)
-  | D_c of { d_rows : int array; d_tables : Bytes.t }
-    (* C_simd: r' * k * 32 B of SPLIT(8,4) tables, applied in C. *)
+  | D_scalar of int array (* dense rows, applied byte by byte *)
+  | D_c of { d_rows : int array; d_tables : string }
+    (* r' * k * 32 B of SPLIT(8,4) tables, applied in C. *)
 
 type rows = {
   impl : impl;
@@ -259,24 +144,6 @@ type rows = {
   trivial : (int * trivial) array; (* (row, op) *)
   dense : dense;
 }
-
-let lane_table cols =
-  (* cols.(lane) is the coefficient feeding that lane; entry [s] packs
-     [cols.(lane) * s] into byte lane [lane] of a 64-bit word. Written
-     and read in native byte order, so lane extraction by integer
-     shifts is endian-agnostic. *)
-  let t = Bytes.create 2048 in
-  for s = 0 to 255 do
-    let w = ref 0L in
-    Array.iteri
-      (fun lane c ->
-        w :=
-          Int64.logor !w
-            (Int64.shift_left (Int64.of_int (F.mul c s)) (lane * 8)))
-      cols;
-    Bytes.set_int64_ne t (s * 8) !w
-  done;
-  t
 
 let make_rows impl coeffs =
   let r = Array.length coeffs in
@@ -307,135 +174,16 @@ let make_rows impl coeffs =
     if Array.length dense_rows = 0 then D_none
     else
       match impl with
-      | Scalar ->
-          D_rowtables { d_rows = dense_rows; d_tables = [||] }
-      | Table ->
-          D_rowtables
-            {
-              d_rows = dense_rows;
-              d_tables =
-                Array.map
-                  (fun p -> Array.map F.mul_table coeffs.(p))
-                  dense_rows;
-            }
-      | Split64 ->
-          if Array.length dense_rows = 1 then begin
-            let p = dense_rows.(0) in
-            let muls = ref [] and idxs = ref [] in
-            Array.iteri
-              (fun j c ->
-                if c <> 0 then begin
-                  muls := make_mul Split64 c :: !muls;
-                  idxs := j :: !idxs
-                end)
-              coeffs.(p);
-            D_multi
-              {
-                d_row = p;
-                d_muls = Array.of_list (List.rev !muls);
-                d_srcidx = Array.of_list (List.rev !idxs);
-              }
-          end
-          else begin
-            let ngroups = (Array.length dense_rows + 7) / 8 in
-            D_lanes
-              (Array.init ngroups (fun g ->
-                   let lo = g * 8 in
-                   let lanes = min 8 (Array.length dense_rows - lo) in
-                   let g_rows = Array.sub dense_rows lo lanes in
-                   let g_tables =
-                     Array.init k (fun j ->
-                         lane_table
-                           (Array.map (fun p -> coeffs.(p).(j)) g_rows))
-                   in
-                   { g_rows; g_tables }))
-          end
-      | C_simd ->
-          let r' = Array.length dense_rows in
-          let tb = Bytes.create (r' * k * 32) in
-          Array.iteri
-            (fun p' p ->
-              Array.iteri
-                (fun j c ->
-                  Bytes.blit (F.split_tables c) 0 tb (((p' * k) + j) * 32) 32)
-                coeffs.(p))
-            dense_rows;
-          D_c { d_rows = dense_rows; d_tables = tb }
+      | Scalar -> D_scalar dense_rows
+      | C_portable | C_simd ->
+          let tables =
+            List.concat_map
+              (fun p -> Array.to_list (Array.map split coeffs.(p)))
+              (Array.to_list dense_rows)
+          in
+          D_c { d_rows = dense_rows; d_tables = String.concat "" tables }
   in
   { impl; r; k; coeffs; trivial; dense }
-
-let rows_impl t = t.impl
-let rows_shape t = (t.r, t.k)
-
-(* --- Split64 fused engine ------------------------------------------ *)
-
-(* One pass per source: scratch word i accumulates the lane-expanded
-   products of every source's byte i. Sources are read byte-wise (the
-   per-byte index is needed for the lookup anyway, and byte reads keep
-   the kernel endian-agnostic); tables and scratch move 8 bytes per
-   step. *)
-let split_acc_pass ~sc ~src ~tbl ~len ~first =
-  if first then
-    for i = 0 to len - 1 do
-      let s = Char.code (Bytes.unsafe_get src i) in
-      unsafe_set_64 sc (i lsl 3) (unsafe_get_64 tbl (s lsl 3))
-    done
-  else
-    for i = 0 to len - 1 do
-      let s = Char.code (Bytes.unsafe_get src i) in
-      let off = i lsl 3 in
-      unsafe_set_64 sc off
-        (Int64.logxor (unsafe_get_64 sc off) (unsafe_get_64 tbl (s lsl 3)))
-    done
-
-(* Lane extraction goes through two 32-bit halves so no byte is lost to
-   OCaml's 63-bit int truncation. *)
-let deinterleave_lane ~sc ~dst ~len ~lane ~acc =
-  let shift = (lane land 3) * 8 in
-  let hi_half = lane >= 4 in
-  for i = 0 to len - 1 do
-    let w = unsafe_get_64 sc (i lsl 3) in
-    let half =
-      if hi_half then Int64.to_int (Int64.shift_right_logical w 32)
-      else Int64.to_int w land 0xffffffff
-    in
-    let v = (half lsr shift) land 0xff in
-    let v =
-      if acc then Char.code (Bytes.unsafe_get dst i) lxor v else v
-    in
-    Bytes.unsafe_set dst i (Char.unsafe_chr v)
-  done
-
-let apply_lane_group ~group ~srcs ~dsts ~len ~acc =
-  let sc = ensure_scratch len in
-  Array.iteri
-    (fun j src ->
-      split_acc_pass ~sc ~src ~tbl:group.g_tables.(j) ~len ~first:(j = 0))
-    srcs;
-  Array.iteri
-    (fun lane p ->
-      deinterleave_lane ~sc ~dst:dsts.(p) ~len ~lane ~acc)
-    group.g_rows
-
-(* --- Table / Scalar row loop --------------------------------------- *)
-
-let apply_row_tables ~coeffs ~tables ~srcs ~dst ~len ~acc =
-  (* The PR-1 per-row kernel: first contributing term overwrites unless
-     accumulating, the rest fold in; c = 1 takes the wide-XOR path. *)
-  let started = ref acc in
-  Array.iteri
-    (fun j c ->
-      if c <> 0 then begin
-        let src = srcs.(j) in
-        (if not !started then
-           if c = 1 then Bytes.blit src 0 dst 0 len
-           else F.mul_table_slice_set ~dst ~src tables.(j)
-         else if c = 1 then F.mul_slice ~dst ~src 1
-         else F.mul_table_slice ~dst ~src tables.(j));
-        started := true
-      end)
-    coeffs;
-  if not !started then Bytes.fill dst 0 len '\000'
 
 let apply_row_scalar ~coeffs ~srcs ~dst ~len ~acc =
   for i = 0 to len - 1 do
@@ -447,8 +195,6 @@ let apply_row_scalar ~coeffs ~srcs ~dst ~len ~acc =
       coeffs;
     Bytes.unsafe_set dst i (Char.unsafe_chr !v)
   done
-
-(* --- Dispatch ------------------------------------------------------ *)
 
 let apply_trivial t ~srcs ~dsts ~len ~acc =
   Array.iter
@@ -483,38 +229,12 @@ let apply_rows ?(acc = false) t ~srcs ~dsts =
   apply_trivial t ~srcs ~dsts ~len ~acc;
   match t.dense with
   | D_none -> ()
-  | D_rowtables { d_rows; d_tables } ->
-      Array.iteri
-        (fun i p ->
-          match t.impl with
-          | Scalar ->
-              apply_row_scalar ~coeffs:t.coeffs.(p) ~srcs ~dst:dsts.(p) ~len
-                ~acc
-          | _ ->
-              apply_row_tables ~coeffs:t.coeffs.(p) ~tables:d_tables.(i) ~srcs
-                ~dst:dsts.(p) ~len ~acc)
-        d_rows
-  | D_multi { d_row; d_muls; d_srcidx } ->
-      let dst = dsts.(d_row) in
-      if not acc then begin
-        (* Initialize from the first term, accumulate the rest. *)
-        let m0 = d_muls.(0) in
-        mul_set m0 ~dst ~src:srcs.(d_srcidx.(0));
-        mul_acc_multi
-          (Array.sub d_muls 1 (Array.length d_muls - 1))
-          ~dst
-          ~srcs:
-            (Array.init
-               (Array.length d_muls - 1)
-               (fun i -> srcs.(d_srcidx.(i + 1))))
-      end
-      else
-        mul_acc_multi d_muls ~dst
-          ~srcs:(Array.map (fun j -> srcs.(j)) d_srcidx)
-  | D_lanes groups ->
+  | D_scalar rows ->
       Array.iter
-        (fun group -> apply_lane_group ~group ~srcs ~dsts ~len ~acc)
-        groups
+        (fun p ->
+          apply_row_scalar ~coeffs:t.coeffs.(p) ~srcs ~dst:dsts.(p) ~len ~acc)
+        rows
   | D_c { d_rows; d_tables } ->
       let dense_dsts = Array.map (fun p -> dsts.(p)) d_rows in
-      c_rows_apply d_tables srcs dense_dsts t.k (Array.length d_rows) len acc
+      c_rows_apply (level t.impl) d_tables srcs dense_dsts t.k
+        (Array.length d_rows) len acc

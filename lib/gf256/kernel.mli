@@ -1,113 +1,83 @@
-(** Dispatch between interchangeable GF(2^8) slice-kernel
-    implementations.
+(** GF(2^8) slice kernels: the scalar oracle and one C path.
 
-    Every kernel computes the same linear maps over byte slices; they
-    differ only in throughput:
+    Every implementation computes the same linear maps over byte
+    slices:
 
-    - [Scalar] — byte-at-a-time log/exp reference; the ground truth the
-      others are property-tested against.
-    - [Table] — 256-entry product table per coefficient, eight lookups
-      per 64-bit word ({!Field.mul_table_slice}).
-    - [Split64] — SPLIT(8,4) tables expanded into 64-bit lookup lanes:
-      for a fused r-row map, one table lookup per source byte feeds up
-      to eight output rows at once through an interleaved accumulator.
-    - [C_simd] — C stubs applying the 32-byte SPLIT(8,4) tables with
-      byte shuffles (SSSE3/AVX2 [pshufb], NEON [tbl]), 16–64 bytes per
-      step. Only {!available} when the stubs detect usable SIMD at
-      runtime; everything else is pure OCaml and always available.
+    - [Scalar] — byte-at-a-time log/exp reference; the oracle the C
+      path is tested against.
+    - [C_portable] — the C stubs' portable nibble-table loop
+      (SIMD level 0). Always available.
+    - [C_simd] — the same C entry points and SPLIT(8,4) tables, run at
+      the SIMD level the CPU probe reported (SSSE3/AVX2 [pshufb], NEON
+      [tbl]; 16–64 bytes per step). Only {!available} when
+      {!simd_level} [> 0].
 
     Codecs pick an implementation once at construction via {!select}
     and bake it into precomputed {!mul} and {!rows} operators, so the
-    hot paths never branch on kernel choice or allocate tables. *)
+    hot paths never branch on kernel choice or allocate tables. The
+    operators are immutable: one codec may be used from several domains
+    at once. *)
 
-type impl = Scalar | Table | Split64 | C_simd
+type impl = Scalar | C_portable | C_simd
 
 val all : impl list
 (** Every implementation, in ascending order of expected speed. *)
 
 val name : impl -> string
-(** ["scalar"], ["table"], ["split64"], ["c_simd"]. *)
-
-val of_name : string -> impl
-(** Inverse of {!name}.
-    @raise Invalid_argument on an unknown kernel name. *)
+(** ["scalar"], ["c_portable"], ["c_simd"]. *)
 
 val available : impl -> bool
-(** Whether the implementation can run on this machine. The pure-OCaml
-    kernels always can; [C_simd] requires the stubs to report SIMD. *)
+(** Whether the implementation can run on this machine: [C_simd]
+    requires {!simd_level} [> 0], the others always can. *)
 
 val available_impls : unit -> impl list
 
 val simd_level : int
-(** Raw CPU capability reported by the C stubs: 0 = none (or non-SIMD
+(** The CPU probe of the C stubs: 0 = no usable SIMD (or a non-SIMD
     build), 1 = SSSE3 or NEON (16 B/step), 2 = AVX2 (32 B/step). *)
 
-val best_available : unit -> impl
-
-val env_var : string
-(** ["FAB_GF_KERNEL"] — overrides {!default} when set and non-empty. *)
-
 val default : unit -> impl
-(** The kernel a codec gets when none is requested: the value of
-    [FAB_GF_KERNEL] if set and non-empty, otherwise {!best_available}.
-    @raise Invalid_argument if the override names an unknown or
-    unavailable kernel. *)
+(** The kernel a codec gets when none is requested: [C_simd] if
+    available, else [C_portable]. *)
 
 val select : ?impl:impl -> unit -> impl
-(** Resolve the kernel for a new codec ([?impl] wins over {!default})
-    and record the choice in the selection counters.
+(** Resolve the kernel for a new codec ([?impl] wins over {!default}).
     @raise Invalid_argument if the requested kernel is unavailable. *)
-
-val selection_counts : unit -> (string * int) list
-(** [(name, codecs constructed with it)] for every implementation,
-    since process start. *)
 
 (** {1 Single-coefficient multipliers}
 
-    A {!mul} is one precomputed coefficient: both the 256-entry product
-    table and the 32-byte SPLIT(8,4) pair are resolved at construction,
-    so applying it is allocation-free. *)
+    A {!mul} is one precomputed coefficient: its 32-byte SPLIT(8,4) pair
+    is resolved at construction, so applying it is allocation-free. *)
 
 type mul
 
 val make_mul : impl -> Field.t -> mul
 (** @raise Invalid_argument if the coefficient is out of range. *)
 
-val mul_coeff : mul -> Field.t
-
 val mul_acc : mul -> dst:Bytes.t -> src:Bytes.t -> unit
 (** [dst.(i) <- dst.(i) + c * src.(i)]. [c = 0] is a no-op, [c = 1]
-    takes the wide-XOR path under every non-scalar kernel.
+    takes the wide-XOR path under the C kernels.
     @raise Invalid_argument on length mismatch. *)
 
 val mul_set : mul -> dst:Bytes.t -> src:Bytes.t -> unit
 (** [dst.(i) <- c * src.(i)].
     @raise Invalid_argument on length mismatch. *)
 
-val mul_acc_multi : mul array -> dst:Bytes.t -> srcs:Bytes.t array -> unit
-(** Fold every [c_i * srcs.(i)] into [dst] with as few destination
-    passes as the kernel allows (acc4/acc2 chunking under the table
-    kernels). Equivalent to calling {!mul_acc} per source.
-    @raise Invalid_argument on arity or length mismatch. *)
-
 (** {1 Fused row-group application}
 
     A {!rows} is a precompiled r x k coefficient matrix: dsts.(p)
     [<-] (or [+=]) sum over j of [coeffs.(p).(j) * srcs.(j)]. Rows with
     at most one nonzero coefficient are served by blit / zero-fill /
-    single-table passes under every kernel; the dense remainder goes to
-    the kernel's fused engine. This is the shape of erasure encode (all
-    parity rows in one call per stripe) and of cached decode plans. *)
+    single-coefficient passes under every kernel; the dense remainder
+    goes to one fused C call (or the scalar loop). This is the shape of
+    erasure encode (all parity rows in one call per stripe) and of
+    cached decode plans. *)
 
 type rows
 
 val make_rows : impl -> Field.t array array -> rows
 (** Precompile a non-empty, non-ragged coefficient matrix.
     @raise Invalid_argument on a malformed matrix. *)
-
-val rows_impl : rows -> impl
-val rows_shape : rows -> int * int
-(** [(r, k)] = (output rows, source columns). *)
 
 val apply_rows : ?acc:bool -> rows -> srcs:Bytes.t array -> dsts:Bytes.t array -> unit
 (** Apply the map. With [~acc:true] every row accumulates into the

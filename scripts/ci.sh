@@ -11,16 +11,8 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== @bench-smoke (microbenchmark harness + split-kernel and CRC32C gates) =="
+echo "== @bench-smoke (microbenchmark harness + GF(2^8) SIMD and CRC32C gates) =="
 dune build @bench-smoke
-
-echo "== micro bench per GF(2^8) kernel backend =="
-# --list-kernels prints only the backends usable on this machine, so
-# c_simd is skipped automatically where the SIMD stubs are gated off.
-for k in $(dune exec bench/main.exe -- --list-kernels); do
-  echo "-- FAB_GF_KERNEL=$k --"
-  FAB_GF_KERNEL="$k" dune exec bench/main.exe -- micro --smoke
-done
 
 echo "== @obs-smoke (pipelined traced workload -> fab_sim explain) =="
 dune build @obs-smoke

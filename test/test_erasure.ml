@@ -435,26 +435,67 @@ let test_apply_deltas_batched () =
         [ 0; 1; 2; 3; 5 ])
     (K.available_impls ())
 
-(* Codec construction honours the FAB_GF_KERNEL override and rejects
-   unknown names (same contract as Gf256.Kernel.default). *)
-let test_codec_kernel_env () =
+(* One codec used from two domains at once, as the multicore backend
+   shares a volume's codec among coordinators on different domains.
+   Each domain encodes and decodes its own random stripes through the
+   shared rs(5,8) codec; every encoding must equal a Scalar codec's, and
+   every decode (from Scalar-encoded survivors, cycling through every
+   m-subset) must return the stripe. A kernel that keeps mutable state
+   outside its arguments corrupts blocks here. *)
+let test_shared_codec_two_domains () =
+  let m = 5 and n = 8 and len = 1500 and iters = 300 in
+  let scalar = C.rs ~kernel:K.Scalar ~m ~n () in
+  let survivor_sets = Array.of_list (subsets m 0 n) in
   List.iter
     (fun impl ->
-      Unix.putenv K.env_var (K.name impl);
-      let codec = C.rs ~m:3 ~n:5 () in
-      Alcotest.(check string) "env-forced codec kernel" (K.name impl)
-        (C.kernel_name codec))
-    (K.available_impls ());
-  Unix.putenv K.env_var "bogus";
-  (try
-     ignore (C.rs ~m:3 ~n:5 ());
-     Alcotest.fail "unknown kernel accepted"
-   with Invalid_argument _ -> ());
-  Unix.putenv K.env_var "";
-  let codec = C.rs ~m:3 ~n:5 () in
-  Alcotest.(check string) "empty env falls back to best"
-    (K.name (K.best_available ()))
-    (C.kernel_name codec)
+      let shared = C.rs ~kernel:impl ~m ~n () in
+      (* Inputs are built up front so the timed loops overlap. *)
+      let inputs seed =
+        let rng = Random.State.make [| seed |] in
+        Array.init iters (fun i ->
+            let stripe = random_stripe_len rng m len in
+            let enc = C.encode scalar stripe in
+            let subset = survivor_sets.(i mod Array.length survivor_sets) in
+            (stripe, enc, List.map (fun j -> (j, enc.(j))) subset))
+      in
+      let ready = Atomic.make 0 in
+      let run work () =
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        Array.map
+          (fun (stripe, _, survivors) ->
+            let enc =
+              Array.init n (fun j ->
+                  if j < m then stripe.(j) else Bytes.create len)
+            in
+            C.encode_into shared stripe ~into:enc;
+            let dec = Array.init m (fun _ -> Bytes.create len) in
+            C.decode_into shared survivors ~into:dec;
+            (enc, dec))
+          work
+      in
+      let work_a = inputs 71 and work_b = inputs 72 in
+      let other = Domain.spawn (run work_b) in
+      let out_a = run work_a () in
+      let out_b = Domain.join other in
+      let bad = ref 0 in
+      List.iter
+        (fun (work, out) ->
+          Array.iteri
+            (fun i (stripe, reference, _) ->
+              let enc, dec = out.(i) in
+              for p = m to n - 1 do
+                if not (Bytes.equal enc.(p) reference.(p)) then incr bad
+              done;
+              if not (stripes_equal dec stripe) then incr bad)
+            work)
+        [ (work_a, out_a); (work_b, out_b) ];
+      Alcotest.(check int)
+        (K.name impl ^ ": wrong parity blocks and decodes")
+        0 !bad)
+    (K.available_impls ())
 
 let test_large_code () =
   (* A wide code near the field-size limit still round-trips. *)
@@ -552,8 +593,8 @@ let () =
             test_kernels_byte_identical;
           Alcotest.test_case "batched deltas equal sequential" `Quick
             test_apply_deltas_batched;
-          Alcotest.test_case "FAB_GF_KERNEL env override" `Quick
-            test_codec_kernel_env;
+          Alcotest.test_case "shared codec across two domains" `Quick
+            test_shared_codec_two_domains;
         ] );
       ("properties", prop_tests);
       ( "errors",

@@ -92,17 +92,6 @@ let bytes_gen =
 
 let slice_tests =
   [
-    qtest "mul_slice_set matches scalar mul" (QCheck.pair bytes_gen elem)
-      (fun (src, c) ->
-        let dst = Bytes.make (Bytes.length src) '\255' in
-        F.mul_slice_set ~dst ~src c;
-        let ok = ref true in
-        Bytes.iteri
-          (fun i x ->
-            if Char.code x <> F.mul c (Char.code (Bytes.get src i)) then
-              ok := false)
-          dst;
-        !ok);
     qtest "mul_slice accumulates" (QCheck.triple bytes_gen bytes_gen elem)
       (fun (dst0, src, c) ->
         let dst = Bytes.copy dst0 in
@@ -142,28 +131,13 @@ let test_slice_length_mismatch () =
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Gf256.Field.mul_slice: length mismatch") (fun () ->
       F.mul_slice ~dst:a ~src:b 3);
-  let c = Bytes.create 4 in
-  Alcotest.check_raises "bad table"
-    (Invalid_argument "Gf256.Field.mul_table_slice: not a 256-entry table")
-    (fun () -> F.mul_table_slice ~dst:a ~src:c (Bytes.create 16))
+  Alcotest.check_raises "kernel mismatch"
+    (Invalid_argument "Gf256.Kernel.mul_acc: length mismatch") (fun () ->
+      Gf256.Kernel.(mul_acc (make_mul (default ()) 3) ~dst:a ~src:b))
 
-(* Every coefficient's cached product table must agree with scalar
-   multiplication on all 256 field values. *)
-let test_mul_table_agrees () =
-  for c = 0 to 255 do
-    let table = F.mul_table c in
-    Alcotest.(check int) "table length" 256 (Bytes.length table);
-    for v = 0 to 255 do
-      if Char.code (Bytes.get table v) <> F.mul c v then
-        Alcotest.failf "mul_table %d disagrees with mul at %d" c v
-    done;
-    (* The cache hands back the same buffer on repeated calls. *)
-    Alcotest.(check bool) "cached" true (F.mul_table c == table)
-  done
-
-(* The wide-word kernels must be bit-identical to the byte-at-a-time
-   definition on every length class: 64-bit body, scalar tail, and
-   lengths below one word. *)
+(* The wide XOR must be bit-identical to the byte-at-a-time definition
+   on every length class: 64-bit body, scalar tail, and lengths below
+   one word. *)
 let slice_lengths = [ 1; 3; 7; 8; 9; 15; 16; 17; 63; 64; 65; 257 ]
 
 let test_wide_kernels_match_reference () =
@@ -177,7 +151,6 @@ let test_wide_kernels_match_reference () =
         (fun c ->
           let src = random_bytes len in
           let dst0 = random_bytes len in
-          (* Accumulating kernel vs scalar reference. *)
           let dst = Bytes.copy dst0 in
           F.mul_slice ~dst ~src c;
           for i = 0 to len - 1 do
@@ -188,80 +161,27 @@ let test_wide_kernels_match_reference () =
             in
             if Char.code (Bytes.get dst i) <> expected then
               Alcotest.failf "mul_slice len=%d c=%d mismatch at %d" len c i
-          done;
-          (* Overwriting kernel. *)
-          let dst = Bytes.copy dst0 in
-          F.mul_slice_set ~dst ~src c;
-          for i = 0 to len - 1 do
-            if
-              Char.code (Bytes.get dst i)
-              <> F.mul c (Char.code (Bytes.get src i))
-            then
-              Alcotest.failf "mul_slice_set len=%d c=%d mismatch at %d" len c i
-          done;
-          (* The raw table kernels (what encode/decode plans call). *)
-          if c >= 2 then begin
-            let table = F.mul_table c in
-            let dst = Bytes.copy dst0 in
-            F.mul_table_slice ~dst ~src table;
-            let dst' = Bytes.copy dst0 in
-            F.mul_slice ~dst:dst' ~src c;
-            if not (Bytes.equal dst dst') then
-              Alcotest.failf "mul_table_slice len=%d c=%d diverges" len c
-          end)
+          done)
         [ 0; 1; 2; 29; 173; 255 ])
     slice_lengths
-
-(* ------------------------------------------------------------------ *)
-(* Multi-source accumulators and split tables                          *)
-(* ------------------------------------------------------------------ *)
 
 let rng_bytes rng len =
   Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256))
 
-(* acc2/acc4 fold their sources exactly like chained single-source
-   passes, on every length class. *)
-let test_acc_kernels_match_chained () =
-  let rng = Random.State.make [| 31 |] in
-  List.iter
-    (fun len ->
-      let srcs = Array.init 4 (fun _ -> rng_bytes rng len) in
-      let cs = Array.init 4 (fun _ -> 2 + Random.State.int rng 254) in
-      let tabs = Array.map F.mul_table cs in
-      let dst0 = rng_bytes rng len in
-      let expected = Bytes.copy dst0 in
-      Array.iteri
-        (fun i t -> F.mul_table_slice ~dst:expected ~src:srcs.(i) t)
-        tabs;
-      let dst2 = Bytes.copy dst0 in
-      F.mul_table_slice_acc2 ~dst:dst2 ~src1:srcs.(0) tabs.(0) ~src2:srcs.(1)
-        tabs.(1);
-      F.mul_table_slice_acc2 ~dst:dst2 ~src1:srcs.(2) tabs.(2) ~src2:srcs.(3)
-        tabs.(3);
-      if not (Bytes.equal dst2 expected) then
-        Alcotest.failf "acc2 len=%d diverges from chained passes" len;
-      let dst4 = Bytes.copy dst0 in
-      F.mul_table_slice_acc4 ~dst:dst4 ~src1:srcs.(0) tabs.(0) ~src2:srcs.(1)
-        tabs.(1) ~src3:srcs.(2) tabs.(2) ~src4:srcs.(3) tabs.(3);
-      if not (Bytes.equal dst4 expected) then
-        Alcotest.failf "acc4 len=%d diverges from chained passes" len)
-    slice_lengths
-
 (* The SPLIT(8,4) nibble tables must reproduce c * s for every pair:
-   c * s = lo[s land 15] lxor hi[s lsr 4]. *)
+   c * s = lo[s land 15] lxor hi[s lsr 4], pair c at byte 32 c. *)
 let test_split_tables_agree () =
+  let t = F.split_tables in
+  check_int "split table length" (256 * 32) (String.length t);
   for c = 0 to 255 do
-    let t = F.split_tables c in
-    check_int "split table length" 32 (Bytes.length t);
     for s = 0 to 255 do
       let p =
-        Char.code (Bytes.get t (s land 15))
-        lxor Char.code (Bytes.get t (16 + (s lsr 4)))
+        Char.code t.[(32 * c) + (s land 15)]
+        lxor Char.code t.[(32 * c) + 16 + (s lsr 4)]
       in
       if p <> F.mul c s then
         Alcotest.failf "split_tables %d disagrees with mul at %d" c s
-    done;
-    Alcotest.(check bool) "cached" true (F.split_tables c == t)
+    done
   done
 
 (* ------------------------------------------------------------------ *)
@@ -270,13 +190,15 @@ let test_split_tables_agree () =
 
 module K = Gf256.Kernel
 
-(* Unaligned and sub-word lengths: the wide kernels must handle 64-bit
-   bodies, SIMD tails and lengths below one vector identically. *)
-let kernel_lengths = [ 1; 7; 8; 9; 15; 17; 64; 65; 257; 1000 ]
+(* Lengths on each side of the SIMD loops' 16/32/64-byte steps and the
+   AVX2 fused map's 128-byte tiles, plus one long unaligned block. *)
+let kernel_lengths =
+  [ 1; 7; 8; 9; 15; 16; 17; 31; 32; 33; 63; 64; 65; 127; 128; 129; 257;
+    4096 + 13 ]
 
-(* Every implementation, every coefficient, every length class:
-   mul_acc/mul_set match the scalar field definition, including when
-   dst and src are the same buffer. *)
+(* Every implementation, every coefficient: mul_acc/mul_set match the
+   scalar field definition, including when dst and src are the same
+   buffer. Lengths rotate through [kernel_lengths]. *)
 let test_kernel_mul_equivalence () =
   let rng = Random.State.make [| 41 |] in
   List.iter
@@ -327,35 +249,11 @@ let test_kernel_mul_equivalence () =
       done)
     (K.available_impls ())
 
-(* mul_acc_multi equals sequential mul_acc under every kernel. *)
-let test_kernel_mul_multi () =
-  let rng = Random.State.make [| 43 |] in
-  List.iter
-    (fun impl ->
-      List.iter
-        (fun nsrc ->
-          let len = 137 in
-          let cs = Array.init nsrc (fun _ -> Random.State.int rng 256) in
-          let muls = Array.map (K.make_mul impl) cs in
-          let srcs = Array.init nsrc (fun _ -> rng_bytes rng len) in
-          let dst0 = rng_bytes rng len in
-          let expected = Bytes.copy dst0 in
-          Array.iteri
-            (fun i m -> K.mul_acc m ~dst:expected ~src:srcs.(i))
-            muls;
-          let dst = Bytes.copy dst0 in
-          K.mul_acc_multi muls ~dst ~srcs;
-          if not (Bytes.equal dst expected) then
-            Alcotest.failf "%s mul_acc_multi nsrc=%d diverges" (K.name impl)
-              nsrc)
-        [ 0; 1; 2; 3; 4; 5; 9 ])
-    (K.available_impls ())
-
 (* Fused row groups: every implementation against the scalar reference,
    across shapes that exercise the trivial-row fast path (zero rows,
-   identity rows, single-coefficient rows), single dense rows, full
-   lane groups and multi-group maps (r > 8), in both overwrite and
-   accumulate modes. *)
+   identity rows, single-coefficient rows), single dense rows and wide
+   maps (r > 8), in both overwrite and accumulate modes, at every
+   length class of [kernel_lengths] that straddles a step or tile. *)
 let test_kernel_rows_equivalence () =
   let rng = Random.State.make [| 47 |] in
   let shapes =
@@ -401,49 +299,30 @@ let test_kernel_rows_equivalence () =
                       (K.name impl) r k len p)
                 dsts)
             (K.available_impls ()))
-        [ 1; 9; 64; 257 ])
+        [ 1; 15; 16; 17; 31; 33; 63; 65; 127; 128; 129; 4096 + 13 ])
     shapes
 
-(* Forcing each kernel through the environment override: unset and
-   empty pick the best available, explicit names pick that kernel, and
-   unknown names are rejected. *)
-let test_kernel_dispatch_env () =
-  let set v = Unix.putenv K.env_var v in
-  set "";
-  Alcotest.(check bool)
-    "empty means best available" true
-    (K.default () = K.best_available ());
-  List.iter
-    (fun impl ->
-      set (K.name impl);
-      Alcotest.(check string)
-        ("env forces " ^ K.name impl)
-        (K.name impl)
-        (K.name (K.default ())))
-    (K.available_impls ());
-  set "not-a-kernel";
-  (try
-     ignore (K.default ());
-     Alcotest.fail "unknown kernel name accepted"
-   with Invalid_argument _ -> ());
-  set "";
-  (* Selection counters move when codec constructions pick a kernel. *)
-  let before = List.assoc "table" (K.selection_counts ()) in
-  ignore (K.select ~impl:K.Table ());
-  let after = List.assoc "table" (K.selection_counts ()) in
-  check_int "selection counted" (before + 1) after
+(* With no kernel requested a codec gets the CPU probe's choice; an
+   explicit request wins, and an unavailable one is refused. *)
+let test_kernel_default () =
+  let probed = if K.simd_level > 0 then K.C_simd else K.C_portable in
+  Alcotest.(check string) "default follows the probe" (K.name probed)
+    (K.name (K.default ()));
+  Alcotest.(check string) "select without request" (K.name probed)
+    (K.name (K.select ()));
+  Alcotest.(check string) "select honours request" "scalar"
+    (K.name (K.select ~impl:K.Scalar ()));
+  if not (K.available K.C_simd) then
+    Alcotest.check_raises "unavailable refused"
+      (Invalid_argument "Gf256.Kernel.select: c_simd unavailable") (fun () ->
+        ignore (K.select ~impl:K.C_simd ()))
 
 let test_kernel_names () =
-  List.iter
-    (fun impl ->
-      Alcotest.(check bool)
-        ("of_name roundtrip " ^ K.name impl)
-        true
-        (K.of_name (K.name impl) = impl))
-    K.all;
+  Alcotest.(check (list string))
+    "names" [ "scalar"; "c_portable"; "c_simd" ] (List.map K.name K.all);
   Alcotest.(check bool) "scalar always available" true (K.available K.Scalar);
-  Alcotest.(check bool) "split64 always available" true
-    (K.available K.Split64);
+  Alcotest.(check bool) "c_portable always available" true
+    (K.available K.C_portable);
   Alcotest.(check bool)
     "c_simd availability tracks simd level" (K.simd_level > 0)
     (K.available K.C_simd)
@@ -567,30 +446,24 @@ let () =
           Alcotest.test_case "check_element" `Quick test_check_element;
         ] );
       ( "slices",
-        slice_tests
+        (Alcotest.test_case "split tables agree with mul" `Quick
+           test_split_tables_agree
+        :: slice_tests)
         @ [
             Alcotest.test_case "length mismatch" `Quick
               test_slice_length_mismatch;
-            Alcotest.test_case "mul_table agrees with mul" `Quick
-              test_mul_table_agrees;
             Alcotest.test_case "wide kernels match reference" `Quick
               test_wide_kernels_match_reference;
-            Alcotest.test_case "acc2/acc4 match chained passes" `Quick
-              test_acc_kernels_match_chained;
-            Alcotest.test_case "split tables agree with mul" `Quick
-              test_split_tables_agree;
           ] );
       ( "kernels",
         [
           Alcotest.test_case "names and availability" `Quick test_kernel_names;
           Alcotest.test_case "mul equivalence (all coefficients)" `Quick
             test_kernel_mul_equivalence;
-          Alcotest.test_case "mul_acc_multi equals sequential" `Quick
-            test_kernel_mul_multi;
           Alcotest.test_case "fused rows equivalence" `Quick
             test_kernel_rows_equivalence;
-          Alcotest.test_case "dispatch env override" `Quick
-            test_kernel_dispatch_env;
+          Alcotest.test_case "default is the CPU probe" `Quick
+            test_kernel_default;
         ] );
       ( "matrix",
         [
