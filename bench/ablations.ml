@@ -234,7 +234,7 @@ let x5 () =
   let cl = Cluster.create ~m ~n ~block_size:bs () in
   seed cl;
   let before = Cluster.snapshot cl in
-  let t0 = Dessim.Engine.now cl.Cluster.engine in
+  let t0 = Runtime.now cl.Cluster.runtime in
   (match
      Cluster.run_op cl (fun c ->
          let rec go i =
@@ -251,20 +251,20 @@ let x5 () =
    with
   | Some (Ok ()) -> ()
   | _ -> Printf.printf "  (per-block loop aborted)\n");
-  let loop_lat = Dessim.Engine.now cl.Cluster.engine -. t0 in
+  let loop_lat = Runtime.now cl.Cluster.runtime -. t0 in
   let after = Cluster.snapshot cl in
   let d1 name = Metrics.Snapshot.get after name -. Metrics.Snapshot.get before name in
   (* one multi-block operation *)
   let cl = Cluster.create ~m ~n ~block_size:bs () in
   seed cl;
   let before = Cluster.snapshot cl in
-  let t0 = Dessim.Engine.now cl.Cluster.engine in
+  let t0 = Runtime.now cl.Cluster.runtime in
   (match
      Cluster.run_op cl (fun c -> Coordinator.write_blocks c ~stripe:0 1 news)
    with
   | Some (Ok ()) -> ()
   | _ -> Printf.printf "  (multi write aborted)\n");
-  let multi_lat = Dessim.Engine.now cl.Cluster.engine -. t0 in
+  let multi_lat = Runtime.now cl.Cluster.runtime -. t0 in
   let after = Cluster.snapshot cl in
   let d2 name = Metrics.Snapshot.get after name -. Metrics.Snapshot.get before name in
   Printf.printf "  writing a %d-block range inside a 5-of-8 stripe:\n\n" range;
@@ -326,11 +326,11 @@ let x6 () =
   Cluster.spawn ~coord:2 cl (fun c ->
       ignore (Coordinator.write_stripe c ~stripe:0 new_stripe));
   ignore
-    (Dessim.Engine.schedule cl.Cluster.engine ~delay:1.5 (fun () ->
+    (Runtime.timer cl.Cluster.runtime ~delay:1.5 (fun () ->
          Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:2 ~dst:1 true;
          Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:2 ~dst:2 true));
   ignore
-    (Dessim.Engine.schedule cl.Cluster.engine ~delay:4.5 (fun () ->
+    (Runtime.timer cl.Cluster.runtime ~delay:4.5 (fun () ->
          Brick.crash cl.Cluster.bricks.(2)));
   Cluster.run ~horizon:30. cl;
   Printf.printf "  [quorum]  coordinator crashed after its write reached brick 0 only\n";
@@ -358,15 +358,15 @@ let x6 () =
   Cluster.spawn ~coord:3 cl (fun c ->
       ignore (Coordinator.write_stripe c ~stripe:0 new_stripe));
   ignore
-    (Dessim.Engine.schedule cl.Cluster.engine ~delay:1.5 (fun () ->
+    (Runtime.timer cl.Cluster.runtime ~delay:1.5 (fun () ->
          for dst = 1 to 3 do
            Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:3 ~dst true
          done));
   ignore
-    (Dessim.Engine.schedule cl.Cluster.engine ~delay:4.5 (fun () ->
+    (Runtime.timer cl.Cluster.runtime ~delay:4.5 (fun () ->
          Brick.crash cl.Cluster.bricks.(3)));
   ignore
-    (Dessim.Engine.schedule cl.Cluster.engine ~delay:5.0 (fun () ->
+    (Runtime.timer cl.Cluster.runtime ~delay:5.0 (fun () ->
          for dst = 1 to 3 do
            Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:3 ~dst false
          done;

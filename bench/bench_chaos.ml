@@ -59,10 +59,11 @@ type cycle = {
    in backend-native time (sim: delta units; mc: seconds). *)
 let run_backend ~mc ~domains ~ts ~cycles =
   let cluster =
-    if mc then
-      Core.Cluster.create_mc ~domains ~m ~n ~block_size
-        ~deadline:(deadline_u *. ts) ~retry_every:(2. *. ts) ()
-    else Core.Cluster.create ~seed:11 ~m ~n ~block_size ~deadline:deadline_u ()
+    Core.Cluster.create
+      ~backend:(if mc then Mc { domains } else Sim)
+      ~seed:11 ~m ~n ~block_size ~deadline:(deadline_u *. ts)
+      ?retry_every:(if mc then Some (2. *. ts) else None)
+      ()
   in
   let rt = cluster.Core.Cluster.runtime in
   let lock = Mutex.create () in

@@ -31,8 +31,8 @@ let run () =
   section "F5 | Figure 5: partial writes never surface after a newer read";
   let cl = Cluster.create ~m:1 ~n:3 ~block_size () in
   let h = H.create () in
-  let engine = cl.Cluster.engine in
-  let now () = Dessim.Engine.now engine in
+  let rt = cl.Cluster.runtime in
+  let now () = Runtime.now rt in
 
   (* write0(v): a complete write so the register holds v. *)
   let id = H.invoke h ~client:0 ~kind:H.Write ~written:"v" ~now:(now ()) () in
@@ -49,12 +49,12 @@ let run () =
   Cluster.spawn ~coord:1 cl (fun c ->
       ignore (Coordinator.write_stripe c ~stripe:0 [| blk "v'" |]));
   ignore
-    (Dessim.Engine.schedule engine ~delay:1.5 (fun () ->
+    (Runtime.timer rt ~delay:1.5 (fun () ->
          Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:1 ~dst:0 true;
          Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:1 ~dst:2 true));
   let crash_at = ref 0. in
   ignore
-    (Dessim.Engine.schedule engine ~delay:4.5 (fun () ->
+    (Runtime.timer rt ~delay:4.5 (fun () ->
          crash_at := now ();
          Brick.crash cl.Cluster.bricks.(1)));
   Cluster.run ~horizon:20. cl;

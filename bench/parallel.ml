@@ -58,10 +58,8 @@ let probe_minor_words rt =
    them. *)
 let run_one ~domains ~clients ~ops ~block_size =
   let nbricks = max n clients in
-  let layout_kind = if nbricks = n then Fab.Layout.Fixed else Fab.Layout.Rotating in
   let cluster =
-    Core.Cluster.create_mc ~domains ~bricks:nbricks
-      ~layout:(Fab.Layout.make layout_kind ~bricks:nbricks ~n)
+    Core.Cluster.create ~backend:(Mc { domains }) ~bricks:nbricks
       ~block_size ~m ~n ()
   in
   let volume =
@@ -507,6 +505,7 @@ let run () =
                    ("hw_cores", I hw);
                    ("smoke", B !smoke);
                    ("gf_kernel", S Gf256.Kernel.(name (default ())));
+                   ("simd_level", I Gf256.Kernel.simd_level);
                  ]
                ()) )
         :: List.map

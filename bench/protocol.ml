@@ -42,7 +42,7 @@ let run_requests ?observe_from ~window ~write ~requests () =
       ~pipeline_window:window ()
   in
   let cluster = Fab.Volume.cluster volume in
-  let engine = cluster.Core.Cluster.engine in
+  let rt = cluster.Core.Cluster.runtime in
   let count = span_stripes * m in
   let payload = Bytes.make (count * block_size) 'p' in
   let stats = ref None in
@@ -54,14 +54,14 @@ let run_requests ?observe_from ~window ~write ~requests () =
   let observe () =
     stats := Some (Util.observe cluster);
     observed_before := Core.Cluster.snapshot cluster;
-    t_observed := Dessim.Engine.now engine
+    t_observed := Runtime.now rt
   in
   if observe_from = Some 0 then observe ();
-  let t0 = Dessim.Engine.now engine in
+  let t0 = Runtime.now rt in
   ignore
     (Fab.Volume.run_op volume (fun () ->
          for i = 1 to requests do
-           let t = Dessim.Engine.now engine in
+           let t = Runtime.now rt in
            (match
               if write then Fab.Volume.write volume ~coord:0 ~lba:0 payload
               else
@@ -69,10 +69,10 @@ let run_requests ?observe_from ~window ~write ~requests () =
             with
            | Ok () -> incr oks
            | Error _ -> ());
-           latencies := (Dessim.Engine.now engine -. t) :: !latencies;
+           latencies := (Runtime.now rt -. t) :: !latencies;
            if observe_from = Some i && i < requests then observe ()
          done));
-  let t_end = Dessim.Engine.now engine in
+  let t_end = Runtime.now rt in
   let after = Core.Cluster.snapshot cluster in
   let from, t_from =
     match observe_from with

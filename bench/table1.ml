@@ -125,9 +125,9 @@ let run_for ~m ~n =
     let latency = ref nan in
     ignore
       (L.run_op t (fun () ->
-           let t0 = Dessim.Engine.now (L.engine t) in
+           let t0 = Runtime.now (L.runtime t) in
            ignore (f ());
-           latency := Dessim.Engine.now (L.engine t) -. t0));
+           latency := Runtime.now (L.runtime t) -. t0));
     let after = L.snapshot t in
     let d name = Metrics.Snapshot.get after name -. Metrics.Snapshot.get before name in
     {

@@ -23,11 +23,11 @@ let measure_op ?(coord = 0) (cl : Cluster.t) f =
   let latency = ref nan in
   let outcome = ref `Incomplete in
   Cluster.spawn ~coord cl (fun c ->
-      let t0 = Dessim.Engine.now cl.Cluster.engine in
+      let t0 = Runtime.now cl.Cluster.runtime in
       (match f c with
       | Ok _ -> outcome := `Ok
       | Error (`Aborted | `Unavailable) -> outcome := `Aborted);
-      latency := Dessim.Engine.now cl.Cluster.engine -. t0);
+      latency := Runtime.now cl.Cluster.runtime -. t0);
   Cluster.run cl;
   let after = Cluster.snapshot cl in
   let d name = Metrics.Snapshot.get after name -. Metrics.Snapshot.get before name in

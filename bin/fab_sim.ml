@@ -124,30 +124,22 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
     `Error (false, "--drop needs the simulated network (--runtime sim)")
   else if domains < 1 then `Error (false, "need domains >= 1")
   else begin
+    (* On mc every concurrent client gets its own coordinator brick by
+       default, which spreads coordinator work over the bricks the way
+       FAB clients spread over them. *)
+    let mc = runtime_name = "mc" in
+    let bricks =
+      if bricks <> 0 then Some bricks
+      else if mc then Some (max n clients)
+      else None
+    in
     let volume =
-      if runtime_name = "sim" then
-        Fab.Volume.create ~m ~n
-          ?bricks:(if bricks = 0 then None else Some bricks)
-          ~stripes ~block_size ~seed ~optimized_modify:optimized
-          ~pipeline_window
-          ~net_config:{ Simnet.Net.default_config with drop }
-          ()
-      else begin
-        (* Multicore backend: every concurrent client gets its own
-           coordinator brick, which spreads coordinator work over the
-           bricks the way FAB clients spread over them. *)
-        let nbricks = if bricks = 0 then max n clients else bricks in
-        let layout_kind =
-          if nbricks = n then Fab.Layout.Fixed else Fab.Layout.Rotating
-        in
-        let cluster =
-          Core.Cluster.create_mc ~domains ~bricks:nbricks
-            ~layout:(Fab.Layout.make layout_kind ~bricks:nbricks ~n)
-            ~block_size ~optimized_modify:optimized ~m ~n ()
-        in
-        Fab.Volume.of_cluster ~cluster ~m ~stripes ~block_size ~op_retries:3
-          ~pipeline_window ~stripe_offset:0 ()
-      end
+      Fab.Volume.create
+        ~backend:(if mc then Core.Cluster.Mc { domains } else Core.Cluster.Sim)
+        ~m ~n ?bricks ~stripes ~block_size ~seed ~optimized_modify:optimized
+        ~pipeline_window
+        ~net_config:{ Simnet.Net.default_config with drop }
+        ()
     in
     let cluster = Fab.Volume.cluster volume in
     let nbricks = Array.length cluster.Core.Cluster.bricks in
@@ -170,6 +162,7 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
             ( "gf_kernel",
               Obs.Json.S (Erasure.Codec.kernel_name (Fab.Volume.codec volume))
             );
+            ("simd_level", Obs.Json.I Gf256.Kernel.simd_level);
           ]
         ()
     in
@@ -204,6 +197,10 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
     done;
     Fab.Volume.run ~horizon:10_000_000. volume;
     let elapsed = Runtime.now cluster.Core.Cluster.runtime -. started in
+    (* On mc, stop the receive loops before the sinks close: they may
+       still be delivering late replies and background messages, each
+       traced as a msg_recv. *)
+    Core.Cluster.shutdown cluster;
     let metrics = cluster.Core.Cluster.metrics in
     let total field = Array.fold_left (fun acc s -> acc + field s) 0 stats in
     let ops_done = total (fun s -> s.Workload.Client.ops) in
@@ -267,7 +264,6 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
         write_stats_json path ~meta ~metrics ~obs_stats ~client_latency
           ~elapsed ~ops_done ~aborts)
       stats_json;
-    Core.Cluster.shutdown cluster;
     `Ok ()
   end
 
@@ -664,7 +660,7 @@ let run_cell ~geom ~m ~n ~stripes ~block_size ~clients ~ops ~profile_name
     else None
   in
   let stats = Array.init clients (fun _ -> Workload.Client.fresh_stats ()) in
-  let started = Dessim.Engine.now cluster.Core.Cluster.engine in
+  let started = Runtime.now cluster.Core.Cluster.runtime in
   (* The fault plan crashes brick n-1; keep coordinators off it, as a
      crashed coordinator strands its client's in-flight op (the
      workload client has no coordinator failover). *)
@@ -682,7 +678,7 @@ let run_cell ~geom ~m ~n ~stripes ~block_size ~clients ~ops ~profile_name
   Fab.Volume.run ~horizon:10_000_000. volume;
   Option.iter Chaos.Nemesis.restore nemesis;
   Obs.close obs;
-  let elapsed = Dessim.Engine.now cluster.Core.Cluster.engine -. started in
+  let elapsed = Runtime.now cluster.Core.Cluster.runtime -. started in
   let metrics = cluster.Core.Cluster.metrics in
   let total field = Array.fold_left (fun acc s -> acc + field s) 0 stats in
   let ops_done = total (fun s -> s.Workload.Client.ops) in

@@ -42,18 +42,18 @@ let partial_write cl ~doomed ~reach data =
   let n = Array.length cl.Cluster.bricks in
   Cluster.spawn ~coord:doomed cl (fun c ->
       ignore (Coordinator.write_stripe c ~stripe:0 data));
-  let engine = cl.Cluster.engine in
+  let rt = cl.Cluster.runtime in
   ignore
-    (Dessim.Engine.schedule engine ~delay:1.5 (fun () ->
+    (Runtime.timer rt ~delay:1.5 (fun () ->
          for dst = 0 to n - 1 do
            if not (List.mem dst reach) then
              Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:doomed ~dst true
          done));
   ignore
-    (Dessim.Engine.schedule engine ~delay:4.5 (fun () ->
+    (Runtime.timer rt ~delay:4.5 (fun () ->
          Brick.crash cl.Cluster.bricks.(doomed)));
   ignore
-    (Dessim.Engine.schedule engine ~delay:5.0 (fun () ->
+    (Runtime.timer rt ~delay:5.0 (fun () ->
          for dst = 0 to n - 1 do
            Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:doomed ~dst false
          done;

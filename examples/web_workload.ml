@@ -9,8 +9,8 @@ let run_config name volume ~clients ~ops_per_client =
   let capacity = Fab.Volume.capacity_blocks volume in
   let stats = Array.init clients (fun _ -> Workload.Client.fresh_stats ()) in
   let cluster = Fab.Volume.cluster volume in
-  let engine = cluster.Core.Cluster.engine in
-  let started = Dessim.Engine.now engine in
+  let rt = cluster.Core.Cluster.runtime in
+  let started = Runtime.now rt in
   for c = 0 to clients - 1 do
     let gen =
       Workload.Gen.make Workload.Gen.web_server ~capacity_blocks:capacity
@@ -22,7 +22,7 @@ let run_config name volume ~clients ~ops_per_client =
       stats.(c)
   done;
   Fab.Volume.run volume;
-  let elapsed = Dessim.Engine.now engine -. started in
+  let elapsed = Runtime.now rt -. started in
   let total = Array.fold_left (fun acc s -> acc + s.Workload.Client.ops) 0 stats in
   let aborts =
     Array.fold_left (fun acc s -> acc + s.Workload.Client.aborts) 0 stats

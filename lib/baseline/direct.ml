@@ -9,9 +9,10 @@ let bytes_on_wire = function
   | Get_r { block } -> Bytes.length block
   | Get _ | Put_r -> 0
 
+module Substrate = Core.Cluster.Substrate
+
 type t = {
-  engine : Dessim.Engine.t;
-  runtime : Runtime.t;
+  substrate : Substrate.t;
   rpc : (msg, msg) Quorum.Rpc.t;
   bricks : Brick.t array;
   codec : Erasure.Codec.t;
@@ -24,28 +25,22 @@ type t = {
 type 'a outcome = ('a, [ `Failed ]) result
 
 let block_size t = t.block_size
-let engine t = t.engine
+let runtime t = Substrate.runtime t.substrate
 
-let create ?(seed = 42) ?(block_size = 1024) ~m ~n () =
-  let codec =
-    if m = 1 then Erasure.Codec.replication ~n ()
-    else if n = m + 1 then Erasure.Codec.parity ~m ()
-    else Erasure.Codec.rs ~m ~n ()
-  in
-  let engine = Dessim.Engine.create ~seed () in
-  let runtime = Runtime_sim.of_engine engine in
-  let metrics = Metrics.Registry.create () in
-  let net =
-    Simnet.Net.create ~metrics engine ~config:Simnet.Net.default_config
-      ~faults:(Simnet.Faultnet.create ~seed ~n) ~n
-  in
+let create ?seed ?(block_size = 1024) ~m ~n () =
+  let codec = Core.Cluster.default_codec ~m ~n in
+  let substrate = Substrate.create ?seed ~n () in
   let rpc =
-    Quorum.Rpc.create ~rt:runtime ~transport:(Quorum.Rpc.of_net net)
-      ~req_bytes:bytes_on_wire ~rep_bytes:bytes_on_wire ()
+    Substrate.rpc substrate ~req_bytes:bytes_on_wire ~rep_bytes:bytes_on_wire
+      ()
   in
-  let bricks = Array.init n (fun id -> Brick.create ~metrics runtime ~id) in
+  let bricks =
+    Array.init n (fun id ->
+        Brick.create ~metrics:(Substrate.metrics substrate)
+          (Substrate.runtime substrate) ~id)
+  in
   let stores = Array.init n (fun _ -> Hashtbl.create 16) in
-  let t = { engine; runtime; rpc; bricks; codec; stores; m; n; block_size } in
+  let t = { substrate; rpc; bricks; codec; stores; m; n; block_size } in
   Array.iteri
     (fun i _ ->
       Quorum.Rpc.serve rpc ~addr:i (fun ~src:_ ~ctx:_ msg ->
@@ -118,11 +113,5 @@ let read t ~reg =
 
 let crash_device t i = Brick.crash t.bricks.(i)
 
-let run ?(horizon = 10_000.) t =
-  Dessim.Engine.run ~until:(Dessim.Engine.now t.engine +. horizon) t.engine
-
-let run_op ?horizon t f =
-  let result = ref None in
-  Runtime.spawn t.runtime (fun () -> result := Some (f ()));
-  run ?horizon t;
-  !result
+let run ?(horizon = 10_000.) t = Substrate.run ~horizon t.substrate
+let run_op ?(horizon = 10_000.) t f = Substrate.run_op ~horizon t.substrate f

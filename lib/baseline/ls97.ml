@@ -1,5 +1,6 @@
 module Ts = Core.Timestamp
 module Clock = Core.Clock
+module Substrate = Core.Cluster.Substrate
 
 type msg =
   | Get_tag of { reg : int }
@@ -17,9 +18,7 @@ let bytes_on_wire = function
 type replica_reg = { mutable value : Bytes.t; mutable ts : Ts.t }
 
 type t = {
-  engine : Dessim.Engine.t;
-  runtime : Runtime.t;
-  metrics : Metrics.Registry.t;
+  substrate : Substrate.t;
   rpc : (msg, msg) Quorum.Rpc.t;
   bricks : Brick.t array;
   clocks : Clock.t array;
@@ -33,8 +32,8 @@ type 'a outcome = ('a, [ `Aborted ]) result
 
 let n t = t.n
 let block_size t = t.block_size
-let metrics t = t.metrics
-let engine t = t.engine
+let metrics t = Substrate.metrics t.substrate
+let runtime t = Substrate.runtime t.substrate
 let bricks t = t.bricks
 
 let reg_state t brick reg =
@@ -72,32 +71,25 @@ let handle t brick ~src:_ msg =
         Some (Put_r { ts })
     | Get_tag_r _ | Get_r _ | Put_r _ -> None
 
-let create ?(seed = 42) ?(net_config = Simnet.Net.default_config)
-    ?(block_size = 1024) ~n:count () =
+let create ?backend ?seed ?net_config ?(block_size = 1024) ~n:count () =
   if count < 2 then invalid_arg "Baseline.Ls97.create: n < 2";
-  let engine = Dessim.Engine.create ~seed () in
-  let runtime = Runtime_sim.of_engine engine in
-  let metrics = Metrics.Registry.create () in
-  let net =
-    Simnet.Net.create ~metrics engine ~config:net_config
-      ~faults:(Simnet.Faultnet.create ~seed ~n:count) ~n:count
-  in
+  let substrate = Substrate.create ?backend ?seed ?net_config ~n:count () in
+  let runtime = Substrate.runtime substrate in
   let rpc =
-    Quorum.Rpc.create ~rt:runtime ~transport:(Quorum.Rpc.of_net net)
-      ~req_bytes:bytes_on_wire ~rep_bytes:bytes_on_wire
-      ~grace:(net_config.Simnet.Net.delay +. net_config.Simnet.Net.jitter)
+    Substrate.rpc substrate ~req_bytes:bytes_on_wire ~rep_bytes:bytes_on_wire
       ()
   in
-  let bricks = Array.init count (fun id -> Brick.create ~metrics runtime ~id) in
+  let bricks =
+    Array.init count (fun id ->
+        Brick.create ~metrics:(Substrate.metrics substrate) runtime ~id)
+  in
   let clocks =
     Array.init count (fun pid -> Clock.create ~now:runtime.Runtime.now ~pid)
   in
   let states = Array.init count (fun _ -> Hashtbl.create 16) in
   let t =
     {
-      engine;
-      runtime;
-      metrics;
+      substrate;
       rpc;
       bricks;
       clocks;
@@ -160,15 +152,9 @@ let write t ~coord ~reg value =
   let _ = quorum_call t ~coord (Put { reg; value; ts }) in
   Ok ()
 
-let run ?(horizon = 100_000.) t =
-  Dessim.Engine.run ~until:(Dessim.Engine.now t.engine +. horizon) t.engine
-
-let run_op ?horizon t f =
-  let result = ref None in
-  Runtime.spawn t.runtime (fun () -> result := Some (f ()));
-  run ?horizon t;
-  !result
-
-let crash t i = Brick.crash t.bricks.(i)
-let recover t i = Brick.recover t.bricks.(i)
-let snapshot t = Metrics.Snapshot.take t.metrics
+let run ?horizon t = Substrate.run ?horizon t.substrate
+let run_op ?horizon t f = Substrate.run_op ?horizon t.substrate f
+let crash t i = Substrate.crash t.substrate t.bricks.(i)
+let recover t i = Substrate.recover t.substrate t.bricks.(i) ~resync:ignore
+let shutdown t = Substrate.shutdown t.substrate
+let snapshot t = Metrics.Snapshot.take (metrics t)

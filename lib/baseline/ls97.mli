@@ -25,19 +25,21 @@ type t
 (** A cluster of [n] bricks emulating replicated registers. *)
 
 val create :
+  ?backend:Core.Cluster.backend ->
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?block_size:int ->
   n:int ->
   unit ->
   t
-(** [create ~n ()] builds the cluster; tolerates
-    [f = (n - 1) / 2] crashed bricks. *)
+(** [create ~n ()] builds the cluster on a {!Core.Cluster.Substrate}
+    (default backend [Sim]); tolerates [f = (n - 1) / 2] crashed
+    bricks. Tear an mc cluster down with {!shutdown}. *)
 
 val n : t -> int
 val block_size : t -> int
 val metrics : t -> Metrics.Registry.t
-val engine : t -> Dessim.Engine.t
+val runtime : t -> Runtime.t
 val bricks : t -> Brick.t array
 
 type 'a outcome = ('a, [ `Aborted ]) result
@@ -53,4 +55,5 @@ val run : ?horizon:float -> t -> unit
 val run_op : ?horizon:float -> t -> (unit -> 'a) -> 'a option
 val crash : t -> int -> unit
 val recover : t -> int -> unit
+val shutdown : t -> unit
 val snapshot : t -> Metrics.Snapshot.t

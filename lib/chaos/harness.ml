@@ -91,14 +91,13 @@ let run ?(backend = Sim) ?(m = 2) ?(n = 5) ?(stripes = 4) ?(clients = 3)
            safe to share between domains. *)
         invalid_arg "Chaos.Harness.run: mc backend needs clients <= n");
   let cl =
-    match backend with
-    | Sim ->
-        Cluster.create ~seed ~m ~n ~block_size ~deadline ~unsafe_skip_order
-          ()
-    | Mc { domains; time_scale } ->
-        Cluster.create_mc ~domains ~m ~n ~block_size
-          ~deadline:(deadline *. time_scale)
-          ~retry_every:(8. *. time_scale) ~unsafe_skip_order ()
+    Cluster.create
+      ~backend:
+        (match backend with
+        | Sim -> Cluster.Sim
+        | Mc { domains; _ } -> Cluster.Mc { domains })
+      ~seed ~m ~n ~block_size ~deadline:(deadline *. ts)
+      ~retry_every:(8. *. ts) ~unsafe_skip_order ()
   in
   let rt = cl.Cluster.runtime in
   let now () = Runtime.now rt in

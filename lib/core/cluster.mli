@@ -1,40 +1,132 @@
-(** Turn-key deployment of a storage-register system inside the
-    simulator: engine, network, RPC layer, [bricks] bricks each running
-    a replica, and a coordinator handle per brick.
+(** Turn-key deployment of a storage-register system on either
+    backend: the deterministic simulator ([Sim]) or the OCaml 5
+    multicore pool ([Mc]). One wiring serves both: a runtime, the
+    message fabric ({!Quorum.Fabric}) over the backend's delivery, the
+    RPC layer, [bricks] bricks each running a replica, and a
+    coordinator handle per brick.
 
     This is the entry point used by tests, examples and benchmarks; the
-    FAB volume layer builds on it with a multi-stripe layout. *)
+    FAB volume layer builds on it with a multi-stripe layout, and the
+    baselines run on its {!Substrate}. *)
 
-type backend
-(** Which substrate this deployment runs on: the deterministic
-    simulator, or the OCaml 5 multicore pool ({!create_mc}). *)
+type backend =
+  | Sim
+      (** The deterministic discrete-event simulator: virtual time in
+          delta units, a run is a pure function of its seed. *)
+  | Mc of { domains : int }
+      (** The OCaml 5 multicore runtime on [domains] worker domains:
+          wall-clock time, real parallelism, no determinism. *)
+
+(** What a deployment runs on, whatever protocol it wires on top: the
+    runtime, the one fault model, the metrics registry and
+    observability hub, and the backend's delivery, quiescence and
+    crash/recover. {!create} wires FAB on it; [Baseline.Ls97] and
+    [Baseline.Direct] wire their replicas on it. The backends differ
+    only inside this module: in how a message is delivered (an engine
+    event after the channel's delay, or a per-brick mailbox drained by
+    one receive loop), how a run quiesces, and what crash and recover
+    do (DESIGN 4i). *)
+module Substrate : sig
+  type t
+
+  val create :
+    ?backend:backend ->
+    ?seed:int ->
+    ?net_config:Simnet.Net.config ->
+    n:int ->
+    unit ->
+    t
+  (** [create ~n ()] is a substrate for addresses [0 .. n-1] (default
+      backend [Sim], [seed = 42], {!Simnet.Net.default_config}).
+      [seed] drives the sim engine and the {!Simnet.Faultnet} on both
+      backends; [net_config] is the sim channel and unused on mc. An
+      mc substrate starts its worker domains and one receive loop per
+      address; tear it down with {!shutdown}.
+      @raise Invalid_argument if [n < 1]. *)
+
+  val runtime : t -> Runtime.t
+  val metrics : t -> Metrics.Registry.t
+  val obs : t -> Obs.t
+  val faults : t -> Simnet.Faultnet.t
+  val is_mc : t -> bool
+
+  val rpc :
+    t ->
+    req_bytes:('req -> int) ->
+    rep_bytes:('rep -> int) ->
+    ?req_label:('req -> string) ->
+    ?rep_label:('rep -> string) ->
+    ?retry_every:float ->
+    ?retry_backoff:float ->
+    ?retry_cap:float ->
+    unit ->
+    ('req, 'rep) Quorum.Rpc.t
+  (** An RPC layer over a fresh {!Quorum.Fabric} on this substrate,
+      counting into {!metrics} and tracing into {!obs}. Time-valued
+      knobs are in the backend's units. Sim: [retry_every] defaults to
+      the RPC layer's, and the grace period is the channel's
+      [delay + jitter]. Mc: [retry_every] defaults to 50 ms and the
+      grace period is a quarter of it. *)
+
+  val run : ?horizon:float -> t -> unit
+  (** Sim: run the engine until quiescence or [horizon] (default
+      100_000) time units from now. Mc: wait for every non-daemon
+      task. *)
+
+  val try_quiesce : ?timeout:float -> t -> bool
+  (** {!run}, bounded on mc by [timeout] wall-clock seconds; [false]
+      if tasks are still live then. *)
+
+  val run_op : ?horizon:float -> t -> (unit -> 'a) -> 'a option
+  (** Spawn [f] as a task, {!run}, and return its result ([None] if it
+      did not finish). *)
+
+  val shutdown : t -> unit
+  (** Mc: close every mailbox, join the domains and materialize the
+      runtime's counters into {!metrics} (see {!Cluster.shutdown}).
+      Sim: no-op. Idempotent. *)
+
+  val crash : t -> Brick.t -> unit
+  (** Crash the brick at its address (see {!Cluster.crash}). *)
+
+  val recover : t -> Brick.t -> resync:(unit -> unit) -> unit
+  (** Bring it back (see {!Cluster.recover}); on mc, [resync] runs in
+      the restart task once the brick is alive again. *)
+end
 
 type t = {
-  engine : Dessim.Engine.t;
-      (** The simulation driver. On a {!create_mc} deployment this is
-          an idle placeholder — schedule nothing on it; use
-          [runtime]. *)
+  substrate : Substrate.t;
   runtime : Runtime.t;
-      (** The substrate protocol code schedules on; identical
-          behavior to [engine] on the sim backend. *)
-  backend : backend;
+      (** The substrate protocol code schedules on. *)
   rpc : (Message.t, Message.t) Quorum.Rpc.t;
   metrics : Metrics.Registry.t;
   obs : Obs.t;
       (** The deployment-wide observability hub. Disabled (and
           zero-cost) until a sink is attached with {!Obs.add_sink};
-          enabling it also installs the engine queue-depth probe. *)
+          enabling it on sim also installs the engine queue-depth
+          probe. *)
   cfg : Config.t;
   bricks : Brick.t array;
   replicas : Replica.t array;
   coordinators : Coordinator.t array;
+  recoverers : Coordinator.t array;
+      (** Mc only (empty on sim): one coordinator per brick that
+          replays recovery after the brick's restart, with clock pid
+          [bricks + i]. *)
 }
 
+val default_codec : m:int -> n:int -> Erasure.Codec.t
+(** The codec every m-of-n deployment uses unless told otherwise:
+    [replication] when [m = 1], XOR [parity] when [n = m + 1],
+    Reed-Solomon otherwise. *)
+
 val create :
+  ?backend:backend ->
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?bricks:int ->
   ?layout:(int -> Simnet.Net.addr array) ->
+  ?policy_of:(int -> Config.policy) ->
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
@@ -43,56 +135,60 @@ val create :
   ?retry_every:float ->
   ?retry_backoff:float ->
   ?retry_cap:float ->
-  m:int ->
-  n:int ->
+  ?m:int ->
+  ?n:int ->
   unit ->
   t
-(** [create ~m ~n ()] builds an m-of-n system. Defaults: Reed-Solomon
-    codec ([replication] when [m = 1], XOR [parity] when [n = m + 1]),
-    [bricks = n], identity layout (brick [i] stores block [i] of every
-    stripe) when [bricks = n] and a rotating layout (stripe [s] uses
-    bricks [(s + i) mod bricks]) otherwise, 1 KiB blocks,
-    deterministic network with unit delay, GC on. Every coordinator's
+(** [create ~m ~n ()] builds an m-of-n system on [backend] (default
+    [Sim]). Defaults: {!default_codec}, [bricks = n], identity layout
+    (brick [i] stores block [i] of every stripe) when [bricks = n] and
+    a rotating layout (stripe [s] uses bricks [(s + i) mod bricks])
+    otherwise, 1 KiB blocks, GC on. On sim, [seed] (default 42) drives
+    the engine and the {!faultnet}, and [net_config] is the channel
+    (default: unit delay, no jitter, no loss). Every coordinator's
     {!Clock} reads the deployment's [runtime] clock with zero skew;
     skew one with {!Clock.set_skew}.
+
+    [create ~bricks ~policy_of ()] instead takes each stripe's codec,
+    quorum system and members from [policy_of], which may be backed by
+    a mutable table — multi-volume brick pools allocate stripe ranges
+    on the fly (see {!Fab.Pool}). Give either [m] and [n] or
+    [policy_of], not both.
 
     On stripes with [m > f], a coordinator's repeat
     {!Coordinator.write_stripe} skips the Order round when its own last
     full-quorum stripe store is the newest version it has seen (DESIGN
     4d); a first write, and every block write, costs Table 1's rounds.
-    [seed] drives both the engine and the deployment's {!faultnet}.
 
-    [deadline] bounds every coordinator operation in sim-time units
-    (fail-fast [`Unavailable], {!Config.t.deadline});
-    [retry_backoff]/[retry_cap] shape the RPC retransmission schedule
-    ({!Quorum.Rpc.create}); [unsafe_skip_order] enables the
-    deliberately broken protocol variant the chaos harness must catch
-    ({!Config.t.unsafe_skip_order}). *)
+    Time-valued knobs ([deadline], [retry_every], [retry_cap]) are in
+    the backend's units: delta on sim, wall-clock seconds on mc (see
+    {!Substrate.rpc} for the retransmission defaults). [deadline]
+    bounds every coordinator operation (fail-fast [`Unavailable],
+    {!Config.t.deadline}); [retry_backoff]/[retry_cap] shape the RPC
+    retransmission schedule ({!Quorum.Rpc.create});
+    [unsafe_skip_order] enables the deliberately broken protocol
+    variant the chaos harness must catch
+    ({!Config.t.unsafe_skip_order}).
 
-val create_policied :
-  ?seed:int ->
-  ?net_config:Simnet.Net.config ->
-  ?block_size:int ->
-  ?gc_enabled:bool ->
-  ?optimized_modify:bool ->
-  ?deadline:float ->
-  ?unsafe_skip_order:bool ->
-  ?retry_every:float ->
-  ?retry_backoff:float ->
-  ?retry_cap:float ->
-  bricks:int ->
-  policy_of:(int -> Config.policy) ->
-  unit ->
-  t
-(** Heterogeneous deployment: each stripe's codec, quorum system and
-    members come from [policy_of] (which may be backed by a mutable
-    table — multi-volume brick pools allocate stripe ranges on the
-    fly, see {!Fab.Pool}). *)
+    On mc, bricks exchange messages through in-process mailboxes, each
+    brick's handlers run serially on its own receive loop, and loops
+    run in parallel across the worker domains; every coordinator's
+    clock stays unique when its tasks run on several domains at once.
+    Fault injection works as on sim: every send passes through the
+    {!faultnet}, and {!crash}/{!recover} really tear down and restart
+    the brick's receive loop (DESIGN 4i). Verify protocol behavior on
+    sim; benchmark wall-clock numbers and hunt races on mc. Tear an mc
+    deployment down with {!shutdown}.
+    @raise Invalid_argument on [bricks < n], on [policy_of] without
+    [bricks], or on neither or both of ([m], [n]) and [policy_of]. *)
 
 val create_mc :
-  ?domains:int ->
+  domains:int ->
+  ?seed:int ->
+  ?net_config:Simnet.Net.config ->
   ?bricks:int ->
   ?layout:(int -> Simnet.Net.addr array) ->
+  ?policy_of:(int -> Config.policy) ->
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
@@ -101,27 +197,12 @@ val create_mc :
   ?retry_every:float ->
   ?retry_backoff:float ->
   ?retry_cap:float ->
-  m:int ->
-  n:int ->
+  ?m:int ->
+  ?n:int ->
   unit ->
   t
-(** [create_mc ~m ~n ()] deploys the same m-of-n system on the OCaml 5
-    multicore backend ({!Runtime_mc}): bricks exchange messages
-    through in-process mailboxes, each brick's handlers run serially
-    on its own receive loop, and loops run in parallel across
-    [domains] worker domains (default 1). Time-valued knobs
-    ([deadline], [retry_every] — default 50 ms — [retry_cap]) are
-    wall-clock seconds here, not simulated delta units. Every
-    coordinator's {!Clock}, the recovery coordinators' too, reads this
-    runtime's wall clock, and stays unique when the coordinator's
-    tasks run on several domains at once. [unsafe_skip_order] enables
-    the deliberately broken protocol variant so the chaos soak can
-    prove its checker bites under real parallelism too. No determinism
-    and no virtual time — but fault injection works here as on sim:
-    every send passes through the {!faultnet}, and {!crash}/{!recover}
-    really tear down and restart the brick's receive loop (DESIGN 4i).
-    Verify protocol behavior on the sim backend; benchmark wall-clock
-    numbers and hunt races on this one. Tear down with {!shutdown}. *)
+(** [create ~backend:(Mc { domains })]; kept only for vdbench's call
+    site until the next vdbench revision switches it over. *)
 
 val run : ?horizon:float -> t -> unit
 (** Drive the simulation until quiescence (or until [horizon] virtual
@@ -142,7 +223,8 @@ val shutdown : t -> unit
 (** Release backend resources. Multicore: close every brick mailbox,
     stop the receive loops, join the worker domains, then materialize
     the runtime's hot-path stats into [metrics] —
-    ["runtime.wheel.max_depth"/".fired"/".purged"] (timer wheel) and
+    ["runtime.wheel.max_depth"/".fired"/".purged"/".wakeups"] (timer
+    wheel), ["runtime.sched.resumed"/".parks"/".wakeups"] (workers) and
     ["runtime.mailbox.drain.batches"/".msgs"] (batched drains); the
     RPC layer's ["rpc.shard.contention"] counts shard-lock waits as
     they happen. Sim: no-op. Idempotent; call after
@@ -157,8 +239,7 @@ val run_op : ?coord:int -> ?horizon:float -> t -> (Coordinator.t -> 'a) -> 'a op
 
 val spawn : ?coord:int -> t -> (Coordinator.t -> unit) -> unit
 (** Spawn a fiber without running the engine; for concurrent
-    multi-client scenarios combined with {!run} and
-    {!Dessim.Engine.schedule}. *)
+    multi-client scenarios combined with {!run} and {!Runtime.timer}. *)
 
 val crash : t -> int -> unit
 (** Crash brick [i]. Sim: flip the brick (the deterministic network
@@ -186,3 +267,9 @@ val faultnet : t -> Simnet.Faultnet.t
 
 val snapshot : t -> Metrics.Snapshot.t
 (** Snapshot all counters (messages, bytes, disk I/O). *)
+
+val sim_engine : t -> Dessim.Engine.t
+(** The simulator under a [Sim] deployment, for what only an engine
+    can do (a custom event chooser, running to an absolute time).
+    Schedule and read time through [runtime] instead.
+    @raise Invalid_argument on an [Mc] deployment. *)

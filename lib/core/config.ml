@@ -26,7 +26,7 @@ type t = {
   unsafe_skip_order : bool;
 }
 
-let create_policied ~policy_of ~block_size ~runtime ~rpc ~metrics
+let create ~policy_of ~block_size ~runtime ~rpc ~metrics
     ?(obs = Obs.create ()) ?(gc_enabled = true) ?(optimized_modify = false)
     ?deadline ?(unsafe_skip_order = false) () =
   if block_size <= 0 then invalid_arg "Core.Config: block_size <= 0";
@@ -45,14 +45,6 @@ let create_policied ~policy_of ~block_size ~runtime ~rpc ~metrics
     deadline;
     unsafe_skip_order;
   }
-
-let create ~codec ~mq ~block_size ~runtime ~rpc ~metrics ~layout ?obs
-    ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order () =
-  let policy_of stripe = make_policy ~codec ~mq ~members:(layout stripe) in
-  (* Validate eagerly on a representative stripe. *)
-  ignore (policy_of 0);
-  create_policied ~policy_of ~block_size ~runtime ~rpc ~metrics ?obs
-    ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order ()
 
 let policy t ~stripe = t.policy_of stripe
 let codec t ~stripe = (policy t ~stripe).codec

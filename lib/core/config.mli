@@ -66,26 +66,6 @@ type t = {
 }
 
 val create :
-  codec:Erasure.Codec.t ->
-  mq:Quorum.Mquorum.t ->
-  block_size:int ->
-  runtime:Runtime.t ->
-  rpc:(Message.t, Message.t) Quorum.Rpc.t ->
-  metrics:Metrics.Registry.t ->
-  layout:(int -> Simnet.Net.addr array) ->
-  ?obs:Obs.t ->
-  ?gc_enabled:bool ->
-  ?optimized_modify:bool ->
-  ?deadline:float ->
-  ?unsafe_skip_order:bool ->
-  unit ->
-  t
-(** Uniform deployment: every stripe uses the same codec and quorum
-    system; [layout stripe] gives the members.
-    @raise Invalid_argument if the codec's (m, n) disagree with the
-    quorum system's, [block_size <= 0], or [deadline <= 0]. *)
-
-val create_policied :
   policy_of:(int -> policy) ->
   block_size:int ->
   runtime:Runtime.t ->
@@ -98,8 +78,9 @@ val create_policied :
   ?unsafe_skip_order:bool ->
   unit ->
   t
-(** Heterogeneous deployment: [policy_of stripe] may differ per
-    stripe (multi-volume brick pools).
+(** [policy_of stripe] gives each stripe's codec, quorum system and
+    members: one policy for every stripe in a uniform deployment, or
+    per-stripe ones in a multi-volume brick pool.
     @raise Invalid_argument if [block_size <= 0] or [deadline <= 0]. *)
 
 val policy : t -> stripe:int -> policy

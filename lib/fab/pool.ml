@@ -19,7 +19,7 @@ type t = {
 (* The pool's policy table is consulted by every replica and
    coordinator; the cluster is created around a forward reference so
    the table can grow as volumes are created. *)
-let create ?seed ?net_config ?(block_size = 1024) ?gc_enabled
+let create ?backend ?seed ?net_config ?(block_size = 1024) ?gc_enabled
     ?optimized_modify ?(op_retries = 3)
     ?(pipeline_window = 8) ~bricks () =
   if bricks < 1 then invalid_arg "Fab.Pool.create: no bricks";
@@ -44,7 +44,7 @@ let create ?seed ?net_config ?(block_size = 1024) ?gc_enabled
                  stripe))
   in
   let cluster =
-    Core.Cluster.create_policied ?seed ?net_config ~block_size ?gc_enabled
+    Core.Cluster.create ?backend ?seed ?net_config ~block_size ?gc_enabled
       ?optimized_modify ~bricks ~policy_of ()
   in
   let pool =
@@ -86,11 +86,7 @@ let create_volume t ~name ~m ~n ?layout ~stripes () =
     | None -> if t.nbricks = n then Layout.Fixed else Layout.Rotating
   in
   let layout_fn = Layout.make kind ~bricks:t.nbricks ~n in
-  let codec =
-    if m = 1 then Erasure.Codec.replication ~n ()
-    else if n = m + 1 then Erasure.Codec.parity ~m ()
-    else Erasure.Codec.rs ~m ~n ()
-  in
+  let codec = Core.Cluster.default_codec ~m ~n in
   let mq = Quorum.Mquorum.create ~n ~m in
   let first_stripe = t.next_stripe in
   t.next_stripe <- t.next_stripe + stripes;
@@ -125,8 +121,4 @@ let delete_volume t name =
 
 let run ?horizon t = Core.Cluster.run ?horizon t.cluster
 
-let run_op ?horizon t f =
-  let result = ref None in
-  Runtime.spawn t.cluster.Core.Cluster.runtime (fun () -> result := Some (f ()));
-  run ?horizon t;
-  !result
+let run_op ?horizon t f = Core.Cluster.run_op ?horizon t.cluster (fun _ -> f ())

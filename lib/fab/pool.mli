@@ -15,6 +15,7 @@
 type t
 
 val create :
+  ?backend:Core.Cluster.backend ->
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?block_size:int ->
@@ -25,9 +26,10 @@ val create :
   bricks:int ->
   unit ->
   t
-(** [create ~bricks ()] is an empty pool of [bricks] bricks. Optional
-    knobs as in {!Volume.create}; they apply to every volume carved
-    out of the pool. *)
+(** [create ~bricks ()] is an empty pool of [bricks] bricks on
+    [backend] (default [Sim]). Optional knobs as in {!Volume.create};
+    they apply to every volume carved out of the pool. Tear an mc pool
+    down with [Core.Cluster.shutdown (cluster t)]. *)
 
 val cluster : t -> Core.Cluster.t
 val bricks : t -> int
@@ -43,7 +45,8 @@ val create_volume :
   unit ->
   Volume.t
 (** Carve a new volume out of the pool: [stripes * m] logical blocks
-    erasure-coded m-of-n over the pool's bricks. Default layout:
+    erasure-coded m-of-n over the pool's bricks with
+    {!Core.Cluster.default_codec}. Default layout:
     [Rotating] (or [Fixed] when the pool has exactly [n] bricks).
     @raise Invalid_argument if [n] exceeds the pool's brick count, the
     name is already taken, or the geometry is invalid. *)

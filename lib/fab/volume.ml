@@ -14,7 +14,7 @@ type t = {
 
 type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
 
-let create ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
+let create ?backend ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
     ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order
     ?retry_backoff ?retry_cap ?(op_retries = 3)
     ?(pipeline_window = 8) ~m ~n ~stripes () =
@@ -22,15 +22,10 @@ let create ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
   if stripes <= 0 then invalid_arg "Fab.Volume.create: stripes <= 0";
   if pipeline_window < 1 then
     invalid_arg "Fab.Volume.create: pipeline_window < 1";
-  let nbricks = match bricks with Some b -> b | None -> n in
-  let kind =
-    match layout with
-    | Some k -> k
-    | None -> if nbricks = n then Layout.Fixed else Layout.Rotating
-  in
-  let layout_fn = Layout.make kind ~bricks:nbricks ~n in
+  let nbricks = Option.value bricks ~default:n in
+  let layout = Option.map (fun k -> Layout.make k ~bricks:nbricks ~n) layout in
   let cluster =
-    Core.Cluster.create ?seed ?net_config ~bricks:nbricks ~layout:layout_fn
+    Core.Cluster.create ?backend ?seed ?net_config ~bricks:nbricks ?layout
       ~block_size ?gc_enabled ?optimized_modify ?deadline
       ?unsafe_skip_order ?retry_backoff ?retry_cap ~m ~n ()
   in

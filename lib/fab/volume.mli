@@ -16,6 +16,7 @@
 type t
 
 val create :
+  ?backend:Core.Cluster.backend ->
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?bricks:int ->
@@ -35,9 +36,9 @@ val create :
   unit ->
   t
 (** [create ~m ~n ~stripes ()] is a volume of [stripes * m] logical
-    blocks. Defaults: [bricks = n] with the [Fixed] layout when
-    [bricks] is omitted, [Rotating] otherwise; other defaults as in
-    {!Core.Cluster.create}. Constituent register operations are
+    blocks on [backend] (default [Sim]). Defaults: [bricks = n] with
+    the [Fixed] layout when [bricks] is omitted, [Rotating] otherwise;
+    other defaults as in {!Core.Cluster.create}. Constituent register operations are
     retried up to [op_retries] times (default 3) on abort, the client
     retry loop every disk driver runs; pass [~op_retries:1] to surface
     raw aborts (the abort-rate experiments do).

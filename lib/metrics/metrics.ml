@@ -1,10 +1,17 @@
 module Counter = struct
-  type t = { mutable value : float }
+  (* One atomic cell: on mc every domain bumps the same counters (each
+     sender counts its messages), and a plain read-add-write would
+     lose increments. *)
+  type t = float Atomic.t
 
-  let create () = { value = 0. }
-  let incr ?(by = 1.) t = t.value <- t.value +. by
-  let value t = t.value
-  let reset t = t.value <- 0.
+  let create () = Atomic.make 0.
+
+  let rec incr ?(by = 1.) t =
+    let v = Atomic.get t in
+    if not (Atomic.compare_and_set t v (v +. by)) then incr ~by t
+
+  let value = Atomic.get
+  let reset t = Atomic.set t 0.
 end
 
 module Summary = struct

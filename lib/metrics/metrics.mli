@@ -11,6 +11,7 @@
 
 module Counter : sig
   type t
+  (** A float cell that any number of domains may bump at once. *)
 
   val create : unit -> t
   val incr : ?by:float -> t -> unit

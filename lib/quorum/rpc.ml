@@ -1,5 +1,3 @@
-module Net = Simnet.Net
-
 type ('req, 'rep) envelope =
   | Request of int * Obs.ctx * 'req
   | Reply of int * Obs.ctx * 'rep
@@ -8,8 +6,8 @@ type ('req, 'rep) envelope =
 exception Unavailable
 
 (* The RPC layer's view of a message fabric: enough to broadcast,
-   serve, and account — satisfied by the simulated lossy network and
-   by the multicore backend's in-process mailboxes alike. *)
+   serve, and account. {!Fabric} builds the one every deployment uses,
+   over either backend's delivery. *)
 type 'msg transport = {
   xn : int;
   xobs : Obs.t;
@@ -25,17 +23,6 @@ type 'msg transport = {
   xregister : int -> (src:int -> 'msg -> unit) -> unit;
   xdead_drop : unit -> unit;
 }
-
-let of_net net =
-  {
-    xn = Net.n net;
-    xobs = Net.obs net;
-    xsend =
-      (fun ~background ~ctx ~info ~src ~dst ~bytes_on_wire msg ->
-        Net.send net ~background ~ctx ?info ~src ~dst ~bytes_on_wire msg);
-    xregister = (fun addr handler -> Net.register net addr handler);
-    xdead_drop = (fun () -> Net.count_dead_drop net);
-  }
 
 type ('req, 'rep) pending = {
   members : int list;

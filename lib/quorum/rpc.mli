@@ -16,8 +16,9 @@
 
     The layer is runtime-generic (DESIGN 4g): it schedules
     retransmissions and blocks callers through a {!Runtime.t}, and
-    moves messages through a {!transport} — the simulated lossy
-    network ({!of_net}) or the multicore backend's mailboxes. *)
+    moves messages through a {!transport} — in a deployment, the
+    {!Fabric} over the simulated lossy channel or over the multicore
+    backend's mailboxes. *)
 
 type ('req, 'rep) envelope
 (** Wire message type; instantiate the fabric as carrying
@@ -44,9 +45,6 @@ type 'msg transport = {
   xdead_drop : unit -> unit;  (** Count a message to a dead process. *)
 }
 (** What the RPC layer needs from a message fabric. *)
-
-val of_net : 'msg Simnet.Net.t -> 'msg transport
-(** The simulated network as a transport (sim backend). *)
 
 type ('req, 'rep) t
 (** An RPC endpoint layer shared by all processes on one fabric. *)

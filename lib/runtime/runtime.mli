@@ -58,7 +58,7 @@ type t = {
       (** Start a task. Sim: a fiber, run immediately to its first
           suspension; an exception other than {!Cancelled} escaping it
           is re-raised to whoever was running it (usually
-          [Dessim.Engine.run]). Mc: a fiber on one of the pool's
+          the engine's run loop). Mc: a fiber on one of the pool's
           domains; an escaping exception is reported on stderr. *)
   timer : delay:float -> (unit -> unit) -> timer;
       (** Run a callback [delay] from now. Callbacks must not block. *)

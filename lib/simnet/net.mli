@@ -1,4 +1,5 @@
-(** Simulated message-passing network (paper section 2's model).
+(** The simulated channel (paper section 2's model): the sim backend's
+    delivery under {!Quorum.Fabric}.
 
     Channels between processes deliver each message after a one-way
     delay, may drop messages independently with a fixed probability,
@@ -8,21 +9,12 @@
     infinitely often, which is what the paper's [quorum()] primitive
     builds on.
 
-    The [config] is the fault-free channel. Injected faults — network
-    splits, dead links, extra loss and delay — come from the network's
-    {!Faultnet}, the same fault model the multicore backend uses: each
-    message takes one {!Faultnet.decide} verdict before this channel
-    model applies its own delay and loss.
-
-    The network counts messages and payload bytes into a
-    {!Metrics.Registry} under the names ["net.msgs"] and
-    ["net.bytes"] (plus ["net.drops"] for every lost message, whether
-    the channel or a fault verdict lost it, and ["net.drops.dead"] for
-    messages to unregistered or crashed destinations); Table 1
-    reproductions read those counters. When the deployment's {!Obs.t}
-    hub is enabled the network additionally emits [Msg_send] /
-    [Msg_recv] / [Msg_drop] events attributed to the sending
-    operation, and per-destination [Queue_depth] samples. *)
+    The [config] is the fault-free channel. Injected faults, message
+    counters and message events live one layer up, in the fabric both
+    backends share: it takes the {!Faultnet} verdict, then asks this
+    channel whether it {!lost} the message and, if not, to {!carry}
+    it. The channel itself only emits per-destination [Queue_depth]
+    samples of its in-flight messages. *)
 
 type addr = int
 (** Process address in [0, n). *)
@@ -39,49 +31,20 @@ val default_config : config
 (** delay = 1.0, jitter = 0., drop = 0. — the deterministic setting
     used for cost accounting (latency in units of delta). *)
 
-type 'msg t
-(** A network carrying messages of type ['msg]. *)
+type t
+(** A channel over addresses [0 .. n-1] on one engine. *)
 
-val create :
-  ?metrics:Metrics.Registry.t -> ?obs:Obs.t -> Dessim.Engine.t ->
-  config:config -> faults:Faultnet.t -> n:int -> 'msg t
-(** [create engine ~config ~faults ~n] is a network over addresses
-    [0 .. n-1] whose sends consult [faults]. The default [obs] hub is
-    a fresh, disabled one.
-    @raise Invalid_argument unless [0 <= drop < 1] (fair loss),
-    [delay >= 0] and [jitter >= 0]. *)
+val create : ?obs:Obs.t -> Dessim.Engine.t -> config:config -> n:int -> t
+(** [create engine ~config ~n] is the channel. [obs] (default a fresh,
+    disabled hub) receives the [Queue_depth] samples.
+    @raise Invalid_argument unless [n > 0], [0 <= drop < 1] (fair
+    loss), [delay >= 0] and [jitter >= 0]. *)
 
-val register : 'msg t -> addr -> (src:addr -> 'msg -> unit) -> unit
-(** [register t a handler] installs the message handler for address
-    [a], replacing any previous one. Messages to an address without a
-    handler are dropped (models a process that never came up) and
-    counted under ["net.drops.dead"]. *)
+val lost : t -> bool
+(** One draw of the channel's own loss (from the engine's rng, only
+    when [drop > 0]). *)
 
-val count_dead_drop : 'msg t -> unit
-(** Bump ["net.drops.dead"]: a message that reached a registered
-    handler which turned out to be dead (crashed process). The RPC
-    layer calls this, since only it can see a handler decline. *)
-
-val send :
-  ?background:bool ->
-  ?ctx:Obs.ctx ->
-  ?info:string ->
-  'msg t -> src:addr -> dst:addr -> bytes_on_wire:int -> 'msg -> unit
-(** [send t ~src ~dst ~bytes_on_wire msg] queues [msg] for delivery.
-    With [~background:true] the message is counted under
-    ["net.msgs.bg"] / ["net.bytes.bg"] instead of the foreground
-    counters — used for asynchronous garbage collection, which Table 1
-    excludes from operation costs.
-    [bytes_on_wire] is the accounted payload size — the register layer
-    passes the number of block bytes carried, matching the paper's
-    bandwidth unit B. Sending to a crashed or cut-off process
-    is allowed; the message is just lost or ignored. A
-    {!Faultnet.Delay} verdict adds its delay to the channel's.
-    [ctx] attributes the emitted observability events to an operation
-    and phase; [info] is a short human label for the message (shown in
-    traces), defaulting to ["msg"]. *)
-
-val n : 'msg t -> int
-
-val obs : 'msg t -> Obs.t
-(** The observability hub events are emitted to. *)
+val carry : t -> dst:addr -> delay:float -> (unit -> unit) -> unit
+(** [carry t ~dst ~delay deliver] runs [deliver] as an engine event
+    after the channel's delay plus a jitter draw plus [delay] (a
+    {!Faultnet.Delay} verdict's extra). *)

@@ -23,6 +23,16 @@ let test_roundtrip () =
   check_ok "overwrite" (write t ~coord:1 ~reg:0 (blk 'b'));
   check_value "read new" (blk 'b') (read t ~coord:4 ~reg:0)
 
+(* LS97 on the multicore backend: the same replicas and RPC over the
+   mc substrate's mailboxes and receive loops. *)
+let test_ls97_on_mc () =
+  let t = L.create ~backend:(Core.Cluster.Mc { domains = 2 }) ~n:5 () in
+  Fun.protect
+    ~finally:(fun () -> L.shutdown t)
+    (fun () ->
+      check_ok "write" (write t ~coord:0 ~reg:3 (blk 'm'));
+      check_value "read" (blk 'm') (read t ~coord:4 ~reg:3))
+
 let test_fresh_register_is_zero () =
   let t = L.create ~n:3 () in
   check_value "zero" (Bytes.make bs '\000') (read t ~coord:0 ~reg:9)
@@ -46,9 +56,9 @@ let test_costs_match_table1 () =
   let lat = ref 0. in
   (match
      L.run_op t (fun () ->
-         t0 := Dessim.Engine.now (L.engine t);
+         t0 := Runtime.now (L.runtime t);
          let r = L.read t ~coord:0 ~reg:0 in
-         lat := Dessim.Engine.now (L.engine t) -. !t0;
+         lat := Runtime.now (L.runtime t) -. !t0;
          r)
    with
   | Some (Ok _) -> ()
@@ -95,11 +105,11 @@ let test_read_completes_partial_write () =
   (* Partial write: replicas 0 and 1 are down exactly while the Put
      messages arrive, so the new value lands only on replica 2; the
      writer then crashes before gathering a majority of acks. *)
-  let eng = L.engine t in
-  Runtime.spawn (Runtime_sim.of_engine eng) (fun () ->
+  let rt = L.runtime t in
+  Runtime.spawn rt (fun () ->
       ignore (L.write t ~coord:2 ~reg:0 (blk 'p')));
-  ignore (Dessim.Engine.schedule eng ~delay:2.5 (fun () -> L.crash t 0; L.crash t 1));
-  ignore (Dessim.Engine.schedule eng ~delay:3.5 (fun () ->
+  ignore (Runtime.timer rt ~delay:2.5 (fun () -> L.crash t 0; L.crash t 1));
+  ignore (Runtime.timer rt ~delay:3.5 (fun () ->
       L.crash t 2;  (* the writer dies; its write reached only replica 2 *)
       L.recover t 0; L.recover t 1));
   L.run ~horizon:50. t;
@@ -200,6 +210,7 @@ let () =
           Alcotest.test_case "partial write surfaces later (plain lin.)" `Quick
             test_read_completes_partial_write;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "roundtrip on mc" `Quick test_ls97_on_mc;
         ] );
       ( "direct",
         [

@@ -86,7 +86,7 @@ let test_plan_parse_errors () =
 let test_quorum_loss_fail_fast () =
   let deadline = 200. in
   let cl = Cluster.create ~seed:5 ~m:2 ~n:5 ~block_size:bs ~deadline () in
-  let engine = cl.Cluster.engine in
+  let rt = cl.Cluster.runtime in
   let hooks () =
     Array.to_list (Array.map Brick.hook_count cl.Cluster.bricks)
   in
@@ -97,9 +97,9 @@ let test_quorum_loss_fail_fast () =
   Cluster.crash cl 4;
   (match
      Cluster.run_op ~coord:0 cl (fun c ->
-         let t0 = Dessim.Engine.now engine in
+         let t0 = Runtime.now rt in
          let r = Coordinator.write_stripe c ~stripe:0 (data "a") in
-         (r, Dessim.Engine.now engine -. t0))
+         (r, Runtime.now rt -. t0))
    with
   | Some (Error `Unavailable, elapsed) ->
       Alcotest.(check bool)
@@ -136,7 +136,7 @@ let test_scrub_under_fire () =
   let m = 2 and stripes = 4 in
   let v = V.create ~seed:11 ~m ~n:5 ~stripes ~block_size:bs () in
   let cl = V.cluster v in
-  let engine = cl.Cluster.engine in
+  let rt = cl.Cluster.runtime in
   let histories = Array.init (stripes * m) (fun _ -> H.create ()) in
   let uid = ref 0 in
   (* Stripe logs are created lazily by the first store, so rot that
@@ -158,7 +158,7 @@ let test_scrub_under_fire () =
           let values =
             List.init m (fun j -> Printf.sprintf "u%d.b%d" !uid j)
           in
-          let now = Dessim.Engine.now engine in
+          let now = Runtime.now rt in
           let ids =
             List.mapi
               (fun j v ->
@@ -171,7 +171,7 @@ let test_scrub_under_fire () =
             Bytes.concat Bytes.empty (List.map value_block values)
           in
           let r = V.write v ~coord ~lba:(stripe * m) data in
-          let now = Dessim.Engine.now engine in
+          let now = Runtime.now rt in
           List.iter
             (fun (j, id) ->
               let h = histories.((stripe * m) + j) in
@@ -188,7 +188,7 @@ let test_scrub_under_fire () =
   List.iter
     (fun (delay, brick, stripe) ->
       ignore
-        (Dessim.Engine.schedule engine ~delay (fun () -> rot brick stripe)))
+        (Runtime.timer rt ~delay (fun () -> rot brick stripe)))
     [ (25., 1, 0); (45., 3, 2); (70., 0, 1); (95., 4, 3) ];
   V.run v;
   (* ...and twice more on the quiescent volume, where the corrupted
@@ -215,7 +215,7 @@ let test_scrub_under_fire () =
     let h = histories.((stripe * m) + j) in
     match V.run_op v (fun () -> V.read v ~coord:(lba mod 5) ~lba ~count:1) with
     | Some (Ok b) ->
-        let now = Dessim.Engine.now engine in
+        let now = Runtime.now rt in
         let id = H.invoke h ~client:5 ~kind:H.Read ~now () in
         H.complete_read h id ~value:(block_value b) ~now
     | _ -> Alcotest.failf "final read of lba %d failed" lba
@@ -239,7 +239,6 @@ let test_nemesis_restore () =
   let cl =
     Cluster.create ~seed:3 ~m:2 ~n:4 ~block_size:bs ~deadline:100. ()
   in
-  let engine = cl.Cluster.engine in
   let plan =
     Plan.make ~name:"restore-regression" ~horizon:10.
       [
@@ -249,7 +248,7 @@ let test_nemesis_restore () =
       ]
   in
   let nem = Chaos.Nemesis.install plan cl in
-  Dessim.Engine.run ~until:10. engine;
+  Cluster.run ~horizon:10. cl;
   let clk = Coordinator.clock cl.Cluster.coordinators.(0) in
   Alcotest.(check (float 0.)) "skew applied" 42. (Core.Clock.skew clk);
   let data tag = Array.init 2 (fun j -> value_block (Printf.sprintf "%s%d" tag j)) in
@@ -325,8 +324,8 @@ let test_plan_random_wellformed () =
    fault-induced failures surface in milliseconds, not seconds. *)
 let with_mc_cluster f =
   let cl =
-    Cluster.create_mc ~domains:2 ~m:2 ~n:5 ~block_size:bs ~deadline:0.05
-      ~retry_every:0.01 ()
+    Cluster.create ~backend:(Mc { domains = 2 }) ~m:2 ~n:5 ~block_size:bs
+      ~deadline:0.05 ~retry_every:0.01 ()
   in
   let fnet = Cluster.faultnet cl in
   Fun.protect
@@ -539,7 +538,6 @@ let seeded_fault_run ~seed =
       ]
   in
   let cl = Cluster.create ~seed ~m:2 ~n:5 ~block_size:bs ~deadline:100. () in
-  let engine = cl.Cluster.engine in
   let buf = Buffer.create (1 lsl 16) in
   Obs.add_sink cl.Cluster.obs
     (Obs.Sink.make (fun ev ->
@@ -560,7 +558,7 @@ let seeded_fault_run ~seed =
                       value_block (Printf.sprintf "c%dk%dj%d" coord k j))))
         done)
   done;
-  Dessim.Engine.run ~until:plan.Plan.horizon engine;
+  Cluster.run ~horizon:plan.Plan.horizon cl;
   Chaos.Nemesis.restore nem;
   Cluster.run cl;
   (Buffer.contents buf, Faultnet.stats (Cluster.faultnet cl))

@@ -38,7 +38,7 @@ let block_value b =
    time 0 apply before the first op. *)
 let run_scenario ?(faults = []) ~m ~n ~ops ~choose () =
   let cl = Cluster.create ~m ~n ~block_size () in
-  let engine = cl.Cluster.engine in
+  let rt = cl.Cluster.runtime in
   List.iter
     (fun (at, fault) ->
       let apply () =
@@ -47,11 +47,11 @@ let run_scenario ?(faults = []) ~m ~n ~ops ~choose () =
         | `Recover b -> Cluster.recover cl b
       in
       if at <= 0. then apply ()
-      else ignore (Dessim.Engine.schedule engine ~delay:at apply))
+      else ignore (Runtime.timer rt ~delay:at apply))
     faults;
   let h = H.create () in
   let pos = ref 0 in
-  Dessim.Engine.set_chooser engine
+  Dessim.Engine.set_chooser (Cluster.sim_engine cl)
     (Some
        (fun k ->
          let idx = choose !pos k in
@@ -60,9 +60,9 @@ let run_scenario ?(faults = []) ~m ~n ~ops ~choose () =
   List.iter
     (fun (coord, delay, op) ->
       ignore
-        (Dessim.Engine.schedule engine ~delay (fun () ->
+        (Runtime.timer rt ~delay (fun () ->
              Runtime.spawn cl.Cluster.runtime (fun () ->
-                 let now () = Dessim.Engine.now engine in
+                 let now () = Runtime.now rt in
                  match op with
                  | `Write value ->
                      let id =

@@ -234,6 +234,36 @@ let test_pool_two_volumes_isolated () =
       Alcotest.(check bool) "logs intact" true (Bytes.equal got logs_data)
   | _ -> Alcotest.fail "logs read"
 
+(* The pool runs on the multicore backend too: two volumes with
+   different codes over one set of bricks, each written and read back
+   through coordinators on two domains. *)
+let test_pool_on_mc () =
+  let pool =
+    Pool.create ~backend:(Core.Cluster.Mc { domains = 2 }) ~bricks:5
+      ~block_size:bs ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Core.Cluster.shutdown (Pool.cluster pool))
+    (fun () ->
+      let a = Pool.create_volume pool ~name:"a" ~m:2 ~n:4 ~stripes:3 () in
+      let b = Pool.create_volume pool ~name:"b" ~m:1 ~n:3 ~stripes:2 () in
+      List.iteri
+        (fun i (v, blocks) ->
+          let data = pattern (blocks * bs) (41 + i) in
+          (match Pool.run_op pool (fun () -> V.write v ~coord:i ~lba:0 data) with
+          | Some (Ok ()) -> ()
+          | _ -> Alcotest.failf "volume %d write" i);
+          match
+            Pool.run_op pool (fun () ->
+                V.read v ~coord:(i + 2) ~lba:0 ~count:blocks)
+          with
+          | Some (Ok got) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "volume %d intact" i)
+                true (Bytes.equal got data)
+          | _ -> Alcotest.failf "volume %d read" i)
+        [ (a, 6); (b, 2) ])
+
 let test_pool_heterogeneous_fault_tolerance () =
   (* Volumes with different codes tolerate different failure counts on
      the same bricks. *)
@@ -322,5 +352,6 @@ let () =
             test_pool_heterogeneous_fault_tolerance;
           Alcotest.test_case "volume management" `Quick
             test_pool_volume_management;
+          Alcotest.test_case "two volumes on mc" `Quick test_pool_on_mc;
         ] );
     ]

@@ -73,7 +73,7 @@ let fuzz_round ?(dead_member = false) ~seed () =
            (Coordinator.clock cl.Cluster.coordinators.(pid))
            skew))
     skews;
-  let engine = cl.Cluster.engine in
+  let rt = cl.Cluster.runtime in
   let stripes = 2 in
   let histories = Array.init (stripes * m) (fun _ -> H.create ()) in
   let hist ~stripe ~j = histories.((stripe * m) + j) in
@@ -83,7 +83,7 @@ let fuzz_round ?(dead_member = false) ~seed () =
 
 
   let record_op ~coord ~stripe ~blocks ~kind ~values =
-    let now = Dessim.Engine.now engine in
+    let now = Runtime.now rt in
     let ids =
       List.map2
         (fun j v ->
@@ -102,7 +102,7 @@ let fuzz_round ?(dead_member = false) ~seed () =
   in
 
   let finish_op ~stripe r outcome =
-    let now = Dessim.Engine.now engine in
+    let now = Runtime.now rt in
     r.done_ <- true;
     List.iter
       (fun (j, id) ->
@@ -219,11 +219,11 @@ let fuzz_round ?(dead_member = false) ~seed () =
   if dead_member then begin
     let down ~at ~back b =
       ignore
-        (Dessim.Engine.schedule engine ~delay:at (fun () ->
-             crashes := (b, Dessim.Engine.now engine) :: !crashes;
+        (Runtime.timer rt ~delay:at (fun () ->
+             crashes := (b, Runtime.now rt) :: !crashes;
              Brick.crash cl.Cluster.bricks.(b)));
       ignore
-        (Dessim.Engine.schedule engine ~delay:back (fun () ->
+        (Runtime.timer rt ~delay:back (fun () ->
              Brick.recover cl.Cluster.bricks.(b)))
     in
     let victim = Random.State.int rng m in
@@ -240,10 +240,10 @@ let fuzz_round ?(dead_member = false) ~seed () =
     let side = List.filteri (fun i _ -> i < cut) members in
     let at = Random.State.float rng 150. in
     ignore
-      (Dessim.Engine.schedule engine ~delay:at (fun () ->
+      (Runtime.timer rt ~delay:at (fun () ->
            Simnet.Faultnet.partition (Cluster.faultnet cl) [ side ]));
     ignore
-      (Dessim.Engine.schedule engine ~delay:(at +. 30.) (fun () ->
+      (Runtime.timer rt ~delay:(at +. 30.) (fun () ->
            Simnet.Faultnet.heal (Cluster.faultnet cl)))
   end;
 
@@ -254,13 +254,13 @@ let fuzz_round ?(dead_member = false) ~seed () =
     let at = Random.State.float rng 200. in
     let back = at +. 5. +. Random.State.float rng 60. in
     ignore
-      (Dessim.Engine.schedule engine ~delay:at (fun () ->
+      (Runtime.timer rt ~delay:at (fun () ->
            if Brick.is_alive cl.Cluster.bricks.(victim) then begin
-             crashes := (victim, Dessim.Engine.now engine) :: !crashes;
+             crashes := (victim, Runtime.now rt) :: !crashes;
              Brick.crash cl.Cluster.bricks.(victim)
            end));
     ignore
-      (Dessim.Engine.schedule engine ~delay:back (fun () ->
+      (Runtime.timer rt ~delay:back (fun () ->
            Brick.recover cl.Cluster.bricks.(victim)))
   done;
 

@@ -438,6 +438,49 @@ let tally events =
     events;
   t
 
+(* The event stream and the Metrics counters are two accounting paths
+   over one run: spans must be well-formed, and the events must
+   reconstruct the counters' message, byte, drop, retry and disk
+   totals. *)
+let check_accounting ~label cl events stats =
+  (* Spans: exactly one start/end per op id, phases nest, time-ordered. *)
+  (match Obs.Check.well_formed events with
+  | [] -> ()
+  | violations ->
+      Alcotest.failf "%s: %s" label (String.concat "; " violations));
+  Alcotest.(check int)
+    (label ^ ": no unfinished spans")
+    0 (Obs.Stats.unfinished stats);
+
+  (* Event stream vs Metrics counters: the two accounting paths must
+     reconstruct the same totals. *)
+  let t = tally events in
+  let metric name = int_of_float (Metrics.Registry.value cl.Cluster.metrics name) in
+  let check name expected actual =
+    Alcotest.(check int) (label ^ ": " ^ name) expected actual
+  in
+  check "net.msgs" (metric "net.msgs") t.send_fg;
+  check "net.msgs.bg" (metric "net.msgs.bg") t.send_bg;
+  check "net.bytes" (metric "net.bytes") t.bytes_fg;
+  check "net.bytes.bg" (metric "net.bytes.bg") t.bytes_bg;
+  check "net.drops" (metric "net.drops") t.drops;
+  check "rpc.retries" (metric "rpc.retries") t.timeouts;
+  check "disk.reads" (metric "disk.reads") t.io_reads;
+  check "disk.writes" (metric "disk.writes") t.io_writes;
+  (* Quiescent deployment: every undropped message was delivered. *)
+  check "delivered = sent - dropped" (t.send_fg + t.send_bg - t.drops) t.recvs;
+
+  (* The Stats aggregator and the raw stream agree on outcomes. *)
+  let reg = Metrics.Registry.create () in
+  Obs.Stats.materialize stats reg;
+  check "obs.ops" t.ends (int_of_float (Metrics.Registry.value reg "obs.ops"));
+  check "obs.aborts" t.abort
+    (int_of_float (Metrics.Registry.value reg "obs.aborts"));
+  check "obs.retries" t.retry
+    (int_of_float (Metrics.Registry.value reg "obs.retries"));
+  check "outcomes partition span ends" t.ends (t.ok + t.abort + t.retry);
+  t
+
 let obs_round ~seed =
   let rng = Random.State.make [| seed; 0x0b5 |] in
   let m, n =
@@ -454,7 +497,7 @@ let obs_round ~seed =
       ~net_config:{ Simnet.Net.default_config with drop }
       ()
   in
-  let engine = cl.Cluster.engine in
+  let rt = cl.Cluster.runtime in
   let ring = Obs.Ring.create ~capacity:400_000 in
   let stats = Obs.Stats.create () in
   Obs.add_sink cl.Cluster.obs (Obs.Ring.sink ring);
@@ -497,10 +540,10 @@ let obs_round ~seed =
     let victim = nclients + Random.State.int rng (n - nclients) in
     let at = Random.State.float rng 80. in
     ignore
-      (Dessim.Engine.schedule engine ~delay:at (fun () ->
+      (Runtime.timer rt ~delay:at (fun () ->
            Brick.crash cl.Cluster.bricks.(victim)));
     ignore
-      (Dessim.Engine.schedule engine ~delay:(at +. 30.) (fun () ->
+      (Runtime.timer rt ~delay:(at +. 30.) (fun () ->
            Brick.recover cl.Cluster.bricks.(victim)))
   end;
 
@@ -511,45 +554,8 @@ let obs_round ~seed =
   Alcotest.(check int)
     (Printf.sprintf "seed %d: ring kept everything" seed)
     0 (Obs.Ring.dropped ring);
-  let events = Obs.Ring.contents ring in
-
-  (* Spans: exactly one start/end per op id, phases nest, time-ordered. *)
-  (match Obs.Check.well_formed events with
-  | [] -> ()
-  | violations ->
-      Alcotest.failf "seed %d: %s" seed (String.concat "; " violations));
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: no unfinished spans" seed)
-    0 (Obs.Stats.unfinished stats);
-
-  (* Event stream vs Metrics counters: the two accounting paths must
-     reconstruct the same totals. *)
-  let t = tally events in
-  let metric name = int_of_float (Metrics.Registry.value cl.Cluster.metrics name) in
-  let check name expected actual =
-    Alcotest.(check int) (Printf.sprintf "seed %d: %s" seed name) expected actual
-  in
-  check "net.msgs" (metric "net.msgs") t.send_fg;
-  check "net.msgs.bg" (metric "net.msgs.bg") t.send_bg;
-  check "net.bytes" (metric "net.bytes") t.bytes_fg;
-  check "net.bytes.bg" (metric "net.bytes.bg") t.bytes_bg;
-  check "net.drops" (metric "net.drops") t.drops;
-  check "rpc.retries" (metric "rpc.retries") t.timeouts;
-  check "disk.reads" (metric "disk.reads") t.io_reads;
-  check "disk.writes" (metric "disk.writes") t.io_writes;
-  (* Quiescent engine: every undropped message was delivered. *)
-  check "delivered = sent - dropped" (t.send_fg + t.send_bg - t.drops) t.recvs;
-
-  (* The Stats aggregator and the raw stream agree on outcomes. *)
-  let reg = Metrics.Registry.create () in
-  Obs.Stats.materialize stats reg;
-  check "obs.ops" t.ends (int_of_float (Metrics.Registry.value reg "obs.ops"));
-  check "obs.aborts" t.abort
-    (int_of_float (Metrics.Registry.value reg "obs.aborts"));
-  check "obs.retries" t.retry
-    (int_of_float (Metrics.Registry.value reg "obs.retries"));
-  check "outcomes partition span ends" t.ends (t.ok + t.abort + t.retry);
-  t
+  check_accounting ~label:(Printf.sprintf "seed %d" seed) cl
+    (Obs.Ring.contents ring) stats
 
 let test_property_rounds () =
   let grand = ref 0 in
@@ -558,6 +564,54 @@ let test_property_rounds () =
     grand := !grand + t.ends
   done;
   Alcotest.(check bool) "spans observed across rounds" true (!grand > 50)
+
+(* The same cross-check on the multicore backend: two domains, two
+   clients, no faults. Both backends count and trace a message in one
+   place, so the mc event stream must reproduce the counters too. The
+   receive loops deliver the last replies and GC notices after the
+   clients finish; wait for those before the loops shut down. *)
+let test_mc_accounting () =
+  let m = 2 and n = 4 in
+  let cl =
+    Cluster.create ~backend:(Mc { domains = 2 }) ~m ~n ~block_size
+      ~deadline:10. ()
+  in
+  let ring = Obs.Ring.create ~capacity:100_000 in
+  let stats = Obs.Stats.create () in
+  Obs.add_sink cl.Cluster.obs (Obs.Ring.sink ring);
+  Obs.add_sink cl.Cluster.obs (Obs.Sink.serialized (Obs.Stats.sink stats));
+  for coord = 0 to 1 do
+    Cluster.spawn ~coord cl (fun c ->
+        for k = 1 to 12 do
+          let stripe = (coord + k) mod 2 in
+          let attempt f = ignore (Coordinator.with_retries ~attempts:3 c f) in
+          match k mod 4 with
+          | 0 ->
+              attempt (fun () ->
+                  Coordinator.write_stripe c ~stripe
+                    (Array.init m (fun i ->
+                         Bytes.make block_size (Char.chr (65 + i + k)))))
+          | 1 -> attempt (fun () -> Coordinator.read_stripe c ~stripe)
+          | 2 ->
+              attempt (fun () ->
+                  Coordinator.write_block c ~stripe (k mod m)
+                    (Bytes.make block_size 'w'))
+          | _ -> attempt (fun () -> Coordinator.read_block c ~stripe 0)
+        done)
+  done;
+  Cluster.await_quiesce cl;
+  let settled () =
+    let t = tally (Obs.Ring.contents ring) in
+    t.recvs = t.send_fg + t.send_bg - t.drops
+  in
+  let give_up = Unix.gettimeofday () +. 10. in
+  while (not (settled ())) && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.001
+  done;
+  Cluster.shutdown cl;
+  let t = check_accounting ~label:"mc" cl (Obs.Ring.contents ring) stats in
+  Alcotest.(check bool) "mc: every op traced" true (t.ends >= 24);
+  Alcotest.(check bool) "mc: messages traced" true (t.send_fg > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Timeline sink                                                       *)
@@ -823,6 +877,8 @@ let () =
           Alcotest.test_case "retarget attribution" `Quick
             test_retarget_attribution;
           Alcotest.test_case "randomized rounds" `Slow test_property_rounds;
+          Alcotest.test_case "mc event and counter totals" `Quick
+            test_mc_accounting;
         ] );
       ( "timeline",
         [

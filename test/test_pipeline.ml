@@ -49,7 +49,7 @@ let fuzz_round ~seed =
       ()
   in
   let cl = V.cluster v in
-  let engine = cl.Core.Cluster.engine in
+  let rt = cl.Core.Cluster.runtime in
   let capacity = V.capacity_blocks v in
   let histories = Array.init capacity (fun _ -> H.create ()) in
   let uid = ref 0 in
@@ -78,7 +78,7 @@ let fuzz_round ~seed =
                 Bytes.blit (value_block s) 0 payload (i * block_size)
                   block_size)
               values;
-            let now = Dessim.Engine.now engine in
+            let now = Runtime.now rt in
             let ids =
               List.mapi
                 (fun i s ->
@@ -87,7 +87,7 @@ let fuzz_round ~seed =
                 values
             in
             let outcome = V.write v ~coord ~lba payload in
-            let now = Dessim.Engine.now engine in
+            let now = Runtime.now rt in
             List.iteri
               (fun i id ->
                 match outcome with
@@ -97,14 +97,14 @@ let fuzz_round ~seed =
           end
           else begin
             (* multi-stripe read *)
-            let now = Dessim.Engine.now engine in
+            let now = Runtime.now rt in
             let ids =
               List.init count (fun i ->
                   H.invoke histories.(lba + i) ~client:coord ~kind:H.Read
                     ~now ())
             in
             let outcome = V.read v ~coord ~lba ~count in
-            let now = Dessim.Engine.now engine in
+            let now = Runtime.now rt in
             List.iteri
               (fun i id ->
                 match outcome with
@@ -129,10 +129,10 @@ let fuzz_round ~seed =
     let side = List.filteri (fun i _ -> i < cut) members in
     let at = Random.State.float rng 150. in
     ignore
-      (Dessim.Engine.schedule engine ~delay:at (fun () ->
+      (Runtime.timer rt ~delay:at (fun () ->
            Simnet.Faultnet.partition (Core.Cluster.faultnet cl) [ side ]));
     ignore
-      (Dessim.Engine.schedule engine ~delay:(at +. 30.) (fun () ->
+      (Runtime.timer rt ~delay:(at +. 30.) (fun () ->
            Simnet.Faultnet.heal (Core.Cluster.faultnet cl)))
   end;
 
@@ -146,11 +146,11 @@ let fuzz_round ~seed =
     let at = Random.State.float rng 250. in
     let back = at +. 5. +. Random.State.float rng 60. in
     ignore
-      (Dessim.Engine.schedule engine ~delay:at (fun () ->
+      (Runtime.timer rt ~delay:at (fun () ->
            if Brick.is_alive cl.Core.Cluster.bricks.(victim) then
              Brick.crash cl.Core.Cluster.bricks.(victim)));
     ignore
-      (Dessim.Engine.schedule engine ~delay:back (fun () ->
+      (Runtime.timer rt ~delay:back (fun () ->
            Brick.recover cl.Core.Cluster.bricks.(victim)))
   done;
 

@@ -138,9 +138,14 @@ let harness ?(n = 5) ?(config = Simnet.Net.default_config) () =
   let metrics = Metrics.Registry.create () in
   let rt = Runtime_sim.of_engine e in
   let faults = Simnet.Faultnet.create ~seed:1 ~n in
-  let net = Simnet.Net.create ~metrics e ~config ~faults ~n in
+  let net = Simnet.Net.create e ~config ~n in
+  let transport =
+    Quorum.Fabric.create ~now:(fun () -> E.now e) ~metrics ~faults ~n
+      ~lost:(fun () -> Simnet.Net.lost net)
+      ~carry:(Simnet.Net.carry net) ()
+  in
   let rpc =
-    Rpc.create ~rt ~transport:(Rpc.of_net net) ~req_bytes:String.length
+    Rpc.create ~rt ~transport ~req_bytes:String.length
       ~rep_bytes:String.length ~retry_every:8. ~grace:1. ()
   in
   let bricks = Array.init n (fun id -> Brick.create ~metrics rt ~id) in

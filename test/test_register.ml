@@ -143,9 +143,9 @@ let test_multi_block_costs () =
   let lat = ref 0. in
   (match
      Cluster.run_op cl (fun c ->
-         let t0 = Dessim.Engine.now cl.Cluster.engine in
+         let t0 = Runtime.now cl.Cluster.runtime in
          let r = Coordinator.write_blocks c ~stripe:0 1 news in
-         lat := Dessim.Engine.now cl.Cluster.engine -. t0;
+         lat := Runtime.now cl.Cluster.runtime -. t0;
          r)
    with
   | Some (Ok ()) -> ()
@@ -227,7 +227,7 @@ let test_input_validation () =
 
 let measure cl f =
   let before = Cluster.snapshot cl in
-  let t0 = Dessim.Engine.now cl.Cluster.engine in
+  let t0 = Runtime.now cl.Cluster.runtime in
   let result = Cluster.run_op cl f in
   (* The operation's completion time is when the fiber finished; ops
      here always finish before quiescence, so take latency from a
@@ -240,9 +240,9 @@ let measure_latency ?coord cl f =
   let t = ref 0. in
   let result =
     Cluster.run_op ?coord cl (fun c ->
-        let started = Dessim.Engine.now cl.Cluster.engine in
+        let started = Runtime.now cl.Cluster.runtime in
         let r = f c in
-        t := Dessim.Engine.now cl.Cluster.engine -. started;
+        t := Runtime.now cl.Cluster.runtime -. started;
         r)
   in
   (result, !t)
@@ -309,18 +309,18 @@ let inject_partial_write cl ~stripe ~doomed ~reach data =
      flight are not affected by link cuts, so instead cut at t+1.5:
      Order replies (arriving at 2) still flow to the coordinator, the
      Write messages sent at 2 cross the cut links and die. *)
-  let eng = cl.Cluster.engine in
+  let rt = cl.Cluster.runtime in
   ignore
-    (Dessim.Engine.schedule eng ~delay:1.5 (fun () ->
+    (Runtime.timer rt ~delay:1.5 (fun () ->
          for dst = 0 to n - 1 do
            if not (List.mem dst reach) then
              Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:doomed ~dst true
          done));
   ignore
-    (Dessim.Engine.schedule eng ~delay:4.5 (fun () ->
+    (Runtime.timer rt ~delay:4.5 (fun () ->
          Brick.crash cl.Cluster.bricks.(doomed)));
   ignore
-    (Dessim.Engine.schedule eng ~delay:5.0 (fun () ->
+    (Runtime.timer rt ~delay:5.0 (fun () ->
          for dst = 0 to n - 1 do
            Simnet.Faultnet.set_link_down (Cluster.faultnet cl) ~src:doomed ~dst false
          done;
@@ -353,7 +353,7 @@ let test_slow_write_one_content_per_ts () =
   (* The Order&Read round is in by t+2; cut the Modify takers' replies
      before the Modify round's come back. *)
   ignore
-    (Dessim.Engine.schedule cl.Cluster.engine ~delay:2.5 (fun () ->
+    (Runtime.timer cl.Cluster.runtime ~delay:2.5 (fun () ->
          List.iter
            (fun src -> Simnet.Faultnet.set_link_down fnet ~src ~dst:coord true)
            [ 0; 2 ]));
@@ -692,7 +692,7 @@ let test_cache_shared_across_domains () =
      and flushed on overflow concurrently. *)
   let m = 2 and bs = 64 and tasks = 8 and passes = 2 in
   let stripes = Coordinator.cache_capacity + 100 in
-  let cl = Cluster.create_mc ~domains:4 ~m ~n:4 ~block_size:bs () in
+  let cl = Cluster.create ~backend:(Mc { domains = 4 }) ~m ~n:4 ~block_size:bs () in
   let value s pass =
     Array.init m (fun i -> Bytes.make bs (Char.chr (65 + ((s + i + pass) mod 26))))
   in
@@ -829,7 +829,8 @@ let test_recover_clears_suspicion () =
 let test_degraded_read_mc () =
   (* The crash/recover case on the multicore backend: real mailbox
      teardown, wall-clock grace period, suspicion updated by CAS. *)
-  let cl = Cluster.create_mc ~m:5 ~n:8 ~block_size:bs ~retry_every:0.01 () in
+  let cl = Cluster.create ~backend:(Mc { domains = 1 }) ~m:5 ~n:8 ~block_size:bs
+      ~retry_every:0.01 () in
   Fun.protect
     ~finally:(fun () ->
       if Cluster.try_quiesce ~timeout:30. cl then Cluster.shutdown cl

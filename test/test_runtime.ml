@@ -664,9 +664,7 @@ let test_mc_soak_linearizable () =
   let m = 2 and n = 4 and clients = 4 and ops = 25 in
   let block_size = 512 in
   let cluster =
-    Core.Cluster.create_mc ~domains:4 ~bricks:n
-      ~layout:(Fab.Layout.make Fab.Layout.Fixed ~bricks:n ~n)
-      ~block_size ~m ~n ()
+    Core.Cluster.create ~backend:(Mc { domains = 4 }) ~block_size ~m ~n ()
   in
   let volume =
     Fab.Volume.of_cluster ~cluster ~m ~stripes:1 ~block_size ~op_retries:1

@@ -1,5 +1,7 @@
-(* Tests for the simulated network and the fault model its sends
-   consult. *)
+(* Tests for the simulated channel, the fault model its messages
+   consult, and the fabric above them that counts and traces every
+   message: a {!Quorum.Fabric} over the {!Simnet.Net} channel, as a sim
+   deployment wires it. *)
 
 module E = Dessim.Engine
 module Net = Simnet.Net
@@ -9,18 +11,30 @@ let make_faulty ?(n = 4) ?(config = Net.default_config) ?obs () =
   let e = E.create () in
   let metrics = Metrics.Registry.create () in
   let faults = Faultnet.create ~seed:1 ~n in
-  let net = Net.create ~metrics ?obs e ~config ~faults ~n in
-  (e, metrics, net, faults)
+  let net = Net.create ?obs e ~config ~n in
+  let fabric =
+    Quorum.Fabric.create ~now:(fun () -> E.now e) ~metrics ?obs ~faults ~n
+      ~lost:(fun () -> Net.lost net)
+      ~carry:(Net.carry net) ()
+  in
+  (e, metrics, fabric, faults)
 
 let make ?n ?config () =
-  let e, metrics, net, _ = make_faulty ?n ?config () in
-  (e, metrics, net)
+  let e, metrics, fabric, _ = make_faulty ?n ?config () in
+  (e, metrics, fabric)
+
+let register (f : _ Quorum.Rpc.transport) addr handler =
+  f.xregister addr handler
+
+let send ?(background = false) (f : _ Quorum.Rpc.transport) ~src ~dst
+    ~bytes_on_wire msg =
+  f.xsend ~background ~ctx:Obs.no_ctx ~info:None ~src ~dst ~bytes_on_wire msg
 
 let test_delivery_and_delay () =
   let e, _, net = make () in
   let got = ref [] in
-  Net.register net 1 (fun ~src msg -> got := (src, msg, E.now e) :: !got);
-  Net.send net ~src:0 ~dst:1 ~bytes_on_wire:0 "hello";
+  register net 1 (fun ~src msg -> got := (src, msg, E.now e) :: !got);
+  send net ~src:0 ~dst:1 ~bytes_on_wire:0 "hello";
   E.run e;
   match !got with
   | [ (0, "hello", t) ] -> Alcotest.(check (float 0.0)) "one delta" 1.0 t
@@ -28,15 +42,15 @@ let test_delivery_and_delay () =
 
 let test_no_handler_drops () =
   let e, _, net = make () in
-  Net.send net ~src:0 ~dst:2 ~bytes_on_wire:0 "void";
+  send net ~src:0 ~dst:2 ~bytes_on_wire:0 "void";
   E.run e  (* no exception, nothing delivered *)
 
 let test_counters () =
   let e, metrics, net = make () in
-  Net.register net 1 (fun ~src:_ _ -> ());
-  Net.send net ~src:0 ~dst:1 ~bytes_on_wire:100 "a";
-  Net.send net ~src:0 ~dst:1 ~bytes_on_wire:28 "b";
-  Net.send ~background:true net ~src:0 ~dst:1 ~bytes_on_wire:7 "bg";
+  register net 1 (fun ~src:_ _ -> ());
+  send net ~src:0 ~dst:1 ~bytes_on_wire:100 "a";
+  send net ~src:0 ~dst:1 ~bytes_on_wire:28 "b";
+  send ~background:true net ~src:0 ~dst:1 ~bytes_on_wire:7 "bg";
   E.run e;
   Alcotest.(check (float 0.0)) "msgs" 2. (Metrics.Registry.value metrics "net.msgs");
   Alcotest.(check (float 0.0)) "bytes" 128. (Metrics.Registry.value metrics "net.bytes");
@@ -47,9 +61,9 @@ let test_drop_probability () =
   let config = { Net.default_config with drop = 0.5 } in
   let e, _, net = make ~config () in
   let received = ref 0 in
-  Net.register net 1 (fun ~src:_ _ -> incr received);
+  register net 1 (fun ~src:_ _ -> incr received);
   for _ = 1 to 1000 do
-    Net.send net ~src:0 ~dst:1 ~bytes_on_wire:0 ()
+    send net ~src:0 ~dst:1 ~bytes_on_wire:0 ()
   done;
   E.run e;
   Alcotest.(check bool)
@@ -61,9 +75,9 @@ let test_jitter_reorders () =
   let config = { Net.default_config with jitter = 5.0 } in
   let e, _, net = make ~config () in
   let order = ref [] in
-  Net.register net 1 (fun ~src:_ i -> order := i :: !order);
+  register net 1 (fun ~src:_ i -> order := i :: !order);
   for i = 1 to 50 do
-    Net.send net ~src:0 ~dst:1 ~bytes_on_wire:0 i
+    send net ~src:0 ~dst:1 ~bytes_on_wire:0 i
   done;
   E.run e;
   let arrived = List.rev !order in
@@ -73,25 +87,25 @@ let test_jitter_reorders () =
 let test_partition_and_heal () =
   let e, _, net, faults = make_faulty () in
   let got = ref 0 in
-  Net.register net 2 (fun ~src:_ _ -> incr got);
+  register net 2 (fun ~src:_ _ -> incr got);
   Faultnet.partition faults [ [ 0; 1 ]; [ 2; 3 ] ];
-  Net.send net ~src:0 ~dst:2 ~bytes_on_wire:0 ();  (* across: lost *)
-  Net.send net ~src:3 ~dst:2 ~bytes_on_wire:0 ();  (* within: delivered *)
+  send net ~src:0 ~dst:2 ~bytes_on_wire:0 ();  (* across: lost *)
+  send net ~src:3 ~dst:2 ~bytes_on_wire:0 ();  (* within: delivered *)
   E.run e;
   Alcotest.(check int) "only intra-group" 1 !got;
   Faultnet.heal faults;
-  Net.send net ~src:0 ~dst:2 ~bytes_on_wire:0 ();
+  send net ~src:0 ~dst:2 ~bytes_on_wire:0 ();
   E.run e;
   Alcotest.(check int) "after heal" 2 !got
 
 let test_partition_implicit_group () =
   let e, _, net, faults = make_faulty ~n:5 () in
   let got = ref 0 in
-  Net.register net 4 (fun ~src:_ _ -> incr got);
+  register net 4 (fun ~src:_ _ -> incr got);
   Faultnet.partition faults [ [ 0; 1 ] ];
   (* 2, 3, 4 form the implicit group. *)
-  Net.send net ~src:3 ~dst:4 ~bytes_on_wire:0 ();
-  Net.send net ~src:0 ~dst:4 ~bytes_on_wire:0 ();
+  send net ~src:3 ~dst:4 ~bytes_on_wire:0 ();
+  send net ~src:0 ~dst:4 ~bytes_on_wire:0 ();
   E.run e;
   Alcotest.(check int) "implicit group communicates" 1 !got
 
@@ -104,16 +118,16 @@ let test_partition_overlap_rejected () =
 let test_link_down () =
   let e, _, net, faults = make_faulty () in
   let got = ref 0 in
-  Net.register net 1 (fun ~src:_ _ -> incr got);
+  register net 1 (fun ~src:_ _ -> incr got);
   Faultnet.set_link_down faults ~src:0 ~dst:1 true;
-  Net.send net ~src:0 ~dst:1 ~bytes_on_wire:0 ();
+  send net ~src:0 ~dst:1 ~bytes_on_wire:0 ();
   (* Reverse direction unaffected. *)
-  Net.register net 0 (fun ~src:_ _ -> incr got);
-  Net.send net ~src:1 ~dst:0 ~bytes_on_wire:0 ();
+  register net 0 (fun ~src:_ _ -> incr got);
+  send net ~src:1 ~dst:0 ~bytes_on_wire:0 ();
   E.run e;
   Alcotest.(check int) "directed" 1 !got;
   Faultnet.set_link_down faults ~src:0 ~dst:1 false;
-  Net.send net ~src:0 ~dst:1 ~bytes_on_wire:0 ();
+  send net ~src:0 ~dst:1 ~bytes_on_wire:0 ();
   E.run e;
   Alcotest.(check int) "revived" 2 !got
 
@@ -126,8 +140,8 @@ let test_bad_drop_rejected () =
 let test_addr_range () =
   let _, _, net = make () in
   Alcotest.check_raises "bad addr"
-    (Invalid_argument "Simnet.Net: address out of range") (fun () ->
-      Net.send net ~src:0 ~dst:9 ~bytes_on_wire:0 ())
+    (Invalid_argument "Quorum.Fabric: address out of range") (fun () ->
+      send net ~src:0 ~dst:9 ~bytes_on_wire:0 ())
 
 (* Net.create checks the healthy channel: fair loss needs drop < 1,
    and a negative delay or jitter would schedule into the past. *)
@@ -150,9 +164,9 @@ let test_cut_counts_as_drop () =
   let kinds = ref [] in
   Obs.add_sink obs (Obs.Sink.make (fun ev -> kinds := ev.Obs.kind :: !kinds));
   let e, metrics, net, faults = make_faulty ~obs () in
-  Net.register net 1 (fun ~src:_ _ -> Alcotest.fail "cut message delivered");
+  register net 1 (fun ~src:_ _ -> Alcotest.fail "cut message delivered");
   Faultnet.partition faults [ [ 0 ] ];
-  Net.send net ~src:0 ~dst:1 ~bytes_on_wire:5 ();
+  send net ~src:0 ~dst:1 ~bytes_on_wire:5 ();
   E.run e;
   Alcotest.(check (float 0.)) "msgs" 1. (Metrics.Registry.value metrics "net.msgs");
   Alcotest.(check (float 0.)) "drops" 1. (Metrics.Registry.value metrics "net.drops");
@@ -184,9 +198,9 @@ let test_seeded_sampler () =
 let test_fault_delay_adds () =
   let e, _, net, faults = make_faulty () in
   let at = ref nan in
-  Net.register net 1 (fun ~src:_ () -> at := E.now e);
+  register net 1 (fun ~src:_ () -> at := E.now e);
   Faultnet.set_delay faults ~delay:2. ~jitter:0.;
-  Net.send net ~src:0 ~dst:1 ~bytes_on_wire:0 ();
+  send net ~src:0 ~dst:1 ~bytes_on_wire:0 ();
   E.run e;
   Alcotest.(check (float 0.)) "1 delta + 2 added" 3. !at
 
