@@ -133,7 +133,7 @@ let x3 () =
     let after = Metrics.Snapshot.take (Fab.Volume.cluster v).Cluster.metrics in
     let d name = Metrics.Snapshot.get after name -. Metrics.Snapshot.get before name in
     let ios = (d "disk.reads" +. d "disk.writes") /. 200. in
-    let lat = Metrics.Summary.mean stats.Client.latency in
+    let lat = Metrics.Hist.mean stats.Client.latency in
     (ios, lat)
   in
   Printf.printf

@@ -92,7 +92,7 @@ let run_one ~domains ~clients ~ops ~block_size =
   let ops_done = total (fun s -> s.Workload.Client.ops) in
   let lat =
     Array.fold_left
-      (fun acc s -> Metrics.Hist.merge acc s.Workload.Client.latency_hist)
+      (fun acc s -> Metrics.Hist.merge acc s.Workload.Client.latency)
       (Metrics.Hist.create ()) stats
   in
   {
@@ -305,7 +305,7 @@ let micro_mailbox ~domains ~senders ~iters ~legacy =
             | Some s ->
                 per.(s) <- per.(s) + 1;
                 if per.(s) mod mb_window = 0 then
-                  Runtime.Mailbox.send acks.(s) ();
+                  ignore (Runtime.Mailbox.send acks.(s) ());
                 loop (n + 1)
             | None -> ()
         in
@@ -314,7 +314,7 @@ let micro_mailbox ~domains ~senders ~iters ~legacy =
     for s = 0 to senders - 1 do
       Runtime.spawn rt (fun () ->
           for i = 1 to iters do
-            Runtime.Mailbox.send box s;
+            ignore (Runtime.Mailbox.send box s);
             if i mod mb_window = 0 then ignore (Runtime.Mailbox.recv acks.(s))
           done)
     done;

@@ -20,22 +20,6 @@ open Cmdliner
 
 (* ---------------- JSON rendering helpers ---------------- *)
 
-let summary_fields s =
-  let module S = Metrics.Summary in
-  if S.count s = 0 then [ ("count", Obs.Json.I 0) ]
-  else
-    [
-      ("count", Obs.Json.I (S.count s));
-      ("mean", Obs.Json.F (S.mean s));
-      ("stddev", Obs.Json.F (S.stddev s));
-      ("min", Obs.Json.F (S.min s));
-      ("max", Obs.Json.F (S.max s));
-      ("p50", Obs.Json.F (S.percentile s 50.));
-      ("p95", Obs.Json.F (S.percentile s 95.));
-      ("p99", Obs.Json.F (S.percentile s 99.));
-      ("p999", Obs.Json.F (S.percentile s 99.9));
-    ]
-
 let hist_fields h =
   let module H = Metrics.Hist in
   if H.count h = 0 then [ ("count", Obs.Json.I 0) ]
@@ -75,13 +59,13 @@ let write_stats_json path ~meta ~metrics ~obs_stats ~client_latency ~elapsed
       (fun name -> (name, Obs.Json.F (Metrics.Registry.value metrics name)))
       (Metrics.Registry.names metrics)
   in
-  let summaries =
+  let histograms =
     List.filter_map
       (fun name ->
         Option.map
-          (fun s -> (name, Obs.Json.O (summary_fields s)))
-          (Metrics.Registry.summary_opt metrics name))
-      (Metrics.Registry.summary_names metrics)
+          (fun h -> (name, Obs.Json.O (hist_fields h)))
+          (Metrics.Registry.hist_opt metrics name))
+      (Metrics.Registry.hist_names metrics)
   in
   let elided = Obs.Stats.elided_by_kind obs_stats in
   let breakdown =
@@ -107,9 +91,9 @@ let write_stats_json path ~meta ~metrics ~obs_stats ~client_latency ~elapsed
            ("ops_done", I ops_done);
            ("aborts", I aborts);
            ("unfinished", I (Obs.Stats.unfinished obs_stats));
-           ("client_latency", O (summary_fields client_latency));
+           ("client_latency", O (hist_fields client_latency));
            ("counters", O counters);
-           ("summaries", O summaries);
+           ("histograms", O histograms);
            ("breakdown", O breakdown);
          ]))
 
@@ -225,16 +209,16 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
     Array.iteri
       (fun i s ->
         Printf.printf "  client %d      : %s\n" i
-          (Format.asprintf "%a" Metrics.Summary.pp s.Workload.Client.latency))
+          (Format.asprintf "%a" Metrics.Hist.pp s.Workload.Client.latency))
       stats;
     let client_latency =
       Array.fold_left
-        (fun acc s -> Metrics.Summary.merge acc s.Workload.Client.latency)
-        (Metrics.Summary.create ())
+        (fun acc s -> Metrics.Hist.merge acc s.Workload.Client.latency)
+        (Metrics.Hist.create ())
         stats
     in
     Printf.printf "  all clients   : %s\n"
-      (Format.asprintf "%a" Metrics.Summary.pp client_latency);
+      (Format.asprintf "%a" Metrics.Hist.pp client_latency);
     Printf.printf "  network       : %.0f messages, %.1f KiB payload\n"
       (Metrics.Registry.value metrics "net.msgs")
       (Metrics.Registry.value metrics "net.bytes" /. 1024.);
@@ -338,7 +322,7 @@ let workload_cmd =
   let stats_json =
     Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
            ~doc:"Write machine-readable run statistics (counters, latency \
-                 summaries, per-phase breakdown) to $(docv).")
+                 histograms, per-phase breakdown) to $(docv).")
   in
   Cmd.v
     (Cmd.info "workload" ~doc:"Run a synthetic workload on a simulated volume")
@@ -362,11 +346,22 @@ let read_lines file =
   in
   go []
 
-let fmt_cell = function None -> "      -" | Some v -> Printf.sprintf "%7.1f" v
+(* Trace times are delta units on sim and wall-clock seconds on mc;
+   explain prints mc times in milliseconds, with the digits that
+   sub-millisecond phases need. *)
+type time_unit = { unit_name : string; scale : float; digits : int }
 
-let print_breakdown obs_stats =
+let delta_unit = { unit_name = "delta units"; scale = 1.; digits = 1 }
+let ms_unit = { unit_name = "ms"; scale = 1000.; digits = 3 }
+let fmt_time u v = Printf.sprintf "%.*f" u.digits (v *. u.scale)
+
+let fmt_cell u = function
+  | None -> "      -"
+  | Some v -> Printf.sprintf "%7s" (fmt_time u v)
+
+let print_breakdown u obs_stats =
   let phases = Obs.all_phases in
-  Printf.printf "\nper-op-kind phase breakdown (time in delta units):\n";
+  Printf.printf "\nper-op-kind phase breakdown (time in %s):\n" u.unit_name;
   Printf.printf "  %-13s %6s %5s %5s %5s %8s %8s" "kind" "count" "ok" "rty"
     "abt" "mean" "p95";
   List.iter (fun p -> Printf.printf " %9s" (Obs.phase_name p)) phases;
@@ -382,22 +377,20 @@ let print_breakdown obs_stats =
   in
   List.iter
     (fun (kind, count, phase_means) ->
-      let lat = List.assoc_opt kind by_kind in
+      let lat f =
+        match List.assoc_opt kind by_kind with
+        | Some h when Metrics.Hist.count h > 0 -> fmt_time u (f h)
+        | _ -> "-"
+      in
       Printf.printf "  %-13s %6d %5d %5d %5d %8s %8s" kind count
         (outcome_count kind Obs.Ok)
         (outcome_count kind Obs.Retry)
         (outcome_count kind Obs.Abort)
-        (match lat with
-        | Some s when Metrics.Summary.count s > 0 ->
-            Printf.sprintf "%.1f" (Metrics.Summary.mean s)
-        | _ -> "-")
-        (match lat with
-        | Some s when Metrics.Summary.count s > 0 ->
-            Printf.sprintf "%.1f" (Metrics.Summary.percentile s 95.)
-        | _ -> "-");
+        (lat Metrics.Hist.mean)
+        (lat (fun h -> Metrics.Hist.percentile h 95.));
       List.iter
         (fun p ->
-          Printf.printf " %9s" (fmt_cell (List.assoc_opt p phase_means)))
+          Printf.printf " %9s" (fmt_cell u (List.assoc_opt p phase_means)))
         phases;
       Printf.printf "\n")
     (Obs.Stats.phase_breakdown obs_stats);
@@ -418,28 +411,30 @@ let print_breakdown obs_stats =
   | [] -> ()
   | rows ->
       Printf.printf
-        "\nrouted around suspected bricks (ops, mean delta from the \
-         re-target to the op's end):\n";
+        "\nrouted around suspected bricks (ops, mean time in %s from \
+         the re-target to the op's end):\n"
+        u.unit_name;
       List.iter
         (fun (b, kind, ops, mean) ->
-          Printf.printf "  b%-5d %-13s %6d %8.1f\n" b kind ops mean)
+          Printf.printf "  b%-5d %-13s %6d %8s\n" b kind ops (fmt_time u mean))
         rows
 
-let print_per_op obs_stats =
-  Printf.printf "\nper-operation spans:\n";
+let print_per_op u obs_stats =
+  Printf.printf "\nper-operation spans (time in %s):\n" u.unit_name;
   Printf.printf "  %5s %9s %-13s %5s %-6s %8s  %s\n" "op" "start" "kind" "s"
     "out" "latency" "phases";
   List.iter
     (fun (st : Obs.Stats.op_stat) ->
-      Printf.printf "  %5d %9.1f %-13s %5d %-6s %8.1f  %s\n" st.Obs.Stats.op
-        st.Obs.Stats.t_start st.Obs.Stats.op_kind st.Obs.Stats.stripe
+      Printf.printf "  %5d %9s %-13s %5d %-6s %8s  %s\n" st.Obs.Stats.op
+        (fmt_time u st.Obs.Stats.t_start)
+        st.Obs.Stats.op_kind st.Obs.Stats.stripe
         (match st.Obs.Stats.outcome with
         | Some o -> Obs.outcome_name o
         | None -> "?")
-        (Obs.Stats.latency st)
+        (fmt_time u (Obs.Stats.latency st))
         (String.concat " "
            (List.map
-              (fun (p, d) -> Printf.sprintf "%s=%.1f" (Obs.phase_name p) d)
+              (fun (p, d) -> Printf.sprintf "%s=%s" (Obs.phase_name p) (fmt_time u d))
               (List.rev st.Obs.Stats.phases))))
     (Obs.Stats.completed obs_stats)
 
@@ -458,6 +453,14 @@ let run_explain file per_op validate =
                 errors := Printf.sprintf "line %d: %s" (i + 1) e :: !errors)
         lines;
       let events = List.rev !events in
+      let u =
+        if
+          List.exists
+            (fun md -> List.assoc_opt "runtime" md = Some (Obs.Json.S "mc"))
+            !metas
+        then ms_unit
+        else delta_unit
+      in
       List.iter
         (fun md ->
           Printf.printf "run: %s\n"
@@ -494,7 +497,7 @@ let run_explain file per_op validate =
         "attributed to ops: %d msgs, %d payload bytes, %d drops, %d \
          timeouts, %d disk reads, %d disk writes\n"
         msgs bytes drops timeouts dr dw;
-      print_breakdown obs_stats;
+      print_breakdown u obs_stats;
       (match Obs.Stats.queue_depths obs_stats with
       | [] -> ()
       | qs ->
@@ -502,9 +505,9 @@ let run_explain file per_op validate =
           List.iter
             (fun (who, s) ->
               Printf.printf "  %-6s %s\n" who
-                (Format.asprintf "%a" Metrics.Summary.pp s))
+                (Format.asprintf "%a" Metrics.Hist.pp s))
             qs);
-      if per_op then print_per_op obs_stats;
+      if per_op then print_per_op u obs_stats;
       if validate then begin
         List.iter (Printf.eprintf "schema error: %s\n") schema_errors;
         List.iter (Printf.eprintf "span error: %s\n") span_errors;
@@ -631,9 +634,8 @@ type cell = {
   c_net_blocks : float;
   c_disk_reads : float;
   c_disk_writes : float;
-  c_latency : Metrics.Summary.t;  (* merged client latency *)
-  c_hist : Metrics.Hist.t;  (* merged client latency histogram *)
-  c_kinds : (string * Metrics.Summary.t * Metrics.Hist.t) list;
+  c_latency : Metrics.Hist.t;  (* merged client latency *)
+  c_kinds : (string * Metrics.Hist.t) list;
   c_timeline : Obs.Timeline.t;
   c_slos : Obs.Slo.report list;
   c_evicted : int;
@@ -687,26 +689,9 @@ let run_cell ~geom ~m ~n ~stripes ~block_size ~clients ~ops ~profile_name
   let per_op v = if ops_done = 0 then 0. else v /. float_of_int ops_done in
   let latency =
     Array.fold_left
-      (fun acc s -> Metrics.Summary.merge acc s.Workload.Client.latency)
-      (Metrics.Summary.create ())
-      stats
-  in
-  let hist =
-    Array.fold_left
-      (fun acc s -> Metrics.Hist.merge acc s.Workload.Client.latency_hist)
+      (fun acc s -> Metrics.Hist.merge acc s.Workload.Client.latency)
       (Metrics.Hist.create ())
       stats
-  in
-  let kinds =
-    List.map
-      (fun (k, sum) ->
-        let h =
-          match List.assoc_opt k (Obs.Stats.hist_by_kind obs_stats) with
-          | Some h -> h
-          | None -> Metrics.Hist.create ()
-        in
-        (k, sum, h))
-      (Obs.Stats.by_kind obs_stats)
   in
   {
     c_name = geom ^ "/" ^ profile_name;
@@ -726,8 +711,7 @@ let run_cell ~geom ~m ~n ~stripes ~block_size ~clients ~ops ~profile_name
     c_disk_reads = per_op (Metrics.Registry.value metrics "disk.reads");
     c_disk_writes = per_op (Metrics.Registry.value metrics "disk.writes");
     c_latency = latency;
-    c_hist = hist;
-    c_kinds = kinds;
+    c_kinds = Obs.Stats.by_kind obs_stats;
     c_timeline = timeline;
     c_slos = List.map (Obs.Slo.evaluate timeline) slos;
     c_evicted = Obs.Stats.evicted obs_stats;
@@ -809,14 +793,9 @@ let cell_json cell =
               ("disk_reads", F cell.c_disk_reads);
               ("disk_writes", F cell.c_disk_writes);
             ] );
-        ("latency", O (summary_fields cell.c_latency));
-        ("latency_hist", O (hist_fields cell.c_hist));
+        ("latency", O (hist_fields cell.c_latency));
         ( "kinds",
-          O
-            (List.map
-               (fun (k, sum, h) ->
-                 (k, O (summary_fields sum @ [ ("hist", O (hist_fields h)) ])))
-               cell.c_kinds) );
+          O (List.map (fun (k, h) -> (k, O (hist_fields h))) cell.c_kinds) );
         ("slo", O (List.map slo_fields cell.c_slos));
         ("evicted", I cell.c_evicted);
         ("windows", A windows);
@@ -846,7 +825,7 @@ let write_report_md path ~meta ~window ~slos cells =
   line "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|";
   List.iter
     (fun c ->
-      let h = c.c_hist in
+      let h = c.c_latency in
       let pc p =
         if Metrics.Hist.count h = 0 then "-"
         else fnum (Metrics.Hist.percentile h p)
@@ -856,8 +835,7 @@ let write_report_md path ~meta ~window ~slos cells =
         (fpct c.c_unavail c.c_ops)
         (if c.c_elapsed <= 0. then "-"
          else fnum (float_of_int c.c_ops /. c.c_elapsed *. 1000.))
-        (if Metrics.Summary.count c.c_latency = 0 then "-"
-         else fnum (Metrics.Summary.mean c.c_latency))
+        (if Metrics.Hist.count h = 0 then "-" else fnum (Metrics.Hist.mean h))
         (pc 50.) (pc 99.) (pc 99.9) (fnum c.c_msgs) (fnum c.c_net_blocks)
         (fnum c.c_disk_reads) (fnum c.c_disk_writes))
     cells;

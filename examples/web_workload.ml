@@ -30,7 +30,7 @@ let run_config name volume ~clients ~ops_per_client =
   let metrics = cluster.Core.Cluster.metrics in
   let mean_lat =
     Array.fold_left
-      (fun acc s -> acc +. Metrics.Summary.mean s.Workload.Client.latency)
+      (fun acc s -> acc +. Metrics.Hist.mean s.Workload.Client.latency)
       0. stats
     /. float_of_int clients
   in

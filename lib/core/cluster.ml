@@ -124,7 +124,12 @@ module Substrate = struct
             retry_every,
             t.net_config.delay +. t.net_config.jitter )
       | On_mc l ->
-          let send dst deliver = Runtime.Mailbox.send l.boxes.(dst) deliver in
+          (* A crashed brick's mailbox is closed: count what it refuses
+             as sim counts a delivery to a dead process. *)
+          let send dst deliver =
+            if not (Runtime.Mailbox.send l.boxes.(dst) deliver) then
+              Metrics.Registry.incr t.metrics "net.drops.dead"
+          in
           let every = Option.value retry_every ~default:0.05 in
           ( (fun () -> false),
             (fun ~dst ~delay deliver ->

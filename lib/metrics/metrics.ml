@@ -14,157 +14,6 @@ module Counter = struct
   let reset t = Atomic.set t 0.
 end
 
-module Summary = struct
-  (* Welford moments plus a deterministic systematic-thinning reservoir
-     for percentiles: with [capacity = 0] (unbounded) every observation
-     is retained and percentiles are exact; with a bound, the reservoir
-     keeps every [stride]-th observation and, when full, halves the
-     retained set and doubles the stride. No randomness is involved, so
-     simulation runs stay a pure function of their seed. *)
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-    capacity : int;  (* 0 = unbounded *)
-    mutable stride : int;
-    mutable pending : int;  (* observations since the last retained one *)
-    mutable kept : float array;
-    mutable n_kept : int;
-    mutable sorted : float array option;
-  }
-
-  let create ?(capacity = 0) () =
-    if capacity < 0 || capacity = 1 then
-      invalid_arg "Metrics.Summary.create: capacity must be 0 or >= 2";
-    {
-      count = 0;
-      mean = 0.;
-      m2 = 0.;
-      min = infinity;
-      max = neg_infinity;
-      capacity;
-      stride = 1;
-      pending = 0;
-      kept = (if capacity = 0 then [||] else Array.make capacity 0.);
-      n_kept = 0;
-      sorted = None;
-    }
-
-  (* Halve the retained set in place (keeping every other value, oldest
-     first) and double the stride. *)
-  let thin t =
-    let half = (t.n_kept + 1) / 2 in
-    for i = 0 to half - 1 do
-      t.kept.(i) <- t.kept.(2 * i)
-    done;
-    t.n_kept <- half;
-    t.stride <- t.stride * 2
-
-  let keep t x =
-    if t.n_kept = Array.length t.kept then
-      if t.capacity > 0 then thin t
-      else begin
-        let bigger = Array.make (Stdlib.max 8 (2 * t.n_kept)) 0. in
-        Array.blit t.kept 0 bigger 0 t.n_kept;
-        t.kept <- bigger
-      end;
-    t.kept.(t.n_kept) <- x;
-    t.n_kept <- t.n_kept + 1
-
-  let add t x =
-    t.count <- t.count + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x;
-    t.pending <- t.pending + 1;
-    if t.pending >= t.stride then begin
-      t.pending <- 0;
-      keep t x
-    end;
-    t.sorted <- None
-
-  let count t = t.count
-  let mean t = t.mean
-
-  let stddev t =
-    if t.count < 2 then 0. else sqrt (t.m2 /. float_of_int (t.count - 1))
-
-  let min t = t.min
-  let max t = t.max
-
-  let percentile t p =
-    if t.count = 0 then invalid_arg "Metrics.Summary.percentile: empty";
-    if p < 0. || p > 100. then
-      invalid_arg "Metrics.Summary.percentile: p out of [0,100]";
-    let sorted =
-      match t.sorted with
-      | Some a -> a
-      | None ->
-          let a = Array.sub t.kept 0 t.n_kept in
-          Array.sort compare a;
-          t.sorted <- Some a;
-          a
-    in
-    let n = Array.length sorted in
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(Stdlib.max 0 (Stdlib.min (n - 1) rank))
-
-  let merge a b =
-    let capacity =
-      if a.capacity = 0 || b.capacity = 0 then 0
-      else Stdlib.max a.capacity b.capacity
-    in
-    let t = create ~capacity () in
-    t.count <- a.count + b.count;
-    if t.count > 0 then begin
-      let ca = float_of_int a.count and cb = float_of_int b.count in
-      let delta = b.mean -. a.mean in
-      t.mean <- a.mean +. (delta *. cb /. (ca +. cb));
-      t.m2 <- a.m2 +. b.m2 +. (delta *. delta *. ca *. cb /. (ca +. cb))
-    end;
-    t.min <- Stdlib.min a.min b.min;
-    t.max <- Stdlib.max a.max b.max;
-    t.stride <- Stdlib.max a.stride b.stride;
-    let vals = Array.append (Array.sub a.kept 0 a.n_kept) (Array.sub b.kept 0 b.n_kept) in
-    if capacity = 0 || Array.length vals <= capacity then begin
-      t.kept <- (if capacity = 0 then vals else t.kept);
-      if capacity > 0 then Array.blit vals 0 t.kept 0 (Array.length vals);
-      t.n_kept <- Array.length vals
-    end
-    else begin
-      Array.blit vals 0 t.kept 0 capacity;
-      (* Merge order: fill with the first [capacity] values, then thin
-         as the rest stream in — same policy as [add]. *)
-      t.n_kept <- capacity;
-      for i = capacity to Array.length vals - 1 do
-        keep t vals.(i)
-      done
-    end;
-    t
-
-  let clear t =
-    t.count <- 0;
-    t.mean <- 0.;
-    t.m2 <- 0.;
-    t.min <- infinity;
-    t.max <- neg_infinity;
-    t.stride <- 1;
-    t.pending <- 0;
-    t.n_kept <- 0;
-    t.sorted <- None
-
-  let pp fmt t =
-    if t.count = 0 then Format.fprintf fmt "(empty)"
-    else
-      Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p99=%.3f max=%.3f"
-        t.count t.mean (stddev t) t.min (percentile t 50.) (percentile t 99.)
-        t.max
-end
-
 module Hist = struct
   (* Log-bucketed (HDR-style) histogram over non-negative floats.
 
@@ -372,6 +221,10 @@ module Hist = struct
         (relative_error t *. 100.)
 end
 
+(* Kept for vdbench's per-phase means; the vdbench revision on ROADMAP
+   renames that call to [Hist] and deletes this alias. *)
+module Summary = Hist
+
 module Timeseries = struct
   (* Named counters and histograms bucketed per fixed window of
      (simulated) time. Windows materialize on first touch, so memory
@@ -498,14 +351,12 @@ end
 module Registry = struct
   type t = {
     counters : (string, Counter.t) Hashtbl.t;
-    summaries : (string, Summary.t) Hashtbl.t;
     hists : (string, Hist.t) Hashtbl.t;
   }
 
   let create () : t =
     {
       counters = Hashtbl.create 32;
-      summaries = Hashtbl.create 8;
       hists = Hashtbl.create 8;
     }
 
@@ -528,21 +379,6 @@ module Registry = struct
     Hashtbl.fold (fun name _ acc -> name :: acc) t.counters []
     |> List.sort String.compare
 
-  let summary ?capacity t name =
-    match Hashtbl.find_opt t.summaries name with
-    | Some s -> s
-    | None ->
-        let s = Summary.create ?capacity () in
-        Hashtbl.add t.summaries name s;
-        s
-
-  let summary_opt t name = Hashtbl.find_opt t.summaries name
-  let put_summary t name s = Hashtbl.replace t.summaries name s
-
-  let summary_names t =
-    Hashtbl.fold (fun name _ acc -> name :: acc) t.summaries []
-    |> List.sort String.compare
-
   let hist ?sub_bits t name =
     match Hashtbl.find_opt t.hists name with
     | Some h -> h
@@ -560,7 +396,6 @@ module Registry = struct
 
   let reset_all t =
     Hashtbl.iter (fun _ c -> Counter.reset c) t.counters;
-    Hashtbl.iter (fun _ s -> Summary.clear s) t.summaries;
     Hashtbl.iter (fun _ h -> Hist.clear h) t.hists
 end
 

@@ -1,13 +1,13 @@
-(** Counters and summary statistics for the simulation harness.
+(** Counters and latency distributions for the simulation harness.
 
     Table 1 of the paper accounts operations in four currencies:
     messages, network bandwidth (in block-size units), disk reads and
     disk writes. A {!Registry} holds named monotonic counters for
     those, and benchmarks measure an operation by snapshotting the
     registry before and after ({!Snapshot.diff}). The registry also
-    holds named {!Summary} distributions — the observability layer
-    materializes per-operation and per-phase latency histograms into
-    them. *)
+    holds named {!Hist} histograms, the one distribution type: the
+    observability layer materializes per-operation latency, per-phase
+    duration and per-queue depth distributions into them. *)
 
 module Counter : sig
   type t
@@ -19,57 +19,6 @@ module Counter : sig
   val reset : t -> unit
 end
 
-module Summary : sig
-  type t
-  (** Streaming summary of a series of observations: count, mean,
-      standard deviation (Welford), min, max, and a retained sample of
-      the raw values for percentiles. *)
-
-  val create : ?capacity:int -> unit -> t
-  (** [create ()] retains {e every} observation, so percentiles are
-      exact — fine at simulation scale, unbounded memory at production
-      scale. [create ~capacity ()] bounds retention to [capacity]
-      values with a deterministic systematic-thinning reservoir: values
-      are kept at a fixed stride, and when the reservoir fills, every
-      other retained value is discarded and the stride doubles.
-
-      Exactness trade-off: while [count <= capacity] the reservoir
-      holds every observation and percentiles are exact; beyond that
-      they are computed over an evenly spaced subsample of roughly
-      [capacity/2 .. capacity] values, so a percentile can be off by
-      about one stride's worth of rank. [count], [mean], [stddev],
-      [min] and [max] are always exact. Thinning is deterministic (no
-      randomness), so summaries never perturb seeded simulation runs.
-      @raise Invalid_argument if [capacity] is 1 or negative
-      ([capacity = 0] means unbounded). *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-
-  val percentile : t -> float -> float
-  (** [percentile t p] with [p] in [0,100]; nearest-rank over the
-      retained values (exact when nothing has been thinned).
-      @raise Invalid_argument on an empty summary or out-of-range [p]. *)
-
-  val merge : t -> t -> t
-  (** [merge a b] is a fresh summary describing the union of both
-      series: exact pooled count/mean/variance/min/max (Welford
-      combination), retained values concatenated for percentiles. The
-      inputs are not modified. The result is unbounded if either input
-      is; otherwise its capacity is the larger of the two and the
-      concatenated values are thinned to fit. Merging an empty summary
-      is the identity. *)
-
-  val clear : t -> unit
-  (** Reset to the empty state (capacity is kept). *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
 module Hist : sig
   type t
   (** Log-bucketed (HDR-style) histogram over non-negative finite
@@ -77,11 +26,10 @@ module Hist : sig
       equal-width sub-buckets, so the quantization error of any
       reported percentile is bounded by {!relative_error} of the true
       value — independent of the value range and the observation
-      count. Counts are exact integers and memory grows only with the
-      number of octaves spanned ([log2 (max/min)]), never with the
-      number of observations: the constant-memory companion to the
-      sampling {!Summary}, trustworthy at p99.9 over millions of
-      observations. *)
+      count. Counts, [mean], [min] and [max] are exact, and memory
+      grows only with the number of octaves spanned
+      ([log2 (max/min)]), never with the number of observations, so
+      p99.9 stays trustworthy over millions of observations. *)
 
   val create : ?sub_bits:int -> unit -> t
   (** [sub_bits] (default 5, i.e. 32 sub-buckets per octave, ≤ 3.125%
@@ -135,6 +83,11 @@ module Hist : sig
   val clear : t -> unit
   val pp : Format.formatter -> t -> unit
 end
+
+module Summary = Hist
+(** Kept only for vdbench's per-phase means ([Summary.count] and
+    [Summary.mean] on [Obs.Stats.by_phase]); the vdbench revision on
+    ROADMAP renames that call to {!Hist} and deletes this alias. *)
 
 module Timeseries : sig
   type t
@@ -213,20 +166,6 @@ module Registry : sig
   val names : t -> string list
   (** All registered counter names, sorted. *)
 
-  val summary : ?capacity:int -> t -> string -> Summary.t
-  (** [summary t name] returns the summary registered under [name],
-      creating it (with [capacity], see {!Summary.create}) on first
-      use. [capacity] is ignored on later lookups. *)
-
-  val summary_opt : t -> string -> Summary.t option
-
-  val put_summary : t -> string -> Summary.t -> unit
-  (** Install (or replace) a summary object under a name — used by the
-      observability layer to materialize derived distributions. *)
-
-  val summary_names : t -> string list
-  (** All registered summary names, sorted. *)
-
   val hist : ?sub_bits:int -> t -> string -> Hist.t
   (** [hist t name] returns the histogram registered under [name],
       creating it (with [sub_bits], see {!Hist.create}) on first use.
@@ -242,7 +181,7 @@ module Registry : sig
   (** All registered histogram names, sorted. *)
 
   val reset_all : t -> unit
-  (** Reset every counter to 0 and clear every summary and histogram. *)
+  (** Reset every counter to 0 and clear every histogram. *)
 end
 
 module Snapshot : sig

@@ -834,8 +834,7 @@ module Stats = struct
      completed-op records themselves are evicted (bounded [retain]). *)
   type agg = {
     mutable n : int;
-    latency : Metrics.Summary.t;
-    hist : Metrics.Hist.t;
+    latency : Metrics.Hist.t;
     mutable ok : int;
     mutable aborts : int;
     mutable retries : int;
@@ -844,15 +843,10 @@ module Stats = struct
     mutable elided_total : (phase * int) list;
   }
 
-  (* Summaries bound their reservoir so a million-op run keeps constant
-     memory; the paired Hist keeps p99/p99.9 trustworthy regardless. *)
-  let agg_capacity = 8192
-
   let fresh_agg () =
     {
       n = 0;
-      latency = Metrics.Summary.create ~capacity:agg_capacity ();
-      hist = Metrics.Hist.create ();
+      latency = Metrics.Hist.create ();
       ok = 0;
       aborts = 0;
       retries = 0;
@@ -876,9 +870,9 @@ module Stats = struct
            routed to a scrap record instead of re-opening them *)
     scrap : op_stat;
     by_kind_agg : (string, agg) Hashtbl.t;
-    phase_agg : (phase, Metrics.Summary.t) Hashtbl.t;
+    phase_agg : (phase, Metrics.Hist.t) Hashtbl.t;
         (* per-(op, phase) accumulated durations, across kinds *)
-    queue_depth : (string, Metrics.Summary.t) Hashtbl.t;
+    queue_depth : (string, Metrics.Hist.t) Hashtbl.t;
     retarget_agg : (int * string, int * float) Hashtbl.t;
         (* (suspected brick, op kind) -> ops routed around it, summed
            time from the re-target to the op's end *)
@@ -955,8 +949,10 @@ module Stats = struct
     let a = kind_agg t s.op_kind in
     a.n <- a.n + 1;
     let lat = s.t_end -. s.t_start in
-    Metrics.Summary.add a.latency lat;
-    if lat >= 0. then Metrics.Hist.add a.hist lat;
+    (* The mc clock is the wall clock, which may step backwards;
+       [Hist.add] rejects the negative latencies and phase durations
+       that would produce, so they are skipped. *)
+    if lat >= 0. then Metrics.Hist.add a.latency lat;
     (match s.outcome with
     | Some Ok -> a.ok <- a.ok + 1
     | Some Abort -> a.aborts <- a.aborts + 1
@@ -969,15 +965,15 @@ module Stats = struct
           match List.assoc_opt p a.phase_total with Some d -> d | None -> 0.
         in
         a.phase_total <- (p, prev +. dur) :: List.remove_assoc p a.phase_total;
-        let sum =
+        let h =
           match Hashtbl.find_opt t.phase_agg p with
-          | Some sum -> sum
+          | Some h -> h
           | None ->
-              let sum = Metrics.Summary.create ~capacity:agg_capacity () in
-              Hashtbl.add t.phase_agg p sum;
-              sum
+              let h = Metrics.Hist.create () in
+              Hashtbl.add t.phase_agg p h;
+              h
         in
-        Metrics.Summary.add sum dur)
+        if dur >= 0. then Metrics.Hist.add h dur)
       s.phases;
     List.iter
       (fun (p, c) ->
@@ -1009,15 +1005,15 @@ module Stats = struct
     match ev.kind with
     | Queue_depth { depth } ->
         let key = actor_name ev.actor in
-        let s =
+        let h =
           match Hashtbl.find_opt t.queue_depth key with
-          | Some s -> s
+          | Some h -> h
           | None ->
-              let s = Metrics.Summary.create ~capacity:4096 () in
-              Hashtbl.add t.queue_depth key s;
-              s
+              let h = Metrics.Hist.create () in
+              Hashtbl.add t.queue_depth key h;
+              h
         in
-        Metrics.Summary.add s (float_of_int depth)
+        Metrics.Hist.add h (float_of_int depth)
     | _ when ev.op < 0 -> (
         match ev.kind with
         | Msg_send { bytes; _ } ->
@@ -1122,10 +1118,6 @@ module Stats = struct
   (* Per-op-kind latency distributions, sorted by kind. *)
   let by_kind t = List.map (fun (k, a) -> (k, a.latency)) (sorted_kinds t)
 
-  (* Per-op-kind latency histograms (exact counts, bounded rank error
-     at any op count), sorted by kind. *)
-  let hist_by_kind t = List.map (fun (k, a) -> (k, a.hist)) (sorted_kinds t)
-
   (* Per-op-kind outcome tallies: (kind, (ok, aborts, retries,
      unavailable)), sorted by kind. *)
   let outcome_counts t =
@@ -1188,28 +1180,25 @@ module Stats = struct
     |> List.sort compare
 
   (* Write the derived distributions into a metrics registry: latency
-     summaries and histograms under "op.<kind>.latency", summaries
-     under "phase.<name>.latency", queue depth gauges under
-     "queue.<actor>.depth", plus outcome counters. Reads only the
-     aggregates, so it is unaffected by eviction; with a [retain]
-     bound the remaining completed records are themselves evicted
-     afterwards ("obs.evictions" records how many went overall). *)
+     histograms under "op.<kind>.latency" and "phase.<name>.latency",
+     queue depth histograms under "queue.<actor>.depth", plus outcome
+     counters. A histogram already registered under a name is merged
+     with, not replaced. Reads only the aggregates, so it is unaffected
+     by eviction; with a [retain] bound the remaining completed records
+     are themselves evicted afterwards ("obs.evictions" records how
+     many went overall). *)
   let materialize t reg =
+    let put name h =
+      let merged =
+        match Metrics.Registry.hist_opt reg name with
+        | Some existing -> Metrics.Hist.merge existing h
+        | None -> Metrics.Hist.merge (Metrics.Hist.create ()) h
+      in
+      Metrics.Registry.put_hist reg name merged
+    in
     List.iter
       (fun (kind, a) ->
-        let name = "op." ^ kind ^ ".latency" in
-        let merged =
-          match Metrics.Registry.summary_opt reg name with
-          | Some existing -> Metrics.Summary.merge existing a.latency
-          | None -> Metrics.Summary.merge (Metrics.Summary.create ()) a.latency
-        in
-        Metrics.Registry.put_summary reg name merged;
-        let hmerged =
-          match Metrics.Registry.hist_opt reg name with
-          | Some existing -> Metrics.Hist.merge existing a.hist
-          | None -> Metrics.Hist.merge (Metrics.Hist.create ()) a.hist
-        in
-        Metrics.Registry.put_hist reg name hmerged;
+        put ("op." ^ kind ^ ".latency") a.latency;
         Metrics.Registry.incr ~by:(float_of_int a.n) reg "obs.ops";
         let tally name n =
           if n > 0 then Metrics.Registry.incr ~by:(float_of_int n) reg name
@@ -1219,24 +1208,10 @@ module Stats = struct
         tally "obs.unavailable" a.unavail)
       (sorted_kinds t);
     List.iter
-      (fun (p, sum) ->
-        let name = "phase." ^ phase_name p ^ ".latency" in
-        let merged =
-          match Metrics.Registry.summary_opt reg name with
-          | Some existing -> Metrics.Summary.merge existing sum
-          | None -> Metrics.Summary.merge (Metrics.Summary.create ()) sum
-        in
-        Metrics.Registry.put_summary reg name merged)
+      (fun (p, h) -> put ("phase." ^ phase_name p ^ ".latency") h)
       (by_phase t);
     List.iter
-      (fun (actor, depth) ->
-        let name = "queue." ^ actor ^ ".depth" in
-        let merged =
-          match Metrics.Registry.summary_opt reg name with
-          | Some existing -> Metrics.Summary.merge existing depth
-          | None -> Metrics.Summary.merge (Metrics.Summary.create ()) depth
-        in
-        Metrics.Registry.put_summary reg name merged)
+      (fun (actor, h) -> put ("queue." ^ actor ^ ".depth") h)
       (queue_depths t);
     if t.retain > 0 then begin
       evict_down_to t 0;

@@ -301,19 +301,15 @@ module Stats : sig
 
   val latency : op_stat -> float
 
-  val by_kind : stats -> (string * Metrics.Summary.t) list
-  (** Latency distribution per operation kind. *)
-
-  val hist_by_kind : stats -> (string * Metrics.Hist.t) list
-  (** Latency histogram per operation kind: exact counts and bounded
-      rank error at any op count, where the summaries above thin their
-      reservoirs past {!val-create}'s capacity. *)
+  val by_kind : stats -> (string * Metrics.Hist.t) list
+  (** Latency histogram per operation kind. A span the mc wall clock
+      measured as negative is not recorded, here or in {!by_phase}. *)
 
   val outcome_counts : stats -> (string * (int * int * int * int)) list
   (** Per op kind: [(ok, aborts, retries, unavailable)] tallies. *)
 
-  val by_phase : stats -> (phase * Metrics.Summary.t) list
-  (** Time-in-phase distribution across all completed operations. *)
+  val by_phase : stats -> (phase * Metrics.Hist.t) list
+  (** Time-in-phase histogram across all completed operations. *)
 
   val phase_breakdown : stats -> (string * int * (phase * float) list) list
   (** Per op kind: completed count and mean duration per phase. *)
@@ -322,7 +318,8 @@ module Stats : sig
   (** Per op kind: total elided quorum rounds per phase over the
       completed ops; kinds with no elisions are absent. *)
 
-  val queue_depths : stats -> (string * Metrics.Summary.t) list
+  val queue_depths : stats -> (string * Metrics.Hist.t) list
+  (** Per actor: the queue depths sampled at enqueue. *)
 
   val retargets : stats -> (int * string * int * float) list
   (** Per suspected brick and op kind: [(brick, kind, ops, mean)], the
@@ -332,8 +329,9 @@ module Stats : sig
 
   val materialize : stats -> Metrics.Registry.t -> unit
   (** Write the derived distributions into a registry:
-      ["op.<kind>.latency"] summaries {e and} histograms,
-      ["phase.<name>.latency"] and ["queue.<actor>.depth"] summaries,
+      ["op.<kind>.latency"], ["phase.<name>.latency"] and
+      ["queue.<actor>.depth"] histograms (merged into any histogram
+      already registered under the name),
       plus ["obs.ops"], ["obs.aborts"], ["obs.retries"],
       ["obs.unavailable"] counters. When [retain] is bounded, the
       remaining completed records are evicted afterwards and

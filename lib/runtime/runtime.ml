@@ -233,7 +233,8 @@ module Mailbox = struct
     if debug then assert (Atomic.get t.nwaiters = List.length t.waiters)
 
   let send t v =
-    if not (Atomic.get t.closed) then begin
+    if Atomic.get t.closed then false
+    else begin
       let seg = t.segs.((Domain.self () :> int) land (nsegs - 1)) in
       Mutex.lock seg.sq_lock;
       (* Checked again under the segment lock: a receiver that has seen
@@ -257,7 +258,8 @@ module Mailbox = struct
         check t;
         Mutex.unlock t.lock;
         match w with Some w -> w.wg.open_ () | None -> ()
-      end
+      end;
+      accepted
     end
 
   let transfer_seg t seg =

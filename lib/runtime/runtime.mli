@@ -128,8 +128,9 @@ module Mailbox : sig
 
   val create : rt -> 'a t
 
-  val send : 'a t -> 'a -> unit
-  (** Sends to a closed mailbox are dropped silently. *)
+  val send : 'a t -> 'a -> bool
+  (** [true] if the message was queued; [false] if the mailbox is
+      closed, in which case the message is dropped. *)
 
   val recv : ?timeout:float -> 'a t -> 'a option
   (** Block until a message arrives ([Some m]), the timeout expires,

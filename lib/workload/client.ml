@@ -5,13 +5,8 @@ type stats = {
   mutable aborts : int;
   mutable unavailable : int;
   mutable blocks_moved : int;
-  latency : Metrics.Summary.t;
-  latency_hist : Metrics.Hist.t;
+  latency : Metrics.Hist.t;
 }
-
-(* Bound the reservoir so long-running clients hold constant memory;
-   the paired histogram keeps tail percentiles exact-rank anyway. *)
-let latency_capacity = 8192
 
 let fresh_stats () =
   {
@@ -21,8 +16,7 @@ let fresh_stats () =
     aborts = 0;
     unavailable = 0;
     blocks_moved = 0;
-    latency = Metrics.Summary.create ~capacity:latency_capacity ();
-    latency_hist = Metrics.Hist.create ();
+    latency = Metrics.Hist.create ();
   }
 
 let spawn volume ~coord ~gen ~ops ?(think_time = 0.) ?(payload_tag = 'w')
@@ -69,8 +63,7 @@ let spawn volume ~coord ~gen ~ops ?(think_time = 0.) ?(payload_tag = 'w')
         | `Aborted -> stats.aborts <- stats.aborts + 1
         | `Unavailable -> stats.unavailable <- stats.unavailable + 1);
         let elapsed = Runtime.now rt -. started in
-        Metrics.Summary.add stats.latency elapsed;
-        if elapsed >= 0. then Metrics.Hist.add stats.latency_hist elapsed;
+        if elapsed >= 0. then Metrics.Hist.add stats.latency elapsed;
         if think_time > 0. then Runtime.sleep rt think_time
       done)
 

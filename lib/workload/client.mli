@@ -16,13 +16,9 @@ type stats = {
       (** Operations that failed fast on a deadline expiry
           ({!Fab.Volume.outcome}); always 0 without a deadline. *)
   mutable blocks_moved : int;
-  latency : Metrics.Summary.t;
-      (** per-op latency in delta units; reservoir bounded, so very
-          long runs hold constant memory at the cost of approximate
-          percentiles past the capacity *)
-  latency_hist : Metrics.Hist.t;
-      (** the same latencies log-bucketed: exact counts and bounded
-          rank error at any op count — read p99/p99.9 from here *)
+  latency : Metrics.Hist.t;
+      (** per-op latency in delta units (seconds on mc), log-bucketed:
+          exact counts and mean, bounded rank error at any op count *)
 }
 
 val fresh_stats : unit -> stats

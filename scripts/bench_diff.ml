@@ -108,7 +108,7 @@ let direction path =
   | "ops_per_sec" | "sharded_calls_per_sec" | "batched_msgs_per_sec"
   | "arms_per_sec" | "speedup" | "speedup_vs_1" ->
       Worse_down
-  | "mean" | "max" | "p50" | "p90" | "p95" | "p99" | "p999" | "stddev"
+  | "mean" | "max" | "p50" | "p90" | "p95" | "p99" | "p999"
   | "aborts" | "unavailable" | "bad" | "burn" | "retransmits" | "drops"
   | "timeouts" | "elapsed" | "evicted" | "ns_per_block" | "msgs" | "bytes"
   | "net_blocks" | "disk_reads" | "disk_writes" | "nvram_writes" ->

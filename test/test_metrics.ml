@@ -1,4 +1,4 @@
-(* Tests for counters, snapshots and summaries. *)
+(* Tests for counters, snapshots, histograms and time series. *)
 
 let test_counter () =
   let c = Metrics.Counter.create () in
@@ -38,107 +38,93 @@ let test_snapshot_diff () =
     (Metrics.Snapshot.diff ~before ~after);
   Alcotest.(check (float 0.0)) "get" 5. (Metrics.Snapshot.get before "a")
 
-let test_summary_stats () =
-  let s = Metrics.Summary.create () in
-  List.iter (Metrics.Summary.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  Alcotest.(check int) "count" 8 (Metrics.Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5. (Metrics.Summary.mean s);
-  Alcotest.(check (float 1e-6)) "stddev" 2.13809 (Metrics.Summary.stddev s);
-  Alcotest.(check (float 0.0)) "min" 2. (Metrics.Summary.min s);
-  Alcotest.(check (float 0.0)) "max" 9. (Metrics.Summary.max s);
-  Alcotest.(check (float 0.0)) "median" 4. (Metrics.Summary.percentile s 50.);
-  Alcotest.(check (float 0.0)) "p100" 9. (Metrics.Summary.percentile s 100.)
+(* ---- summary statistics of a histogram ---- *)
 
-let test_summary_percentile_edges () =
-  let s = Metrics.Summary.create () in
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Metrics.Summary.percentile: empty") (fun () ->
-      ignore (Metrics.Summary.percentile s 50.));
-  Metrics.Summary.add s 1.;
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Metrics.Summary.percentile: p out of [0,100]")
-    (fun () -> ignore (Metrics.Summary.percentile s 150.));
-  Alcotest.(check (float 0.0)) "single value" 1.
-    (Metrics.Summary.percentile s 99.)
+(* [Hist] reports count, mean, min and max exactly and a percentile
+   within its relative error of the true sample at that rank. *)
+let check_near name expected h p =
+  let got = Metrics.Hist.percentile h p in
+  if Float.abs (got -. expected) > Metrics.Hist.relative_error h *. expected
+  then Alcotest.failf "%s: p%g = %g, want %g within %g" name p got expected
+      (Metrics.Hist.relative_error h)
+
+let of_list vs =
+  let h = Metrics.Hist.create () in
+  List.iter (Metrics.Hist.add h) vs;
+  h
+
+let test_summary_stats () =
+  let s = of_list [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
+  Alcotest.(check int) "count" 8 (Metrics.Hist.count s);
+  Alcotest.(check (float 1e-9)) "mean" 5. (Metrics.Hist.mean s);
+  Alcotest.(check (float 0.0)) "min" 2. (Metrics.Hist.min s);
+  Alcotest.(check (float 0.0)) "max" 9. (Metrics.Hist.max s);
+  check_near "median" 4. s 50.;
+  Alcotest.(check (float 0.0)) "p100" 9. (Metrics.Hist.percentile s 100.)
 
 let test_summary_incremental_after_percentile () =
-  (* The sorted cache must be invalidated by later adds. *)
-  let s = Metrics.Summary.create () in
-  Metrics.Summary.add s 10.;
-  Alcotest.(check (float 0.0)) "first" 10. (Metrics.Summary.percentile s 50.);
-  Metrics.Summary.add s 1.;
-  Alcotest.(check (float 0.0)) "updated" 1. (Metrics.Summary.percentile s 50.)
+  (* A percentile read must not freeze the distribution. *)
+  let s = of_list [ 10. ] in
+  Alcotest.(check (float 0.0)) "first" 10. (Metrics.Hist.percentile s 50.);
+  Metrics.Hist.add s 1.;
+  check_near "updated" 1. s 50.
 
 let test_summary_merge () =
-  let a = Metrics.Summary.create () in
-  let b = Metrics.Summary.create () in
-  List.iter (Metrics.Summary.add a) [ 1.; 2.; 3. ];
-  List.iter (Metrics.Summary.add b) [ 10.; 20. ];
-  let m = Metrics.Summary.merge a b in
-  Alcotest.(check int) "count" 5 (Metrics.Summary.count m);
-  Alcotest.(check (float 1e-9)) "mean" 7.2 (Metrics.Summary.mean m);
-  Alcotest.(check (float 0.0)) "min" 1. (Metrics.Summary.min m);
-  Alcotest.(check (float 0.0)) "max" 20. (Metrics.Summary.max m);
-  Alcotest.(check (float 0.0)) "median" 3. (Metrics.Summary.percentile m 50.);
-  (* The pooled variance must match a flat series of the same values. *)
-  let flat = Metrics.Summary.create () in
-  List.iter (Metrics.Summary.add flat) [ 1.; 2.; 3.; 10.; 20. ];
-  Alcotest.(check (float 1e-9)) "pooled stddev" (Metrics.Summary.stddev flat)
-    (Metrics.Summary.stddev m);
-  (* Inputs are untouched. *)
-  Alcotest.(check int) "a untouched" 3 (Metrics.Summary.count a);
-  Alcotest.(check int) "b untouched" 2 (Metrics.Summary.count b)
+  let a = of_list [ 1.; 2.; 3. ] in
+  let b = of_list [ 10.; 20. ] in
+  let m = Metrics.Hist.merge a b in
+  Alcotest.(check int) "count" 5 (Metrics.Hist.count m);
+  Alcotest.(check (float 1e-9)) "mean" 7.2 (Metrics.Hist.mean m);
+  Alcotest.(check (float 0.0)) "min" 1. (Metrics.Hist.min m);
+  Alcotest.(check (float 0.0)) "max" 20. (Metrics.Hist.max m);
+  check_near "median" 3. m 50.;
+  (* pooled buckets equal one histogram over the concatenated series *)
+  let flat = of_list [ 1.; 2.; 3.; 10.; 20. ] in
+  Alcotest.(check bool) "pooled buckets" true
+    (Metrics.Hist.buckets flat = Metrics.Hist.buckets m);
+  (* inputs unchanged *)
+  Alcotest.(check int) "a untouched" 3 (Metrics.Hist.count a);
+  Alcotest.(check int) "b untouched" 2 (Metrics.Hist.count b)
 
 let test_summary_merge_empty () =
-  let e = Metrics.Summary.create () in
-  let m0 = Metrics.Summary.merge e (Metrics.Summary.create ()) in
-  Alcotest.(check int) "empty+empty" 0 (Metrics.Summary.count m0);
-  let a = Metrics.Summary.create () in
-  List.iter (Metrics.Summary.add a) [ 4.; 6. ];
-  let left = Metrics.Summary.merge e a in
-  let right = Metrics.Summary.merge a e in
+  let e = Metrics.Hist.create () in
+  let m0 = Metrics.Hist.merge e (Metrics.Hist.create ()) in
+  Alcotest.(check int) "empty+empty" 0 (Metrics.Hist.count m0);
+  let a = of_list [ 4.; 6. ] in
+  let left = Metrics.Hist.merge e a in
+  let right = Metrics.Hist.merge a e in
   List.iter
     (fun (name, m) ->
-      Alcotest.(check int) (name ^ " count") 2 (Metrics.Summary.count m);
-      Alcotest.(check (float 1e-9)) (name ^ " mean") 5. (Metrics.Summary.mean m);
-      Alcotest.(check (float 1e-9)) (name ^ " stddev")
-        (Metrics.Summary.stddev a) (Metrics.Summary.stddev m);
-      Alcotest.(check (float 0.0)) (name ^ " p50") 4.
-        (Metrics.Summary.percentile m 50.))
-    [ ("empty+a", left); ("a+empty", right) ]
-
-let test_summary_capacity () =
-  let s = Metrics.Summary.create ~capacity:8 () in
-  for i = 1 to 100 do
-    Metrics.Summary.add s (float_of_int i)
-  done;
-  (* Moment statistics stay exact regardless of the reservoir. *)
-  Alcotest.(check int) "count exact" 100 (Metrics.Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean exact" 50.5 (Metrics.Summary.mean s);
-  Alcotest.(check (float 0.0)) "min exact" 1. (Metrics.Summary.min s);
-  Alcotest.(check (float 0.0)) "max exact" 100. (Metrics.Summary.max s);
-  (* Percentiles come from the thinned reservoir: approximate, but a
-     median over a systematic sample of a uniform ramp stays nearby. *)
-  let p50 = Metrics.Summary.percentile s 50. in
-  Alcotest.(check bool) "median in bulk" true (p50 > 20. && p50 < 80.);
-  Alcotest.check_raises "capacity 1 rejected"
-    (Invalid_argument "Metrics.Summary.create: capacity must be 0 or >= 2")
-    (fun () -> ignore (Metrics.Summary.create ~capacity:1 ()))
-
-let test_summary_capacity_exact_below () =
-  (* While count <= capacity the reservoir is lossless. *)
-  let s = Metrics.Summary.create ~capacity:8 () in
-  List.iter (Metrics.Summary.add s) [ 5.; 1.; 9.; 3. ];
-  Alcotest.(check (float 0.0)) "exact p50" 3. (Metrics.Summary.percentile s 50.)
+      Alcotest.(check int) (name ^ " count") 2 (Metrics.Hist.count m);
+      Alcotest.(check (float 1e-9)) (name ^ " mean") 5. (Metrics.Hist.mean m);
+      Alcotest.(check bool) (name ^ " buckets") true
+        (Metrics.Hist.buckets a = Metrics.Hist.buckets m);
+      Alcotest.(check (float 0.0)) (name ^ " median")
+        (Metrics.Hist.percentile a 50.)
+        (Metrics.Hist.percentile m 50.))
+    [ ("left identity", left); ("right identity", right) ]
 
 (* ---- HDR histogram ---- *)
 
 let test_hist_basics () =
   let h = Metrics.Hist.create () in
   Alcotest.(check int) "empty" 0 (Metrics.Hist.count h);
+  Alcotest.(check (float 0.0)) "empty mean" 0. (Metrics.Hist.mean h);
+  Alcotest.check_raises "empty percentile"
+    (Invalid_argument "Metrics.Hist.percentile: empty") (fun () ->
+      ignore (Metrics.Hist.percentile h 50.));
   List.iter (Metrics.Hist.add h) [ 0.; 1.; 2.; 4.; 1000. ];
   Metrics.Hist.add ~count:3 h 2.;
   Alcotest.(check int) "count" 8 (Metrics.Hist.count h);
+  (* the mean is exact: (0 + 1 + 2 + 4 + 1000 + 3 * 2) / 8 *)
+  Alcotest.(check (float 1e-9)) "mean" (1013. /. 8.) (Metrics.Hist.mean h);
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "p = %g" p)
+        (Invalid_argument "Metrics.Hist.percentile: p out of [0,100]")
+        (fun () -> ignore (Metrics.Hist.percentile h p)))
+    [ -1.; 100.5; 150. ];
   Alcotest.(check (float 0.0)) "min" 0. (Metrics.Hist.min h);
   Alcotest.(check (float 0.0)) "max" 1000. (Metrics.Hist.max h);
   (* p0 / p100 clamp to the exact observed extremes. *)
@@ -226,8 +212,8 @@ let test_hist_property () =
       Alcotest.(check int) (name ^ " exact count") n (Metrics.Hist.count h);
       Array.sort compare values;
       check_percentiles name h values;
-      (* The sampling Summary at the same capacity the clients use
-         would be allowed to drift here; the histogram may not. *)
+      (* A sampling reservoir would be allowed to drift here; the
+         histogram's extremes may not. *)
       Alcotest.(check (float 0.0))
         (name ^ " exact min") values.(0) (Metrics.Hist.min h);
       Alcotest.(check (float 0.0))
@@ -331,14 +317,10 @@ let () =
       ( "summary",
         [
           Alcotest.test_case "statistics" `Quick test_summary_stats;
-          Alcotest.test_case "percentile edges" `Quick test_summary_percentile_edges;
           Alcotest.test_case "cache invalidation" `Quick
             test_summary_incremental_after_percentile;
           Alcotest.test_case "merge" `Quick test_summary_merge;
           Alcotest.test_case "merge empty" `Quick test_summary_merge_empty;
-          Alcotest.test_case "bounded reservoir" `Quick test_summary_capacity;
-          Alcotest.test_case "reservoir exact below capacity" `Quick
-            test_summary_capacity_exact_below;
         ] );
       ( "hist",
         [

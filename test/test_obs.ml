@@ -479,6 +479,25 @@ let check_accounting ~label cl events stats =
   check "obs.retries" t.retry
     (int_of_float (Metrics.Registry.value reg "obs.retries"));
   check "outcomes partition span ends" t.ends (t.ok + t.abort + t.retry);
+  (* Every completed op lands in exactly one per-kind latency
+     histogram, and the phases get histograms of their own. *)
+  let names = Metrics.Registry.hist_names reg in
+  let with_affixes pre suf =
+    List.filter
+      (fun n ->
+        String.starts_with ~prefix:pre n && String.ends_with ~suffix:suf n)
+      names
+  in
+  check "op latency histograms sum to obs.ops" t.ends
+    (List.fold_left
+       (fun acc n ->
+         acc + Metrics.Hist.count (Option.get (Metrics.Registry.hist_opt reg n)))
+       0
+       (with_affixes "op." ".latency"));
+  Alcotest.(check bool)
+    (label ^ ": phase latency histograms")
+    true
+    (t.ends = 0 || with_affixes "phase." ".latency" <> []);
   t
 
 let obs_round ~seed =
@@ -805,7 +824,7 @@ let test_stats_retention () =
       Alcotest.(check int) "read oks" 2 ok;
       Alcotest.(check int) "read aborts" 1 ab
   | None -> Alcotest.fail "read-stripe aggregate missing");
-  (match List.assoc_opt "read-stripe" (Obs.Stats.hist_by_kind stats) with
+  (match List.assoc_opt "read-stripe" (Obs.Stats.by_kind stats) with
   | Some h -> Alcotest.(check int) "hist count" 3 (Metrics.Hist.count h)
   | None -> Alcotest.fail "read-stripe hist missing");
   let reg = Metrics.Registry.create () in

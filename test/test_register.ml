@@ -875,6 +875,29 @@ let test_degraded_read_mc () =
       Alcotest.(check (float 0.)) "no further re-target" 3.
         (counter cl "coord.retargets"))
 
+let test_mc_dead_drops_counted () =
+  (* On mc a crashed brick's mailbox is closed: every message sent to
+     it must be counted under net.drops.dead, as sim counts a delivery
+     to a dead process, not vanish. *)
+  let cl = Cluster.create ~backend:(Mc { domains = 1 }) ~m:2 ~n:4 ~block_size:bs
+      ~retry_every:0.01 () in
+  Fun.protect
+    ~finally:(fun () ->
+      if Cluster.try_quiesce ~timeout:30. cl then Cluster.shutdown cl
+      else Alcotest.fail "mc cluster failed to quiesce")
+    (fun () ->
+      Cluster.crash cl 3;
+      for stripe = 0 to 4 do
+        match
+          Cluster.run_op ~coord:0 cl (fun c ->
+              Coordinator.write_stripe c ~stripe (stripe_data 'D' 2))
+        with
+        | Some (Ok ()) -> ()
+        | Some (Error _) | None -> Alcotest.failf "mc write_stripe %d" stripe
+      done;
+      Alcotest.(check bool) "sends to the crashed brick counted" true
+        (counter cl "net.drops.dead" > 0.))
+
 let test_concurrent_writers_abort_or_serialize () =
   (* Two coordinators write the same stripe at the same instant: at
      most one wins per timestamp order; aborts are allowed but data
@@ -1319,6 +1342,8 @@ let () =
             test_concurrent_writers_abort_or_serialize;
           Alcotest.test_case "idle coordinator writes on the fast path"
             `Quick test_idle_coordinator_writes_fast;
+          Alcotest.test_case "mc counts sends to a crashed brick" `Quick
+            test_mc_dead_drops_counted;
         ] );
       ( "order-elision",
         [

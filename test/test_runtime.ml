@@ -81,7 +81,7 @@ let test_mailbox_fifo_per_sender make () =
           for s = 0 to senders - 1 do
             Runtime.spawn h.rt (fun () ->
                 for i = 0 to per_sender - 1 do
-                  Runtime.Mailbox.send box (s, i);
+                  ignore (Runtime.Mailbox.send box (s, i));
                   Runtime.sleep h.rt (0.001 *. float_of_int (1 + s))
                 done)
           done;
@@ -192,7 +192,7 @@ let test_mailbox_timeout_and_close make () =
           Runtime.sleep h.rt 0.02;
           Alcotest.(check bool) "closed" true (Runtime.Mailbox.is_closed box2);
           (* Sends to a closed mailbox are dropped. *)
-          Runtime.Mailbox.send box2 ();
+          Alcotest.(check bool) "send refused" false (Runtime.Mailbox.send box2 ());
           Alcotest.(check int) "drop on closed" 0 (Runtime.Mailbox.length box2));
       Alcotest.(check bool) "empty recv times out" true !timed_out;
       Alcotest.(check bool) "close wakes receiver with None" true !woke_none)
@@ -397,7 +397,7 @@ let test_mailbox_fifo_fuzz make () =
             let rng = Random.State.make [| 97; s |] in
             Runtime.spawn h.rt (fun () ->
                 for i = 0 to per_sender - 1 do
-                  Runtime.Mailbox.send box (s, i);
+                  ignore (Runtime.Mailbox.send box (s, i));
                   if Random.State.int rng 4 = 0 then Runtime.yield h.rt
                 done)
           done;
@@ -430,7 +430,7 @@ let test_mailbox_timeout_mid_stream make () =
           Runtime.spawn h.rt (fun () ->
               for i = 1 to n do
                 Runtime.sleep h.rt 0.03;
-                Runtime.Mailbox.send box i
+                ignore (Runtime.Mailbox.send box i)
               done);
           let rec loop () =
             if List.length !got < n then begin
@@ -476,7 +476,7 @@ let test_mailbox_crash_reopen make () =
           for s = 0 to 1 do
             Runtime.spawn h.rt (fun () ->
                 for i = 0 to 99 do
-                  Runtime.Mailbox.send !box (s, i);
+                  ignore (Runtime.Mailbox.send !box (s, i));
                   if i mod 16 = 0 then Runtime.yield h.rt
                 done)
           done;
@@ -484,7 +484,7 @@ let test_mailbox_crash_reopen make () =
              always sending through the shared slot. *)
           Runtime.spawn h.rt (fun () ->
               for i = 0 to 19 do
-                Runtime.Mailbox.send !box (2, i);
+                ignore (Runtime.Mailbox.send !box (2, i));
                 Runtime.sleep h.rt 0.005
               done);
           (* Let the receiver drain the burst and park empty. *)
@@ -506,7 +506,7 @@ let test_mailbox_crash_reopen make () =
               loop ());
           (* Post-recovery traffic must flow. *)
           for i = 0 to 49 do
-            Runtime.Mailbox.send !box (9, i)
+            ignore (Runtime.Mailbox.send !box (9, i))
           done;
           (* Outlive the straddling flood, then shut generation 2
              down cleanly — its parked receiver must wake too. *)
@@ -551,7 +551,7 @@ let test_mc_mailbox_close_race () =
   for s = 0 to senders - 1 do
     Runtime.spawn rt (fun () ->
         for i = 0 to iters - 1 do
-          Runtime.Mailbox.send box (s, i)
+          ignore (Runtime.Mailbox.send box (s, i))
         done)
   done;
   Runtime.spawn rt (fun () ->
@@ -562,7 +562,8 @@ let test_mc_mailbox_close_race () =
   Alcotest.(check int) "per-sender FIFO violations" 0 !violations;
   Alcotest.(check bool) "received bounded by sent" true
     (!received <= senders * iters);
-  Runtime.Mailbox.send box (0, 0);
+  Alcotest.(check bool) "send after close refused" false
+    (Runtime.Mailbox.send box (0, 0));
   Alcotest.(check int) "send after close dropped" 0 (Runtime.Mailbox.length box)
 
 let test_mc_spawn_cursor_wrap () =
