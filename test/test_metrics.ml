@@ -62,6 +62,22 @@ let test_summary_stats () =
   check_near "median" 4. s 50.;
   Alcotest.(check (float 0.0)) "p100" 9. (Metrics.Hist.percentile s 100.)
 
+let test_summary_percentile_edges () =
+  let s = Metrics.Hist.create () in
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Metrics.Hist.percentile: empty") (fun () ->
+      ignore (Metrics.Hist.percentile s 50.));
+  Metrics.Hist.add s 1.;
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "p = %g" p)
+        (Invalid_argument "Metrics.Hist.percentile: p out of [0,100]")
+        (fun () -> ignore (Metrics.Hist.percentile s p)))
+    [ -1.; 100.5; 150. ];
+  Alcotest.(check (float 0.0)) "single value" 1.
+    (Metrics.Hist.percentile s 99.)
+
 let test_summary_incremental_after_percentile () =
   (* A percentile read must not freeze the distribution. *)
   let s = of_list [ 10. ] in
@@ -110,21 +126,11 @@ let test_hist_basics () =
   let h = Metrics.Hist.create () in
   Alcotest.(check int) "empty" 0 (Metrics.Hist.count h);
   Alcotest.(check (float 0.0)) "empty mean" 0. (Metrics.Hist.mean h);
-  Alcotest.check_raises "empty percentile"
-    (Invalid_argument "Metrics.Hist.percentile: empty") (fun () ->
-      ignore (Metrics.Hist.percentile h 50.));
   List.iter (Metrics.Hist.add h) [ 0.; 1.; 2.; 4.; 1000. ];
   Metrics.Hist.add ~count:3 h 2.;
   Alcotest.(check int) "count" 8 (Metrics.Hist.count h);
   (* the mean is exact: (0 + 1 + 2 + 4 + 1000 + 3 * 2) / 8 *)
   Alcotest.(check (float 1e-9)) "mean" (1013. /. 8.) (Metrics.Hist.mean h);
-  List.iter
-    (fun p ->
-      Alcotest.check_raises
-        (Printf.sprintf "p = %g" p)
-        (Invalid_argument "Metrics.Hist.percentile: p out of [0,100]")
-        (fun () -> ignore (Metrics.Hist.percentile h p)))
-    [ -1.; 100.5; 150. ];
   Alcotest.(check (float 0.0)) "min" 0. (Metrics.Hist.min h);
   Alcotest.(check (float 0.0)) "max" 1000. (Metrics.Hist.max h);
   (* p0 / p100 clamp to the exact observed extremes. *)
@@ -317,6 +323,7 @@ let () =
       ( "summary",
         [
           Alcotest.test_case "statistics" `Quick test_summary_stats;
+          Alcotest.test_case "percentile edges" `Quick test_summary_percentile_edges;
           Alcotest.test_case "cache invalidation" `Quick
             test_summary_incremental_after_percentile;
           Alcotest.test_case "merge" `Quick test_summary_merge;
