@@ -2,18 +2,22 @@
    and version-log primitives this implementation hand-rolls — the
    compute cost a FAB brick pays per block.
 
-   Five groups:
+   Six groups:
    - "erasure": the codec-level primitives (encode/decode/modify) under
      the default (fastest available) GF(2^8) kernel;
    - "kernel": the 64-bit-wide XOR that delta computation uses, plus
-     one single-coefficient multiply-accumulate per available kernel;
+     one single-coefficient multiply-accumulate per available kernel
+     and SIMD level ("c_simd@L" is level L);
    - "fused": the fused all-parity-rows encode of rs(10,14), once per
-     available kernel — SIMD against the portable C loop and the
-     scalar oracle;
+     available kernel and SIMD level — each SIMD loop against the
+     portable C loop and the scalar oracle;
    - "plan": decode with a warm decode-plan cache vs re-running
      Gaussian elimination on every call;
    - "slog": the version log's entry checksum, and the [Slog.head]
-     query a targeted replica read makes, at 4 KiB and 64 KiB blocks.
+     query a targeted replica read makes, at 4 KiB and 64 KiB blocks;
+   - "crc32c": each available CRC32C path on one 64 KiB block, hot (the
+     same block every call, so it stays in cache) and cold (a random
+     block of a 64 MiB set per call, so it comes from memory).
 
    [json_out] (set by bench/main.ml's --json flag) additionally writes
    every row to BENCH_micro.json so the perf trajectory is
@@ -21,9 +25,12 @@
    a CI alias can exercise the harness in well under a second.
    [check_gf] (--check-gf) is a pass/fail gate: where SIMD is
    available the c_simd kernel must encode rs(10,14) at least 2x faster
-   than the portable C loop. [check_crc] (--check-crc) is another:
-   where the SSE4.2 CRC32C path is in use it must hash 64 KiB at least
-   2x faster than the portable slicing-by-8 path. *)
+   than the portable C loop, and where level 3 (GFNI) is in use at
+   least 1.5x faster than at level 2 (AVX2). [check_crc] (--check-crc)
+   is another: where a hardware CRC32C path is in use it must hash
+   64 KiB at least 2x faster than the portable slicing-by-8 path, and
+   where the VPCLMULQDQ path is in use at least 2x faster than the
+   SSE4.2 path. *)
 
 open Bechamel
 open Toolkit
@@ -37,6 +44,21 @@ let block_size = 4096
 let stripe m =
   Array.init m (fun i -> Bytes.make block_size (Char.chr (33 + i)))
 
+(* Every available kernel, [C_simd] once per SIMD level:
+   (label, impl, level), where [at level f] builds f's kernels at that
+   level. *)
+let kernel_variants () =
+  List.concat_map
+    (function
+      | K.C_simd ->
+          List.map
+            (fun l -> (Printf.sprintf "c_simd@%d" l, K.C_simd, Some l))
+            K.simd_levels
+      | impl -> [ (K.name impl, impl, None) ])
+    (K.available_impls ())
+
+let at level f = match level with None -> f () | Some l -> K.with_simd_level l f
+
 let kernel_tests () =
   let src = Bytes.init block_size (fun i -> Char.chr ((i * 7 + 3) land 0xff)) in
   let dst = Bytes.make block_size '\001' in
@@ -45,14 +67,14 @@ let kernel_tests () =
       (Staged.stage (fun () -> Gf256.Field.mul_slice ~dst ~src 1))
   in
   (* One dispatched single-coefficient multiply-accumulate per available
-     kernel: what a parity-delta application costs under each. *)
-  let mul_acc impl =
-    let mul = K.make_mul impl 0xb7 in
-    Test.make
-      ~name:("mul_acc " ^ K.name impl)
+     kernel and SIMD level: what a parity-delta application costs under
+     each. *)
+  let mul_acc (label, impl, level) =
+    let mul = at level (fun () -> K.make_mul impl 0xb7) in
+    Test.make ~name:("mul_acc " ^ label)
       (Staged.stage (fun () -> K.mul_acc mul ~dst ~src))
   in
-  xor :: List.map mul_acc (K.available_impls ())
+  xor :: List.map mul_acc (kernel_variants ())
 
 let erasure_tests () =
   let mk_codec name codec m =
@@ -80,15 +102,16 @@ let erasure_tests () =
   @ mk_codec "parity(4,5)" (Erasure.Codec.parity ~m:4 ()) 4
 
 (* The fused all-parity encode of rs(10,14), head to head across every
-   kernel backend available on this machine. encode_into with pinned
-   output buffers, so the rows measure pure kernel work. *)
+   kernel backend and SIMD level available on this machine. encode_into
+   with pinned output buffers, so the rows measure pure kernel work. *)
 let fused_m = 10
 let fused_n = 14
 
-let fused_codec impl = Erasure.Codec.rs ~kernel:impl ~m:fused_m ~n:fused_n ()
-
-let fused_encode_test impl =
-  let codec = fused_codec impl in
+let fused_encode_test ?level impl =
+  let codec =
+    at level (fun () ->
+        Erasure.Codec.rs ~kernel:impl ~m:fused_m ~n:fused_n ())
+  in
   let data = stripe fused_m in
   let into =
     Array.init fused_n (fun i ->
@@ -98,12 +121,12 @@ let fused_encode_test impl =
 
 let fused_tests () =
   List.map
-    (fun impl ->
-      let codec, data, into = fused_encode_test impl in
+    (fun (label, impl, level) ->
+      let codec, data, into = fused_encode_test ?level impl in
       Test.make
-        ~name:("encode rs(10,14) " ^ K.name impl)
+        ~name:("encode rs(10,14) " ^ label)
         (Staged.stage (fun () -> Erasure.Codec.encode_into codec data ~into)))
-    (K.available_impls ())
+    (kernel_variants ())
 
 (* Small blocks so plan construction (Gaussian elimination, O(m^3))
    dominates over slice work: this isolates what the decode-plan cache
@@ -143,6 +166,54 @@ let slog_tests size =
     Test.make ~name:("head " ^ kib)
       (Staged.stage (fun () -> ignore (Core.Slog.head log)));
   ]
+
+(* Each CRC32C path on a 64 KiB block. Hot hashes one block over and
+   over; cold hashes the blocks of a 64 MiB set in a random order, so
+   nearly every call reads its block from memory (the set is larger
+   than the last-level cache) — what a read of a block that is not
+   resident pays. "blit 64KiB cold" copies such a block into a hot
+   buffer: what only moving a cold block costs, the yardstick for the
+   cold hashes. *)
+let crc_block = 65536
+
+let crc_tests () =
+  (* A power of two; the smoke run only exercises the rows. *)
+  let cold_blocks = if !smoke then 16 else 1024 in
+  let rng = Random.State.make [| 29 |] in
+  let block () =
+    let b = Bytes.create crc_block in
+    for i = 0 to (crc_block / 8) - 1 do
+      Bytes.set_int64_le b (8 * i) (Random.State.bits64 rng)
+    done;
+    b
+  in
+  let hot = block () in
+  let cold = Array.init cold_blocks (fun _ -> block ()) in
+  let order = Array.init cold_blocks Fun.id in
+  for i = cold_blocks - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  let next = ref 0 in
+  let next_cold () =
+    next := (!next + 1) land (cold_blocks - 1);
+    cold.(order.(!next))
+  in
+  let into = Bytes.create crc_block in
+  Test.make ~name:"blit 64KiB cold"
+    (Staged.stage (fun () -> Bytes.blit (next_cold ()) 0 into 0 crc_block))
+  :: List.concat_map
+    (fun (name, crc) ->
+      [
+        Test.make ~name:(name ^ " 64KiB hot")
+          (Staged.stage (fun () -> ignore (Sys.opaque_identity (crc hot))));
+        Test.make ~name:(name ^ " 64KiB cold")
+          (Staged.stage (fun () ->
+               ignore (Sys.opaque_identity (crc (next_cold ())))));
+      ])
+    Core.Crc32c.paths
 
 (* ------------------------------------------------------------------ *)
 (* Harness                                                             *)
@@ -209,6 +280,7 @@ let run () =
         ("plan", plan_tests (), plan_block_size);
         ("slog", slog_tests block_size, block_size);
         ("slog", slog_tests 65536, 65536);
+        ("crc32c", crc_tests (), crc_block);
       ]
   in
   let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
@@ -227,13 +299,15 @@ let run () =
 (* ------------------------------------------------------------------ *)
 
 (* Directly timed (not Bechamel: the smoke quota is too noisy for a
-   pass/fail gate) encode comparison. The SIMD loops exist only for
+   pass/fail gate) encode comparisons. The SIMD loops exist only for
    speed: fail CI if, where they are in use, rs(10,14) encode_into is
-   not at least 2x faster under c_simd than under the portable C loop.
-   Without SIMD there is only the portable loop and nothing to gate. *)
+   not at least 2x faster under c_simd than under the portable C loop,
+   or, where level 3 (GFNI) is the probed level, not at least 1.5x
+   faster at level 3 than at level 2 (AVX2). Without SIMD there is only
+   the portable loop and nothing to gate. *)
 let check_gf () =
-  let time_encode impl =
-    let codec, data, into = fused_encode_test impl in
+  let time_encode ?level impl =
+    let codec, data, into = fused_encode_test ?level impl in
     let iters = 200 in
     for _ = 1 to 20 do
       Erasure.Codec.encode_into codec data ~into
@@ -243,6 +317,10 @@ let check_gf () =
       Erasure.Codec.encode_into codec data ~into
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9
+  in
+  let fail what =
+    Printf.eprintf "check-gf: FAIL: %s\n" what;
+    exit 1
   in
   let portable_ns = time_encode K.C_portable in
   if not (K.available K.C_simd) then
@@ -254,18 +332,25 @@ let check_gf () =
       "check-gf: rs(10,14) encode_into  c_simd %.0f ns  c_portable %.0f ns  \
        (%.2fx)\n"
       simd_ns portable_ns (portable_ns /. simd_ns);
-    if simd_ns > portable_ns /. 2. then begin
-      Printf.eprintf
-        "check-gf: FAIL: c_simd kernel not 2x faster than the portable loop\n";
-      exit 1
+    if simd_ns > portable_ns /. 2. then
+      fail "c_simd kernel not 2x faster than the portable loop";
+    if K.simd_level = 3 then begin
+      let avx2_ns = time_encode ~level:2 K.C_simd in
+      Printf.printf
+        "check-gf: rs(10,14) encode_into  level 3 %.0f ns  level 2 %.0f ns  \
+         (%.2fx)\n"
+        simd_ns avx2_ns (avx2_ns /. simd_ns);
+      if simd_ns > avx2_ns /. 1.5 then
+        fail "level 3 (GFNI) not 1.5x faster than level 2 (AVX2)"
     end
   end
 
-(* Directly timed, like [check_gf]. The SSE4.2 path exists only for
-   speed: fail CI if, where it is in use, it is not at least 2x faster
+(* Directly timed, like [check_gf]. The hardware paths exist only for
+   speed: fail CI if, where one is in use, it is not at least 2x faster
    than the portable loop on a 64 KiB block (the stream-large entry
-   size). Without SSE4.2 both calls run the same loop and there is
-   nothing to gate. *)
+   size), or, where the VPCLMULQDQ path is in use, not at least 2x
+   faster than the SSE4.2 path on the same hot block. Without either
+   there is only the portable loop and nothing to gate. *)
 let check_crc () =
   let b = Bytes.init 65536 (fun i -> Char.chr ((i * 7 + 3) land 0xff)) in
   let time f =
@@ -279,16 +364,20 @@ let check_crc () =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9
   in
-  let kernel_ns = time Core.Crc32c.bytes in
-  let portable_ns = time Core.Crc32c.portable in
-  Printf.printf
-    "check-crc: crc32c 64KiB  %s %.0f ns (%.3f ns/B)  portable %.0f ns (%.3f \
-     ns/B)  (%.2fx)\n"
-    Core.Crc32c.kernel kernel_ns (kernel_ns /. 65536.) portable_ns
-    (portable_ns /. 65536.) (portable_ns /. kernel_ns);
-  if Core.Crc32c.kernel <> "portable" && kernel_ns > portable_ns /. 2. then begin
-    Printf.eprintf
-      "check-crc: FAIL: %s crc32c path not 2x faster than the portable path\n"
-      Core.Crc32c.kernel;
+  let timed = List.map (fun (name, f) -> (name, time f)) Core.Crc32c.paths in
+  let ns name = List.assoc name timed in
+  let kernel_ns = ns Core.Crc32c.kernel and portable_ns = ns "portable" in
+  Printf.printf "check-crc: crc32c 64KiB %s (%.2fx portable)\n"
+    (String.concat "  "
+       (List.map
+          (fun (name, t) -> Printf.sprintf "%s %.0f ns (%.3f ns/B)" name t (t /. 65536.))
+          timed))
+    (portable_ns /. kernel_ns);
+  let fail what =
+    Printf.eprintf "check-crc: FAIL: %s\n" what;
     exit 1
-  end
+  in
+  if Core.Crc32c.kernel <> "portable" && kernel_ns > portable_ns /. 2. then
+    fail (Core.Crc32c.kernel ^ " crc32c path not 2x faster than the portable path");
+  if Core.Crc32c.kernel = "vpclmulqdq" && kernel_ns > ns "sse4.2" /. 2. then
+    fail "vpclmulqdq crc32c path not 2x faster than the sse4.2 path"

@@ -1,6 +1,12 @@
-external init : unit -> bool = "fab_crc32c_init" [@@noalloc]
+external init : unit -> int = "fab_crc32c_init" [@@noalloc]
 external bytes : Bytes.t -> int = "fab_crc32c" [@@noalloc]
-external portable : Bytes.t -> int = "fab_crc32c_portable" [@@noalloc]
+external path : int -> Bytes.t -> int = "fab_crc32c_path" [@@noalloc]
 
 (* Builds the tables and probes the CPU before any caller can hash. *)
-let kernel = if init () then "sse4.2" else "portable"
+let level = init ()
+
+let paths =
+  List.filteri (fun l _ -> l <= level) [ "portable"; "sse4.2"; "vpclmulqdq" ]
+  |> List.mapi (fun l name -> (name, path l))
+
+let kernel = fst (List.nth paths level)

@@ -1,16 +1,21 @@
-/* GF(2^8) slice multiplication: one portable loop and the byte-shuffle
- * SIMD loops, over the same tables and entry points.
+/* GF(2^8) slice multiplication: one portable loop, the byte-shuffle
+ * SIMD loops and the GFNI affine loop, over the same tables and entry
+ * points.
  *
- * Every loop consumes the SPLIT(8,4) table layout of
- * Gf256.Field.split_tables: 32 bytes per coefficient, bytes 0..15 the
- * products of the low nibble, bytes 16..31 the products of the high
- * nibble, so c * s = lo[s & 15] ^ hi[s >> 4]. A byte shuffle
+ * Every loop consumes one 40-byte entry per coefficient c (built by
+ * Gf256.Kernel): bytes 0..31 are its SPLIT(8,4) pair from
+ * Gf256.Field.split_tables, bytes 0..15 the products of the low nibble
+ * and 16..31 those of the high nibble, so c * s = lo[s & 15] ^
+ * hi[s >> 4]; bytes 32..39 are c's 8x8 bit matrix. A byte shuffle
  * (SSSE3 pshufb / NEON tbl) applies one 16-entry table to 16 (or 32)
  * source bytes per instruction — the ISA-L / klauspost technique.
+ * GFNI's vgf2p8affineqb instead multiplies 64 bytes by the matrix in
+ * one instruction.
  *
  * Every entry point takes the SIMD level to run at as its first
  * argument: 0 is the portable nibble-table loop (always available),
- * 1 SSSE3 or NEON (16 B per step), 2 AVX2 (32 B per step).
+ * 1 SSSE3 or NEON (16 B per step), 2 AVX2 (32 B per step),
+ * 3 AVX-512BW + GFNI (64 B per step, masked tails).
  * gf256_simd_level probes the highest level this CPU supports; the
  * OCaml side never passes more. The x86 paths are compiled with
  * per-function target attributes so no global -mavx2 / -mssse3 flags
@@ -25,6 +30,10 @@
 #include <stdint.h>
 #include <string.h>
 #include <caml/mlvalues.h>
+
+/* Bytes per coefficient entry, and the matrix's offset in one. */
+#define ENTRY 40
+#define MATRIX 32
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define GF256_X86 1
@@ -57,7 +66,7 @@ static void scalar_pass(uint8_t *dst, const uint8_t *src,
 }
 
 /* ------------------------------------------------------------------ */
-/* x86: SSSE3 and AVX2                                                 */
+/* x86: SSSE3, AVX2 and AVX-512BW + GFNI                              */
 /* ------------------------------------------------------------------ */
 
 #ifdef GF256_X86_SIMD
@@ -148,7 +157,7 @@ avx2_rows_tile(uint8_t *dst, value srcs, const uint8_t *trow, long k, long i,
     a0 = a1 = a2 = a3 = _mm256_setzero_si256();
   }
   for (j = 0; j < k; j++) {
-    const uint8_t *tbl = trow + j * 32;
+    const uint8_t *tbl = trow + j * ENTRY;
     const __m256i lo =
         _mm256_broadcastsi128_si256(_mm_loadu_si128((const __m128i *)tbl));
     const __m256i hi =
@@ -185,6 +194,105 @@ avx2_rows_tile(uint8_t *dst, value srcs, const uint8_t *trow, long k, long i,
   _mm256_storeu_si256((__m256i *)(dst + i + 96), a3);
 }
 
+#define GFNI_TARGET "avx512f,avx512bw,gfni"
+
+/* The entry's matrix in every qword of a zmm register. */
+__attribute__((target(GFNI_TARGET))) static inline __m512i
+gfni_matrix(const uint8_t *tbl) {
+  uint64_t m;
+  memcpy(&m, tbl + MATRIX, 8);
+  return _mm512_set1_epi64((long long)m);
+}
+
+/* One coefficient over the whole slice, 64 bytes per step; the last
+ * partial step is a masked load and store, so there is no scalar
+ * tail. */
+__attribute__((target(GFNI_TARGET))) static void
+gfni_pass(uint8_t *dst, const uint8_t *src, const uint8_t *tbl, long len,
+          int set) {
+  const __m512i a = gfni_matrix(tbl);
+  long i = 0;
+  for (; i + 64 <= len; i += 64) {
+    __m512i p = _mm512_gf2p8affine_epi64_epi8(
+        _mm512_loadu_si512((const void *)(src + i)), a, 0);
+    if (!set)
+      p = _mm512_xor_si512(p, _mm512_loadu_si512((const void *)(dst + i)));
+    _mm512_storeu_si512((void *)(dst + i), p);
+  }
+  if (i < len) {
+    const __mmask64 m = (1ULL << (len - i)) - 1;
+    __m512i p = _mm512_gf2p8affine_epi64_epi8(
+        _mm512_maskz_loadu_epi8(m, src + i), a, 0);
+    if (!set) p = _mm512_xor_si512(p, _mm512_maskz_loadu_epi8(m, dst + i));
+    _mm512_mask_storeu_epi8(dst + i, m, p);
+  }
+  _mm256_zeroupper();
+}
+
+/* Rows per pass of the fused map at level 3. */
+#define GFNI_ROWS 4
+
+/* Fused-rows inner loop at level 3: [g] rows (at most GFNI_ROWS) over
+ * one 256-byte tile. The g x 4 accumulators (64 bytes each) stay in
+ * zmm registers across all k sources, and each source's 256 bytes are
+ * loaded once for all g rows, so a tile reads its sources once per
+ * pass and writes each row once. [g] is a constant at every call site,
+ * so the loops over rows and 64-byte lanes unroll into registers. */
+__attribute__((target(GFNI_TARGET), always_inline)) static inline void
+gfni_tile(uint8_t *const *dst, value srcs, const uint8_t *rows, long k,
+          long i, int acc, const int g) {
+  __m512i a[GFNI_ROWS][4], s[4];
+  long j;
+  int q, t;
+#pragma GCC unroll 4
+  for (q = 0; q < g; q++)
+#pragma GCC unroll 4
+    for (t = 0; t < 4; t++)
+      a[q][t] = acc ? _mm512_loadu_si512((const void *)(dst[q] + i + 64 * t))
+                    : _mm512_setzero_si512();
+  for (j = 0; j < k; j++) {
+    const uint8_t *src = Bytes_val(Field(srcs, j)) + i;
+#pragma GCC unroll 4
+    for (t = 0; t < 4; t++)
+      s[t] = _mm512_loadu_si512((const void *)(src + 64 * t));
+#pragma GCC unroll 4
+    for (q = 0; q < g; q++) {
+      const __m512i m = gfni_matrix(rows + (q * k + j) * ENTRY);
+#pragma GCC unroll 4
+      for (t = 0; t < 4; t++)
+        a[q][t] = _mm512_xor_si512(a[q][t],
+                                   _mm512_gf2p8affine_epi64_epi8(s[t], m, 0));
+    }
+  }
+#pragma GCC unroll 4
+  for (q = 0; q < g; q++)
+#pragma GCC unroll 4
+    for (t = 0; t < 4; t++)
+      _mm512_storeu_si512((void *)(dst[q] + i + 64 * t), a[q][t]);
+}
+
+/* The fused map over [0, tiled), tiled a multiple of 256, in passes of
+ * up to GFNI_ROWS rows. */
+__attribute__((target(GFNI_TARGET))) static void
+gfni_rows(const uint8_t *tb, value srcs, value dsts, long k, long r,
+          long tiled, int acc) {
+  uint8_t *dst[GFNI_ROWS];
+  long p, i;
+  int g, q;
+  for (p = 0; p < r; p += g) {
+    const uint8_t *rows = tb + p * k * ENTRY;
+    g = r - p < GFNI_ROWS ? (int)(r - p) : GFNI_ROWS;
+    for (q = 0; q < g; q++) dst[q] = Bytes_val(Field(dsts, p + q));
+    for (i = 0; i < tiled; i += 256) switch (g) {
+      case 4: gfni_tile(dst, srcs, rows, k, i, acc, 4); break;
+      case 3: gfni_tile(dst, srcs, rows, k, i, acc, 3); break;
+      case 2: gfni_tile(dst, srcs, rows, k, i, acc, 2); break;
+      default: gfni_tile(dst, srcs, rows, k, i, acc, 1); break;
+      }
+  }
+  _mm256_zeroupper();
+}
+
 #endif /* GF256_X86_SIMD */
 
 /* ------------------------------------------------------------------ */
@@ -218,6 +326,8 @@ static void neon_pass(uint8_t *dst, const uint8_t *src, const uint8_t *tbl,
 static int detect_level(void) {
 #if defined(GF256_X86_SIMD)
   __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("gfni"))
+    return 3;
   if (__builtin_cpu_supports("avx2")) return 2;
   if (__builtin_cpu_supports("ssse3")) return 1;
   return 0;
@@ -232,6 +342,7 @@ static void mul_pass(int level, uint8_t *dst, const uint8_t *src,
                      const uint8_t *tbl, long len, int set) {
 #if defined(GF256_X86_SIMD)
   switch (level) {
+  case 3: gfni_pass(dst, src, tbl, len, set); return;
   case 2: avx2_pass(dst, src, tbl, len, set); return;
   case 1: ssse3_pass(dst, src, tbl, len, set); return;
   default: break;
@@ -253,7 +364,7 @@ CAMLprim value gf256_simd_level(value unit) {
   return Val_long(detect_level());
 }
 
-/* dst ^= table(src)  /  dst = table(src); tbl is one 32-byte pair. */
+/* dst ^= c * src  /  dst = c * src; tbl is c's 40-byte entry. */
 CAMLprim value gf256_mul_acc_stub(value vlevel, value dst, value src,
                                   value tbl, value vlen) {
   mul_pass(Int_val(vlevel), Bytes_val(dst), Bytes_val(src), Bytes_val(tbl),
@@ -269,7 +380,7 @@ CAMLprim value gf256_mul_set_stub(value vlevel, value dst, value src,
 }
 
 /* Fused r x k linear map: dsts[p] (+)= sum_j tbls[p*k+j](srcs[j]).
- * [tbls] is one string of r*k*32 table bytes; [srcs]/[dsts] are arrays
+ * [tbls] is one string of r*k 40-byte entries; [srcs]/[dsts] are arrays
  * of Bytes (payload pointers are stable: no allocation happens here).
  * When [acc] is 0 row p is overwritten by its j = 0 term; when 1 the
  * whole map accumulates into the existing dsts. Each (p, j) pass
@@ -284,11 +395,14 @@ CAMLprim value gf256_rows_apply_native(value vlevel, value tbls, value srcs,
   long tiled = 0;
   long p, j, i;
 #if defined(GF256_X86_SIMD)
-  if (level == 2) {
+  if (level == 3) {
+    tiled = len & ~255L;
+    gfni_rows(tb, srcs, dsts, k, r, tiled, acc);
+  } else if (level == 2) {
     tiled = len & ~127L;
     for (p = 0; p < r; p++) {
       uint8_t *dst = Bytes_val(Field(dsts, p));
-      const uint8_t *trow = tb + p * k * 32;
+      const uint8_t *trow = tb + p * k * ENTRY;
       for (i = 0; i < tiled; i += 128)
         avx2_rows_tile(dst, srcs, trow, k, i, acc);
     }
@@ -301,7 +415,7 @@ CAMLprim value gf256_rows_apply_native(value vlevel, value tbls, value srcs,
       uint8_t *dst = Bytes_val(Field(dsts, p));
       for (j = 0; j < k; j++) {
         const uint8_t *src = Bytes_val(Field(srcs, j));
-        const uint8_t *tbl = tb + (p * k + j) * 32;
+        const uint8_t *tbl = tb + (p * k + j) * ENTRY;
         mul_pass(level, dst + tiled, src + tiled, tbl, len - tiled,
                  (!acc && j == 0) ? 1 : 0);
       }

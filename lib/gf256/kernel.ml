@@ -4,12 +4,14 @@
 
    - [Scalar]: byte-at-a-time log/exp reference. Slow on purpose — it
      is the oracle the C path is tested against.
-   - [C_portable] / [C_simd]: the C stubs in gf256_stubs.c, applying the
-     32-byte SPLIT(8,4) tables of {!Field.split_tables}. Both run the
+   - [C_portable] / [C_simd]: the C stubs in gf256_stubs.c, applying
+     each coefficient's 40-byte [entry]: its SPLIT(8,4) pair from
+     {!Field.split_tables} and its GFNI bit matrix. Both run the
      same entry points; the impl only fixes the SIMD level passed to
      them: 0 (the portable nibble-table loop) or the level the CPU
-     probe reported (SSSE3/AVX2 pshufb, NEON tbl; 16–64 bytes per
-     step).
+     probe reported (SSSE3/AVX2 pshufb, NEON tbl, AVX-512 GFNI affine;
+     16–64 bytes per step). Each mul and rows resolves its level once,
+     at construction.
 
    Rows with at most one nonzero coefficient (identity rows of decode
    plans over surviving data blocks, replication rows) are served by
@@ -52,6 +54,18 @@ external c_rows_apply :
 
 let simd_level = stub_simd_level ()
 
+let simd_levels = List.init simd_level (fun l -> l + 1)
+
+(* The level [C_simd] resolves to at construction: the probe's, except
+   inside [with_simd_level]. *)
+let c_simd_level = ref simd_level
+
+let with_simd_level l f =
+  if l < 1 || l > simd_level then
+    invalid_arg (Printf.sprintf "Gf256.Kernel.with_simd_level: %d" l);
+  c_simd_level := l;
+  Fun.protect ~finally:(fun () -> c_simd_level := simd_level) f
+
 let available = function
   | Scalar | C_portable -> true
   | C_simd -> simd_level > 0
@@ -68,10 +82,38 @@ let select ?impl () =
   impl
 
 (* The SIMD level a C impl passes to the stubs. *)
-let level = function C_simd -> simd_level | Scalar | C_portable -> 0
+let level = function C_simd -> !c_simd_level | Scalar | C_portable -> 0
 
 (* The 32-byte SPLIT(8,4) pair of one coefficient. *)
 let split c = String.sub F.split_tables (c lsl 5) 32
+
+(* The C stubs' 40-byte entry for coefficient c: its SPLIT(8,4) pair,
+   then the 8x8 bit matrix of multiplication by c in GFNI's
+   vgf2p8affineqb layout. Multiplication by c is linear over GF(2), so
+   the matrix's column j is c * 2^j, read off the pair (lo[2^j] for
+   j < 4, hi[2^(j-4)] for j >= 4). Byte 7 - i of the matrix is the row
+   of output bit i: its bit j is bit i of column j. All 256 entries are
+   built once, like the split tables, so building a decode plan only
+   copies them. *)
+let entry_size = 40
+
+let entries =
+  String.concat ""
+    (List.init 256 (fun c ->
+         let pair = split c in
+         let column j =
+           Char.code pair.[if j < 4 then 1 lsl j else 16 + (1 lsl (j - 4))]
+         in
+         let row i =
+           let r = ref 0 in
+           for j = 0 to 7 do
+             r := !r lor (((column j lsr i) land 1) lsl j)
+           done;
+           Char.chr !r
+         in
+         pair ^ String.init 8 (fun b -> row (7 - b))))
+
+let entry c = String.sub entries (c * entry_size) entry_size
 
 (* ------------------------------------------------------------------ *)
 (* Scalar reference ops                                                *)
@@ -94,11 +136,11 @@ let scalar_mul_set ~dst ~src c len =
 (* Single-coefficient multipliers                                      *)
 (* ------------------------------------------------------------------ *)
 
-type mul = { mimpl : impl; c : int; tbl : string }
+type mul = { mimpl : impl; mlevel : int; c : int; tbl : string }
 
 let make_mul impl c =
   F.check_element c;
-  { mimpl = impl; c; tbl = split c }
+  { mimpl = impl; mlevel = level impl; c; tbl = entry c }
 
 let check_pair name ~dst ~src =
   let len = Bytes.length src in
@@ -112,7 +154,7 @@ let mul_acc m ~dst ~src =
   | _ when m.c = 0 -> ()
   | Scalar -> scalar_mul_acc ~dst ~src m.c len
   | _ when m.c = 1 -> F.mul_slice ~dst ~src 1
-  | C_portable | C_simd -> c_mul_acc (level m.mimpl) dst src m.tbl len
+  | C_portable | C_simd -> c_mul_acc m.mlevel dst src m.tbl len
 
 let mul_set m ~dst ~src =
   let len = check_pair "mul_set" ~dst ~src in
@@ -120,7 +162,7 @@ let mul_set m ~dst ~src =
   | _ when m.c = 0 -> Bytes.fill dst 0 len '\000'
   | Scalar -> scalar_mul_set ~dst ~src m.c len
   | _ when m.c = 1 -> Bytes.blit src 0 dst 0 len
-  | C_portable | C_simd -> c_mul_set (level m.mimpl) dst src m.tbl len
+  | C_portable | C_simd -> c_mul_set m.mlevel dst src m.tbl len
 
 (* ------------------------------------------------------------------ *)
 (* Fused row-group application                                         *)
@@ -133,8 +175,8 @@ type trivial = T_zero | T_one of int (* column; coefficient 1 *) | T_mul of int 
 type dense =
   | D_none
   | D_scalar of int array (* dense rows, applied byte by byte *)
-  | D_c of { d_rows : int array; d_tables : string }
-    (* r' * k * 32 B of SPLIT(8,4) tables, applied in C. *)
+  | D_c of { d_level : int; d_rows : int array; d_tables : string }
+    (* r' * k 40-byte entries, applied in C at [d_level]. *)
 
 type rows = {
   impl : impl;
@@ -178,10 +220,15 @@ let make_rows impl coeffs =
       | C_portable | C_simd ->
           let tables =
             List.concat_map
-              (fun p -> Array.to_list (Array.map split coeffs.(p)))
+              (fun p -> Array.to_list (Array.map entry coeffs.(p)))
               (Array.to_list dense_rows)
           in
-          D_c { d_rows = dense_rows; d_tables = String.concat "" tables }
+          D_c
+            {
+              d_level = level impl;
+              d_rows = dense_rows;
+              d_tables = String.concat "" tables;
+            }
   in
   { impl; r; k; coeffs; trivial; dense }
 
@@ -234,7 +281,7 @@ let apply_rows ?(acc = false) t ~srcs ~dsts =
         (fun p ->
           apply_row_scalar ~coeffs:t.coeffs.(p) ~srcs ~dst:dsts.(p) ~len ~acc)
         rows
-  | D_c { d_rows; d_tables } ->
+  | D_c { d_level; d_rows; d_tables } ->
       let dense_dsts = Array.map (fun p -> dsts.(p)) d_rows in
-      c_rows_apply (level t.impl) d_tables srcs dense_dsts t.k
+      c_rows_apply d_level d_tables srcs dense_dsts t.k
         (Array.length d_rows) len acc

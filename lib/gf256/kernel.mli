@@ -9,8 +9,8 @@
       (SIMD level 0). Always available.
     - [C_simd] — the same C entry points and SPLIT(8,4) tables, run at
       the SIMD level the CPU probe reported (SSSE3/AVX2 [pshufb], NEON
-      [tbl]; 16–64 bytes per step). Only {!available} when
-      {!simd_level} [> 0].
+      [tbl], AVX-512BW + GFNI [vgf2p8affineqb]; 16–64 bytes per step).
+      Only {!available} when {!simd_level} [> 0].
 
     Codecs pick an implementation once at construction via {!select}
     and bake it into precomputed {!mul} and {!rows} operators, so the
@@ -34,7 +34,19 @@ val available_impls : unit -> impl list
 
 val simd_level : int
 (** The CPU probe of the C stubs: 0 = no usable SIMD (or a non-SIMD
-    build), 1 = SSSE3 or NEON (16 B/step), 2 = AVX2 (32 B/step). *)
+    build), 1 = SSSE3 or NEON (16 B/step), 2 = AVX2 (32 B/step),
+    3 = AVX-512BW + GFNI (64 B/step). *)
+
+val simd_levels : int list
+(** Every SIMD level this machine can run, [1 .. simd_level]. *)
+
+val with_simd_level : int -> (unit -> 'a) -> 'a
+(** For tests: [with_simd_level l f] runs [f] with [C_simd] resolving
+    to level [l] instead of {!simd_level} for every {!mul} and {!rows}
+    built inside [f] (codecs built inside [f] included), so each lower
+    level is checked against [Scalar] on a machine that probes higher.
+    Not for use while other domains build kernels.
+    @raise Invalid_argument unless [l] is in {!simd_levels}. *)
 
 val default : unit -> impl
 (** The kernel a codec gets when none is requested: [C_simd] if
@@ -47,7 +59,8 @@ val select : ?impl:impl -> unit -> impl
 (** {1 Single-coefficient multipliers}
 
     A {!mul} is one precomputed coefficient: its 32-byte SPLIT(8,4) pair
-    is resolved at construction, so applying it is allocation-free. *)
+    and its GFNI bit matrix are resolved at construction, so applying it
+    is allocation-free. *)
 
 type mul
 

@@ -1223,6 +1223,24 @@ end
 (* Windowed time series over simulated time (itself a sink)            *)
 (* ------------------------------------------------------------------ *)
 
+(* A kind selector matches the exact op kind or any "<kind>-…"
+   refinement, so "read" covers read-stripe/read-block/read-blocks. *)
+let kind_matches sel op_kind =
+  sel = op_kind
+  || (let pre = sel ^ "-" in
+      String.length op_kind > String.length pre
+      && String.sub op_kind 0 (String.length pre) = pre)
+
+(* Client operations are reads and writes ("read-stripe",
+   "write-blocks", …). A "recover" span is protocol work: a read that
+   finds a partial write recovers the stripe inside its own span, a
+   retried block write recovers between attempts, and a rebuild or
+   resync recovers in the background. A "scrub" is background work
+   too. Counting those beside the client operation that caused them
+   would count one request several times. *)
+let client_kind op_kind =
+  kind_matches "read" op_kind || kind_matches "write" op_kind
+
 module Timeline = struct
   (* How a fault label relates to an overlay interval. The classifier
      is pluggable because the label syntax belongs to lib/chaos, which
@@ -1268,17 +1286,22 @@ module Timeline = struct
         t.inflight <- t.inflight + 1;
         observe "inflight" (float_of_int t.inflight)
     | Span_end { op_kind; outcome; _ } ->
+        (* "lat.all", "ops.all" and "out.*" count client operations
+           only (see [client_kind]); per-kind series count every span. *)
+        let client = client_kind op_kind in
         (match Hashtbl.find_opt t.live_spans ev.op with
         | Some (t0, _) ->
             Hashtbl.remove t.live_spans ev.op;
             let lat = ev.time -. t0 in
-            observe "lat.all" lat;
+            if client then observe "lat.all" lat;
             observe ("lat." ^ op_kind) lat
         | None -> ());
         if t.inflight > 0 then t.inflight <- t.inflight - 1;
         observe "inflight" (float_of_int t.inflight);
-        incr "ops.all";
-        incr ("out." ^ outcome_name outcome);
+        if client then begin
+          incr "ops.all";
+          incr ("out." ^ outcome_name outcome)
+        end;
         if outcome = Ok then incr ("ops." ^ op_kind)
     | Phase_start | Phase_end | Phase_elided -> ()
     | Msg_send { bytes; _ } ->
@@ -1389,14 +1412,6 @@ module Slo = struct
             Result.Ok (Latency { kind = Some kind; p; limit })
         | _ -> Result.Error err)
     | _ -> Result.Error err
-
-  (* A kind selector matches the exact op kind or any "<kind>-…"
-     refinement, so "read" covers read-stripe/read-block/read-blocks. *)
-  let kind_matches sel op_kind =
-    sel = op_kind
-    || (let pre = sel ^ "-" in
-        String.length op_kind > String.length pre
-        && String.sub op_kind 0 (String.length pre) = pre)
 
   type window_stat = {
     window : int;

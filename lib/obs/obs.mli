@@ -340,6 +340,14 @@ end
 
 (** {1 Windowed time series and SLOs} *)
 
+val client_kind : string -> bool
+(** Whether a span kind is a client operation: a read or a write
+    (["read"], ["read-…"], ["write"], ["write-…"]). ["recover"] spans (nested in a read, run
+    between a block write's attempts, or by a rebuild or resync) and
+    ["scrub"] spans are not, so {!Timeline}'s [lat.all], [ops.all] and
+    [out.*] series, and the availability objective built on them, leave
+    them out. *)
+
 module Timeline : sig
   type overlay = [ `Begin of string | `End of string | `Point of string ]
   (** How a fault label maps onto the report's fault overlay: open an
@@ -349,10 +357,12 @@ module Timeline : sig
   type t
   (** A sink that buckets the event stream into a
       {!Metrics.Timeseries} per fixed window of simulated time —
-      latency-over-time ([lat.all], [lat.<kind>] histograms), in-flight
-      ops ([inflight]), per-actor queue depth ([queue.<actor>]),
-      outcome counters ([ops.all], [out.ok|abort|retry|unavailable],
-      per-kind goodput [ops.<kind>] counting ok completions), message
+      latency-over-time ([lat.all] over client operations, [lat.<kind>]
+      histograms over every span of a kind), in-flight spans
+      ([inflight]), per-actor queue depth ([queue.<actor>]), client
+      outcome counters ([ops.all], [out.ok|abort|retry|unavailable];
+      see {!client_kind}), per-kind goodput [ops.<kind>] counting ok
+      completions, message
       and I/O counters ([msgs], [bytes], [drops], [retransmits],
       [io.read], [io.write]), and chaos fault overlays — without
       changing any instrumentation call-site. *)

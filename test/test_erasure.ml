@@ -358,34 +358,48 @@ let test_pp () =
 
 module K = Gf256.Kernel
 
-(* rs(5,8) under every kernel: identical encodings, identical decodes
-   over every m-subset of survivors, identical reconstruction of every
-   block. Lengths include non-multiples of 8/16/32 so each kernel's
-   tail handling is exercised. *)
+(* [f label impl] for every available kernel, [C_simd] once per SIMD
+   level up to the probe's, run under [K.with_simd_level] so the
+   codec and every decode plan it builds use that level. *)
+let each_kernel f =
+  List.iter
+    (function
+      | K.C_simd ->
+          List.iter
+            (fun l ->
+              K.with_simd_level l (fun () ->
+                  f (Printf.sprintf "c_simd@%d" l) K.C_simd))
+            K.simd_levels
+      | impl -> f (K.name impl) impl)
+    (K.available_impls ())
+
+(* rs(5,8) under every kernel and SIMD level: identical encodings,
+   identical decodes over every m-subset of survivors, identical
+   reconstruction of every block. Lengths include non-multiples of
+   8/16/32 and straddle the 64-byte step and the 256-byte GFNI tile,
+   so each kernel's tail handling is exercised. *)
 let test_kernels_byte_identical () =
   let rng = Random.State.make [| 61 |] in
   let m = 5 and n = 8 in
-  let impls = K.available_impls () in
-  let codecs = List.map (fun k -> (k, C.rs ~kernel:k ~m ~n ())) impls in
+  let scalar = C.rs ~kernel:K.Scalar ~m ~n () in
   List.iter
     (fun len ->
       let stripe = random_stripe_len rng m len in
-      let reference = C.encode (List.assoc K.Scalar codecs) stripe in
-      List.iter
-        (fun (impl, codec) ->
+      let reference = C.encode scalar stripe in
+      each_kernel (fun label impl ->
+          let codec = C.rs ~kernel:impl ~m ~n () in
           Alcotest.(check string)
             "kernel_name reflects request" (K.name impl)
             (C.kernel_name codec);
           let enc = C.encode codec stripe in
           if not (stripes_equal enc reference) then
-            Alcotest.failf "%s encode len=%d diverges from scalar"
-              (K.name impl) len;
+            Alcotest.failf "%s encode len=%d diverges from scalar" label len;
           List.iter
             (fun subset ->
               let blocks = List.map (fun i -> (i, enc.(i))) subset in
               let dec = C.decode codec blocks in
               if not (stripes_equal dec stripe) then
-                Alcotest.failf "%s decode len=%d [%s] wrong" (K.name impl) len
+                Alcotest.failf "%s decode len=%d [%s] wrong" label len
                   (String.concat "," (List.map string_of_int subset));
               List.iter
                 (fun idx ->
@@ -393,21 +407,19 @@ let test_kernels_byte_identical () =
                     let rebuilt = C.reconstruct_block codec ~idx blocks in
                     if not (Bytes.equal rebuilt enc.(idx)) then
                       Alcotest.failf "%s reconstruct %d len=%d [%s] wrong"
-                        (K.name impl) idx len
+                        label idx len
                         (String.concat "," (List.map string_of_int subset)))
                 (List.init n Fun.id))
-            (subsets m 0 n))
-        codecs)
-    [ 13; 32; 100 ]
+            (subsets m 0 n)))
+    [ 13; 32; 63; 64; 65; 100; 255; 256; 257; 4096 + 13 ]
 
 (* The batched multi-delta fold equals sequential single-delta folds,
-   under every kernel and for every batch size. *)
+   under every kernel and SIMD level and for every batch size. *)
 let test_apply_deltas_batched () =
   let rng = Random.State.make [| 62 |] in
   let m = 5 and n = 8 in
   let len = 57 in
-  List.iter
-    (fun impl ->
+  each_kernel (fun label impl ->
       let codec = C.rs ~kernel:impl ~m ~n () in
       let stripe = random_stripe_len rng m len in
       let enc = C.encode codec stripe in
@@ -430,10 +442,9 @@ let test_apply_deltas_batched () =
             C.apply_deltas_into codec ~parity_idx:p ~deltas ~parity:batched;
             if not (Bytes.equal batched expected) then
               Alcotest.failf "%s batched deltas (batch=%d, p=%d) diverge"
-                (K.name impl) batch p
+                label batch p
           done)
         [ 0; 1; 2; 3; 5 ])
-    (K.available_impls ())
 
 (* One codec used from two domains at once, as the multicore backend
    shares a volume's codec among coordinators on different domains.

@@ -191,18 +191,33 @@ let test_split_tables_agree () =
 module K = Gf256.Kernel
 
 (* Lengths on each side of the SIMD loops' 16/32/64-byte steps and the
-   AVX2 fused map's 128-byte tiles, plus one long unaligned block. *)
+   fused maps' 128-byte (AVX2) and 256-byte (GFNI) tiles, plus one long
+   unaligned block. *)
 let kernel_lengths =
-  [ 1; 7; 8; 9; 15; 16; 17; 31; 32; 33; 63; 64; 65; 127; 128; 129; 257;
-    4096 + 13 ]
+  [ 1; 7; 8; 9; 15; 16; 17; 31; 32; 33; 63; 64; 65; 127; 128; 129; 255; 256;
+    257; 4096 + 13 ]
+
+(* [f label impl] for every available implementation, [C_simd] once
+   per SIMD level up to the probe's (built under [K.with_simd_level]),
+   so a host that probes GFNI still checks its SSSE3 and AVX2 loops. *)
+let each_kernel f =
+  List.iter
+    (function
+      | K.C_simd ->
+          List.iter
+            (fun l ->
+              K.with_simd_level l (fun () ->
+                  f (Printf.sprintf "c_simd@%d" l) K.C_simd))
+            K.simd_levels
+      | impl -> f (K.name impl) impl)
+    (K.available_impls ())
 
 (* Every implementation, every coefficient: mul_acc/mul_set match the
    scalar field definition, including when dst and src are the same
    buffer. Lengths rotate through [kernel_lengths]. *)
 let test_kernel_mul_equivalence () =
   let rng = Random.State.make [| 41 |] in
-  List.iter
-    (fun impl ->
+  each_kernel (fun label impl ->
       for c = 0 to 255 do
         let len = List.nth kernel_lengths (c mod List.length kernel_lengths) in
         let mul = K.make_mul impl c in
@@ -217,7 +232,7 @@ let test_kernel_mul_equivalence () =
           in
           if Char.code (Bytes.get dst i) <> expected then
             Alcotest.failf "%s mul_acc c=%d len=%d mismatch at %d"
-              (K.name impl) c len i
+              label c len i
         done;
         let dst = Bytes.copy dst0 in
         K.mul_set mul ~dst ~src;
@@ -227,7 +242,7 @@ let test_kernel_mul_equivalence () =
             <> F.mul c (Char.code (Bytes.get src i))
           then
             Alcotest.failf "%s mul_set c=%d len=%d mismatch at %d"
-              (K.name impl) c len i
+              label c len i
         done;
         (* Aliased dst == src (in-place scale / self-accumulate). *)
         let self = Bytes.copy src in
@@ -236,7 +251,7 @@ let test_kernel_mul_equivalence () =
           let v = Char.code (Bytes.get src i) in
           if Char.code (Bytes.get self i) <> v lxor F.mul c v then
             Alcotest.failf "%s mul_acc aliased c=%d mismatch at %d"
-              (K.name impl) c i
+              label c i
         done;
         let self = Bytes.copy src in
         K.mul_set mul ~dst:self ~src:self;
@@ -244,20 +259,22 @@ let test_kernel_mul_equivalence () =
           let v = Char.code (Bytes.get src i) in
           if Char.code (Bytes.get self i) <> F.mul c v then
             Alcotest.failf "%s mul_set aliased c=%d mismatch at %d"
-              (K.name impl) c i
+              label c i
         done
       done)
-    (K.available_impls ())
 
 (* Fused row groups: every implementation against the scalar reference,
    across shapes that exercise the trivial-row fast path (zero rows,
    identity rows, single-coefficient rows), single dense rows and wide
-   maps (r > 8), in both overwrite and accumulate modes, at every
-   length class of [kernel_lengths] that straddles a step or tile. *)
+   maps (r > 8), one to four and six dense rows (the GFNI path applies
+   up to four per pass), many sources (k = 70), in both overwrite and
+   accumulate modes, at every length class of [kernel_lengths] that
+   straddles a step or tile. *)
 let test_kernel_rows_equivalence () =
   let rng = Random.State.make [| 47 |] in
   let shapes =
-    [ (1, 1); (1, 4); (2, 3); (4, 10); (5, 8); (8, 5); (10, 10); (14, 3) ]
+    [ (1, 1); (1, 4); (2, 3); (4, 10); (5, 8); (7, 6); (8, 5); (10, 10);
+      (14, 3); (3, 70) ]
   in
   List.iter
     (fun (r, k) ->
@@ -279,8 +296,7 @@ let test_kernel_rows_equivalence () =
           K.apply_rows scalar ~srcs ~dsts:expected;
           let expected_acc = Array.map Bytes.copy dsts0 in
           K.apply_rows ~acc:true scalar ~srcs ~dsts:expected_acc;
-          List.iter
-            (fun impl ->
+          each_kernel (fun label impl ->
               let rows = K.make_rows impl coeffs in
               let dsts = Array.map Bytes.copy dsts0 in
               K.apply_rows rows ~srcs ~dsts;
@@ -288,7 +304,7 @@ let test_kernel_rows_equivalence () =
                 (fun p b ->
                   if not (Bytes.equal b expected.(p)) then
                     Alcotest.failf "%s rows %dx%d len=%d row %d diverges"
-                      (K.name impl) r k len p)
+                      label r k len p)
                 dsts;
               let dsts = Array.map Bytes.copy dsts0 in
               K.apply_rows ~acc:true rows ~srcs ~dsts;
@@ -296,10 +312,10 @@ let test_kernel_rows_equivalence () =
                 (fun p b ->
                   if not (Bytes.equal b expected_acc.(p)) then
                     Alcotest.failf "%s rows acc %dx%d len=%d row %d diverges"
-                      (K.name impl) r k len p)
-                dsts)
-            (K.available_impls ()))
-        [ 1; 15; 16; 17; 31; 33; 63; 65; 127; 128; 129; 4096 + 13 ])
+                      label r k len p)
+                dsts))
+        [ 1; 15; 16; 17; 31; 33; 63; 64; 65; 127; 128; 129; 255; 256; 257;
+          4096 + 13 ])
     shapes
 
 (* With no kernel requested a codec gets the CPU probe's choice; an
@@ -325,7 +341,13 @@ let test_kernel_names () =
     (K.available K.C_portable);
   Alcotest.(check bool)
     "c_simd availability tracks simd level" (K.simd_level > 0)
-    (K.available K.C_simd)
+    (K.available K.C_simd);
+  Alcotest.(check (list int))
+    "every level up to the probe" (List.init K.simd_level succ) K.simd_levels;
+  Alcotest.check_raises "level above the probe refused"
+    (Invalid_argument
+       (Printf.sprintf "Gf256.Kernel.with_simd_level: %d" (K.simd_level + 1)))
+    (fun () -> K.with_simd_level (K.simd_level + 1) ignore)
 
 (* ------------------------------------------------------------------ *)
 (* Matrices                                                            *)

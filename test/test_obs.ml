@@ -797,6 +797,37 @@ let test_slo_availability () =
     (1. /. (0.5 *. 11.))
     lax.Obs.Slo.burn
 
+(* A read finds a partial write and recovers the stripe inside its own
+   span; the nested recover aborts (a concurrent writer preempted it),
+   the read retries its round and succeeds. One client operation, and
+   it succeeded: nothing burns, and the recover span shows only in its
+   own kind's series. *)
+let test_slo_nested_recover () =
+  let tl = Obs.Timeline.create ~classify ~width:10. () in
+  let push = (Obs.Timeline.sink tl).Obs.Sink.emit in
+  let open Obs in
+  push (ev ~op:0 1. (Span_start { op_kind = "read-blocks"; stripe = 0 }));
+  push (ev ~op:1 2. (Span_start { op_kind = "recover"; stripe = 0 }));
+  push (ev ~op:1 4. (Span_end { op_kind = "recover"; stripe = 0; outcome = Abort }));
+  push (ev ~op:0 6.
+          (Span_end { op_kind = "read-blocks"; stripe = 0; outcome = Ok }));
+  let r = Obs.Slo.evaluate tl (Availability { min_pct = 99.9 }) in
+  Alcotest.(check int) "governs the one client op" 1 r.Obs.Slo.total;
+  Alcotest.(check int) "nothing bad" 0 r.Obs.Slo.bad;
+  Alcotest.(check (float 0.0)) "no burn" 0. r.Obs.Slo.burn;
+  Alcotest.(check bool) "compliant" true r.Obs.Slo.compliant;
+  let ts = Obs.Timeline.series tl in
+  Alcotest.(check (float 0.0)) "no client abort" 0.
+    (Metrics.Timeseries.total ts "out.abort");
+  Alcotest.(check (float 0.0)) "one client op" 1.
+    (Metrics.Timeseries.total ts "ops.all");
+  (match Metrics.Timeseries.hist ts "lat.all" 0 with
+  | Some h -> Alcotest.(check int) "lat.all: the read only" 1 (Metrics.Hist.count h)
+  | None -> Alcotest.fail "no lat.all in w0");
+  match Metrics.Timeseries.hist ts "lat.recover" 0 with
+  | Some h -> Alcotest.(check int) "recover in its own kind" 1 (Metrics.Hist.count h)
+  | None -> Alcotest.fail "no lat.recover in w0"
+
 (* ------------------------------------------------------------------ *)
 (* Bounded retention                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -910,6 +941,8 @@ let () =
           Alcotest.test_case "latency objectives" `Quick test_slo_latency;
           Alcotest.test_case "availability objectives" `Quick
             test_slo_availability;
+          Alcotest.test_case "nested recover abort does not burn" `Quick
+            test_slo_nested_recover;
         ] );
       ( "retention",
         [

@@ -303,14 +303,17 @@ let test_crc32c_known_answers () =
   check "32 descending" 0x113fdb5c (Bytes.init 32 (fun i -> Char.chr (31 - i)));
   check "123456789" 0xe3069283 (Bytes.of_string "123456789")
 
-(* The hardware path (when this CPU has one) and the portable path
-   agree on every length around the 8-byte step and its tail, on both
-   sides of each three-stream boundary (3 x 256 B and 3 x 8 KiB), on
-   the two block sizes the benchmarks use, and on a buffer long enough
-   to run the long loop several times. Each buffer is a length-seeded
-   pseudo-random stream, never periodic within the buffer, so a chunk
-   hashed twice, dropped or merged out of order changes the value. *)
+(* Every path this CPU has agrees with the portable one on every length
+   up to 600: around the 8-byte step and its tail, the 16-byte folding
+   reduction, the 64-byte and 256-byte fold steps (and the 256 B
+   three-stream chunk) several times over. Then on both sides of the
+   3 x 256 B and 3 x 8 KiB three-stream boundaries, on the two block
+   sizes the benchmarks use, and on a buffer long enough to run each
+   long loop several times. Each buffer is a length-seeded pseudo-random
+   stream, never periodic within the buffer, so a chunk hashed twice,
+   dropped or merged out of order changes the value. *)
 let test_crc32c_paths_agree () =
+  let portable = List.assoc "portable" Core.Crc32c.paths in
   let agree len =
     let s = ref ((len * 2654435761) + 1) in
     let b =
@@ -318,19 +321,32 @@ let test_crc32c_paths_agree () =
           s := ((!s * 1103515245) + 12345) land 0x3fffffff;
           Char.chr ((!s lsr 16) land 0xff))
     in
-    let hw = Core.Crc32c.bytes b and sw = Core.Crc32c.portable b in
-    if hw <> sw then
-      Alcotest.failf "length %d: %s %08x, portable %08x" len Core.Crc32c.kernel
-        hw sw
+    let want = portable b in
+    List.iter
+      (fun (name, crc) ->
+        let got = crc b in
+        if got <> want then
+          Alcotest.failf "length %d: %s %08x, portable %08x" len name got want)
+      Core.Crc32c.paths;
+    if Core.Crc32c.bytes b <> want then
+      Alcotest.failf "length %d: bytes (%s) disagrees with portable" len
+        Core.Crc32c.kernel
   in
-  for len = 0 to 300 do
+  for len = 0 to 600 do
     agree len
   done;
   List.iter agree
     [
-      767; 768; 769; 4096; 24575; 24576; 24577; 65536; 65536 + 7;
-      (200 * 1024) + 3;
+      767; 768; 769; 1023; 1024; 1025; 4096; 24575; 24576; 24577; 65536;
+      65536 + 7; (200 * 1024) + 3;
     ]
+
+let test_crc32c_kernel_named () =
+  Alcotest.(check string)
+    "kernel is the fastest path" Core.Crc32c.kernel
+    (fst (List.nth Core.Crc32c.paths (List.length Core.Crc32c.paths - 1)));
+  Alcotest.(check string)
+    "portable comes first" "portable" (fst (List.hd Core.Crc32c.paths))
 
 let test_marker_tag_outside_crc_range () =
   Alcotest.(check bool) "bot tag > 0xffffffff" true
@@ -582,6 +598,8 @@ let () =
           Alcotest.test_case "known answers" `Quick test_crc32c_known_answers;
           Alcotest.test_case "hardware and portable paths agree" `Quick
             test_crc32c_paths_agree;
+          Alcotest.test_case "kernel names the fastest path" `Quick
+            test_crc32c_kernel_named;
           Alcotest.test_case "bot tag outside CRC range" `Quick
             test_marker_tag_outside_crc_range;
         ] );
