@@ -17,8 +17,8 @@
  * - 0, everywhere: a portable slicing-by-8 table loop (eight 256-entry
  *   tables, one 8-byte step per eight lookups).
  * The x86 paths are compiled with per-function target attributes, so
- * no global -msse4.2 / -mavx512f flag is needed and the file builds on
- * any compiler.
+ * no global -msse4.2 / -mavx512f flag is needed; they need a GCC or
+ * clang that knows the VPCLMULQDQ intrinsics (GCC 8 and later).
  *
  * fab_crc32c_init builds the tables and constants and probes the CPU
  * once; the OCaml side calls it while its module initialises, before

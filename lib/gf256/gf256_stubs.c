@@ -18,9 +18,9 @@
  * 3 AVX-512BW + GFNI (64 B per step, masked tails).
  * gf256_simd_level probes the highest level this CPU supports; the
  * OCaml side never passes more. The x86 paths are compiled with
- * per-function target attributes so no global -mavx2 / -mssse3 flags
- * are needed and the file builds on any compiler; on other
- * architectures only level 0 exists.
+ * per-function target attributes so no global -mavx2 / -mgfni flags
+ * are needed; they need a GCC or clang that knows the GFNI intrinsics
+ * (GCC 8 and later). On other architectures only level 0 exists.
  *
  * All stubs are [@@noalloc]: they never allocate, raise, or touch the
  * OCaml heap beyond reading Bytes/string payloads. Length and
