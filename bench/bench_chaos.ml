@@ -82,8 +82,8 @@ let run_backend ~mc ~domains ~ts ~cycles =
           in
           let tstart = Runtime.now rt in
           let r =
-            Core.Coordinator.write_block c ~stripe:(!k mod stripes) 0
-              payload
+            Core.Coordinator.write_blocks c ~stripe:(!k mod stripes) 0
+              [| payload |]
           in
           let tend = Runtime.now rt in
           let ok = match r with Ok () -> true | Error _ -> false in

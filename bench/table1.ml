@@ -66,21 +66,23 @@ let run_for ~m ~n =
     measure_op cl (fun c -> Coordinator.write_stripe c ~stripe:0 data)
   in
   let st_rb = observe cl in
-  let _, rb = measure_op cl (fun c -> Coordinator.read_block c ~stripe:0 0) in
+  let _, rb =
+    measure_op cl (fun c -> Coordinator.read_blocks c ~stripe:0 0 ~len:1)
+  in
   row "block read/F" ~paper:("2", fmt_int (2 * n), "1", "0", "1") ~measured:rb;
-  phase_line st_rb [ "read-block" ];
+  phase_line st_rb [ "read-blocks" ];
   let nb = Bytes.make block_size 'z' in
   let st_wb = observe cl in
   let _, wb =
-    measure_op cl (fun c -> Coordinator.write_block c ~stripe:0 0 nb)
+    measure_op cl (fun c -> Coordinator.write_blocks c ~stripe:0 0 [| nb |])
   in
   row "block write/F"
     ~paper:("4", fmt_int (4 * n), fmt_int (k + 1), fmt_int (k + 1),
             fmt_int ((2 * n) + 1))
     ~measured:wb;
-  phase_line st_wb [ "write-block" ];
+  phase_line st_wb [ "write-blocks" ];
 
-  (* block read/S: like stripe read/S but through read-block. *)
+  (* block read/S: like stripe read/S but through a one-block read. *)
   let cl = fresh_cluster ~m ~n in
   Cluster.crash cl 0;
   let _ =
@@ -90,12 +92,13 @@ let run_for ~m ~n =
   Cluster.recover cl 0;
   let st_rbs = observe cl in
   let _, rbs =
-    measure_op ~coord:1 cl (fun c -> Coordinator.read_block c ~stripe:0 1)
+    measure_op ~coord:1 cl (fun c ->
+        Coordinator.read_blocks c ~stripe:0 1 ~len:1)
   in
   row "block read/S"
     ~paper:("6", fmt_int (6 * n), fmt_int (n + 1), fmt_int n, fmt_int ((2 * n) + 1))
     ~measured:rbs;
-  phase_line st_rbs [ "read-block"; "recover" ];
+  phase_line st_rbs [ "read-blocks"; "recover" ];
 
   (* block write/S: p_j is crashed, so the fast phase cannot obtain its
      current block and the write reconstructs the stripe instead. The
@@ -109,13 +112,14 @@ let run_for ~m ~n =
   Cluster.crash cl 0;
   let st_wbs = observe cl in
   let _, wbs =
-    measure_op ~coord:1 cl (fun c -> Coordinator.write_block c ~stripe:0 0 nb)
+    measure_op ~coord:1 cl (fun c ->
+        Coordinator.write_blocks c ~stripe:0 0 [| nb |])
   in
   row "block write/S"
     ~paper:("8", fmt_int (8 * n), fmt_int (k + n + 1), fmt_int (k + n + 1),
             fmt_int ((4 * n) + 1))
     ~measured:wbs;
-  phase_line st_wbs [ "write-block"; "recover" ];
+  phase_line st_wbs [ "write-blocks"; "recover" ];
 
   (* --- LS97 baseline --- *)
   let module L = Baseline.Ls97 in

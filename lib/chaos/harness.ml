@@ -65,8 +65,6 @@ type op_desc = {
   shape :
     [ `Write_stripe of string list
     | `Read_stripe
-    | `Write_block of int * string
-    | `Read_block of int
     | `Write_blocks of int * string list
     | `Read_blocks of int * int ];
 }
@@ -166,8 +164,8 @@ let run ?(backend = Sim) ?(m = 2) ?(n = 5) ?(stripes = 4) ?(clients = 3)
       | 1 -> `Read_stripe
       | 2 ->
           let j = Random.State.int rng m in
-          `Write_block (j, List.hd (fresh_values [ j ]))
-      | 3 -> `Read_block (Random.State.int rng m)
+          `Write_blocks (j, fresh_values [ j ])
+      | 3 -> `Read_blocks (Random.State.int rng m, 1)
       | 4 ->
           let j0 = Random.State.int rng m in
           let len = 1 + Random.State.int rng (m - j0) in
@@ -280,21 +278,6 @@ let run ?(backend = Sim) ?(m = 2) ?(n = 5) ?(stripes = 4) ?(clients = 3)
           (`Read
             (match Coordinator.read_stripe c ~stripe with
             | Ok data -> Ok (List.init m (fun j -> block_value data.(j)))
-            | Error _ as e -> (e :> (string list, _) Stdlib.result)))
-    | `Write_block (j, v) ->
-        let r =
-          record_op ~coord ~stripe ~blocks:[ j ] ~kind:H.Write ~values:[ v ]
-        in
-        finish r ~stripe ~blocks:[ j ]
-          (`Write (Coordinator.write_block c ~stripe j (value_block v)))
-    | `Read_block j ->
-        let r =
-          record_op ~coord ~stripe ~blocks:[ j ] ~kind:H.Read ~values:[ "" ]
-        in
-        finish r ~stripe ~blocks:[ j ]
-          (`Read
-            (match Coordinator.read_block c ~stripe j with
-            | Ok b -> Ok [ block_value b ]
             | Error _ as e -> (e :> (string list, _) Stdlib.result)))
     | `Write_blocks (j0, values) ->
         let news = Array.of_list (List.map value_block values) in

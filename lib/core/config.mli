@@ -41,9 +41,10 @@ type t = {
       (** Send asynchronous garbage-collection messages after complete
           writes (paper section 5.1). *)
   optimized_modify : bool;
-      (** Use the bandwidth-optimized block-write messages (section
-          5.2): new block to p_j, precomputed delta to parities,
-          timestamp-only to other data processes. *)
+      (** Use the bandwidth-optimized Modify payloads of block-range
+          writes (section 5.2): its new block to each in-range data
+          process, its folded parity change to each parity process,
+          nothing to the other data processes. *)
   deadline : float option;
       (** Per-operation deadline in sim-time units. With [Some d],
           every coordinator operation that has not completed [d] after

@@ -330,7 +330,7 @@ let pos_of t ~stripe addr =
   | None -> invalid_arg "Core.Coordinator: reply from non-member"
 
 (* Check the fast-read success conditions shared by read-stripe and
-   read-block: all statuses true and a single version visible. *)
+   read-blocks: all statuses true and a single version visible. *)
 let unanimous_version replies =
   let statuses_ok =
     List.for_all
@@ -524,31 +524,6 @@ let routes_around t addrs =
   let s = Atomic.get t.suspects in
   (not (Addrs.is_empty s)) && List.exists (fun a -> Addrs.mem a s) addrs
 
-(* The one read path of read-block and read-blocks. The fast path
-   (lines 61-69) asks [targets] — the addressed members — for their
-   blocks, and [of_blocks] builds the result from them. A read whose
-   target is suspected, or stays silent while the other replies agree,
-   takes the degraded read instead; [of_stripe] projects the decoded
-   stripe. Section 4 recovery, which writes the stripe back, runs only
-   when a round shows a refused status or two versions. *)
-let read_via t ~stripe ~op ~dl targets ~of_blocks ~of_stripe =
-  let recovered () = Result.map of_stripe (recover t ~stripe) in
-  let degraded ~avoid ~ok =
-    match degraded_read t ~stripe ~op ~dl ~avoid ~ok with
-    | Some data -> Ok (of_stripe data)
-    | None -> recovered ()
-  in
-  if routes_around t targets then
-    degraded ~avoid:(List.filter (suspected t) targets) ~ok:(fun _ -> true)
-  else
-    match read_round t ~stripe ~op ~dl targets with
-    | Blocks blocks -> Ok (of_blocks blocks)
-    | Silent replies ->
-        degraded
-          ~avoid:(List.filter (fun a -> not (List.mem_assoc a replies)) targets)
-          ~ok:(fun a -> List.mem_assoc a replies)
-    | Mixed -> recovered ()
-
 (* read-stripe (lines 1-11). Its m targets are random and never
    suspected; a target that misses the round becomes suspected, and
    this read still recovers, as the paper's does. *)
@@ -609,43 +584,93 @@ let write_stripe t ~stripe data =
       | Some _ | None -> cold ts)
 
 (* ------------------------------------------------------------------ *)
-(* Algorithm 3: block access                                           *)
+(* Algorithm 3: block access, over a contiguous range of data blocks   *)
+(* (footnote 2); a single block is a range of length 1                 *)
 (* ------------------------------------------------------------------ *)
 
-let check_block_shape t ~stripe j b =
-  if j < 0 || j >= Config.m t.cfg ~stripe then
-    invalid_arg "Core.Coordinator: block index out of range";
-  if Bytes.length b <> t.cfg.Config.block_size then
-    invalid_arg "Core.Coordinator: wrong block size"
+let check_range t ~stripe j0 len =
+  if len < 1 || j0 < 0 || j0 + len > Config.m t.cfg ~stripe then
+    invalid_arg
+      (if len = 1 then "Core.Coordinator: block index out of range"
+       else "Core.Coordinator: block range out of bounds")
 
-(* read-block (lines 61-69). *)
-let read_block t ~stripe j =
-  if j < 0 || j >= Config.m t.cfg ~stripe then
-    invalid_arg "Core.Coordinator: block index out of range";
-  traced t ~stripe "read-block" (fun op dl ->
-      read_via t ~stripe ~op ~dl
-        [ (Config.members_array t.cfg ~stripe).(j) ]
-        ~of_blocks:(fun blocks -> snd (List.hd blocks))
-        ~of_stripe:(fun data -> data.(j)))
+let range_addrs t ~stripe j0 len =
+  let layout = Config.members_array t.cfg ~stripe in
+  List.init len (fun i -> layout.(j0 + i))
 
-(* Build the per-destination request of a Modify round writing block
-   [j] := [b] against old content [bj] at basis version [tsj]. *)
-let modify_req t ~stripe j ~bj b ~tsj ts =
-  if t.cfg.Config.optimized_modify then begin
-    (* One delta per operation, shared by every parity member's
-       message (and by retries): replicas fold it without mutating it,
-       so the buffer can be shipped n - m times. *)
-    let d = Erasure.Codec.delta ~old_data:bj ~new_data:b in
-    fun dst ->
-      let pos = pos_of t ~stripe dst in
-      let payload =
-        if pos = j then Some b
-        else if pos >= Config.m t.cfg ~stripe then Some d
-        else None
+(* read-block (lines 61-69): the fast path asks the range's members
+   for their blocks. A read whose target is suspected, or stays silent
+   while the other replies agree, takes the degraded read instead and
+   projects the decoded stripe. Section 4 recovery, which writes the
+   stripe back, runs only when a round shows a refused status or two
+   versions. *)
+let read_blocks t ~stripe j0 ~len =
+  check_range t ~stripe j0 len;
+  if len = Config.m t.cfg ~stripe then read_stripe t ~stripe
+  else
+    traced t ~stripe "read-blocks" @@ fun op dl ->
+    let targets = range_addrs t ~stripe j0 len in
+    let of_stripe data = Array.sub data j0 len in
+    let recovered () = Result.map of_stripe (recover t ~stripe) in
+    let degraded ~avoid ~ok =
+      match degraded_read t ~stripe ~op ~dl ~avoid ~ok with
+      | Some data -> Ok (of_stripe data)
+      | None -> recovered ()
+    in
+    if routes_around t targets then
+      degraded ~avoid:(List.filter (suspected t) targets) ~ok:(fun _ -> true)
+    else
+      match read_round t ~stripe ~op ~dl targets with
+      | Blocks blocks -> Ok (Array.of_list (List.map snd blocks))
+      | Silent replies ->
+          degraded
+            ~avoid:
+              (List.filter (fun a -> not (List.mem_assoc a replies)) targets)
+            ~ok:(fun a -> List.mem_assoc a replies)
+      | Mixed -> recovered ()
+
+(* Build the per-destination request of a Modify round writing the
+   range from [j0] := [news] against old contents [olds] at basis
+   version [tsj]. Every member gets the same [Patch] (the paper's
+   Modify), unless [optimized_modify] (section 5.2): then an in-range
+   data member gets its new block, a parity member the folded change
+   Σ c_{p,i}·δ_i of its own row, and any other member no payload. The
+   folds are built once per operation, the deltas on pooled scratch
+   buffers, and shared by retransmissions: replicas fold them without
+   mutating them. *)
+let modify_req t ~stripe j0 ~olds news ~tsj ts =
+  let payload_of =
+    if not t.cfg.Config.optimized_modify then
+      let patch = Message.Patch { olds; news } in
+      fun _ -> patch
+    else begin
+      let m = Config.m t.cfg ~stripe and len = Array.length news in
+      let codec = Config.codec t.cfg ~stripe in
+      let blen = t.cfg.Config.block_size in
+      let deltas =
+        Array.mapi
+          (fun i old_data ->
+            let d = Brick.scratch_take t.brick ~len:blen in
+            Erasure.Codec.delta_into ~old_data ~new_data:news.(i) ~into:d;
+            (j0 + i, d))
+          olds
       in
-      Message.Modify_delta { stripe; j; payload; tsj; ts }
-  end
-  else fun _ -> Message.Modify { stripe; j; bj; b; tsj; ts }
+      let folds =
+        Array.init (Erasure.Codec.n codec - m) (fun parity_idx ->
+            let fold = Bytes.make blen '\000' in
+            Erasure.Codec.apply_deltas_into codec ~parity_idx ~deltas
+              ~parity:fold;
+            Message.Fold fold)
+      in
+      Array.iter (fun (_, d) -> Brick.scratch_release t.brick d) deltas;
+      fun dst ->
+        let pos = pos_of t ~stripe dst in
+        if pos >= m then folds.(pos - m)
+        else if pos >= j0 && pos < j0 + len then Message.Block news.(pos - j0)
+        else Message.Marker
+    end
+  in
+  fun dst -> Message.Modify { stripe; j0; payload = payload_of dst; tsj; ts }
 
 (* Commit bookkeeping of a modify round. A commit leaves the cache as
    it is: only full-stripe stores add entries. *)
@@ -659,94 +684,22 @@ let finish_modify t ~stripe ~op ts replies =
     Error `Aborted
   end
 
-(* A block write whose addressed members include a suspected one skips
-   the fast path: its Order&Read could not complete before the grace
-   wait, and the caller's slow path at the same timestamp (basis
+(* fast-write-block (lines 74-82): one Order&Read round fetching the
+   range's current blocks, then one Modify round that updates the
+   range and folds every change into each parity block. The range's
+   blocks must all be at the same version timestamp; mixed versions
+   (e.g. after an interleaved write of part of the range) take the
+   slow path. A range whose addressed members include a suspected one
+   skips the fast path: its Order&Read could not complete before the
+   grace wait, and the caller's slow path at the same timestamp (basis
    [None]: no Modify ran) needs no reply from them. *)
-let skips_fast_path t ~op addrs =
-  if routes_around t addrs then begin
-    List.iter (fun a -> if suspected t a then emit_retarget t ~op a) addrs;
-    true
-  end
-  else false
-
-(* fast-write-block (lines 74-82). *)
-let fast_write_block t ~stripe ~op ~dl j b ts =
-  let addr_j = (Config.members_array t.cfg ~stripe).(j) in
-  if skips_fast_path t ~op [ addr_j ] then None
-  else
-  let replies =
-    targeted_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Order
-      ~targets:[ addr_j ] (fun _ ->
-        Message.Order_read
-          { stripe; target = Message.Addr addr_j; max = Ts.high; ts })
-  in
-  if not (all_status_true replies) then None
-  else
-    match List.assoc_opt addr_j replies with
-    | Some (Message.Order_read_r { lts = tsj; block = Some bj; _ }) ->
-        let replies =
-          quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify
-            (modify_req t ~stripe j ~bj b ~tsj ts)
-        in
-        Some (finish_modify t ~stripe ~op ts replies, tsj)
-    | Some _ | None -> None
-
-(* Reconstruct the newest stripe version below [ts] for a slow write
-   at [ts]. After a failed Modify round at the same [ts] ([basis] is
-   [Some] of that round's basis version), some members may already log
-   the Modify's entry at [ts], and a slow store whose acks miss them
-   completes beside it. So the slow path may only store at [ts] what
-   the Modify stored — a patch of the same basis — or one timestamp
-   would name two stripe contents and a read could decode a mix of
-   them. Any other version aborts instead; the Modify then stays a
-   partial write. *)
-let read_basis t ~stripe ~op ~dl ~basis ts =
-  match (read_prev_stripe t ~stripe ~op ~dl ts, basis) with
-  | Ok (version, _), Some b when not (Ts.equal b version) ->
-      cache_invalidate t ~stripe;
-      Error `Aborted
-  | Ok (_, data), _ -> Ok data
-  | (Error `Aborted as e), _ -> e
-
-(* slow-write-block (lines 83-87): reconstruct, patch block j, store. *)
-let slow_write_block t ~stripe ~op ~dl ~basis j b ts =
-  match read_basis t ~stripe ~op ~dl ~basis ts with
-  | Error `Aborted -> Error `Aborted
-  | Ok data ->
-      data.(j) <- b;
-      store_stripe t ~stripe ~op ~dl data ts
-
-(* ------------------------------------------------------------------ *)
-(* Footnote-2 extension: contiguous multi-block access                 *)
-(* ------------------------------------------------------------------ *)
-
-let check_range t ~stripe j0 len =
-  if len < 1 || j0 < 0 || j0 + len > Config.m t.cfg ~stripe then
-    invalid_arg "Core.Coordinator: block range out of bounds"
-
-let range_addrs t ~stripe j0 len =
-  let layout = Config.members_array t.cfg ~stripe in
-  List.init len (fun i -> layout.(j0 + i))
-
-(* read-blocks: the fast read targets exactly the range. *)
-let read_blocks t ~stripe j0 ~len =
-  check_range t ~stripe j0 len;
-  if len = Config.m t.cfg ~stripe then read_stripe t ~stripe
-  else
-    traced t ~stripe "read-blocks" @@ fun op dl ->
-    read_via t ~stripe ~op ~dl (range_addrs t ~stripe j0 len)
-      ~of_blocks:(fun blocks -> Array.of_list (List.map snd blocks))
-      ~of_stripe:(fun data -> Array.sub data j0 len)
-
-(* fast-write-blocks: one Order&Read round fetching the range's current
-   blocks, then one Modify_multi round. The range's blocks must all be
-   at the same version timestamp; mixed versions (e.g. after an
-   interleaved single-block write) take the slow path. *)
 let fast_write_blocks t ~stripe ~op ~dl j0 news ts =
   let len = Array.length news in
   let targets = range_addrs t ~stripe j0 len in
-  if skips_fast_path t ~op targets then None
+  if routes_around t targets then begin
+    List.iter (fun a -> if suspected t a then emit_retarget t ~op a) targets;
+    None
+  end
   else
   let replies =
     targeted_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Order ~targets
@@ -773,13 +726,31 @@ let fast_write_blocks t ~stripe ~op ~dl j0 news ts =
       else begin
         let olds = Array.of_list (List.map snd infos) in
         let replies =
-          quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify (fun _ ->
-              Message.Modify_multi { stripe; j0; olds; news; tsj; ts })
+          quorum_call ~proposed:ts t ~stripe ~op ~dl ~phase:Obs.Modify
+            (modify_req t ~stripe j0 ~olds news ~tsj ts)
         in
         Some (finish_modify t ~stripe ~op ts replies, tsj)
       end
   end
 
+(* Reconstruct the newest stripe version below [ts] for a slow write
+   at [ts]. After a failed Modify round at the same [ts] ([basis] is
+   [Some] of that round's basis version), some members may already log
+   the Modify's entry at [ts], and a slow store whose acks miss them
+   completes beside it. So the slow path may only store at [ts] what
+   the Modify stored — a patch of the same basis — or one timestamp
+   would name two stripe contents and a read could decode a mix of
+   them. Any other version aborts instead; the Modify then stays a
+   partial write. *)
+let read_basis t ~stripe ~op ~dl ~basis ts =
+  match (read_prev_stripe t ~stripe ~op ~dl ts, basis) with
+  | Ok (version, _), Some b when not (Ts.equal b version) ->
+      cache_invalidate t ~stripe;
+      Error `Aborted
+  | Ok (_, data), _ -> Ok data
+  | (Error `Aborted as e), _ -> e
+
+(* slow-write-block (lines 83-87): reconstruct, patch the range, store. *)
 let slow_write_blocks t ~stripe ~op ~dl ~basis j0 news ts =
   match read_basis t ~stripe ~op ~dl ~basis ts with
   | Error `Aborted -> Error `Aborted
@@ -787,6 +758,12 @@ let slow_write_blocks t ~stripe ~op ~dl ~basis j0 news ts =
       Array.iteri (fun i b -> data.(j0 + i) <- b) news;
       store_stripe t ~stripe ~op ~dl data ts
 
+(* write-block (lines 70-73). Per the paper, any fast-path failure
+   falls back to the slow path with the same timestamp. If the fast
+   path's Modify partially applied, replicas that logged it refuse the
+   slow path's messages — and if the slow store completes without
+   them, it stored what they did ([read_basis]); the partial write is
+   otherwise rolled forward or back by the next read. *)
 let write_blocks t ~stripe j0 news =
   let len = Array.length news in
   check_range t ~stripe j0 len;
@@ -804,23 +781,6 @@ let write_blocks t ~stripe j0 news =
     | Some (Ok (), _) -> Ok ()
     | Some (Error `Aborted, tsj) -> slow (Some tsj)
     | None -> slow None
-
-(* write-block (lines 70-73). *)
-let write_block t ~stripe j b =
-  check_block_shape t ~stripe j b;
-  traced t ~stripe "write-block" (fun op dl ->
-  let ts = Clock.new_ts t.clock in
-  let slow basis = slow_write_block t ~stripe ~op ~dl ~basis j b ts in
-  (* Per the paper, any fast-path failure falls back to the slow path
-     with the same timestamp. If the fast path's Modify partially
-     applied, replicas that logged it refuse the slow path's messages
-     — and if the slow store completes without them, it stored what
-     they did ([read_basis]); the partial write is otherwise rolled
-     forward or back by the next read. *)
-  match fast_write_block t ~stripe ~op ~dl j b ts with
-  | Some (Ok (), _) -> Ok ()
-  | Some (Error `Aborted, tsj) -> slow (Some tsj)
-  | None -> slow None)
 
 (* ------------------------------------------------------------------ *)
 (* Scrubbing: detect and repair silent block corruption               *)

@@ -40,7 +40,7 @@ val read_stripe : t -> stripe:int -> Bytes.t array outcome
 (** Read the whole stripe: [m] data blocks. One round trip in the
     common case, asking [m] random members that are not {!suspects}
     for their blocks. If one of them does not answer, the read is
-    re-targeted as in {!read_block}; it falls back to the two-phase
+    re-targeted as in {!read_blocks}; it falls back to the two-phase
     recovery only when a round shows a refused status or two
     versions. *)
 
@@ -58,43 +58,42 @@ val cache_capacity : int
 (** How many stripes' timestamps a coordinator caches for order
     elision; adding one more empties the cache first. *)
 
-val read_block : t -> stripe:int -> int -> Bytes.t outcome
-(** [read_block t ~stripe j] reads data block [j] (in [0, m)).
-
-    The fast path is one round that asks block [j]'s member for it.
-    When that member is suspected, or does not answer within the RPC
-    grace period while the other replies show every status true at one
-    version, the read is {e re-targeted}: it re-issues the Read at the
-    first [m] members (in position order) that are not suspected and,
-    after a silent round, answered it, and decodes block [j] from their
-    blocks — the fast-read-stripe argument, so nothing is written. Only when a
-    round shows a refused status or two versions (a partial write)
-    does the read run the paper's section 4 recovery, which writes the
-    stripe back at a new timestamp. *)
-
-val write_block : t -> stripe:int -> int -> Bytes.t -> unit outcome
-(** [write_block t ~stripe j b] writes data block [j], updating parity
-    blocks via the erasure code's [modify] primitive on the fast path.
-    When block [j]'s member is suspected, the write skips the fast
-    path's Order&Read, which could not complete without it, and runs
-    the paper's slow path at the same timestamp. *)
-
 val read_blocks : t -> stripe:int -> int -> len:int -> Bytes.t array outcome
 (** [read_blocks t ~stripe j0 ~len] reads the contiguous data blocks
-    [j0 .. j0+len-1] in one protocol operation (the multi-block
-    extension of the paper's footnote 2). Costs one round trip on the
-    fast path regardless of [len]; [len = m] degenerates to
-    {!read_stripe}. A range containing a suspected or silent member
-    takes the same re-targeted read as {!read_block}.
+    [j0 .. j0+len-1] (in [0, m)) in one protocol operation: the paper's
+    read-block, extended to a range as in its footnote 2. A single
+    block is a range of [len = 1]; [len = m] is {!read_stripe}.
+
+    The fast path is one round, whatever [len], that asks the range's
+    members for their blocks. When one of them is suspected, or does
+    not answer within the RPC grace period while the other replies
+    show every status true at one version, the read is
+    {e re-targeted}: it re-issues the Read at the first [m] members (in
+    position order) that are not suspected and, after a silent round,
+    answered it, and decodes the range from their blocks — the
+    fast-read-stripe argument, so nothing is written. Only when a round
+    shows a refused status or two versions (a partial write) does the
+    read run the paper's section 4 recovery, which writes the stripe
+    back at a new timestamp.
     @raise Invalid_argument if the range is out of bounds. *)
 
 val write_blocks : t -> stripe:int -> int -> Bytes.t array -> unit outcome
 (** [write_blocks t ~stripe j0 news] writes the contiguous data blocks
-    starting at position [j0] in one protocol operation: a single
-    Order&Read round fetches the range's current contents, and a
-    single Modify round updates the range and folds every change into
-    each parity block. [Array.length news = m] degenerates to
+    starting at position [j0] in one protocol operation: the paper's
+    write-block, extended to a range as in its footnote 2. A single
+    block is a range of length 1; [Array.length news = m] is
     {!write_stripe}.
+
+    The fast path is one Order&Read round fetching the range's current
+    contents, then one Modify round that updates the range and folds
+    every change into each parity block: naively every member receives
+    the old and new blocks; with {!Config.t.optimized_modify} (section
+    5.2) an in-range member receives its new block, a parity member
+    the folded change for its row, and the other members no payload.
+    Any fast-path failure runs the paper's slow path at the same
+    timestamp: reconstruct the stripe, patch the range, store it. When
+    one of the range's members is suspected, the write skips the fast
+    path's Order&Read, which could not complete without it.
     @raise Invalid_argument if the range is out of bounds or a block
     has the wrong size. *)
 

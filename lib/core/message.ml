@@ -1,4 +1,10 @@
-type target = All | Addr of Simnet.Net.addr | Addrs of Simnet.Net.addr list
+type target = All | Addrs of Simnet.Net.addr list
+
+type payload =
+  | Patch of { olds : Bytes.t array; news : Bytes.t array }
+  | Block of Bytes.t
+  | Fold of Bytes.t
+  | Marker
 
 type t =
   | Read of { stripe : int; targets : Simnet.Net.addr list }
@@ -12,24 +18,8 @@ type t =
   | Write of { stripe : int; block : Bytes.t; ts : Timestamp.t }
   | Modify of {
       stripe : int;
-      j : int;
-      bj : Bytes.t;
-      b : Bytes.t;
-      tsj : Timestamp.t;
-      ts : Timestamp.t;
-    }
-  | Modify_delta of {
-      stripe : int;
-      j : int;
-      payload : Bytes.t option;
-      tsj : Timestamp.t;
-      ts : Timestamp.t;
-    }
-  | Modify_multi of {
-      stripe : int;
       j0 : int;
-      olds : Bytes.t array;
-      news : Bytes.t array;
+      payload : payload;
       tsj : Timestamp.t;
       ts : Timestamp.t;
     }
@@ -51,15 +41,17 @@ type t =
   | Modify_r of { status : bool; cur_ts : Timestamp.t }
 
 let opt_len = function Some b -> Bytes.length b | None -> 0
+let sum_len = Array.fold_left (fun acc b -> acc + Bytes.length b) 0
+
+let payload_len = function
+  | Patch { olds; news } -> sum_len olds + sum_len news
+  | Block b | Fold b -> Bytes.length b
+  | Marker -> 0
 
 let bytes_on_wire = function
   | Read _ | Order _ | Order_read _ | Gc _ -> 0
   | Write { block; _ } -> Bytes.length block
-  | Modify { bj; b; _ } -> Bytes.length bj + Bytes.length b
-  | Modify_delta { payload; _ } -> opt_len payload
-  | Modify_multi { olds; news; _ } ->
-      Array.fold_left (fun acc b -> acc + Bytes.length b) 0 olds
-      + Array.fold_left (fun acc b -> acc + Bytes.length b) 0 news
+  | Modify { payload; _ } -> payload_len payload
   | Read_r { block; _ } | Order_read_r { block; _ } -> opt_len block
   | Order_r _ | Write_r _ | Modify_r _ -> 0
 
@@ -69,8 +61,6 @@ let stripe = function
   | Order_read { stripe; _ }
   | Write { stripe; _ }
   | Modify { stripe; _ }
-  | Modify_delta { stripe; _ }
-  | Modify_multi { stripe; _ }
   | Gc { stripe; _ } ->
       Some stripe
   | Read_r _ | Order_r _ | Order_read_r _ | Write_r _ | Modify_r _ -> None
@@ -81,8 +71,6 @@ let label = function
   | Order_read _ -> "order&read"
   | Write _ -> "write"
   | Modify _ -> "modify"
-  | Modify_delta _ -> "modify-delta"
-  | Modify_multi _ -> "modify-multi"
   | Gc _ -> "gc"
   | Read_r _ -> "read-r"
   | Order_r _ -> "order-r"
@@ -101,20 +89,18 @@ let pp fmt m =
       Format.fprintf fmt "Order&Read{s=%d tgt=%s max=%s ts=%s}" stripe
         (match target with
         | All -> "ALL"
-        | Addr a -> string_of_int a
         | Addrs l -> String.concat "+" (List.map string_of_int l))
         (ts max) (ts t)
   | Write { stripe; ts = t; _ } ->
       Format.fprintf fmt "Write{s=%d ts=%s}" stripe (ts t)
-  | Modify { stripe; j; tsj; ts = t; _ } ->
-      Format.fprintf fmt "Modify{s=%d j=%d tsj=%s ts=%s}" stripe j (ts tsj)
-        (ts t)
-  | Modify_delta { stripe; j; tsj; ts = t; payload } ->
-      Format.fprintf fmt "ModifyDelta{s=%d j=%d tsj=%s ts=%s payload=%b}"
-        stripe j (ts tsj) (ts t) (payload <> None)
-  | Modify_multi { stripe; j0; olds; tsj; ts = t; _ } ->
-      Format.fprintf fmt "ModifyMulti{s=%d j0=%d len=%d tsj=%s ts=%s}" stripe
-        j0 (Array.length olds) (ts tsj) (ts t)
+  | Modify { stripe; j0; payload; tsj; ts = t } ->
+      Format.fprintf fmt "Modify{s=%d j0=%d %s tsj=%s ts=%s}" stripe j0
+        (match payload with
+        | Patch { olds; _ } -> Printf.sprintf "patch=%d" (Array.length olds)
+        | Block _ -> "block"
+        | Fold _ -> "fold"
+        | Marker -> "marker")
+        (ts tsj) (ts t)
   | Gc { stripe; before } ->
       Format.fprintf fmt "Gc{s=%d before=%s}" stripe (ts before)
   | Read_r { status; val_ts; block; _ } ->

@@ -12,10 +12,29 @@
 
 type target =
   | All  (** Every replica answers with its version information. *)
-  | Addr of Simnet.Net.addr  (** Only this replica returns its block. *)
   | Addrs of Simnet.Net.addr list
-      (** These replicas return their blocks (multi-block operations,
-          the extension of the paper's footnote 2). *)
+      (** Only these replicas return their blocks: the addressed
+          members of a block-range write's Order&Read. *)
+
+(** What one member receives in a Modify round (Algorithm 3's Modify,
+    extended to a contiguous range of data blocks as in the paper's
+    footnote 2). The coordinator picks the payload per destination. *)
+type payload =
+  | Patch of { olds : Bytes.t array; news : Bytes.t array }
+      (** Old and new contents of data blocks [j0 .. j0+len-1], sent
+          to every member (the paper's Modify): an in-range data
+          member stores its new block, a parity member folds every
+          block's change into its newest block, and any other member
+          logs a timestamp-only marker. *)
+  | Block of Bytes.t
+      (** The destination's own new data block (section 5.2's
+          optimisation, in-range data members). *)
+  | Fold of Bytes.t
+      (** The parity change Σ c_{p,i}·δ_i the destination XORs into its
+          newest block (section 5.2, parity members). *)
+  | Marker
+      (** No payload: the destination logs a timestamp-only marker
+          (section 5.2, data members outside the range). *)
 
 type t =
   (* Requests *)
@@ -30,32 +49,11 @@ type t =
   | Write of { stripe : int; block : Bytes.t; ts : Timestamp.t }
   | Modify of {
       stripe : int;
-      j : int;  (** data-block position being written, in [0, m) *)
-      bj : Bytes.t;  (** old content of block [j] *)
-      b : Bytes.t;  (** new content of block [j] *)
-      tsj : Timestamp.t;  (** timestamp of [bj] at p_j *)
-      ts : Timestamp.t;
-    }
-  | Modify_delta of {
-      stripe : int;
-      j : int;
-      payload : Bytes.t option;
-          (** New block for p_j, precomputed parity delta for parity
-              processes, nothing for the other data processes
-              (section 5.2's bandwidth optimization). *)
-      tsj : Timestamp.t;
-      ts : Timestamp.t;
-    }
-  | Modify_multi of {
-      stripe : int;
-      j0 : int;  (** first data position of the contiguous range *)
-      olds : Bytes.t array;  (** old contents of blocks j0 .. j0+len-1 *)
-      news : Bytes.t array;  (** new contents, same length *)
+      j0 : int;  (** first data position of the range being written *)
+      payload : payload;
       tsj : Timestamp.t;  (** common version timestamp of the old blocks *)
       ts : Timestamp.t;
-    }  (** Multi-block fast write (footnote 2 extension): updates a
-          contiguous range of data blocks and folds all the changes
-          into each parity block in one round. *)
+    }
   | Gc of { stripe : int; before : Timestamp.t }
   (* Replies *)
   | Read_r of {

@@ -111,7 +111,6 @@ let handle_order_read t ctx stripe target max ts =
     let wanted =
       match target with
       | Message.All -> true
-      | Message.Addr a -> a = Brick.id t.brick
       | Message.Addrs l -> List.mem (Brick.id t.brick) l
     in
     if wanted then
@@ -147,7 +146,7 @@ let ord_barrier t st ts =
 (* [Write, b, ts] — lines 57-60. A re-delivered Write whose entry is
    already logged with the same content re-acknowledges; an entry at
    [ts] with different content (a Modify got there first, e.g. via a
-   slow write-block reusing its fast phase's timestamp) refuses, as
+   slow block write reusing its fast phase's timestamp) refuses, as
    the paper's status check does — acknowledging would let two
    replicas disagree on the content of version [ts]. A [ts] above the
    log's newest timestamp (the full-stripe write's common case) finds
@@ -174,13 +173,49 @@ let handle_write t ctx stripe block ts =
   Message.Write_r
     { status; cur_ts = cur_ts st (if stored then Lazy.from_val ts else val_ts) }
 
-(* The three Modify handlers: Algorithm 3, lines 88-98. [entry ~pos
-   parity] builds this replica's new log entry at stripe position
-   [pos]; [parity] is [Some (parity_idx, newest)] exactly at a parity
-   position, whose update folds a change into its newest real block
-   [newest]. Such a position reads its version and that block in one
-   [Slog.head] descent; the others need only [max-ts]. *)
-let modify t ctx stripe tsj ts entry =
+(* The log entry a Modify at stripe position [pos] stores, for a
+   contiguous range of data blocks from [j0] (footnote 2). [parity] is
+   [Some (parity_idx, newest)] exactly at a parity position, whose
+   entry is a fresh copy of its newest real block [newest] (the log
+   retains it) with the range's change folded in: from a [Patch], each
+   block's delta lands in a pooled scratch buffer and all are applied
+   in one batched pass; a [Fold] already is that change and is XORed
+   in. A data member stores its new block, a [Patch]'s or a [Block];
+   any other member logs a timestamp-only marker. *)
+let modify_entry t ctx ~stripe ~pos ~parity j0 payload =
+  match (payload, parity) with
+  | Message.Patch { olds; news }, Some (parity_idx, newest) ->
+      Brick.count_disk_read ~ctx t.brick;
+      let out = Bytes.copy newest in
+      let blen = Bytes.length out in
+      let deltas =
+        Array.mapi
+          (fun i old_data ->
+            let d = Brick.scratch_take t.brick ~len:blen in
+            Erasure.Codec.delta_into ~old_data ~new_data:news.(i) ~into:d;
+            (j0 + i, d))
+          olds
+      in
+      Erasure.Codec.apply_deltas_into
+        (Config.codec t.cfg ~stripe)
+        ~parity_idx ~deltas ~parity:out;
+      Array.iter (fun (_, d) -> Brick.scratch_release t.brick d) deltas;
+      Some out
+  | Message.Patch { news; _ }, None ->
+      if pos >= j0 && pos < j0 + Array.length news then Some news.(pos - j0)
+      else None
+  | Message.Fold fold, Some (_, newest) ->
+      Brick.count_disk_read ~ctx t.brick;
+      let out = Bytes.create (Bytes.length newest) in
+      Erasure.Codec.delta_into ~old_data:fold ~new_data:newest ~into:out;
+      Some out
+  | Message.Block b, _ -> Some b
+  | (Message.Fold _ | Message.Marker), _ -> None
+
+(* [Modify, j0, payload, tsj, ts] — Algorithm 3, lines 88-98. A parity
+   position reads its version and newest block in one [Slog.head]
+   descent; the others need only [max-ts]. *)
+let handle_modify t ctx stripe j0 payload tsj ts =
   let st = state t stripe in
   let already = Slog.mem st.log ts in
   let pos = my_pos t stripe in
@@ -195,8 +230,8 @@ let modify t ctx stripe tsj ts entry =
   let status = already || (Ts.equal tsj val_ts && ord_barrier t st ts) in
   let val_ts =
     match pos with
-    | Some p when status && not already ->
-        let e = entry ~pos:p parity in
+    | Some pos when status && not already ->
+        let e = modify_entry t ctx ~stripe ~pos ~parity j0 payload in
         Slog.add st.log ts e;
         if e <> None then Brick.count_disk_write ~ctx t.brick;
         Brick.count_nvram_write t.brick;
@@ -204,77 +239,6 @@ let modify t ctx stripe tsj ts entry =
     | Some _ | None -> val_ts
   in
   Message.Modify_r { status; cur_ts = cur_ts st (Lazy.from_val val_ts) }
-
-(* [Modify, j, bj, b, tsj, ts]: the new block at p_j, a re-encoded
-   parity block at parity processes, a timestamp-only marker
-   elsewhere. The parity case allocates exactly one block (the log
-   retains it); the delta is computed on a pooled scratch buffer. *)
-let handle_modify t ctx stripe j bj b tsj ts =
-  modify t ctx stripe tsj ts (fun ~pos parity ->
-      match parity with
-      | Some (parity_idx, newest) ->
-          Brick.count_disk_read ~ctx t.brick;
-          let out = Bytes.copy newest in
-          let d = Brick.scratch_take t.brick ~len:(Bytes.length b) in
-          Erasure.Codec.delta_into ~old_data:bj ~new_data:b ~into:d;
-          Erasure.Codec.apply_delta_into
-            (Config.codec t.cfg ~stripe)
-            ~data_idx:j ~parity_idx ~delta:d ~parity:out;
-          Brick.scratch_release t.brick d;
-          Some out
-      | None -> if pos = j then Some b else None)
-
-(* Bandwidth-optimized Modify (section 5.2): p_j receives the new
-   block, parity processes receive the precomputed delta to fold into
-   their current block, other data processes receive no payload. *)
-let handle_modify_delta t ctx stripe j payload tsj ts =
-  modify t ctx stripe tsj ts (fun ~pos parity ->
-      match (payload, parity) with
-      | Some payload, None when pos = j -> Some payload
-      | Some delta, Some (parity_idx, old_parity) ->
-          Brick.count_disk_read ~ctx t.brick;
-          Some
-            (Erasure.Codec.apply_delta
-               (Config.codec t.cfg ~stripe)
-               ~data_idx:j ~parity_idx ~delta ~old_parity)
-      | Some _, None | None, _ -> None)
-
-(* [Modify_multi, j0, olds, news, tsj, ts] — the footnote-2 extension
-   of the Modify handler to a contiguous range of data blocks. A data
-   process inside the range stores its new block, a parity process
-   folds every block's change into its current parity block, and data
-   processes outside the range log a timestamp-only marker. *)
-let handle_modify_multi t ctx stripe j0 olds news tsj ts =
-  let len = Array.length olds in
-  modify t ctx stripe tsj ts (fun ~pos parity ->
-      match parity with
-      | Some (parity_idx, newest) ->
-          Brick.count_disk_read ~ctx t.brick;
-          (* Fold every block's change into one fresh parity buffer
-             (the log retains it). The per-block deltas land in pooled
-             scratch buffers and are applied in one batched pass, so
-             the parity block is read and written once however many
-             blocks the write covers. *)
-          let out = Bytes.copy newest in
-          let blen = Bytes.length out in
-          let ds =
-            Array.init len (fun _ -> Brick.scratch_take t.brick ~len:blen)
-          in
-          let deltas =
-            Array.mapi
-              (fun i d ->
-                Erasure.Codec.delta_into ~old_data:olds.(i)
-                  ~new_data:news.(i) ~into:d;
-                (j0 + i, d))
-              ds
-          in
-          Erasure.Codec.apply_deltas_into
-            (Config.codec t.cfg ~stripe)
-            ~parity_idx ~deltas ~parity:out;
-          Array.iter (Brick.scratch_release t.brick) ds;
-          Some out
-      | None ->
-          if pos >= j0 && pos < j0 + len then Some news.(pos - j0) else None)
 
 (* [Gc, before] — section 5.1. One-way; no reply. *)
 let handle_gc t stripe before =
@@ -291,12 +255,8 @@ let dispatch t ctx msg =
         Some (handle_order_read t ctx stripe target max ts)
     | Message.Write { stripe; block; ts } ->
         Some (handle_write t ctx stripe block ts)
-    | Message.Modify { stripe; j; bj; b; tsj; ts } ->
-        Some (handle_modify t ctx stripe j bj b tsj ts)
-    | Message.Modify_delta { stripe; j; payload; tsj; ts } ->
-        Some (handle_modify_delta t ctx stripe j payload tsj ts)
-    | Message.Modify_multi { stripe; j0; olds; news; tsj; ts } ->
-        Some (handle_modify_multi t ctx stripe j0 olds news tsj ts)
+    | Message.Modify { stripe; j0; payload; tsj; ts } ->
+        Some (handle_modify t ctx stripe j0 payload tsj ts)
     | Message.Gc { stripe; before } ->
         handle_gc t stripe before;
         None

@@ -54,8 +54,7 @@ val kernel_name : t -> string
 
 val coeff : t -> row:int -> col:int -> Gf256.Field.t
 (** [coeff t ~row ~col] is the generator-matrix entry used to weight
-    data block [col] in encoded block [row]. Exposed so that
-    bandwidth-optimized writes can ship precomputed parity deltas. *)
+    data block [col] in encoded block [row]. *)
 
 val encode : t -> Bytes.t array -> Bytes.t array
 (** [encode t stripe] maps [m] data blocks to [n] encoded blocks; the
@@ -110,8 +109,8 @@ val modify :
     @raise Invalid_argument on out-of-range indices or size mismatch. *)
 
 val delta : old_data:Bytes.t -> new_data:Bytes.t -> Bytes.t
-(** [delta ~old_data ~new_data] is the XOR difference shipped by
-    bandwidth-optimized block writes (paper section 5.2). *)
+(** [delta ~old_data ~new_data] is the XOR difference of two versions
+    of a data block, which {!apply_delta} folds into a parity block. *)
 
 val delta_into : old_data:Bytes.t -> new_data:Bytes.t -> into:Bytes.t -> unit
 (** [delta_into ~old_data ~new_data ~into] is {!delta} writing into the
@@ -141,8 +140,10 @@ val apply_deltas_into :
 (** [apply_deltas_into t ~parity_idx ~deltas ~parity] folds several
     [(data_idx, delta)] pairs into [parity], one pass per pair.
     Equivalent to calling {!apply_delta_into} once per pair, but checks
-    every pair before touching [parity]; used by replicas applying a
-    multi-block write in one step.
+    every pair before touching [parity]; used to fold a block-range
+    write into a parity block in one step, at the parity member or, for
+    the bandwidth-optimized write (paper section 5.2), into a zeroed
+    buffer at the coordinator.
     Deltas must not alias [parity].
     @raise Invalid_argument on out-of-range indices or size mismatch. *)
 

@@ -135,16 +135,11 @@ let read t ~coord ~lba ~count =
         let off = !offset in
         offset := off + (len * t.block_size);
         fun () ->
-          let result =
-            if j = 0 && len = t.m then
-              (* Full-stripe read. *)
-              retrying t c (fun () -> Core.Coordinator.read_stripe c ~stripe)
-            else
-              (* Partial stripe: one multi-block protocol operation. *)
-              retrying t c (fun () ->
-                  Core.Coordinator.read_blocks c ~stripe j ~len)
-          in
-          match result with
+          (* One protocol operation per extent; a full stripe is a
+             stripe read. *)
+          match
+            retrying t c (fun () -> Core.Coordinator.read_blocks c ~stripe j ~len)
+          with
           | Ok blocks ->
               Array.iteri
                 (fun i b ->
@@ -174,18 +169,13 @@ let write t ~coord ~lba data =
     List.map
       (fun (stripe, j, elen) ->
         (* Slice the payload eagerly, in address order; only the
-           protocol rounds run concurrently. *)
-        if j = 0 && elen = t.m then
-          let blocks = Array.init t.m (fun _ -> take_block ()) in
-          fun () ->
-            retrying t c (fun () ->
-                Core.Coordinator.write_stripe c ~stripe blocks)
-        else
-          (* Partial stripe: one multi-block protocol operation. *)
-          let news = Array.init elen (fun _ -> take_block ()) in
-          fun () ->
-            retrying_block_write t c ~stripe (fun () ->
-                Core.Coordinator.write_blocks c ~stripe j news))
+           protocol rounds run concurrently. One protocol operation per
+           extent; a full stripe is a stripe write, which needs no
+           recovery between attempts. *)
+        let news = Array.init elen (fun _ -> take_block ()) in
+        let write () = Core.Coordinator.write_blocks c ~stripe j news in
+        if elen = t.m then fun () -> retrying t c write
+        else fun () -> retrying_block_write t c ~stripe write)
       (extents t ~lba ~count)
   in
   scatter t thunks

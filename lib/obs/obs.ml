@@ -1224,7 +1224,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* A kind selector matches the exact op kind or any "<kind>-…"
-   refinement, so "read" covers read-stripe/read-block/read-blocks. *)
+   refinement, so "read" covers read-stripe/read-blocks. *)
 let kind_matches sel op_kind =
   sel = op_kind
   || (let pre = sel ^ "-" in

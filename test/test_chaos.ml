@@ -335,9 +335,9 @@ let with_mc_cluster f =
     (fun () -> f cl fnet)
 
 let mc_write cl ~coord tag =
-  Coordinator.write_block
+  Coordinator.write_blocks
     cl.Cluster.coordinators.(coord)
-    ~stripe:0 0 (value_block tag)
+    ~stripe:0 0 [| value_block tag |]
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in

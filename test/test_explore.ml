@@ -101,8 +101,8 @@ let run_scenario ?(faults = []) ~m ~n ~ops ~choose () =
                          ~now:(now ()) ()
                      in
                      (match
-                        Coordinator.write_block cl.Cluster.coordinators.(coord)
-                          ~stripe:0 0 (value_block value)
+                        Coordinator.write_blocks cl.Cluster.coordinators.(coord)
+                          ~stripe:0 0 [| value_block value |]
                       with
                      | Ok () -> H.complete_write h id ~now:(now ())
                      | Error _ -> H.abort h id ~now:(now ()))

@@ -159,7 +159,7 @@ let fuzz_round ?(dead_member = false) ~seed () =
                 record_op ~coord ~stripe ~blocks:[ j ] ~kind:H.Write
                   ~values:[ v ]
               in
-              (match Coordinator.write_block c ~stripe j (value_block v) with
+              (match Coordinator.write_blocks c ~stripe j [| value_block v |] with
               | Ok () -> finish_op ~stripe r `Wrote
               | Error _ -> finish_op ~stripe r `Aborted)
           | 3 ->
@@ -169,8 +169,8 @@ let fuzz_round ?(dead_member = false) ~seed () =
                 record_op ~coord ~stripe ~blocks:[ j ] ~kind:H.Read
                   ~values:[ "" ]
               in
-              (match Coordinator.read_block c ~stripe j with
-              | Ok b -> finish_op ~stripe r (`ReadValues [ (j, block_value b) ])
+              (match Coordinator.read_blocks c ~stripe j ~len:1 with
+              | Ok bs -> finish_op ~stripe r (`ReadValues [ (j, block_value bs.(0)) ])
               | Error _ -> finish_op ~stripe r `Aborted)
           | 4 ->
               (* multi-block write over a random range *)

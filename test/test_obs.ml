@@ -326,8 +326,8 @@ let test_retarget_attribution () =
   let ring = Obs.Ring.create ~capacity:100_000 in
   Obs.add_sink cl.Cluster.obs (Obs.Ring.sink ring);
   for _ = 1 to 3 do
-    match Cluster.run_op cl (fun c -> Coordinator.read_block c ~stripe:0 4) with
-    | Some (Ok b) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(4))
+    match Cluster.run_op cl (fun c -> Coordinator.read_blocks c ~stripe:0 4 ~len:1) with
+    | Some (Ok [| b |]) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(4))
     | _ -> Alcotest.fail "degraded read"
   done;
   let events =
@@ -343,7 +343,7 @@ let test_retarget_attribution () =
   List.iter (Obs.Stats.feed stats) events;
   Alcotest.(check (list (pair int (pair string (pair int (float 1e-9))))))
     "per suspected brick and op kind"
-    [ (4, ("read-block", (3, 2.))) ]
+    [ (4, ("read-blocks", (3, 2.))) ]
     (List.map
        (fun (b, k, n, mean) -> (b, (k, (n, mean))))
        (Obs.Stats.retargets stats))
@@ -543,11 +543,11 @@ let obs_round ~seed =
           | 2 ->
               let j = Random.State.int rng m in
               attempt (fun () ->
-                  Coordinator.write_block c ~stripe j
-                    (Bytes.make block_size 'w'))
+                  Coordinator.write_blocks c ~stripe j
+                    [| Bytes.make block_size 'w' |])
           | _ ->
               let j = Random.State.int rng m in
-              attempt (fun () -> Coordinator.read_block c ~stripe j)
+              attempt (fun () -> Coordinator.read_blocks c ~stripe j ~len:1)
         done;
         incr finished)
   done;
@@ -613,9 +613,9 @@ let test_mc_accounting () =
           | 1 -> attempt (fun () -> Coordinator.read_stripe c ~stripe)
           | 2 ->
               attempt (fun () ->
-                  Coordinator.write_block c ~stripe (k mod m)
-                    (Bytes.make block_size 'w'))
-          | _ -> attempt (fun () -> Coordinator.read_block c ~stripe 0)
+                  Coordinator.write_blocks c ~stripe (k mod m)
+                    [| Bytes.make block_size 'w' |])
+          | _ -> attempt (fun () -> Coordinator.read_blocks c ~stripe 0 ~len:1)
         done)
   done;
   Cluster.await_quiesce cl;
@@ -881,7 +881,7 @@ let test_stats_retention () =
    or phase of this run changes it; update the digest only in a
    change meant to alter uncontended behaviour. Multi-stripe requests
    route through the pipelined join. *)
-let uncontended_trace_md5 = "925ae2f5ec4604e90676aabdb3deb962"
+let uncontended_trace_md5 = "4b16787bb553dd17163729093752c4bf"
 
 let test_uncontended_trace_digest () =
   let v = Fab.Volume.create ~seed:5 ~m:5 ~n:8 ~stripes:16 ~block_size () in

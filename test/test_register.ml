@@ -86,13 +86,13 @@ let test_block_ops () =
     check_ok "write_block"
       (Cluster.run_op ~coord:(j mod 8) cl (fun c ->
            Coordinator.with_retries c (fun () ->
-               Coordinator.write_block c ~stripe:0 j b)));
+               Coordinator.write_blocks c ~stripe:0 j [| b |])));
     data.(j) <- b;
     (match
        Cluster.run_op ~coord:((j + 3) mod 8) cl (fun c ->
-           Coordinator.read_block c ~stripe:0 j)
+           Coordinator.read_blocks c ~stripe:0 j ~len:1)
      with
-    | Some (Ok got) -> Alcotest.(check bool) "block readback" true (Bytes.equal got b)
+    | Some (Ok [| got |]) -> Alcotest.(check bool) "block readback" true (Bytes.equal got b)
     | _ -> Alcotest.fail "read_block failed")
   done;
   check_stripe "stripe reflects block writes" data (read cl ~stripe:0 ())
@@ -106,7 +106,7 @@ let test_block_ops_on_parity_code () =
       let b = Bytes.make bs (Char.chr (48 + j)) in
       expected.(j) <- b;
       check_ok "write_block on nil stripe"
-        (Cluster.run_op cl (fun c -> Coordinator.write_block c ~stripe:0 j b)))
+        (Cluster.run_op cl (fun c -> Coordinator.write_blocks c ~stripe:0 j [| b |])))
     [ 2; 0; 3; 1 ];
   check_stripe "all blocks landed" expected (read cl ~stripe:0 ())
 
@@ -198,7 +198,7 @@ let test_multi_block_after_single_block_write () =
   check_ok "single write"
     (Cluster.run_op cl (fun c ->
          Coordinator.with_retries c (fun () ->
-             Coordinator.write_block c ~stripe:0 1 nb)));
+             Coordinator.write_blocks c ~stripe:0 1 [| nb |])));
   data.(1) <- nb;
   let news = Array.init 2 (fun i -> Bytes.make bs (Char.chr (77 + i))) in
   check_ok "multi write over mixed versions"
@@ -219,7 +219,7 @@ let test_input_validation () =
     (Invalid_argument "Core.Coordinator: block index out of range") (fun () ->
       ignore
         (Cluster.run_op cl (fun c ->
-             Coordinator.read_block c ~stripe:0 5)))
+             Coordinator.read_blocks c ~stripe:0 5 ~len:1)))
 
 (* ------------------------------------------------------------------ *)
 (* Table 1 cost model                                                  *)
@@ -275,9 +275,9 @@ let test_costs_fast_paths () =
   Alcotest.(check (float 0.)) "read latency 2 delta" 2. lat;
 
   (* read-block fast: 2delta, 2n msgs, 1 read, B. *)
-  let r, d = measure cl (fun c -> Coordinator.read_block c ~stripe:0 2) in
+  let r, d = measure cl (fun c -> Coordinator.read_blocks c ~stripe:0 2 ~len:1) in
   (match r with
-  | Some (Ok b) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(2))
+  | Some (Ok [| b |]) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(2))
   | _ -> Alcotest.fail "read_block");
   Alcotest.(check (float 0.)) "rb msgs" (2. *. nf) (d "net.msgs");
   Alcotest.(check (float 0.)) "rb disk reads" 1. (d "disk.reads");
@@ -285,7 +285,7 @@ let test_costs_fast_paths () =
 
   (* write-block fast: 4delta, 4n msgs, k+1 reads, k+1 writes, (2n+1)B. *)
   let nb = Bytes.make bs 'z' in
-  let r, d = measure cl (fun c -> Coordinator.write_block c ~stripe:0 2 nb) in
+  let r, d = measure cl (fun c -> Coordinator.write_blocks c ~stripe:0 2 [| nb |]) in
   check_ok "write_block" r;
   Alcotest.(check (float 0.)) "wb msgs" (4. *. nf) (d "net.msgs");
   Alcotest.(check (float 0.)) "wb disk reads" (float_of_int (k + 1)) (d "disk.reads");
@@ -359,7 +359,7 @@ let test_slow_write_one_content_per_ts () =
            [ 0; 2 ]));
   (match
      Cluster.run_op ~coord cl (fun c ->
-         Coordinator.write_block c ~stripe:0 0 (Bytes.make bs 'C'))
+         Coordinator.write_blocks c ~stripe:0 0 [| Bytes.make bs 'C' |])
    with
   | Some _ -> ()
   | None -> Alcotest.fail "block write did not finish");
@@ -525,14 +525,14 @@ let test_write_block_with_crashed_target () =
   Cluster.crash cl 2;  (* p_2 holds block 2 *)
   let nb = Bytes.make bs 'z' in
   check_ok "write_block via slow path"
-    (Cluster.run_op ~coord:0 cl (fun c -> Coordinator.write_block c ~stripe:0 2 nb));
+    (Cluster.run_op ~coord:0 cl (fun c -> Coordinator.write_blocks c ~stripe:0 2 [| nb |]));
   data.(2) <- nb;
   check_stripe "slow-path write visible" data (read cl ~coord:3 ~stripe:0 ());
   (* After p_2 recovers it serves reads again; its stale log entry for
      block 2 is superseded by version ordering. *)
   Cluster.recover cl 2;
-  (match Cluster.run_op ~coord:2 cl (fun c -> Coordinator.read_block c ~stripe:0 2) with
-  | Some (Ok b) -> Alcotest.(check bool) "recovered brick reads new block" true (Bytes.equal b nb)
+  (match Cluster.run_op ~coord:2 cl (fun c -> Coordinator.read_blocks c ~stripe:0 2 ~len:1) with
+  | Some (Ok [| b |]) -> Alcotest.(check bool) "recovered brick reads new block" true (Bytes.equal b nb)
   | _ -> Alcotest.fail "read via recovered brick")
 
 (* ------------------------------------------------------------------ *)
@@ -565,8 +565,8 @@ let tally cl =
   t
 
 let read_block_ok ?(coord = 0) cl ~stripe j =
-  match Cluster.run_op ~coord cl (fun c -> Coordinator.read_block c ~stripe j) with
-  | Some (Ok b) -> b
+  match Cluster.run_op ~coord cl (fun c -> Coordinator.read_blocks c ~stripe j ~len:1) with
+  | Some (Ok [| b |]) -> b
   | _ -> Alcotest.failf "read_block s%d b%d failed" stripe j
 
 let counter cl name = Metrics.Registry.value cl.Cluster.metrics name
@@ -582,8 +582,8 @@ let test_idle_coordinator_writes_fast () =
   for i = 0 to 4 do
     check_ok "coordinator 0 write"
       (Cluster.run_op ~coord:0 cl (fun c ->
-           Coordinator.write_block c ~stripe:0 (i mod m)
-             (Bytes.make bs (Char.chr (65 + i)))))
+           Coordinator.write_blocks c ~stripe:0 (i mod m)
+             [| Bytes.make bs (Char.chr (65 + i)) |]))
   done;
   let phases = ref [] and outcomes = ref [] in
   Obs.add_sink cl.Cluster.obs
@@ -594,7 +594,7 @@ let test_idle_coordinator_writes_fast () =
          | _ -> ()));
   let r, lat =
     measure_latency ~coord:1 cl (fun c ->
-        Coordinator.write_block c ~stripe:0 1 (Bytes.make bs 'z'))
+        Coordinator.write_blocks c ~stripe:0 1 [| Bytes.make bs 'z' |])
   in
   check_ok "coordinator 1 write" r;
   Alcotest.(check (list string)) "two rounds: order, modify"
@@ -653,7 +653,7 @@ let test_block_write_never_elides () =
   let rounds = round_log cl in
   let r, lat =
     measure_latency cl (fun c ->
-        Coordinator.write_block c ~stripe:0 1 (Bytes.make bs 'z'))
+        Coordinator.write_blocks c ~stripe:0 1 [| Bytes.make bs 'z' |])
   in
   check_ok "write_block" r;
   Alcotest.(check (list string)) "Order&Read then Modify"
@@ -766,10 +766,10 @@ let test_degraded_read_pass () =
     (Coordinator.suspects cl.Cluster.coordinators.(0));
   (* Once suspected, a read of block 4 skips the grace wait: one round. *)
   let r, lat =
-    measure_latency ~coord:0 cl (fun c -> Coordinator.read_block c ~stripe:0 4)
+    measure_latency ~coord:0 cl (fun c -> Coordinator.read_blocks c ~stripe:0 4 ~len:1)
   in
   (match r with
-  | Some (Ok b) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(0).(4))
+  | Some (Ok [| b |]) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(0).(4))
   | _ -> Alcotest.fail "suspected read");
   Alcotest.(check (float 0.)) "one round (2 delta)" 2. lat
 
@@ -782,7 +782,7 @@ let test_degraded_write_skips_fast_path () =
   let t = tally cl in
   let nb = Bytes.make bs 'z' in
   let r, lat =
-    measure_latency ~coord:0 cl (fun c -> Coordinator.write_block c ~stripe:0 4 nb)
+    measure_latency ~coord:0 cl (fun c -> Coordinator.write_blocks c ~stripe:0 4 [| nb |])
   in
   check_ok "write_block" r;
   Alcotest.(check int) "no Order round" 0 t.orders;
@@ -811,10 +811,10 @@ let test_recover_clears_suspicion () =
   Alcotest.(check (list int)) "cleared by its reply" [] (Coordinator.suspects c0);
   let t = tally cl in
   let r, lat =
-    measure_latency ~coord:0 cl (fun c -> Coordinator.read_block c ~stripe:1 4)
+    measure_latency ~coord:0 cl (fun c -> Coordinator.read_blocks c ~stripe:1 4 ~len:1)
   in
   (match r with
-  | Some (Ok b) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(1).(4))
+  | Some (Ok [| b |]) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(1).(4))
   | _ -> Alcotest.fail "read after recover");
   Alcotest.(check (list int)) "targets brick 4 again" [] t.retargeted;
   Alcotest.(check (float 0.)) "fast path (2 delta)" 2. lat;
@@ -850,9 +850,9 @@ let test_degraded_read_mc () =
          read after read. *)
       let read j =
         match
-          Cluster.run_op ~coord:0 cl (fun c -> Coordinator.read_block c ~stripe:0 j)
+          Cluster.run_op ~coord:0 cl (fun c -> Coordinator.read_blocks c ~stripe:0 j ~len:1)
         with
-        | Some (Ok b) -> b
+        | Some (Ok bs) -> bs.(0)
         | Some (Error _) | None -> Alcotest.failf "mc read_block %d" j
       in
       for _ = 1 to 3 do
@@ -1075,25 +1075,48 @@ let test_gc_disabled_grows () =
   | None -> Alcotest.fail "no log"
 
 let test_optimized_modify_equivalent () =
-  (* Section 5.2 bandwidth optimization: same results, less traffic. *)
-  let run_with opt =
-    let cl = Cluster.create ~m:5 ~n:8 ~optimized_modify:opt () in
-    let data = stripe_data 'A' 5 in
+  (* Section 5.2 bandwidth optimization, for every range shorter than
+     the stripe: the same stripe and parity, less traffic. *)
+  let m = 5 and n = 8 in
+  let run_with opt j0 len =
+    let cl = Cluster.create ~m ~n ~optimized_modify:opt () in
+    let data = stripe_data 'A' m in
     check_ok "seed" (write cl ~stripe:0 data);
     let before = Cluster.snapshot cl in
-    let nb = Bytes.make bs 'z' in
-    check_ok "write_block"
-      (Cluster.run_op cl (fun c -> Coordinator.write_block c ~stripe:0 1 nb));
+    let news = Array.init len (fun i -> Bytes.make bs (Char.chr (112 + i))) in
+    check_ok "write_blocks"
+      (Cluster.run_op cl (fun c -> Coordinator.write_blocks c ~stripe:0 j0 news));
     let after = Cluster.snapshot cl in
-    data.(1) <- nb;
+    Array.iteri (fun i b -> data.(j0 + i) <- b) news;
     check_stripe "readback" data (read cl ~coord:5 ~stripe:0 ());
-    Metrics.Snapshot.get after "net.bytes" -. Metrics.Snapshot.get before "net.bytes"
+    let cfg = cl.Cluster.cfg in
+    let encoded = Erasure.Codec.encode (Core.Config.codec cfg ~stripe:0) data in
+    Array.iteri
+      (fun pos addr ->
+        if pos >= m then
+          match Core.Replica.log cl.Cluster.replicas.(addr) ~stripe:0 with
+          | Some l ->
+              Alcotest.(check bool) "parity matches a fresh encode" true
+                (Bytes.equal (snd (Core.Slog.max_block l)) encoded.(pos))
+          | None -> Alcotest.fail "no parity log")
+      (Core.Config.members_array cfg ~stripe:0);
+    (Metrics.Snapshot.get after "net.bytes" -. Metrics.Snapshot.get before "net.bytes")
+    /. float_of_int bs
   in
-  let naive = run_with false and optimized = run_with true in
-  (* Naive Modify ships 2 blocks to all n; optimized ships one block
-     to p_j and one delta to each of the k parities. *)
-  Alcotest.(check (float 0.)) "naive modify traffic" ((2. *. 8.) +. 1.) (naive /. float_of_int bs);
-  Alcotest.(check (float 0.)) "optimized modify traffic" (4. +. 1.) (optimized /. float_of_int bs)
+  for j0 = 0 to m - 1 do
+    for len = 1 to min (m - j0) (m - 1) do
+      let naive = run_with false j0 len and optimized = run_with true j0 len in
+      let what = Printf.sprintf "j0=%d len=%d" j0 len in
+      (* Order&Read returns the range's len blocks. Naive Modify then
+         ships old+new of the range to all n; optimized ships each
+         in-range member its new block and each of the n - m parities
+         one folded delta. *)
+      Alcotest.(check (float 0.)) ("naive modify traffic " ^ what)
+        (float_of_int (len + (2 * len * n))) naive;
+      Alcotest.(check (float 0.)) ("optimized modify traffic " ^ what)
+        (float_of_int ((2 * len) + n - m)) optimized
+    done
+  done
 
 let test_read_block_after_partial_write () =
   (* Table 1 read-block/S path: a partial stripe write forces the
@@ -1102,8 +1125,8 @@ let test_read_block_after_partial_write () =
   let old_data = stripe_data 'A' 3 in
   check_ok "seed" (write cl ~stripe:0 old_data);
   inject_partial_write cl ~stripe:0 ~doomed:4 ~reach:[ 1 ] (stripe_data 'X' 3);
-  match Cluster.run_op ~coord:0 cl (fun c -> Coordinator.read_block c ~stripe:0 0) with
-  | Some (Ok b) ->
+  match Cluster.run_op ~coord:0 cl (fun c -> Coordinator.read_blocks c ~stripe:0 0 ~len:1) with
+  | Some (Ok [| b |]) ->
       Alcotest.(check bool) "rolled-back block value" true (Bytes.equal b old_data.(0))
   | _ -> Alcotest.fail "read_block after partial write"
 
@@ -1240,7 +1263,7 @@ let run_model_sequence (m, n, ops) =
                         (fun () ->
                           model.(stripe).(j) <- b;
                           true)
-                        (Coordinator.write_block c ~stripe j b)
+                        (Coordinator.write_blocks c ~stripe j [| b |])
                   | MWrite_blocks (stripe, j0, len) ->
                       let news = Array.init len (fun _ -> fresh ()) in
                       Result.map
@@ -1255,8 +1278,8 @@ let run_model_sequence (m, n, ops) =
                         (Coordinator.read_stripe c ~stripe)
                   | MRead_block (stripe, j) ->
                       Result.map
-                        (fun b -> Bytes.equal b model.(stripe).(j))
-                        (Coordinator.read_block c ~stripe j)))
+                        (fun bs -> Bytes.equal bs.(0) model.(stripe).(j))
+                        (Coordinator.read_blocks c ~stripe j ~len:1)))
         in
         match result with
         | Some (Ok true) -> ()
