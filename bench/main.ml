@@ -30,13 +30,16 @@ let sections =
   ]
 
 let () =
-  (* A 32 MiB minor heap (set before any domain spawns, so every
-     worker domain inherits it) keeps the parallel microbenches from
-     triggering minor collections mid-measurement: on an oversubscribed
-     host each collection is a stop-the-world handshake with every
-     parked domain, worth 10-25 ms of scheduler latency — more than the
-     cells being measured. Benchmark hygiene only; the libraries never
-     touch GC parameters. *)
+  (* A 32 MiB minor heap for the main domain only: on OCaml 5.1
+     [Gc.set] resizes the calling domain's minor heap, and a domain
+     spawned later (every mc worker) starts at the default 256 K words
+     (2 MiB) whatever the main domain set. So the main domain, which
+     runs the sim sections and the timing harness, rarely collects,
+     while the workers collect at the default rate; on an
+     oversubscribed host each of those collections is a stop-the-world
+     handshake with every parked domain, worth 10-25 ms of scheduler
+     latency. Benchmark hygiene only; the libraries never touch GC
+     parameters. *)
   Gc.set { (Gc.get ()) with minor_heap_size = 4_194_304 };
   let args =
     match Array.to_list Sys.argv with _ :: args -> args | [] -> []

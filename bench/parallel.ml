@@ -88,18 +88,14 @@ let run_one ~domains ~clients ~ops ~block_size =
     Metrics.Counter.value
       (Metrics.Registry.counter cluster.Core.Cluster.metrics ("runtime.sched." ^ name))
   in
-  let total field = Array.fold_left (fun acc s -> acc + field s) 0 stats in
-  let ops_done = total (fun s -> s.Workload.Client.ops) in
-  let lat =
-    Array.fold_left
-      (fun acc s -> Metrics.Hist.merge acc s.Workload.Client.latency)
-      (Metrics.Hist.create ()) stats
-  in
+  let all = Workload.Client.sum stats in
+  let ops_done = all.Workload.Client.ops in
+  let lat = all.Workload.Client.latency in
   {
     domains;
     ops_done;
-    aborted = total (fun s -> s.Workload.Client.aborts);
-    unavailable = total (fun s -> s.Workload.Client.unavailable);
+    aborted = all.Workload.Client.aborts;
+    unavailable = all.Workload.Client.unavailable;
     elapsed;
     ops_per_sec =
       (if elapsed > 0. then float_of_int ops_done /. elapsed else 0.);

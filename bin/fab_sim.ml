@@ -186,9 +186,9 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
        traced as a msg_recv. *)
     Core.Cluster.shutdown cluster;
     let metrics = cluster.Core.Cluster.metrics in
-    let total field = Array.fold_left (fun acc s -> acc + field s) 0 stats in
-    let ops_done = total (fun s -> s.Workload.Client.ops) in
-    let aborts = total (fun s -> s.Workload.Client.aborts) in
+    let all = Workload.Client.sum stats in
+    let ops_done = all.Workload.Client.ops in
+    let aborts = all.Workload.Client.aborts in
     if Core.Cluster.is_mc cluster then
       Printf.printf "clients: %d x %d ops, elapsed %.3f s (%d domains)\n"
         clients ops elapsed domains
@@ -196,10 +196,7 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
       Printf.printf "clients: %d x %d ops, elapsed %.0f delta\n" clients ops
         elapsed;
     Printf.printf "  completed ops : %d (%d reads, %d writes, %d aborted)\n"
-      ops_done
-      (total (fun s -> s.Workload.Client.reads))
-      (total (fun s -> s.Workload.Client.writes))
-      aborts;
+      ops_done all.Workload.Client.reads all.Workload.Client.writes aborts;
     if Core.Cluster.is_mc cluster then
       Printf.printf "  throughput    : %.0f ops / sec (wall clock)\n"
         (float_of_int ops_done /. elapsed)
@@ -211,12 +208,7 @@ let run_workload runtime_name domains m n bricks stripes block_size clients
         Printf.printf "  client %d      : %s\n" i
           (Format.asprintf "%a" Metrics.Hist.pp s.Workload.Client.latency))
       stats;
-    let client_latency =
-      Array.fold_left
-        (fun acc s -> Metrics.Hist.merge acc s.Workload.Client.latency)
-        (Metrics.Hist.create ())
-        stats
-    in
+    let client_latency = all.Workload.Client.latency in
     Printf.printf "  all clients   : %s\n"
       (Format.asprintf "%a" Metrics.Hist.pp client_latency);
     Printf.printf "  network       : %.0f messages, %.1f KiB payload\n"
@@ -366,15 +358,8 @@ let print_breakdown u obs_stats =
     "abt" "mean" "p95";
   List.iter (fun p -> Printf.printf " %9s" (Obs.phase_name p)) phases;
   Printf.printf "\n";
-  let completed = Obs.Stats.completed obs_stats in
   let by_kind = Obs.Stats.by_kind obs_stats in
-  let outcome_count kind o =
-    List.length
-      (List.filter
-         (fun (st : Obs.Stats.op_stat) ->
-           st.Obs.Stats.op_kind = kind && st.Obs.Stats.outcome = Some o)
-         completed)
-  in
+  let outcomes = Obs.Stats.outcome_counts obs_stats in
   List.iter
     (fun (kind, count, phase_means) ->
       let lat f =
@@ -382,10 +367,9 @@ let print_breakdown u obs_stats =
         | Some h when Metrics.Hist.count h > 0 -> fmt_time u (f h)
         | _ -> "-"
       in
-      Printf.printf "  %-13s %6d %5d %5d %5d %8s %8s" kind count
-        (outcome_count kind Obs.Ok)
-        (outcome_count kind Obs.Retry)
-        (outcome_count kind Obs.Abort)
+      let ok, aborts, retries, _ = List.assoc kind outcomes in
+      Printf.printf "  %-13s %6d %5d %5d %5d %8s %8s" kind count ok retries
+        aborts
         (lat Metrics.Hist.mean)
         (lat (fun h -> Metrics.Hist.percentile h 95.));
       List.iter
@@ -635,10 +619,8 @@ type cell = {
   c_disk_reads : float;
   c_disk_writes : float;
   c_latency : Metrics.Hist.t;  (* merged client latency *)
-  c_kinds : (string * Metrics.Hist.t) list;
-  c_timeline : Obs.Timeline.t;
+  c_stats : Obs.Stats.stats;
   c_slos : Obs.Slo.report list;
-  c_evicted : int;
 }
 
 let run_cell ~geom ~m ~n ~stripes ~block_size ~clients ~ops ~profile_name
@@ -651,11 +633,10 @@ let run_cell ~geom ~m ~n ~stripes ~block_size ~clients ~ops ~profile_name
   let cluster = Fab.Volume.cluster volume in
   let nbricks = Array.length cluster.Core.Cluster.bricks in
   let obs = cluster.Core.Cluster.obs in
-  let timeline =
-    Obs.Timeline.create ~classify:Chaos.Plan.overlay_of_label ~width:window ()
+  let obs_stats =
+    Obs.Stats.create ~retain:4096 ~width:window
+      ~classify:Chaos.Plan.overlay_of_label ()
   in
-  Obs.add_sink obs (Obs.Timeline.sink timeline);
-  let obs_stats = Obs.Stats.create ~retain:4096 () in
   Obs.add_sink obs (Obs.Stats.sink obs_stats);
   let nemesis =
     if faults then Some (Chaos.Nemesis.install (report_fault_plan ~n ~window) cluster)
@@ -682,17 +663,11 @@ let run_cell ~geom ~m ~n ~stripes ~block_size ~clients ~ops ~profile_name
   Obs.close obs;
   let elapsed = Runtime.now cluster.Core.Cluster.runtime -. started in
   let metrics = cluster.Core.Cluster.metrics in
-  let total field = Array.fold_left (fun acc s -> acc + field s) 0 stats in
-  let ops_done = total (fun s -> s.Workload.Client.ops) in
-  let aborts = total (fun s -> s.Workload.Client.aborts) in
-  let unavail = total (fun s -> s.Workload.Client.unavailable) in
+  let all = Workload.Client.sum stats in
+  let ops_done = all.Workload.Client.ops in
+  let aborts = all.Workload.Client.aborts in
+  let unavail = all.Workload.Client.unavailable in
   let per_op v = if ops_done = 0 then 0. else v /. float_of_int ops_done in
-  let latency =
-    Array.fold_left
-      (fun acc s -> Metrics.Hist.merge acc s.Workload.Client.latency)
-      (Metrics.Hist.create ())
-      stats
-  in
   {
     c_name = geom ^ "/" ^ profile_name;
     c_geom = geom;
@@ -710,15 +685,13 @@ let run_cell ~geom ~m ~n ~stripes ~block_size ~clients ~ops ~profile_name
       /. float_of_int block_size;
     c_disk_reads = per_op (Metrics.Registry.value metrics "disk.reads");
     c_disk_writes = per_op (Metrics.Registry.value metrics "disk.writes");
-    c_latency = latency;
-    c_kinds = Obs.Stats.by_kind obs_stats;
-    c_timeline = timeline;
-    c_slos = List.map (Obs.Slo.evaluate timeline) slos;
-    c_evicted = Obs.Stats.evicted obs_stats;
+    c_latency = all.Workload.Client.latency;
+    c_stats = obs_stats;
+    c_slos = List.map (Obs.Slo.evaluate obs_stats) slos;
   }
 
 let cell_windows cell =
-  let ts = Obs.Timeline.series cell.c_timeline in
+  let ts = Obs.Stats.series cell.c_stats in
   match Metrics.Timeseries.span ts with
   | None -> []
   | Some (w0, w1) ->
@@ -736,7 +709,7 @@ let cell_windows cell =
             pc 99.9,
             Metrics.Timeseries.counter ts "out.ok" w,
             Metrics.Timeseries.counter ts "retransmits" w,
-            Obs.Timeline.faults_in cell.c_timeline w ))
+            Obs.Stats.faults_in cell.c_stats w ))
 
 let cell_json cell =
   let open Obs.Json in
@@ -795,9 +768,12 @@ let cell_json cell =
             ] );
         ("latency", O (hist_fields cell.c_latency));
         ( "kinds",
-          O (List.map (fun (k, h) -> (k, O (hist_fields h))) cell.c_kinds) );
+          O
+            (List.map
+               (fun (k, h) -> (k, O (hist_fields h)))
+               (Obs.Stats.by_kind cell.c_stats)) );
         ("slo", O (List.map slo_fields cell.c_slos));
-        ("evicted", I cell.c_evicted);
+        ("evicted", I (Obs.Stats.evicted cell.c_stats));
         ("windows", A windows);
       ] )
 
@@ -869,7 +845,7 @@ let write_report_md path ~meta ~window ~slos cells =
       line "per-cell tables below.");
   List.iter
     (fun c ->
-      let ts = Obs.Timeline.series c.c_timeline in
+      let ts = Obs.Stats.series c.c_stats in
       let windows = cell_windows c in
       line "";
       line "## %s" c.c_name;
@@ -908,7 +884,7 @@ let write_report_md path ~meta ~window ~slos cells =
              windows)
       in
       line "| chaos faults | %s |" fault_row;
-      (match Obs.Timeline.faults c.c_timeline with
+      (match Obs.Stats.faults c.c_stats with
       | [] -> ()
       | fs ->
           line "";

@@ -78,18 +78,18 @@ val fault_label : fault -> string
 (** The event-line tail, e.g. ["crash 1"] or ["partition 0,1|2,3"];
     also the label chaos faults carry in [Obs.Fault] events. *)
 
-val overlay_of_fault : fault -> Obs.Timeline.overlay
+val overlay_of_fault : fault -> Obs.Stats.overlay
 (** How the fault renders on a report's fault-overlay track: faults
     with a clear undo open/close a matching-key interval ([Crash] /
     [Torn_crash] until [Recover], [Partition] until [Heal], [Drop p>0]
     until [Drop 0], [Link_down] until [Link_up], [Skew f<>0] until
     [Skew 0]); one-shot storage damage is a point. *)
 
-val overlay_of_label : string -> Obs.Timeline.overlay
+val overlay_of_label : string -> Obs.Stats.overlay
 (** {!overlay_of_fault} on a {!fault_label}-syntax string (the label
     carried by [Obs.Fault] events); unparseable labels degrade to a
     point with the raw label. Pass this as [classify] to
-    [Obs.Timeline.create]. *)
+    [Obs.Stats.create]. *)
 
 val to_string : t -> string
 (** Print in the line format; [of_string (to_string p)] re-reads [p]

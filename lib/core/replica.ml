@@ -102,24 +102,28 @@ let handle_order t stripe ts =
    harness exists to catch. *)
 let handle_order_read t ctx stripe target max ts =
   let st = state t stripe in
-  let val_ts = Slog.max_ts st.log in
+  let wanted =
+    match target with
+    | Message.All -> true
+    | Message.Addrs l -> List.mem (Brick.id t.brick) l
+  in
+  (* A targeted member reads its version and the entry below [max] in
+     one call: one log-head descent when [max] is HighTS. *)
+  let val_ts, below =
+    if wanted then Slog.max_and_below st.log max
+    else (Slog.max_ts st.log, None)
+  in
   let skip = t.cfg.Config.unsafe_skip_order in
   let status = skip || (Ts.( > ) ts val_ts && Ts.( >= ) ts st.ord_ts) in
   let lts = ref Ts.low and block = ref None in
   if status then begin
     if (not skip) && not (Ts.equal st.ord_ts ts) then set_ord_ts t st ts;
-    let wanted =
-      match target with
-      | Message.All -> true
-      | Message.Addrs l -> List.mem (Brick.id t.brick) l
-    in
-    if wanted then
-      match Slog.max_below st.log max with
-      | Some (l, b) ->
-          lts := l;
-          block := b;
-          if b <> None then Brick.count_disk_read ~ctx t.brick
-      | None -> ()
+    match below with
+    | Some (l, b) ->
+        lts := l;
+        block := b;
+        if b <> None then Brick.count_disk_read ~ctx t.brick
+    | None -> ()
   end;
   Message.Order_read_r
     {

@@ -144,6 +144,15 @@ let max_below t bound =
   | Some (lts, _, rest) ->
       Some (lts, Option.bind (first real rest) (fun (_, e, _) -> e.block))
 
+(* Every timestamp in the log lies below HighTS, so [max_below] at
+   HighTS descends from the newest entry, as [max_ts] does: one descent
+   answers both. *)
+let max_and_below t bound =
+  if Timestamp.equal bound Timestamp.high then
+    let below = max_below t bound in
+    ((match below with Some (ts, _) -> ts | None -> Timestamp.low), below)
+  else (max_ts t, max_below t bound)
+
 let gc t ~before =
   (* Only entries older than [before] are visited, and none is hashed:
      [head] names the two that must stay. *)

@@ -90,6 +90,15 @@ val max_below : t -> Timestamp.t -> (Timestamp.t * Bytes.t option) option
     it, and roll back a completed operation — violating strict
     linearizability whenever [n - m + 1 < m]. See DESIGN.md. *)
 
+val max_and_below :
+  t -> Timestamp.t -> Timestamp.t * (Timestamp.t * Bytes.t option) option
+(** [max_and_below t ts] is [(max_ts t, max_below t ts)]. With
+    [ts = HighTS] both come from one newest-first descent, so the
+    newest entry is verified once. Unlike {!head}, the second answer
+    keeps {!max_below}'s shape: [None] on a log with no intact entry,
+    and no block on a marker-only log, where {!head} gives the shared
+    nil block. *)
+
 val gc : t -> before:Timestamp.t -> int
 (** [gc t ~before] removes entries with timestamp < [before], except
     the newest entry of the log and the newest non-bot entry (so

@@ -292,14 +292,6 @@ let delta_into ~old_data ~new_data ~into =
   if into != new_data then Bytes.blit new_data 0 into 0 len;
   F.mul_slice ~dst:into ~src:old_data 1
 
-let delta ~old_data ~new_data =
-  let len = Bytes.length old_data in
-  if Bytes.length new_data <> len then
-    invalid_arg "Erasure.Codec.delta: size mismatch";
-  let d = Bytes.create len in
-  delta_into ~old_data ~new_data ~into:d;
-  d
-
 let check_delta_indices name t ~data_idx ~parity_idx =
   if data_idx < 0 || data_idx >= t.m then
     invalid_arg (Printf.sprintf "Erasure.Codec.%s: data_idx out of range" name);
@@ -330,17 +322,12 @@ let apply_deltas_into t ~parity_idx ~deltas ~parity =
   let row = t.delta_muls.(parity_idx) in
   Array.iter (fun (di, d) -> K.mul_acc row.(di) ~dst:parity ~src:d) deltas
 
-let apply_delta t ~data_idx ~parity_idx ~delta ~old_parity =
-  check_delta_indices "apply_delta" t ~data_idx ~parity_idx;
-  if Bytes.length delta <> Bytes.length old_parity then
-    invalid_arg "Erasure.Codec.apply_delta: size mismatch";
-  let out = Bytes.copy old_parity in
-  apply_delta_into t ~data_idx ~parity_idx ~delta ~parity:out;
-  out
-
 let modify t ~data_idx ~parity_idx ~old_data ~new_data ~old_parity =
-  apply_delta t ~data_idx ~parity_idx ~delta:(delta ~old_data ~new_data)
-    ~old_parity
+  let delta = Bytes.create (Bytes.length old_data) in
+  delta_into ~old_data ~new_data ~into:delta;
+  let parity = Bytes.copy old_parity in
+  apply_delta_into t ~data_idx ~parity_idx ~delta ~parity;
+  parity
 
 (* ------------------------------------------------------------------ *)
 (* Reconstruction                                                      *)

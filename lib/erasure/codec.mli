@@ -108,30 +108,22 @@ val modify :
     data block.
     @raise Invalid_argument on out-of-range indices or size mismatch. *)
 
-val delta : old_data:Bytes.t -> new_data:Bytes.t -> Bytes.t
-(** [delta ~old_data ~new_data] is the XOR difference of two versions
-    of a data block, which {!apply_delta} folds into a parity block. *)
-
 val delta_into : old_data:Bytes.t -> new_data:Bytes.t -> into:Bytes.t -> unit
-(** [delta_into ~old_data ~new_data ~into] is {!delta} writing into the
-    caller-provided buffer [into] (which may be [new_data] itself for an
-    in-place update, but must not be [old_data]).
+(** [delta_into ~old_data ~new_data ~into] writes the XOR difference of
+    two versions of a data block, which {!apply_delta_into} folds into
+    a parity block, into the caller-provided buffer [into] (which may
+    be [new_data] itself for an in-place update, but must not be
+    [old_data]).
     @raise Invalid_argument on length mismatch. *)
-
-val apply_delta :
-  t -> data_idx:int -> parity_idx:int -> delta:Bytes.t ->
-  old_parity:Bytes.t -> Bytes.t
-(** [apply_delta t ~data_idx ~parity_idx ~delta ~old_parity] folds a
-    precomputed {!delta} into a parity block; composing {!delta} and
-    [apply_delta] equals {!modify}. *)
 
 val apply_delta_into :
   t -> data_idx:int -> parity_idx:int -> delta:Bytes.t ->
   parity:Bytes.t -> unit
 (** [apply_delta_into t ~data_idx ~parity_idx ~delta ~parity] folds a
-    {!delta} into [parity] in place: [parity ^= coeff * delta]. [delta]
-    must not alias [parity]. This is the allocation-free core of
-    {!apply_delta} and {!modify}.
+    delta ({!delta_into}) into [parity] in place:
+    [parity ^= coeff * delta]. [delta] must not alias [parity].
+    Composing {!delta_into} and [apply_delta_into] is {!modify}
+    without its allocations.
     @raise Invalid_argument on out-of-range indices or size mismatch. *)
 
 val apply_deltas_into :

@@ -805,8 +805,26 @@ let chrome oc =
     emit
 
 (* ------------------------------------------------------------------ *)
-(* Derived statistics (itself a sink)                                  *)
+(* The one fold over the event stream (itself a sink)                  *)
 (* ------------------------------------------------------------------ *)
+
+(* A kind selector matches the exact op kind or any "<kind>-…"
+   refinement, so "read" covers read-stripe/read-blocks. *)
+let kind_matches sel op_kind =
+  sel = op_kind
+  || (let pre = sel ^ "-" in
+      String.length op_kind > String.length pre
+      && String.sub op_kind 0 (String.length pre) = pre)
+
+(* Client operations are reads and writes ("read-stripe",
+   "write-blocks", …). A "recover" span is protocol work: a read that
+   finds a partial write recovers the stripe inside its own span, a
+   retried block write recovers between attempts, and a rebuild or
+   resync recovers in the background. A "scrub" is background work
+   too. Counting those beside the client operation that caused them
+   would count one request several times. *)
+let client_kind op_kind =
+  kind_matches "read" op_kind || kind_matches "write" op_kind
 
 module Stats = struct
   type op_stat = {
@@ -829,32 +847,29 @@ module Stats = struct
         (* suspected brick routed around, and when *)
   }
 
-  (* Incremental per-op-kind aggregate, updated when a span completes,
-     so the derived distributions stay correct even after the
-     completed-op records themselves are evicted (bounded [retain]). *)
-  type agg = {
-    mutable n : int;
-    latency : Metrics.Hist.t;
-    mutable ok : int;
-    mutable aborts : int;
-    mutable retries : int;
-    mutable unavail : int;
-    mutable phase_total : (phase * float) list;  (* summed over all ops *)
-    mutable elided_total : (phase * int) list;
-  }
+  (* How a fault label relates to an overlay interval. The classifier
+     is pluggable because the label syntax belongs to lib/chaos, which
+     depends on this library: chaos supplies its own classifier and
+     the default treats every fault as an instantaneous point. *)
+  type overlay = [ `Begin of string | `End of string | `Point of string ]
 
-  let fresh_agg () =
-    {
-      n = 0;
-      latency = Metrics.Hist.create ();
-      ok = 0;
-      aborts = 0;
-      retries = 0;
-      unavail = 0;
-      phase_total = [];
-      elided_total = [];
-    }
-
+  (* Two things are kept: bounded per-op records (what [explain]
+     lists) and one time series. A span folds into the series the
+     moment it completes, in the window of its end, under names keyed
+     by kind, phase, queue and outcome:
+       lat.<kind>, lat.all           latency histograms
+       out.<outcome>.<kind>          completions per kind
+       out.<outcome>, ops.all        client completions (see client_kind)
+       phase.<phase>                 per-op phase durations (histogram)
+       phase.<phase>.<kind>          the same, summed per kind (counter)
+       elided.<phase>.<kind>         elided quorum rounds
+       retarget.<brick>.<kind>       ops routed around a brick, and
+       retarget_time.<brick>.<kind>  their summed time from re-target to end
+       queue.<actor>, inflight       sampled depths
+     plus per-event counters (msgs, bytes, drops, retransmits,
+     retargets, io.read, io.write, faults). Every whole-run view below
+     merges its series over the windows, so it stays exact whatever
+     the [retain] bound evicts. *)
   type stats = {
     live : (int, op_stat) Hashtbl.t;
     retain : int;  (* completed records kept; 0 = unbounded *)
@@ -869,15 +884,12 @@ module Stats = struct
         (* highest evicted op id: late events for evicted ops are
            routed to a scrap record instead of re-opening them *)
     scrap : op_stat;
-    by_kind_agg : (string, agg) Hashtbl.t;
-    phase_agg : (phase, Metrics.Hist.t) Hashtbl.t;
-        (* per-(op, phase) accumulated durations, across kinds *)
-    queue_depth : (string, Metrics.Hist.t) Hashtbl.t;
-    retarget_agg : (int * string, int * float) Hashtbl.t;
-        (* (suspected brick, op kind) -> ops routed around it, summed
-           time from the re-target to the op's end *)
-    mutable untagged_msgs : int;
-    mutable untagged_bytes : int;
+    ts : Metrics.Timeseries.t;
+    classify : string -> overlay;
+    mutable inflight : int;
+    mutable active : (string * float) list;  (* open overlays: key, t0 *)
+    mutable intervals : (string * float * float) list;  (* closed, rev *)
+    mutable last_time : float;
   }
 
   let fresh_op_stat op =
@@ -900,7 +912,9 @@ module Stats = struct
       retargeted = [];
     }
 
-  let create ?(retain = 0) () =
+  (* Without a [width] the whole run is one window. *)
+  let create ?(retain = 0) ?(width = Float.max_float)
+      ?(classify = fun l -> `Point l) () =
     if retain < 0 then invalid_arg "Obs.Stats.create: retain < 0";
     {
       live = Hashtbl.create 64;
@@ -910,13 +924,15 @@ module Stats = struct
       evicted = 0;
       evicted_floor = -1;
       scrap = fresh_op_stat (-1);
-      by_kind_agg = Hashtbl.create 8;
-      phase_agg = Hashtbl.create 8;
-      queue_depth = Hashtbl.create 8;
-      retarget_agg = Hashtbl.create 8;
-      untagged_msgs = 0;
-      untagged_bytes = 0;
+      ts = Metrics.Timeseries.create ~width ();
+      classify;
+      inflight = 0;
+      active = [];
+      intervals = [];
+      last_time = 0.;
     }
+
+  let series t = t.ts
 
   let op_stat t op =
     match Hashtbl.find_opt t.live op with
@@ -936,60 +952,42 @@ module Stats = struct
     let prev = match List.assoc_opt p s.phases with Some d -> d | None -> 0. in
     s.phases <- (p, prev +. dur) :: List.remove_assoc p s.phases
 
-  let kind_agg t kind =
-    match Hashtbl.find_opt t.by_kind_agg kind with
-    | Some a -> a
-    | None ->
-        let a = fresh_agg () in
-        Hashtbl.add t.by_kind_agg kind a;
-        a
+  (* The mc clock is the wall clock, which may step backwards;
+     [Hist.add] rejects the negative latencies and phase durations that
+     would produce, so they are skipped. *)
+  let observe t ~time name v =
+    if Float.is_finite v && v >= 0. then
+      Metrics.Timeseries.observe t.ts ~time name v
 
-  (* Fold a just-completed span into the running aggregates. *)
-  let aggregate_completed t (s : op_stat) =
-    let a = kind_agg t s.op_kind in
-    a.n <- a.n + 1;
+  (* Fold a just-completed span into the series, in its end's window. *)
+  let aggregate_completed t (s : op_stat) outcome =
+    let time = s.t_end and kind = s.op_kind in
+    let incr ?by name = Metrics.Timeseries.incr t.ts ~time ?by name in
+    let observe = observe t ~time in
     let lat = s.t_end -. s.t_start in
-    (* The mc clock is the wall clock, which may step backwards;
-       [Hist.add] rejects the negative latencies and phase durations
-       that would produce, so they are skipped. *)
-    if lat >= 0. then Metrics.Hist.add a.latency lat;
-    (match s.outcome with
-    | Some Ok -> a.ok <- a.ok + 1
-    | Some Abort -> a.aborts <- a.aborts + 1
-    | Some Retry -> a.retries <- a.retries + 1
-    | Some Unavailable -> a.unavail <- a.unavail + 1
-    | None -> ());
+    let client = client_kind kind in
+    if client then begin
+      observe "lat.all" lat;
+      incr "ops.all";
+      incr ("out." ^ outcome_name outcome)
+    end;
+    observe ("lat." ^ kind) lat;
+    incr ("out." ^ outcome_name outcome ^ "." ^ kind);
     List.iter
       (fun (p, dur) ->
-        let prev =
-          match List.assoc_opt p a.phase_total with Some d -> d | None -> 0.
-        in
-        a.phase_total <- (p, prev +. dur) :: List.remove_assoc p a.phase_total;
-        let h =
-          match Hashtbl.find_opt t.phase_agg p with
-          | Some h -> h
-          | None ->
-              let h = Metrics.Hist.create () in
-              Hashtbl.add t.phase_agg p h;
-              h
-        in
-        if dur >= 0. then Metrics.Hist.add h dur)
+        incr ~by:dur ("phase." ^ phase_name p ^ "." ^ kind);
+        observe ("phase." ^ phase_name p) dur)
       s.phases;
     List.iter
       (fun (p, c) ->
-        let prev =
-          match List.assoc_opt p a.elided_total with Some d -> d | None -> 0
-        in
-        a.elided_total <- (p, prev + c) :: List.remove_assoc p a.elided_total)
+        incr ~by:(float_of_int c) ("elided." ^ phase_name p ^ "." ^ kind))
       s.elided;
     (* An operation routes around each suspected brick once. *)
     List.iter
       (fun (b, since) ->
-        let key = (b, s.op_kind) in
-        let ops, total =
-          Option.value ~default:(0, 0.) (Hashtbl.find_opt t.retarget_agg key)
-        in
-        Hashtbl.replace t.retarget_agg key (ops + 1, total +. (s.t_end -. since)))
+        let key = string_of_int b ^ "." ^ kind in
+        incr ("retarget." ^ key);
+        incr ~by:(s.t_end -. since) ("retarget_time." ^ key))
       s.retargeted
 
   (* Drop the oldest retained completed records down to [keep]. *)
@@ -1001,103 +999,115 @@ module Stats = struct
       t.evicted <- t.evicted + 1
     done
 
+  let overlay t time label =
+    match t.classify label with
+    | `Point key -> t.intervals <- (key, time, time) :: t.intervals
+    | `Begin key ->
+        if not (List.mem_assoc key t.active) then
+          t.active <- (key, time) :: t.active
+    | `End key -> (
+        match List.assoc_opt key t.active with
+        | Some t0 ->
+            t.active <- List.remove_assoc key t.active;
+            t.intervals <- (key, t0, time) :: t.intervals
+        | None -> ())
+
   let feed t ev =
+    let time = ev.time in
+    if time > t.last_time then t.last_time <- time;
+    let incr ?by name = Metrics.Timeseries.incr t.ts ~time ?by name in
+    let observe = observe t ~time in
+    (* Per-op records are kept only for events tied to an operation. *)
+    let record f = if ev.op >= 0 then f (op_stat t ev.op) in
     match ev.kind with
-    | Queue_depth { depth } ->
-        let key = actor_name ev.actor in
-        let h =
-          match Hashtbl.find_opt t.queue_depth key with
-          | Some h -> h
-          | None ->
-              let h = Metrics.Hist.create () in
-              Hashtbl.add t.queue_depth key h;
-              h
-        in
-        Metrics.Hist.add h (float_of_int depth)
-    | _ when ev.op < 0 -> (
-        match ev.kind with
-        | Msg_send { bytes; _ } ->
-            t.untagged_msgs <- t.untagged_msgs + 1;
-            t.untagged_bytes <- t.untagged_bytes + bytes
-        | _ -> ())
     | Span_start { op_kind; stripe } ->
-        let s = op_stat t ev.op in
-        s.op_kind <- op_kind;
-        s.stripe <- stripe;
-        s.t_start <- ev.time
+        t.inflight <- t.inflight + 1;
+        observe "inflight" (float_of_int t.inflight);
+        record (fun s ->
+            s.op_kind <- op_kind;
+            s.stripe <- stripe;
+            s.t_start <- time)
     | Span_end { op_kind; stripe; outcome } ->
-        let s = op_stat t ev.op in
-        s.op_kind <- op_kind;
-        s.stripe <- stripe;
-        s.t_end <- ev.time;
-        s.outcome <- Some outcome;
-        (match s.open_phase with
-        | Some (p, since) ->
-            add_phase s p (ev.time -. since);
-            s.open_phase <- None
-        | None -> ());
-        Hashtbl.remove t.live ev.op;
-        if not (Hashtbl.mem t.finished ev.op) then begin
-          Hashtbl.replace t.finished ev.op s;
-          Queue.push ev.op t.order;
-          aggregate_completed t s;
-          if t.retain > 0 then evict_down_to t t.retain
-        end
-    | Phase_start -> (
-        match ev.phase with
-        | None -> ()
-        | Some p ->
-            let s = op_stat t ev.op in
+        if t.inflight > 0 then t.inflight <- t.inflight - 1;
+        observe "inflight" (float_of_int t.inflight);
+        record (fun s ->
+            s.op_kind <- op_kind;
+            s.stripe <- stripe;
+            s.t_end <- time;
+            s.outcome <- Some outcome;
             (match s.open_phase with
-            | Some (prev, since) -> add_phase s prev (ev.time -. since)
-            | None -> ());
-            s.open_phase <- Some (p, ev.time))
-    | Phase_end -> (
-        match ev.phase with
-        | None -> ()
-        | Some p ->
-            let s = op_stat t ev.op in
-            (match s.open_phase with
-            | Some (open_p, since) when open_p = p ->
-                add_phase s p (ev.time -. since);
+            | Some (p, since) ->
+                add_phase s p (time -. since);
                 s.open_phase <- None
-            | _ -> ()))
+            | None -> ());
+            Hashtbl.remove t.live ev.op;
+            if not (Hashtbl.mem t.finished ev.op) then begin
+              Hashtbl.replace t.finished ev.op s;
+              Queue.push ev.op t.order;
+              aggregate_completed t s outcome;
+              if t.retain > 0 then evict_down_to t t.retain
+            end)
+    | Phase_start ->
+        Option.iter
+          (fun p ->
+            record (fun s ->
+                (match s.open_phase with
+                | Some (prev, since) -> add_phase s prev (time -. since)
+                | None -> ());
+                s.open_phase <- Some (p, time)))
+          ev.phase
+    | Phase_end ->
+        Option.iter
+          (fun p ->
+            record (fun s ->
+                match s.open_phase with
+                | Some (open_p, since) when open_p = p ->
+                    add_phase s p (time -. since);
+                    s.open_phase <- None
+                | _ -> ()))
+          ev.phase
+    | Phase_elided ->
+        Option.iter
+          (fun p ->
+            record (fun s ->
+                let prev =
+                  match List.assoc_opt p s.elided with Some c -> c | None -> 0
+                in
+                s.elided <- (p, prev + 1) :: List.remove_assoc p s.elided))
+          ev.phase
     | Msg_send { bytes; _ } ->
-        let s = op_stat t ev.op in
-        s.msgs <- s.msgs + 1;
-        s.bytes <- s.bytes + bytes
-    | Phase_elided -> (
-        match ev.phase with
-        | None -> ()
-        | Some p ->
-            let s = op_stat t ev.op in
-            let prev =
-              match List.assoc_opt p s.elided with Some c -> c | None -> 0
-            in
-            s.elided <- (p, prev + 1) :: List.remove_assoc p s.elided)
+        incr "msgs";
+        incr ~by:(float_of_int bytes) "bytes";
+        record (fun s ->
+            s.msgs <- s.msgs + 1;
+            s.bytes <- s.bytes + bytes)
     | Msg_recv _ -> ()
-    | Fault _ -> ()
     | Msg_drop _ ->
-        let s = op_stat t ev.op in
-        s.drops <- s.drops + 1
-    | Timeout _ ->
-        let s = op_stat t ev.op in
-        s.timeouts <- s.timeouts + 1
-    | Retarget { suspect } ->
-        let s = op_stat t ev.op in
-        s.retargeted <- (suspect, ev.time) :: s.retargeted
+        incr "drops";
+        record (fun s -> s.drops <- s.drops + 1)
     | Io_read { blocks } ->
-        let s = op_stat t ev.op in
-        s.disk_reads <- s.disk_reads + blocks
+        incr ~by:(float_of_int blocks) "io.read";
+        record (fun s -> s.disk_reads <- s.disk_reads + blocks)
     | Io_write { blocks } ->
-        let s = op_stat t ev.op in
-        s.disk_writes <- s.disk_writes + blocks
+        incr ~by:(float_of_int blocks) "io.write";
+        record (fun s -> s.disk_writes <- s.disk_writes + blocks)
+    | Timeout _ ->
+        incr "retransmits";
+        record (fun s -> s.timeouts <- s.timeouts + 1)
+    | Retarget { suspect } ->
+        incr "retargets";
+        record (fun s -> s.retargeted <- (suspect, time) :: s.retargeted)
+    | Queue_depth { depth } ->
+        observe ("queue." ^ actor_name ev.actor) (float_of_int depth)
+    | Fault { label } ->
+        incr "faults";
+        overlay t time label
 
   let sink t = Sink.make (feed t)
 
   (* Retained completed records, oldest first. With a [retain] bound
-     this is only the most recent window; the aggregate accessors below
-     still describe every op ever completed. *)
+     this is only the most recent window; the views below still
+     describe every op ever completed. *)
   let completed t =
     Queue.fold
       (fun acc op ->
@@ -1111,102 +1121,126 @@ module Stats = struct
   let evicted t = t.evicted
   let latency s = s.t_end -. s.t_start
 
-  let sorted_kinds t =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.by_kind_agg []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  (* ---- whole-run views: each merges its series over the windows ---- *)
 
-  (* Per-op-kind latency distributions, sorted by kind. *)
-  let by_kind t = List.map (fun (k, a) -> (k, a.latency)) (sorted_kinds t)
+  (* Suffixes of the sorted names that start with [prefix]. *)
+  let suffixes prefix names =
+    let n = String.length prefix in
+    List.filter_map
+      (fun name ->
+        if String.starts_with ~prefix name then
+          Some (String.sub name n (String.length name - n))
+        else None)
+      names
 
-  (* Per-op-kind outcome tallies: (kind, (ok, aborts, retries,
-     unavailable)), sorted by kind. *)
-  let outcome_counts t =
-    List.map
-      (fun (k, a) -> (k, (a.ok, a.aborts, a.retries, a.unavail)))
-      (sorted_kinds t)
+  let all_outcomes = [ Ok; Abort; Retry; Unavailable ]
+  let total t name = Metrics.Timeseries.total t.ts name
+  let count t name = int_of_float (total t name)
 
-  (* Per-phase time distributions across all completed ops. *)
-  let by_phase t =
+  let hist t name =
+    match Metrics.Timeseries.merged_hist t.ts name with
+    | Some h -> h
+    | None -> Metrics.Hist.create ()
+
+  let kinds t =
+    let names = Metrics.Timeseries.counter_names t.ts in
+    List.concat_map
+      (fun o -> suffixes ("out." ^ outcome_name o ^ ".") names)
+      all_outcomes
+    |> List.sort_uniq String.compare
+
+  (* Per op kind, the summed counter [<prefix>.<phase>.<kind>] of each
+     phase that has one. *)
+  let per_phase t prefix kind =
+    let names = Metrics.Timeseries.counter_names t.ts in
     List.filter_map
       (fun p ->
-        match Hashtbl.find_opt t.phase_agg p with
-        | Some s -> Some (p, s)
-        | None -> None)
+        let name = prefix ^ "." ^ phase_name p ^ "." ^ kind in
+        if List.mem name names then Some (p, total t name) else None)
       all_phases
 
-  (* Mean phase durations per op kind: (kind, count, [(phase, mean)]). *)
+  let outcome_counts t =
+    List.map
+      (fun k ->
+        let c o = count t ("out." ^ outcome_name o ^ "." ^ k) in
+        (k, (c Ok, c Abort, c Retry, c Unavailable)))
+      (kinds t)
+
+  (* A kind with no recorded latency (every span's clock stepped
+     backwards) still lists, with an empty histogram. *)
+  let by_kind t = List.map (fun k -> (k, hist t ("lat." ^ k))) (kinds t)
+
+  (* A phase lists once any op ran it, even if every duration was
+     skipped as negative. *)
+  let by_phase t =
+    let names = Metrics.Timeseries.counter_names t.ts in
+    List.filter_map
+      (fun p ->
+        let name = "phase." ^ phase_name p in
+        if suffixes (name ^ ".") names <> [] then Some (p, hist t name)
+        else None)
+      all_phases
+
   let phase_breakdown t =
     List.map
-      (fun (kind, a) ->
-        let per_phase =
-          List.filter_map
-            (fun p ->
-              match List.assoc_opt p a.phase_total with
-              | Some total -> Some (p, total /. float_of_int a.n)
-              | None -> None)
-            all_phases
-        in
-        (kind, a.n, per_phase))
-      (sorted_kinds t)
+      (fun (kind, (ok, aborts, retries, unavail)) ->
+        let n = ok + aborts + retries + unavail in
+        ( kind,
+          n,
+          List.map
+            (fun (p, sum) -> (p, sum /. float_of_int n))
+            (per_phase t "phase" kind) ))
+      (outcome_counts t)
 
-  (* Elided quorum rounds per op kind: (kind, [(phase, count)]),
-     summed over completed ops. Complements {!phase_breakdown}: a warm
-     write shows an order count here and no order time there. *)
   let elided_by_kind t =
     List.filter_map
-      (fun (kind, a) ->
-        match
-          List.filter_map
-            (fun p ->
-              match List.assoc_opt p a.elided_total with
-              | Some c -> Some (p, c)
-              | None -> None)
-            all_phases
-        with
+      (fun kind ->
+        match per_phase t "elided" kind with
         | [] -> None
-        | per_phase -> Some (kind, per_phase))
-      (sorted_kinds t)
+        | l -> Some (kind, List.map (fun (p, c) -> (p, int_of_float c)) l))
+      (kinds t)
 
   let queue_depths t =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.queue_depth []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    List.map
+      (fun actor -> (actor, hist t ("queue." ^ actor)))
+      (suffixes "queue." (Metrics.Timeseries.hist_names t.ts))
 
-  (* (brick, kind, ops, mean time from re-target to op end), sorted. *)
   let retargets t =
-    Hashtbl.fold
-      (fun (b, kind) (ops, total) acc ->
-        (b, kind, ops, total /. float_of_int ops) :: acc)
-      t.retarget_agg []
+    List.map
+      (fun key ->
+        let dot = String.index key '.' in
+        let b = int_of_string (String.sub key 0 dot) in
+        let kind = String.sub key (dot + 1) (String.length key - dot - 1) in
+        let ops = count t ("retarget." ^ key) in
+        (b, kind, ops, total t ("retarget_time." ^ key) /. float_of_int ops))
+      (suffixes "retarget." (Metrics.Timeseries.counter_names t.ts))
     |> List.sort compare
 
-  (* Write the derived distributions into a metrics registry: latency
-     histograms under "op.<kind>.latency" and "phase.<name>.latency",
-     queue depth histograms under "queue.<actor>.depth", plus outcome
-     counters. A histogram already registered under a name is merged
-     with, not replaced. Reads only the aggregates, so it is unaffected
-     by eviction; with a [retain] bound the remaining completed records
-     are themselves evicted afterwards ("obs.evictions" records how
-     many went overall). *)
+  (* A histogram already registered under a name is merged with, not
+     replaced. With a [retain] bound the remaining completed records
+     are evicted afterwards ("obs.evictions" records how many went
+     overall); the series keep every op. *)
   let materialize t reg =
+    (* [hist] returns a fresh histogram, so the registry may keep it. *)
     let put name h =
-      let merged =
-        match Metrics.Registry.hist_opt reg name with
+      Metrics.Registry.put_hist reg name
+        (match Metrics.Registry.hist_opt reg name with
         | Some existing -> Metrics.Hist.merge existing h
-        | None -> Metrics.Hist.merge (Metrics.Hist.create ()) h
-      in
-      Metrics.Registry.put_hist reg name merged
+        | None -> h)
     in
     List.iter
-      (fun (kind, a) ->
-        put ("op." ^ kind ^ ".latency") a.latency;
-        Metrics.Registry.incr ~by:(float_of_int a.n) reg "obs.ops";
+      (fun (kind, (ok, aborts, retries, unavail)) ->
+        put ("op." ^ kind ^ ".latency") (hist t ("lat." ^ kind));
+        Metrics.Registry.incr
+          ~by:(float_of_int (ok + aborts + retries + unavail))
+          reg "obs.ops";
         let tally name n =
           if n > 0 then Metrics.Registry.incr ~by:(float_of_int n) reg name
         in
-        tally "obs.aborts" a.aborts;
-        tally "obs.retries" a.retries;
-        tally "obs.unavailable" a.unavail)
-      (sorted_kinds t);
+        tally "obs.aborts" aborts;
+        tally "obs.retries" retries;
+        tally "obs.unavailable" unavail)
+      (outcome_counts t);
     List.iter
       (fun (p, h) -> put ("phase." ^ phase_name p ^ ".latency") h)
       (by_phase t);
@@ -1217,119 +1251,6 @@ module Stats = struct
       evict_down_to t 0;
       Metrics.Registry.incr ~by:(float_of_int t.evicted) reg "obs.evictions"
     end
-end
-
-(* ------------------------------------------------------------------ *)
-(* Windowed time series over simulated time (itself a sink)            *)
-(* ------------------------------------------------------------------ *)
-
-(* A kind selector matches the exact op kind or any "<kind>-…"
-   refinement, so "read" covers read-stripe/read-blocks. *)
-let kind_matches sel op_kind =
-  sel = op_kind
-  || (let pre = sel ^ "-" in
-      String.length op_kind > String.length pre
-      && String.sub op_kind 0 (String.length pre) = pre)
-
-(* Client operations are reads and writes ("read-stripe",
-   "write-blocks", …). A "recover" span is protocol work: a read that
-   finds a partial write recovers the stripe inside its own span, a
-   retried block write recovers between attempts, and a rebuild or
-   resync recovers in the background. A "scrub" is background work
-   too. Counting those beside the client operation that caused them
-   would count one request several times. *)
-let client_kind op_kind =
-  kind_matches "read" op_kind || kind_matches "write" op_kind
-
-module Timeline = struct
-  (* How a fault label relates to an overlay interval. The classifier
-     is pluggable because the label syntax belongs to lib/chaos, which
-     depends on this library: chaos supplies its own classifier and
-     the default treats every fault as an instantaneous point. *)
-  type overlay = [ `Begin of string | `End of string | `Point of string ]
-
-  type t = {
-    ts : Metrics.Timeseries.t;
-    classify : string -> overlay;
-    mutable live_spans : (int, float * string) Hashtbl.t;
-    mutable inflight : int;
-    mutable active : (string * float) list;  (* open overlays: key, t0 *)
-    mutable intervals : (string * float * float) list;  (* closed, rev *)
-    mutable last_time : float;
-  }
-
-  let create ?hist_bits ?(classify = fun l -> `Point l) ~width () =
-    {
-      ts = Metrics.Timeseries.create ?hist_bits ~width ();
-      classify;
-      live_spans = Hashtbl.create 64;
-      inflight = 0;
-      active = [];
-      intervals = [];
-      last_time = 0.;
-    }
-
-  let series t = t.ts
-
-  let feed t ev =
-    if ev.time > t.last_time then t.last_time <- ev.time;
-    let time = ev.time in
-    let incr ?by name = Metrics.Timeseries.incr t.ts ~time ?by name in
-    let observe name v =
-      if Float.is_finite v && v >= 0. then
-        Metrics.Timeseries.observe t.ts ~time name v
-    in
-    match ev.kind with
-    | Span_start { op_kind; _ } ->
-        if ev.op >= 0 then
-          Hashtbl.replace t.live_spans ev.op (ev.time, op_kind);
-        t.inflight <- t.inflight + 1;
-        observe "inflight" (float_of_int t.inflight)
-    | Span_end { op_kind; outcome; _ } ->
-        (* "lat.all", "ops.all" and "out.*" count client operations
-           only (see [client_kind]); per-kind series count every span. *)
-        let client = client_kind op_kind in
-        (match Hashtbl.find_opt t.live_spans ev.op with
-        | Some (t0, _) ->
-            Hashtbl.remove t.live_spans ev.op;
-            let lat = ev.time -. t0 in
-            if client then observe "lat.all" lat;
-            observe ("lat." ^ op_kind) lat
-        | None -> ());
-        if t.inflight > 0 then t.inflight <- t.inflight - 1;
-        observe "inflight" (float_of_int t.inflight);
-        if client then begin
-          incr "ops.all";
-          incr ("out." ^ outcome_name outcome)
-        end;
-        if outcome = Ok then incr ("ops." ^ op_kind)
-    | Phase_start | Phase_end | Phase_elided -> ()
-    | Msg_send { bytes; _ } ->
-        incr "msgs";
-        incr ~by:(float_of_int bytes) "bytes"
-    | Msg_recv _ -> ()
-    | Msg_drop _ -> incr "drops"
-    | Io_read { blocks } -> incr ~by:(float_of_int blocks) "io.read"
-    | Io_write { blocks } -> incr ~by:(float_of_int blocks) "io.write"
-    | Timeout _ -> incr "retransmits"
-    | Retarget _ -> incr "retargets"
-    | Queue_depth { depth } ->
-        observe ("queue." ^ actor_name ev.actor) (float_of_int depth)
-    | Fault { label } -> (
-        incr "faults";
-        match t.classify label with
-        | `Point key -> t.intervals <- (key, ev.time, ev.time) :: t.intervals
-        | `Begin key ->
-            if not (List.mem_assoc key t.active) then
-              t.active <- (key, ev.time) :: t.active
-        | `End key -> (
-            match List.assoc_opt key t.active with
-            | Some t0 ->
-                t.active <- List.remove_assoc key t.active;
-                t.intervals <- (key, t0, ev.time) :: t.intervals
-            | None -> ()))
-
-  let sink t = Sink.make (feed t)
 
   (* Fault overlay intervals, oldest first. Overlays still open at the
      last observed event extend to that time; points have t0 = t1. *)
@@ -1449,8 +1370,8 @@ module Slo = struct
       windows;
     }
 
-  let evaluate tl objective =
-    let ts = Timeline.series tl in
+  let evaluate stats objective =
+    let ts = Stats.series stats in
     let windows =
       match Metrics.Timeseries.span ts with
       | None -> []
@@ -1490,7 +1411,7 @@ module Slo = struct
                 w_compliant =
                   total = 0
                   || float_of_int bad <= budget_frac *. float_of_int total;
-                w_faults = Timeline.faults_in tl w;
+                w_faults = Stats.faults_in stats w;
               })
             windows
         in
@@ -1515,7 +1436,7 @@ module Slo = struct
                 w_compliant =
                   total = 0
                   || float_of_int failed <= budget_frac *. float_of_int total;
-                w_faults = Timeline.faults_in tl w;
+                w_faults = Stats.faults_in stats w;
               })
             windows
         in

@@ -247,9 +247,34 @@ val chrome : out_channel -> Sink.t
     messages and I/O, counter tracks for queue depths). The file is
     valid JSON only after [close] writes the closing bracket. *)
 
-(** {1 Derived statistics} *)
+(** {1 The event fold} *)
+
+val client_kind : string -> bool
+(** Whether a span kind is a client operation: a read or a write
+    (["read"], ["read-…"], ["write"], ["write-…"]). ["recover"] spans (nested in a read, run
+    between a block write's attempts, or by a rebuild or resync) and
+    ["scrub"] spans are not, so the [lat.all], [ops.all] and
+    [out.<outcome>] series of {!Stats}, and the availability objective
+    built on them, leave them out. *)
 
 module Stats : sig
+  (** The one fold over the event stream: bounded per-operation
+      records plus one {!Metrics.Timeseries}. Each completed span
+      folds into the series in the window of its end, under names
+      keyed by kind, phase, queue and outcome: [lat.<kind>] and
+      [lat.all] (client operations) latency histograms,
+      [out.<outcome>.<kind>] completions, [out.<outcome>] and [ops.all]
+      client completions, [phase.<phase>] per-op phase durations and
+      [phase.<phase>.<kind>] their per-kind sums, [elided.<phase>.<kind>]
+      skipped rounds, [retarget.<brick>.<kind>] and
+      [retarget_time.<brick>.<kind>] routing around a suspect. Events
+      add [inflight] and [queue.<actor>] samples and the [msgs],
+      [bytes], [drops], [retransmits], [retargets], [io.read],
+      [io.write] and [faults] counters, and chaos faults become
+      overlays. Every whole-run view below is the merge of its series
+      over the windows, exact because {!Metrics.Hist} merges
+      bucket-wise. *)
+
   type op_stat = {
     op : int;
     mutable op_kind : string;
@@ -272,22 +297,39 @@ module Stats : sig
         (** [(brick, time)] of each {!Retarget} event *)
   }
 
+  type overlay = [ `Begin of string | `End of string | `Point of string ]
+  (** How a fault label maps onto the fault overlay: open an interval
+      under a key, close the matching interval, or mark an
+      instantaneous point. *)
+
   type stats
 
-  val create : ?retain:int -> unit -> stats
-  (** All derived distributions are folded into constant-size
-      aggregates the moment a span completes, so statistics stay exact
-      regardless of run length. [retain] bounds how many completed
-      per-op records are additionally kept for listing (0, the
-      default, keeps all of them — needed by [fab_sim explain]'s
-      per-op table; workload runs pass a bound so million-op runs hold
-      memory constant). @raise Invalid_argument if [retain < 0]. *)
+  val create :
+    ?retain:int ->
+    ?width:float ->
+    ?classify:(string -> overlay) ->
+    unit ->
+    stats
+  (** [retain] bounds how many completed per-op records are kept for
+      listing (0, the default, keeps all of them — needed by
+      [fab_sim explain]'s per-op table; workload runs pass a bound so
+      million-op runs hold memory constant). [width] is the window
+      length in trace time units; without it the whole run is one
+      window. [classify] maps a {!kind.Fault} label to an overlay
+      action; the default treats every fault as a point.
+      [Chaos.Plan.overlay_of_label] is the classifier for
+      nemesis-generated labels (this library does not depend on
+      [lib/chaos]).
+      @raise Invalid_argument if [retain < 0] or [width <= 0]. *)
 
   val sink : stats -> Sink.t
-  (** Feed the aggregator from a hub, or replay a parsed trace into it
-      via {!feed}. *)
+  (** Feed the fold from a hub, or replay a parsed trace into it via
+      {!feed}. *)
 
   val feed : stats -> event -> unit
+
+  val series : stats -> Metrics.Timeseries.t
+
   val completed : stats -> op_stat list
   (** Retained completed operations, oldest first — only the most
       recent [retain] if bounded. *)
@@ -297,7 +339,7 @@ module Stats : sig
 
   val evicted : stats -> int
   (** Completed records dropped under the [retain] bound (their
-      contribution to every aggregate below is preserved). *)
+      contribution to every view below is preserved). *)
 
   val latency : op_stat -> float
 
@@ -328,7 +370,7 @@ module Stats : sig
       brick's absence added. Sorted. *)
 
   val materialize : stats -> Metrics.Registry.t -> unit
-  (** Write the derived distributions into a registry:
+  (** Write the whole-run distributions into a registry:
       ["op.<kind>.latency"], ["phase.<name>.latency"] and
       ["queue.<actor>.depth"] histograms (merged into any histogram
       already registered under the name),
@@ -336,67 +378,22 @@ module Stats : sig
       ["obs.unavailable"] counters. When [retain] is bounded, the
       remaining completed records are evicted afterwards and
       ["obs.evictions"] records the overall eviction count. *)
-end
 
-(** {1 Windowed time series and SLOs} *)
-
-val client_kind : string -> bool
-(** Whether a span kind is a client operation: a read or a write
-    (["read"], ["read-…"], ["write"], ["write-…"]). ["recover"] spans (nested in a read, run
-    between a block write's attempts, or by a rebuild or resync) and
-    ["scrub"] spans are not, so {!Timeline}'s [lat.all], [ops.all] and
-    [out.*] series, and the availability objective built on them, leave
-    them out. *)
-
-module Timeline : sig
-  type overlay = [ `Begin of string | `End of string | `Point of string ]
-  (** How a fault label maps onto the report's fault overlay: open an
-      interval under a key, close the matching interval, or mark an
-      instantaneous point. *)
-
-  type t
-  (** A sink that buckets the event stream into a
-      {!Metrics.Timeseries} per fixed window of simulated time —
-      latency-over-time ([lat.all] over client operations, [lat.<kind>]
-      histograms over every span of a kind), in-flight spans
-      ([inflight]), per-actor queue depth ([queue.<actor>]), client
-      outcome counters ([ops.all], [out.ok|abort|retry|unavailable];
-      see {!client_kind}), per-kind goodput [ops.<kind>] counting ok
-      completions, message
-      and I/O counters ([msgs], [bytes], [drops], [retransmits],
-      [io.read], [io.write]), and chaos fault overlays — without
-      changing any instrumentation call-site. *)
-
-  val create :
-    ?hist_bits:int ->
-    ?classify:(string -> overlay) ->
-    width:float ->
-    unit ->
-    t
-  (** [width] is the window length in sim-time units. [classify] maps a
-      {!kind.Fault} label to an overlay action; the default treats
-      every fault as a point. [Chaos.Plan.overlay_of_label] is the
-      classifier for nemesis-generated labels (plugged in by the
-      caller — this library does not depend on [lib/chaos]).
-      @raise Invalid_argument if [width <= 0]. *)
-
-  val sink : t -> Sink.t
-  val series : t -> Metrics.Timeseries.t
-
-  val faults : t -> (string * float * float) list
+  val faults : stats -> (string * float * float) list
   (** Fault overlay intervals [(label, t0, t1)] ordered by start time.
       Intervals still open at the last observed event extend to that
       event's time; points have [t0 = t1]. *)
 
-  val faults_in : t -> int -> string list
+  val faults_in : stats -> int -> string list
   (** Overlay labels intersecting a window, sorted and deduplicated. *)
 end
 
 module Slo : sig
-  (** Service-level objectives over a {!Timeline}, with SRE-style
-      error budgets: a latency objective ["read p99 < 6"] lets 1% of
-      requests exceed the limit; ["availability >= 99.9%"] lets 0.1%
-      of requests fail. Burn is the fraction of that budget spent. *)
+  (** Service-level objectives over the windows of a {!Stats} fold,
+      with SRE-style error budgets: a latency objective
+      ["read p99 < 6"] lets 1% of requests exceed the limit;
+      ["availability >= 99.9%"] lets 0.1% of requests fail. Burn is
+      the fraction of that budget spent. *)
 
   type objective =
     | Latency of { kind : string option; p : float; limit : float }
@@ -429,7 +426,7 @@ module Slo : sig
     windows : window_stat list;
   }
 
-  val evaluate : Timeline.t -> objective -> report
+  val evaluate : Stats.stats -> objective -> report
   (** Whole-run and per-window compliance. Latency objectives count
       bucket-granularity exceedances in the matching [lat.*]
       histograms ({!Metrics.Hist.count_above}); availability counts

@@ -31,8 +31,16 @@ type worker = {
 }
 
 (* [armed] is true until the timer is cancelled or claimed for firing,
-   whichever comes first; both happen under the wheel lock. *)
-type tev = { at : float; slot : int; mutable armed : bool; tf : unit -> unit }
+   whichever comes first; both happen under the wheel lock. A cancel
+   drops [tf] at once, so whatever the callback captures (a quorum
+   call's pending state) is not kept alive by the cell waiting in its
+   slot. *)
+type tev = {
+  at : float;
+  slot : int;
+  mutable armed : bool;
+  mutable tf : unit -> unit;
+}
 
 let wheel_slots = 256
 let wheel_mask = wheel_slots - 1
@@ -191,6 +199,7 @@ let cancel t ev =
   Mutex.lock t.tlock;
   if ev.armed then begin
     ev.armed <- false;
+    ev.tf <- ignore;
     t.slot_live.(ev.slot) <- t.slot_live.(ev.slot) - 1
   end;
   Mutex.unlock t.tlock

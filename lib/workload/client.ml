@@ -4,7 +4,6 @@ type stats = {
   mutable writes : int;
   mutable aborts : int;
   mutable unavailable : int;
-  mutable blocks_moved : int;
   latency : Metrics.Hist.t;
 }
 
@@ -15,12 +14,10 @@ let fresh_stats () =
     writes = 0;
     aborts = 0;
     unavailable = 0;
-    blocks_moved = 0;
     latency = Metrics.Hist.create ();
   }
 
-let spawn volume ~coord ~gen ~ops ?(think_time = 0.) ?(payload_tag = 'w')
-    stats =
+let spawn volume ~coord ~gen ~ops ?(payload_tag = 'w') stats =
   let rt = (Fab.Volume.cluster volume).Core.Cluster.runtime in
   let block_size = Fab.Volume.block_size volume in
   let seq = ref 0 in
@@ -40,32 +37,35 @@ let spawn volume ~coord ~gen ~ops ?(think_time = 0.) ?(payload_tag = 'w')
           match op.Gen.kind with
           | `Read ->
               stats.reads <- stats.reads + 1;
-              (match
-                 Fab.Volume.read volume ~coord ~lba:op.Gen.lba
-                   ~count:op.Gen.count
-               with
-              | Ok _ -> `Ok
-              | Error `Aborted -> `Aborted
-              | Error `Unavailable -> `Unavailable)
+              Result.map ignore
+                (Fab.Volume.read volume ~coord ~lba:op.Gen.lba
+                   ~count:op.Gen.count)
           | `Write ->
               stats.writes <- stats.writes + 1;
-              (match
-                 Fab.Volume.write volume ~coord ~lba:op.Gen.lba
-                   (payload op.Gen.count)
-               with
-              | Ok () -> `Ok
-              | Error `Aborted -> `Aborted
-              | Error `Unavailable -> `Unavailable)
+              Fab.Volume.write volume ~coord ~lba:op.Gen.lba
+                (payload op.Gen.count)
         in
         stats.ops <- stats.ops + 1;
         (match outcome with
-        | `Ok -> stats.blocks_moved <- stats.blocks_moved + op.Gen.count
-        | `Aborted -> stats.aborts <- stats.aborts + 1
-        | `Unavailable -> stats.unavailable <- stats.unavailable + 1);
+        | Ok () -> ()
+        | Error `Aborted -> stats.aborts <- stats.aborts + 1
+        | Error `Unavailable -> stats.unavailable <- stats.unavailable + 1);
         let elapsed = Runtime.now rt -. started in
-        if elapsed >= 0. then Metrics.Hist.add stats.latency elapsed;
-        if think_time > 0. then Runtime.sleep rt think_time
+        if elapsed >= 0. then Metrics.Hist.add stats.latency elapsed
       done)
+
+let sum stats =
+  let t = fresh_stats () in
+  Array.iter
+    (fun s ->
+      t.ops <- t.ops + s.ops;
+      t.reads <- t.reads + s.reads;
+      t.writes <- t.writes + s.writes;
+      t.aborts <- t.aborts + s.aborts;
+      t.unavailable <- t.unavailable + s.unavailable;
+      Metrics.Hist.merge_into ~dst:t.latency s.latency)
+    stats;
+  t
 
 let throughput stats ~elapsed =
   if elapsed <= 0. then 0. else float_of_int stats.ops /. elapsed

@@ -2,10 +2,14 @@
 
     Each client is a fiber attached to one coordinator brick; it draws
     operations from a generator and issues them back-to-back (the next
-    operation starts when the previous one returns), optionally
-    separated by think time. Multiple clients on different
-    coordinators create exactly the concurrency regime the paper's
-    section 3 discusses; the abort statistics quantify its rarity. *)
+    operation starts when the previous one returns). Multiple clients
+    on different coordinators create exactly the concurrency regime
+    the paper's section 3 discusses; the abort statistics quantify its
+    rarity.
+
+    {!stats} keeps only what the [Obs] spans cannot see: the kind,
+    outcome and latency of one volume request, which may span several
+    stripes and so several spans. *)
 
 type stats = {
   mutable ops : int;
@@ -15,7 +19,6 @@ type stats = {
   mutable unavailable : int;
       (** Operations that failed fast on a deadline expiry
           ({!Fab.Volume.outcome}); always 0 without a deadline. *)
-  mutable blocks_moved : int;
   latency : Metrics.Hist.t;
       (** per-op latency in delta units (seconds on mc), log-bucketed:
           exact counts and mean, bounded rank error at any op count *)
@@ -28,7 +31,6 @@ val spawn :
   coord:int ->
   gen:Gen.t ->
   ops:int ->
-  ?think_time:float ->
   ?payload_tag:char ->
   stats ->
   unit
@@ -37,6 +39,9 @@ val spawn :
     engine ({!Fab.Volume.run}) to make progress. Write payloads are
     filled with [payload_tag] (default ['w']) plus a per-op counter so
     written values are distinguishable. *)
+
+val sum : stats array -> stats
+(** Every client's tallies added up and latencies merged. *)
 
 val throughput : stats -> elapsed:float -> float
 (** Operations per unit of virtual time. *)

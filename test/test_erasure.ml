@@ -98,16 +98,16 @@ let test_delta_composition () =
   let stripe = random_stripe rng 5 in
   let enc = C.encode codec stripe in
   let new_b = Bytes.init block_size (fun _ -> Char.chr (Random.State.int rng 256)) in
-  let delta = C.delta ~old_data:stripe.(2) ~new_data:new_b in
+  let delta = Bytes.create block_size in
+  C.delta_into ~old_data:stripe.(2) ~new_data:new_b ~into:delta;
   for p = 0 to 2 do
     let direct =
       C.modify codec ~data_idx:2 ~parity_idx:p ~old_data:stripe.(2)
         ~new_data:new_b ~old_parity:enc.(5 + p)
     in
-    let via_delta =
-      C.apply_delta codec ~data_idx:2 ~parity_idx:p ~delta
-        ~old_parity:enc.(5 + p)
-    in
+    let via_delta = Bytes.copy enc.(5 + p) in
+    C.apply_delta_into codec ~data_idx:2 ~parity_idx:p ~delta
+      ~parity:via_delta;
     Alcotest.(check bool) "delta path equals modify" true
       (Bytes.equal direct via_delta)
   done
@@ -221,7 +221,9 @@ let test_encode_into_aliased_data () =
         true (stripes_equal expected into))
     into_lengths
 
-let test_delta_into_equals_delta () =
+(* [delta_into] against a byte-wise XOR, out of place and in place;
+   [apply_delta_into] against re-encoding the changed stripe. *)
+let test_delta_into_oracle () =
   let rng = Random.State.make [| 23 |] in
   List.iter
     (fun len ->
@@ -229,7 +231,12 @@ let test_delta_into_equals_delta () =
       let stripe = random_stripe_len rng 4 len in
       let enc = C.encode codec stripe in
       let new_b = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
-      let d = C.delta ~old_data:stripe.(1) ~new_data:new_b in
+      let d =
+        Bytes.init len (fun i ->
+            Char.chr
+              (Char.code (Bytes.get stripe.(1) i)
+              lxor Char.code (Bytes.get new_b i)))
+      in
       let d' = Bytes.create len in
       C.delta_into ~old_data:stripe.(1) ~new_data:new_b ~into:d';
       Alcotest.(check bool)
@@ -241,17 +248,16 @@ let test_delta_into_equals_delta () =
       Alcotest.(check bool)
         (Printf.sprintf "delta_into in place len=%d" len)
         true (Bytes.equal d d'');
+      let stripe' = Array.copy stripe in
+      stripe'.(1) <- new_b;
+      let enc' = C.encode codec stripe' in
       for p = 0 to 2 do
-        let via_apply =
-          C.apply_delta codec ~data_idx:1 ~parity_idx:p ~delta:d
-            ~old_parity:enc.(4 + p)
-        in
         let parity = Bytes.copy enc.(4 + p) in
         C.apply_delta_into codec ~data_idx:1 ~parity_idx:p ~delta:d ~parity;
         Alcotest.(check bool)
           (Printf.sprintf "apply_delta_into len=%d p=%d" len p)
           true
-          (Bytes.equal via_apply parity)
+          (Bytes.equal enc'.(4 + p) parity)
       done)
     into_lengths
 
@@ -316,7 +322,8 @@ let prop_tests =
         let a = C.encode codec stripe and b = C.encode codec stripe in
         Array.for_all2 Bytes.equal a b);
     qtest "delta of equal blocks is zero" (stripe_gen 1) (fun s ->
-        let d = C.delta ~old_data:s.(0) ~new_data:s.(0) in
+        let d = Bytes.create (Bytes.length s.(0)) in
+        C.delta_into ~old_data:s.(0) ~new_data:s.(0) ~into:d;
         Bytes.for_all (fun c -> c = '\000') d);
   ]
 
@@ -595,7 +602,7 @@ let () =
           Alcotest.test_case "encode_into aliased data slots" `Quick
             test_encode_into_aliased_data;
           Alcotest.test_case "delta_into / apply_delta_into" `Quick
-            test_delta_into_equals_delta;
+            test_delta_into_oracle;
           Alcotest.test_case "plan cache stats" `Quick test_plan_cache;
         ] );
       ( "kernels",

@@ -633,7 +633,7 @@ let test_mc_accounting () =
   Alcotest.(check bool) "mc: messages traced" true (t.send_fg > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Timeline sink                                                       *)
+(* The fold's windows: series and fault overlays                       *)
 (* ------------------------------------------------------------------ *)
 
 (* A miniature chaos classifier so these tests stay independent of
@@ -648,8 +648,8 @@ let ev ?(actor = Obs.Coord 0) ?(op = -1) ?phase time kind =
   { Obs.time; actor; op; phase; kind }
 
 let mk_timeline () =
-  let tl = Obs.Timeline.create ~classify ~width:10. () in
-  let push = (Obs.Timeline.sink tl).Obs.Sink.emit in
+  let tl = Obs.Stats.create ~classify ~width:10. () in
+  let push = (Obs.Stats.sink tl).Obs.Sink.emit in
   let open Obs in
   (* op 0: a read completing in window 0 with latency 2 *)
   push (ev ~op:0 1. (Span_start { op_kind = "read-stripe"; stripe = 0 }));
@@ -673,16 +673,16 @@ let mk_timeline () =
 
 let test_timeline_series () =
   let tl = mk_timeline () in
-  let ts = Obs.Timeline.series tl in
+  let ts = Obs.Stats.series tl in
   let counter name w = Metrics.Timeseries.counter ts name w in
   Alcotest.(check (float 0.0)) "ops w0" 1. (counter "ops.all" 0);
   Alcotest.(check (float 0.0)) "ops w1" 1. (counter "ops.all" 1);
   Alcotest.(check (float 0.0)) "ok lands in w0" 1. (counter "out.ok" 0);
   Alcotest.(check (float 0.0)) "abort lands in w1" 1. (counter "out.abort" 1);
   (* goodput counts only ok completions *)
-  Alcotest.(check (float 0.0)) "read goodput" 1. (counter "ops.read-stripe" 0);
+  Alcotest.(check (float 0.0)) "read goodput" 1. (counter "out.ok.read-stripe" 0);
   Alcotest.(check (float 0.0)) "aborted write is not goodput" 0.
-    (Metrics.Timeseries.total ts "ops.write-stripe");
+    (Metrics.Timeseries.total ts "out.ok.write-stripe");
   Alcotest.(check (float 0.0)) "msgs" 1. (counter "msgs" 0);
   Alcotest.(check (float 0.0)) "bytes" 96. (counter "bytes" 0);
   Alcotest.(check (float 0.0)) "retransmits" 1. (counter "retransmits" 0);
@@ -699,7 +699,7 @@ let test_timeline_series () =
 
 let test_timeline_overlays () =
   let tl = mk_timeline () in
-  (match Obs.Timeline.faults tl with
+  (match Obs.Stats.faults tl with
   | [ ("crash b1", t0, t1); ("bit-rot 0 1", p0, p1) ] ->
       Alcotest.(check (float 0.0)) "interval opens" 5. t0;
       Alcotest.(check (float 0.0)) "interval closes" 25. t1;
@@ -709,11 +709,11 @@ let test_timeline_overlays () =
       Alcotest.failf "unexpected overlays: %s"
         (String.concat ", " (List.map (fun (l, _, _) -> l) fs)));
   Alcotest.(check (list string)) "active in w0" [ "crash b1" ]
-    (Obs.Timeline.faults_in tl 0);
+    (Obs.Stats.faults_in tl 0);
   Alcotest.(check (list string)) "active in w1" [ "crash b1" ]
-    (Obs.Timeline.faults_in tl 1);
+    (Obs.Stats.faults_in tl 1);
   Alcotest.(check (list string)) "both in w2" [ "bit-rot 0 1"; "crash b1" ]
-    (Obs.Timeline.faults_in tl 2)
+    (Obs.Stats.faults_in tl 2)
 
 (* ------------------------------------------------------------------ *)
 (* SLO engine                                                          *)
@@ -722,8 +722,8 @@ let test_timeline_overlays () =
 let slo_timeline () =
   (* 10 reads in window 0: nine at 2 delta, one at 100 delta; then one
      abort in window 1. *)
-  let tl = Obs.Timeline.create ~classify ~width:10. () in
-  let push = (Obs.Timeline.sink tl).Obs.Sink.emit in
+  let tl = Obs.Stats.create ~classify ~width:10. () in
+  let push = (Obs.Stats.sink tl).Obs.Sink.emit in
   let open Obs in
   for op = 0 to 9 do
     let lat = if op = 9 then 8. else 2. in
@@ -803,8 +803,8 @@ let test_slo_availability () =
    it succeeded: nothing burns, and the recover span shows only in its
    own kind's series. *)
 let test_slo_nested_recover () =
-  let tl = Obs.Timeline.create ~classify ~width:10. () in
-  let push = (Obs.Timeline.sink tl).Obs.Sink.emit in
+  let tl = Obs.Stats.create ~classify ~width:10. () in
+  let push = (Obs.Stats.sink tl).Obs.Sink.emit in
   let open Obs in
   push (ev ~op:0 1. (Span_start { op_kind = "read-blocks"; stripe = 0 }));
   push (ev ~op:1 2. (Span_start { op_kind = "recover"; stripe = 0 }));
@@ -816,7 +816,7 @@ let test_slo_nested_recover () =
   Alcotest.(check int) "nothing bad" 0 r.Obs.Slo.bad;
   Alcotest.(check (float 0.0)) "no burn" 0. r.Obs.Slo.burn;
   Alcotest.(check bool) "compliant" true r.Obs.Slo.compliant;
-  let ts = Obs.Timeline.series tl in
+  let ts = Obs.Stats.series tl in
   Alcotest.(check (float 0.0)) "no client abort" 0.
     (Metrics.Timeseries.total ts "out.abort");
   Alcotest.(check (float 0.0)) "one client op" 1.
@@ -869,6 +869,255 @@ let test_stats_retention () =
   (* a straggler event for an evicted op must not re-open a live span *)
   Obs.Stats.feed stats (ev ~op:0 ~phase:Obs.Write 99. Obs.Phase_start);
   Alcotest.(check int) "no zombie span" 0 (Obs.Stats.unfinished stats)
+
+(* ------------------------------------------------------------------ *)
+(* The fold: whole-run views over random event streams                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One random operation, as its event list in time order: a span with
+   a sequence of phases, elided rounds, re-targets, messages, I/O and
+   timeouts, ending with a random outcome. Times are multiples of 0.25
+   so ops and windows share boundaries. *)
+let op_events_gen op =
+  let open QCheck.Gen in
+  let tick = map (fun i -> 0.25 *. float_of_int i) in
+  let* kind = oneofl [ "read-blocks"; "write-blocks"; "read-stripe"; "recover" ] in
+  let* start = tick (int_range 0 800) in
+  let* outcome = oneofl [ Obs.Ok; Obs.Abort; Obs.Retry; Obs.Unavailable ] in
+  let* steps =
+    list_size (int_range 0 6)
+      (pair
+         (oneofl [ `Phase; `Elided; `Retarget; `Msg; `Io; `Timeout ])
+         (pair (oneofl Obs.all_phases) (int_range 0 12)))
+  in
+  let ev time ?phase kind = { Obs.time; actor = Obs.Coord 0; op; phase; kind } in
+  let t = ref start in
+  let events =
+    List.concat_map
+      (fun (step, (p, n)) ->
+        let now = !t in
+        match step with
+        | `Phase ->
+            t := now +. (0.25 *. float_of_int n);
+            [ ev now ~phase:p Obs.Phase_start; ev !t ~phase:p Obs.Phase_end ]
+        | `Elided -> [ ev now ~phase:p Obs.Phase_elided ]
+        | `Retarget -> [ ev now (Obs.Retarget { suspect = n mod 5 }) ]
+        | `Msg ->
+            [ ev now (Obs.Msg_send { dst = 0; bytes = n; label = "m"; bg = false }) ]
+        | `Io -> [ ev now (Obs.Io_read { blocks = n }) ]
+        | `Timeout -> [ ev now (Obs.Timeout { missing = 1; attempt = 1 }) ])
+      steps
+  in
+  let* tail = tick (int_range 0 8) in
+  return
+    ((ev start (Obs.Span_start { op_kind = kind; stripe = 0 }) :: events)
+    @ [ ev (!t +. tail) (Obs.Span_end { op_kind = kind; stripe = 0; outcome }) ])
+
+(* Up to 40 operations interleaved by time, plus queue-depth samples. *)
+let stream_gen =
+  let open QCheck.Gen in
+  let* n = int_range 0 40 in
+  let* ops = flatten_l (List.init n op_events_gen) in
+  let* depths =
+    list_size (int_range 0 30)
+      (map3
+         (fun b depth i ->
+           { Obs.time = 0.25 *. float_of_int i; actor = Obs.Brick b; op = -1;
+             phase = None; kind = Obs.Queue_depth { depth } })
+         (int_range 0 3) (int_range 0 50) (int_range 0 900))
+  in
+  return
+    (List.stable_sort
+       (fun a b -> Float.compare a.Obs.time b.Obs.time)
+       (List.concat ops @ depths))
+
+let fold_stream ?width events =
+  let stats = Obs.Stats.create ?width () in
+  List.iter (Obs.Stats.feed stats) events;
+  stats
+
+let percentiles = [ 0.; 1.; 10.; 25.; 50.; 75.; 90.; 95.; 99.; 99.9; 100. ]
+
+(* Counts, min, max and every percentile agree exactly. *)
+let same_hist a b =
+  let module H = Metrics.Hist in
+  H.count a = H.count b
+  && (H.count a = 0
+     || H.min a = H.min b
+        && H.max a = H.max b
+        && List.for_all (fun p -> H.percentile a p = H.percentile b p) percentiles)
+
+let same_hists a b =
+  List.map fst a = List.map fst b
+  && List.for_all2 (fun (_, x) (_, y) -> same_hist x y) a b
+
+let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a)
+
+let same_breakdown a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (k, n, ps) (k', n', ps') ->
+         k = k' && n = n'
+         && List.map fst ps = List.map fst ps'
+         && List.for_all2 (fun (_, x) (_, y) -> close x y) ps ps')
+       a b
+
+let same_retargets a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (b1, k, n, m) (b2, k', n', m') -> b1 = b2 && k = k' && n = n' && close m m')
+       a b
+
+(* The whole-run views of [s] against those of [s']. *)
+let same_views s s' =
+  let module S = Obs.Stats in
+  same_hists (S.by_kind s) (S.by_kind s')
+  && S.outcome_counts s = S.outcome_counts s'
+  && same_hists
+       (List.map (fun (p, h) -> (Obs.phase_name p, h)) (S.by_phase s))
+       (List.map (fun (p, h) -> (Obs.phase_name p, h)) (S.by_phase s'))
+  && same_breakdown (S.phase_breakdown s) (S.phase_breakdown s')
+  && S.elided_by_kind s = S.elided_by_kind s'
+  && same_hists (S.queue_depths s) (S.queue_depths s')
+  && same_retargets (S.retargets s) (S.retargets s')
+
+let print_stream events =
+  String.concat "\n"
+    (List.map
+       (fun ev -> Format.asprintf "%.2f %a" ev.Obs.time Obs.pp_event ev)
+       events)
+
+(* Every whole-run view equals the merge of its windows: a fold with
+   windows of any width agrees with a one-window fold, and each kind's
+   latency is its windows' histograms merged by hand. *)
+let test_fold_windows =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"whole-run views merge their windows"
+       (QCheck.pair
+          (QCheck.make ~print:print_stream stream_gen)
+          (QCheck.make ~print:string_of_float
+             (QCheck.Gen.oneofl [ 0.25; 1.; 7.5; 50. ])))
+       (fun (events, width) ->
+         let windowed = fold_stream ~width events in
+         let ts = Obs.Stats.series windowed in
+         let by_hand =
+           List.map
+             (fun (kind, _) ->
+               let h = Metrics.Hist.create () in
+               List.iter
+                 (fun (_, w) -> Option.iter (fun w -> Metrics.Hist.merge_into ~dst:h w) w)
+                 (Metrics.Timeseries.hist_series ts ("lat." ^ kind));
+               (kind, h))
+             (Obs.Stats.by_kind windowed)
+         in
+         same_views windowed (fold_stream events)
+         && same_hists (Obs.Stats.by_kind windowed) by_hand))
+
+(* With nothing evicted, each view equals a direct recomputation from
+   the retained per-op records. *)
+let test_fold_records =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"views recompute from the records"
+       (QCheck.make ~print:print_stream stream_gen)
+       (fun events ->
+         let module S = Obs.Stats in
+         let stats = fold_stream ~width:5. events in
+         let records = S.completed stats in
+         let kinds =
+           List.sort_uniq String.compare (List.map (fun r -> r.S.op_kind) records)
+         in
+         let of_kind k = List.filter (fun r -> r.S.op_kind = k) records in
+         let hist values =
+           let h = Metrics.Hist.create () in
+           List.iter (Metrics.Hist.add h) values;
+           h
+         in
+         let durations p rs =
+           List.concat_map
+             (fun r -> Option.to_list (List.assoc_opt p r.S.phases))
+             rs
+         in
+         let by_kind =
+           List.map (fun k -> (k, hist (List.map S.latency (of_kind k)))) kinds
+         in
+         let outcome_counts =
+           List.map
+             (fun k ->
+               let c o =
+                 List.length (List.filter (fun r -> r.S.outcome = Some o) (of_kind k))
+               in
+               (k, (c Obs.Ok, c Obs.Abort, c Obs.Retry, c Obs.Unavailable)))
+             kinds
+         in
+         let by_phase =
+           List.filter_map
+             (fun p ->
+               match durations p records with
+               | [] -> None
+               | ds -> Some (Obs.phase_name p, hist ds))
+             Obs.all_phases
+         in
+         let breakdown =
+           List.map
+             (fun k ->
+               let rs = of_kind k in
+               let n = List.length rs in
+               ( k,
+                 n,
+                 List.filter_map
+                   (fun p ->
+                     match durations p rs with
+                     | [] -> None
+                     | ds -> Some (p, List.fold_left ( +. ) 0. ds /. float_of_int n))
+                   Obs.all_phases ))
+             kinds
+         in
+         let elided =
+           List.filter_map
+             (fun k ->
+               match
+                 List.filter_map
+                   (fun p ->
+                     match
+                       List.concat_map
+                         (fun r -> Option.to_list (List.assoc_opt p r.S.elided))
+                         (of_kind k)
+                     with
+                     | [] -> None
+                     | cs -> Some (p, List.fold_left ( + ) 0 cs))
+                   Obs.all_phases
+               with
+               | [] -> None
+               | l -> Some (k, l))
+             kinds
+         in
+         let retargets =
+           let pairs =
+             List.concat_map
+               (fun r ->
+                 List.map (fun (b, since) -> ((b, r.S.op_kind), r.S.t_end -. since))
+                   r.S.retargeted)
+               records
+           in
+           List.sort_uniq compare (List.map fst pairs)
+           |> List.map (fun ((b, k) as key) ->
+                  let waits = List.filter_map (fun (k', w) -> if k' = key then Some w else None) pairs in
+                  ( b,
+                    k,
+                    List.length waits,
+                    List.fold_left ( +. ) 0. waits /. float_of_int (List.length waits) ))
+           |> List.sort compare
+         in
+         S.evicted stats = 0
+         && List.length records = List.length (List.filter (fun e -> match e.Obs.kind with Obs.Span_end _ -> true | _ -> false) events)
+         && same_hists (S.by_kind stats) by_kind
+         && S.outcome_counts stats = outcome_counts
+         && same_hists
+              (List.map (fun (p, h) -> (Obs.phase_name p, h)) (S.by_phase stats))
+              by_phase
+         && same_breakdown (S.phase_breakdown stats) breakdown
+         && S.elided_by_kind stats = elided
+         && same_retargets (S.retargets stats) retargets))
 
 (* ------------------------------------------------------------------ *)
 (* Cross-commit pin: an uncontended sim run is byte-identical          *)
@@ -949,6 +1198,7 @@ let () =
           Alcotest.test_case "bounded completed table" `Quick
             test_stats_retention;
         ] );
+      ("fold", [ test_fold_windows; test_fold_records ]);
       ( "determinism",
         [
           Alcotest.test_case "uncontended trace digest" `Quick

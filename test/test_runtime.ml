@@ -799,6 +799,23 @@ let test_mc_cancelled_timers_no_wakeups () =
     (Printf.sprintf "timer thread woke %d times in 200 ms" woke)
     true (woke <= 8)
 
+(* A cancelled timer's cell waits in its wheel slot until the slot is
+   swept or re-armed; the callback must not wait with it, or whatever it
+   captures (a quorum call's pending state) outlives the call. The
+   timer is due in a minute, so no sweep reaches its slot meanwhile. *)
+let[@inline never] arm_and_cancel rt weak =
+  let captured = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some captured);
+  (rt.Runtime.timer ~delay:60. (fun () -> ignore (Sys.opaque_identity captured)))
+    .Runtime.tcancel ()
+
+let test_mc_cancel_drops_callback () =
+  with_pool ~domains:1 @@ fun _pool rt ->
+  let weak = Weak.create 1 in
+  arm_and_cancel rt weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "captured value reclaimed" false (Weak.check weak 0)
+
 (* A live timer among cancelled neighbours (in its own slot and the
    next) still fires, never before it is due, and at most one 1 ms
    tick late; the median of ten is checked against the tick, so one
@@ -901,6 +918,8 @@ let () =
         [
           Alcotest.test_case "cancelled timers wake nothing" `Quick
             test_mc_cancelled_timers_no_wakeups;
+          Alcotest.test_case "cancel drops the callback" `Quick
+            test_mc_cancel_drops_callback;
           Alcotest.test_case "live timer fires on time" `Quick
             test_mc_live_timer_on_time;
           Alcotest.test_case "try_await_idle returns when idle" `Quick

@@ -111,6 +111,51 @@ let test_max_below_marker_semantics () =
       Alcotest.(check bool) "content" true (Bytes.equal b (blk 'a'))
   | _ -> Alcotest.fail "below marker"
 
+(* The one-descent call answers exactly what the two queries answer,
+   on logs whose head is intact, damaged, a marker with every real
+   entry damaged, and a log gc emptied. *)
+let test_max_and_below () =
+  let intact () =
+    let l = Slog.create ~block_size:bs in
+    Slog.add l (ts 5) (Some (blk 'a'));
+    Slog.add l (ts 9) (Some (blk 'b'));
+    Slog.add l (ts 12) None;
+    l
+  in
+  let damaged = intact () in
+  ignore (Slog.damage_newest damaged);
+  let marker_only = Slog.create ~block_size:bs in
+  Slog.add marker_only (ts 5) (Some (blk 'a'));
+  Slog.add marker_only (ts 7) None;
+  ignore (Slog.damage_newest marker_only);
+  ignore (Slog.damage_newest marker_only);
+  let empty = Slog.create ~block_size:bs in
+  Slog.add empty (ts 5) (Some (blk 'a'));
+  ignore (Slog.gc empty ~before:(ts 5));
+  ignore (Slog.damage_newest empty);
+  ignore (Slog.gc empty ~before:(ts 6));
+  Alcotest.(check int) "gc emptied the log" 0 (Slog.size empty);
+  (match Slog.max_and_below marker_only Ts.high with
+  | v, Some (l, None) ->
+      Alcotest.(check bool) "marker-only: the marker, no block" true
+        (Ts.equal v (ts 7) && Ts.equal l (ts 7))
+  | _ -> Alcotest.fail "marker-only log");
+  List.iter
+    (fun (name, l) ->
+      List.iter
+        (fun bound ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, below %s" name (Ts.to_string bound))
+            true
+            (Slog.max_and_below l bound = (Slog.max_ts l, Slog.max_below l bound)))
+        [ Ts.high; Ts.low; ts 6; ts 9; ts 13 ])
+    [
+      ("intact", intact ());
+      ("damaged head", damaged);
+      ("marker-only", marker_only);
+      ("empty", empty);
+    ]
+
 let test_add_idempotent () =
   let l = Slog.create ~block_size:bs in
   Slog.add l (ts 5) (Some (blk 'a'));
@@ -474,6 +519,10 @@ let test_queries_match_model () =
       (fun b ->
         eq ("max_below " ^ ts_s b) below (Model.max_below m b)
           (Slog.max_below l b);
+        eq ("max_and_below " ^ ts_s b)
+          (fun (t, c) -> ts_s t ^ " " ^ below c)
+          (Model.max_ts m, Model.max_below m b)
+          (Slog.max_and_below l b);
         eq ("find " ^ ts_s b)
           (function None -> "absent" | Some c -> blk_s c)
           (Model.find m b) (Slog.find l b);
@@ -568,6 +617,8 @@ let () =
           Alcotest.test_case "max_below plain" `Quick test_max_below_plain;
           Alcotest.test_case "max_below marker semantics" `Quick
             test_max_below_marker_semantics;
+          Alcotest.test_case "max_and_below is max_ts and max_below" `Quick
+            test_max_and_below;
           Alcotest.test_case "add idempotent" `Quick test_add_idempotent;
           Alcotest.test_case "validation" `Quick test_add_validation;
           Alcotest.test_case "entries newest first" `Quick test_entries_newest_first;
