@@ -38,6 +38,7 @@ type run_result = {
          every protocol task runs on that one domain. *)
   sched : float * float * float;
       (* runtime.sched.{resumed,parks,wakeups}, summed over workers *)
+  timer_wakeups : float;  (* runtime.wheel.wakeups: timer-thread returns *)
 }
 
 (* Read [Gc.minor_words] from inside the pool: spawned as a task so the
@@ -86,7 +87,7 @@ let run_one ~domains ~clients ~ops ~block_size =
   Core.Cluster.shutdown cluster;
   let counter name =
     Metrics.Counter.value
-      (Metrics.Registry.counter cluster.Core.Cluster.metrics ("runtime.sched." ^ name))
+      (Metrics.Registry.counter cluster.Core.Cluster.metrics ("runtime." ^ name))
   in
   let all = Workload.Client.sum stats in
   let ops_done = all.Workload.Client.ops in
@@ -104,83 +105,20 @@ let run_one ~domains ~clients ~ops ~block_size =
       (if domains = 1 && ops_done > 0 then
          (words1 -. words0) /. float_of_int ops_done
        else 0.);
-    sched = (counter "resumed", counter "parks", counter "wakeups");
+    sched =
+      (counter "sched.resumed", counter "sched.parks", counter "sched.wakeups");
+    timer_wakeups = counter "wheel.wakeups";
   }
 
 let pct r p =
   if Metrics.Hist.count r.lat = 0 then 0. else Metrics.Hist.percentile r.lat p
 
-(* --- contention microbenches (DESIGN 4h) ---------------------------
+(* --- hot-path microbenches (DESIGN 4h) ------------------------------
 
-   Each hot path is benchmarked against its PR 8 predecessor inside
-   this binary: the pending table runs at [shards:16] vs [shards:1]
-   (the old single mutex), the mailbox against a verbatim copy of the
-   old lock-per-message implementation. The timer wheel has no legacy
-   twin — its arm/cancel churn rate and wheel stats stand alone. *)
-
-(* PR 8's lock-per-message mailbox with direct hand-off to waiting
-   receivers, kept as the batched-drain implementation's baseline. *)
-module Legacy_mailbox = struct
-  type 'a waiter = { wg : Runtime.gate; mutable slot : 'a option }
-
-  type 'a t = {
-    rt : Runtime.t;
-    lock : Mutex.t;
-    q : 'a Queue.t;
-    mutable waiters : 'a waiter list;  (* oldest first *)
-    mutable closed : bool;
-  }
-
-  let create rt =
-    {
-      rt;
-      lock = Mutex.create ();
-      q = Queue.create ();
-      waiters = [];
-      closed = false;
-    }
-
-  let send t v =
-    Mutex.lock t.lock;
-    if t.closed then Mutex.unlock t.lock
-    else
-      match t.waiters with
-      | w :: rest ->
-          t.waiters <- rest;
-          w.slot <- Some v;
-          Mutex.unlock t.lock;
-          w.wg.Runtime.open_ ()
-      | [] ->
-          Queue.push v t.q;
-          Mutex.unlock t.lock
-
-  let recv t =
-    Mutex.lock t.lock;
-    if not (Queue.is_empty t.q) then begin
-      let v = Queue.pop t.q in
-      Mutex.unlock t.lock;
-      Some v
-    end
-    else if t.closed then begin
-      Mutex.unlock t.lock;
-      None
-    end
-    else begin
-      let w = { wg = t.rt.Runtime.gate (); slot = None } in
-      t.waiters <- t.waiters @ [ w ];
-      Mutex.unlock t.lock;
-      w.wg.Runtime.await ();
-      w.slot
-    end
-
-  let close t =
-    Mutex.lock t.lock;
-    t.closed <- true;
-    let ws = t.waiters in
-    t.waiters <- [];
-    Mutex.unlock t.lock;
-    List.iter (fun w -> w.wg.Runtime.open_ ()) ws
-end
+   One cell per mc hot path at each domain count: the RPC pending
+   table, the batched mailbox and the timer queue. DESIGN 4h records
+   the comparisons that settled each structure; no alternative is
+   kept in the tree just to be measured here. *)
 
 (* Zero-latency transport: [xsend] invokes the destination handler in
    the caller's thread, so a [call] completes during its own
@@ -200,19 +138,16 @@ let loopback ~n =
     xdead_drop = (fun () -> ());
   }
 
-type pending_result = { calls_per_sec : float; lock_waits : float }
-
-let micro_pending ~domains ~tasks ~iters ~shards =
+let micro_pending ~domains ~tasks ~iters =
   let pool = Runtime_mc.create ~domains () in
   let rt = Runtime_mc.runtime pool in
-  let metrics = Metrics.Registry.create () in
   let members = [ 0; 1; 2 ] in
   let transport = loopback ~n:(3 + tasks) in
   let rpc =
-    Quorum.Rpc.create ~rt ~transport ~metrics
+    Quorum.Rpc.create ~rt ~transport
       ~req_bytes:(fun () -> 0)
       ~rep_bytes:(fun () -> 0)
-      ~shards ()
+      ()
   in
   List.iter
     (fun addr -> Quorum.Rpc.serve rpc ~addr (fun ~src:_ ~ctx:_ () -> Some ()))
@@ -231,12 +166,7 @@ let micro_pending ~domains ~tasks ~iters ~shards =
   Runtime_mc.await_idle pool;
   let elapsed = Unix.gettimeofday () -. t0 in
   Runtime_mc.shutdown pool;
-  {
-    calls_per_sec = float_of_int (tasks * iters) /. Float.max 1e-9 elapsed;
-    lock_waits =
-      Metrics.Counter.value
-        (Metrics.Registry.counter metrics "rpc.shard.contention");
-  }
+  float_of_int (tasks * iters) /. Float.max 1e-9 elapsed
 
 (* [senders] concurrent producers, one consumer; throughput is
    measured to the instant the consumer has received every message.
@@ -245,86 +175,51 @@ let micro_pending ~domains ~tasks ~iters ~shards =
    actually driven: a coordinator never has more than a quorum round's
    worth of messages outstanding, because [Rpc.call] blocks on the
    replies. After every [window] sends the producer waits for a credit
-   from the consumer, carried over a per-sender ack mailbox built from
-   the same implementation under test (so both variants pay for their
-   own ack path). An unthrottled flood would instead measure the OS
-   scheduler on an oversubscribed host: producers that never block
-   burn whole timeslices while the runnable consumer waits in the run
-   queue, a stall the transport's natural flow control never sees. *)
+   from the consumer, carried over a per-sender ack mailbox. An
+   unthrottled flood would instead measure the OS scheduler on an
+   oversubscribed host: producers that never block burn whole
+   timeslices while the runnable consumer waits in the run queue, a
+   stall the transport's natural flow control never sees. *)
 let mb_window = 256
 
-let micro_mailbox ~domains ~senders ~iters ~legacy =
+let micro_mailbox ~domains ~senders ~iters =
   let pool = Runtime_mc.create ~domains () in
   let rt = Runtime_mc.runtime pool in
   let total = senders * iters in
   let t0 = Unix.gettimeofday () in
   let finish = ref t0 in
-  let rate () = float_of_int total /. Float.max 1e-9 (!finish -. t0) in
-  if legacy then begin
-    let box = Legacy_mailbox.create rt in
-    let acks = Array.init senders (fun _ -> Legacy_mailbox.create rt) in
+  let box = Runtime.Mailbox.create rt in
+  let acks = Array.init senders (fun _ -> Runtime.Mailbox.create rt) in
+  Runtime.spawn rt (fun () ->
+      let per = Array.make senders 0 in
+      let rec loop n =
+        if n < total then
+          match Runtime.Mailbox.recv box with
+          | Some s ->
+              per.(s) <- per.(s) + 1;
+              if per.(s) mod mb_window = 0 then
+                ignore (Runtime.Mailbox.send acks.(s) ());
+              loop (n + 1)
+          | None -> ()
+      in
+      loop 0;
+      finish := Unix.gettimeofday ());
+  for s = 0 to senders - 1 do
     Runtime.spawn rt (fun () ->
-        let per = Array.make senders 0 in
-        let rec loop n =
-          if n < total then
-            match Legacy_mailbox.recv box with
-            | Some s ->
-                per.(s) <- per.(s) + 1;
-                if per.(s) mod mb_window = 0 then
-                  Legacy_mailbox.send acks.(s) ();
-                loop (n + 1)
-            | None -> ()
-        in
-        loop 0;
-        finish := Unix.gettimeofday ());
-    for s = 0 to senders - 1 do
-      Runtime.spawn rt (fun () ->
-          for i = 1 to iters do
-            Legacy_mailbox.send box s;
-            if i mod mb_window = 0 then ignore (Legacy_mailbox.recv acks.(s))
-          done)
-    done;
-    Runtime_mc.await_idle pool;
-    Legacy_mailbox.close box;
-    Array.iter Legacy_mailbox.close acks;
-    Runtime_mc.shutdown pool;
-    (rate (), 0.)
-  end
-  else begin
-    let box = Runtime.Mailbox.create rt in
-    let acks = Array.init senders (fun _ -> Runtime.Mailbox.create rt) in
-    Runtime.spawn rt (fun () ->
-        let per = Array.make senders 0 in
-        let rec loop n =
-          if n < total then
-            match Runtime.Mailbox.recv box with
-            | Some s ->
-                per.(s) <- per.(s) + 1;
-                if per.(s) mod mb_window = 0 then
-                  ignore (Runtime.Mailbox.send acks.(s) ());
-                loop (n + 1)
-            | None -> ()
-        in
-        loop 0;
-        finish := Unix.gettimeofday ());
-    for s = 0 to senders - 1 do
-      Runtime.spawn rt (fun () ->
-          for i = 1 to iters do
-            ignore (Runtime.Mailbox.send box s);
-            if i mod mb_window = 0 then ignore (Runtime.Mailbox.recv acks.(s))
-          done)
-    done;
-    Runtime_mc.await_idle pool;
-    let batches, msgs = Runtime.Mailbox.drain_stats box in
-    Runtime.Mailbox.close box;
-    Array.iter Runtime.Mailbox.close acks;
-    Runtime_mc.shutdown pool;
-    ( rate (),
-      if batches = 0 then 0.
-      else float_of_int msgs /. float_of_int batches )
-  end
+        for i = 1 to iters do
+          ignore (Runtime.Mailbox.send box s);
+          if i mod mb_window = 0 then ignore (Runtime.Mailbox.recv acks.(s))
+        done)
+  done;
+  Runtime_mc.await_idle pool;
+  let batches, msgs = Runtime.Mailbox.drain_stats box in
+  Runtime.Mailbox.close box;
+  Array.iter Runtime.Mailbox.close acks;
+  Runtime_mc.shutdown pool;
+  ( float_of_int total /. Float.max 1e-9 (!finish -. t0),
+    if batches = 0 then 0. else float_of_int msgs /. float_of_int batches )
 
-type timer_result = { arms_per_sec : float; wheel : Runtime_mc.wheel_stats }
+type timer_result = { arms_per_sec : float; timers : Runtime_mc.timer_stats }
 
 (* Deadline/backoff churn: most timers are cancelled before firing
    (like RPC retry timers on a healthy cluster), one in sixteen is
@@ -348,18 +243,16 @@ let micro_timer ~domains ~tasks ~iters =
   let elapsed = Unix.gettimeofday () -. t0 in
   (* Let the uncancelled tail expire so fired/purged cover the run. *)
   Unix.sleepf 0.08;
-  let wheel = Runtime_mc.wheel_stats pool in
+  let timers = Runtime_mc.timer_stats pool in
   Runtime_mc.shutdown pool;
   {
     arms_per_sec = float_of_int (tasks * iters) /. Float.max 1e-9 elapsed;
-    wheel;
+    timers;
   }
 
-(* One-shot microbench timings on a shared single-core container swing
-   by 3x or more with scheduler luck. Each cell runs [trials] times and
-   the best (least-interference) run is reported, for both the new
-   implementation and its legacy twin, so the printed speedups compare
-   peak against peak. *)
+(* One-shot microbench timings on a shared host swing by 3x or more
+   with scheduler luck. Each cell runs [trials] times and the best
+   (least-interference) run is reported. *)
 let trials = 3
 
 let best_of proj f =
@@ -391,93 +284,84 @@ let run () =
       (if hw = 1 then "" else "s");
   let results = List.map (fun d -> run_one ~domains:d ~clients ~ops ~block_size) sweep in
   let base = List.hd results in
-  Printf.printf "  %-8s | %10s | %12s | %10s | %10s | %8s | %10s | %8s | %8s\n"
+  Printf.printf
+    "  %-8s | %10s | %12s | %10s | %10s | %8s | %10s | %8s | %8s | %8s\n"
     "domains" "ops done" "ops/sec" "p50 (ms)" "p99 (ms)" "speedup"
-    "resumed/op" "parks" "wakeups";
-  Printf.printf "  %s\n" (String.make 107 '-');
+    "resumed/op" "parks" "wakeups" "timer wk";
+  Printf.printf "  %s\n" (String.make 118 '-');
   List.iter
     (fun r ->
       let resumed, parks, wakeups = r.sched in
       Printf.printf
-        "  %-8d | %10d | %12.0f | %10.3f | %10.3f | %7.2fx | %10.1f | %8.0f | %8.0f\n"
+        "  %-8d | %10d | %12.0f | %10.3f | %10.3f | %7.2fx | %10.1f | %8.0f \
+         | %8.0f | %8.0f\n"
         r.domains r.ops_done r.ops_per_sec
         (pct r 50. *. 1e3)
         (pct r 99. *. 1e3)
         (if base.ops_per_sec > 0. then r.ops_per_sec /. base.ops_per_sec
          else 0.)
         (resumed /. float_of_int (max 1 r.ops_done))
-        parks wakeups)
+        parks wakeups r.timer_wakeups)
     results;
   Printf.printf "  gc: %.0f minor words per op (1-domain run)\n"
     base.minor_words_per_op;
-  (* Contention microbenches: each hot path vs its PR 8 baseline. *)
   let micro_sweep = if !smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   let mtasks = if !smoke then 2 else 4 in
   let pend_iters = if !smoke then 300 else 1500 in
   let mbox_iters = if !smoke then 4000 else 20000 in
   let tmr_iters = if !smoke then 4000 else 15000 in
-  Printf.printf "\n  pending table: %d tasks x %d calls (quorum 2/3, \
-                 loopback transport)\n" mtasks pend_iters;
-  Printf.printf "  %-8s | %14s | %14s | %8s | %10s\n" "domains"
-    "sharded c/s" "1-mutex c/s" "speedup" "lock waits";
-  Printf.printf "  %s\n" (String.make 64 '-');
+  let cells title header f =
+    Printf.printf "\n  %s\n" title;
+    Printf.printf "  %-8s | %s\n" "domains" header;
+    Printf.printf "  %s\n" (String.make 64 '-');
+    List.map
+      (fun d ->
+        let r, line = f d in
+        Printf.printf "  %-8d | %s\n" d line;
+        (d, r))
+      micro_sweep
+  in
   let pend =
-    List.map
+    cells
+      (Printf.sprintf
+         "pending table: %d tasks x %d calls (quorum 2/3, loopback transport)"
+         mtasks pend_iters)
+      (Printf.sprintf "%14s" "calls/s")
       (fun d ->
-        let cell shards =
-          best_of
-            (fun r -> r.calls_per_sec)
-            (fun () ->
-              micro_pending ~domains:d ~tasks:mtasks ~iters:pend_iters ~shards)
+        let r =
+          best_of Fun.id (fun () ->
+              micro_pending ~domains:d ~tasks:mtasks ~iters:pend_iters)
         in
-        let sh = cell 16 in
-        let si = cell 1 in
-        Printf.printf "  %-8d | %14.0f | %14.0f | %7.2fx | %10.0f\n" d
-          sh.calls_per_sec si.calls_per_sec
-          (sh.calls_per_sec /. Float.max 1e-9 si.calls_per_sec)
-          sh.lock_waits;
-        (d, sh, si))
-      micro_sweep
+        (r, Printf.sprintf "%14.0f" r))
   in
-  Printf.printf "\n  mailbox: %d senders x %d msgs -> 1 receiver\n" mtasks
-    mbox_iters;
-  Printf.printf "  %-8s | %14s | %14s | %8s | %10s\n" "domains"
-    "batched m/s" "lock/msg m/s" "speedup" "batch avg";
-  Printf.printf "  %s\n" (String.make 64 '-');
   let mbox =
-    List.map
+    cells
+      (Printf.sprintf "mailbox: %d senders x %d msgs -> 1 receiver" mtasks
+         mbox_iters)
+      (Printf.sprintf "%14s | %10s" "msgs/s" "batch avg")
       (fun d ->
-        let cell legacy =
+        let ((rate, avg) as r) =
           best_of fst (fun () ->
-              micro_mailbox ~domains:d ~senders:mtasks ~iters:mbox_iters
-                ~legacy)
+              micro_mailbox ~domains:d ~senders:mtasks ~iters:mbox_iters)
         in
-        let b, avg = cell false in
-        let l, _ = cell true in
-        Printf.printf "  %-8d | %14.0f | %14.0f | %7.2fx | %10.1f\n" d b l
-          (b /. Float.max 1e-9 l)
-          avg;
-        (d, b, l, avg))
-      micro_sweep
+        (r, Printf.sprintf "%14.0f | %10.1f" rate avg))
   in
-  Printf.printf "\n  timer wheel: %d tasks x %d arms (15/16 cancelled)\n"
-    mtasks tmr_iters;
-  Printf.printf "  %-8s | %14s | %10s | %10s | %10s\n" "domains" "arms/s"
-    "max depth" "fired" "purged";
-  Printf.printf "  %s\n" (String.make 64 '-');
   let tmr =
-    List.map
+    cells
+      (Printf.sprintf "timer queue: %d tasks x %d arms (15/16 cancelled)"
+         mtasks tmr_iters)
+      (Printf.sprintf "%14s | %10s | %10s | %10s" "arms/s" "max depth" "fired"
+         "purged")
       (fun d ->
         let r =
           best_of
             (fun r -> r.arms_per_sec)
             (fun () -> micro_timer ~domains:d ~tasks:mtasks ~iters:tmr_iters)
         in
-        Printf.printf "  %-8d | %14.0f | %10d | %10d | %10d\n" d
-          r.arms_per_sec r.wheel.Runtime_mc.max_depth
-          r.wheel.Runtime_mc.fired r.wheel.Runtime_mc.purged;
-        (d, r))
-      micro_sweep
+        ( r,
+          Printf.sprintf "%14.0f | %10d | %10d | %10d" r.arms_per_sec
+            r.timers.Runtime_mc.max_depth r.timers.Runtime_mc.fired
+            r.timers.Runtime_mc.purged ))
   in
   Option.iter
     (fun path ->
@@ -525,30 +409,21 @@ let run () =
                      num "sched_resumed" resumed;
                      num "sched_parks" parks;
                      num "sched_wakeups" wakeups;
+                     num "timer_wakeups" r.timer_wakeups;
                    ] ))
              results
         @ List.map
-            (fun (d, sh, si) ->
+            (fun (d, calls) ->
               ( Printf.sprintf "micro_pending_d%d" d,
-                O
-                  [
-                    ("domains", I d);
-                    num "sharded_calls_per_sec" sh.calls_per_sec;
-                    num "single_calls_per_sec" si.calls_per_sec;
-                    num "speedup"
-                      (sh.calls_per_sec /. Float.max 1e-9 si.calls_per_sec);
-                    num "shard_lock_waits" sh.lock_waits;
-                  ] ))
+                O [ ("domains", I d); num "calls_per_sec" calls ] ))
             pend
         @ List.map
-            (fun (d, b, l, avg) ->
+            (fun (d, (rate, avg)) ->
               ( Printf.sprintf "micro_mailbox_d%d" d,
                 O
                   [
                     ("domains", I d);
-                    num "batched_msgs_per_sec" b;
-                    num "legacy_msgs_per_sec" l;
-                    num "speedup" (b /. Float.max 1e-9 l);
+                    num "msgs_per_sec" rate;
                     num "avg_drain_batch" avg;
                   ] ))
             mbox
@@ -559,9 +434,9 @@ let run () =
                   [
                     ("domains", I d);
                     num "arms_per_sec" r.arms_per_sec;
-                    ("wheel_max_depth", I r.wheel.Runtime_mc.max_depth);
-                    ("wheel_fired", I r.wheel.Runtime_mc.fired);
-                    ("wheel_purged", I r.wheel.Runtime_mc.purged);
+                    ("wheel_max_depth", I r.timers.Runtime_mc.max_depth);
+                    ("wheel_fired", I r.timers.Runtime_mc.fired);
+                    ("wheel_purged", I r.timers.Runtime_mc.purged);
                   ] ))
             tmr
       in

@@ -3,7 +3,7 @@
 
     [install] schedules every plan event on the cluster's {e runtime}
     (the sim engine's virtual-time queue, or the multicore backend's
-    timer wheel); when the runtime reaches an event's time the
+    timer queue); when the runtime reaches an event's time the
     corresponding fault is applied. Network faults go through the
     deployment's {!Simnet.Faultnet} ({!Core.Cluster.faultnet}), the
     one fault model both backends share, and crashes through

@@ -184,7 +184,7 @@ module Substrate = struct
           Metrics.Counter.reset c;
           Metrics.Counter.incr ~by:v c
         in
-        let ws = Runtime_mc.wheel_stats l.pool in
+        let ws = Runtime_mc.timer_stats l.pool in
         set "runtime.wheel.max_depth" (float_of_int ws.Runtime_mc.max_depth);
         set "runtime.wheel.fired" (float_of_int ws.Runtime_mc.fired);
         set "runtime.wheel.purged" (float_of_int ws.Runtime_mc.purged);

@@ -223,11 +223,11 @@ val shutdown : t -> unit
 (** Release backend resources. Multicore: close every brick mailbox,
     stop the receive loops, join the worker domains, then materialize
     the runtime's hot-path stats into [metrics] —
-    ["runtime.wheel.max_depth"/".fired"/".purged"/".wakeups"] (timer
-    wheel), ["runtime.sched.resumed"/".parks"/".wakeups"] (workers) and
-    ["runtime.mailbox.drain.batches"/".msgs"] (batched drains); the
-    RPC layer's ["rpc.shard.contention"] counts shard-lock waits as
-    they happen. Sim: no-op. Idempotent; call after
+    ["runtime.wheel.max_depth"/".fired"/".purged"/".wakeups"] (the
+    timer queue, {!Runtime_mc.timer_stats}),
+    ["runtime.sched.resumed"/".parks"/".wakeups"] (workers) and
+    ["runtime.mailbox.drain.batches"/".msgs"] (batched drains). Sim:
+    no-op. Idempotent; call after
     {!await_quiesce}. *)
 
 val is_mc : t -> bool

@@ -29,11 +29,9 @@ type ('req, 'rep) pending = {
   nmembers : int;
   quorum : int;
   until : (int * 'rep) list -> bool;
-  mutable replies : (int * 'rep) list;  (* newest first *)
-  seen : Bytes.t;
-      (* per-address reply flag, indexed by address; pooled
-         (Runtime.Bufpool) — released exactly once, by whichever
-         completion path claims the entry *)
+  mutable replies : (int * 'rep) list;
+      (* newest first, at most one per member: a retransmission can
+         make a member answer twice, and only its first reply counts *)
   mutable reply_count : int;
   iv : (int * 'rep) list Runtime.Ivar.t;
   mutable retry_timer : Runtime.timer option;
@@ -44,14 +42,6 @@ type ('req, 'rep) pending = {
   coord : Brick.t;
   make_req : int -> 'req;
   ctx : Obs.ctx;
-}
-
-(* One slice of the pending table. Call ids are dealt round-robin
-   (rid land (nshards-1)), so concurrent coordinators touch different
-   locks; claim-based completion needs only the owning shard's lock. *)
-type ('req, 'rep) shard = {
-  slk : Mutex.t;  (* guards tbl / pending's mutable fields *)
-  tbl : (int, ('req, 'rep) pending) Hashtbl.t;
 }
 
 type ('req, 'rep) t = {
@@ -66,32 +56,18 @@ type ('req, 'rep) t = {
   retry_cap : float;
   grace : float;
   retries : Metrics.Counter.t;
-  contention : Metrics.Counter.t;  (* shard-lock try_lock misses *)
   obs : Obs.t;
   next_rid : int Atomic.t;
-  shards : ('req, 'rep) shard array;  (* length is a power of two *)
+  lock : Mutex.t;  (* guards pending and its entries' mutable fields *)
+  pending : (int, ('req, 'rep) pending) Hashtbl.t;
   handlers : (src:int -> ctx:Obs.ctx -> 'req -> 'rep option) option array;
 }
 
-let shard_of t rid = t.shards.(rid land (Array.length t.shards - 1))
-
-(* Lock a shard, counting the acquisitions that had to wait: the
-   ["rpc.shard.contention"] counter is the direct measure of how much
-   serialization the sharding left behind. *)
-let lock_shard t sh =
-  if not (Mutex.try_lock sh.slk) then begin
-    Metrics.Counter.incr t.contention;
-    Mutex.lock sh.slk
-  end
-
 let create ~rt ~transport ?(metrics = Metrics.Registry.create ()) ~req_bytes
     ~rep_bytes ?(req_label = fun _ -> "req") ?(rep_label = fun _ -> "rep")
-    ?(retry_every = 8.0) ?(retry_backoff = 2.0) ?retry_cap ?(grace = 1.0)
-    ?(shards = 16) () =
+    ?(retry_every = 8.0) ?(retry_backoff = 2.0) ?retry_cap ?(grace = 1.0) () =
   if retry_backoff < 1.0 then
     invalid_arg "Quorum.Rpc.create: retry_backoff < 1";
-  if shards < 1 || shards land (shards - 1) <> 0 then
-    invalid_arg "Quorum.Rpc.create: shards must be a power of two";
   let retry_cap =
     match retry_cap with Some c -> c | None -> retry_every *. 8.
   in
@@ -107,12 +83,10 @@ let create ~rt ~transport ?(metrics = Metrics.Registry.create ()) ~req_bytes
     retry_cap;
     grace;
     retries = Metrics.Registry.counter metrics "rpc.retries";
-    contention = Metrics.Registry.counter metrics "rpc.shard.contention";
     obs = transport.xobs;
     next_rid = Atomic.make 0;
-    shards =
-      Array.init shards (fun _ ->
-          { slk = Mutex.create (); tbl = Hashtbl.create 8 });
+    lock = Mutex.create ();
+    pending = Hashtbl.create 64;
     handlers = Array.make transport.xn None;
   }
 
@@ -150,44 +124,35 @@ let count_dead_drop t = t.transport.xdead_drop ()
    on the sim backend it resumes the coordinator fiber synchronously,
    which may immediately issue the next call into this module. *)
 let claim t rid =
-  let sh = shard_of t rid in
-  lock_shard t sh;
-  let po = Hashtbl.find_opt sh.tbl rid in
-  (match po with Some _ -> Hashtbl.remove sh.tbl rid | None -> ());
-  Mutex.unlock sh.slk;
+  Mutex.lock t.lock;
+  let po = Hashtbl.find_opt t.pending rid in
+  (match po with Some _ -> Hashtbl.remove t.pending rid | None -> ());
+  Mutex.unlock t.lock;
   po
-
-(* Return the pooled seen-buffer once the entry is out of the table.
-   Claim-once semantics make this exactly-once; retry and reply paths
-   only read [seen] under the shard lock while the entry is still
-   present, so the buffer cannot be reused under them. *)
-let release_seen p = Runtime.Bufpool.release p.seen
 
 let complete p =
   cancel_timers p;
   Brick.remove_crash_hook p.coord p.crash_hook;
-  let replies = List.rev p.replies in
-  release_seen p;
-  Runtime.Ivar.fill p.iv replies
+  Runtime.Ivar.fill p.iv (List.rev p.replies)
+
+let answered p src = List.mem_assoc src p.replies
 
 let deliver_reply t rid src rep =
-  let sh = shard_of t rid in
-  lock_shard t sh;
+  Mutex.lock t.lock;
   let action =
-    match Hashtbl.find_opt sh.tbl rid with
+    match Hashtbl.find_opt t.pending rid with
     | None ->
         (* stale reply: the call completed or the coordinator crashed *)
         `Nothing
     | Some p ->
-        if Bytes.get p.seen src <> '\000' then `Nothing
+        if answered p src then `Nothing
         else begin
-          Bytes.set p.seen src '\001';
           p.replies <- (src, rep) :: p.replies;
           p.reply_count <- p.reply_count + 1;
           let everyone = p.reply_count = p.nmembers in
           if p.reply_count >= p.quorum then
             if p.until p.replies || everyone then begin
-              Hashtbl.remove sh.tbl rid;
+              Hashtbl.remove t.pending rid;
               `Complete p
             end
             else if p.grace_timer = None then `Arm_grace p
@@ -195,7 +160,7 @@ let deliver_reply t rid src rep =
           else `Nothing
         end
   in
-  Mutex.unlock sh.slk;
+  Mutex.unlock t.lock;
   match action with
   | `Nothing -> ()
   | `Complete p -> complete p
@@ -204,10 +169,10 @@ let deliver_reply t rid src rep =
         Runtime.timer t.rt ~delay:t.grace (fun () ->
             match claim t rid with None -> () | Some p -> complete p)
       in
-      lock_shard t sh;
+      Mutex.lock t.lock;
       p.grace_timer <- Some tm;
-      let gone = not (Hashtbl.mem sh.tbl rid) in
-      Mutex.unlock sh.slk;
+      let gone = not (Hashtbl.mem t.pending rid) in
+      Mutex.unlock t.lock;
       (* The call may have completed in the window before the timer was
          recorded; the claimer saw grace_timer = None, so reap it here. *)
       if gone then Runtime.cancel tm
@@ -265,10 +230,8 @@ let call t ~coord ~members ~quorum ?(until = fun _ -> true)
     invalid_arg "Quorum.Rpc.call: quorum larger than member count";
   if quorum < 1 then invalid_arg "Quorum.Rpc.call: quorum < 1";
   let rt = t.rt in
-  (* [land max_int] keeps ids non-negative across counter wrap; ids
-     deal shards round-robin, so coordinators spread over the locks. *)
+  (* [land max_int] keeps ids non-negative across counter wrap. *)
   let rid = Atomic.fetch_and_add t.next_rid 1 land max_int in
-  let sh = shard_of t rid in
   let src = Brick.id coord in
   ensure_dispatcher t src;
   (match deadline with
@@ -285,11 +248,8 @@ let call t ~coord ~members ~quorum ?(until = fun _ -> true)
         | None -> ()
         | Some p ->
             cancel_timers p;
-            release_seen p;
             Runtime.Ivar.abort p.iv)
   in
-  let seen = Runtime.Bufpool.acquire t.transport.xn in
-  Bytes.fill seen 0 (Bytes.length seen) '\000';
   let p =
     {
       members;
@@ -297,7 +257,6 @@ let call t ~coord ~members ~quorum ?(until = fun _ -> true)
       quorum;
       until;
       replies = [];
-      seen;
       reply_count = 0;
       iv;
       retry_timer = None;
@@ -310,9 +269,9 @@ let call t ~coord ~members ~quorum ?(until = fun _ -> true)
       ctx;
     }
   in
-  lock_shard t sh;
-  Hashtbl.replace sh.tbl rid p;
-  Mutex.unlock sh.slk;
+  Mutex.lock t.lock;
+  Hashtbl.replace t.pending rid p;
+  Mutex.unlock t.lock;
   (* At the deadline the call stops retransmitting and fails fast:
      the pending entry and crash hook go away exactly as on
      completion, and the caller is woken to raise {!Unavailable}
@@ -327,30 +286,27 @@ let call t ~coord ~members ~quorum ?(until = fun _ -> true)
             | Some p ->
                 cancel_timers p;
                 Brick.remove_crash_hook p.coord p.crash_hook;
-                release_seen p;
                 deadline_hit := true;
                 Runtime.Ivar.fill p.iv [])
       in
-      lock_shard t sh;
+      Mutex.lock t.lock;
       p.deadline_timer <- Some tm;
-      Mutex.unlock sh.slk);
+      Mutex.unlock t.lock);
   let rec arm_retry () =
     let delay = retry_delay t rid (p.attempt + 1) in
     let tm =
       Runtime.timer rt ~delay (fun () ->
-          lock_shard t sh;
-          let fire =
-            Brick.is_alive coord && Hashtbl.mem sh.tbl rid
-          in
+          Mutex.lock t.lock;
+          let fire = Brick.is_alive coord && Hashtbl.mem t.pending rid in
           let missing =
             if fire then begin
               p.attempt <- p.attempt + 1;
-              List.filter (fun a -> Bytes.get p.seen a = '\000') p.members
+              List.filter (fun a -> not (answered p a)) p.members
             end
             else []
           in
           let attempt = p.attempt in
-          Mutex.unlock sh.slk;
+          Mutex.unlock t.lock;
           if fire then begin
             Metrics.Counter.incr t.retries;
             if Obs.enabled t.obs then
@@ -367,10 +323,10 @@ let call t ~coord ~members ~quorum ?(until = fun _ -> true)
             arm_retry ()
           end)
     in
-    lock_shard t sh;
+    Mutex.lock t.lock;
     p.retry_timer <- Some tm;
-    let gone = not (Hashtbl.mem sh.tbl rid) in
-    Mutex.unlock sh.slk;
+    let gone = not (Hashtbl.mem t.pending rid) in
+    Mutex.unlock t.lock;
     if gone then Runtime.cancel tm
   in
   broadcast t ~src ~ctx ~targets:members make_req rid;

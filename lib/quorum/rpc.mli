@@ -67,7 +67,6 @@ val create :
   ?retry_backoff:float ->
   ?retry_cap:float ->
   ?grace:float ->
-  ?shards:int ->
   unit ->
   ('req, 'rep) t
 (** [create ~rt ~transport ~req_bytes ~rep_bytes ()] builds the layer.
@@ -91,15 +90,11 @@ val create :
     short human names for messages in traces (only evaluated when the
     transport's observability hub is enabled).
 
-    The pending-call table is split into [shards] independently locked
-    slices (default 16; must be a power of two), call ids dealt
-    round-robin across them, so concurrent coordinators on the
-    multicore backend do not serialize on one mutex; acquisitions that
-    had to wait are counted in [metrics] under
-    ["rpc.shard.contention"]. [~shards:1] reproduces the single-mutex
-    table (the benchmark's before/after baseline). On the sim backend
-    sharding is behaviorally invisible: one fiber runs at a time, so
-    every lock is uncontended and completion order is unchanged. *)
+    Pending calls live in one table under one mutex (DESIGN 4h: a
+    16-way sharded table did not beat it end to end). Each completion
+    path (reply quorum, grace, deadline, coordinator crash) claims the
+    call's entry under that lock, so exactly one of them tears it down
+    and wakes the caller. *)
 
 val serve :
   ('req, 'rep) t -> addr:int ->
@@ -125,7 +120,11 @@ val call :
 (** [call t ~coord ~members ~quorum make_req] is the paper's
     [quorum(msg)]: send [make_req dst] to every member [dst], block
     the current task, and return the replies once at least [quorum]
-    members answered. The per-destination builder lets a stripe write
+    members answered. Each member counts once: a retransmission can
+    make a member answer twice, and its later replies are dropped, so
+    the result holds at most one reply per member, and later
+    retransmission rounds go only to members that have not answered.
+    The per-destination builder lets a stripe write
     ship each replica only its own block (so a write costs nB on the
     wire, as Table 1 accounts it); most calls ignore the address and
     return a shared request.

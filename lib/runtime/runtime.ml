@@ -413,52 +413,6 @@ module Mailbox = struct
   let drain_stats t = (Atomic.get t.batches, Atomic.get t.batched)
 end
 
-(* Domain-local buffer pools: free lists of [Bytes.t] keyed by exact
-   length, one pool per domain ([Domain.DLS]) so acquire/release never
-   contend across domains. The (uncontended) mutex is for the main
-   domain, whose threads (main, timer) a systhread switch can
-   interleave inside a Hashtbl operation; worker fibers never do.
-   A buffer released on another domain migrates to that pool.
-   Contents of an acquired buffer are arbitrary. *)
-module Bufpool = struct
-  type cls = { mutable bufs : Bytes.t list; mutable spare : int }
-  type pool = { plock : Mutex.t; classes : (int, cls) Hashtbl.t }
-
-  let key : pool Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { plock = Mutex.create (); classes = Hashtbl.create 8 })
-
-  (* Bound per (domain, length) class so a burst can't pin memory. *)
-  let max_per_class = 64
-
-  let acquire len =
-    let p = Domain.DLS.get key in
-    Mutex.lock p.plock;
-    let hit =
-      match Hashtbl.find_opt p.classes len with
-      | Some ({ bufs = b :: rest; _ } as c) ->
-          c.bufs <- rest;
-          c.spare <- c.spare - 1;
-          Some b
-      | Some { bufs = []; _ } | None -> None
-    in
-    Mutex.unlock p.plock;
-    match hit with Some b -> b | None -> Bytes.create len
-
-  let release b =
-    let len = Bytes.length b in
-    let p = Domain.DLS.get key in
-    Mutex.lock p.plock;
-    (match Hashtbl.find_opt p.classes len with
-    | Some c ->
-        if c.spare < max_per_class then begin
-          c.bufs <- b :: c.bufs;
-          c.spare <- c.spare + 1
-        end
-    | None -> Hashtbl.replace p.classes len { bufs = [ b ]; spare = 1 });
-    Mutex.unlock p.plock
-end
-
 (* Scatter-gather join. The next index is taken under the lock and
    its child spawned at once, so launch order is input order and, on
    sim (where spawn runs the child inline to its first suspension),

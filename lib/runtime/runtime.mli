@@ -149,18 +149,6 @@ module Mailbox : sig
       cluster materializes this as [runtime.mailbox.drain.*]. *)
 end
 
-(** Domain-local free lists of [Bytes.t], keyed by exact length: the
-    allocation-avoidance pool for per-call control buffers and codec
-    scratch on the mc hot path (no cross-domain contention; a buffer
-    released on another domain migrates to that domain's pool).
-    Acquired buffers have arbitrary contents — callers zero what they
-    need. Release a buffer at most once, and only when no other task
-    can still reach it. *)
-module Bufpool : sig
-  val acquire : int -> Bytes.t
-  val release : Bytes.t -> unit
-end
-
 (** The backend side: the one task implementation both backends
     install. A task is run under {!handler}; when it blocks on a gate
     or yields, the handler hands its continuation to the backend's

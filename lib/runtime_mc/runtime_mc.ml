@@ -10,7 +10,7 @@
    tasks of one domain costs a queue push and a [continue], with no
    OS thread switch. Within one domain fibers interleave only at
    suspension points; true parallelism equals the domain count.
-   Timers live in a hashed wheel (DESIGN 4h, [add_timer]). No
+   Timers live in a binary min-heap (DESIGN 4h, [add_timer]). No
    determinism and no virtual time: the sim backend remains the
    oracle, this one reports the hardware. *)
 
@@ -30,27 +30,14 @@ type worker = {
   mutable wakeups : int;
 }
 
-(* [armed] is true until the timer is cancelled or claimed for firing,
-   whichever comes first; both happen under the wheel lock. A cancel
-   drops [tf] at once, so whatever the callback captures (a quorum
-   call's pending state) is not kept alive by the cell waiting in its
-   slot. *)
-type tev = {
-  at : float;
-  slot : int;
-  mutable armed : bool;
-  mutable tf : unit -> unit;
-}
+(* A timer. [idx] is its position in the heap while it is pending and
+   -1 once it has left it, fired or cancelled; both happen under the
+   timer lock, so exactly one of them claims it. A cancel drops [tf] at
+   once, so whatever the callback captures (a quorum call's pending
+   state) is not kept alive by the caller's handle. *)
+type tev = { at : float; mutable idx : int; mutable tf : unit -> unit }
 
-let wheel_slots = 256
-let wheel_mask = wheel_slots - 1
-
-let wheel_tick = 0.001
-(* 1ms granularity: a timer never fires early (the sweep tests [at]
-   directly), and fires at most one select(2) wakeup after it is due —
-   the wheel only bounds how coarsely the sweep walks time. *)
-
-type wheel_stats = { max_depth : int; fired : int; purged : int; wakeups : int }
+type timer_stats = { max_depth : int; fired : int; purged : int; wakeups : int }
 
 type t = {
   workers : worker array;
@@ -59,17 +46,14 @@ type t = {
   idle : Condition.t;  (* signalled when live returns to 0 *)
   mutable live : int;  (* non-daemon tasks queued or running *)
   mutable stopping : bool;
-  tlock : Mutex.t;  (* guards the wheel and its stats *)
-  slots : tev list array;  (* slot = tick land wheel_mask *)
-  slot_min : float array;  (* earliest [at] per slot; infinity if none *)
-  slot_depth : int array;
-  slot_live : int array;  (* armed timers neither cancelled nor fired *)
-  mutable last_tick : int;  (* highest tick already swept *)
+  tlock : Mutex.t;  (* guards the heap and its stats *)
+  mutable heap : tev array;  (* min-heap on [at]; [hlen] entries used *)
+  mutable hlen : int;
   mutable sleep_until : float;  (* when the timer thread's sleep ends *)
-  mutable wmax_depth : int;
-  mutable wfired : int;
-  mutable wpurged : int;  (* cancelled events removed without firing *)
-  mutable wwakeups : int;  (* returns of the timer thread's sleep *)
+  mutable tmax_depth : int;
+  mutable tfired : int;
+  mutable tpurged : int;  (* timers cancelled before they fired *)
+  mutable twakeups : int;  (* returns of the timer thread's sleep *)
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
   t0 : float;
@@ -189,93 +173,91 @@ let drain_pipe t =
   in
   go ()
 
-let tick_of at = int_of_float (at /. wheel_tick)
+(* The timer queue is an indexed binary min-heap on [at]: arm, cancel
+   and taking the earliest are O(log n), and a cancelled timer leaves
+   the heap at once, so the heap's top — the timer thread's deadline —
+   is always a live timer. All of it runs with tlock held. *)
+let vacant = { at = infinity; idx = -1; tf = ignore }
 
-(* O(1) cancel: the event leaves its slot's live count at once and its
-   cell is purged lazily, at the slot's next sweep or arm. A slot whose
-   live timers are all cancelled no longer sets the timer thread's
-   deadline. *)
+let place t i ev =
+  t.heap.(i) <- ev;
+  ev.idx <- i
+
+let rec sift_up t i ev =
+  let parent = (i - 1) / 2 in
+  if i > 0 && ev.at < t.heap.(parent).at then begin
+    place t i t.heap.(parent);
+    sift_up t parent ev
+  end
+  else place t i ev
+
+let rec sift_down t i ev =
+  let l = (2 * i) + 1 in
+  if l >= t.hlen then place t i ev
+  else
+    let c =
+      if l + 1 < t.hlen && t.heap.(l + 1).at < t.heap.(l).at then l + 1 else l
+    in
+    if t.heap.(c).at < ev.at then begin
+      place t i t.heap.(c);
+      sift_down t c ev
+    end
+    else place t i ev
+
+let heap_add t ev =
+  if t.hlen = Array.length t.heap then begin
+    let bigger = Array.make (2 * t.hlen) vacant in
+    Array.blit t.heap 0 bigger 0 t.hlen;
+    t.heap <- bigger
+  end;
+  t.hlen <- t.hlen + 1;
+  sift_up t (t.hlen - 1) ev;
+  if t.hlen > t.tmax_depth then t.tmax_depth <- t.hlen
+
+(* The last entry fills the hole and moves whichever way restores the
+   order; the vacated cell drops its reference. *)
+let heap_remove t ev =
+  let i = ev.idx in
+  ev.idx <- -1;
+  t.hlen <- t.hlen - 1;
+  let last = t.heap.(t.hlen) in
+  t.heap.(t.hlen) <- vacant;
+  if i < t.hlen then
+    if i > 0 && last.at < t.heap.((i - 1) / 2).at then sift_up t i last
+    else sift_down t i last
+
 let cancel t ev =
   Mutex.lock t.tlock;
-  if ev.armed then begin
-    ev.armed <- false;
+  if ev.idx >= 0 then begin
+    heap_remove t ev;
     ev.tf <- ignore;
-    t.slot_live.(ev.slot) <- t.slot_live.(ev.slot) - 1
+    t.tpurged <- t.tpurged + 1
   end;
   Mutex.unlock t.tlock
 
-(* O(1) arm: push onto the event's slot, bump the slot's minimum, and
-   wake the timer thread only if it is asleep past the new deadline. A
-   slot with no live timer holds only cancelled ones, which are dropped
-   here: a slot the sweep never visits cannot pile them up. *)
+(* Wake the timer thread only if it is asleep past the new deadline. *)
 let add_timer t ~delay f =
-  let at = now t +. Float.max 0. delay in
-  let s = tick_of at land wheel_mask in
-  let ev = { at; slot = s; armed = true; tf = f } in
+  let ev = { at = now t +. Float.max 0. delay; idx = -1; tf = f } in
   Mutex.lock t.tlock;
-  if t.slot_live.(s) = 0 then begin
-    t.wpurged <- t.wpurged + t.slot_depth.(s);
-    t.slots.(s) <- [];
-    t.slot_depth.(s) <- 0;
-    t.slot_min.(s) <- infinity
-  end;
-  t.slots.(s) <- ev :: t.slots.(s);
-  t.slot_live.(s) <- t.slot_live.(s) + 1;
-  t.slot_depth.(s) <- t.slot_depth.(s) + 1;
-  if t.slot_depth.(s) > t.wmax_depth then t.wmax_depth <- t.slot_depth.(s);
-  if at < t.slot_min.(s) then t.slot_min.(s) <- at;
-  let must_wake = at < t.sleep_until in
+  heap_add t ev;
+  let must_wake = ev.at < t.sleep_until in
   Mutex.unlock t.tlock;
   if must_wake then wake_timer t;
   { Runtime.tcancel = (fun () -> cancel t ev) }
 
-(* Walk the ticks since the last sweep (clamped to one revolution —
-   each slot needs scanning at most once, since dueness is tested per
-   event) and collect due events. Ends on [target - 1] so the current
-   tick's slot is re-swept next pass: an event due later within this
-   same tick must not wait a full revolution. Called with tlock held. *)
-let sweep t nw =
-  let target = tick_of nw in
-  let first = max (t.last_tick + 1) (target - wheel_mask) in
-  let due = ref [] in
-  for tick = first to target do
-    let s = tick land wheel_mask in
-    if t.slot_depth.(s) > 0 && t.slot_min.(s) <= nw then begin
-      let keep = ref [] and kmin = ref infinity and kn = ref 0 in
-      List.iter
-        (fun ev ->
-          if not ev.armed then t.wpurged <- t.wpurged + 1
-          else if ev.at <= nw then begin
-            ev.armed <- false;
-            t.slot_live.(s) <- t.slot_live.(s) - 1;
-            due := ev :: !due
-          end
-          else begin
-            keep := ev :: !keep;
-            incr kn;
-            if ev.at < !kmin then kmin := ev.at
-          end)
-        t.slots.(s);
-      t.slots.(s) <- !keep;
-      t.slot_min.(s) <- !kmin;
-      t.slot_depth.(s) <- !kn
+(* Take every timer due by [nw], earliest first: a timer never fires
+   before its [at]. tlock held. *)
+let take_due t nw =
+  let rec go acc =
+    if t.hlen > 0 && t.heap.(0).at <= nw then begin
+      let ev = t.heap.(0) in
+      heap_remove t ev;
+      t.tfired <- t.tfired + 1;
+      go (ev :: acc)
     end
-  done;
-  t.last_tick <- target - 1;
-  let due = List.sort (fun a b -> compare a.at b.at) !due in
-  t.wfired <- t.wfired + List.length due;
-  due
-
-(* Earliest deadline across the slots holding a live timer. A slot's
-   minimum can still be stale from a cancelled timer, which makes this
-   conservative (earlier) by one wakeup, after which the sweep
-   recomputes it. tlock held. *)
-let next_deadline t =
-  let best = ref infinity in
-  for s = 0 to wheel_mask do
-    if t.slot_live.(s) > 0 && t.slot_min.(s) < !best then best := t.slot_min.(s)
-  done;
-  !best
+    else List.rev acc
+  in
+  go []
 
 (* Timer callbacks run inline on the timer thread; the runtime's own
    callbacks (gate opens, RPC retransmissions into mailboxes) never
@@ -288,7 +270,7 @@ let timer_loop t =
     if t.stopping then Mutex.unlock t.tlock
     else begin
       let nw = now t in
-      let next = next_deadline t in
+      let next = if t.hlen = 0 then infinity else t.heap.(0).at in
       let wait =
         if next = infinity then 0.25 else Float.min 0.25 (next -. nw)
       in
@@ -300,8 +282,8 @@ let timer_loop t =
       drain_pipe t;
       let nw = now t in
       Mutex.lock t.tlock;
-      if wait > 0. then t.wwakeups <- t.wwakeups + 1;
-      let due = sweep t nw in
+      if wait > 0. then t.twakeups <- t.twakeups + 1;
+      let due = take_due t nw in
       t.sleep_until <- neg_infinity;
       Mutex.unlock t.tlock;
       List.iter
@@ -315,14 +297,14 @@ let timer_loop t =
   in
   loop ()
 
-let wheel_stats t =
+let timer_stats t =
   Mutex.lock t.tlock;
   let s =
     {
-      max_depth = t.wmax_depth;
-      fired = t.wfired;
-      purged = t.wpurged;
-      wakeups = t.wwakeups;
+      max_depth = t.tmax_depth;
+      fired = t.tfired;
+      purged = t.tpurged;
+      wakeups = t.twakeups;
     }
   in
   Mutex.unlock t.tlock;
@@ -370,16 +352,13 @@ let create ?(domains = 1) () =
       live = 0;
       stopping = false;
       tlock = Mutex.create ();
-      slots = Array.make wheel_slots [];
-      slot_min = Array.make wheel_slots infinity;
-      slot_depth = Array.make wheel_slots 0;
-      slot_live = Array.make wheel_slots 0;
-      last_tick = -1;
+      heap = Array.make 64 vacant;
+      hlen = 0;
       sleep_until = infinity (* wake on any arm until the first sleep *);
-      wmax_depth = 0;
-      wfired = 0;
-      wpurged = 0;
-      wwakeups = 0;
+      tmax_depth = 0;
+      tfired = 0;
+      tpurged = 0;
+      twakeups = 0;
       pipe_r;
       pipe_w;
       t0 = wall ();
@@ -407,7 +386,7 @@ let await_idle t =
 
 (* Bounded variant for chaos soaks: a stuck task (a liveness bug —
    exactly what the soak hunts) must fail the run, not hang it. The
-   wait is on [idle], like [await_idle]'s; a wheel timer at the
+   wait is on [idle], like [await_idle]'s; a timer at the
    timeout broadcasts it too, and so does [shutdown], which stops the
    timer thread. *)
 let try_await_idle t ~timeout =

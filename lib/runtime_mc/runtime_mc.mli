@@ -1,8 +1,8 @@
 (** OCaml 5 multicore runtime backend: worker domains that run tasks
     under {!Runtime.Task.handler} (work-sharing spawn; a woken or
     yielding task goes back on its home worker's run queue), and
-    wall-clock timers in a hashed wheel driven by a select(2) thread
-    (DESIGN 4g, hot paths 4h). Gates, sleep and the join are the
+    wall-clock timers in a binary min-heap driven by a select(2)
+    thread (DESIGN 4g, hot paths 4h). Gates, sleep and the join are the
     runtime's own.
 
     Blocking contract: a task blocks only through runtime primitives
@@ -32,7 +32,7 @@ val await_idle : t -> unit
 
 val try_await_idle : t -> timeout:float -> bool
 (** Like {!await_idle} but gives up after [timeout] wall-clock
-    seconds (a wheel timer wakes the wait), returning [false] with
+    seconds (a timer wakes the wait), returning [false] with
     tasks still live. Used by the chaos harness: a stuck task must
     fail the soak, not hang it. Once {!shutdown} has begun it returns
     at once, [true] only if no task is live. Do not call {!shutdown}
@@ -55,19 +55,23 @@ val set_spawn_cursor : t -> int -> unit
 (** Force the round-robin spawn cursor (tests only: lets a wrap past
     [max_int] be exercised without 2^62 spawns). *)
 
-type wheel_stats = {
-  max_depth : int;  (** deepest any wheel slot has been *)
+type timer_stats = {
+  max_depth : int;  (** most timers pending at once *)
   fired : int;
-  purged : int;  (** cancelled timers lazily removed without firing *)
+  purged : int;  (** timers cancelled before they fired *)
   wakeups : int;
-      (** returns of the timer thread from its sleep; a cancelled
-          timer no longer sets the thread's deadline, so these follow
-          the live timers, not the armed ones *)
+      (** returns of the timer thread from its sleep; a cancel removes
+          the timer from the queue at once, so a cancelled deadline
+          never sets the thread's sleep and these follow the live
+          timers, not the armed ones *)
 }
 
-val wheel_stats : t -> wheel_stats
-(** Timer-wheel counters since {!create}; the mc cluster materializes
-    them as [runtime.wheel.*] metrics at shutdown. *)
+val timer_stats : t -> timer_stats
+(** Timer-queue counters since {!create}. A timer fires at most once,
+    never before it is due, and not at all once cancelled; a cancel
+    drops the callback at once. The mc cluster materializes these as
+    [runtime.wheel.*] metrics at shutdown (the names predate the
+    heap). *)
 
 type sched_stats = { resumed : int; parks : int; wakeups : int }
 (** Per worker since {!create}, exact after {!shutdown}: fibers

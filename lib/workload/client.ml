@@ -66,9 +66,3 @@ let sum stats =
       Metrics.Hist.merge_into ~dst:t.latency s.latency)
     stats;
   t
-
-let throughput stats ~elapsed =
-  if elapsed <= 0. then 0. else float_of_int stats.ops /. elapsed
-
-let abort_rate stats =
-  if stats.ops = 0 then 0. else float_of_int stats.aborts /. float_of_int stats.ops

@@ -42,8 +42,3 @@ val spawn :
 
 val sum : stats array -> stats
 (** Every client's tallies added up and latencies merged. *)
-
-val throughput : stats -> elapsed:float -> float
-(** Operations per unit of virtual time. *)
-
-val abort_rate : stats -> float

@@ -102,11 +102,9 @@ let direction path =
   in
   match seg with
   | "throughput" | "goodput" | "ok" | "mb_per_s" | "blocks_per_s" -> Worse_down
-  (* BENCH_parallel.json rate fields: higher is better. Only the new
-     implementation's cells are gated; the legacy-twin columns
-     (single_calls_per_sec, legacy_msgs_per_sec) stay informational. *)
-  | "ops_per_sec" | "sharded_calls_per_sec" | "batched_msgs_per_sec"
-  | "arms_per_sec" | "speedup" | "speedup_vs_1" ->
+  (* BENCH_parallel.json rate fields: higher is better. *)
+  | "ops_per_sec" | "calls_per_sec" | "msgs_per_sec" | "arms_per_sec"
+  | "speedup_vs_1" ->
       Worse_down
   | "mean" | "max" | "p50" | "p90" | "p95" | "p99" | "p999"
   | "aborts" | "unavailable" | "bad" | "burn" | "retransmits" | "drops"

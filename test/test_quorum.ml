@@ -133,7 +133,9 @@ type harness = {
   bricks : Brick.t array;
 }
 
-let harness ?(n = 5) ?(config = Simnet.Net.default_config) () =
+(* [slow] adds an extra one-way delay to every message bound for the
+   listed addresses. *)
+let harness ?(n = 5) ?(config = Simnet.Net.default_config) ?(slow = []) () =
   let e = E.create () in
   let metrics = Metrics.Registry.create () in
   let rt = Runtime_sim.of_engine e in
@@ -142,7 +144,10 @@ let harness ?(n = 5) ?(config = Simnet.Net.default_config) () =
   let transport =
     Quorum.Fabric.create ~now:(fun () -> E.now e) ~metrics ~faults ~n
       ~lost:(fun () -> Simnet.Net.lost net)
-      ~carry:(Simnet.Net.carry net) ()
+      ~carry:(fun ~dst ~delay deliver ->
+        let extra = Option.value (List.assoc_opt dst slow) ~default:0. in
+        Simnet.Net.carry net ~dst ~delay:(delay +. extra) deliver)
+      ()
   in
   let rpc =
     Rpc.create ~rt ~transport ~req_bytes:String.length
@@ -290,6 +295,38 @@ let test_notify_is_best_effort () =
   E.run h.e;
   Alcotest.(check int) "all received" 5 !seen
 
+(* Requests to member 2 take 11 time units and to member 3 take 31,
+   against a first retransmission 6..10 units in: member 2 receives the
+   request twice and answers twice, at t = 12 and again about 8 later.
+   Its second answer must not count toward the all-members quorum (which
+   would complete the call at ~20 without member 3), must not appear in
+   the replies, and the second retransmission must skip it. *)
+let test_duplicate_reply_counts_once () =
+  let h = harness ~slow:[ (2, 10.); (3, 30.) ] () in
+  let asked = Array.make 4 0 in
+  Array.iteri
+    (fun i b ->
+      Rpc.serve h.rpc ~addr:i (fun ~src:_ ~ctx:_ req ->
+          asked.(i) <- asked.(i) + 1;
+          if Brick.is_alive b then Some (Printf.sprintf "%s/%d" req i)
+          else None))
+    h.bricks;
+  let result = ref None in
+  Runtime.spawn h.rt (fun () ->
+      let replies =
+        Rpc.call h.rpc ~coord:h.bricks.(0) ~members:(members 4) ~quorum:4
+          (fun _ -> "q")
+      in
+      result := Some (replies, E.now h.e));
+  E.run ~until:200. h.e;
+  match !result with
+  | None -> Alcotest.fail "call did not complete"
+  | Some (replies, at) ->
+      Alcotest.(check int) "member 2 asked twice" 2 asked.(2);
+      Alcotest.(check (list int)) "one reply per member" [ 0; 1; 2; 3 ]
+        (List.sort compare (List.map fst replies));
+      Alcotest.(check (float 0.)) "completed on member 3's reply" 32. at
+
 let test_quorum_larger_than_members_rejected () =
   let h = harness () in
   Alcotest.check_raises "too large"
@@ -329,6 +366,8 @@ let () =
             test_until_gives_up_after_grace;
           Alcotest.test_case "per-destination requests" `Quick
             test_per_destination_requests;
+          Alcotest.test_case "duplicate reply counts once" `Quick
+            test_duplicate_reply_counts_once;
           Alcotest.test_case "notify best effort" `Quick test_notify_is_best_effort;
           Alcotest.test_case "quorum bound validated" `Quick
             test_quorum_larger_than_members_rejected;

@@ -778,13 +778,13 @@ let conformance name make =
     ] )
 
 (* ------------------------------------------------------------------ *)
-(* mc timer wheel and idle wait: no wakeup nobody asked for            *)
+(* mc timer queue and idle wait: no wakeup nobody asked for            *)
 (* ------------------------------------------------------------------ *)
 
-let wheel_wakeups pool = (Runtime_mc.wheel_stats pool).Runtime_mc.wakeups
+let wheel_wakeups pool = (Runtime_mc.timer_stats pool).Runtime_mc.wakeups
 
 (* Every RPC arms a retransmission timer and cancels it when its
-   replies arrive. Cancelled timers, spread over some 150 wheel slots
+   replies arrive. Cancelled timers, with deadlines spread over 150 ms
    here, must not keep setting the timer thread's deadline. *)
 let test_mc_cancelled_timers_no_wakeups () =
   with_pool ~domains:1 @@ fun pool rt ->
@@ -799,10 +799,10 @@ let test_mc_cancelled_timers_no_wakeups () =
     (Printf.sprintf "timer thread woke %d times in 200 ms" woke)
     true (woke <= 8)
 
-(* A cancelled timer's cell waits in its wheel slot until the slot is
-   swept or re-armed; the callback must not wait with it, or whatever it
-   captures (a quorum call's pending state) outlives the call. The
-   timer is due in a minute, so no sweep reaches its slot meanwhile. *)
+(* A cancelled timer's handle outlives the cancel (the caller may keep
+   it); the callback must not live on with it, or whatever it captures
+   (a quorum call's pending state) outlives the call. The timer is due
+   in a minute, so it cannot have fired meanwhile. *)
 let[@inline never] arm_and_cancel rt weak =
   let captured = Bytes.make 64 'x' in
   Weak.set weak 0 (Some captured);
@@ -816,10 +816,10 @@ let test_mc_cancel_drops_callback () =
   Gc.full_major ();
   Alcotest.(check bool) "captured value reclaimed" false (Weak.check weak 0)
 
-(* A live timer among cancelled neighbours (in its own slot and the
-   next) still fires, never before it is due, and at most one 1 ms
-   tick late; the median of ten is checked against the tick, so one
-   preemption of the timer thread by the OS cannot fail the test. *)
+(* A live timer among cancelled neighbours (one due at the same time,
+   one a millisecond later) still fires, never before it is due, and at
+   most 1 ms late; the median of ten is checked against that bound, so
+   one preemption of the timer thread by the OS cannot fail the test. *)
 let test_mc_live_timer_on_time () =
   with_pool ~domains:1 @@ fun pool rt ->
   let tick = 0.001 in
@@ -846,6 +846,63 @@ let test_mc_live_timer_on_time () =
   Alcotest.(check bool)
     (Printf.sprintf "median lateness %.0f us within one tick" (median *. 1e6))
     true (median <= tick)
+
+(* Timers armed in shuffled order with distinct due times, half of them
+   then cancelled in another shuffled order (cancels remove entries from
+   the middle of the queue): exactly the live ones fire, each once, none
+   early, and in due order. *)
+let test_mc_timers_fire_in_due_order () =
+  with_pool ~domains:1 @@ fun pool rt ->
+  let n = 2000 in
+  let rng = Random.State.make [| 35 |] in
+  let shuffled () =
+    let a = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    a
+  in
+  (* Timer [i] is due at [base + i * 20 us]. *)
+  let base = Runtime_mc.now pool +. 0.2 in
+  let due i = base +. (float_of_int i *. 20e-6) in
+  let order = ref [] and early = Atomic.make 0 and lock = Mutex.create () in
+  let handles = Array.make n None in
+  Array.iter
+    (fun i ->
+      handles.(i) <-
+        Some
+          (rt.Runtime.timer ~delay:(due i -. Runtime_mc.now pool) (fun () ->
+               if Runtime_mc.now pool < due i then Atomic.incr early;
+               Mutex.lock lock;
+               order := i :: !order;
+               Mutex.unlock lock)))
+    (shuffled ());
+  let cancelled = Array.make n false in
+  Array.iteri
+    (fun k i ->
+      if k mod 2 = 0 then begin
+        cancelled.(i) <- true;
+        (Option.get handles.(i)).Runtime.tcancel ()
+      end)
+    (shuffled ());
+  let live = List.filter (fun i -> not cancelled.(i)) (List.init n Fun.id) in
+  let fired () =
+    Mutex.lock lock;
+    let l = List.rev !order in
+    Mutex.unlock lock;
+    l
+  in
+  wait_until (fun () -> List.length (fired ()) >= List.length live);
+  Thread.delay 0.05;
+  Alcotest.(check (list int)) "live timers, once each, in due order" live
+    (fired ());
+  Alcotest.(check int) "none early" 0 (Atomic.get early);
+  let st = Runtime_mc.timer_stats pool in
+  Alcotest.(check int) "fired" (List.length live) st.Runtime_mc.fired;
+  Alcotest.(check int) "purged" (n - List.length live) st.Runtime_mc.purged
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -922,6 +979,8 @@ let () =
             test_mc_cancel_drops_callback;
           Alcotest.test_case "live timer fires on time" `Quick
             test_mc_live_timer_on_time;
+          Alcotest.test_case "timers fire in due order" `Quick
+            test_mc_timers_fire_in_due_order;
           Alcotest.test_case "try_await_idle returns when idle" `Quick
             test_mc_try_await_idle_prompt;
           Alcotest.test_case "try_await_idle times out" `Quick

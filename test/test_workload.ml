@@ -149,15 +149,32 @@ let test_disjoint_clients_no_aborts () =
   Alcotest.(check int) "client2 done" 50 stats2.Client.ops;
   Alcotest.(check int) "client2 no aborts" 0 stats2.Client.aborts
 
+(* [sum] adds every tally and merges the latency histograms. *)
 let test_stats_helpers () =
-  let s = Client.fresh_stats () in
-  s.Client.ops <- 10;
-  s.Client.aborts <- 1;
-  Alcotest.(check (float 1e-9)) "throughput" 2. (Client.throughput s ~elapsed:5.);
-  Alcotest.(check (float 1e-9)) "abort rate" 0.1 (Client.abort_rate s);
-  let empty = Client.fresh_stats () in
-  Alcotest.(check (float 0.)) "empty throughput" 0. (Client.throughput empty ~elapsed:0.);
-  Alcotest.(check (float 0.)) "empty abort rate" 0. (Client.abort_rate empty)
+  let client ~ops ~reads ~aborts ~unavailable lats =
+    let s = Client.fresh_stats () in
+    s.Client.ops <- ops;
+    s.Client.reads <- reads;
+    s.Client.writes <- ops - reads;
+    s.Client.aborts <- aborts;
+    s.Client.unavailable <- unavailable;
+    List.iter (Metrics.Hist.add s.Client.latency) lats;
+    s
+  in
+  let a = client ~ops:10 ~reads:7 ~aborts:1 ~unavailable:0 [ 1.; 2.; 3. ] in
+  let b = client ~ops:5 ~reads:1 ~aborts:2 ~unavailable:1 [ 10.; 20. ] in
+  let t = Client.sum [| a; b |] in
+  Alcotest.(check int) "ops" 15 t.Client.ops;
+  Alcotest.(check int) "reads" 8 t.Client.reads;
+  Alcotest.(check int) "writes" 7 t.Client.writes;
+  Alcotest.(check int) "aborts" 3 t.Client.aborts;
+  Alcotest.(check int) "unavailable" 1 t.Client.unavailable;
+  Alcotest.(check int) "latencies merged" 5 (Metrics.Hist.count t.Client.latency);
+  Alcotest.(check (float 1e-9)) "max latency" 20. (Metrics.Hist.max t.Client.latency);
+  Alcotest.(check int) "inputs untouched" 3 (Metrics.Hist.count a.Client.latency);
+  let empty = Client.sum [||] in
+  Alcotest.(check int) "empty sum" 0 empty.Client.ops;
+  Alcotest.(check int) "empty latency" 0 (Metrics.Hist.count empty.Client.latency)
 
 let () =
   Alcotest.run "workload"
