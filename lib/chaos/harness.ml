@@ -81,8 +81,8 @@ let run ?(backend = Sim) ?(m = 2) ?(n = 5) ?(stripes = 4) ?(clients = 3)
   | Sim -> ()
   | Mc { domains; time_scale } ->
       if domains < 1 then invalid_arg "Chaos.Harness.run: domains < 1";
-      if time_scale <= 0. then
-        invalid_arg "Chaos.Harness.run: time_scale <= 0";
+      if not (time_scale > 0.) then
+        invalid_arg "Chaos.Harness.run: time_scale must be > 0";
       if clients > n then
         (* Each mc client needs its own coordinator: the coordinator's
            timestamp cache and retry hint are plain mutable state, not

@@ -150,8 +150,8 @@ let install ?(base_drop = 0.) ?(time_scale = 1.) ?(lenient = false) plan
          "Chaos.Nemesis.install: plan %S touches brick %d, deployment \
           has %d"
          plan.Plan.name (Plan.max_brick plan) n);
-  if time_scale <= 0. then
-    invalid_arg "Chaos.Nemesis.install: time_scale <= 0";
+  if not (time_scale > 0.) then
+    invalid_arg "Chaos.Nemesis.install: time_scale must be > 0";
   let rt = cluster.Cluster.runtime in
   let events =
     validate_events ~lenient ~rt ~plan_name:plan.Plan.name cluster

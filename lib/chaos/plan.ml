@@ -19,10 +19,12 @@ let sort_events evs =
   List.stable_sort (fun a b -> Float.compare a.at b.at) evs
 
 let make ~name ~horizon events =
-  if horizon <= 0. then invalid_arg "Chaos.Plan.make: horizon <= 0";
+  if not (horizon > 0.) then
+    invalid_arg "Chaos.Plan.make: horizon must be > 0";
   List.iter
     (fun e ->
-      if e.at < 0. then invalid_arg "Chaos.Plan.make: negative event time";
+      if not (e.at >= 0.) then
+        invalid_arg "Chaos.Plan.make: event time must be >= 0";
       if e.at > horizon then
         invalid_arg "Chaos.Plan.make: event beyond horizon")
     events;
@@ -291,7 +293,8 @@ let builtin name = List.assoc name builtins
    backend for diagnosis. *)
 let random ~rng ~bricks ~horizon =
   if bricks < 2 then invalid_arg "Chaos.Plan.random: bricks < 2";
-  if horizon <= 0. then invalid_arg "Chaos.Plan.random: horizon <= 0";
+  if not (horizon > 0.) then
+    invalid_arg "Chaos.Plan.random: horizon must be > 0";
   let frand lo hi = lo +. Random.State.float rng (hi -. lo) in
   let events = ref [] in
   let t = ref (frand (horizon /. 20.) (horizon /. 10.)) in

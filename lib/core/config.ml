@@ -31,7 +31,8 @@ let create ~policy_of ~block_size ~runtime ~rpc ~metrics
     ?deadline ?(unsafe_skip_order = false) () =
   if block_size <= 0 then invalid_arg "Core.Config: block_size <= 0";
   (match deadline with
-  | Some d when d <= 0. -> invalid_arg "Core.Config: deadline <= 0"
+  | Some d when not (d > 0.) ->
+      invalid_arg "Core.Config: deadline must be > 0"
   | Some _ | None -> ());
   {
     policy_of;

@@ -1,41 +1,25 @@
-(* Binary-heap event queue keyed by (time, sequence number): the
-   sequence number makes same-instant events fire in scheduling order,
-   which keeps runs deterministic. *)
+(* A clock, a seeded rng, an optional chooser and an optional observer
+   over the runtime's timer queue. The queue orders events by
+   (time, scheduling order), so same-instant events fire in scheduling
+   order, which keeps runs deterministic; a cancel takes the event out
+   at once. *)
 
-type event = {
-  time : float;
-  seq : int;
-  action : unit -> unit;
-  mutable cancelled : bool;
-  mutable owner : t option;
-      (* The engine the event is queued on, [None] once it fired (or for
-         the heap's dummy filler), so a late [cancel] of a fired timer
-         cannot disturb the live-event count. *)
-}
+module Q = Runtime.Timerq
 
-and t = {
+type t = {
   mutable clock : float;
-  mutable heap : event array;
-  mutable size : int;
-  mutable live : int;  (* queued events that are not cancelled *)
-  mutable next_seq : int;
+  q : Q.t;
   rng : Random.State.t;
   mutable chooser : (int -> int) option;
   mutable observer : (now:float -> pending:int -> unit) option;
 }
 
-type timer = event
-
-let dummy_event =
-  { time = 0.; seq = 0; action = ignore; cancelled = true; owner = None }
+type timer = Q.entry
 
 let create ?(seed = 42) () =
   {
     clock = 0.0;
-    heap = Array.make 64 dummy_event;
-    size = 0;
-    live = 0;
-    next_seq = 0;
+    q = Q.create ();
     rng = Random.State.make [| seed |];
     chooser = None;
     observer = None;
@@ -43,180 +27,41 @@ let create ?(seed = 42) () =
 
 let now t = t.clock
 let rng t = t.rng
-let pending t = t.live
-
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let grow t =
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) t.heap.(0) in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(!smallest);
-    t.heap.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
+let pending t = Q.length t.q
 
 let schedule t ~delay action =
   if delay < 0.0 then invalid_arg "Dessim.Engine.schedule: negative delay";
-  let ev =
-    {
-      time = t.clock +. delay;
-      seq = t.next_seq;
-      action;
-      cancelled = false;
-      owner = Some t;
-    }
-  in
-  t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
-  grow t;
-  t.heap.(t.size) <- ev;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1);
-  ev
+  Q.add t.q ~at:(t.clock +. delay) action
 
-(* Rebuild the heap keeping only non-cancelled events. Floyd heapify
-   preserves the (time, seq) order relation, so the schedule is
-   unchanged; only dead entries (and their retained closures) go. *)
-let compact t =
-  let j = ref 0 in
-  for i = 0 to t.size - 1 do
-    let ev = t.heap.(i) in
-    if not ev.cancelled then begin
-      t.heap.(!j) <- ev;
-      incr j
-    end
-  done;
-  for i = !j to t.size - 1 do
-    t.heap.(i) <- dummy_event
-  done;
-  t.size <- !j;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done
-
-(* Cancelled timers (every completed quorum call leaves one or two)
-   stay in the heap until popped; compact once they outnumber the live
-   events, with a floor so small queues never bother. *)
-let maybe_compact t =
-  if t.size >= 64 && t.size - t.live > t.live then compact t
-
-let cancel ev =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
-    match ev.owner with
-    | None -> ()
-    | Some t ->
-        t.live <- t.live - 1;
-        maybe_compact t
-  end
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    t.heap.(0) <- t.heap.(t.size);
-    t.heap.(t.size) <- dummy_event;
-    sift_down t 0;
-    Some top
-  end
-
-(* An event leaves the live count when it fires; clearing [owner]
-   makes a later [cancel] of the fired timer a no-op on the count. *)
-let fired t ev =
-  ev.owner <- None;
-  t.live <- t.live - 1
-
+let cancel t ev = ignore (Q.remove t.q ev)
 let set_chooser t chooser = t.chooser <- chooser
 
-(* Pop every live event scheduled for the earliest instant; used when a
-   chooser is installed to expose the simultaneous set. *)
-let pop_simultaneous t =
-  let rec first () =
-    match pop t with
-    | None -> None
-    | Some ev -> if ev.cancelled then first () else Some ev
-  in
-  match first () with
-  | None -> []
-  | Some head ->
-      let batch = ref [ head ] in
-      let continue_ = ref true in
-      while !continue_ do
-        if t.size = 0 then continue_ := false
-        else if t.heap.(0).cancelled then ignore (pop t)
-        else if t.heap.(0).time = head.time then
-          batch := Option.get (pop t) :: !batch
-        else continue_ := false
-      done;
-      (* Restore scheduling order within the batch. *)
-      List.sort (fun a b -> compare a.seq b.seq) !batch
+(* Fire [ev], one of the entries due at the queue's earliest instant. *)
+let fire t ev =
+  t.clock <- Q.next_at t.q;
+  (Q.take t.q ev) ();
+  true
 
-let rec step_inner t =
+let step_inner t =
   match t.chooser with
   | Some choose -> (
-      match pop_simultaneous t with
+      match Q.simultaneous t.q with
       | [] -> false
-      | [ ev ] ->
-          t.clock <- ev.time;
-          fired t ev;
-          ev.action ();
-          true
+      | [ ev ] -> fire t ev
       | batch ->
           let k = List.length batch in
           let idx = choose k in
           if idx < 0 || idx >= k then
             invalid_arg "Dessim.Engine: chooser index out of range";
-          let chosen = List.nth batch idx in
-          (* Re-queue the others without disturbing their relative
-             order (seq numbers are preserved). *)
-          List.iteri
-            (fun i ev ->
-              if i <> idx then begin
-                grow t;
-                t.heap.(t.size) <- ev;
-                t.size <- t.size + 1;
-                sift_up t (t.size - 1)
-              end)
-            batch;
-          t.clock <- chosen.time;
-          fired t chosen;
-          chosen.action ();
-          true)
+          fire t (List.nth batch idx))
   | None -> (
-      match pop t with
+      let at = Q.next_at t.q in
+      match Q.pop t.q with
       | None -> false
-      | Some ev ->
-          if ev.cancelled then step_inner t
-          else begin
-            assert (ev.time >= t.clock);
-            t.clock <- ev.time;
-            fired t ev;
-            ev.action ();
-            true
-          end)
+      | Some action ->
+          t.clock <- at;
+          action ();
+          true)
 
 let set_observer t observer = t.observer <- observer
 
@@ -225,37 +70,19 @@ let step t =
   let progressed = step_inner t in
   (match t.observer with
   | None -> ()
-  | Some f -> if progressed then f ~now:t.clock ~pending:t.live);
+  | Some f -> if progressed then f ~now:t.clock ~pending:(Q.length t.q));
   progressed
 
-let peek_live t =
-  (* Reap cancelled events from the top so that [run ~until] never
-     advances the clock just to discard dead timers. *)
-  let rec loop () =
-    if t.size = 0 then None
-    else if t.heap.(0).cancelled then begin
-      ignore (pop t);
-      loop ()
-    end
-    else Some t.heap.(0)
-  in
-  loop ()
-
 let run ?until t =
-  let continue_past time =
-    match until with None -> true | Some limit -> time <= limit
-  in
   let rec loop () =
-    match peek_live t with
-    | None -> ()
-    | Some ev ->
-        if continue_past ev.time then begin
-          ignore (step t);
-          loop ()
-        end
-        else
+    if Q.length t.q > 0 then
+      match until with
+      | Some limit when Q.next_at t.q > limit ->
           (* Leave future events queued but advance the clock to the
              horizon so that repeated bounded runs make progress. *)
-          match until with Some limit -> t.clock <- limit | None -> ()
+          t.clock <- limit
+      | _ ->
+          ignore (step t);
+          loop ()
   in
   loop ()

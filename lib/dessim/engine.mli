@@ -1,6 +1,6 @@
 (** Deterministic discrete-event simulation engine.
 
-    The engine owns a virtual clock and a priority queue of events.
+    The engine owns a virtual clock and a {!Runtime.Timerq} of events.
     Events scheduled for the same instant fire in scheduling order, and
     all randomness flows through the engine's seeded generator, so a
     run is a pure function of its seed. This engine is the stand-in for
@@ -26,11 +26,12 @@ type timer
 
 val schedule : t -> delay:float -> (unit -> unit) -> timer
 (** [schedule t ~delay f] runs [f] at time [now t +. delay].
-    @raise Invalid_argument if [delay] is negative. *)
+    @raise Invalid_argument if [delay] is negative or NaN. *)
 
-val cancel : timer -> unit
-(** [cancel timer] prevents the event from firing; cancelling a fired
-    or already-cancelled timer is a no-op. *)
+val cancel : t -> timer -> unit
+(** [cancel t timer] takes the event out of the queue at once and
+    drops its callback; cancelling a fired or already-cancelled timer
+    is a no-op. *)
 
 val run : ?until:float -> t -> unit
 (** [run ?until t] processes events in time order until the queue is
@@ -50,8 +51,8 @@ val set_chooser : t -> (int -> int) option -> unit
     hook (see the Explore test module). *)
 
 val pending : t -> int
-(** Number of live events still queued: cancelled-but-unreaped timers
-    are not counted (the engine compacts its heap when they pile up). *)
+(** Number of events still queued. A cancel removes its event at
+    once, so every queued event is live. *)
 
 val set_observer : t -> (now:float -> pending:int -> unit) option -> unit
 (** [set_observer t (Some f)] calls [f ~now ~pending] after every

@@ -135,6 +135,111 @@ module Task = struct
     }
 end
 
+(* The timer queue both backends run on: a binary min-heap on
+   (due time, arm order) in which every entry records its index, so a
+   removal takes the entry out at once -- the last entry fills the
+   hole and sifts whichever way restores the order. The queue holds
+   only pending entries, so its length is the live count and its top
+   is always a live deadline. An entry that leaves drops its callback,
+   so what the callback captures (a quorum call's pending state) is
+   not kept alive by a handle the caller still holds. Not
+   synchronized: the sim engine is one thread, and mc guards its
+   queue with the timer lock. *)
+module Timerq = struct
+  type entry = {
+    at : float;
+    seq : int;  (* arm order: breaks ties between equal [at]s *)
+    mutable idx : int;  (* heap position while pending, else -1 *)
+    mutable fn : unit -> unit;
+  }
+
+  type t = {
+    mutable heap : entry array;
+    mutable len : int;
+    mutable armed : int;  (* entries ever added: the next [seq] *)
+  }
+
+  let vacant = { at = infinity; seq = max_int; idx = -1; fn = ignore }
+  let create () = { heap = Array.make 64 vacant; len = 0; armed = 0 }
+  let length q = q.len
+  let next_at q = if q.len = 0 then infinity else q.heap.(0).at
+  let before a b = a.at < b.at || (a.at = b.at && a.seq < b.seq)
+
+  let place q i e =
+    q.heap.(i) <- e;
+    e.idx <- i
+
+  let rec sift_up q i e =
+    let parent = (i - 1) / 2 in
+    if i > 0 && before e q.heap.(parent) then begin
+      place q i q.heap.(parent);
+      sift_up q parent e
+    end
+    else place q i e
+
+  let rec sift_down q i e =
+    let l = (2 * i) + 1 in
+    if l >= q.len then place q i e
+    else
+      let c =
+        if l + 1 < q.len && before q.heap.(l + 1) q.heap.(l) then l + 1 else l
+      in
+      if before q.heap.(c) e then begin
+        place q i q.heap.(c);
+        sift_down q c e
+      end
+      else place q i e
+
+  let add q ~at fn =
+    if Float.is_nan at then invalid_arg "Runtime.Timerq.add: NaN time";
+    if q.len = Array.length q.heap then begin
+      let bigger = Array.make (2 * q.len) vacant in
+      Array.blit q.heap 0 bigger 0 q.len;
+      q.heap <- bigger
+    end;
+    let e = { at; seq = q.armed; idx = -1; fn } in
+    q.armed <- q.armed + 1;
+    q.len <- q.len + 1;
+    sift_up q (q.len - 1) e;
+    e
+
+  (* Unlink a pending entry and drop its callback. *)
+  let unlink q e =
+    let i = e.idx in
+    e.idx <- -1;
+    q.len <- q.len - 1;
+    let last = q.heap.(q.len) in
+    q.heap.(q.len) <- vacant;
+    (if i < q.len then
+       if i > 0 && before last q.heap.((i - 1) / 2) then sift_up q i last
+       else sift_down q i last);
+    e.fn <- ignore
+
+  let remove q e =
+    e.idx >= 0
+    && begin
+         unlink q e;
+         true
+       end
+
+  let take q e =
+    if e.idx < 0 then invalid_arg "Runtime.Timerq.take: entry not pending";
+    let fn = e.fn in
+    unlink q e;
+    fn
+
+  let pop q = if q.len = 0 then None else Some (take q q.heap.(0))
+
+  (* The entries due at [next_at] form a subtree at the root: an entry
+     due later has no earlier descendant. *)
+  let simultaneous q =
+    let rec collect i acc =
+      if i >= q.len || q.heap.(i).at <> q.heap.(0).at then acc
+      else collect ((2 * i) + 2) (collect ((2 * i) + 1) (q.heap.(i) :: acc))
+    in
+    List.sort (fun a b -> Int.compare a.seq b.seq) (collect 0 [])
+end
+
 let name t = t.name
 let now t = t.now ()
 let rng t = t.rng ()

@@ -61,7 +61,10 @@ type t = {
           the engine's run loop). Mc: a fiber on one of the pool's
           domains; an escaping exception is reported on stderr. *)
   timer : delay:float -> (unit -> unit) -> timer;
-      (** Run a callback [delay] from now. Callbacks must not block. *)
+      (** Run a callback [delay] from now. Callbacks must not block.
+          A negative delay raises [Invalid_argument] on sim and counts
+          as 0 on mc. Both keep their timers in a {!Timerq}, so both
+          raise [Invalid_argument] on a NaN delay. *)
   gate : unit -> gate;  (** A fresh gate, built by {!Task.gate}. *)
 }
 
@@ -180,4 +183,44 @@ module Task : sig
   (** The gate every backend returns from [t.gate]: one atomic state,
       settled by CAS. [threads] says whether a caller outside any task
       may wait on a condvar ([true], mc) or must fail ([false], sim). *)
+end
+
+(** The timer queue both backends run on: [Runtime_sim]'s engine
+    keeps every event in one, [Runtime_mc]'s timer thread every
+    wall-clock timer. An indexed binary min-heap keyed by (due time,
+    arm order): entries due at the same time come out in the order
+    they were added, and a removal takes its entry out at once, so the
+    queue holds only pending entries. Not synchronized. *)
+module Timerq : sig
+  type t
+  type entry
+  (** A pending callback, from {!add} until it leaves the queue. *)
+
+  val create : unit -> t
+
+  val add : t -> at:float -> (unit -> unit) -> entry
+  (** [add q ~at f] queues [f] to be due at [at].
+      @raise Invalid_argument if [at] is NaN. *)
+
+  val remove : t -> entry -> bool
+  (** Take the entry out and drop its callback: [true] if it was
+      pending, [false] (and no change) once it was popped, taken or
+      removed. *)
+
+  val pop : t -> (unit -> unit) option
+  (** Take the earliest entry and return its callback. *)
+
+  val next_at : t -> float
+  (** Due time of the earliest entry; [infinity] when empty. *)
+
+  val length : t -> int
+  (** Pending entries. *)
+
+  val simultaneous : t -> entry list
+  (** The entries due at {!next_at}, in arm order, left in place. *)
+
+  val take : t -> entry -> (unit -> unit)
+  (** [take q e] takes the pending entry [e] out and returns its
+      callback (the engine's chooser picks [e] from {!simultaneous}).
+      @raise Invalid_argument if [e] is not pending. *)
 end

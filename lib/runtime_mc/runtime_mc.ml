@@ -10,9 +10,10 @@
    tasks of one domain costs a queue push and a [continue], with no
    OS thread switch. Within one domain fibers interleave only at
    suspension points; true parallelism equals the domain count.
-   Timers live in a binary min-heap (DESIGN 4h, [add_timer]). No
-   determinism and no virtual time: the sim backend remains the
-   oracle, this one reports the hardware. *)
+   Timers live in a [Runtime.Timerq], the queue the sim engine runs
+   on too (DESIGN 4h, [add_timer]). No determinism and no virtual
+   time: the sim backend remains the oracle, this one reports the
+   hardware. *)
 
 (* A run-queue entry: a new task, or a fiber to continue or cancel. *)
 type job =
@@ -30,13 +31,6 @@ type worker = {
   mutable wakeups : int;
 }
 
-(* A timer. [idx] is its position in the heap while it is pending and
-   -1 once it has left it, fired or cancelled; both happen under the
-   timer lock, so exactly one of them claims it. A cancel drops [tf] at
-   once, so whatever the callback captures (a quorum call's pending
-   state) is not kept alive by the caller's handle. *)
-type tev = { at : float; mutable idx : int; mutable tf : unit -> unit }
-
 type timer_stats = { max_depth : int; fired : int; purged : int; wakeups : int }
 
 type t = {
@@ -46,9 +40,8 @@ type t = {
   idle : Condition.t;  (* signalled when live returns to 0 *)
   mutable live : int;  (* non-daemon tasks queued or running *)
   mutable stopping : bool;
-  tlock : Mutex.t;  (* guards the heap and its stats *)
-  mutable heap : tev array;  (* min-heap on [at]; [hlen] entries used *)
-  mutable hlen : int;
+  tlock : Mutex.t;  (* guards the timer queue and its stats *)
+  timers : Runtime.Timerq.t;
   mutable sleep_until : float;  (* when the timer thread's sleep ends *)
   mutable tmax_depth : int;
   mutable tfired : int;
@@ -173,89 +166,37 @@ let drain_pipe t =
   in
   go ()
 
-(* The timer queue is an indexed binary min-heap on [at]: arm, cancel
-   and taking the earliest are O(log n), and a cancelled timer leaves
-   the heap at once, so the heap's top — the timer thread's deadline —
-   is always a live timer. All of it runs with tlock held. *)
-let vacant = { at = infinity; idx = -1; tf = ignore }
-
-let place t i ev =
-  t.heap.(i) <- ev;
-  ev.idx <- i
-
-let rec sift_up t i ev =
-  let parent = (i - 1) / 2 in
-  if i > 0 && ev.at < t.heap.(parent).at then begin
-    place t i t.heap.(parent);
-    sift_up t parent ev
-  end
-  else place t i ev
-
-let rec sift_down t i ev =
-  let l = (2 * i) + 1 in
-  if l >= t.hlen then place t i ev
-  else
-    let c =
-      if l + 1 < t.hlen && t.heap.(l + 1).at < t.heap.(l).at then l + 1 else l
-    in
-    if t.heap.(c).at < ev.at then begin
-      place t i t.heap.(c);
-      sift_down t c ev
-    end
-    else place t i ev
-
-let heap_add t ev =
-  if t.hlen = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.hlen) vacant in
-    Array.blit t.heap 0 bigger 0 t.hlen;
-    t.heap <- bigger
-  end;
-  t.hlen <- t.hlen + 1;
-  sift_up t (t.hlen - 1) ev;
-  if t.hlen > t.tmax_depth then t.tmax_depth <- t.hlen
-
-(* The last entry fills the hole and moves whichever way restores the
-   order; the vacated cell drops its reference. *)
-let heap_remove t ev =
-  let i = ev.idx in
-  ev.idx <- -1;
-  t.hlen <- t.hlen - 1;
-  let last = t.heap.(t.hlen) in
-  t.heap.(t.hlen) <- vacant;
-  if i < t.hlen then
-    if i > 0 && last.at < t.heap.((i - 1) / 2).at then sift_up t i last
-    else sift_down t i last
-
 let cancel t ev =
   Mutex.lock t.tlock;
-  if ev.idx >= 0 then begin
-    heap_remove t ev;
-    ev.tf <- ignore;
-    t.tpurged <- t.tpurged + 1
-  end;
+  if Runtime.Timerq.remove t.timers ev then t.tpurged <- t.tpurged + 1;
   Mutex.unlock t.tlock
 
-(* Wake the timer thread only if it is asleep past the new deadline. *)
+(* Wake the timer thread only if it is asleep past the new deadline.
+   [Timerq.add] rejects a NaN deadline before touching the queue. *)
 let add_timer t ~delay f =
-  let ev = { at = now t +. Float.max 0. delay; idx = -1; tf = f } in
+  let at = now t +. Float.max 0. delay in
   Mutex.lock t.tlock;
-  heap_add t ev;
-  let must_wake = ev.at < t.sleep_until in
-  Mutex.unlock t.tlock;
-  if must_wake then wake_timer t;
-  { Runtime.tcancel = (fun () -> cancel t ev) }
+  match Runtime.Timerq.add t.timers ~at f with
+  | exception e ->
+      Mutex.unlock t.tlock;
+      raise e
+  | ev ->
+      let depth = Runtime.Timerq.length t.timers in
+      if depth > t.tmax_depth then t.tmax_depth <- depth;
+      let must_wake = at < t.sleep_until in
+      Mutex.unlock t.tlock;
+      if must_wake then wake_timer t;
+      { Runtime.tcancel = (fun () -> cancel t ev) }
 
 (* Take every timer due by [nw], earliest first: a timer never fires
    before its [at]. tlock held. *)
 let take_due t nw =
   let rec go acc =
-    if t.hlen > 0 && t.heap.(0).at <= nw then begin
-      let ev = t.heap.(0) in
-      heap_remove t ev;
+    if Runtime.Timerq.next_at t.timers > nw then List.rev acc
+    else begin
       t.tfired <- t.tfired + 1;
-      go (ev :: acc)
+      go (Option.get (Runtime.Timerq.pop t.timers) :: acc)
     end
-    else List.rev acc
   in
   go []
 
@@ -270,7 +211,7 @@ let timer_loop t =
     if t.stopping then Mutex.unlock t.tlock
     else begin
       let nw = now t in
-      let next = if t.hlen = 0 then infinity else t.heap.(0).at in
+      let next = Runtime.Timerq.next_at t.timers in
       let wait =
         if next = infinity then 0.25 else Float.min 0.25 (next -. nw)
       in
@@ -287,8 +228,8 @@ let timer_loop t =
       t.sleep_until <- neg_infinity;
       Mutex.unlock t.tlock;
       List.iter
-        (fun ev ->
-          try ev.tf () with
+        (fun f ->
+          try f () with
           | Runtime.Cancelled -> ()
           | exn -> report_exn "timer" exn)
         due;
@@ -352,8 +293,7 @@ let create ?(domains = 1) () =
       live = 0;
       stopping = false;
       tlock = Mutex.create ();
-      heap = Array.make 64 vacant;
-      hlen = 0;
+      timers = Runtime.Timerq.create ();
       sleep_until = infinity (* wake on any arm until the first sleep *);
       tmax_depth = 0;
       tfired = 0;

@@ -1,7 +1,7 @@
 (** OCaml 5 multicore runtime backend: worker domains that run tasks
     under {!Runtime.Task.handler} (work-sharing spawn; a woken or
     yielding task goes back on its home worker's run queue), and
-    wall-clock timers in a binary min-heap driven by a select(2)
+    wall-clock timers in a {!Runtime.Timerq} driven by a select(2)
     thread (DESIGN 4g, hot paths 4h). Gates, sleep and the join are the
     runtime's own.
 
@@ -70,8 +70,8 @@ val timer_stats : t -> timer_stats
 (** Timer-queue counters since {!create}. A timer fires at most once,
     never before it is due, and not at all once cancelled; a cancel
     drops the callback at once. The mc cluster materializes these as
-    [runtime.wheel.*] metrics at shutdown (the names predate the
-    heap). *)
+    [runtime.wheel.*] metrics at shutdown (the names come from the
+    hashed wheel the queue replaced). *)
 
 type sched_stats = { resumed : int; parks : int; wakeups : int }
 (** Per worker since {!create}, exact after {!shutdown}: fibers

@@ -29,6 +29,6 @@ let of_engine engine =
     timer =
       (fun ~delay f ->
         let ev = Engine.schedule engine ~delay f in
-        { Runtime.tcancel = (fun () -> Engine.cancel ev) });
+        { Runtime.tcancel = (fun () -> Engine.cancel engine ev) });
     gate = Runtime.Task.gate ~threads:false;
   }

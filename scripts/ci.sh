@@ -65,6 +65,18 @@ rc=0; "$BD" "$T/base.json" "$T/worse.json" --threshold 10 --rule p99:-1 --rule t
 [ "$rc" -eq 0 ] || { echo "bench_diff: expected exit 0 with rules disabled, got $rc"; exit 1; }
 echo "bench_diff self-test OK"
 
+echo "== sim benchmark files reproduce exactly =="
+# Every sim number is a pure function of its seed, so rerunning the
+# protocol bench and the report matrix must reproduce the committed
+# files leaf for leaf. Both run inside $T, so the committed files are
+# never overwritten.
+dune build bench/main.exe bin/fab_sim.exe
+B="$(pwd)/_build/default"
+(cd "$T" && "$B/bench/main.exe" protocol --json >/dev/null \
+  && "$B/bin/fab_sim.exe" report --faults >/dev/null)
+"$BD" BENCH_protocol.json "$T/BENCH_protocol.json" --exact
+"$BD" BENCH_workload.json "$T/BENCH_workload.json" --exact
+
 echo "== parallel contention gate (smoke run vs committed baseline) =="
 # A debug-armed smoke run of the parallel section, diffed against the
 # committed baseline. Wall-clock rates on a shared 1-core CI host are

@@ -81,6 +81,35 @@ let test_plan_parse_errors () =
   bad "horizon 100\nat nope crash 1\n";   (* bad time *)
   bad "horizon 100\nat 200 crash 1\n"     (* beyond horizon *)
 
+(* NaN passes a [<= 0.] check. Past the entry points it becomes a
+   timer deadline, which the timer queue refuses deep inside a run
+   (on mc, inside a task). Each entry point rejects it up front. *)
+let test_nan_rejected () =
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "NaN %s accepted" what
+  in
+  (match Plan.of_string "horizon 100\nat nan crash 1\n" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "NaN event time parsed");
+  (match Plan.of_string "horizon nan\nat 10 crash 1\n" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "NaN horizon parsed");
+  let plan = Plan.make ~name:"one" ~horizon:100. [] in
+  rejects "plan event time" (fun () ->
+      Plan.make ~name:"nan" ~horizon:100. [ { Plan.at = nan; fault = Heal } ]);
+  rejects "random-plan horizon" (fun () ->
+      Plan.random ~rng:(Random.State.make [| 1 |]) ~bricks:5 ~horizon:nan);
+  rejects "deadline" (fun () -> Harness.run ~deadline:nan ~seed:1 plan);
+  rejects "harness time scale" (fun () ->
+      Harness.run
+        ~backend:(Mc { domains = 1; time_scale = nan })
+        ~seed:1 plan);
+  let cl = Cluster.create ~seed:1 ~m:2 ~n:5 ~block_size:bs () in
+  rejects "nemesis time scale" (fun () ->
+      Chaos.Nemesis.install ~time_scale:nan plan cl)
+
 (* --- quorum-loss liveness (fail fast, recover, no hook leaks) --- *)
 
 let test_quorum_loss_fail_fast () =
@@ -625,6 +654,7 @@ let () =
           Alcotest.test_case "slow round-trip" `Quick test_plan_slow_roundtrip;
           Alcotest.test_case "random plans well-formed" `Quick
             test_plan_random_wellformed;
+          Alcotest.test_case "NaN rejected" `Quick test_nan_rejected;
         ] );
       ( "liveness",
         [

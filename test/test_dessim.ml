@@ -26,11 +26,11 @@ let test_cancel () =
   let e = E.create () in
   let fired = ref false in
   let t = E.schedule e ~delay:1. (fun () -> fired := true) in
-  E.cancel t;
+  E.cancel e t;
   E.run e;
   Alcotest.(check bool) "cancelled never fires" false !fired;
   (* double cancel is a no-op *)
-  E.cancel t
+  E.cancel e t
 
 let test_nested_scheduling () =
   let e = E.create () in
@@ -72,29 +72,31 @@ let test_pending_live_only () =
   let e = E.create () in
   let timers = List.init 10 (fun _ -> E.schedule e ~delay:1. ignore) in
   Alcotest.(check int) "all live" 10 (E.pending e);
-  List.iteri (fun i t -> if i mod 2 = 0 then E.cancel t) timers;
+  List.iteri (fun i t -> if i mod 2 = 0 then E.cancel e t) timers;
   Alcotest.(check int) "cancelled not counted" 5 (E.pending e);
   ignore (E.step e);
   Alcotest.(check int) "one fired" 4 (E.pending e);
   (* Cancelling fired and already-cancelled timers must not disturb
      the count; cancelling the remaining live ones drains it. *)
-  List.iter E.cancel timers;
-  List.iter E.cancel timers;
+  List.iter (E.cancel e) timers;
+  List.iter (E.cancel e) timers;
   Alcotest.(check int) "all cancelled" 0 (E.pending e);
   E.run e;
   Alcotest.(check int) "empty" 0 (E.pending e)
 
 let test_compaction_under_churn () =
   (* A long retry-timer churn: every scheduled timer is cancelled
-     before it can fire. Without compaction the heap only grows; with
-     it the live count stays exact and every surviving event fires. *)
+     before it can fire. The engine once cancelled lazily and had to
+     compact its heap; now a cancel removes the event at once. Either
+     way the live count stays exact, the cancelled events never fire
+     and every surviving event does. *)
   let e = E.create () in
   let fired = ref 0 in
   let cancelled_fired = ref 0 in
   for _ = 1 to 10_000 do
     let dead = E.schedule e ~delay:1000. (fun () -> incr cancelled_fired) in
     ignore (E.schedule e ~delay:1. (fun () -> incr fired));
-    E.cancel dead;
+    E.cancel e dead;
     ignore (E.step e)
   done;
   E.run e;
@@ -123,6 +125,144 @@ let test_determinism () =
   Alcotest.(check bool) "same seed, same trace" true (trace 5 = trace 5);
   Alcotest.(check bool) "different seed, different trace" true
     (trace 5 <> trace 6)
+
+(* A direct test of the chooser path: with a chooser installed, the
+   engine presents the live events of the earliest instant in
+   scheduling order, fires the chosen one, and presents the rest next,
+   still in order. Cancelled events are never presented. *)
+let test_chooser_sees_live_batch () =
+  let e = E.create () in
+  let fired = ref [] in
+  let timers =
+    Array.init 5 (fun i -> E.schedule e ~delay:1. (fun () -> fired := i :: !fired))
+  in
+  E.cancel e timers.(1);
+  E.cancel e timers.(3);
+  let seen = ref [] in
+  let picks = ref [ 1; 0 ] in
+  E.set_chooser e
+    (Some
+       (fun k ->
+         seen := k :: !seen;
+         match !picks with
+         | p :: rest ->
+             picks := rest;
+             p
+         | [] -> 0));
+  Alcotest.(check int) "three live" 3 (E.pending e);
+  Alcotest.(check bool) "stepped" true (E.step e);
+  Alcotest.(check (list int)) "index 1 of [0; 2; 4] fired" [ 2 ] !fired;
+  Alcotest.(check bool) "stepped" true (E.step e);
+  Alcotest.(check (list int)) "then index 0 of [0; 4]" [ 0; 2 ] !fired;
+  E.run e;
+  Alcotest.(check (list int)) "chooser saw k = 3, then 2" [ 2; 3 ] !seen;
+  Alcotest.(check (list int)) "last one alone, no choice" [ 4; 0; 2 ] !fired;
+  Alcotest.(check (float 0.)) "clock at the instant" 1. (E.now e)
+
+(* --- the timer queue, against a sorted-list model ---
+
+   Random runs of add (times drawn from four values, so most entries
+   tie), remove, take and pop. The model is the pending set as a list
+   of (time, arm order) sorted ascending; arm order is the entry's id.
+   After every step the queue's length, next time and simultaneous set
+   (ids, in arm order) must match the model's. A remove of an entry
+   that already left returns false and changes nothing. *)
+
+module Q = Runtime.Timerq
+
+type qop = Add of int | Remove of int | Take of int | Pop
+
+let qop_print = function
+  | Add t -> Printf.sprintf "add %d" t
+  | Remove i -> Printf.sprintf "remove #%d" i
+  | Take i -> Printf.sprintf "take %d" i
+  | Pop -> "pop"
+
+let qop_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun t -> Add t) (int_bound 3));
+        (2, map (fun i -> Remove i) (int_bound 999));
+        (1, map (fun i -> Take i) (int_bound 999));
+        (2, return Pop);
+      ])
+
+let timerq_matches_model ops =
+  let q = Q.create () in
+  let model = ref [] (* (at, id), sorted *) in
+  let entries = ref [||] (* handle of id i *) in
+  let last = ref (-1) in
+  let run fn =
+    last := -1;
+    fn ();
+    !last
+  in
+  let check_state () =
+    let len = List.length !model in
+    if Q.length q <> len then
+      QCheck.Test.fail_reportf "length %d, model %d" (Q.length q) len;
+    let next = match !model with [] -> infinity | (at, _) :: _ -> at in
+    if Q.next_at q <> next then
+      QCheck.Test.fail_reportf "next_at %g, model %g" (Q.next_at q) next;
+    let due = List.filter (fun (at, _) -> at = next) !model in
+    let id_of e = Option.get (Array.find_index (( == ) e) !entries) in
+    let got = List.map id_of (Q.simultaneous q) in
+    if got <> List.map snd due then
+      QCheck.Test.fail_reportf "simultaneous [%s], model [%s]"
+        (String.concat ";" (List.map string_of_int got))
+        (String.concat ";" (List.map (fun (_, i) -> string_of_int i) due))
+  in
+  let step = function
+    | Add t ->
+        let id = Array.length !entries in
+        let at = float_of_int t in
+        let e = Q.add q ~at (fun () -> last := id) in
+        entries := Array.append !entries [| e |];
+        model := List.merge compare !model [ (at, id) ]
+    | Remove i ->
+        let n = Array.length !entries in
+        if n > 0 then begin
+          let id = i mod n in
+          let pending = List.exists (fun (_, j) -> j = id) !model in
+          if Q.remove q !entries.(id) <> pending then
+            QCheck.Test.fail_reportf "remove #%d: pending was %b" id pending;
+          model := List.filter (fun (_, j) -> j <> id) !model
+        end
+    | Take i -> (
+        match Q.simultaneous q with
+        | [] -> ()
+        | due ->
+            let e = List.nth due (i mod List.length due) in
+            let id = run (Q.take q e) in
+            if not (List.exists (fun (_, j) -> j = id) !model) then
+              QCheck.Test.fail_reportf "take returned #%d, not pending" id;
+            model := List.filter (fun (_, j) -> j <> id) !model)
+    | Pop -> (
+        match (Q.pop q, !model) with
+        | None, [] -> ()
+        | Some f, (_, id) :: rest ->
+            let got = run f in
+            if got <> id then
+              QCheck.Test.fail_reportf "pop #%d, model #%d" got id;
+            model := rest
+        | None, _ :: _ -> QCheck.Test.fail_report "pop on a non-empty queue"
+        | Some _, [] -> QCheck.Test.fail_report "pop on an empty queue")
+  in
+  List.iter
+    (fun op ->
+      step op;
+      check_state ())
+    ops;
+  true
+
+let test_timerq_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"timerq matches a sorted-list model"
+       (QCheck.make
+          ~print:QCheck.Print.(list qop_print)
+          QCheck.Gen.(list_size (int_range 0 400) qop_gen))
+       timerq_matches_model)
 
 (* --- the sim backend's tasks ---
 
@@ -329,7 +469,10 @@ let () =
           Alcotest.test_case "compaction under churn" `Quick
             test_compaction_under_churn;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "chooser sees the live batch in order" `Quick
+            test_chooser_sees_live_batch;
         ] );
+      ("timerq", [ test_timerq_model ]);
       ( "fiber",
         [
           Alcotest.test_case "runs immediately" `Quick test_fiber_runs_immediately;

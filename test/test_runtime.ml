@@ -144,6 +144,21 @@ let test_timer_cancellation make () =
           Runtime.cancel u);
       Alcotest.(check bool) "cancelled timer never fired" false !fired)
 
+(* Both backends keep timers in one [Runtime.Timerq], which refuses a
+   NaN deadline: queued, it would compare false against every other
+   and wedge the heap's order. The queue (and on mc the timer lock)
+   must be left usable. *)
+let test_timer_rejects_nan make () =
+  with_harness make (fun h ->
+      Alcotest.check_raises "NaN delay"
+        (Invalid_argument "Runtime.Timerq.add: NaN time") (fun () ->
+          ignore (Runtime.timer h.rt ~delay:nan ignore));
+      let fired = ref false in
+      h.go (fun () ->
+          ignore (Runtime.timer h.rt ~delay:0.01 (fun () -> fired := true));
+          Runtime.sleep h.rt 0.05);
+      Alcotest.(check bool) "a later timer still fires" true !fired)
+
 let test_gate_abort_cancels_waiter make () =
   with_harness make (fun h ->
       let outcome = ref `Pending in
@@ -775,6 +790,8 @@ let conformance name make =
       Alcotest.test_case "mailbox close + crash-reopen, parked receiver"
         `Quick
         (test_mailbox_crash_reopen make);
+      Alcotest.test_case "timer rejects a NaN delay" `Quick
+        (test_timer_rejects_nan make);
     ] )
 
 (* ------------------------------------------------------------------ *)
