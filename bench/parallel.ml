@@ -38,7 +38,7 @@ type run_result = {
          every protocol task runs on that one domain. *)
   sched : float * float * float;
       (* runtime.sched.{resumed,parks,wakeups}, summed over workers *)
-  timer_wakeups : float;  (* runtime.wheel.wakeups: timer-thread returns *)
+  timer_wakeups : float;  (* runtime.wheel.wakeups: parks a timer ended *)
 }
 
 (* Read [Gc.minor_words] from inside the pool: spawned as a task so the

@@ -44,9 +44,10 @@ let on_log cl brick stripe f =
   | None -> ()
 
 (* Which plan faults have no faithful multicore implementation, and
-   why: the storage faults mutate a brick's stripe logs from the
-   nemesis timer thread, which on mc would race the brick's live
-   replica handlers. Every other variant executes on mc. *)
+   why: the storage faults mutate a brick's stripe logs from a nemesis
+   timer callback, outside the brick's receive loop; on mc that
+   callback can run on one worker while the brick's live replica
+   handlers run on another. Every other variant executes on mc. *)
 let fault_error cl fault =
   if not (Cluster.is_mc cl) then None
   else

@@ -134,8 +134,8 @@ module Substrate = struct
           ( (fun () -> false),
             (fun ~dst ~delay deliver ->
               if delay > 0. then
-                (* Mailbox.send never blocks, so running it inline on
-                   the timer thread is safe. *)
+                (* Mailbox.send never blocks, so running it inline in
+                   a timer callback on a worker is safe. *)
                 ignore
                   (Runtime.timer t.runtime ~delay (fun () -> send dst deliver))
               else send dst deliver),

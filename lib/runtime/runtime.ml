@@ -143,8 +143,8 @@ end
    is always a live deadline. An entry that leaves drops its callback,
    so what the callback captures (a quorum call's pending state) is
    not kept alive by a handle the caller still holds. Not
-   synchronized: the sim engine is one thread, and mc guards its
-   queue with the timer lock. *)
+   synchronized: the sim engine is one thread, and each mc worker
+   guards its queue with its run-queue lock. *)
 module Timerq = struct
   type entry = {
     at : float;

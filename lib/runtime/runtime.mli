@@ -186,8 +186,8 @@ module Task : sig
 end
 
 (** The timer queue both backends run on: [Runtime_sim]'s engine
-    keeps every event in one, [Runtime_mc]'s timer thread every
-    wall-clock timer. An indexed binary min-heap keyed by (due time,
+    keeps every event in one, and each [Runtime_mc] worker the
+    wall-clock timers armed on it. An indexed binary min-heap keyed by (due time,
     arm order): entries due at the same time come out in the order
     they were added, and a removal takes its entry out at once, so the
     queue holds only pending entries. Not synchronized. *)

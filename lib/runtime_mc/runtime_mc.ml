@@ -1,6 +1,7 @@
 (* OCaml 5 multicore backend: a pool of worker domains, each running
-   its tasks as effect-handler fibers, plus one timer thread driving
-   wall-clock timers off a select(2) sleep with a self-pipe wakeup.
+   its tasks as effect-handler fibers and firing its own wall-clock
+   timers. A worker has one wait point: a select(2) on its own pipe,
+   bounded by its earliest timer.
 
    Scheduling model (DESIGN 4g): [spawn] places the task on a domain
    chosen round-robin (work sharing), where it runs as a fiber under
@@ -10,25 +11,38 @@
    tasks of one domain costs a queue push and a [continue], with no
    OS thread switch. Within one domain fibers interleave only at
    suspension points; true parallelism equals the domain count.
-   Timers live in a [Runtime.Timerq], the queue the sim engine runs
-   on too (DESIGN 4h, [add_timer]). No determinism and no virtual
-   time: the sim backend remains the oracle, this one reports the
-   hardware. *)
+   A timer goes on the [Runtime.Timerq] of the worker that arms it,
+   the queue the sim engine runs on too (DESIGN 4h, [add_timer]). No
+   determinism and no virtual time: the sim backend remains the
+   oracle, this one reports the hardware. *)
 
 (* A run-queue entry: a new task, or a fiber to continue or cancel. *)
 type job =
   | Start of (unit -> unit) * bool (* daemon? *)
   | Resume of Runtime.Task.k * bool
 
+(* [wm] guards the run queue, the timer queue, [sleeping]/[park_until]
+   and the counters. The wake rule reads [sleeping] and [park_until]
+   together, so one lock covers jobs and timers. Whoever turns
+   [sleeping] off writes one byte to the pipe, under [wm]; so the pipe
+   holds a byte exactly when a park was cut short, and the worker reads
+   it back before it parks again. *)
 type worker = {
   wq : job Queue.t;
-  wm : Mutex.t;  (* guards wq / sleeping / parks / wakeups *)
-  wc : Condition.t;  (* signalled by a push that finds the worker asleep *)
+  wm : Mutex.t;
+  timers : Runtime.Timerq.t;
+  pipe_r : Unix.file_descr;
+  pipe_w : Unix.file_descr;
   mutable sleeping : bool;
+  mutable park_until : float;  (* deadline of the current park *)
   mutable fibers : int;  (* started, not finished; owned by the domain *)
   mutable resumed : int;  (* owned by the domain *)
   mutable parks : int;
-  mutable wakeups : int;
+  mutable wakeups : int;  (* parks cut short by a push *)
+  mutable max_depth : int;
+  mutable fired : int;
+  mutable purged : int;  (* timers cancelled before they fired *)
+  mutable twakeups : int;  (* park returns a timer caused *)
 }
 
 type timer_stats = { max_depth : int; fired : int; purged : int; wakeups : int }
@@ -40,18 +54,8 @@ type t = {
   idle : Condition.t;  (* signalled when live returns to 0 *)
   mutable live : int;  (* non-daemon tasks queued or running *)
   mutable stopping : bool;
-  tlock : Mutex.t;  (* guards the timer queue and its stats *)
-  timers : Runtime.Timerq.t;
-  mutable sleep_until : float;  (* when the timer thread's sleep ends *)
-  mutable tmax_depth : int;
-  mutable tfired : int;
-  mutable tpurged : int;  (* timers cancelled before they fired *)
-  mutable twakeups : int;  (* returns of the timer thread's sleep *)
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
   t0 : float;
   mutable domains : unit Domain.t list;
-  mutable timer_thread : Thread.t option;
 }
 
 let wall () = Unix.gettimeofday ()
@@ -61,25 +65,89 @@ let report_exn where exn =
   Printf.eprintf "runtime_mc: uncaught exception in %s: %s\n%!" where
     (Printexc.to_string exn)
 
-(* ---- fibers and worker domains ----------------------------------- *)
+(* The worker this domain runs, with its pool's worker array. *)
+let self_key : (worker array * worker) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-(* Signals only a sleeping worker, so never from the pushing domain. *)
+(* ---- waking a parked worker ---------------------------------------- *)
+
+let wake_byte = Bytes.make 1 '!'
+
+(* [wm] held, [w.sleeping] true: the pipe is empty, so neither this
+   write nor the parked worker's read of its byte can block. *)
+let wake w =
+  w.sleeping <- false;
+  ignore (Unix.write w.pipe_w wake_byte 0 1)
+
+(* Wakes only a parked worker, so never from the pushing domain. *)
 let push w job =
   Mutex.lock w.wm;
   Queue.push job w.wq;
   if w.sleeping then begin
-    w.sleeping <- false;
     w.wakeups <- w.wakeups + 1;
-    Condition.signal w.wc
+    wake w
   end;
   Mutex.unlock w.wm
 
-(* Runs each queued fiber to its next suspension, one queue batch at a
-   time. A woken or yielding fiber is pushed back to this, its home
-   worker (mailbox FIFO per sender needs a sender to stay on one
-   domain). Sleeps only on an empty queue, and exits once the pool is
-   stopping with the queue empty and none of its fibers alive. *)
+(* ---- timers -------------------------------------------------------- *)
+
+let cancel w ev =
+  Mutex.lock w.wm;
+  if Runtime.Timerq.remove w.timers ev then w.purged <- w.purged + 1;
+  Mutex.unlock w.wm
+
+(* The timer goes on the queue of the worker that arms it; an arm from
+   outside the pool goes on worker 0. It wakes that worker only if it
+   is parked past the new deadline. [Timerq.add] rejects a NaN
+   deadline before touching the queue. *)
+let add_timer t ~delay f =
+  let w =
+    match Domain.DLS.get self_key with
+    | Some (ws, w) when ws == t.workers -> w
+    | _ -> t.workers.(0)
+  in
+  let at = now t +. Float.max 0. delay in
+  Mutex.lock w.wm;
+  match Runtime.Timerq.add w.timers ~at f with
+  | exception e ->
+      Mutex.unlock w.wm;
+      raise e
+  | ev ->
+      let depth = Runtime.Timerq.length w.timers in
+      if depth > w.max_depth then w.max_depth <- depth;
+      if w.sleeping && at < w.park_until then begin
+        w.twakeups <- w.twakeups + 1;
+        wake w
+      end;
+      Mutex.unlock w.wm;
+      { Runtime.tcancel = (fun () -> cancel w ev) }
+
+let timer_stats t =
+  let add (s : timer_stats) w =
+    Mutex.protect w.wm (fun () ->
+        {
+          max_depth = max s.max_depth w.max_depth;
+          fired = s.fired + w.fired;
+          purged = s.purged + w.purged;
+          wakeups = s.wakeups + w.twakeups;
+        })
+  in
+  Array.fold_left add
+    { max_depth = 0; fired = 0; purged = 0; wakeups = 0 }
+    t.workers
+
+(* ---- the dispatcher ------------------------------------------------ *)
+
+(* Each pass takes every timer due by now (a timer never fires before
+   its [at]) and the whole run queue, then, with no lock held, fires
+   the timers earliest first and runs each queued fiber to its next
+   suspension. A woken or yielding fiber is pushed back to this, its
+   home worker (mailbox FIFO per sender needs a sender to stay on one
+   domain). With nothing to do the worker parks on its pipe until its
+   earliest timer. It exits once the pool is stopping with the queue
+   empty and none of its fibers alive; pending timers are dropped. *)
 let dispatcher t w =
+  Domain.DLS.set self_key (Some (t.workers, w));
   let sched =
     {
       Runtime.Task.resume = (fun k opened -> push w (Resume (k, opened)));
@@ -109,22 +177,53 @@ let dispatcher t w =
         w.resumed <- w.resumed + 1;
         Runtime.Task.continue k opened
   in
-  let batch = Queue.create () in
+  let fire f =
+    try f () with Runtime.Cancelled -> () | exn -> report_exn "timer" exn
+  in
+  let due = Queue.create () and batch = Queue.create () in
+  let byte = Bytes.create 1 in
+  (* [wm] held on entry; the clock is read only when a timer is
+     pending. *)
   let rec loop () =
-    Mutex.lock w.wm;
-    while Queue.is_empty w.wq && not (t.stopping && w.fibers = 0) do
+    let nw =
+      if Runtime.Timerq.length w.timers = 0 then neg_infinity else now t
+    in
+    while Runtime.Timerq.next_at w.timers <= nw do
+      w.fired <- w.fired + 1;
+      Queue.push (Option.get (Runtime.Timerq.pop w.timers)) due
+    done;
+    if not (Queue.is_empty due && Queue.is_empty w.wq) then begin
+      Queue.transfer w.wq batch;
+      Mutex.unlock w.wm;
+      while not (Queue.is_empty due) do fire (Queue.pop due) done;
+      while not (Queue.is_empty batch) do run (Queue.pop batch) done;
+      Mutex.lock w.wm;
+      loop ()
+    end
+    else if t.stopping && w.fibers = 0 then Mutex.unlock w.wm
+    else begin
+      (* A park that ends with [sleeping] still set was cut short by
+         nobody: its deadline came. Otherwise read the waker's byte. *)
+      w.park_until <- Runtime.Timerq.next_at w.timers;
       w.sleeping <- true;
       w.parks <- w.parks + 1;
-      Condition.wait w.wc w.wm
-    done;
-    w.sleeping <- false;
-    Queue.transfer w.wq batch;
-    Mutex.unlock w.wm;
-    if not (Queue.is_empty batch) then begin
-      while not (Queue.is_empty batch) do run (Queue.pop batch) done;
+      Mutex.unlock w.wm;
+      let timeout = w.park_until -. now t in
+      (try
+         ignore
+           (Unix.select [ w.pipe_r ] [] []
+              (if timeout = infinity then -1. else Float.max 0. timeout))
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      Mutex.lock w.wm;
+      if not w.sleeping then ignore (Unix.read w.pipe_r byte 0 1)
+      else begin
+        w.sleeping <- false;
+        if w.park_until < infinity then w.twakeups <- w.twakeups + 1
+      end;
       loop ()
     end
   in
+  Mutex.lock w.wm;
   loop ()
 
 let enqueue t ~daemon f =
@@ -140,116 +239,6 @@ let enqueue t ~daemon f =
   push t.workers.(i) (Start (f, daemon))
 
 let set_spawn_cursor t v = Atomic.set t.rr v
-
-(* ---- timers -------------------------------------------------------- *)
-
-let wake_byte = Bytes.make 1 '!'
-
-(* Both pipe ends are non-blocking. EAGAIN (pipe full) means a wakeup
-   is already pending, so dropping the byte is correct. *)
-let rec wake_timer t =
-  match Unix.write t.pipe_w wake_byte 0 1 with
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wake_timer t
-  | exception Unix.Unix_error _ -> ()
-
-(* Only the timer thread reads the pipe, so one static buffer is safe. *)
-let drain_buf = Bytes.create 256
-
-let drain_pipe t =
-  let rec go () =
-    match Unix.read t.pipe_r drain_buf 0 (Bytes.length drain_buf) with
-    | 0 -> ()
-    | _ -> go () (* keep reading until the pipe is empty *)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> () (* EAGAIN: drained *)
-  in
-  go ()
-
-let cancel t ev =
-  Mutex.lock t.tlock;
-  if Runtime.Timerq.remove t.timers ev then t.tpurged <- t.tpurged + 1;
-  Mutex.unlock t.tlock
-
-(* Wake the timer thread only if it is asleep past the new deadline.
-   [Timerq.add] rejects a NaN deadline before touching the queue. *)
-let add_timer t ~delay f =
-  let at = now t +. Float.max 0. delay in
-  Mutex.lock t.tlock;
-  match Runtime.Timerq.add t.timers ~at f with
-  | exception e ->
-      Mutex.unlock t.tlock;
-      raise e
-  | ev ->
-      let depth = Runtime.Timerq.length t.timers in
-      if depth > t.tmax_depth then t.tmax_depth <- depth;
-      let must_wake = at < t.sleep_until in
-      Mutex.unlock t.tlock;
-      if must_wake then wake_timer t;
-      { Runtime.tcancel = (fun () -> cancel t ev) }
-
-(* Take every timer due by [nw], earliest first: a timer never fires
-   before its [at]. tlock held. *)
-let take_due t nw =
-  let rec go acc =
-    if Runtime.Timerq.next_at t.timers > nw then List.rev acc
-    else begin
-      t.tfired <- t.tfired + 1;
-      go (Option.get (Runtime.Timerq.pop t.timers) :: acc)
-    end
-  in
-  go []
-
-(* Timer callbacks run inline on the timer thread; the runtime's own
-   callbacks (gate opens, RPC retransmissions into mailboxes) never
-   block, which keeps timer latency at select(2) wakeup cost. While
-   firing, [sleep_until] is -inf so callbacks arming new timers never
-   write the pipe — the next deadline is recomputed right after. *)
-let timer_loop t =
-  let rec loop () =
-    Mutex.lock t.tlock;
-    if t.stopping then Mutex.unlock t.tlock
-    else begin
-      let nw = now t in
-      let next = Runtime.Timerq.next_at t.timers in
-      let wait =
-        if next = infinity then 0.25 else Float.min 0.25 (next -. nw)
-      in
-      t.sleep_until <- (if wait > 0. then nw +. wait else nw);
-      Mutex.unlock t.tlock;
-      if wait > 0. then
-        (try ignore (Unix.select [ t.pipe_r ] [] [] wait)
-         with Unix.Unix_error _ -> ());
-      drain_pipe t;
-      let nw = now t in
-      Mutex.lock t.tlock;
-      if wait > 0. then t.twakeups <- t.twakeups + 1;
-      let due = take_due t nw in
-      t.sleep_until <- neg_infinity;
-      Mutex.unlock t.tlock;
-      List.iter
-        (fun f ->
-          try f () with
-          | Runtime.Cancelled -> ()
-          | exn -> report_exn "timer" exn)
-        due;
-      loop ()
-    end
-  in
-  loop ()
-
-let timer_stats t =
-  Mutex.lock t.tlock;
-  let s =
-    {
-      max_depth = t.tmax_depth;
-      fired = t.tfired;
-      purged = t.tpurged;
-      wakeups = t.twakeups;
-    }
-  in
-  Mutex.unlock t.tlock;
-  s
 
 (* ---- pool construction / lifecycle -------------------------------- *)
 
@@ -272,44 +261,35 @@ let runtime t =
 
 let create ?(domains = 1) () =
   if domains < 1 then invalid_arg "Runtime_mc.create: domains < 1";
-  let pipe_r, pipe_w = Unix.pipe () in
-  Unix.set_nonblock pipe_r;
-  Unix.set_nonblock pipe_w;
   let t =
     {
       workers =
         Array.init domains (fun _ ->
+            let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
             {
               wq = Queue.create ();
               wm = Mutex.create ();
-              wc = Condition.create ();
+              timers = Runtime.Timerq.create ();
+              pipe_r;
+              pipe_w;
               sleeping = false;
+              park_until = infinity;
               fibers = 0;
               resumed = 0; parks = 0; wakeups = 0;
+              max_depth = 0; fired = 0; purged = 0; twakeups = 0;
             });
       rr = Atomic.make 0;
       lock = Mutex.create ();
       idle = Condition.create ();
       live = 0;
       stopping = false;
-      tlock = Mutex.create ();
-      timers = Runtime.Timerq.create ();
-      sleep_until = infinity (* wake on any arm until the first sleep *);
-      tmax_depth = 0;
-      tfired = 0;
-      tpurged = 0;
-      twakeups = 0;
-      pipe_r;
-      pipe_w;
       t0 = wall ();
       domains = [];
-      timer_thread = None;
     }
   in
   t.domains <-
     Array.to_list
       (Array.map (fun w -> Domain.spawn (fun () -> dispatcher t w)) t.workers);
-  t.timer_thread <- Some (Thread.create (fun () -> timer_loop t) ());
   t
 
 let spawn_daemon t f = enqueue t ~daemon:true f
@@ -327,8 +307,8 @@ let await_idle t =
 (* Bounded variant for chaos soaks: a stuck task (a liveness bug —
    exactly what the soak hunts) must fail the run, not hang it. The
    wait is on [idle], like [await_idle]'s; a timer at the
-   timeout broadcasts it too, and so does [shutdown], which stops the
-   timer thread. *)
+   timeout (on worker 0) broadcasts it too, and so does [shutdown],
+   after which no worker fires that timer. *)
 let try_await_idle t ~timeout =
   let expired = ref false in
   let timer =
@@ -347,9 +327,11 @@ let try_await_idle t ~timeout =
   timer.Runtime.tcancel ();
   idle
 
-(* Stop dispatchers and the timer thread, then join the domains. The
-   caller must first unblock its daemon tasks (close their mailboxes):
-   a domain only terminates once every fiber it started has finished. *)
+(* Stop the dispatchers, then join the domains. The caller must first
+   unblock its daemon tasks (close their mailboxes): a domain only
+   terminates once every fiber it started has finished. A worker that
+   has exited never parks again, so no later push or arm writes its
+   pipe, and the pipes can be closed. *)
 let shutdown t =
   Mutex.lock t.lock;
   if t.stopping then Mutex.unlock t.lock
@@ -360,20 +342,12 @@ let shutdown t =
     Array.iter
       (fun w ->
         Mutex.lock w.wm;
-        Condition.broadcast w.wc;
+        if w.sleeping then wake w;
         Mutex.unlock w.wm)
       t.workers;
-    wake_timer t;
-    (match t.timer_thread with Some th -> Thread.join th | None -> ());
-    (* No thread is left to wake: a later arm must not write the pipe,
-       which is closed below. *)
-    Mutex.lock t.tlock;
-    t.sleep_until <- neg_infinity;
-    Mutex.unlock t.tlock;
     List.iter Domain.join t.domains;
     t.domains <- [];
-    (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-    try Unix.close t.pipe_w with Unix.Unix_error _ -> ()
+    Array.iter (fun w -> List.iter Unix.close [ w.pipe_r; w.pipe_w ]) t.workers
   end
 
 type sched_stats = { resumed : int; parks : int; wakeups : int }

@@ -1,9 +1,14 @@
 (** OCaml 5 multicore runtime backend: worker domains that run tasks
     under {!Runtime.Task.handler} (work-sharing spawn; a woken or
-    yielding task goes back on its home worker's run queue), and
-    wall-clock timers in a {!Runtime.Timerq} driven by a select(2)
-    thread (DESIGN 4g, hot paths 4h). Gates, sleep and the join are the
-    runtime's own.
+    yielding task goes back on its home worker's run queue) and fire
+    wall-clock timers from a {!Runtime.Timerq} per worker (DESIGN 4g,
+    hot paths 4h). Gates, sleep and the join are the runtime's own.
+
+    A timer goes on the queue of the worker that arms it (worker 0 for
+    an arm from outside the pool), and its callback runs on that
+    worker between run-queue batches. So a callback must not block:
+    it may take a short library mutex, but never await a gate, ivar or
+    condvar (at 1 domain that deadlocks).
 
     Blocking contract: a task blocks only through runtime primitives
     (gate, sleep, ivar, [Mailbox.recv], [all], [yield]). A raw condvar
@@ -17,7 +22,7 @@ type t
 
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains] worker domains (default 1)
-    plus one timer thread. @raise Invalid_argument if [domains < 1]. *)
+    and no other thread. @raise Invalid_argument if [domains < 1]. *)
 
 val runtime : t -> Runtime.t
 (** The pool as a {!Runtime.t} (name ["mc"]). *)
@@ -32,7 +37,7 @@ val await_idle : t -> unit
 
 val try_await_idle : t -> timeout:float -> bool
 (** Like {!await_idle} but gives up after [timeout] wall-clock
-    seconds (a timer wakes the wait), returning [false] with
+    seconds (a timer on worker 0 wakes the wait), returning [false] with
     tasks still live. Used by the chaos harness: a stuck task must
     fail the soak, not hang it. Once {!shutdown} has begun it returns
     at once, [true] only if no task is live. Do not call {!shutdown}
@@ -40,9 +45,9 @@ val try_await_idle : t -> timeout:float -> bool
     forever; report and exit instead. *)
 
 val shutdown : t -> unit
-(** Stop dispatchers and the timer thread and join the domains.
-    Unblock daemon tasks first (close their mailboxes) — a domain only
-    terminates once all its fibers have. Idempotent. *)
+(** Stop the dispatchers and join the domains; timers still pending
+    never fire. Unblock daemon tasks first (close their mailboxes) — a
+    domain only terminates once all its fibers have. Idempotent. *)
 
 val now : t -> float
 (** Wall-clock seconds since {!create}. *)
@@ -52,29 +57,33 @@ val hw_cores : unit -> int
     actually run in parallel; stamped into benchmark metadata. *)
 
 val set_spawn_cursor : t -> int -> unit
-(** Force the round-robin spawn cursor (tests only: lets a wrap past
-    [max_int] be exercised without 2^62 spawns). *)
+(** Force the round-robin spawn cursor (tests only: the next spawn
+    goes to worker [v mod domains], and a wrap past [max_int] can be
+    exercised without 2^62 spawns). *)
 
 type timer_stats = {
-  max_depth : int;  (** most timers pending at once *)
+  max_depth : int;  (** most timers pending at once on one worker *)
   fired : int;
   purged : int;  (** timers cancelled before they fired *)
   wakeups : int;
-      (** returns of the timer thread from its sleep; a cancel removes
-          the timer from the queue at once, so a cancelled deadline
-          never sets the thread's sleep and these follow the live
-          timers, not the armed ones *)
+      (** worker parks that a timer ended: its deadline came, or an arm
+          due before the park's end woke the worker. A cancel removes
+          the timer at once, so a deadline cancelled before a park
+          never sets its end *)
 }
 
 val timer_stats : t -> timer_stats
-(** Timer-queue counters since {!create}. A timer fires at most once,
-    never before it is due, and not at all once cancelled; a cancel
-    drops the callback at once. The mc cluster materializes these as
-    [runtime.wheel.*] metrics at shutdown (the names come from the
-    hashed wheel the queue replaced). *)
+(** Timer-queue counters since {!create}, summed over the workers
+    ([max_depth] is the largest per-worker maximum). A timer fires at
+    most once, never before it is due, and not at all once cancelled;
+    a cancel, from any domain, drops the callback at once. The mc
+    cluster materializes these as [runtime.wheel.*] metrics at
+    shutdown (the names come from the hashed wheel the queue
+    replaced). *)
 
 type sched_stats = { resumed : int; parks : int; wakeups : int }
 (** Per worker since {!create}, exact after {!shutdown}: fibers
-    resumed, idle parks, wake-ups pushed from another thread. *)
+    resumed, idle parks, parks cut short by a push from another
+    thread. *)
 
 val sched_stats : t -> sched_stats array

@@ -46,8 +46,8 @@ let healthy = { drop = 0.; delay = 0.; jitter = 0.; groups = None; downed = [] }
 (* Lock-free uniform sampler: a counter stepped by a fetch-and-add and
    scrambled through a splitmix-style finalizer. Not the engine's rng
    on purpose: fault draws never perturb the stream fault-free code
-   samples, and on mc they run on whatever thread sends (including the
-   timer thread's retransmissions). Single-threaded sim runs draw the
+   samples, and on mc they run on whatever domain sends (including
+   retransmissions fired by a worker's timers). Single-threaded sim runs draw the
    same sequence for the same seed. *)
 let mix x =
   let x = x lxor (x lsr 29) in

@@ -14,8 +14,8 @@
     nemesis event combined with the drop rate of another. Mutators are
     serialized and publish a whole new snapshot.
 
-    All mutators and {!decide} are safe from any domain, including the
-    runtime's timer thread. *)
+    All mutators and {!decide} are safe from any domain, including a
+    timer callback on an mc worker. *)
 
 type t
 

@@ -11,7 +11,7 @@
 (* Each test gets a fresh backend: [rt] to program against, [go] to
    run a root task to quiescence, [teardown] to release resources.
    Real-time gaps below are generous (tens of ms apart) so the mc
-   backend's timer-thread granularity cannot flake the suite. *)
+   backend's park and wake latency cannot flake the suite. *)
 type harness = {
   rt : Runtime.t;
   go : (unit -> unit) -> unit;
@@ -642,6 +642,66 @@ let test_mc_blocked_tasks_start_no_thread () =
   Runtime_mc.await_idle pool;
   Alcotest.(check int) "every task woke" 1000 (Atomic.get woke)
 
+(* Threads of an earlier pool or domain may still be exiting after
+   their join: count once the number has held still for 25 ms. *)
+let settled_threads () =
+  let rec go last same tries =
+    if same >= 5 || tries = 0 then last
+    else begin
+      Thread.delay 0.005;
+      let n = os_threads () in
+      if n = last then go n (same + 1) (tries - 1) else go n 0 (tries - 1)
+    end
+  in
+  go (os_threads ()) 0 400
+
+(* What [create ~domains:2] adds to the process is at most what two
+   bare domains add: the workers park and fire their timers on their
+   own domains, with no thread beside them. *)
+let test_mc_pool_starts_no_extra_thread () =
+  if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
+  (* The first spawn in the process also starts the main domain's
+     backup thread: pay for it before counting. *)
+  Domain.join (Domain.spawn ignore);
+  let growth ~start ~stop =
+    let before = settled_threads () in
+    let x = start () in
+    let after = os_threads () in
+    stop x;
+    after - before
+  in
+  let bare =
+    growth
+      ~start:(fun () ->
+        let go = Atomic.make false and up = Atomic.make 0 in
+        let ds =
+          List.init 2 (fun _ ->
+              Domain.spawn (fun () ->
+                  Atomic.incr up;
+                  while not (Atomic.get go) do Thread.delay 0.001 done))
+        in
+        wait_until (fun () -> Atomic.get up = 2);
+        (go, ds))
+      ~stop:(fun (go, ds) ->
+        Atomic.set go true;
+        List.iter Domain.join ds)
+  in
+  let pool =
+    growth
+      ~start:(fun () ->
+        let pool = Runtime_mc.create ~domains:2 () in
+        let rt = Runtime_mc.runtime pool in
+        (* A task on each worker, so both domains are up. *)
+        Runtime.spawn rt ignore;
+        Runtime.spawn rt ignore;
+        Runtime_mc.await_idle pool;
+        pool)
+      ~stop:Runtime_mc.shutdown
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "pool adds %d OS threads, two bare domains %d" pool bare)
+    true (pool <= bare)
+
 let test_mc_ivar_across_pool_boundary () =
   with_pool ~domains:1 @@ fun pool rt ->
   let iv = Runtime.Ivar.create rt in
@@ -800,43 +860,68 @@ let conformance name make =
 
 let wheel_wakeups pool = (Runtime_mc.timer_stats pool).Runtime_mc.wakeups
 
-(* Every RPC arms a retransmission timer and cancels it when its
-   replies arrive. Cancelled timers, with deadlines spread over 150 ms
-   here, must not keep setting the timer thread's deadline. *)
+(* Every RPC arms a retransmission timer from its task and cancels it
+   when its replies arrive. Cancelled timers, with deadlines spread
+   over 150 ms here, must not keep setting the worker's park deadline:
+   the worker is running while its task arms, so no arm wakes it, and
+   a cancelled deadline is gone before the worker parks. *)
 let test_mc_cancelled_timers_no_wakeups () =
   with_pool ~domains:1 @@ fun pool rt ->
   let before = wheel_wakeups pool in
-  for i = 0 to 9_999 do
-    let delay = 0.01 +. (float_of_int i *. 0.000015) in
-    (rt.Runtime.timer ~delay ignore).Runtime.tcancel ()
-  done;
+  Runtime.spawn rt (fun () ->
+      for i = 0 to 9_999 do
+        let delay = 0.01 +. (float_of_int i *. 0.000015) in
+        (rt.Runtime.timer ~delay ignore).Runtime.tcancel ()
+      done);
+  Runtime_mc.await_idle pool;
   Thread.delay 0.2;
   let woke = wheel_wakeups pool - before in
   Alcotest.(check bool)
-    (Printf.sprintf "timer thread woke %d times in 200 ms" woke)
+    (Printf.sprintf "worker woke for a timer %d times in 200 ms" woke)
     true (woke <= 8)
 
 (* A cancelled timer's handle outlives the cancel (the caller may keep
    it); the callback must not live on with it, or whatever it captures
-   (a quorum call's pending state) outlives the call. The timer is due
-   in a minute, so it cannot have fired meanwhile. *)
-let[@inline never] arm_and_cancel rt weak =
+   (a quorum call's pending state) outlives the call. At 1 domain the
+   main thread arms and cancels; at 2 a task on worker 0 arms and a
+   task on worker 1 cancels, which takes the owner's lock. Either way
+   the callback never runs, though it is due well before the check. *)
+let[@inline never] arm_captured rt weak ran =
   let captured = Bytes.make 64 'x' in
   Weak.set weak 0 (Some captured);
-  (rt.Runtime.timer ~delay:60. (fun () -> ignore (Sys.opaque_identity captured)))
-    .Runtime.tcancel ()
+  rt.Runtime.timer ~delay:0.3 (fun () ->
+      ignore (Sys.opaque_identity captured);
+      Atomic.set ran true)
 
 let test_mc_cancel_drops_callback () =
-  with_pool ~domains:1 @@ fun _pool rt ->
-  let weak = Weak.create 1 in
-  arm_and_cancel rt weak;
-  Gc.full_major ();
-  Alcotest.(check bool) "captured value reclaimed" false (Weak.check weak 0)
+  List.iter
+    (fun domains ->
+      with_pool ~domains @@ fun pool rt ->
+      let weak = Weak.create 1 and ran = Atomic.make false in
+      let armed = Runtime_mc.now pool in
+      if domains = 1 then (arm_captured rt weak ran).Runtime.tcancel ()
+      else begin
+        let handle = Runtime.Ivar.create rt in
+        Runtime_mc.set_spawn_cursor pool 0;
+        Runtime.spawn rt (fun () ->
+            Runtime.Ivar.fill handle (arm_captured rt weak ran));
+        Runtime.spawn rt (fun () -> Runtime.cancel (Runtime.Ivar.await handle));
+        Runtime_mc.await_idle pool
+      end;
+      let name what = Printf.sprintf "%s (%d domains)" what domains in
+      Gc.full_major ();
+      Alcotest.(check bool)
+        (name "captured value reclaimed") false (Weak.check weak 0);
+      Alcotest.(check int)
+        (name "cancel purged") 1 (Runtime_mc.timer_stats pool).Runtime_mc.purged;
+      wait_until (fun () -> Runtime_mc.now pool > armed +. 0.35);
+      Alcotest.(check bool) (name "callback never ran") false (Atomic.get ran))
+    [ 1; 2 ]
 
 (* A live timer among cancelled neighbours (one due at the same time,
    one a millisecond later) still fires, never before it is due, and at
    most 1 ms late; the median of ten is checked against that bound, so
-   one preemption of the timer thread by the OS cannot fail the test. *)
+   one preemption of the worker by the OS cannot fail the test. *)
 let test_mc_live_timer_on_time () =
   with_pool ~domains:1 @@ fun pool rt ->
   let tick = 0.001 in
@@ -969,8 +1054,8 @@ let test_mc_try_await_idle_times_out () =
         (took >= 0.1 && took < 1.));
   Runtime_mc.await_idle pool
 
-(* The timer that ends the wait runs on the timer thread, which
-   shutdown stops: the wait must not depend on it afterwards. *)
+(* The timer that ends the wait goes on worker 0, which has exited
+   after shutdown: the wait must not depend on it afterwards. *)
 let test_mc_try_await_idle_after_shutdown () =
   let pool = Runtime_mc.create ~domains:1 () in
   Runtime_mc.shutdown pool;
@@ -1005,6 +1090,8 @@ let () =
             test_mc_blocked_tasks_start_no_thread;
           Alcotest.test_case "ivar across the pool boundary" `Quick
             test_mc_ivar_across_pool_boundary;
+          Alcotest.test_case "a pool starts no OS thread beyond its domains"
+            `Quick test_mc_pool_starts_no_extra_thread;
         ] );
       ( "mc timers",
         [
