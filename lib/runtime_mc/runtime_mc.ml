@@ -23,10 +23,10 @@ type job =
 
 (* [wm] guards the run queue, the timer queue, [sleeping]/[park_until]
    and the counters. The wake rule reads [sleeping] and [park_until]
-   together, so one lock covers jobs and timers. Whoever turns
-   [sleeping] off writes one byte to the pipe, under [wm]; so the pipe
-   holds a byte exactly when a park was cut short, and the worker reads
-   it back before it parks again. *)
+   together, so one lock covers jobs and timers. Whoever cuts a park
+   short turns [sleeping] off and writes one byte to the pipe, under
+   [wm]; so the pipe holds a byte exactly when a park was cut short,
+   and the worker reads it back before it parks again. *)
 type worker = {
   wq : job Queue.t;
   wm : Mutex.t;
@@ -265,7 +265,7 @@ let create ?(domains = 1) () =
     {
       workers =
         Array.init domains (fun _ ->
-            let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
+            let pipe_r, pipe_w = Unix.pipe () in
             {
               wq = Queue.create ();
               wm = Mutex.create ();

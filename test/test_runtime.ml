@@ -146,7 +146,7 @@ let test_timer_cancellation make () =
 
 (* Both backends keep timers in one [Runtime.Timerq], which refuses a
    NaN deadline: queued, it would compare false against every other
-   and wedge the heap's order. The queue (and on mc the timer lock)
+   and wedge the heap's order. The queue (and on mc the worker's lock)
    must be left usable. *)
 let test_timer_rejects_nan make () =
   with_harness make (fun h ->
