@@ -38,8 +38,10 @@ val await_idle : t -> unit
 val try_await_idle : t -> timeout:float -> bool
 (** Like {!await_idle} but gives up after [timeout] wall-clock
     seconds (a timer on worker 0 wakes the wait), returning [false] with
-    tasks still live. Used by the chaos harness: a stuck task must
-    fail the soak, not hang it. Once {!shutdown} has begun it returns
+    tasks still live. Used by the chaos harness: a task stuck on a
+    gate must fail the soak, not hang it. A task that never suspends
+    breaks the blocking contract, and on worker 0 it also keeps the
+    timer from firing. Once {!shutdown} has begun it returns
     at once, [true] only if no task is live. Do not call {!shutdown}
     after a [false] return — a domain waits for its stuck fiber
     forever; report and exit instead. *)
