@@ -328,13 +328,13 @@ let run ?(backend = Sim) ?(m = 2) ?(n = 5) ?(stripes = 4) ?(clients = 3)
         Cluster.run ~horizon:20_000. cl;
         true
     | Mc _ ->
-        (* Real time: wait out the chaos window on the wall clock (the
-           harness thread is not a pool task, but gates block any
-           thread), then heal and give in-flight operations a bounded
+        (* Real time: wait out the chaos window on the wall clock, in
+           this thread alone, so that a stuck worker cannot hold the
+           wait; then heal and give in-flight operations a bounded
            settle. [deadline] caps every operation, so a generous
            multiple of it only elapses in full when something is truly
            stuck. *)
-        Runtime.sleep rt (plan.Plan.horizon *. ts);
+        Unix.sleepf (plan.Plan.horizon *. ts);
         Nemesis.restore nemesis;
         Cluster.try_quiesce ~timeout:(Float.max 5. (20. *. deadline *. ts)) cl
   in

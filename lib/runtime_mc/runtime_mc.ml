@@ -1,7 +1,8 @@
 (* OCaml 5 multicore backend: a pool of worker domains, each running
    its tasks as effect-handler fibers and firing its own wall-clock
    timers. A worker has one wait point: a select(2) on its own pipe,
-   bounded by its earliest timer.
+   which pushes write, and its own alarm, a timerfd armed for its
+   earliest timer.
 
    Scheduling model (DESIGN 4g): [spawn] places the task on a domain
    chosen round-robin (work sharing), where it runs as a fiber under
@@ -22,17 +23,21 @@ type job =
   | Resume of Runtime.Task.k * bool
 
 (* [wm] guards the run queue, the timer queue, [sleeping]/[park_until]
-   and the counters. The wake rule reads [sleeping] and [park_until]
-   together, so one lock covers jobs and timers. Whoever cuts a park
-   short turns [sleeping] off and writes one byte to the pipe, under
-   [wm]; so the pipe holds a byte exactly when a park was cut short,
-   and the worker reads it back before it parks again. *)
+   and the counters. While a worker is parked, [park_until] is its
+   earliest timer and its alarm is armed for it: an arm or a cancel
+   from another thread moves the alarm with the queue's minimum, under
+   [wm], and wakes nobody. A push to a parked worker turns [sleeping]
+   off and writes one byte to the pipe, under [wm]; so the pipe holds
+   a byte exactly when a push cut a park short, and a park that ends
+   with [sleeping] still set ended at a deadline. *)
 type worker = {
   wq : job Queue.t;
   wm : Mutex.t;
   timers : Runtime.Timerq.t;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
+  alarm : Unix.file_descr;
+  t0 : float;  (* the pool's *)
   mutable sleeping : bool;
   mutable park_until : float;  (* deadline of the current park *)
   mutable fibers : int;  (* started, not finished; owned by the domain *)
@@ -42,7 +47,7 @@ type worker = {
   mutable max_depth : int;
   mutable fired : int;
   mutable purged : int;  (* timers cancelled before they fired *)
-  mutable twakeups : int;  (* park returns a timer caused *)
+  mutable twakeups : int;  (* parks that ended at a deadline *)
 }
 
 type timer_stats = { max_depth : int; fired : int; purged : int; wakeups : int }
@@ -52,6 +57,7 @@ type t = {
   rr : int Atomic.t;  (* round-robin spawn cursor *)
   lock : Mutex.t;  (* guards live / stopping *)
   idle : Condition.t;  (* signalled when live returns to 0 *)
+  mutable idle_alarms : Unix.file_descr list;  (* of [try_await_idle]s *)
   mutable live : int;  (* non-daemon tasks queued or running *)
   mutable stopping : bool;
   t0 : float;
@@ -69,7 +75,15 @@ let report_exn where exn =
 let self_key : (worker array * worker) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-(* ---- waking a parked worker ---------------------------------------- *)
+(* ---- a worker's alarm -------------------------------------------- *)
+
+external alarm_create : unit -> Unix.file_descr = "fab_mc_alarm_create"
+external alarm_set : Unix.file_descr -> float -> unit = "fab_mc_alarm_set"
+
+(* [wm] held. [at] is in [now]'s time, [infinity] disarms. *)
+let set_alarm w at =
+  w.park_until <- at;
+  alarm_set w.alarm (w.t0 +. at)
 
 let wake_byte = Bytes.make 1 '!'
 
@@ -91,14 +105,20 @@ let push w job =
 
 (* ---- timers -------------------------------------------------------- *)
 
+(* A parked worker's alarm follows its queue's minimum, so a cancelled
+   deadline never ends a park. *)
 let cancel w ev =
   Mutex.lock w.wm;
-  if Runtime.Timerq.remove w.timers ev then w.purged <- w.purged + 1;
+  if Runtime.Timerq.remove w.timers ev then begin
+    w.purged <- w.purged + 1;
+    if w.sleeping && Runtime.Timerq.next_at w.timers > w.park_until then
+      set_alarm w (Runtime.Timerq.next_at w.timers)
+  end;
   Mutex.unlock w.wm
 
 (* The timer goes on the queue of the worker that arms it; an arm from
-   outside the pool goes on worker 0. It wakes that worker only if it
-   is parked past the new deadline. [Timerq.add] rejects a NaN
+   outside the pool goes on worker 0. If that worker is parked past the
+   new deadline, its alarm moves earlier. [Timerq.add] rejects a NaN
    deadline before touching the queue. *)
 let add_timer t ~delay f =
   let w =
@@ -115,10 +135,7 @@ let add_timer t ~delay f =
   | ev ->
       let depth = Runtime.Timerq.length w.timers in
       if depth > w.max_depth then w.max_depth <- depth;
-      if w.sleeping && at < w.park_until then begin
-        w.twakeups <- w.twakeups + 1;
-        wake w
-      end;
+      if w.sleeping && at < w.park_until then set_alarm w at;
       Mutex.unlock w.wm;
       { Runtime.tcancel = (fun () -> cancel w ev) }
 
@@ -136,6 +153,11 @@ let timer_stats t =
     { max_depth = 0; fired = 0; purged = 0; wakeups = 0 }
     t.workers
 
+(* [t.lock] held; [live] is 0 or the pool is stopping. *)
+let signal_idle t =
+  Condition.broadcast t.idle;
+  List.iter (fun a -> alarm_set a neg_infinity) t.idle_alarms
+
 (* ---- the dispatcher ------------------------------------------------ *)
 
 (* Each pass takes every timer due by now (a timer never fires before
@@ -143,9 +165,10 @@ let timer_stats t =
    the timers earliest first and runs each queued fiber to its next
    suspension. A woken or yielding fiber is pushed back to this, its
    home worker (mailbox FIFO per sender needs a sender to stay on one
-   domain). With nothing to do the worker parks on its pipe until its
-   earliest timer. It exits once the pool is stopping with the queue
-   empty and none of its fibers alive; pending timers are dropped. *)
+   domain). With nothing to do the worker parks on its pipe and its
+   alarm, armed for its earliest timer. It exits once the pool is stopping with the
+   queue empty and none of its fibers alive; pending timers are
+   dropped. *)
 let dispatcher t w =
   Domain.DLS.set self_key (Some (t.workers, w));
   let sched =
@@ -160,7 +183,7 @@ let dispatcher t w =
       if not daemon then begin
         Mutex.lock t.lock;
         t.live <- t.live - 1;
-        if t.live = 0 then Condition.broadcast t.idle;
+        if t.live = 0 then signal_idle t;
         Mutex.unlock t.lock
       end
     in
@@ -202,17 +225,12 @@ let dispatcher t w =
     end
     else if t.stopping && w.fibers = 0 then Mutex.unlock w.wm
     else begin
-      (* A park that ends with [sleeping] still set was cut short by
-         nobody: its deadline came. Otherwise read the waker's byte. *)
-      w.park_until <- Runtime.Timerq.next_at w.timers;
+      (* Arming the alarm also clears an expiry of the last one. *)
+      set_alarm w (Runtime.Timerq.next_at w.timers);
       w.sleeping <- true;
       w.parks <- w.parks + 1;
       Mutex.unlock w.wm;
-      let timeout = w.park_until -. now t in
-      (try
-         ignore
-           (Unix.select [ w.pipe_r ] [] []
-              (if timeout = infinity then -1. else Float.max 0. timeout))
+      (try ignore (Unix.select [ w.pipe_r; w.alarm ] [] [] (-1.))
        with Unix.Unix_error (Unix.EINTR, _, _) -> ());
       Mutex.lock w.wm;
       if not w.sleeping then ignore (Unix.read w.pipe_r byte 0 1)
@@ -261,17 +279,20 @@ let runtime t =
 
 let create ?(domains = 1) () =
   if domains < 1 then invalid_arg "Runtime_mc.create: domains < 1";
+  let t0 = wall () in
   let t =
     {
       workers =
         Array.init domains (fun _ ->
-            let pipe_r, pipe_w = Unix.pipe () in
+            let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
             {
               wq = Queue.create ();
               wm = Mutex.create ();
               timers = Runtime.Timerq.create ();
               pipe_r;
               pipe_w;
+              alarm = alarm_create ();
+              t0;
               sleeping = false;
               park_until = infinity;
               fibers = 0;
@@ -281,9 +302,10 @@ let create ?(domains = 1) () =
       rr = Atomic.make 0;
       lock = Mutex.create ();
       idle = Condition.create ();
+      idle_alarms = [];
       live = 0;
       stopping = false;
-      t0 = wall ();
+      t0;
       domains = [];
     }
   in
@@ -305,39 +327,39 @@ let await_idle t =
   Mutex.unlock t.lock
 
 (* Bounded variant for chaos soaks: a stuck task (a liveness bug —
-   exactly what the soak hunts) must fail the run, not hang it. The
-   wait is on [idle], like [await_idle]'s; a timer at the
-   timeout (on worker 0) broadcasts it too, and so does [shutdown],
-   after which no worker fires that timer. *)
+   exactly what the soak hunts) must fail the run, not hang it, even a
+   task that never suspends. So no worker takes part in the wait: the
+   caller reads an alarm of its own, armed for the timeout, which the
+   task that brings [live] to 0 and [shutdown] set off at once. *)
 let try_await_idle t ~timeout =
-  let expired = ref false in
-  let timer =
-    add_timer t ~delay:timeout (fun () ->
-        Mutex.lock t.lock;
-        expired := true;
-        Condition.broadcast t.idle;
-        Mutex.unlock t.lock)
-  in
+  let deadline = wall () +. timeout in
+  let alarm = alarm_create () and buf = Bytes.create 8 in
   Mutex.lock t.lock;
-  while t.live > 0 && not (!expired || t.stopping) do
-    Condition.wait t.idle t.lock
+  while t.live > 0 && (not t.stopping) && wall () < deadline do
+    alarm_set alarm deadline;
+    t.idle_alarms <- alarm :: t.idle_alarms;
+    Mutex.unlock t.lock;
+    (try ignore (Unix.read alarm buf 0 8)
+     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    Mutex.lock t.lock;
+    t.idle_alarms <- List.filter (fun a -> a != alarm) t.idle_alarms
   done;
   let idle = t.live = 0 in
   Mutex.unlock t.lock;
-  timer.Runtime.tcancel ();
+  Unix.close alarm;
   idle
 
 (* Stop the dispatchers, then join the domains. The caller must first
    unblock its daemon tasks (close their mailboxes): a domain only
    terminates once every fiber it started has finished. A worker that
-   has exited never parks again, so no later push or arm writes its
-   pipe, and the pipes can be closed. *)
+   has exited never parks again, so no later push, arm or cancel
+   touches its pipe or alarm, and they can be closed. *)
 let shutdown t =
   Mutex.lock t.lock;
   if t.stopping then Mutex.unlock t.lock
   else begin
     t.stopping <- true;
-    Condition.broadcast t.idle;
+    signal_idle t;
     Mutex.unlock t.lock;
     Array.iter
       (fun w ->
@@ -347,7 +369,9 @@ let shutdown t =
       t.workers;
     List.iter Domain.join t.domains;
     t.domains <- [];
-    Array.iter (fun w -> List.iter Unix.close [ w.pipe_r; w.pipe_w ]) t.workers
+    Array.iter
+      (fun w -> List.iter Unix.close [ w.pipe_r; w.pipe_w; w.alarm ])
+      t.workers
   end
 
 type sched_stats = { resumed : int; parks : int; wakeups : int }

@@ -15,14 +15,20 @@
     wait or busy-wait stalls its whole domain, as does a [Mutex] held
     across a suspension (a same-domain relock raises [Sys_error]).
     Threads outside the pool await gates on a condvar of their own.
-    No determinism or virtual time: the sim backend is the oracle. *)
+    No determinism or virtual time: the sim backend is the oracle.
+
+    An idle worker parks in [select] on its pipe, which a push
+    writes, and its alarm, a Linux [timerfd] armed for its earliest
+    timer; an arm or a cancel moves the alarm of a parked worker
+    without waking it. *)
 
 type t
 (** A running pool of worker domains. *)
 
 val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains] worker domains (default 1)
-    and no other thread. @raise Invalid_argument if [domains < 1]. *)
+    and no other thread. @raise Invalid_argument if [domains < 1].
+    @raise Failure on a system without [timerfd] (not Linux). *)
 
 val runtime : t -> Runtime.t
 (** The pool as a {!Runtime.t} (name ["mc"]). *)
@@ -37,11 +43,10 @@ val await_idle : t -> unit
 
 val try_await_idle : t -> timeout:float -> bool
 (** Like {!await_idle} but gives up after [timeout] wall-clock
-    seconds (a timer on worker 0 wakes the wait), returning [false] with
-    tasks still live. Used by the chaos harness: a task stuck on a
-    gate must fail the soak, not hang it. A task that never suspends
-    breaks the blocking contract, and on worker 0 it also keeps the
-    timer from firing. Once {!shutdown} has begun it returns
+    seconds, returning [false] with tasks still live. Used by the
+    chaos harness: a stuck task must fail the soak, not hang it. No
+    worker takes part in the wait (the caller reads an alarm of its
+    own), so the timeout holds even while a task never suspends. Once {!shutdown} has begun it returns
     at once, [true] only if no task is live. Do not call {!shutdown}
     after a [false] return — a domain waits for its stuck fiber
     forever; report and exit instead. *)
@@ -68,10 +73,10 @@ type timer_stats = {
   fired : int;
   purged : int;  (** timers cancelled before they fired *)
   wakeups : int;
-      (** worker parks that a timer ended: its deadline came, or an arm
-          due before the park's end woke the worker. A cancel removes
-          the timer at once, so a deadline cancelled before a park
-          never sets its end *)
+      (** worker parks that a timer ended: the alarm, armed for the
+          earliest pending timer, went off. An arm or a cancel moves a
+          parked worker's alarm without waking it, so a cancelled
+          deadline never ends a park *)
 }
 
 val timer_stats : t -> timer_stats

@@ -860,25 +860,36 @@ let conformance name make =
 
 let wheel_wakeups pool = (Runtime_mc.timer_stats pool).Runtime_mc.wakeups
 
-(* Every RPC arms a retransmission timer from its task and cancels it
-   when its replies arrive. Cancelled timers, with deadlines spread
-   over 150 ms here, must not keep setting the worker's park deadline:
-   the worker is running while its task arms, so no arm wakes it, and
-   a cancelled deadline is gone before the worker parks. *)
+(* Every RPC arms a retransmission timer and cancels it when its
+   replies arrive. Cancelled timers, with deadlines spread over 150 ms
+   here, must not keep setting the worker's park deadline. The main
+   thread arms on worker 0 from outside the pool, while the worker is
+   parked; an RPC arms from its task, while the worker runs. *)
 let test_mc_cancelled_timers_no_wakeups () =
-  with_pool ~domains:1 @@ fun pool rt ->
-  let before = wheel_wakeups pool in
-  Runtime.spawn rt (fun () ->
-      for i = 0 to 9_999 do
-        let delay = 0.01 +. (float_of_int i *. 0.000015) in
-        (rt.Runtime.timer ~delay ignore).Runtime.tcancel ()
-      done);
-  Runtime_mc.await_idle pool;
-  Thread.delay 0.2;
-  let woke = wheel_wakeups pool - before in
-  Alcotest.(check bool)
-    (Printf.sprintf "worker woke for a timer %d times in 200 ms" woke)
-    true (woke <= 8)
+  let arm_and_cancel rt =
+    for i = 0 to 9_999 do
+      let delay = 0.01 +. (float_of_int i *. 0.000015) in
+      (rt.Runtime.timer ~delay ignore).Runtime.tcancel ()
+    done
+  in
+  List.iter
+    (fun (from, arms) ->
+      with_pool ~domains:1 @@ fun pool rt ->
+      let before = wheel_wakeups pool in
+      arms pool rt;
+      Thread.delay 0.2;
+      let woke = wheel_wakeups pool - before in
+      Alcotest.(check bool)
+        (Printf.sprintf "worker woke for a timer %d times in 200 ms (%s)" woke
+           from)
+        true (woke <= 8))
+    [
+      ("main thread", fun _ rt -> arm_and_cancel rt);
+      ( "task",
+        fun pool rt ->
+          Runtime.spawn rt (fun () -> arm_and_cancel rt);
+          Runtime_mc.await_idle pool );
+    ]
 
 (* A cancelled timer's handle outlives the cancel (the caller may keep
    it); the callback must not live on with it, or whatever it captures
@@ -1054,8 +1065,26 @@ let test_mc_try_await_idle_times_out () =
         (took >= 0.1 && took < 1.));
   Runtime_mc.await_idle pool
 
-(* The timer that ends the wait goes on worker 0, which has exited
-   after shutdown: the wait must not depend on it afterwards. *)
+(* The wait must end at its timeout even while worker 0 is busy: a
+   task there that never suspends (which the blocking contract
+   forbids, and which a soak may hit) keeps its dispatcher from any
+   timer. *)
+let test_mc_try_await_idle_worker_busy () =
+  with_pool ~domains:1 @@ fun pool rt ->
+  let spin_until = Runtime_mc.now pool +. 0.6 in
+  Runtime.spawn rt (fun () ->
+      while Runtime_mc.now pool < spin_until do Domain.cpu_relax () done);
+  let idle, took =
+    timed (fun () -> Runtime_mc.try_await_idle pool ~timeout:0.1)
+  in
+  Alcotest.(check bool) "busy task reported" false idle;
+  Alcotest.(check bool)
+    (Printf.sprintf "gave up after %.3f s, before the task ended" took)
+    true
+    (took >= 0.1 && took < 0.4);
+  Runtime_mc.await_idle pool
+
+(* After shutdown no worker runs: the wait must return at once. *)
 let test_mc_try_await_idle_after_shutdown () =
   let pool = Runtime_mc.create ~domains:1 () in
   Runtime_mc.shutdown pool;
@@ -1107,6 +1136,8 @@ let () =
             test_mc_try_await_idle_prompt;
           Alcotest.test_case "try_await_idle times out" `Quick
             test_mc_try_await_idle_times_out;
+          Alcotest.test_case "try_await_idle times out past a busy worker"
+            `Quick test_mc_try_await_idle_worker_busy;
           Alcotest.test_case "try_await_idle after shutdown" `Quick
             test_mc_try_await_idle_after_shutdown;
         ] );
