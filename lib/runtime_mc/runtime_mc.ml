@@ -56,8 +56,7 @@ type t = {
   workers : worker array;
   rr : int Atomic.t;  (* round-robin spawn cursor *)
   lock : Mutex.t;  (* guards live / stopping *)
-  idle : Condition.t;  (* signalled when live returns to 0 *)
-  mutable idle_alarms : Unix.file_descr list;  (* of [try_await_idle]s *)
+  mutable idle_alarms : Unix.file_descr list;  (* of idle waits *)
   mutable live : int;  (* non-daemon tasks queued or running *)
   mutable stopping : bool;
   t0 : float;
@@ -154,9 +153,7 @@ let timer_stats t =
     t.workers
 
 (* [t.lock] held; [live] is 0 or the pool is stopping. *)
-let signal_idle t =
-  Condition.broadcast t.idle;
-  List.iter (fun a -> alarm_set a neg_infinity) t.idle_alarms
+let signal_idle t = List.iter (fun a -> alarm_set a neg_infinity) t.idle_alarms
 
 (* ---- the dispatcher ------------------------------------------------ *)
 
@@ -301,7 +298,6 @@ let create ?(domains = 1) () =
             });
       rr = Atomic.make 0;
       lock = Mutex.create ();
-      idle = Condition.create ();
       idle_alarms = [];
       live = 0;
       stopping = false;
@@ -318,19 +314,12 @@ let spawn_daemon t f = enqueue t ~daemon:true f
 
 (* Wait for every non-daemon task to finish (daemon tasks — the
    transport's receive loops — are excluded, or this would never
-   return). *)
-let await_idle t =
-  Mutex.lock t.lock;
-  while t.live > 0 do
-    Condition.wait t.idle t.lock
-  done;
-  Mutex.unlock t.lock
-
-(* Bounded variant for chaos soaks: a stuck task (a liveness bug —
-   exactly what the soak hunts) must fail the run, not hang it, even a
-   task that never suspends. So no worker takes part in the wait: the
-   caller reads an alarm of its own, armed for the timeout, which the
-   task that brings [live] to 0 and [shutdown] set off at once. *)
+   return), for [timeout] seconds at most. A stuck task (a liveness
+   bug — exactly what a chaos soak hunts) must fail the soak, not hang
+   it, even a task that never suspends. So no worker takes part in the
+   wait: the caller reads an alarm of its own, armed for the timeout,
+   which the task that brings [live] to 0 and [shutdown] set off at
+   once. *)
 let try_await_idle t ~timeout =
   let deadline = wall () +. timeout in
   let alarm = alarm_create () and buf = Bytes.create 8 in
@@ -348,6 +337,8 @@ let try_await_idle t ~timeout =
   Mutex.unlock t.lock;
   Unix.close alarm;
   idle
+
+let await_idle t = ignore (try_await_idle t ~timeout:infinity)
 
 (* Stop the dispatchers, then join the domains. The caller must first
    unblock its daemon tasks (close their mailboxes): a domain only

@@ -39,17 +39,18 @@ val spawn_daemon : t -> (unit -> unit) -> unit
     mailbox closes. *)
 
 val await_idle : t -> unit
-(** Block until every non-daemon task has finished. *)
+(** Block until every non-daemon task has finished, or {!shutdown}
+    has begun. *)
 
 val try_await_idle : t -> timeout:float -> bool
 (** Like {!await_idle} but gives up after [timeout] wall-clock
     seconds, returning [false] with tasks still live. Used by the
     chaos harness: a stuck task must fail the soak, not hang it. No
     worker takes part in the wait (the caller reads an alarm of its
-    own), so the timeout holds even while a task never suspends. Once {!shutdown} has begun it returns
-    at once, [true] only if no task is live. Do not call {!shutdown}
-    after a [false] return — a domain waits for its stuck fiber
-    forever; report and exit instead. *)
+    own), so the timeout holds even while a task never suspends. Once
+    {!shutdown} has begun it returns at once, [true] only if no task
+    is live. Do not call {!shutdown} after a [false] return — a domain
+    waits for its stuck fiber forever; report and exit instead. *)
 
 val shutdown : t -> unit
 (** Stop the dispatchers and join the domains; timers still pending
