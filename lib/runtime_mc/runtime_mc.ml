@@ -163,9 +163,9 @@ let signal_idle t = List.iter (fun a -> alarm_set a neg_infinity) t.idle_alarms
    suspension. A woken or yielding fiber is pushed back to this, its
    home worker (mailbox FIFO per sender needs a sender to stay on one
    domain). With nothing to do the worker parks on its pipe and its
-   alarm, armed for its earliest timer. It exits once the pool is stopping with the
-   queue empty and none of its fibers alive; pending timers are
-   dropped. *)
+   alarm, armed for its earliest timer. It exits once the pool is
+   stopping with the queue empty and none of its fibers alive; pending
+   timers are dropped. *)
 let dispatcher t w =
   Domain.DLS.set self_key (Some (t.workers, w));
   let sched =
