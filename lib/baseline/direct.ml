@@ -28,7 +28,7 @@ let block_size t = t.block_size
 let runtime t = Substrate.runtime t.substrate
 
 let create ?seed ?(block_size = 1024) ~m ~n () =
-  let codec = Core.Cluster.default_codec ~m ~n in
+  let codec = Core.Config.default_codec ~m ~n in
   let substrate = Substrate.create ?seed ~n () in
   let rpc =
     Substrate.rpc substrate ~req_bytes:bytes_on_wire ~rep_bytes:bytes_on_wire

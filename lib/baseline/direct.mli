@@ -23,7 +23,7 @@ type t
 val create :
   ?seed:int -> ?block_size:int -> m:int -> n:int -> unit -> t
 (** A cluster of [n] storage devices holding one [m]-of-[n] encoded
-    stripe per register index ({!Core.Cluster.default_codec}), on a
+    stripe per register index ({!Core.Config.default_codec}), on a
     sim {!Core.Cluster.Substrate}. *)
 
 val block_size : t -> int

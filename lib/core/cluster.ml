@@ -267,46 +267,16 @@ type t = {
   recoverers : Coordinator.t array;
 }
 
-let default_codec ~m ~n =
-  if m = 1 then Erasure.Codec.replication ~n ()
-  else if n = m + 1 then Erasure.Codec.parity ~m ()
-  else Erasure.Codec.rs ~m ~n ()
-
-(* The stripe policies and brick count: one uniform m-of-n policy over
-   [layout], or a caller's per-stripe [policy_of] over [bricks]. *)
-let placement ?bricks ?layout ?policy_of ?m ?n () =
-  match (policy_of, m, n) with
-  | Some policy_of, None, None ->
-      let nbricks =
-        match bricks with
-        | Some b -> b
-        | None -> invalid_arg "Core.Cluster.create: policy_of needs bricks"
-      in
-      (nbricks, policy_of)
-  | None, Some m, Some n ->
-      let nbricks = Option.value bricks ~default:n in
-      if nbricks < n then invalid_arg "Core.Cluster.create: bricks < n";
-      let layout =
-        match layout with
-        | Some f -> f
-        | None ->
-            if nbricks = n then fun _ -> Array.init n (fun i -> i)
-            else fun s -> Array.init n (fun i -> (s + i) mod nbricks)
-      in
-      let codec = default_codec ~m ~n in
-      let mq = Quorum.Mquorum.create ~n ~m in
-      let policy_of stripe =
-        Config.make_policy ~codec ~mq ~members:(layout stripe)
-      in
-      (* Validate eagerly on a representative stripe. *)
-      ignore (policy_of 0);
-      (nbricks, policy_of)
-  | _ -> invalid_arg "Core.Cluster.create: give ~m and ~n, or ~policy_of"
-
-let create ?backend ?seed ?net_config ?bricks ?layout ?policy_of
-    ?(block_size = 1024) ?gc_enabled ?optimized_modify ?deadline
-    ?unsafe_skip_order ?retry_every ?retry_backoff ?retry_cap ?m ?n () =
-  let nbricks, policy_of = placement ?bricks ?layout ?policy_of ?m ?n () in
+let create ?backend ?seed ?net_config ?bricks ?(block_size = 1024)
+    ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order ?retry_every
+    ?retry_backoff ?retry_cap ?m ?n () =
+  let nbricks =
+    match (bricks, n) with
+    | Some b, _ | None, Some b -> b
+    | None, None -> invalid_arg "Core.Cluster.create: give ~n or ~bricks"
+  in
+  if Option.is_some m <> Option.is_some n then
+    invalid_arg "Core.Cluster.create: give ~m and ~n together";
   let substrate = Substrate.create ?backend ?seed ?net_config ~n:nbricks () in
   let runtime = Substrate.runtime substrate in
   let metrics = Substrate.metrics substrate in
@@ -317,9 +287,16 @@ let create ?backend ?seed ?net_config ?bricks ?layout ?policy_of
       ~rep_label:Message.label ?retry_every ?retry_backoff ?retry_cap ()
   in
   let cfg =
-    Config.create ~policy_of ~block_size ~runtime ~rpc ~metrics ~obs
+    Config.create ~bricks:nbricks ~block_size ~runtime ~rpc ~metrics ~obs
       ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order ()
   in
+  (match (m, n) with
+  | Some m, Some n -> (
+      try ignore (Config.add_range cfg ~m ~n ())
+      with e ->
+        Substrate.shutdown substrate;
+        raise e)
+  | _ -> ());
   let bricks =
     Array.init nbricks (fun id -> Brick.create ~metrics ~obs runtime ~id)
   in

@@ -115,18 +115,11 @@ type t = {
           [bricks + i]. *)
 }
 
-val default_codec : m:int -> n:int -> Erasure.Codec.t
-(** The codec every m-of-n deployment uses unless told otherwise:
-    [replication] when [m = 1], XOR [parity] when [n = m + 1],
-    Reed-Solomon otherwise. *)
-
 val create :
   ?backend:backend ->
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?bricks:int ->
-  ?layout:(int -> Simnet.Net.addr array) ->
-  ?policy_of:(int -> Config.policy) ->
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
@@ -140,20 +133,19 @@ val create :
   unit ->
   t
 (** [create ~m ~n ()] builds an m-of-n system on [backend] (default
-    [Sim]). Defaults: {!default_codec}, [bricks = n], identity layout
-    (brick [i] stores block [i] of every stripe) when [bricks = n] and
-    a rotating layout (stripe [s] uses bricks [(s + i) mod bricks])
-    otherwise, 1 KiB blocks, GC on. On sim, [seed] (default 42) drives
-    the engine and the {!faultnet}, and [net_config] is the channel
-    (default: unit delay, no jitter, no loss). Every coordinator's
-    {!Clock} reads the deployment's [runtime] clock with zero skew;
-    skew one with {!Clock.set_skew}.
+    [Sim]): [bricks] bricks (default [n]) and one unbounded range of
+    stripes from 0 ({!Config.add_range}) with {!Config.default_codec}
+    and {!Layout.default}: brick [i] stores block [i] of every stripe
+    when [bricks = n], stripe [s] uses bricks [(s + i) mod bricks]
+    otherwise. Defaults: 1 KiB blocks, GC on. On sim, [seed] (default
+    42) drives the engine and the {!faultnet}, and [net_config] is the
+    channel (default: unit delay, no jitter, no loss). Every
+    coordinator's {!Clock} reads the deployment's [runtime] clock with
+    zero skew; skew one with {!Clock.set_skew}.
 
-    [create ~bricks ~policy_of ()] instead takes each stripe's codec,
-    quorum system and members from [policy_of], which may be backed by
-    a mutable table — multi-volume brick pools allocate stripe ranges
-    on the fly (see {!Fab.Pool}). Give either [m] and [n] or
-    [policy_of], not both.
+    [create ~bricks ()], without [m] and [n], starts with an empty
+    range table: multi-volume brick pools add a bounded range per
+    volume ({!Fab.Pool}, {!Fab.Volume.create}).
 
     On stripes with [m > f], a coordinator's repeat
     {!Coordinator.write_stripe} skips the Order round when its own last
@@ -179,16 +171,15 @@ val create :
     the brick's receive loop (DESIGN 4i). Verify protocol behavior on
     sim; benchmark wall-clock numbers and hunt races on mc. Tear an mc
     deployment down with {!shutdown}.
-    @raise Invalid_argument on [bricks < n], on [policy_of] without
-    [bricks], or on neither or both of ([m], [n]) and [policy_of]. *)
+    @raise Invalid_argument on [bricks < n], on an invalid m-of-n
+    code, on [m] without [n] or [n] without [m], or on neither [n] nor
+    [bricks]. *)
 
 val create_mc :
   domains:int ->
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?bricks:int ->
-  ?layout:(int -> Simnet.Net.addr array) ->
-  ?policy_of:(int -> Config.policy) ->
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->

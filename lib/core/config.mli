@@ -1,33 +1,36 @@
 (** Shared configuration of a storage-register deployment.
 
     One [Config.t] describes a set of bricks jointly serving many
-    stripes. Each stripe is governed by a {!policy} — its erasure
-    codec, its m-quorum parameters and the addresses of the bricks
-    storing its blocks. A single-volume deployment uses one uniform
-    policy; a FAB brick pool hosting several logical volumes with
-    different redundancy schemes maps disjoint stripe ranges to
-    different policies ({!Fab.Pool}). Every brick — replicas and
-    coordinators — holds the same configuration, mirroring FAB's
-    replicated volume-layout metadata. *)
+    stripes. Each stripe is governed by a {!policy}: its erasure
+    codec, its m-quorum system and the bricks storing its blocks.
+    Policies live in a table of stripe ranges, each bound to one
+    m-of-n code and one {!Layout.kind}; a range's rows are built and
+    validated once, when it is added, and a lookup allocates nothing.
+    A single-volume deployment has one unbounded range from stripe 0
+    ({!Cluster.create}); a FAB brick pool adds one bounded range per
+    logical volume ({!Fab.Pool}). Every brick (replicas and
+    coordinators) reads the same table, mirroring FAB's replicated
+    volume-layout metadata. *)
 
-type policy = {
-  codec : Erasure.Codec.t;
+type policy = private {
+  codec : Erasure.Codec.t;  (** Shared by every stripe of the range. *)
   mq : Quorum.Mquorum.t;
   members : Simnet.Net.addr array;
       (** Index [i] stores encoded block [i] (data for [i < m], parity
           for [i >= m]). *)
+  member_list : Simnet.Net.addr list;  (** [members] as a list. *)
+  positions : int option array;
+      (** Brick [b] stores block [i] iff [positions.(b) = Some i]. *)
 }
 
-val make_policy :
-  codec:Erasure.Codec.t ->
-  mq:Quorum.Mquorum.t ->
-  members:Simnet.Net.addr array ->
-  policy
-(** @raise Invalid_argument if the codec's (m, n), the quorum system's
-    (m, n) and the member count disagree. *)
+type range
+(** A run of stripe ids bound to one code and layout. *)
 
-type t = {
-  policy_of : int -> policy;  (** stripe -> its policy *)
+type t = private {
+  bricks : int;  (** Addresses [0 .. bricks-1]. *)
+  ranges : range array Atomic.t;
+      (** In stripe order; grown by {!add_range} while other domains
+          read it. *)
   block_size : int;
   runtime : Runtime.t;
       (** The execution substrate every layer schedules on: the
@@ -67,7 +70,7 @@ type t = {
 }
 
 val create :
-  policy_of:(int -> policy) ->
+  bricks:int ->
   block_size:int ->
   runtime:Runtime.t ->
   rpc:(Message.t, Message.t) Quorum.Rpc.t ->
@@ -79,12 +82,29 @@ val create :
   ?unsafe_skip_order:bool ->
   unit ->
   t
-(** [policy_of stripe] gives each stripe's codec, quorum system and
-    members: one policy for every stripe in a uniform deployment, or
-    per-stripe ones in a multi-volume brick pool.
+(** A deployment over [bricks] bricks with an empty range table.
     @raise Invalid_argument if [block_size <= 0] or [deadline <= 0]. *)
 
+val default_codec : m:int -> n:int -> Erasure.Codec.t
+(** The codec of every m-of-n range: [replication] when [m = 1], XOR
+    [parity] when [n = m + 1], Reed-Solomon otherwise. *)
+
+val add_range :
+  t -> ?layout:Layout.kind -> m:int -> n:int -> ?stripes:int -> unit -> int
+(** Bind the next [stripes] stripe ids, after every range so far, to
+    {!default_codec}[ ~m ~n] laid out by [layout] (default
+    {!Layout.default}); omit [stripes] for an unbounded range. Returns
+    the range's first stripe id. A range is never unbound, so its ids
+    are never reused. Safe to call while other domains look policies
+    up.
+    @raise Invalid_argument if [stripes <= 0], the code or layout is
+    invalid (see {!Layout.table}), or an unbounded range already holds
+    every later id. *)
+
 val policy : t -> stripe:int -> policy
+(** The stripe's row: row [(stripe - first) mod rows] of its range.
+    @raise Invalid_argument if no range holds [stripe]. *)
+
 val codec : t -> stripe:int -> Erasure.Codec.t
 val m : t -> stripe:int -> int
 val n : t -> stripe:int -> int
@@ -97,4 +117,5 @@ val members : t -> stripe:int -> Simnet.Net.addr list
 val members_array : t -> stripe:int -> Simnet.Net.addr array
 
 val pos_of_addr : t -> stripe:int -> Simnet.Net.addr -> int option
-(** The block position a brick holds for a stripe, per the policy. *)
+(** The block position a brick holds for a stripe, per the policy;
+    the address must be one of the deployment's bricks. *)

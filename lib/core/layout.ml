@@ -25,14 +25,28 @@ let shuffled_prefix ~seed ~stripe ~bricks ~n =
   done;
   Array.sub arr 0 n
 
+let default ~bricks ~n = if bricks = n then Fixed else Rotating
+
 let make kind ~bricks ~n =
-  if n > bricks then invalid_arg "Fab.Layout.make: n > bricks";
+  if n > bricks then invalid_arg "Core.Layout.make: n > bricks";
   match kind with
   | Fixed ->
-      if bricks <> n then invalid_arg "Fab.Layout.make: Fixed needs bricks = n";
+      if bricks <> n then
+        invalid_arg "Core.Layout.make: Fixed needs bricks = n";
       fun _ -> Array.init n Fun.id
   | Rotating -> fun stripe -> Array.init n (fun i -> (stripe + i) mod bricks)
   | Random seed -> fun stripe -> shuffled_prefix ~seed ~stripe ~bricks ~n
+
+let table kind ~bricks ~n ~stripes =
+  let members = make kind ~bricks ~n in
+  let rows =
+    match (kind, stripes) with
+    | Fixed, _ -> 1
+    | Rotating, _ -> bricks
+    | Random _, Some s -> s
+    | Random _, None -> invalid_arg "Core.Layout.table: Random needs a bound"
+  in
+  Array.init rows members
 
 let pp_kind fmt = function
   | Fixed -> Format.pp_print_string fmt "fixed"

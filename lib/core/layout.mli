@@ -6,7 +6,8 @@
     logical blocks unlikely (section 3's layout remark). All schemes
     are deterministic functions of the stripe number, mirroring FAB's
     replicated layout tables: every brick can compute every stripe's
-    members locally. *)
+    members locally. This module is the one place that knows them;
+    {!Config} tabulates them once per stripe range. *)
 
 type kind =
   | Fixed
@@ -20,10 +21,26 @@ type kind =
           shuffled [n]-subset of the bricks, matching the "random data
           striping" assumed by the paper's reliability analysis. *)
 
+val default : bricks:int -> n:int -> kind
+(** [Fixed] when [bricks = n], [Rotating] otherwise. *)
+
 val make : kind -> bricks:int -> n:int -> int -> Simnet.Net.addr array
 (** [make kind ~bricks ~n] is the layout function: [stripe -> members].
     Index [i] of the result stores encoded block [i].
     @raise Invalid_argument if [n > bricks], or [Fixed] with
     [bricks <> n]. *)
+
+val table :
+  kind ->
+  bricks:int ->
+  n:int ->
+  stripes:int option ->
+  Simnet.Net.addr array array
+(** The members of every distinct row of a range of [stripes] stripes
+    ([None]: unbounded), in order: stripe [s] of the range uses row
+    [s mod rows]. One row for [Fixed], [bricks] for [Rotating] (its
+    period), one per stripe for [Random].
+    @raise Invalid_argument as {!make}, or on [Random] with
+    [stripes = None]. *)
 
 val pp_kind : Format.formatter -> kind -> unit

@@ -40,14 +40,15 @@ val create_volume :
   name:string ->
   m:int ->
   n:int ->
-  ?layout:Layout.kind ->
+  ?layout:Core.Layout.kind ->
   stripes:int ->
   unit ->
   Volume.t
 (** Carve a new volume out of the pool: [stripes * m] logical blocks
     erasure-coded m-of-n over the pool's bricks with
-    {!Core.Cluster.default_codec}. Default layout:
-    [Rotating] (or [Fixed] when the pool has exactly [n] bricks).
+    {!Core.Config.default_codec}, on the next free stripe ids
+    ({!Core.Config.add_range}). Default layout: {!Core.Layout.default}
+    ([Rotating], or [Fixed] when the pool has exactly [n] bricks).
     @raise Invalid_argument if [n] exceeds the pool's brick count, the
     name is already taken, or the geometry is invalid. *)
 
@@ -56,9 +57,10 @@ val volume_names : t -> string list
 (** Sorted. *)
 
 val delete_volume : t -> string -> bool
-(** Forget the volume's name and policy binding; its stripe-id range
-    is never reused (the replicas' logs for it become garbage). Returns
-    [false] if no such volume. *)
+(** Forget the volume's name. Its stripe-id range stays bound to its
+    policy and is never reused, so an operation still in flight on the
+    volume completes; the replicas' logs for the range become garbage.
+    Returns [false] if no such volume. *)
 
 val run : ?horizon:float -> t -> unit
 val run_op : ?horizon:float -> t -> (unit -> 'a) -> 'a option

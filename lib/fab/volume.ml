@@ -22,15 +22,19 @@ let create ?backend ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
   if stripes <= 0 then invalid_arg "Fab.Volume.create: stripes <= 0";
   if pipeline_window < 1 then
     invalid_arg "Fab.Volume.create: pipeline_window < 1";
-  let nbricks = Option.value bricks ~default:n in
-  let layout = Option.map (fun k -> Layout.make k ~bricks:nbricks ~n) layout in
   let cluster =
-    Core.Cluster.create ?backend ?seed ?net_config ~bricks:nbricks ?layout
-      ~block_size ?gc_enabled ?optimized_modify ?deadline
-      ?unsafe_skip_order ?retry_backoff ?retry_cap ~m ~n ()
+    Core.Cluster.create ?backend ?seed ?net_config
+      ~bricks:(Option.value bricks ~default:n) ~block_size ?gc_enabled
+      ?optimized_modify ?deadline ?unsafe_skip_order ?retry_backoff
+      ?retry_cap ()
   in
-  { cluster; m; stripes; block_size; op_retries; pipeline_window;
-    stripe_offset = 0 }
+  match Core.Config.add_range cluster.cfg ?layout ~m ~n ~stripes () with
+  | stripe_offset ->
+      { cluster; m; stripes; block_size; op_retries; pipeline_window;
+        stripe_offset }
+  | exception e ->
+      Core.Cluster.shutdown cluster;
+      raise e
 
 (* Used by Fab.Pool: a volume that is a view onto a shared cluster. *)
 let of_cluster ~cluster ~m ~stripes ~block_size ~op_retries

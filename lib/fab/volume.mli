@@ -2,9 +2,9 @@
 
     The volume divides its logical block address space into stripes of
     [m] blocks; stripe [s] holds logical blocks [s*m .. s*m + m - 1]
-    and is one storage-register instance placed on [n] bricks by the
-    {!Layout}. Register instances share nothing and run in parallel,
-    exactly as the paper prescribes (section 4).
+    and is one storage-register instance placed on [n] bricks by a
+    {!Core.Layout}. Register instances share nothing and run in
+    parallel, exactly as the paper prescribes (section 4).
 
     Clients address the volume like a disk: read or write [count]
     blocks starting at an LBA, through a coordinator module on any
@@ -20,7 +20,7 @@ val create :
   ?seed:int ->
   ?net_config:Simnet.Net.config ->
   ?bricks:int ->
-  ?layout:Layout.kind ->
+  ?layout:Core.Layout.kind ->
   ?block_size:int ->
   ?gc_enabled:bool ->
   ?optimized_modify:bool ->
@@ -36,12 +36,14 @@ val create :
   unit ->
   t
 (** [create ~m ~n ~stripes ()] is a volume of [stripes * m] logical
-    blocks on [backend] (default [Sim]). Defaults: [bricks = n] with
-    the [Fixed] layout when [bricks] is omitted, [Rotating] otherwise;
-    other defaults as in {!Core.Cluster.create}. Constituent register operations are
-    retried up to [op_retries] times (default 3) on abort, the client
-    retry loop every disk driver runs; pass [~op_retries:1] to surface
-    raw aborts (the abort-rate experiments do).
+    blocks on [backend] (default [Sim]), the cluster's one range of
+    stripes ({!Core.Config.add_range}). Defaults: [bricks = n],
+    {!Core.Layout.default} ([Fixed] when [bricks = n], [Rotating]
+    otherwise); other defaults as in {!Core.Cluster.create}.
+    Constituent register operations are retried up to [op_retries]
+    times (default 3) on abort, the client retry loop every disk
+    driver runs; pass [~op_retries:1] to surface raw aborts (the
+    abort-rate experiments do).
 
     A request spanning several stripes dispatches its per-stripe
     operations concurrently, at most [pipeline_window] (default 8) in
@@ -59,9 +61,9 @@ val of_cluster :
   stripe_offset:int ->
   unit ->
   t
-(** A volume that is a view onto an existing cluster, owning the
-    global stripe ids [stripe_offset .. stripe_offset + stripes - 1].
-    Used by {!Pool}; most callers want {!create}. *)
+(** A volume that is a view onto stripes an existing cluster already
+    binds: the global stripe ids [stripe_offset .. stripe_offset +
+    stripes - 1]. Used by {!Pool}; most callers want {!create}. *)
 
 val stripe_offset : t -> int
 

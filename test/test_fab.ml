@@ -1,7 +1,8 @@
 (* Tests for the FAB volume layer: layouts and virtual-disk I/O. *)
 
 module V = Fab.Volume
-module Layout = Fab.Layout
+module Layout = Core.Layout
+module Pool = Fab.Pool
 
 let bs = 512
 
@@ -17,7 +18,7 @@ let test_fixed_layout () =
 
 let test_fixed_requires_equal () =
   Alcotest.check_raises "bricks <> n"
-    (Invalid_argument "Fab.Layout.make: Fixed needs bricks = n") (fun () ->
+    (Invalid_argument "Core.Layout.make: Fixed needs bricks = n") (fun () ->
       ignore (Layout.make Layout.Fixed ~bricks:6 ~n:5 0))
 
 let test_rotating_layout () =
@@ -65,6 +66,50 @@ let test_random_layout_balances () =
         true
         (float_of_int (abs (l - expected)) < 0.25 *. float_of_int expected))
     load
+
+(* Every policy accessor reads a row built when its range was added,
+   so a lookup allocates nothing: on a fixed cluster, a rotating
+   volume and a pool volume after another volume's range. *)
+let test_lookups_allocate_nothing () =
+  let module C = Core.Config in
+  let cfg cl = cl.Core.Cluster.cfg in
+  let pool = Pool.create ~bricks:6 ~block_size:bs () in
+  let _first = Pool.create_volume pool ~name:"a" ~m:1 ~n:3 ~stripes:2 () in
+  let pv = Pool.create_volume pool ~name:"b" ~m:2 ~n:4 ~stripes:8 () in
+  let setups =
+    [
+      ("fixed cluster", cfg (Core.Cluster.create ~m:2 ~n:4 ()), 3);
+      ( "rotating volume",
+        cfg (V.cluster (V.create ~bricks:6 ~m:2 ~n:4 ~stripes:8 ())),
+        5 );
+      ("pool volume", cfg (Pool.cluster pool), V.stripe_offset pv + 3);
+    ]
+  in
+  let keep x = ignore (Sys.opaque_identity x) in
+  let accessors =
+    [
+      ("m", fun cfg stripe -> keep (C.m cfg ~stripe));
+      ("n", fun cfg stripe -> keep (C.n cfg ~stripe));
+      ("quorum_size", fun cfg stripe -> keep (C.quorum_size cfg ~stripe));
+      ("fault_bound", fun cfg stripe -> keep (C.fault_bound cfg ~stripe));
+      ("codec", fun cfg stripe -> keep (C.codec cfg ~stripe));
+      ("members", fun cfg stripe -> keep (C.members cfg ~stripe));
+      ("members_array", fun cfg stripe -> keep (C.members_array cfg ~stripe));
+      ("pos_of_addr", fun cfg stripe -> keep (C.pos_of_addr cfg ~stripe 2));
+    ]
+  in
+  List.iter
+    (fun (setup, cfg, stripe) ->
+      List.iter
+        (fun (name, f) ->
+          let before = Gc.minor_words () in
+          for _ = 1 to 10_000 do
+            f cfg stripe
+          done;
+          let words = (Gc.minor_words () -. before) /. 10_000. in
+          Alcotest.(check (float 0.)) (setup ^ ": " ^ name) 0. words)
+        accessors)
+    setups
 
 (* --- volumes --- *)
 
@@ -129,7 +174,7 @@ let test_volume_over_more_bricks () =
 
 let test_volume_random_layout () =
   let v =
-    V.create ~m:2 ~n:4 ~bricks:10 ~layout:(Fab.Layout.Random 5) ~stripes:16
+    V.create ~m:2 ~n:4 ~bricks:10 ~layout:(Layout.Random 5) ~stripes:16
       ~block_size:bs ()
   in
   let data = pattern (16 * 2 * bs) 9 in
@@ -207,8 +252,6 @@ let test_volume_scrub () =
   | _ -> Alcotest.fail "second scrub should be clean"
 
 (* --- brick pools with multiple volumes --- *)
-
-module Pool = Fab.Pool
 
 let test_pool_two_volumes_isolated () =
   let pool = Pool.create ~bricks:10 ~block_size:bs () in
@@ -317,6 +360,26 @@ let test_pool_volume_management () =
   | Some (Ok got) -> Alcotest.(check bool) "readback" true (Bytes.equal got (Bytes.sub data 0 (2*bs)))
   | _ -> Alcotest.fail "read after delete"
 
+(* Deleting a volume forgets its name only: a write in flight on it,
+   whatever its phase at the delete, still completes. *)
+let test_pool_delete_in_flight () =
+  List.iter
+    (fun at ->
+      let pool = Pool.create ~bricks:5 ~block_size:bs () in
+      let v = Pool.create_volume pool ~name:"v" ~m:2 ~n:4 ~stripes:2 () in
+      let rt = (Pool.cluster pool).Core.Cluster.runtime in
+      let result = ref None in
+      Runtime.spawn rt (fun () ->
+          result := Some (V.write v ~coord:0 ~lba:0 (pattern (2 * bs) 5)));
+      ignore
+        (Runtime.timer rt ~delay:at (fun () ->
+             ignore (Pool.delete_volume pool "v")));
+      Pool.run pool;
+      match !result with
+      | Some (Ok ()) -> ()
+      | _ -> Alcotest.failf "write with a delete at t = %g did not finish" at)
+    [ 0.001; 0.5; 1.; 2.; 3. ]
+
 let () =
   Alcotest.run "fab"
     [
@@ -328,6 +391,8 @@ let () =
           Alcotest.test_case "rotating" `Quick test_rotating_layout;
           Alcotest.test_case "random properties" `Quick test_random_layout_properties;
           Alcotest.test_case "random balances load" `Quick test_random_layout_balances;
+          Alcotest.test_case "lookups allocate nothing" `Quick
+            test_lookups_allocate_nothing;
         ] );
       ( "volume",
         [
@@ -353,5 +418,7 @@ let () =
           Alcotest.test_case "volume management" `Quick
             test_pool_volume_management;
           Alcotest.test_case "two volumes on mc" `Quick test_pool_on_mc;
+          Alcotest.test_case "delete with a write in flight" `Quick
+            test_pool_delete_in_flight;
         ] );
     ]
