@@ -7,8 +7,7 @@ type t = {
   mutable crash_count : int;
   mutable next_hook : int;
   crash_hooks : (int, unit -> unit) Hashtbl.t;
-  scratch : (int, Bytes.t Stack.t) Hashtbl.t;
-  lk : Mutex.t;  (* guards crash_hooks / next_hook / scratch (mc backend) *)
+  lk : Mutex.t;  (* guards crash_hooks / next_hook (mc backend) *)
   disk_reads : Metrics.Counter.t;
   disk_writes : Metrics.Counter.t;
   nvram_writes : Metrics.Counter.t;
@@ -24,7 +23,6 @@ let create ?(metrics = Metrics.Registry.create ()) ?(obs = Obs.create ())
     crash_count = 0;
     next_hook = 0;
     crash_hooks = Hashtbl.create 8;
-    scratch = Hashtbl.create 4;
     lk = Mutex.create ();
     disk_reads = Metrics.Registry.counter metrics "disk.reads";
     disk_writes = Metrics.Registry.counter metrics "disk.writes";
@@ -70,37 +68,6 @@ let hook_count t =
   let n = Hashtbl.length t.crash_hooks in
   Mutex.unlock t.lk;
   n
-
-(* Scratch pool: transient per-brick buffers for codec computation.
-   Contents of a borrowed buffer are undefined; buffers must never be
-   handed to messages or logs, which retain references past the op. *)
-
-let max_pooled_per_len = 16
-
-let scratch_take t ~len =
-  if len <= 0 then invalid_arg "Brick.scratch_take: len <= 0";
-  Mutex.lock t.lk;
-  let b =
-    match Hashtbl.find_opt t.scratch len with
-    | Some s when not (Stack.is_empty s) -> Stack.pop s
-    | _ -> Bytes.create len
-  in
-  Mutex.unlock t.lk;
-  b
-
-let scratch_release t b =
-  let len = Bytes.length b in
-  Mutex.lock t.lk;
-  let s =
-    match Hashtbl.find_opt t.scratch len with
-    | Some s -> s
-    | None ->
-        let s = Stack.create () in
-        Hashtbl.add t.scratch len s;
-        s
-  in
-  if Stack.length s < max_pooled_per_len then Stack.push b s;
-  Mutex.unlock t.lk
 
 let emit_io t (ctx : Obs.ctx) kind =
   Obs.emit t.obs

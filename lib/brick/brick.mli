@@ -47,7 +47,9 @@ type hook
 val add_crash_hook : t -> (unit -> unit) -> hook
 (** [add_crash_hook t f] runs [f] (once) if the brick crashes. Use
     {!remove_crash_hook} when the protected resource completes
-    normally. *)
+    normally. The hook table is the one thing a brick locks: one mutex
+    guards it, so tasks on several multicore domains may add and remove
+    hooks at once, and {!crash} runs the hooks outside it. *)
 
 val remove_crash_hook : t -> hook -> unit
 
@@ -55,18 +57,6 @@ val hook_count : t -> int
 (** Currently registered crash hooks. At quiescence (no in-flight
     operations) only long-lived hooks remain, so tests use this to
     check that every transient hook was deregistered. *)
-
-val scratch_take : t -> len:int -> Bytes.t
-(** Borrow a [len]-byte scratch buffer from the brick's pool (allocating
-    if the pool is empty). Contents are undefined. Scratch buffers are
-    for transient codec computation only: anything handed to a message
-    or a log retains its reference past the operation and must NOT come
-    from here. Return the buffer with {!scratch_release}. *)
-
-val scratch_release : t -> Bytes.t -> unit
-(** Return a buffer obtained from {!scratch_take} to the pool. The pool
-    keeps a bounded number of buffers per length; extras are dropped for
-    the GC. *)
 
 val count_disk_read : ?blocks:int -> ?ctx:Obs.ctx -> t -> unit
 (** Account reading [blocks] (default 1) block-sized records from the

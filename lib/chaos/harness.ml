@@ -84,9 +84,9 @@ let run ?(backend = Sim) ?(m = 2) ?(n = 5) ?(stripes = 4) ?(clients = 3)
       if not (time_scale > 0.) then
         invalid_arg "Chaos.Harness.run: time_scale must be > 0";
       if clients > n then
-        (* Each mc client needs its own coordinator: the coordinator's
-           timestamp cache and retry hint are plain mutable state, not
-           safe to share between domains. *)
+        (* Each mc client needs its own coordinator: its retry hint
+           is a plain mutable flag (set by [hint_retry], read and
+           cleared by the next span), not safe to share between domains. *)
         invalid_arg "Chaos.Harness.run: mc backend needs clients <= n");
   let cl =
     Cluster.create

@@ -95,6 +95,8 @@ val run :
     units ({!Core.Clock.set_skew}): the paper's loosely synchronized
     clocks, which the order phase must tolerate.
     @raise Invalid_argument on [Mc] with [clients > n] (each
-    concurrent mc client needs a dedicated coordinator: its timestamp
-    cache is not shared between domains), [domains < 1], [time_scale <= 0], or a plan
+    concurrent mc client needs a dedicated coordinator: its retry
+    hint, set by {!Core.Coordinator.hint_retry} and read and cleared
+    by the next operation's span, is a plain mutable flag, not safe to
+    share between domains), [domains < 1], [time_scale <= 0], or a plan
     containing sim-only faults ({!Nemesis.install}'s rejections). *)

@@ -3,7 +3,6 @@ module Faultnet = Simnet.Faultnet
 
 type t = {
   cluster : Cluster.t;
-  base_drop : float;
   time_scale : float;
   lock : Mutex.t;
   mutable timers : Runtime.timer list;
@@ -142,8 +141,7 @@ let validate_events ~lenient ~rt ~plan_name cluster events =
                  plan_name msg))
     events
 
-let install ?(base_drop = 0.) ?(time_scale = 1.) ?(lenient = false) plan
-    cluster =
+let install ?(time_scale = 1.) ?(lenient = false) plan cluster =
   let n = Array.length cluster.Cluster.bricks in
   if Plan.max_brick plan >= n then
     invalid_arg
@@ -167,7 +165,6 @@ let install ?(base_drop = 0.) ?(time_scale = 1.) ?(lenient = false) plan
   let t =
     {
       cluster;
-      base_drop;
       time_scale;
       lock = Mutex.create ();
       timers = [];
@@ -208,7 +205,7 @@ let restore t =
       (fun () ->
         List.iter Runtime.cancel timers;
         let cl = t.cluster in
-        Faultnet.reset (Cluster.faultnet cl) ~drop:t.base_drop;
+        Faultnet.reset (Cluster.faultnet cl) ~drop:0.;
         List.iter
           (fun (i, skew) ->
             Core.Clock.set_skew

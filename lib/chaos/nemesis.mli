@@ -25,7 +25,7 @@
     The nemesis only {e applies} faults; it never repairs the
     deployment behind the protocol's back. Call {!restore} after the
     plan's horizon to return the environment (not the stored state) to
-    health: partitions healed, drop probability back to [base_drop],
+    health: partitions healed, drop probability back to 0,
     downed links revived, added delay/jitter removed, skewed clocks
     back at their pre-plan skew,
     crashed bricks recovered. Storage corruption is deliberately left
@@ -35,15 +35,13 @@
 type t
 
 val install :
-  ?base_drop:float ->
   ?time_scale:float ->
   ?lenient:bool ->
   Plan.t ->
   Core.Cluster.t ->
   t
 (** Schedule every event of the plan on the cluster's runtime.
-    [base_drop] (default [0.]) is the drop probability {!restore}
-    returns the network to. [time_scale] (default [1.], sim) maps one
+    [time_scale] (default [1.], sim) maps one
     plan time unit to that many backend time units — on mc, where
     time is wall-clock seconds, [~time_scale:0.001] runs a
     600-unit plan in 0.6 s. It scales [Slow]'s delays and [Skew]'s

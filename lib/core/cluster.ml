@@ -114,8 +114,7 @@ module Substrate = struct
      seconds on mc, hence the per-backend defaults: sim waits out one
      channel delay past a bare quorum and keeps the RPC layer's
      retransmission default; mc retransmits every 50 ms. *)
-  let rpc t ~req_bytes ~rep_bytes ?req_label ?rep_label ?retry_every
-      ?retry_backoff ?retry_cap () =
+  let rpc t ~req_bytes ~rep_bytes ?req_label ?rep_label ?retry_every () =
     let lost, carry, retry_every, grace =
       match t.on with
       | On_sim (_, net) ->
@@ -147,8 +146,7 @@ module Substrate = struct
         ~obs:t.obs ~faults:t.faults ~n:t.n ~lost ~carry ()
     in
     Quorum.Rpc.create ~rt:t.runtime ~transport ~metrics:t.metrics ~req_bytes
-      ~rep_bytes ?req_label ?rep_label ?retry_every ?retry_backoff ?retry_cap
-      ~grace ()
+      ~rep_bytes ?req_label ?rep_label ?retry_every ~grace ()
 
   let run ?(horizon = 100_000.) t =
     match t.on with
@@ -269,7 +267,7 @@ type t = {
 
 let create ?backend ?seed ?net_config ?bricks ?(block_size = 1024)
     ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order ?retry_every
-    ?retry_backoff ?retry_cap ?m ?n () =
+    ?m ?n () =
   let nbricks =
     match (bricks, n) with
     | Some b, _ | None, Some b -> b
@@ -284,7 +282,7 @@ let create ?backend ?seed ?net_config ?bricks ?(block_size = 1024)
   let rpc =
     Substrate.rpc substrate ~req_bytes:Message.bytes_on_wire
       ~rep_bytes:Message.bytes_on_wire ~req_label:Message.label
-      ~rep_label:Message.label ?retry_every ?retry_backoff ?retry_cap ()
+      ~rep_label:Message.label ?retry_every ()
   in
   let cfg =
     Config.create ~bricks:nbricks ~block_size ~runtime ~rpc ~metrics ~obs

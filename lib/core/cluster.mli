@@ -57,8 +57,6 @@ module Substrate : sig
     ?req_label:('req -> string) ->
     ?rep_label:('rep -> string) ->
     ?retry_every:float ->
-    ?retry_backoff:float ->
-    ?retry_cap:float ->
     unit ->
     ('req, 'rep) Quorum.Rpc.t
   (** An RPC layer over a fresh {!Quorum.Fabric} on this substrate,
@@ -126,8 +124,6 @@ val create :
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
   ?retry_every:float ->
-  ?retry_backoff:float ->
-  ?retry_cap:float ->
   ?m:int ->
   ?n:int ->
   unit ->
@@ -152,11 +148,11 @@ val create :
     full-quorum stripe store is the newest version it has seen (DESIGN
     4d); a first write, and every block write, costs Table 1's rounds.
 
-    Time-valued knobs ([deadline], [retry_every], [retry_cap]) are in
-    the backend's units: delta on sim, wall-clock seconds on mc (see
+    Time-valued knobs ([deadline], [retry_every]) are in the
+    backend's units: delta on sim, wall-clock seconds on mc (see
     {!Substrate.rpc} for the retransmission defaults). [deadline]
     bounds every coordinator operation (fail-fast [`Unavailable],
-    {!Config.t.deadline}); [retry_backoff]/[retry_cap] shape the RPC
+    {!Config.t.deadline}); [retry_every] starts the RPC
     retransmission schedule ({!Quorum.Rpc.create});
     [unsafe_skip_order] enables the deliberately broken protocol
     variant the chaos harness must catch
@@ -186,8 +182,6 @@ val create_mc :
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
   ?retry_every:float ->
-  ?retry_backoff:float ->
-  ?retry_cap:float ->
   ?m:int ->
   ?n:int ->
   unit ->

@@ -634,10 +634,10 @@ let read_blocks t ~stripe j0 ~len =
    version [tsj]. Every member gets the same [Patch] (the paper's
    Modify), unless [optimized_modify] (section 5.2): then an in-range
    data member gets its new block, a parity member the folded change
-   Σ c_{p,i}·δ_i of its own row, and any other member no payload. The
-   folds are built once per operation, the deltas on pooled scratch
-   buffers, and shared by retransmissions: replicas fold them without
-   mutating them. *)
+   Σ c_{p,i}·(old_i ⊕ new_i) of its own row, and any other member no
+   payload. The folds are built once per operation, straight from the
+   old and new blocks, and shared by retransmissions: replicas fold
+   them without mutating them. *)
 let modify_req t ~stripe j0 ~olds news ~tsj ts =
   let payload_of =
     if not t.cfg.Config.optimized_modify then
@@ -647,22 +647,13 @@ let modify_req t ~stripe j0 ~olds news ~tsj ts =
       let m = Config.m t.cfg ~stripe and len = Array.length news in
       let codec = Config.codec t.cfg ~stripe in
       let blen = t.cfg.Config.block_size in
-      let deltas =
-        Array.mapi
-          (fun i old_data ->
-            let d = Brick.scratch_take t.brick ~len:blen in
-            Erasure.Codec.delta_into ~old_data ~new_data:news.(i) ~into:d;
-            (j0 + i, d))
-          olds
-      in
       let folds =
         Array.init (Erasure.Codec.n codec - m) (fun parity_idx ->
             let fold = Bytes.make blen '\000' in
-            Erasure.Codec.apply_deltas_into codec ~parity_idx ~deltas
+            Erasure.Codec.fold_into codec ~parity_idx ~j0 ~olds ~news
               ~parity:fold;
             Message.Fold fold)
       in
-      Array.iter (fun (_, d) -> Brick.scratch_release t.brick d) deltas;
       fun dst ->
         let pos = pos_of t ~stripe dst in
         if pos >= m then folds.(pos - m)
@@ -832,37 +823,32 @@ let scrub t ~stripe =
          corrupted ones. Sound for up to (n - m) / 2 corruptions (the
          Reed-Solomon error-correction bound): the clean codeword then
          has strictly fewer mismatches than any other. Candidate
-         decode/encode runs entirely on brick scratch buffers, reused
-         across all C(k, m) subsets; only the winning codeword is
-         decoded into fresh blocks for the write-back. *)
+         decode/encode runs on buffers allocated once per call and
+         reused across all C(k, m) subsets; only the winning codeword
+         is decoded into fresh blocks for the write-back. *)
       let arr = Array.of_list current in
       let len = Bytes.length (snd (List.hd current)) in
-      let cn = Erasure.Codec.n codec in
-      let data_scratch =
-        Array.init m (fun _ -> Brick.scratch_take t.brick ~len)
-      in
-      let enc_scratch =
-        Array.init cn (fun i ->
-            if i < m then data_scratch.(i)
-            else Brick.scratch_take t.brick ~len)
+      let cand_data = Array.init m (fun _ -> Bytes.create len) in
+      let cand_enc =
+        Array.init (Erasure.Codec.n codec) (fun i ->
+            if i < m then cand_data.(i) else Bytes.create len)
       in
       let best = ref None in
       List.iter
         (fun subset ->
           let blocks = List.map (fun i -> arr.(i)) subset in
-          Erasure.Codec.decode_into codec blocks ~into:data_scratch;
-          Erasure.Codec.encode_into codec data_scratch ~into:enc_scratch;
+          Erasure.Codec.decode_into codec blocks ~into:cand_data;
+          Erasure.Codec.encode_into codec cand_data ~into:cand_enc;
           let mismatches =
             List.filter_map
               (fun (pos, b) ->
-                if Bytes.equal b enc_scratch.(pos) then None else Some pos)
+                if Bytes.equal b cand_enc.(pos) then None else Some pos)
               current
           in
           match !best with
           | Some (_, prev) when List.length prev <= List.length mismatches -> ()
           | _ -> best := Some (blocks, mismatches))
         (subsets m 0 (Array.length arr));
-      Array.iter (Brick.scratch_release t.brick) enc_scratch;
       match !best with
       | None -> Error `Aborted
       | Some (blocks, corrupted) ->

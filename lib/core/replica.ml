@@ -181,29 +181,19 @@ let handle_write t ctx stripe block ts =
    contiguous range of data blocks from [j0] (footnote 2). [parity] is
    [Some (parity_idx, newest)] exactly at a parity position, whose
    entry is a fresh copy of its newest real block [newest] (the log
-   retains it) with the range's change folded in: from a [Patch], each
-   block's delta lands in a pooled scratch buffer and all are applied
-   in one batched pass; a [Fold] already is that change and is XORed
-   in. A data member stores its new block, a [Patch]'s or a [Block];
-   any other member logs a timestamp-only marker. *)
+   retains it) with the range's change folded in: a [Patch]'s old and
+   new blocks are folded straight into it; a [Fold] already is that
+   change and is XORed in. A data member stores its new block, a
+   [Patch]'s or a [Block]; any other member logs a timestamp-only
+   marker. *)
 let modify_entry t ctx ~stripe ~pos ~parity j0 payload =
   match (payload, parity) with
   | Message.Patch { olds; news }, Some (parity_idx, newest) ->
       Brick.count_disk_read ~ctx t.brick;
       let out = Bytes.copy newest in
-      let blen = Bytes.length out in
-      let deltas =
-        Array.mapi
-          (fun i old_data ->
-            let d = Brick.scratch_take t.brick ~len:blen in
-            Erasure.Codec.delta_into ~old_data ~new_data:news.(i) ~into:d;
-            (j0 + i, d))
-          olds
-      in
-      Erasure.Codec.apply_deltas_into
+      Erasure.Codec.fold_into
         (Config.codec t.cfg ~stripe)
-        ~parity_idx ~deltas ~parity:out;
-      Array.iter (fun (_, d) -> Brick.scratch_release t.brick d) deltas;
+        ~parity_idx ~j0 ~olds ~news ~parity:out;
       Some out
   | Message.Patch { news; _ }, None ->
       if pos >= j0 && pos < j0 + Array.length news then Some news.(pos - j0)

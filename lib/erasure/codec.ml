@@ -16,11 +16,11 @@
      map in a bounded LRU keyed by the sorted surviving-index set, so
      repeated degraded reads and recovery over the same survivors skip
      Gaussian elimination and table setup entirely;
-   - parity-delta application goes through per-(parity, data)
+   - folding a block write into parity goes through per-(parity, data)
      precompiled multipliers;
-   - [encode_into]/[decode_into]/[reconstruct_into] write into
-     caller-provided buffers so steady-state paths can reuse scratch
-     instead of allocating per operation. *)
+   - [encode_into]/[decode_into] write into caller-provided buffers so
+     steady-state paths can reuse buffers instead of allocating per
+     operation. *)
 
 module F = Gf256.Field
 module M = Gf256.Matrix
@@ -30,12 +30,12 @@ type kind = Rs | Parity | Replication
 
 (* A memoized decode plan: the inverse of the generator submatrix for
    one sorted set of surviving indices, precompiled as a fused kernel
-   map. Reconstruction rows (generator row composed with the inverse)
-   are derived lazily per target index and memoized alongside. *)
+   map. The single-row maps that rebuild one erased data block (one
+   row of the inverse each) are compiled lazily and memoized alongside. *)
 type plan = {
   p_rows : K.rows; (* m x m: survivors -> data blocks *)
   p_coeffs : int array array; (* the inverse matrix itself *)
-  p_recon : K.rows option array; (* length n: survivors -> block idx *)
+  p_recon : K.rows option array; (* length m: survivors -> data block *)
 }
 
 type cached_plan = { plan : plan; mutable last_use : int }
@@ -210,7 +210,7 @@ let build_plan t idxs =
       {
         p_rows = K.make_rows t.kernel p_coeffs;
         p_coeffs;
-        p_recon = Array.make t.n None;
+        p_recon = Array.make t.m None;
       }
 
 let evict_lru cache =
@@ -292,53 +292,43 @@ let delta_into ~old_data ~new_data ~into =
   if into != new_data then Bytes.blit new_data 0 into 0 len;
   F.mul_slice ~dst:into ~src:old_data 1
 
-let check_delta_indices name t ~data_idx ~parity_idx =
-  if data_idx < 0 || data_idx >= t.m then
-    invalid_arg (Printf.sprintf "Erasure.Codec.%s: data_idx out of range" name);
+(* Fold a range write into one parity block: c.(old + new) =
+   c.old + c.new over GF(2^8), so each old block and each new block is
+   multiply-accumulated straight into [parity] and no delta is built.
+   Every index and size is checked before [parity] is touched. *)
+let fold_into t ~parity_idx ~j0 ~olds ~news ~parity =
   if parity_idx < 0 || parity_idx >= t.n - t.m then
-    invalid_arg
-      (Printf.sprintf "Erasure.Codec.%s: parity_idx out of range" name)
-
-let apply_delta_into t ~data_idx ~parity_idx ~delta ~parity =
-  check_delta_indices "apply_delta_into" t ~data_idx ~parity_idx;
-  if Bytes.length delta <> Bytes.length parity then
-    invalid_arg "Erasure.Codec.apply_delta_into: size mismatch";
-  K.mul_acc t.delta_muls.(parity_idx).(data_idx) ~dst:parity ~src:delta
-
-(* Fold several data-block deltas into one parity block. Equivalent to
-   iterating {!apply_delta_into}, with every index and size checked
-   before the parity is touched. *)
-let apply_deltas_into t ~parity_idx ~deltas ~parity =
-  if parity_idx < 0 || parity_idx >= t.n - t.m then
-    invalid_arg "Erasure.Codec.apply_deltas_into: parity_idx out of range";
+    invalid_arg "Erasure.Codec.fold_into: parity_idx out of range";
+  let k = Array.length news in
+  if Array.length olds <> k then
+    invalid_arg "Erasure.Codec.fold_into: olds and news differ in length";
+  if j0 < 0 || j0 + k > t.m then
+    invalid_arg "Erasure.Codec.fold_into: block range out of range";
   let len = Bytes.length parity in
-  Array.iter
-    (fun (data_idx, d) ->
-      if data_idx < 0 || data_idx >= t.m then
-        invalid_arg "Erasure.Codec.apply_deltas_into: data_idx out of range";
-      if Bytes.length d <> len then
-        invalid_arg "Erasure.Codec.apply_deltas_into: size mismatch")
-    deltas;
+  for i = 0 to k - 1 do
+    if Bytes.length olds.(i) <> len || Bytes.length news.(i) <> len then
+      invalid_arg "Erasure.Codec.fold_into: size mismatch"
+  done;
   let row = t.delta_muls.(parity_idx) in
-  Array.iter (fun (di, d) -> K.mul_acc row.(di) ~dst:parity ~src:d) deltas
+  for i = 0 to k - 1 do
+    K.mul_acc row.(j0 + i) ~dst:parity ~src:olds.(i);
+    K.mul_acc row.(j0 + i) ~dst:parity ~src:news.(i)
+  done
 
 let modify t ~data_idx ~parity_idx ~old_data ~new_data ~old_parity =
-  let delta = Bytes.create (Bytes.length old_data) in
-  delta_into ~old_data ~new_data ~into:delta;
   let parity = Bytes.copy old_parity in
-  apply_delta_into t ~data_idx ~parity_idx ~delta ~parity;
+  fold_into t ~parity_idx ~j0:data_idx ~olds:[| old_data |]
+    ~news:[| new_data |] ~parity;
   parity
 
 (* ------------------------------------------------------------------ *)
-(* Reconstruction                                                      *)
+(* Decode                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Rebuilding encoded block [idx] from survivors is the single linear
-   map gen_row(idx) . inv(sub), so we compose the coefficient vectors
-   (m scalar multiply-accumulates per entry) instead of materializing
-   the m intermediate data blocks. The compiled single-row map is
-   memoized on the plan, so steady-state recovery of the same block
-   from the same survivors pays no setup. *)
+(* Rebuilding erased data block [idx] from survivors is row [idx] of
+   the plan's inverse; the compiled single-row map is memoized on the
+   plan, so steady-state degraded reads of the same block from the
+   same survivors pay no setup. *)
 let recon_rows t plan ~idx =
   Mutex.lock t.plans.lock;
   let cached = plan.p_recon.(idx) in
@@ -346,18 +336,7 @@ let recon_rows t plan ~idx =
   match cached with
   | Some rows -> rows
   | None ->
-      let coeffs =
-        if idx < t.m then plan.p_coeffs.(idx)
-        else
-          Array.init t.m (fun k ->
-              let acc = ref 0 in
-              for j = 0 to t.m - 1 do
-                acc :=
-                  F.add !acc (F.mul (M.get t.gen idx j) plan.p_coeffs.(j).(k))
-              done;
-              !acc)
-      in
-      let rows = K.make_rows t.kernel [| coeffs |] in
+      let rows = K.make_rows t.kernel [| plan.p_coeffs.(idx) |] in
       Mutex.lock t.plans.lock;
       (* A racing builder produced an equivalent map; keep either. *)
       let rows =
@@ -389,24 +368,6 @@ let decode t blocks =
           K.apply_rows (recon_rows t plan ~idx:i) ~srcs ~dsts:[| d |];
           d)
     out
-
-let reconstruct_into t ~idx blocks ~into =
-  if idx < 0 || idx >= t.n then
-    invalid_arg "Erasure.Codec.reconstruct_into: index out of range";
-  let len = check_indexed_blocks t blocks in
-  if Bytes.length into <> len then
-    invalid_arg "Erasure.Codec.reconstruct_into: output block size mismatch";
-  let idxs, srcs = sorted_inputs blocks in
-  let plan = plan_for t idxs in
-  K.apply_rows (recon_rows t plan ~idx) ~srcs ~dsts:[| into |]
-
-let reconstruct_block t ~idx blocks =
-  if idx < 0 || idx >= t.n then
-    invalid_arg "Erasure.Codec.reconstruct_block: index out of range";
-  let len = check_indexed_blocks t blocks in
-  let out = Bytes.create len in
-  reconstruct_into t ~idx blocks ~into:out;
-  out
 
 let pp fmt t =
   let name =

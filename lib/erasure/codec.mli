@@ -110,48 +110,29 @@ val modify :
 
 val delta_into : old_data:Bytes.t -> new_data:Bytes.t -> into:Bytes.t -> unit
 (** [delta_into ~old_data ~new_data ~into] writes the XOR difference of
-    two versions of a data block, which {!apply_delta_into} folds into
-    a parity block, into the caller-provided buffer [into] (which may
-    be [new_data] itself for an in-place update, but must not be
-    [old_data]).
+    two blocks into the caller-provided buffer [into] (which may be
+    [new_data] itself for an in-place update, but must not be
+    [old_data]). A replica applies a bandwidth-optimized fold (paper
+    section 5.2) to its parity block with it.
     @raise Invalid_argument on length mismatch. *)
 
-val apply_delta_into :
-  t -> data_idx:int -> parity_idx:int -> delta:Bytes.t ->
-  parity:Bytes.t -> unit
-(** [apply_delta_into t ~data_idx ~parity_idx ~delta ~parity] folds a
-    delta ({!delta_into}) into [parity] in place:
-    [parity ^= coeff * delta]. [delta] must not alias [parity].
-    Composing {!delta_into} and [apply_delta_into] is {!modify}
-    without its allocations.
-    @raise Invalid_argument on out-of-range indices or size mismatch. *)
-
-val apply_deltas_into :
-  t -> parity_idx:int -> deltas:(int * Bytes.t) array -> parity:Bytes.t ->
-  unit
-(** [apply_deltas_into t ~parity_idx ~deltas ~parity] folds several
-    [(data_idx, delta)] pairs into [parity], one pass per pair.
-    Equivalent to calling {!apply_delta_into} once per pair, but checks
-    every pair before touching [parity]; used to fold a block-range
-    write into a parity block in one step, at the parity member or, for
-    the bandwidth-optimized write (paper section 5.2), into a zeroed
-    buffer at the coordinator.
-    Deltas must not alias [parity].
-    @raise Invalid_argument on out-of-range indices or size mismatch. *)
-
-val reconstruct_block : t -> idx:int -> (int * Bytes.t) list -> Bytes.t
-(** [reconstruct_block t ~idx blocks] rebuilds encoded block [idx]
-    (data or parity) from any [m] other encoded blocks; used when a
-    recovered brick re-syncs its block. Internally composes the
-    generator row with the cached decode plan, so no intermediate data
-    blocks are materialized. *)
-
-val reconstruct_into :
-  t -> idx:int -> (int * Bytes.t) list -> into:Bytes.t -> unit
-(** [reconstruct_into t ~idx blocks ~into] is {!reconstruct_block}
-    writing into the caller-provided buffer [into], which must not
-    alias any input block.
-    @raise Invalid_argument on shape or length mismatch. *)
+val fold_into :
+  t -> parity_idx:int -> j0:int -> olds:Bytes.t array ->
+  news:Bytes.t array -> parity:Bytes.t -> unit
+(** [fold_into t ~parity_idx ~j0 ~olds ~news ~parity] folds the write
+    of the contiguous data blocks [j0 .. j0 + k - 1] ([k] the length of
+    [news]) from [olds] to [news] into parity block [parity_idx] (in
+    [0, n - m)) in place. Over GF(2^8), [c * (old + new)] equals
+    [c * old + c * new], so each old block and then each new block is
+    multiply-accumulated straight into [parity] and no delta buffer is
+    built. Folding into a copy of the old parity block gives the new
+    one, as re-encoding the changed stripe would; folding into a zeroed
+    buffer gives the section 5.2 pre-folded change of one parity row.
+    Every index and size is checked before [parity] is touched. No
+    block of [olds] or [news] may alias [parity].
+    @raise Invalid_argument if [parity_idx] is out of range, [olds] and
+    [news] differ in length, the range leaves [0, m), or a block's
+    length differs from [parity]'s. *)
 
 val reset_plan_cache : t -> unit
 (** Drops every memoized decode plan and zeroes the hit/miss counters.

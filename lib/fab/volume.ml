@@ -16,8 +16,7 @@ type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
 
 let create ?backend ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
     ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order
-    ?retry_backoff ?retry_cap ?(op_retries = 3)
-    ?(pipeline_window = 8) ~m ~n ~stripes () =
+    ?(op_retries = 3) ?(pipeline_window = 8) ~m ~n ~stripes () =
   if op_retries < 1 then invalid_arg "Fab.Volume.create: op_retries < 1";
   if stripes <= 0 then invalid_arg "Fab.Volume.create: stripes <= 0";
   if pipeline_window < 1 then
@@ -25,8 +24,7 @@ let create ?backend ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
   let cluster =
     Core.Cluster.create ?backend ?seed ?net_config
       ~bricks:(Option.value bricks ~default:n) ~block_size ?gc_enabled
-      ?optimized_modify ?deadline ?unsafe_skip_order ?retry_backoff
-      ?retry_cap ()
+      ?optimized_modify ?deadline ?unsafe_skip_order ()
   in
   match Core.Config.add_range cluster.cfg ?layout ~m ~n ~stripes () with
   | stripe_offset ->
@@ -36,11 +34,22 @@ let create ?backend ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
       Core.Cluster.shutdown cluster;
       raise e
 
-(* Used by Fab.Pool: a volume that is a view onto a shared cluster. *)
+(* Used by Fab.Pool: a volume that is a view onto a shared cluster.
+   The view's geometry must be the cluster's: a wrong [m] maps LBAs to
+   the wrong blocks, a wrong [block_size] fails the first write. *)
 let of_cluster ~cluster ~m ~stripes ~block_size ~op_retries
     ?(pipeline_window = 8) ~stripe_offset () =
   if pipeline_window < 1 then
     invalid_arg "Fab.Volume.of_cluster: pipeline_window < 1";
+  if stripes <= 0 then invalid_arg "Fab.Volume.of_cluster: stripes <= 0";
+  let cfg = cluster.Core.Cluster.cfg in
+  let last = stripe_offset + stripes - 1 in
+  if
+    m <> Core.Config.m cfg ~stripe:stripe_offset
+    || m <> Core.Config.m cfg ~stripe:last
+  then invalid_arg "Fab.Volume.of_cluster: m differs from the cluster's";
+  if block_size <> cfg.Core.Config.block_size then
+    invalid_arg "Fab.Volume.of_cluster: block_size differs from the cluster's";
   { cluster; m; stripes; block_size; op_retries; pipeline_window;
     stripe_offset }
 

@@ -26,8 +26,6 @@ val create :
   ?optimized_modify:bool ->
   ?deadline:float ->
   ?unsafe_skip_order:bool ->
-  ?retry_backoff:float ->
-  ?retry_cap:float ->
   ?op_retries:int ->
   ?pipeline_window:int ->
   m:int ->
@@ -48,8 +46,8 @@ val create :
     A request spanning several stripes dispatches its per-stripe
     operations concurrently, at most [pipeline_window] (default 8) in
     flight; [~pipeline_window:1] recovers strictly serial extent
-    order. [deadline], [retry_backoff], [retry_cap] and
-    [unsafe_skip_order] are forwarded to {!Core.Cluster.create}. *)
+    order. [deadline] and [unsafe_skip_order] are forwarded to
+    {!Core.Cluster.create}. *)
 
 val of_cluster :
   cluster:Core.Cluster.t ->
@@ -63,7 +61,10 @@ val of_cluster :
   t
 (** A volume that is a view onto stripes an existing cluster already
     binds: the global stripe ids [stripe_offset .. stripe_offset +
-    stripes - 1]. Used by {!Pool}; most callers want {!create}. *)
+    stripes - 1]. Used by {!Pool}; most callers want {!create}.
+    @raise Invalid_argument if [stripes <= 0], [pipeline_window < 1],
+    the view's first or last stripe is bound to no range or has
+    another [m], or [block_size] is not the cluster's. *)
 
 val stripe_offset : t -> int
 

@@ -529,7 +529,7 @@ module Sink = struct
   let make ?(close = fun () -> ()) emit = { emit; close }
 
   (* Multicore backend: events arrive from many domains at once, and
-     most sinks mutate unguarded state (a channel, a ring). Serialize
+     most sinks mutate unguarded state (a channel, a fold). Serialize
      per sink, not at the hub — a sim run keeps its zero-lock path
      only if it never wraps. *)
   let serialized s =
@@ -578,41 +578,6 @@ let emit t ev = List.iter (fun (s : Sink.t) -> s.Sink.emit ev) t.sinks
 let next_op t = Atomic.fetch_and_add t.next_op_id 1
 
 let close t = List.iter (fun (s : Sink.t) -> s.Sink.close ()) t.sinks
-
-(* ------------------------------------------------------------------ *)
-(* In-memory ring sink                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Ring = struct
-  type ring = {
-    buf : event array;
-    capacity : int;
-    mutable len : int;
-    mutable next : int;
-    mutable dropped : int;
-  }
-
-  let dummy = { time = 0.; actor = Sim; op = -1; phase = None; kind = Phase_start }
-
-  let create ~capacity =
-    if capacity <= 0 then invalid_arg "Obs.Ring.create: capacity <= 0";
-    { buf = Array.make capacity dummy; capacity; len = 0; next = 0; dropped = 0 }
-
-  let add r ev =
-    r.buf.(r.next) <- ev;
-    r.next <- (r.next + 1) mod r.capacity;
-    if r.len < r.capacity then r.len <- r.len + 1 else r.dropped <- r.dropped + 1
-
-  (* Serialized: rings collect from all domains on the mc backend. *)
-  let sink r = Sink.serialized (Sink.make (add r))
-
-  let contents r =
-    List.init r.len (fun i ->
-        r.buf.((r.next - r.len + i + r.capacity) mod r.capacity))
-
-  let length r = r.len
-  let dropped r = r.dropped
-end
 
 (* ------------------------------------------------------------------ *)
 (* Run metadata (stamped into trace headers and stats/bench JSON)      *)

@@ -4,7 +4,7 @@
     network, event engine — reports what it does as typed {!event}s
     tagged with sim-time, actor, operation id and protocol phase. A
     per-deployment hub ({!t}) fans events out to pluggable {!Sink}s:
-    an in-memory ring buffer, a JSONL stream, a Chrome [trace_event]
+    a {!Stats} fold, a JSONL stream, a Chrome [trace_event]
     exporter (loadable in Perfetto / [chrome://tracing]), or the
     [Logs]-based stderr trace.
 
@@ -141,22 +141,6 @@ val next_op : t -> int
 
 val close : t -> unit
 (** Close every sink (flush file sinks, terminate the Chrome array). *)
-
-module Ring : sig
-  type ring
-
-  val create : capacity:int -> ring
-  (** Bounded in-memory buffer of the most recent [capacity] events.
-      @raise Invalid_argument if [capacity <= 0]. *)
-
-  val sink : ring -> Sink.t
-  val contents : ring -> event list
-  (** Retained events, oldest first. *)
-
-  val length : ring -> int
-  val dropped : ring -> int
-  (** Events overwritten since creation. *)
-end
 
 (** {1 Wire format} *)
 

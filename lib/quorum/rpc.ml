@@ -52,8 +52,6 @@ type ('req, 'rep) t = {
   req_label : 'req -> string;
   rep_label : 'rep -> string;
   retry_every : float;
-  retry_backoff : float;
-  retry_cap : float;
   grace : float;
   retries : Metrics.Counter.t;
   obs : Obs.t;
@@ -65,12 +63,7 @@ type ('req, 'rep) t = {
 
 let create ~rt ~transport ?(metrics = Metrics.Registry.create ()) ~req_bytes
     ~rep_bytes ?(req_label = fun _ -> "req") ?(rep_label = fun _ -> "rep")
-    ?(retry_every = 8.0) ?(retry_backoff = 2.0) ?retry_cap ?(grace = 1.0) () =
-  if retry_backoff < 1.0 then
-    invalid_arg "Quorum.Rpc.create: retry_backoff < 1";
-  let retry_cap =
-    match retry_cap with Some c -> c | None -> retry_every *. 8.
-  in
+    ?(retry_every = 8.0) ?(grace = 1.0) () =
   {
     rt;
     transport;
@@ -79,8 +72,6 @@ let create ~rt ~transport ?(metrics = Metrics.Registry.create ()) ~req_bytes
     req_label;
     rep_label;
     retry_every;
-    retry_backoff;
-    retry_cap;
     grace;
     retries = Metrics.Registry.counter metrics "rpc.retries";
     obs = transport.xobs;
@@ -104,14 +95,18 @@ let jitter_factor rid attempt =
   let h = (h lxor (h lsr 16)) * 0x45d9f3b land max_int in
   0.75 +. (0.5 *. float_of_int (h land 0xffff) /. 65536.)
 
-(* Exponential backoff: retry_every * backoff^(attempt-1), capped.
-   The cap bounds the pre-jitter base (see the .mli): capping after
-   jitter would collapse every capped delay to retry_cap and
-   re-synchronize the retries jitter exists to spread out. *)
+(* Exponential backoff: retry_every * 2^(attempt-1), capped at
+   8 * retry_every. The cap bounds the pre-jitter base (see the .mli):
+   capping after jitter would collapse every capped delay to the cap
+   and re-synchronize the retries jitter exists to spread out. *)
+let backoff = 2.0
+let backoff_cap = 8.
+
 let retry_delay t rid attempt =
   let base =
-    Float.min t.retry_cap
-      (t.retry_every *. (t.retry_backoff ** float_of_int (attempt - 1)))
+    Float.min
+      (t.retry_every *. backoff_cap)
+      (t.retry_every *. (backoff ** float_of_int (attempt - 1)))
   in
   base *. jitter_factor rid attempt
 

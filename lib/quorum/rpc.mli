@@ -64,20 +64,17 @@ val create :
   ?req_label:('req -> string) ->
   ?rep_label:('rep -> string) ->
   ?retry_every:float ->
-  ?retry_backoff:float ->
-  ?retry_cap:float ->
   ?grace:float ->
   unit ->
   ('req, 'rep) t
 (** [create ~rt ~transport ~req_bytes ~rep_bytes ()] builds the layer.
     [req_bytes]/[rep_bytes] give the accounted payload size of a
     message (the block bytes it carries). [retry_every] (default 8
-    time units) is the first retransmission delay; subsequent
-    delays grow by a factor of [retry_backoff] (default 2, must be
-    >= 1). [retry_cap] (default [8 * retry_every]) bounds the
-    exponential base {e before} jitter: each delay is the capped base
-    scaled by a deterministic jitter in [0.75, 1.25), so the effective
-    delay may exceed [retry_cap] by up to 25% (capping after jitter
+    time units) is the first retransmission delay; each later delay
+    doubles, and a cap of [8 * retry_every] bounds this exponential
+    base {e before} jitter: each delay is the capped base scaled by a
+    deterministic jitter in [0.75, 1.25), so the effective delay may
+    exceed the cap by up to 25% (capping after jitter
     would make every capped retransmission identical, re-synchronizing
     exactly the retries jitter exists to spread out). The jitter is
     hashed from the request id and attempt number — never drawn from

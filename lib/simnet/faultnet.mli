@@ -75,8 +75,7 @@ val set_link_down : t -> src:int -> dst:int -> bool -> unit
 
 val reset : t -> drop:float -> unit
 (** Return the whole configuration to health in one atomic publish:
-    no partition, no dead links, no delay, drop probability [drop]
-    (the nemesis's base rate). *)
+    no partition, no dead links, no delay, drop probability [drop]. *)
 
 val stats : t -> stats
 (** Monotone verdict counters since {!create}; chaos tests assert

@@ -92,42 +92,27 @@ let test_modify_equals_reencode () =
       done)
     [ (3, 5); (5, 8); (2, 3); (4, 5) ]
 
+(* The section 5.2 path: the coordinator folds a block's change into a
+   zeroed buffer, and the parity member XORs that fold into its old
+   parity block. The result must be [modify]'s. *)
 let test_delta_composition () =
   let rng = Random.State.make [| 14 |] in
   let codec = C.rs ~m:5 ~n:8 () in
   let stripe = random_stripe rng 5 in
   let enc = C.encode codec stripe in
   let new_b = Bytes.init block_size (fun _ -> Char.chr (Random.State.int rng 256)) in
-  let delta = Bytes.create block_size in
-  C.delta_into ~old_data:stripe.(2) ~new_data:new_b ~into:delta;
   for p = 0 to 2 do
     let direct =
       C.modify codec ~data_idx:2 ~parity_idx:p ~old_data:stripe.(2)
         ~new_data:new_b ~old_parity:enc.(5 + p)
     in
-    let via_delta = Bytes.copy enc.(5 + p) in
-    C.apply_delta_into codec ~data_idx:2 ~parity_idx:p ~delta
-      ~parity:via_delta;
-    Alcotest.(check bool) "delta path equals modify" true
-      (Bytes.equal direct via_delta)
-  done
-
-let test_reconstruct_block () =
-  let rng = Random.State.make [| 15 |] in
-  let codec = C.rs ~m:3 ~n:6 () in
-  let stripe = random_stripe rng 3 in
-  let enc = C.encode codec stripe in
-  (* Rebuild every block from the "other" blocks. *)
-  for idx = 0 to 5 do
-    let others =
-      List.filteri (fun i _ -> i <> idx) (Array.to_list (Array.mapi (fun i b -> (i, b)) enc))
-    in
-    let from = List.filteri (fun i _ -> i < 3) others in
-    let rebuilt = C.reconstruct_block codec ~idx from in
-    Alcotest.(check bool)
-      (Printf.sprintf "rebuild block %d" idx)
-      true
-      (Bytes.equal rebuilt enc.(idx))
+    let fold = Bytes.make block_size '\000' in
+    C.fold_into codec ~parity_idx:p ~j0:2 ~olds:[| stripe.(2) |]
+      ~news:[| new_b |] ~parity:fold;
+    let via_fold = Bytes.create block_size in
+    C.delta_into ~old_data:fold ~new_data:enc.(5 + p) ~into:via_fold;
+    Alcotest.(check bool) "pre-folded path equals modify" true
+      (Bytes.equal direct via_fold)
   done
 
 let test_coeff_systematic () =
@@ -185,20 +170,7 @@ let test_into_equals_allocating () =
               Alcotest.(check bool)
                 (Printf.sprintf "decode_into (%d,%d) len=%d [%s]" m n len
                    (String.concat "," (List.map string_of_int subset)))
-                true (stripes_equal dec dec');
-              (* reconstruct_into vs reconstruct_block, for every
-                 target not in the surviving subset *)
-              for idx = 0 to n - 1 do
-                if not (List.mem idx subset) then begin
-                  let rebuilt = C.reconstruct_block codec ~idx blocks in
-                  let into = Bytes.create len in
-                  C.reconstruct_into codec ~idx blocks ~into;
-                  Alcotest.(check bool)
-                    (Printf.sprintf "reconstruct_into (%d,%d) len=%d idx=%d"
-                       m n len idx)
-                    true (Bytes.equal rebuilt into)
-                end
-              done)
+                true (stripes_equal dec dec'))
             (subsets m 0 n))
         into_lengths)
     configs
@@ -222,7 +194,7 @@ let test_encode_into_aliased_data () =
     into_lengths
 
 (* [delta_into] against a byte-wise XOR, out of place and in place;
-   [apply_delta_into] against re-encoding the changed stripe. *)
+   [fold_into] against re-encoding the changed stripe. *)
 let test_delta_into_oracle () =
   let rng = Random.State.make [| 23 |] in
   List.iter
@@ -253,9 +225,10 @@ let test_delta_into_oracle () =
       let enc' = C.encode codec stripe' in
       for p = 0 to 2 do
         let parity = Bytes.copy enc.(4 + p) in
-        C.apply_delta_into codec ~data_idx:1 ~parity_idx:p ~delta:d ~parity;
+        C.fold_into codec ~parity_idx:p ~j0:1 ~olds:[| stripe.(1) |]
+          ~news:[| new_b |] ~parity;
         Alcotest.(check bool)
-          (Printf.sprintf "apply_delta_into len=%d p=%d" len p)
+          (Printf.sprintf "fold_into len=%d p=%d" len p)
           true
           (Bytes.equal enc'.(4 + p) parity)
       done)
@@ -282,10 +255,11 @@ let test_plan_cache () =
   ignore (C.decode codec [ (0, enc.(0)); (2, enc.(2)); (4, enc.(4)) ]);
   Alcotest.(check (triple int int int)) "new subset misses" (2, 2, 2)
     (C.plan_cache_stats codec);
-  (* Reconstruction reuses the same plan cache. *)
-  ignore (C.reconstruct_block codec ~idx:0 blocks);
+  (* decode_into reuses the same plan cache. *)
+  C.decode_into codec blocks
+    ~into:(Array.init m (fun _ -> Bytes.create block_size));
   let hits, misses, entries = C.plan_cache_stats codec in
-  Alcotest.(check (pair int int)) "reconstruct hits cached plan" (3, 2)
+  Alcotest.(check (pair int int)) "decode_into hits cached plan" (3, 2)
     (hits, misses);
   Alcotest.(check int) "entries stable" 2 entries;
   C.reset_plan_cache codec;
@@ -343,6 +317,26 @@ let test_errors () =
   Alcotest.check_raises "decode bad index"
     (Invalid_argument "Erasure.Codec.decode: index out of range") (fun () ->
       ignore (C.decode codec [ (0, enc.(0)); (1, enc.(1)); (9, enc.(2)) ]));
+  (* fold_into checks everything before touching the parity block. *)
+  let parity = Bytes.copy enc.(3) in
+  let fold_raises name msg ~parity_idx ~j0 ~olds ~news =
+    Alcotest.check_raises name
+      (Invalid_argument ("Erasure.Codec.fold_into: " ^ msg))
+      (fun () -> C.fold_into codec ~parity_idx ~j0 ~olds ~news ~parity);
+    Alcotest.(check bool) (name ^ ": parity untouched") true
+      (Bytes.equal parity enc.(3))
+  in
+  let b8 () = Bytes.make 8 'b' in
+  fold_raises "fold parity_idx" "parity_idx out of range" ~parity_idx:2 ~j0:0
+    ~olds:[| stripe.(0) |] ~news:[| b8 () |];
+  fold_raises "fold range past m" "block range out of range" ~parity_idx:0
+    ~j0:2 ~olds:[| stripe.(1); stripe.(2) |] ~news:[| b8 (); b8 () |];
+  fold_raises "fold negative j0" "block range out of range" ~parity_idx:0
+    ~j0:(-1) ~olds:[| stripe.(0) |] ~news:[| b8 () |];
+  fold_raises "fold olds/news" "olds and news differ in length" ~parity_idx:0
+    ~j0:0 ~olds:[| stripe.(0) |] ~news:[| b8 (); b8 () |];
+  fold_raises "fold size" "size mismatch" ~parity_idx:1 ~j0:0
+    ~olds:[| stripe.(0); stripe.(1) |] ~news:[| b8 (); Bytes.create 9 |];
   Alcotest.check_raises "rs m >= n"
     (Invalid_argument "Erasure.Codec.rs: need 1 <= m < n <= 256") (fun () ->
       ignore (C.rs ~m:5 ~n:5 ()));
@@ -380,9 +374,9 @@ let each_kernel f =
       | impl -> f (K.name impl) impl)
     (K.available_impls ())
 
-(* rs(5,8) under every kernel and SIMD level: identical encodings,
-   identical decodes over every m-subset of survivors, identical
-   reconstruction of every block. Lengths include non-multiples of
+(* rs(5,8) under every kernel and SIMD level: identical encodings and
+   identical decodes, through [decode] and [decode_into], over every
+   m-subset of survivors. Lengths include non-multiples of
    8/16/32 and straddle the 64-byte step and the 256-byte GFNI tile,
    so each kernel's tail handling is exercised. *)
 let test_kernels_byte_identical () =
@@ -405,24 +399,19 @@ let test_kernels_byte_identical () =
             (fun subset ->
               let blocks = List.map (fun i -> (i, enc.(i))) subset in
               let dec = C.decode codec blocks in
-              if not (stripes_equal dec stripe) then
+              let dec' = Array.init m (fun _ -> Bytes.create len) in
+              C.decode_into codec blocks ~into:dec';
+              if not (stripes_equal dec stripe && stripes_equal dec' stripe)
+              then
                 Alcotest.failf "%s decode len=%d [%s] wrong" label len
-                  (String.concat "," (List.map string_of_int subset));
-              List.iter
-                (fun idx ->
-                  if not (List.mem idx subset) then
-                    let rebuilt = C.reconstruct_block codec ~idx blocks in
-                    if not (Bytes.equal rebuilt enc.(idx)) then
-                      Alcotest.failf "%s reconstruct %d len=%d [%s] wrong"
-                        label idx len
-                        (String.concat "," (List.map string_of_int subset)))
-                (List.init n Fun.id))
+                  (String.concat "," (List.map string_of_int subset)))
             (subsets m 0 n)))
     [ 13; 32; 63; 64; 65; 100; 255; 256; 257; 4096 + 13 ]
 
-(* The batched multi-delta fold equals sequential single-delta folds,
-   under every kernel and SIMD level and for every batch size. *)
-let test_apply_deltas_batched () =
+(* [fold_into] on a copy of the old parity equals re-encoding the
+   changed stripe, under every kernel and SIMD level, for every start
+   [j0], range length and parity index of rs(5,8). *)
+let test_fold_equals_reencode () =
   let rng = Random.State.make [| 62 |] in
   let m = 5 and n = 8 in
   let len = 57 in
@@ -430,28 +419,22 @@ let test_apply_deltas_batched () =
       let codec = C.rs ~kernel:impl ~m ~n () in
       let stripe = random_stripe_len rng m len in
       let enc = C.encode codec stripe in
-      List.iter
-        (fun batch ->
-          let deltas =
-            Array.init batch (fun i ->
-                ( (i * 2) mod m,
-                  Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256))
-                ))
-          in
+      for j0 = 0 to m do
+        for k = 0 to m - j0 do
+          let news = random_stripe_len rng k len in
+          let changed = Array.copy stripe in
+          Array.blit news 0 changed j0 k;
+          let expected = C.encode codec changed in
           for p = 0 to n - m - 1 do
-            let expected = Bytes.copy enc.(m + p) in
-            Array.iter
-              (fun (data_idx, d) ->
-                C.apply_delta_into codec ~data_idx ~parity_idx:p ~delta:d
-                  ~parity:expected)
-              deltas;
-            let batched = Bytes.copy enc.(m + p) in
-            C.apply_deltas_into codec ~parity_idx:p ~deltas ~parity:batched;
-            if not (Bytes.equal batched expected) then
-              Alcotest.failf "%s batched deltas (batch=%d, p=%d) diverge"
-                label batch p
-          done)
-        [ 0; 1; 2; 3; 5 ])
+            let parity = Bytes.copy enc.(m + p) in
+            C.fold_into codec ~parity_idx:p ~j0 ~olds:(Array.sub stripe j0 k)
+              ~news ~parity;
+            if not (Bytes.equal parity expected.(m + p)) then
+              Alcotest.failf "%s fold (j0=%d, k=%d, p=%d) diverges" label j0 k
+                p
+          done
+        done
+      done)
 
 (* One codec used from two domains at once, as the multicore backend
    shares a volume's codec among coordinators on different domains.
@@ -592,7 +575,6 @@ let () =
           Alcotest.test_case "modify equals re-encode" `Quick
             test_modify_equals_reencode;
           Alcotest.test_case "delta composition" `Quick test_delta_composition;
-          Alcotest.test_case "reconstruct block" `Quick test_reconstruct_block;
           Alcotest.test_case "coeff exposes generator" `Quick test_coeff_systematic;
         ] );
       ( "into",
@@ -601,7 +583,7 @@ let () =
             test_into_equals_allocating;
           Alcotest.test_case "encode_into aliased data slots" `Quick
             test_encode_into_aliased_data;
-          Alcotest.test_case "delta_into / apply_delta_into" `Quick
+          Alcotest.test_case "delta_into / fold_into" `Quick
             test_delta_into_oracle;
           Alcotest.test_case "plan cache stats" `Quick test_plan_cache;
         ] );
@@ -609,8 +591,8 @@ let () =
         [
           Alcotest.test_case "all kernels byte-identical" `Quick
             test_kernels_byte_identical;
-          Alcotest.test_case "batched deltas equal sequential" `Quick
-            test_apply_deltas_batched;
+          Alcotest.test_case "fold equals re-encode" `Quick
+            test_fold_equals_reencode;
           Alcotest.test_case "shared codec across two domains" `Quick
             test_shared_codec_two_domains;
         ] );

@@ -225,7 +225,28 @@ let test_volume_validation () =
   Alcotest.check_raises "write not block multiple"
     (Invalid_argument "Fab.Volume.write: length not a positive block multiple")
     (fun () ->
-      ignore (V.run_op v (fun () -> V.write v ~coord:0 ~lba:0 (Bytes.create 100))))
+      ignore (V.run_op v (fun () -> V.write v ~coord:0 ~lba:0 (Bytes.create 100))));
+  (* A view onto a cluster must have the cluster's geometry: at m = 3 or
+     at 32-byte blocks the first write would fail, and at m = 1 LBA 1
+     would map to stripe 1 block 0 instead of stripe 0 block 1. *)
+  let cluster = Core.Cluster.create ~m:2 ~n:4 ~block_size:64 () in
+  let view ~m ~block_size () =
+    V.of_cluster ~cluster ~m ~stripes:4 ~block_size ~op_retries:1
+      ~stripe_offset:0 ()
+  in
+  List.iter
+    (fun (name, m, block_size, msg) ->
+      Alcotest.check_raises name
+        (Invalid_argument ("Fab.Volume.of_cluster: " ^ msg))
+        (fun () -> ignore (view ~m ~block_size ())))
+    [
+      ("of_cluster m too large", 3, 64, "m differs from the cluster's");
+      ("of_cluster m too small", 1, 64, "m differs from the cluster's");
+      ( "of_cluster block size", 2, 32,
+        "block_size differs from the cluster's" );
+    ];
+  Alcotest.(check (pair int int)) "of_cluster cluster geometry" (0, 1)
+    (V.stripe_of_lba (view ~m:2 ~block_size:64 ()) 1)
 
 let test_volume_scrub () =
   let v = V.create ~m:3 ~n:5 ~stripes:4 ~block_size:bs () in

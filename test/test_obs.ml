@@ -1,6 +1,6 @@
 (* Observability-layer tests.
 
-   Unit tests cover the ring sink, JSONL wire-format round-trips and
+   Unit tests cover JSONL wire-format round-trips and
    the span well-formedness checker; a deterministic two-writer
    scenario pins the Retry outcome attribution; and a randomized
    property (reusing the fuzz harness recipe: concurrent clients,
@@ -17,33 +17,11 @@ let block_size = 64
 let event_t =
   Alcotest.testable Obs.pp_event (fun (a : Obs.event) b -> a = b)
 
-(* ------------------------------------------------------------------ *)
-(* Ring sink                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let mk_ev i =
-  {
-    Obs.time = float_of_int i;
-    actor = Obs.Sim;
-    op = -1;
-    phase = None;
-    kind = Obs.Queue_depth { depth = i };
-  }
-
-let test_ring () =
-  let ring = Obs.Ring.create ~capacity:4 in
-  let sink = Obs.Ring.sink ring in
-  for i = 0 to 9 do
-    sink.Obs.Sink.emit (mk_ev i)
-  done;
-  Alcotest.(check int) "length" 4 (Obs.Ring.length ring);
-  Alcotest.(check int) "dropped" 6 (Obs.Ring.dropped ring);
-  Alcotest.(check (list event_t)) "keeps newest, oldest first"
-    [ mk_ev 6; mk_ev 7; mk_ev 8; mk_ev 9 ]
-    (Obs.Ring.contents ring);
-  Alcotest.check_raises "capacity 0 rejected"
-    (Invalid_argument "Obs.Ring.create: capacity <= 0") (fun () ->
-      ignore (Obs.Ring.create ~capacity:0))
+(* An in-memory sink that keeps every event, oldest first. *)
+let collector () =
+  let evs = ref [] in
+  ( Obs.Sink.serialized (Obs.Sink.make (fun ev -> evs := ev :: !evs)),
+    fun () -> List.rev !evs )
 
 (* ------------------------------------------------------------------ *)
 (* JSONL wire format                                                   *)
@@ -278,8 +256,12 @@ let test_well_formed () =
   in
   Alcotest.(check (list string)) "clean span" [] (Check.well_formed ok);
   (* Unattributed events are ignored. *)
+  let unattributed =
+    { time = 0.; actor = Sim; op = -1; phase = None;
+      kind = Queue_depth { depth = 0 } }
+  in
   Alcotest.(check (list string)) "op -1 ignored" []
-    (Check.well_formed (mk_ev 0 :: ok));
+    (Check.well_formed (unattributed :: ok));
   let dup = span [] @ span [] in
   Alcotest.(check bool) "duplicate span flagged" true
     (Check.well_formed dup <> []);
@@ -323,8 +305,8 @@ let test_retarget_attribution () =
   | Some (Ok ()) -> ()
   | _ -> Alcotest.fail "prefill");
   Cluster.crash cl 4;
-  let ring = Obs.Ring.create ~capacity:100_000 in
-  Obs.add_sink cl.Cluster.obs (Obs.Ring.sink ring);
+  let sink, contents = collector () in
+  Obs.add_sink cl.Cluster.obs sink;
   for _ = 1 to 3 do
     match Cluster.run_op cl (fun c -> Coordinator.read_blocks c ~stripe:0 4 ~len:1) with
     | Some (Ok [| b |]) -> Alcotest.(check bool) "value" true (Bytes.equal b data.(4))
@@ -336,7 +318,7 @@ let test_retarget_attribution () =
         match Obs.of_json (Obs.to_json ev) with
         | `Event ev' -> ev'
         | _ -> Alcotest.fail "round trip")
-      (Obs.Ring.contents ring)
+      (contents ())
   in
   Alcotest.(check (list string)) "well-formed" [] (Obs.Check.well_formed events);
   let stats = Obs.Stats.create () in
@@ -350,8 +332,8 @@ let test_retarget_attribution () =
 
 let test_retry_outcome () =
   let cl = Cluster.create ~seed:7 ~m:2 ~n:4 ~block_size () in
-  let ring = Obs.Ring.create ~capacity:100_000 in
-  Obs.add_sink cl.Cluster.obs (Obs.Ring.sink ring);
+  let sink, contents = collector () in
+  Obs.add_sink cl.Cluster.obs sink;
   let oks = ref 0 in
   for coord = 0 to 1 do
     Cluster.spawn ~coord cl (fun c ->
@@ -368,7 +350,7 @@ let test_retry_outcome () =
   done;
   Cluster.run cl;
   Alcotest.(check int) "both writers succeed" 2 !oks;
-  let events = Obs.Ring.contents ring in
+  let events = contents () in
   Alcotest.(check (list string)) "well-formed" []
     (Obs.Check.well_formed events);
   let count outcome =
@@ -517,9 +499,9 @@ let obs_round ~seed =
       ()
   in
   let rt = cl.Cluster.runtime in
-  let ring = Obs.Ring.create ~capacity:400_000 in
+  let sink, contents = collector () in
   let stats = Obs.Stats.create () in
-  Obs.add_sink cl.Cluster.obs (Obs.Ring.sink ring);
+  Obs.add_sink cl.Cluster.obs sink;
   Obs.add_sink cl.Cluster.obs (Obs.Stats.sink stats);
 
 
@@ -570,11 +552,8 @@ let obs_round ~seed =
   Alcotest.(check int)
     (Printf.sprintf "seed %d: all clients finished" seed)
     nclients !finished;
-  Alcotest.(check int)
-    (Printf.sprintf "seed %d: ring kept everything" seed)
-    0 (Obs.Ring.dropped ring);
   check_accounting ~label:(Printf.sprintf "seed %d" seed) cl
-    (Obs.Ring.contents ring) stats
+    (contents ()) stats
 
 let test_property_rounds () =
   let grand = ref 0 in
@@ -595,9 +574,9 @@ let test_mc_accounting () =
     Cluster.create ~backend:(Mc { domains = 2 }) ~m ~n ~block_size
       ~deadline:10. ()
   in
-  let ring = Obs.Ring.create ~capacity:100_000 in
+  let sink, contents = collector () in
   let stats = Obs.Stats.create () in
-  Obs.add_sink cl.Cluster.obs (Obs.Ring.sink ring);
+  Obs.add_sink cl.Cluster.obs sink;
   Obs.add_sink cl.Cluster.obs (Obs.Sink.serialized (Obs.Stats.sink stats));
   for coord = 0 to 1 do
     Cluster.spawn ~coord cl (fun c ->
@@ -620,7 +599,7 @@ let test_mc_accounting () =
   done;
   Cluster.await_quiesce cl;
   let settled () =
-    let t = tally (Obs.Ring.contents ring) in
+    let t = tally (contents ()) in
     t.recvs = t.send_fg + t.send_bg - t.drops
   in
   let give_up = Unix.gettimeofday () +. 10. in
@@ -628,7 +607,7 @@ let test_mc_accounting () =
     Unix.sleepf 0.001
   done;
   Cluster.shutdown cl;
-  let t = check_accounting ~label:"mc" cl (Obs.Ring.contents ring) stats in
+  let t = check_accounting ~label:"mc" cl (contents ()) stats in
   Alcotest.(check bool) "mc: every op traced" true (t.ends >= 24);
   Alcotest.(check bool) "mc: messages traced" true (t.send_fg > 0)
 
@@ -1157,7 +1136,6 @@ let () =
     [
       ( "sinks",
         [
-          Alcotest.test_case "ring" `Quick test_ring;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "meta and errors" `Quick test_json_meta_and_errors;
         ] );
