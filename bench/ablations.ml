@@ -309,13 +309,13 @@ let x6 () =
 
   (* Naive client-directed baseline. *)
   let d = Baseline.Direct.create ~m:2 ~n:3 ~block_size:bs () in
-  (match Baseline.Direct.run_op d (fun () -> Baseline.Direct.write d ~reg:0 old_stripe) with
+  (match Baseline.Direct.run_op d (fun () -> Baseline.Direct.write d old_stripe) with
   | Some (Ok ()) -> () | _ -> failwith "seed");
-  Baseline.Direct.write_prefix d ~reg:0 ~devices:1 new_stripe;
+  Baseline.Direct.write_first d new_stripe;
   Printf.printf "  [direct]  client crashed after updating device 0 only\n";
   Baseline.Direct.crash_device d 1;
   Printf.printf "  [direct]  device 1 failed terminally\n";
-  (match Baseline.Direct.run_op d (fun () -> Baseline.Direct.read d ~reg:0) with
+  (match Baseline.Direct.run_op d (fun () -> Baseline.Direct.read d) with
   | Some (Ok got) ->
       let o = tag old_stripe.(1) and n = tag new_stripe.(1) and g = tag got.(1) in
       Printf.printf

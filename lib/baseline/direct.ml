@@ -1,13 +1,8 @@
-type msg =
-  | Put of { reg : int; block : Bytes.t }
-  | Get of { reg : int }
-  | Put_r
-  | Get_r of { block : Bytes.t }
+type msg = Put of { block : Bytes.t } | Get | Put_r | Get_r of { block : Bytes.t }
 
 let bytes_on_wire = function
-  | Put { block; _ } -> Bytes.length block
-  | Get_r { block } -> Bytes.length block
-  | Get _ | Put_r -> 0
+  | Put { block } | Get_r { block } -> Bytes.length block
+  | Get | Put_r -> 0
 
 module Substrate = Core.Cluster.Substrate
 
@@ -16,7 +11,7 @@ type t = {
   rpc : (msg, msg) Quorum.Rpc.t;
   bricks : Brick.t array;
   codec : Erasure.Codec.t;
-  stores : (int, Bytes.t) Hashtbl.t array;  (* per device: reg -> block *)
+  stores : Bytes.t option array;  (* per device: its block of the stripe *)
   m : int;
   n : int;
   block_size : int;
@@ -24,12 +19,9 @@ type t = {
 
 type 'a outcome = ('a, [ `Failed ]) result
 
-let block_size t = t.block_size
-let runtime t = Substrate.runtime t.substrate
-
-let create ?seed ?(block_size = 1024) ~m ~n () =
+let create ?(block_size = 1024) ~m ~n () =
   let codec = Core.Config.default_codec ~m ~n in
-  let substrate = Substrate.create ?seed ~n () in
+  let substrate = Substrate.create ~n () in
   let rpc =
     Substrate.rpc substrate ~req_bytes:bytes_on_wire ~rep_bytes:bytes_on_wire
       ()
@@ -39,7 +31,7 @@ let create ?seed ?(block_size = 1024) ~m ~n () =
         Brick.create ~metrics:(Substrate.metrics substrate)
           (Substrate.runtime substrate) ~id)
   in
-  let stores = Array.init n (fun _ -> Hashtbl.create 16) in
+  let stores = Array.make n None in
   let t = { substrate; rpc; bricks; codec; stores; m; n; block_size } in
   Array.iteri
     (fun i _ ->
@@ -47,13 +39,13 @@ let create ?seed ?(block_size = 1024) ~m ~n () =
           if not (Brick.is_alive t.bricks.(i)) then None
           else
             match msg with
-            | Put { reg; block } ->
+            | Put { block } ->
                 (* Overwrite in place: the old version is gone. *)
-                Hashtbl.replace t.stores.(i) reg block;
+                t.stores.(i) <- Some block;
                 Brick.count_disk_write t.bricks.(i);
                 Some Put_r
-            | Get { reg } -> (
-                match Hashtbl.find_opt t.stores.(i) reg with
+            | Get -> (
+                match t.stores.(i) with
                 | Some block ->
                     Brick.count_disk_read t.bricks.(i);
                     Some (Get_r { block })
@@ -66,7 +58,7 @@ let create ?seed ?(block_size = 1024) ~m ~n () =
 let members t = List.init t.n Fun.id
 let live t = List.filter (fun i -> Brick.is_alive t.bricks.(i)) (members t)
 
-let write t ~reg data =
+let write t data =
   if Array.length data <> t.m then invalid_arg "Baseline.Direct.write: shape";
   let enc = Erasure.Codec.encode t.codec data in
   let targets = live t in
@@ -75,23 +67,21 @@ let write t ~reg data =
     let _ =
       Quorum.Rpc.call t.rpc ~coord:t.bricks.(List.hd targets) ~members:targets
         ~quorum:(List.length targets)
-        (fun dst -> Put { reg; block = enc.(dst) })
+        (fun dst -> Put { block = enc.(dst) })
     in
     Ok ()
   end
 
-let write_prefix t ~reg ~devices data =
+let write_first t data =
   let enc = Erasure.Codec.encode t.codec data in
-  (* The client crashes after issuing the first [devices] block
-     updates; simulate by delivering them directly. *)
-  for i = 0 to min devices t.n - 1 do
-    if Brick.is_alive t.bricks.(i) then begin
-      Hashtbl.replace t.stores.(i) reg enc.(i);
-      Brick.count_disk_write t.bricks.(i)
-    end
-  done
+  (* The client crashes after issuing its first block update; simulate
+     by delivering it directly. *)
+  if Brick.is_alive t.bricks.(0) then begin
+    t.stores.(0) <- Some enc.(0);
+    Brick.count_disk_write t.bricks.(0)
+  end
 
-let read t ~reg =
+let read t =
   let targets = live t in
   if List.length targets < t.m then Error `Failed
   else begin
@@ -99,7 +89,7 @@ let read t ~reg =
     let replies =
       Quorum.Rpc.call t.rpc ~coord:t.bricks.(List.hd chosen) ~members:chosen
         ~quorum:t.m
-        (fun _ -> Get { reg })
+        (fun _ -> Get)
     in
     let blocks =
       List.filter_map
@@ -113,5 +103,4 @@ let read t ~reg =
 
 let crash_device t i = Brick.crash t.bricks.(i)
 
-let run ?(horizon = 10_000.) t = Substrate.run ~horizon t.substrate
-let run_op ?(horizon = 10_000.) t f = Substrate.run_op ~horizon t.substrate f
+let run_op t f = Substrate.run_op ~horizon:10_000. t.substrate f

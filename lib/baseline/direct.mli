@@ -21,29 +21,27 @@
 type t
 
 val create :
-  ?seed:int -> ?block_size:int -> m:int -> n:int -> unit -> t
+  ?block_size:int -> m:int -> n:int -> unit -> t
 (** A cluster of [n] storage devices holding one [m]-of-[n] encoded
-    stripe per register index ({!Core.Config.default_codec}), on a
-    sim {!Core.Cluster.Substrate}. *)
-
-val block_size : t -> int
-val runtime : t -> Runtime.t
+    stripe ({!Core.Config.default_codec}), on a sim
+    {!Core.Cluster.Substrate}. *)
 
 type 'a outcome = ('a, [ `Failed ]) result
 
-val write : t -> reg:int -> Bytes.t array -> unit outcome
+val write : t -> Bytes.t array -> unit outcome
 (** Write a stripe of [m] data blocks: encode and send each encoded
     block to its device, waiting for every live device to ack. Must
     run inside a fiber. If a device is down its block is simply not
     updated — the client has no way to tell a slow device from a dead
     one, which is precisely the assumption the paper rejects. *)
 
-val write_prefix : t -> reg:int -> devices:int -> Bytes.t array -> unit
-(** Deliver the write's blocks to only the first [devices] devices and
-    then stop — the client crashed mid-write. (Fault injection used by
-    benches and tests; runs the simulation internally.) *)
+val write_first : t -> Bytes.t array -> unit
+(** Deliver the write's block to device 0 only and then stop — the
+    client crashed after updating a single device, the paper's
+    example. (Fault injection used by benches and tests; it bypasses
+    the network.) *)
 
-val read : t -> reg:int -> Bytes.t array outcome
+val read : t -> Bytes.t array outcome
 (** Collect blocks from the first [m] live devices and decode. With
     mixed-version blocks this silently returns garbage: the protocol
     has no version information to detect the mix. *)
@@ -51,5 +49,4 @@ val read : t -> reg:int -> Bytes.t array outcome
 val crash_device : t -> int -> unit
 (** Permanent device failure. *)
 
-val run : ?horizon:float -> t -> unit
-val run_op : ?horizon:float -> t -> (unit -> 'a) -> 'a option
+val run_op : t -> (unit -> 'a) -> 'a option

@@ -30,11 +30,8 @@ type t = {
 
 type 'a outcome = ('a, [ `Aborted ]) result
 
-let n t = t.n
-let block_size t = t.block_size
 let metrics t = Substrate.metrics t.substrate
 let runtime t = Substrate.runtime t.substrate
-let bricks t = t.bricks
 
 let reg_state t brick reg =
   let tbl = t.states.(brick) in
@@ -71,9 +68,9 @@ let handle t brick ~src:_ msg =
         Some (Put_r { ts })
     | Get_tag_r _ | Get_r _ | Put_r _ -> None
 
-let create ?backend ?seed ?net_config ?(block_size = 1024) ~n:count () =
+let create ?backend ?(block_size = 1024) ~n:count () =
   if count < 2 then invalid_arg "Baseline.Ls97.create: n < 2";
-  let substrate = Substrate.create ?backend ?seed ?net_config ~n:count () in
+  let substrate = Substrate.create ?backend ~n:count () in
   let runtime = Substrate.runtime substrate in
   let rpc =
     Substrate.rpc substrate ~req_bytes:bytes_on_wire ~rep_bytes:bytes_on_wire

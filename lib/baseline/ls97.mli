@@ -26,21 +26,16 @@ type t
 
 val create :
   ?backend:Core.Cluster.backend ->
-  ?seed:int ->
-  ?net_config:Simnet.Net.config ->
   ?block_size:int ->
   n:int ->
   unit ->
   t
 (** [create ~n ()] builds the cluster on a {!Core.Cluster.Substrate}
     (default backend [Sim]); tolerates [f = (n - 1) / 2] crashed
-    bricks. Tear an mc cluster down with {!shutdown}. *)
+    bricks. Tear an mc cluster down with {!shutdown}.
+    Tests only: test_baseline's "LS97 on mc" case passes [~backend]. *)
 
-val n : t -> int
-val block_size : t -> int
-val metrics : t -> Metrics.Registry.t
 val runtime : t -> Runtime.t
-val bricks : t -> Brick.t array
 
 type 'a outcome = ('a, [ `Aborted ]) result
 
@@ -52,8 +47,20 @@ val write : t -> coord:int -> reg:int -> Bytes.t -> unit outcome
 (** @raise Invalid_argument on a block of the wrong size. *)
 
 val run : ?horizon:float -> t -> unit
+(** Tests only: test_baseline drives a timed partial write with it. *)
+
 val run_op : ?horizon:float -> t -> (unit -> 'a) -> 'a option
+(** Tests only: test_baseline bounds the stalled majority-down read with
+    [?horizon]. *)
+
 val crash : t -> int -> unit
+(** Tests only: test_baseline crashes replicas with it (majority loss,
+    partial writes). *)
+
 val recover : t -> int -> unit
+(** Tests only: test_baseline brings crashed replicas back with it. *)
+
 val shutdown : t -> unit
+(** Tests only: test_baseline tears down its mc cluster with it. *)
+
 val snapshot : t -> Metrics.Snapshot.t

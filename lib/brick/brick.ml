@@ -31,7 +31,6 @@ let create ?(metrics = Metrics.Registry.create ()) ?(obs = Obs.create ())
   }
 
 let id t = t.id
-let runtime t = t.runtime
 let is_alive t = t.alive
 
 let crash t =
@@ -79,13 +78,13 @@ let emit_io t (ctx : Obs.ctx) kind =
       kind;
     }
 
-let count_disk_read ?(blocks = 1) ?(ctx = Obs.no_ctx) t =
-  Metrics.Counter.incr ~by:(float_of_int blocks) t.disk_reads;
-  if Obs.enabled t.obs then emit_io t ctx (Obs.Io_read { blocks })
+let count_disk_read ?(ctx = Obs.no_ctx) t =
+  Metrics.Counter.incr t.disk_reads;
+  if Obs.enabled t.obs then emit_io t ctx (Obs.Io_read { blocks = 1 })
 
-let count_disk_write ?(blocks = 1) ?(ctx = Obs.no_ctx) t =
-  Metrics.Counter.incr ~by:(float_of_int blocks) t.disk_writes;
-  if Obs.enabled t.obs then emit_io t ctx (Obs.Io_write { blocks })
+let count_disk_write ?(ctx = Obs.no_ctx) t =
+  Metrics.Counter.incr t.disk_writes;
+  if Obs.enabled t.obs then emit_io t ctx (Obs.Io_write { blocks = 1 })
 
 let count_nvram_write t = Metrics.Counter.incr t.nvram_writes
 let crash_count t = t.crash_count

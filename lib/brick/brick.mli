@@ -26,10 +26,6 @@ val create :
   ?metrics:Metrics.Registry.t -> ?obs:Obs.t -> Runtime.t -> id:int -> t
 val id : t -> int
 
-val runtime : t -> Runtime.t
-(** The runtime this brick schedules on — the deterministic simulator
-    or the multicore backend; brick code never sees which. *)
-
 val is_alive : t -> bool
 (** Freshly created bricks are alive. *)
 
@@ -58,14 +54,18 @@ val hook_count : t -> int
     operations) only long-lived hooks remain, so tests use this to
     check that every transient hook was deregistered. *)
 
-val count_disk_read : ?blocks:int -> ?ctx:Obs.ctx -> t -> unit
-(** Account reading [blocks] (default 1) block-sized records from the
-    on-disk log. When the brick's observability hub is enabled, also
-    emits an [Io_read] event attributed to [ctx]'s operation. *)
+val count_disk_read : ?ctx:Obs.ctx -> t -> unit
+(** Account reading one block-sized record from the on-disk log. When
+    the brick's observability hub is enabled, also emits an [Io_read]
+    event attributed to [ctx]'s operation. *)
 
-val count_disk_write : ?blocks:int -> ?ctx:Obs.ctx -> t -> unit
+val count_disk_write : ?ctx:Obs.ctx -> t -> unit
+(** Account writing one block-sized record to the on-disk log, as
+    {!count_disk_read} does for a read. *)
+
 val count_nvram_write : t -> unit
 
 val crash_count : t -> int
 (** How many times this brick has crashed so far (for tests and fault
-    statistics). *)
+    statistics).
+    Tests only: test_brick checks that a repeated crash counts once. *)

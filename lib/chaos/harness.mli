@@ -94,6 +94,8 @@ val run :
     Each coordinator's clock gets a seeded skew of up to ±100 plan
     units ({!Core.Clock.set_skew}): the paper's loosely synchronized
     clocks, which the order phase must tolerate.
+    Tests only: test_chaos passes [~capture_trace:true] to compare two
+    runs' traces.
     @raise Invalid_argument on [Mc] with [clients > n] (each
     concurrent mc client needs a dedicated coordinator: its retry
     hint, set by {!Core.Coordinator.hint_retry} and read and cleared

@@ -205,7 +205,7 @@ let restore t =
       (fun () ->
         List.iter Runtime.cancel timers;
         let cl = t.cluster in
-        Faultnet.reset (Cluster.faultnet cl) ~drop:0.;
+        Faultnet.reset (Cluster.faultnet cl);
         List.iter
           (fun (i, skew) ->
             Core.Clock.set_skew
@@ -218,10 +218,10 @@ let restore t =
           cl.Cluster.bricks)
   end
 
-let inject ?(time_scale = 1.) cluster fault =
+let inject cluster fault =
   (match fault_error cluster fault with
   | Some msg ->
       invalid_arg (Printf.sprintf "Chaos.Nemesis.inject: %s" msg)
   | None -> ());
-  apply_env ~time_scale cluster fault;
+  apply_env ~time_scale:1. cluster fault;
   emit_fault cluster fault

@@ -55,6 +55,8 @@ val install :
     and skips just those events (for replaying a sim-authored plan's
     network/crash portion under real parallelism).
 
+    Tests only: test_chaos passes [~lenient:true] to check that a
+    sim-only event is skipped on mc.
     @raise Invalid_argument if the plan touches a brick id outside
     the deployment, if [time_scale <= 0], or (non-[lenient] mc) if
     the plan contains a sim-only fault. *)
@@ -74,12 +76,12 @@ val applied : t -> (float * Plan.fault) list
     comparable to operation invocation times). Faults skipped by
     [lenient] or cancelled by {!restore} never appear. *)
 
-val inject : ?time_scale:float -> Core.Cluster.t -> Plan.fault -> unit
+val inject : Core.Cluster.t -> Plan.fault -> unit
 (** One-shot fault application outside any plan: validates the fault
     for the cluster's backend (same rejections as {!install}), applies
     it, and emits the [Obs.Fault] event. No bookkeeping — the caller
     undoes what it injects (benchmarks driving crash/heal cycles).
-    [time_scale] scales a [Slow]'s units as in {!install}; a [Slow]
-    replaces any earlier added delay and adds to the sim channel's own
-    delay.
+    A [Slow]'s units are the runtime's own (as {!install} with a
+    [time_scale] of 1); it replaces any earlier added delay and adds
+    to the sim channel's own delay.
     @raise Invalid_argument on a sim-only fault on mc. *)

@@ -38,6 +38,5 @@ let observe t = function
       raise_to ()
   | Timestamp.Low | Timestamp.High -> ()
 
-let pid t = t.pid
 let set_skew t skew = Atomic.set t.skew skew
 let skew t = Atomic.get t.skew

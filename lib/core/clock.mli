@@ -32,8 +32,6 @@ val observe : t -> Timestamp.t -> unit
 (** Fold a remotely-seen timestamp into the clock: subsequent
     {!new_ts} results exceed it. Never moves the clock backwards. *)
 
-val pid : t -> int
-
 val set_skew : t -> float -> unit
 (** Step the clock's offset from the runtime clock, in runtime time
     units (the chaos nemesis's clock-skew fault). Monotonicity still

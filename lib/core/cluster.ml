@@ -329,7 +329,8 @@ let create ?backend ?seed ?net_config ?bricks ?(block_size = 1024)
 
 (* Kept for vdbench's call site; the vdbench revision on ROADMAP
    switches it to [create ~backend] and deletes this alias. *)
-let create_mc ~domains = create ~backend:(Mc { domains })
+let create_mc ~domains ?block_size ?m ?n () =
+  create ~backend:(Mc { domains }) ?block_size ?m ?n ()
 
 let run ?horizon t = Substrate.run ?horizon t.substrate
 let await_quiesce t = Substrate.run t.substrate

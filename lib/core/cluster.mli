@@ -46,9 +46,6 @@ module Substrate : sig
 
   val runtime : t -> Runtime.t
   val metrics : t -> Metrics.Registry.t
-  val obs : t -> Obs.t
-  val faults : t -> Simnet.Faultnet.t
-  val is_mc : t -> bool
 
   val rpc :
     t ->
@@ -71,7 +68,6 @@ module Substrate : sig
       100_000) time units from now. Mc: wait for every non-daemon
       task. *)
 
-  val try_quiesce : ?timeout:float -> t -> bool
   (** {!run}, bounded on mc by [timeout] wall-clock seconds; [false]
       if tasks are still live then. *)
 
@@ -171,21 +167,7 @@ val create :
     code, on [m] without [n] or [n] without [m], or on neither [n] nor
     [bricks]. *)
 
-val create_mc :
-  domains:int ->
-  ?seed:int ->
-  ?net_config:Simnet.Net.config ->
-  ?bricks:int ->
-  ?block_size:int ->
-  ?gc_enabled:bool ->
-  ?optimized_modify:bool ->
-  ?deadline:float ->
-  ?unsafe_skip_order:bool ->
-  ?retry_every:float ->
-  ?m:int ->
-  ?n:int ->
-  unit ->
-  t
+val create_mc : domains:int -> ?block_size:int -> ?m:int -> ?n:int -> unit -> t
 (** [create ~backend:(Mc { domains })]; kept only for vdbench's call
     site until the next vdbench revision switches it over. *)
 
@@ -257,4 +239,5 @@ val sim_engine : t -> Dessim.Engine.t
 (** The simulator under a [Sim] deployment, for what only an engine
     can do (a custom event chooser, running to an absolute time).
     Schedule and read time through [runtime] instead.
+    Tests only: test_explore installs its schedule chooser on it.
     @raise Invalid_argument on an [Mc] deployment. *)

@@ -93,7 +93,6 @@ let rec find ranges stripe i =
 let policy t ~stripe = find (Atomic.get t.ranges) stripe 0
 let codec t ~stripe = (policy t ~stripe).codec
 let m t ~stripe = Erasure.Codec.m (codec t ~stripe)
-let n t ~stripe = Erasure.Codec.n (codec t ~stripe)
 let quorum_size t ~stripe = Quorum.Mquorum.quorum_size (policy t ~stripe).mq
 let fault_bound t ~stripe = Quorum.Mquorum.f (policy t ~stripe).mq
 let members_array t ~stripe = (policy t ~stripe).members

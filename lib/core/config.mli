@@ -101,13 +101,8 @@ val add_range :
     invalid (see {!Layout.table}), or an unbounded range already holds
     every later id. *)
 
-val policy : t -> stripe:int -> policy
-(** The stripe's row: row [(stripe - first) mod rows] of its range.
-    @raise Invalid_argument if no range holds [stripe]. *)
-
 val codec : t -> stripe:int -> Erasure.Codec.t
 val m : t -> stripe:int -> int
-val n : t -> stripe:int -> int
 val quorum_size : t -> stripe:int -> int
 
 val fault_bound : t -> stripe:int -> int

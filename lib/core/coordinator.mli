@@ -32,6 +32,9 @@ val create : Config.t -> brick:Brick.t -> clock:Clock.t -> t
     operations. The same brick typically also runs a {!Replica}. *)
 
 val brick : t -> Brick.t
+(** Tests only: test_register sends raw RPCs from the coordinator's
+    brick. *)
+
 val clock : t -> Clock.t
 
 type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
@@ -56,7 +59,8 @@ val write_stripe : t -> stripe:int -> Bytes.t array -> unit outcome
 
 val cache_capacity : int
 (** How many stripes' timestamps a coordinator caches for order
-    elision; adding one more empties the cache first. *)
+    elision; adding one more empties the cache first.
+    Tests only: test_register writes past it to check the cache's bound. *)
 
 val read_blocks : t -> stripe:int -> int -> len:int -> Bytes.t array outcome
 (** [read_blocks t ~stripe j0 ~len] reads the contiguous data blocks
@@ -124,7 +128,9 @@ val suspects : t -> int list
     empties the set. While it is empty the protocol is exactly the
     paper's: no extra random draws, no extra state changes. Counted in
     the metrics registry as ["coord.suspects"] (members marked) and
-    ["coord.retargets"] (re-targeted reads). *)
+    ["coord.retargets"] (re-targeted reads).
+    Tests only: test_register checks which bricks a degraded read routes
+    around. *)
 
 val hint_retry : t -> unit
 (** Flag the {e next} operation started on this coordinator as one its

@@ -47,8 +47,3 @@ let table kind ~bricks ~n ~stripes =
     | Random _, None -> invalid_arg "Core.Layout.table: Random needs a bound"
   in
   Array.init rows members
-
-let pp_kind fmt = function
-  | Fixed -> Format.pp_print_string fmt "fixed"
-  | Rotating -> Format.pp_print_string fmt "rotating"
-  | Random seed -> Format.fprintf fmt "random(seed=%d)" seed

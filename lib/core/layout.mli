@@ -27,6 +27,8 @@ val default : bricks:int -> n:int -> kind
 val make : kind -> bricks:int -> n:int -> int -> Simnet.Net.addr array
 (** [make kind ~bricks ~n] is the layout function: [stripe -> members].
     Index [i] of the result stores encoded block [i].
+    Tests only: test_fab checks the three placements through it;
+    {!table} is what {!Config} uses.
     @raise Invalid_argument if [n > bricks], or [Fixed] with
     [bricks <> n]. *)
 
@@ -42,5 +44,3 @@ val table :
     period), one per stripe for [Random].
     @raise Invalid_argument as {!make}, or on [Random] with
     [stripes = None]. *)
-
-val pp_kind : Format.formatter -> kind -> unit

@@ -55,16 +55,6 @@ let bytes_on_wire = function
   | Read_r { block; _ } | Order_read_r { block; _ } -> opt_len block
   | Order_r _ | Write_r _ | Modify_r _ -> 0
 
-let stripe = function
-  | Read { stripe; _ }
-  | Order { stripe; _ }
-  | Order_read { stripe; _ }
-  | Write { stripe; _ }
-  | Modify { stripe; _ }
-  | Gc { stripe; _ } ->
-      Some stripe
-  | Read_r _ | Order_r _ | Order_read_r _ | Write_r _ | Modify_r _ -> None
-
 let label = function
   | Read _ -> "read"
   | Order _ -> "order"
@@ -77,38 +67,3 @@ let label = function
   | Order_read_r _ -> "order&read-r"
   | Write_r _ -> "write-r"
   | Modify_r _ -> "modify-r"
-
-let pp fmt m =
-  let ts = Timestamp.to_string in
-  match m with
-  | Read { stripe; targets } ->
-      Format.fprintf fmt "Read{s=%d targets=[%s]}" stripe
-        (String.concat "," (List.map string_of_int targets))
-  | Order { stripe; ts = t } -> Format.fprintf fmt "Order{s=%d ts=%s}" stripe (ts t)
-  | Order_read { stripe; target; max; ts = t } ->
-      Format.fprintf fmt "Order&Read{s=%d tgt=%s max=%s ts=%s}" stripe
-        (match target with
-        | All -> "ALL"
-        | Addrs l -> String.concat "+" (List.map string_of_int l))
-        (ts max) (ts t)
-  | Write { stripe; ts = t; _ } ->
-      Format.fprintf fmt "Write{s=%d ts=%s}" stripe (ts t)
-  | Modify { stripe; j0; payload; tsj; ts = t } ->
-      Format.fprintf fmt "Modify{s=%d j0=%d %s tsj=%s ts=%s}" stripe j0
-        (match payload with
-        | Patch { olds; _ } -> Printf.sprintf "patch=%d" (Array.length olds)
-        | Block _ -> "block"
-        | Fold _ -> "fold"
-        | Marker -> "marker")
-        (ts tsj) (ts t)
-  | Gc { stripe; before } ->
-      Format.fprintf fmt "Gc{s=%d before=%s}" stripe (ts before)
-  | Read_r { status; val_ts; block; _ } ->
-      Format.fprintf fmt "Read-R{%b val_ts=%s blk=%b}" status (ts val_ts)
-        (block <> None)
-  | Order_r { status; _ } -> Format.fprintf fmt "Order-R{%b}" status
-  | Order_read_r { status; lts; block; _ } ->
-      Format.fprintf fmt "Order&Read-R{%b lts=%s blk=%b}" status (ts lts)
-        (block <> None)
-  | Write_r { status; _ } -> Format.fprintf fmt "Write-R{%b}" status
-  | Modify_r { status; _ } -> Format.fprintf fmt "Modify-R{%b}" status

@@ -76,12 +76,6 @@ val bytes_on_wire : t -> int
 (** Accounted payload size: the total length of the blocks the message
     carries (zero for timestamp-only messages). *)
 
-val stripe : t -> int option
-(** The stripe a request addresses; [None] for replies. *)
-
 val label : t -> string
 (** Short constructor name (e.g. ["order&read"]) used as the message
     label in observability traces. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact rendering for traces and test failures. *)

@@ -9,8 +9,6 @@ type t = {
   mutable gc_removed : int;
 }
 
-let brick t = t.brick
-
 let state t stripe =
   match Hashtbl.find_opt t.states stripe with
   | Some s -> s

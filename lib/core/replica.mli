@@ -21,11 +21,12 @@ type t
 val create : Config.t -> brick:Brick.t -> t
 (** Installs the RPC handler for the brick's address. *)
 
-val brick : t -> Brick.t
-
 (** {2 Introspection (tests, debugging, GC statistics)} *)
 
 val ord_ts : t -> stripe:int -> Timestamp.t
+(** Tests only: test_register checks a replica's ordering timestamp
+    against its log. *)
+
 val log : t -> stripe:int -> Slog.t option
 (** [None] if the replica has never touched the stripe. *)
 

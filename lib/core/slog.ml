@@ -61,8 +61,6 @@ let create ~block_size =
     last_add = None;
   }
 
-let block_size t = t.block_size
-
 let add t ts block =
   (match ts with
   | Timestamp.Low | Timestamp.High ->

@@ -64,7 +64,9 @@ val max_block : t -> Timestamp.t * Bytes.t
 (** The intact non-bot entry with the highest timestamp. If every real
     entry is checksum-damaged the log reads as an unwritten register,
     [(LowTS, nil)] — the quorum then repairs this process as long as
-    at most [f] members are in that state. *)
+    at most [f] members are in that state.
+    Tests only: test_slog and test_register check the log's newest block
+    with it. *)
 
 val head : t -> Timestamp.t * (Timestamp.t * Bytes.t)
 (** [head t] is [(max_ts t, max_block t)], found in one newest-first
@@ -88,7 +90,8 @@ val max_below : t -> Timestamp.t -> (Timestamp.t * Bytes.t option) option
     a {e complete} block-level write and a later partial stripe write
     would fail to see the block-write's version group, descend past
     it, and roll back a completed operation — violating strict
-    linearizability whenever [n - m + 1 < m]. See DESIGN.md. *)
+    linearizability whenever [n - m + 1 < m]. See DESIGN.md.
+    Tests only: test_slog checks bounded reads of the log with it. *)
 
 val max_and_below :
   t -> Timestamp.t -> Timestamp.t * (Timestamp.t * Bytes.t option) option
@@ -108,8 +111,6 @@ val gc : t -> before:Timestamp.t -> int
 val size : t -> int
 val entries : t -> (Timestamp.t * Bytes.t option) list
 (** Newest first; for tests and debugging. *)
-
-val block_size : t -> int
 
 val corrupt_newest : t -> unit
 (** Flip a bit in the newest intact non-bot entry {e and} restamp its
@@ -134,4 +135,5 @@ val tear_last : t -> Timestamp.t option
     no-op adds are never torn ([None] otherwise). *)
 
 val checksum_errors : t -> int
-(** Number of stored records currently failing their checksum. *)
+(** Number of stored records currently failing their checksum.
+    Tests only: test_slog counts the damaged entries a read skipped. *)

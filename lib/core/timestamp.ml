@@ -30,5 +30,3 @@ let to_string = function
   | Low -> "LowTS"
   | High -> "HighTS"
   | Ts { time; pid } -> Printf.sprintf "%d.%d" time pid
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

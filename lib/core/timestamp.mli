@@ -23,9 +23,13 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
+(** Tests only: test_timestamp, test_slog and test_register compare
+    timestamps with it. *)
+
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
 val max : t -> t -> t
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** Tests only: test_timestamp, test_slog and test_register print
+    timestamps in failure messages with it. *)

@@ -12,15 +12,13 @@
     v}
 
     The log source starts at level [None], so an attached but silenced
-    sink costs one level check per event. Enable with {!enable_stderr}
-    — or install any [Logs] reporter and set the {!src} level. The CLI
-    exposes this as [fab_sim workload --trace]. *)
+    sink costs one level check per event. Enable it with
+    {!enable_stderr}. The CLI exposes this as
+    [fab_sim workload --trace]. *)
 
-val src : Logs.src
-
-val enable_stderr : ?level:Logs.level -> unit -> unit
+val enable_stderr : unit -> unit
 (** Install a stderr reporter (if none is installed yet) and set the
-    trace source to [level] (default [Debug]). *)
+    trace source to [Debug]. *)
 
 val sink : unit -> Obs.Sink.t
 (** A sink rendering every event through {!Obs.pp_event} at debug

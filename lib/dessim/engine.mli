@@ -39,7 +39,8 @@ val run : ?until:float -> t -> unit
     [until] stay queued and the clock is left at [until]). *)
 
 val step : t -> bool
-(** [step t] processes a single event; [false] if the queue was empty. *)
+(** [step t] processes a single event; [false] if the queue was empty.
+    Tests only: test_dessim runs the engine one event at a time with it. *)
 
 val set_chooser : t -> (int -> int) option -> unit
 (** [set_chooser t (Some f)] makes the engine consult [f] whenever more
@@ -48,11 +49,14 @@ val set_chooser : t -> (int -> int) option -> unit
     order of presentation is scheduling order). [None] restores the
     default FIFO tie-break. Systematic schedule exploration — running
     the same scenario under every choice sequence — is built on this
-    hook (see the Explore test module). *)
+    hook (see the Explore test module).
+    Tests only: test_dessim and test_explore install schedule choosers
+    with it. *)
 
 val pending : t -> int
 (** Number of events still queued. A cancel removes its event at
-    once, so every queued event is live. *)
+    once, so every queued event is live.
+    Tests only: test_dessim checks the queue depth with it. *)
 
 val set_observer : t -> (now:float -> pending:int -> unit) option -> unit
 (** [set_observer t (Some f)] calls [f ~now ~pending] after every

@@ -26,8 +26,6 @@ module F = Gf256.Field
 module M = Gf256.Matrix
 module K = Gf256.Kernel
 
-type kind = Rs | Parity | Replication
-
 (* A memoized decode plan: the inverse of the generator submatrix for
    one sorted set of surviving indices, precompiled as a fused kernel
    map. The single-row maps that rebuild one erased data block (one
@@ -59,7 +57,6 @@ type plan_cache = {
 let plan_cache_capacity = 128
 
 type t = {
-  kind : kind;
   m : int;
   n : int;
   gen : M.t;
@@ -71,7 +68,6 @@ type t = {
 
 let m t = t.m
 let n t = t.n
-let kernel t = t.kernel
 let kernel_name t = K.name t.kernel
 
 let coeff t ~row ~col =
@@ -83,13 +79,12 @@ let systematic_generator ~m ~n parity_row =
   M.init ~rows:n ~cols:m (fun r c ->
       if r < m then if r = c then 1 else 0 else parity_row (r - m) c)
 
-let make ~kind ?kernel ~m ~n gen =
+let make ?kernel ~m ~n gen =
   let kernel = K.select ?impl:kernel () in
   let parity_coeffs =
     Array.init (n - m) (fun p -> Array.init m (fun c -> M.get gen (m + p) c))
   in
   {
-    kind;
     m;
     n;
     gen;
@@ -115,16 +110,16 @@ let rs ?kernel ~m ~n () =
   let xs = Array.init (n - m) (fun i -> m + i) in
   let ys = Array.init m (fun j -> j) in
   let c = M.cauchy ~xs ~ys in
-  make ~kind:Rs ?kernel ~m ~n (systematic_generator ~m ~n (M.get c))
+  make ?kernel ~m ~n (systematic_generator ~m ~n (M.get c))
 
-let parity ?kernel ~m () =
+let parity ~m () =
   if m < 1 then invalid_arg "Erasure.Codec.parity: need m >= 1";
   let n = m + 1 in
-  make ~kind:Parity ?kernel ~m ~n (systematic_generator ~m ~n (fun _ _ -> 1))
+  make ~m ~n (systematic_generator ~m ~n (fun _ _ -> 1))
 
-let replication ?kernel ~n () =
+let replication ~n () =
   if n < 2 then invalid_arg "Erasure.Codec.replication: need n >= 2";
-  make ~kind:Replication ?kernel ~m:1 ~n
+  make ~m:1 ~n
     (systematic_generator ~m:1 ~n (fun _ _ -> 1))
 
 (* ------------------------------------------------------------------ *)
@@ -368,12 +363,3 @@ let decode t blocks =
           K.apply_rows (recon_rows t plan ~idx:i) ~srcs ~dsts:[| d |];
           d)
     out
-
-let pp fmt t =
-  let name =
-    match t.kind with
-    | Rs -> "rs"
-    | Parity -> "parity"
-    | Replication -> "replication"
-  in
-  Format.fprintf fmt "%s(%d,%d)" name t.m t.n

@@ -17,7 +17,7 @@
 
     Every codec is compiled against one {!Gf256.Kernel} implementation,
     chosen at construction: {!Gf256.Kernel.default} (the CPU probe's
-    choice) unless [?kernel] names another. All kernels compute
+    choice) unless {!rs}'s [?kernel] names another. All kernels compute
     byte-identical results; see {!kernel_name}. *)
 
 type t
@@ -30,11 +30,11 @@ val rs : ?kernel:Gf256.Kernel.impl -> m:int -> n:int -> unit -> t
     @raise Invalid_argument unless [1 <= m < n <= 256], or if [?kernel]
     names an unavailable kernel. *)
 
-val parity : ?kernel:Gf256.Kernel.impl -> m:int -> unit -> t
+val parity : m:int -> unit -> t
 (** [parity ~m ()] is the [m]-of-[m+1] XOR parity code (RAID-5 across
     bricks). @raise Invalid_argument unless [m >= 1]. *)
 
-val replication : ?kernel:Gf256.Kernel.impl -> n:int -> unit -> t
+val replication : n:int -> unit -> t
 (** [replication ~n ()] is 1-of-[n] mirroring: every encoded block is a
     copy of the single data block.
     @raise Invalid_argument unless [n >= 2]. *)
@@ -45,16 +45,14 @@ val m : t -> int
 val n : t -> int
 (** Total number of encoded blocks per stripe. *)
 
-val kernel : t -> Gf256.Kernel.impl
-(** The GF(2^8) kernel implementation this codec was compiled against. *)
-
 val kernel_name : t -> string
 (** [Gf256.Kernel.name (kernel t)]; stamped into benchmark metadata and
     workload statistics. *)
 
 val coeff : t -> row:int -> col:int -> Gf256.Field.t
 (** [coeff t ~row ~col] is the generator-matrix entry used to weight
-    data block [col] in encoded block [row]. *)
+    data block [col] in encoded block [row].
+    Tests only: test_erasure checks the generator matrix with it. *)
 
 val encode : t -> Bytes.t array -> Bytes.t array
 (** [encode t stripe] maps [m] data blocks to [n] encoded blocks; the
@@ -142,6 +140,3 @@ val reset_plan_cache : t -> unit
 val plan_cache_stats : t -> int * int * int
 (** [(hits, misses, entries)] for the decode-plan cache since codec
     construction (or the last {!reset_plan_cache}). *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints the code parameters, e.g. ["rs(5,8)"]. *)

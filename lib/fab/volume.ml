@@ -15,20 +15,18 @@ type t = {
 type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
 
 let create ?backend ?seed ?net_config ?bricks ?layout ?(block_size = 1024)
-    ?gc_enabled ?optimized_modify ?deadline ?unsafe_skip_order
-    ?(op_retries = 3) ?(pipeline_window = 8) ~m ~n ~stripes () =
-  if op_retries < 1 then invalid_arg "Fab.Volume.create: op_retries < 1";
+    ?optimized_modify ?deadline ?(pipeline_window = 8) ~m ~n ~stripes () =
   if stripes <= 0 then invalid_arg "Fab.Volume.create: stripes <= 0";
   if pipeline_window < 1 then
     invalid_arg "Fab.Volume.create: pipeline_window < 1";
   let cluster =
     Core.Cluster.create ?backend ?seed ?net_config
-      ~bricks:(Option.value bricks ~default:n) ~block_size ?gc_enabled
-      ?optimized_modify ?deadline ?unsafe_skip_order ()
+      ~bricks:(Option.value bricks ~default:n) ~block_size ?optimized_modify
+      ?deadline ()
   in
   match Core.Config.add_range cluster.cfg ?layout ~m ~n ~stripes () with
   | stripe_offset ->
-      { cluster; m; stripes; block_size; op_retries; pipeline_window;
+      { cluster; m; stripes; block_size; op_retries = 3; pipeline_window;
         stripe_offset }
   | exception e ->
       Core.Cluster.shutdown cluster;
@@ -60,8 +58,6 @@ let codec t =
 
 let capacity_blocks t = t.stripes * t.m
 let block_size t = t.block_size
-let m t = t.m
-let stripes t = t.stripes
 let stripe_offset t = t.stripe_offset
 
 let stripe_of_lba t lba =
@@ -195,10 +191,10 @@ let write t ~coord ~lba data =
 
 let run ?horizon t = Core.Cluster.run ?horizon t.cluster
 
-let run_op ?horizon t f =
+let run_op t f =
   let result = ref None in
   Runtime.spawn t.cluster.Core.Cluster.runtime (fun () -> result := Some (f ()));
-  run ?horizon t;
+  run t;
   !result
 
 let scrub t ~coord =

@@ -22,11 +22,8 @@ val create :
   ?bricks:int ->
   ?layout:Core.Layout.kind ->
   ?block_size:int ->
-  ?gc_enabled:bool ->
   ?optimized_modify:bool ->
   ?deadline:float ->
-  ?unsafe_skip_order:bool ->
-  ?op_retries:int ->
   ?pipeline_window:int ->
   m:int ->
   n:int ->
@@ -38,16 +35,18 @@ val create :
     stripes ({!Core.Config.add_range}). Defaults: [bricks = n],
     {!Core.Layout.default} ([Fixed] when [bricks = n], [Rotating]
     otherwise); other defaults as in {!Core.Cluster.create}.
-    Constituent register operations are retried up to [op_retries]
-    times (default 3) on abort, the client retry loop every disk
-    driver runs; pass [~op_retries:1] to surface raw aborts (the
-    abort-rate experiments do).
+    Constituent register operations are retried up to 3 times on
+    abort, the client retry loop every disk driver runs; a volume made
+    with {!of_cluster} sets its own bound ([~op_retries:1] surfaces
+    raw aborts, as the abort-rate experiments do).
 
     A request spanning several stripes dispatches its per-stripe
     operations concurrently, at most [pipeline_window] (default 8) in
     flight; [~pipeline_window:1] recovers strictly serial extent
-    order. [deadline] and [unsafe_skip_order] are forwarded to
-    {!Core.Cluster.create}. *)
+    order. [deadline] is forwarded to {!Core.Cluster.create}.
+
+    Tests only: test_fab passes [?layout] to run a volume on a
+    [Random] placement. *)
 
 val of_cluster :
   cluster:Core.Cluster.t ->
@@ -67,6 +66,7 @@ val of_cluster :
     another [m], or [block_size] is not the cluster's. *)
 
 val stripe_offset : t -> int
+(** Tests only: test_fab checks where a pool volume's stripes start. *)
 
 val cluster : t -> Core.Cluster.t
 
@@ -77,11 +77,10 @@ val codec : t -> Erasure.Codec.t
 
 val capacity_blocks : t -> int
 val block_size : t -> int
-val m : t -> int
-val stripes : t -> int
 
 val stripe_of_lba : t -> int -> int * int
 (** [(stripe, index-within-stripe)] of a logical block address.
+    Tests only: test_fab and test_chaos map LBAs to stripes with it.
     @raise Invalid_argument if out of range. *)
 
 type 'a outcome = ('a, [ `Aborted | `Unavailable ]) result
@@ -106,14 +105,16 @@ val write : t -> coord:int -> lba:int -> Bytes.t -> unit outcome
     still individually atomic and linearizable. *)
 
 val run : ?horizon:float -> t -> unit
-val run_op : ?horizon:float -> t -> (unit -> 'a) -> 'a option
+val run_op : t -> (unit -> 'a) -> 'a option
 (** Drive the simulation; see {!Core.Cluster}. *)
 
 val scrub : t -> coord:int -> (int * int list) list outcome
 (** Audit every stripe for silent corruption and repair what is found;
     returns the (volume-local stripe, corrupted block positions) pairs
     that needed repair. Must run inside a fiber. The periodic
-    background scrub every disk array runs. *)
+    background scrub every disk array runs.
+    Tests only: test_fab and test_chaos repair planted corruption with
+    it. *)
 
 val rebuild_brick : t -> brick:int -> coord:int -> int outcome
 (** Re-synchronize a recovered brick: for every stripe stored on it,

@@ -7,9 +7,6 @@
 
 type t = int
 
-let zero = 0
-let one = 1
-
 let field_size = 256
 let primitive_poly = 0x11d
 

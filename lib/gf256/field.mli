@@ -10,21 +10,19 @@
 type t = int
 (** A field element; invariant: [0 <= x <= 255]. *)
 
-val zero : t
-val one : t
-
 val add : t -> t -> t
 (** [add a b] is the field sum (XOR). *)
 
 val sub : t -> t -> t
 (** [sub a b] equals [add a b]: in characteristic 2 addition is its own
-    inverse. *)
+    inverse. Tests only: test_gf256 checks the field laws with it. *)
 
 val mul : t -> t -> t
 (** [mul a b] is the field product. *)
 
 val div : t -> t -> t
 (** [div a b] is [mul a (inv b)].
+    Tests only: test_gf256 checks the field laws with it.
     @raise Division_by_zero if [b = 0]. *)
 
 val inv : t -> t
@@ -33,14 +31,19 @@ val inv : t -> t
 
 val pow : t -> int -> t
 (** [pow a k] is [a] raised to the [k]'th power ([k >= 0]).
-    [pow 0 0] is [1] by convention. *)
+    [pow 0 0] is [1] by convention.
+    Tests only: test_gf256 checks the field laws (squares, exponent
+    sums, Frobenius) with it. *)
 
 val exp_table : int -> t
 (** [exp_table i] is the [i mod 255]'th power of the generator 2; exposed
-    for table-driven coders and tests. [i] must be non-negative. *)
+    for table-driven coders and tests. [i] must be non-negative.
+    Tests only: test_gf256 checks that 2 generates the multiplicative
+    group with it. *)
 
 val log_table : t -> int
 (** [log_table a] is the discrete logarithm of [a] base 2.
+    Tests only: test_gf256 checks the exp/log round trip with it.
     @raise Invalid_argument if [a = 0]. *)
 
 val mul_slice : dst:Bytes.t -> src:Bytes.t -> t -> unit

@@ -179,7 +179,6 @@ type dense =
     (* r' * k 40-byte entries, applied in C at [d_level]. *)
 
 type rows = {
-  impl : impl;
   r : int;
   k : int;
   coeffs : int array array;
@@ -230,7 +229,7 @@ let make_rows impl coeffs =
               d_tables = String.concat "" tables;
             }
   in
-  { impl; r; k; coeffs; trivial; dense }
+  { r; k; coeffs; trivial; dense }
 
 let apply_row_scalar ~coeffs ~srcs ~dst ~len ~acc =
   for i = 0 to len - 1 do

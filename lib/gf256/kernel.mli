@@ -74,6 +74,8 @@ val mul_acc : mul -> dst:Bytes.t -> src:Bytes.t -> unit
 
 val mul_set : mul -> dst:Bytes.t -> src:Bytes.t -> unit
 (** [dst.(i) <- c * src.(i)].
+    Tests only: test_gf256 checks every kernel's overwrite form against
+    [scalar] with it.
     @raise Invalid_argument on length mismatch. *)
 
 (** {1 Fused row-group application}
@@ -97,4 +99,6 @@ val apply_rows : ?acc:bool -> rows -> srcs:Bytes.t array -> dsts:Bytes.t array -
     existing destination bytes instead of overwriting them. [srcs] and
     [dsts] must not alias each other (data slots of a stripe are never
     parity slots, so codec callers satisfy this for free).
+    Tests only: test_gf256 passes [?acc] to check the accumulating form
+    of every kernel.
     @raise Invalid_argument on arity or length mismatch. *)

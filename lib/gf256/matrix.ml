@@ -7,7 +7,6 @@ let create ~rows ~cols =
   { rows; cols; data = Array.make (rows * cols) 0 }
 
 let rows a = a.rows
-let cols a = a.cols
 
 let check_bounds a r c =
   if r < 0 || r >= a.rows || c < 0 || c >= a.cols then
@@ -44,16 +43,6 @@ let mul a b =
         acc :=
           Field.add !acc
             (Field.mul a.data.((r * a.cols) + k) b.data.((k * b.cols) + c))
-      done;
-      !acc)
-
-let mul_vec a v =
-  if a.cols <> Array.length v then
-    invalid_arg "Gf256.Matrix.mul_vec: shape mismatch";
-  Array.init a.rows (fun r ->
-      let acc = ref 0 in
-      for k = 0 to a.cols - 1 do
-        acc := Field.add !acc (Field.mul a.data.((r * a.cols) + k) v.(k))
       done;
       !acc)
 
@@ -127,10 +116,6 @@ let invert a =
     Some inv
   with Singular -> None
 
-let vandermonde ~rows ~cols =
-  if rows > 256 then invalid_arg "Gf256.Matrix.vandermonde: rows > 256";
-  init ~rows ~cols (fun r c -> Field.pow r c)
-
 let cauchy ~xs ~ys =
   let rows = Array.length xs and cols = Array.length ys in
   init ~rows ~cols (fun r c ->
@@ -140,14 +125,3 @@ let cauchy ~xs ~ys =
       Field.inv d)
 
 let equal a b = a.rows = b.rows && a.cols = b.cols && a.data = b.data
-
-let pp fmt a =
-  Format.fprintf fmt "@[<v>";
-  for r = 0 to a.rows - 1 do
-    Format.fprintf fmt "@[<h>";
-    for c = 0 to a.cols - 1 do
-      Format.fprintf fmt "%3d " a.data.((r * a.cols) + c)
-    done;
-    Format.fprintf fmt "@]@,"
-  done;
-  Format.fprintf fmt "@]"

@@ -9,34 +9,28 @@ type t
 
 val create : rows:int -> cols:int -> t
 (** [create ~rows ~cols] is the all-zero matrix of the given shape.
+    Tests only: test_gf256 checks shape validation and singular inputs
+    with it.
     @raise Invalid_argument if a dimension is non-positive. *)
 
 val init : rows:int -> cols:int -> (int -> int -> Field.t) -> t
 (** [init ~rows ~cols f] fills position [(r, c)] with [f r c]. *)
 
 val identity : int -> t
-(** [identity n] is the [n x n] identity matrix. *)
+(** [identity n] is the [n x n] identity matrix.
+    Tests only: test_gf256 checks {!invert} against it. *)
 
 val rows : t -> int
-val cols : t -> int
+(** Tests only: test_gf256 checks {!sub_rows}'s shape with it. *)
 
 val get : t -> int -> int -> Field.t
 (** [get a r c] is the element at row [r], column [c].
     @raise Invalid_argument on out-of-range indices. *)
 
-val set : t -> int -> int -> Field.t -> unit
-(** [set a r c v] writes element [(r, c)]. Exposed for construction
-    code; library users should treat matrices as immutable. *)
-
-val copy : t -> t
-
 val mul : t -> t -> t
 (** [mul a b] is the matrix product.
+    Tests only: test_gf256 checks {!invert} with it.
     @raise Invalid_argument if the inner dimensions disagree. *)
-
-val mul_vec : t -> Field.t array -> Field.t array
-(** [mul_vec a v] is the matrix-vector product.
-    @raise Invalid_argument if [cols a <> Array.length v]. *)
 
 val sub_rows : t -> int list -> t
 (** [sub_rows a rs] is the matrix made of the rows of [a] listed in
@@ -47,11 +41,6 @@ val invert : t -> t option
     singular.
     @raise Invalid_argument if [a] is not square. *)
 
-val vandermonde : rows:int -> cols:int -> t
-(** [vandermonde ~rows ~cols] has element [(r, c)] equal to [r^c]; every
-    square submatrix formed from distinct rows is invertible as long as
-    [rows <= 256]. *)
-
 val cauchy : xs:Field.t array -> ys:Field.t array -> t
 (** [cauchy ~xs ~ys] is the Cauchy matrix with element
     [(i, j) = 1 / (xs.(i) + ys.(j))]. All [xs] and [ys] together must be
@@ -61,6 +50,4 @@ val cauchy : xs:Field.t array -> ys:Field.t array -> t
     @raise Invalid_argument if an [x] equals a [y] (division by zero). *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-printer, for debugging and test failure messages. *)
+(** Tests only: test_gf256 checks {!invert} with it. *)

@@ -160,5 +160,3 @@ let strict h =
                      values = List.map fst path;
                      ops = List.map snd path;
                    })))
-
-let is_strictly_linearizable h = match strict h with Ok () -> true | Error _ -> false

@@ -41,5 +41,3 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val strict : History.t -> (unit, violation) result
 (** [strict h] checks strict linearizability of the recorded history. *)
-
-val is_strictly_linearizable : History.t -> bool

@@ -59,6 +59,12 @@ val records : t -> record list
 (** In invocation order. *)
 
 val size : t -> int
+(** Tests only: test_linearize and test_runtime check how many
+    operations a history recorded. *)
 
 val abort_count : t -> int
+(** Tests only: test_linearize checks aborted operations are recorded. *)
+
 val pending_count : t -> int
+(** Tests only: test_linearize and test_runtime check that no operation
+    is left open. *)

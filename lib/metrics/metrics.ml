@@ -55,7 +55,6 @@ module Hist = struct
       vmax = neg_infinity;
     }
 
-  let sub_bits t = t.sub_bits
   let relative_error t = 1. /. float_of_int t.sub
   let octaves t = Array.length t.counts / t.sub
 
@@ -201,15 +200,6 @@ module Hist = struct
     merge_into ~dst:t b;
     t
 
-  let clear t =
-    t.zero <- 0;
-    t.base <- 0;
-    t.counts <- [||];
-    t.total <- 0;
-    t.sum <- 0.;
-    t.vmin <- infinity;
-    t.vmax <- neg_infinity
-
   let pp fmt t =
     if t.total = 0 then Format.fprintf fmt "(empty)"
     else
@@ -232,18 +222,16 @@ module Timeseries = struct
      pairs, not to elapsed time or observation count. *)
   type t = {
     width : float;
-    hist_bits : int;
     counters : (string, (int, float ref) Hashtbl.t) Hashtbl.t;
     hists : (string, (int, Hist.t) Hashtbl.t) Hashtbl.t;
     mutable wlo : int;
     mutable whi : int;  (* wlo > whi means no data yet *)
   }
 
-  let create ?(hist_bits = 5) ~width () =
+  let create ~width () =
     if width <= 0. then invalid_arg "Metrics.Timeseries.create: width <= 0";
     {
       width;
-      hist_bits;
       counters = Hashtbl.create 16;
       hists = Hashtbl.create 16;
       wlo = max_int;
@@ -284,7 +272,7 @@ module Timeseries = struct
       match Hashtbl.find_opt m w with
       | Some h -> h
       | None ->
-          let h = Hist.create ~sub_bits:t.hist_bits () in
+          let h = Hist.create () in
           Hashtbl.add m w h;
           h
     in
@@ -338,7 +326,7 @@ module Timeseries = struct
     | Some m ->
         if Hashtbl.length m = 0 then None
         else begin
-          let acc = Hist.create ~sub_bits:t.hist_bits () in
+          let acc = Hist.create () in
           (* Merge in window order: associative, so the order only
              matters for float-sum determinism. *)
           List.iter
@@ -379,24 +367,12 @@ module Registry = struct
     Hashtbl.fold (fun name _ acc -> name :: acc) t.counters []
     |> List.sort String.compare
 
-  let hist ?sub_bits t name =
-    match Hashtbl.find_opt t.hists name with
-    | Some h -> h
-    | None ->
-        let h = Hist.create ?sub_bits () in
-        Hashtbl.add t.hists name h;
-        h
-
   let hist_opt t name = Hashtbl.find_opt t.hists name
   let put_hist t name h = Hashtbl.replace t.hists name h
 
   let hist_names t =
     Hashtbl.fold (fun name _ acc -> name :: acc) t.hists []
     |> List.sort String.compare
-
-  let reset_all t =
-    Hashtbl.iter (fun _ c -> Counter.reset c) t.counters;
-    Hashtbl.iter (fun _ h -> Hist.clear h) t.hists
 end
 
 module Snapshot = struct
@@ -407,16 +383,4 @@ module Snapshot = struct
 
   let get t name =
     match List.assoc_opt name t with Some v -> v | None -> 0.
-
-  let to_list t = t
-
-  let diff ~before ~after =
-    let names =
-      List.sort_uniq String.compare (List.map fst before @ List.map fst after)
-    in
-    List.filter_map
-      (fun name ->
-        let d = get after name -. get before name in
-        if d <> 0. then Some (name, d) else None)
-      names
 end

@@ -4,7 +4,7 @@
     messages, network bandwidth (in block-size units), disk reads and
     disk writes. A {!Registry} holds named monotonic counters for
     those, and benchmarks measure an operation by snapshotting the
-    registry before and after ({!Snapshot.diff}). The registry also
+    registry before and after ({!Snapshot.get} on each). The registry also
     holds named {!Hist} histograms, the one distribution type: the
     observability layer materializes per-operation latency, per-phase
     duration and per-queue depth distributions into them. *)
@@ -14,6 +14,9 @@ module Counter : sig
   (** A float cell that any number of domains may bump at once. *)
 
   val create : unit -> t
+  (** Tests only: test_metrics checks a counter outside any registry
+      with it. *)
+
   val incr : ?by:float -> t -> unit
   val value : t -> float
   val reset : t -> unit
@@ -34,9 +37,9 @@ module Hist : sig
   val create : ?sub_bits:int -> unit -> t
   (** [sub_bits] (default 5, i.e. 32 sub-buckets per octave, ≤ 3.125%
       relative error) sets the precision/memory trade-off.
+      Tests only: test_metrics passes [?sub_bits] to check the
+      precision bound and merge mismatches.
       @raise Invalid_argument unless [1 <= sub_bits <= 12]. *)
-
-  val sub_bits : t -> int
 
   val relative_error : t -> float
   (** [2^-sub_bits]: any percentile is within this relative distance
@@ -44,6 +47,8 @@ module Hist : sig
 
   val add : ?count:int -> t -> float -> unit
   (** Record [count] (default 1) observations of a value.
+      Tests only: test_metrics passes [?count] to add several
+      observations at once.
       @raise Invalid_argument on a negative count or a negative,
       infinite or NaN value. *)
 
@@ -78,9 +83,9 @@ module Hist : sig
   val buckets : t -> (float * float * int) list
   (** Non-empty buckets as [(lower, upper, count)], ascending; an
       exact zero bucket reports as [(0., 0., n)]. For serialization
-      and sparkline rendering. *)
+      and sparkline rendering.
+      Tests only: test_metrics checks that merging is exact with it. *)
 
-  val clear : t -> unit
   val pp : Format.formatter -> t -> unit
 end
 
@@ -99,15 +104,16 @@ module Timeseries : sig
       latency-over-time, per-brick queue depth, goodput and
       retransmit series without touching instrumentation sites. *)
 
-  val create : ?hist_bits:int -> width:float -> unit -> t
-  (** [width] is the window length in (simulated) time units;
-      [hist_bits] the precision of per-window histograms (see
-      {!Hist.create}). @raise Invalid_argument if [width <= 0]. *)
+  val create : width:float -> unit -> t
+  (** [width] is the window length in (simulated) time units; each
+      window's histograms have {!Hist.create}'s default precision.
+      @raise Invalid_argument if [width <= 0]. *)
 
   val width : t -> float
 
   val window_of : t -> float -> int
-  (** The window index containing a time. *)
+  (** The window index containing a time.
+      Tests only: test_metrics checks the window arithmetic with it. *)
 
   val window_start : t -> int -> float
 
@@ -131,12 +137,15 @@ module Timeseries : sig
   val hist : t -> string -> int -> Hist.t option
 
   val counter_series : t -> string -> (int * float) list
-  (** One entry per window of {!span} (zero-filled), ascending. *)
+  (** One entry per window of {!span} (zero-filled), ascending.
+      Tests only: test_metrics reads counter windows back with it. *)
 
   val hist_series : t -> string -> (int * Hist.t option) list
+  (** Tests only: test_obs checks per-window latency histograms with it. *)
 
   val percentile_series : t -> string -> float -> (int * float option) list
-  (** Per-window percentile; [None] where the window has no data. *)
+  (** Per-window percentile; [None] where the window has no data.
+      Tests only: test_metrics reads percentile windows back with it. *)
 
   val total : t -> string -> float
   (** Sum of a counter over all windows. *)
@@ -166,11 +175,6 @@ module Registry : sig
   val names : t -> string list
   (** All registered counter names, sorted. *)
 
-  val hist : ?sub_bits:int -> t -> string -> Hist.t
-  (** [hist t name] returns the histogram registered under [name],
-      creating it (with [sub_bits], see {!Hist.create}) on first use.
-      [sub_bits] is ignored on later lookups. *)
-
   val hist_opt : t -> string -> Hist.t option
 
   val put_hist : t -> string -> Hist.t -> unit
@@ -179,19 +183,12 @@ module Registry : sig
 
   val hist_names : t -> string list
   (** All registered histogram names, sorted. *)
-
-  val reset_all : t -> unit
-  (** Reset every counter to 0 and clear every histogram. *)
 end
 
 module Snapshot : sig
   type t
 
   val take : Registry.t -> t
-  val diff : before:t -> after:t -> (string * float) list
-  (** [diff ~before ~after] lists counters whose value changed, with
-      the increment, sorted by name. *)
 
   val get : t -> string -> float
-  val to_list : t -> (string * float) list
 end

@@ -30,7 +30,6 @@ type phase = Fast_read | Order | Write | Modify | Recover | Gc
 val phase_name : phase -> string
 (** ["fast-read" | "order" | "write" | "modify" | "recover" | "gc"]. *)
 
-val phase_of_name : string -> phase option
 val all_phases : phase list
 
 type outcome = Ok | Abort | Retry | Unavailable
@@ -41,16 +40,10 @@ type outcome = Ok | Abort | Retry | Unavailable
     reachable members and failed fast instead of retransmitting. *)
 
 val outcome_name : outcome -> string
-val outcome_of_name : string -> outcome option
 
 type actor = Coord of int | Brick of int | Sim
 (** Who emitted an event: a coordinator, a brick/replica (network
     endpoint), or the simulation engine itself. *)
-
-val actor_name : actor -> string
-(** ["c<i>" | "b<i>" | "sim"]. *)
-
-val actor_of_name : string -> actor option
 
 type ctx = { op : int; phase : phase option }
 (** Attribution context threaded through RPC calls and handlers. *)
@@ -97,7 +90,6 @@ type event = {
   kind : kind;
 }
 
-val ev_name : kind -> string
 val pp_event : Format.formatter -> event -> unit
 (** Human-readable one-line rendering (the stderr trace format). *)
 
@@ -181,9 +173,6 @@ module Json : sig
   val to_float : v -> float option
   (** [I] and [F] alike. *)
 
-  val to_int : v -> int option
-  val to_string : v -> string option
-  val to_bool : v -> bool option
 end
 
 val to_json : event -> string
@@ -219,7 +208,9 @@ module Meta : sig
       (scripts/bench_diff.ml). *)
 
   val line : t -> string
-  (** Rendered as the JSONL header line [{"ev":"meta",...}]. *)
+  (** Rendered as the JSONL header line [{"ev":"meta",...}].
+      Tests only: test_obs parses a header back with it; {!jsonl} writes
+      it. *)
 end
 
 val jsonl : ?meta:Meta.t -> out_channel -> Sink.t
@@ -232,14 +223,6 @@ val chrome : out_channel -> Sink.t
     valid JSON only after [close] writes the closing bracket. *)
 
 (** {1 The event fold} *)
-
-val client_kind : string -> bool
-(** Whether a span kind is a client operation: a read or a write
-    (["read"], ["read-…"], ["write"], ["write-…"]). ["recover"] spans (nested in a read, run
-    between a block write's attempts, or by a rebuild or resync) and
-    ["scrub"] spans are not, so the [lat.all], [ops.all] and
-    [out.<outcome>] series of {!Stats}, and the availability objective
-    built on them, leave them out. *)
 
 module Stats : sig
   (** The one fold over the event stream: bounded per-operation

@@ -16,8 +16,6 @@ let create_f ~n ~m ~f =
 
 let create ~n ~m = create_f ~n ~m ~f:(max_f ~n ~m)
 
-let n t = t.n
-let m t = t.m
 let f t = t.f
 let quorum_size t = t.n - t.f
 

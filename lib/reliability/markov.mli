@@ -25,4 +25,5 @@ val availability_approx :
 (** Steady-state probability that at most [tolerated] components are
     failed, from the truncated birth-death stationary distribution;
     used to sanity-check the chain and for the quorum-availability
-    discussion. *)
+    discussion.
+    Tests only: test_reliability checks the exact chain against it. *)

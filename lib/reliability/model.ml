@@ -113,13 +113,3 @@ let mttdl_years p s kind ~logical_tb =
   let base = Markov.mttdl ~units:n_bricks ~tolerated:t ~lambda ~mu in
   let frac = fatal_fraction p s ~n_bricks ~logical_tb in
   base /. frac /. hours_per_year
-
-let pp_scheme fmt = function
-  | Striping -> Format.pp_print_string fmt "striping"
-  | Replication k -> Format.fprintf fmt "%d-way replication" k
-  | Erasure (m, n) -> Format.fprintf fmt "E.C.(%d,%d)" m n
-
-let pp_brick_kind fmt = function
-  | R0 -> Format.pp_print_string fmt "R0 bricks"
-  | R5 -> Format.pp_print_string fmt "R5 bricks"
-  | Reliable_r5 -> Format.pp_print_string fmt "reliable R5 bricks"

@@ -24,17 +24,18 @@ type scheme =
   | Erasure of int * int  (** [Erasure (m, n)]: m-of-n coding. *)
 
 val cross_overhead : scheme -> float
-(** Raw-to-logical capacity ratio across bricks: 1, k, or n/m. *)
-
-val internal_overhead : Params.t -> brick_kind -> float
-(** Within-brick overhead: 1 for R0, (g+1)/g for RAID-5 groups. *)
+(** Raw-to-logical capacity ratio across bricks: 1, k, or n/m.
+    Tests only: test_reliability checks the cross-brick overhead with
+    it. *)
 
 val storage_overhead : Params.t -> scheme -> brick_kind -> float
 (** Total raw capacity consumed per byte of logical capacity. *)
 
 val brick_terminal_rate : Params.t -> brick_kind -> float
 (** Rate (per hour) at which one brick permanently loses its data:
-    internal-array data loss plus chassis loss. *)
+    internal-array data loss plus chassis loss.
+    Tests only: test_reliability checks the brick kinds' ordering with
+    it. *)
 
 val bricks_needed :
   Params.t -> scheme -> brick_kind -> logical_tb:float -> int
@@ -46,6 +47,3 @@ val tolerated : scheme -> int
 val mttdl_years :
   Params.t -> scheme -> brick_kind -> logical_tb:float -> float
 (** System mean time to data loss in years. *)
-
-val pp_scheme : Format.formatter -> scheme -> unit
-val pp_brick_kind : Format.formatter -> brick_kind -> unit

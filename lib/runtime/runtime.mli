@@ -24,10 +24,6 @@ exception Cancelled
     gate it awaits was aborted (a coordinator crash tearing down its
     quorum calls). An escaping [Cancelled] ends a task silently. *)
 
-val debug : bool
-(** True when [FAB_RUNTIME_DEBUG=1]: mailbox/gate invariants are
-    asserted on every operation. *)
-
 type gate = {
   await : unit -> unit;
       (** Block the calling task until the gate opens. Any number of
@@ -75,7 +71,8 @@ val spawn : t -> (unit -> unit) -> unit
 val yield : t -> unit
 (** Let the other ready tasks run before continuing. Sim: the task is
     re-queued as a 0-delay engine event. Mc: it goes to the back of
-    its worker's run queue. Outside a task it returns at once. *)
+    its worker's run queue. Outside a task it returns at once.
+    Tests only: test_runtime interleaves fibers with it. *)
 
 val timer : t -> delay:float -> (unit -> unit) -> timer
 val cancel : timer -> unit
@@ -113,6 +110,9 @@ module Ivar : sig
   val await : 'a t -> 'a  (** @raise Cancelled if aborted. *)
 
   val is_live : 'a t -> bool
+  (** Tests only: test_dessim checks that a filled or cancelled ivar
+      lets go of its waiter. *)
+
 end
 
 (** MPSC mailbox with FIFO-per-sender ordering and batched drain
@@ -138,13 +138,18 @@ module Mailbox : sig
   val recv : ?timeout:float -> 'a t -> 'a option
   (** Block until a message arrives ([Some m]), the timeout expires,
       or the mailbox closes (both [None]). Messages queued before the
-      close remain receivable. *)
+      close remain receivable.
+      Tests only: test_runtime passes [?timeout] to check a receive that
+      times out. *)
 
   val close : 'a t -> unit
   (** Close and wake every blocked receiver with [None]. *)
 
   val is_closed : 'a t -> bool
+  (** Tests only: test_runtime checks {!close} with it. *)
+
   val length : 'a t -> int
+  (** Tests only: test_runtime checks that a closed mailbox drops sends. *)
 
   val drain_stats : 'a t -> int * int
   (** [(batches, messages)] moved by non-empty inbox swaps so far:

@@ -57,9 +57,6 @@ val shutdown : t -> unit
     never fire. Unblock daemon tasks first (close their mailboxes) — a
     domain only terminates once all its fibers have. Idempotent. *)
 
-val now : t -> float
-(** Wall-clock seconds since {!create}. *)
-
 val hw_cores : unit -> int
 (** [Domain.recommended_domain_count ()] — what the hardware can
     actually run in parallel; stamped into benchmark metadata. *)
@@ -67,7 +64,9 @@ val hw_cores : unit -> int
 val set_spawn_cursor : t -> int -> unit
 (** Force the round-robin spawn cursor (tests only: the next spawn
     goes to worker [v mod domains], and a wrap past [max_int] can be
-    exercised without 2^62 spawns). *)
+    exercised without 2^62 spawns).
+    Tests only: test_runtime checks the cursor's wrap-around and pins
+    tasks to one worker with it. *)
 
 type timer_stats = {
   max_depth : int;  (** most timers pending at once on one worker *)

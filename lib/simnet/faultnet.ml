@@ -120,11 +120,7 @@ let set_link_down t ~src ~dst down =
       let without = List.filter (fun l -> l <> (src, dst)) st.downed in
       { st with downed = (if down then (src, dst) :: without else without) })
 
-(* One-shot return to health; [drop] is the nemesis's base probability. *)
-let reset t ~drop =
-  if drop < 0. || drop >= 1. then
-    invalid_arg "Simnet.Faultnet.reset: need 0 <= drop < 1";
-  update t (fun _ -> { healthy with drop })
+let reset t = update t (fun _ -> healthy)
 
 let decide t ~src ~dst =
   let st = Atomic.get t.st in

@@ -73,14 +73,18 @@ val heal : t -> unit
 val set_link_down : t -> src:int -> dst:int -> bool -> unit
 (** Kill or revive the directed link [src -> dst]. *)
 
-val reset : t -> drop:float -> unit
+val reset : t -> unit
 (** Return the whole configuration to health in one atomic publish:
-    no partition, no dead links, no delay, drop probability [drop]. *)
+    no partition, no dead links, no delay, no drops. *)
 
 val stats : t -> stats
 (** Monotone verdict counters since {!create}; chaos tests assert
     faults were actually injected and heals actually heal with
-    these. *)
+    these.
+    Tests only: test_simnet and test_chaos check the fault verdicts with
+    it. *)
 
 val snapshot : t -> state
-(** The current configuration snapshot (tests/debugging). *)
+(** The current configuration snapshot (tests/debugging).
+    Tests only: test_chaos checks the configuration returns to health
+    with it. *)

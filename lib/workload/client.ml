@@ -25,8 +25,11 @@ let spawn volume ~coord ~gen ~ops ?(payload_tag = 'w') stats =
     incr seq;
     let b = Bytes.make (count * block_size) payload_tag in
     (* Stamp each block so distinct writes carry distinct values. *)
-    let stamp = Printf.sprintf "%d:%d:%d" coord !seq count in
-    Bytes.blit_string stamp 0 b 0 (min (String.length stamp) (Bytes.length b));
+    for i = 0 to count - 1 do
+      let stamp = Printf.sprintf "%d:%d:%d:%d" coord !seq count i in
+      Bytes.blit_string stamp 0 b (i * block_size)
+        (min (String.length stamp) block_size)
+    done;
     b
   in
   Runtime.spawn rt (fun () ->

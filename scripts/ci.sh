@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build
 
+echo "== public surface audit =="
+# scripts/unused_exports.ml: fails on an exported value nothing calls,
+# on a parameter that always gets one value (an optional one no caller
+# passes, or any labelled one every caller passes the same constant),
+# and on a value or option only tests reach whose doc comment names no
+# test file.
+./_build/default/scripts/unused_exports.exe .
+
 echo "== dune runtest =="
 dune runtest
 

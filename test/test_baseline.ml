@@ -141,10 +141,10 @@ module D = Baseline.Direct
 let test_direct_roundtrip () =
   let d = D.create ~m:3 ~n:5 ~block_size:64 () in
   let stripe = Array.init 3 (fun i -> Bytes.make 64 (Char.chr (97 + i))) in
-  (match D.run_op d (fun () -> D.write d ~reg:0 stripe) with
+  (match D.run_op d (fun () -> D.write d stripe) with
   | Some (Ok ()) -> ()
   | _ -> Alcotest.fail "direct write");
-  match D.run_op d (fun () -> D.read d ~reg:0) with
+  match D.run_op d (fun () -> D.read d) with
   | Some (Ok got) ->
       Alcotest.(check bool) "roundtrip" true (Array.for_all2 Bytes.equal got stripe)
   | _ -> Alcotest.fail "direct read"
@@ -154,12 +154,12 @@ let test_direct_survives_f_failures_when_quiet () =
      devices dead — erasure coding itself works. *)
   let d = D.create ~m:2 ~n:4 ~block_size:64 () in
   let stripe = Array.init 2 (fun i -> Bytes.make 64 (Char.chr (65 + i))) in
-  (match D.run_op d (fun () -> D.write d ~reg:0 stripe) with
+  (match D.run_op d (fun () -> D.write d stripe) with
   | Some (Ok ()) -> ()
   | _ -> Alcotest.fail "write");
   D.crash_device d 0;
   D.crash_device d 3;
-  match D.run_op d (fun () -> D.read d ~reg:0) with
+  match D.run_op d (fun () -> D.read d) with
   | Some (Ok got) ->
       Alcotest.(check bool) "degraded read" true
         (Array.for_all2 Bytes.equal got stripe)
@@ -172,12 +172,12 @@ let test_direct_mixed_versions_corrupt () =
   let d = D.create ~m:2 ~n:3 ~block_size:64 () in
   let old_stripe = [| Bytes.make 64 'o'; Bytes.make 64 'p' |] in
   let new_stripe = [| Bytes.make 64 'N'; Bytes.make 64 'M' |] in
-  (match D.run_op d (fun () -> D.write d ~reg:0 old_stripe) with
+  (match D.run_op d (fun () -> D.write d old_stripe) with
   | Some (Ok ()) -> ()
   | _ -> Alcotest.fail "seed");
-  D.write_prefix d ~reg:0 ~devices:1 new_stripe;
+  D.write_first d new_stripe;
   D.crash_device d 1;
-  match D.run_op d (fun () -> D.read d ~reg:0) with
+  match D.run_op d (fun () -> D.read d) with
   | Some (Ok got) ->
       let g = Bytes.get got.(1) 0 in
       Alcotest.(check bool) "block 0 is the new value" true
@@ -192,7 +192,7 @@ let test_direct_too_many_failures () =
   let d = D.create ~m:2 ~n:3 ~block_size:64 () in
   D.crash_device d 0;
   D.crash_device d 1;
-  match D.run_op d (fun () -> D.read d ~reg:0) with
+  match D.run_op d (fun () -> D.read d) with
   | Some (Error `Failed) -> ()
   | _ -> Alcotest.fail "should report failure"
 

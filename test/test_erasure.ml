@@ -344,14 +344,6 @@ let test_errors () =
     (Invalid_argument "Erasure.Codec.replication: need n >= 2") (fun () ->
       ignore (C.replication ~n:1 ()))
 
-let test_pp () =
-  Alcotest.(check string) "pp rs" "rs(5,8)"
-    (Format.asprintf "%a" C.pp (C.rs ~m:5 ~n:8 ()));
-  Alcotest.(check string) "pp parity" "parity(4,5)"
-    (Format.asprintf "%a" C.pp (C.parity ~m:4 ()));
-  Alcotest.(check string) "pp replication" "replication(1,3)"
-    (Format.asprintf "%a" C.pp (C.replication ~n:3 ()))
-
 (* ------------------------------------------------------------------ *)
 (* Kernel backends: every available GF(2^8) kernel must produce
    byte-identical codec results.                                       *)
@@ -600,6 +592,5 @@ let () =
       ( "errors",
         [
           Alcotest.test_case "input validation" `Quick test_errors;
-          Alcotest.test_case "pretty-printing" `Quick test_pp;
         ] );
     ]

@@ -89,7 +89,6 @@ let test_lookups_allocate_nothing () =
   let accessors =
     [
       ("m", fun cfg stripe -> keep (C.m cfg ~stripe));
-      ("n", fun cfg stripe -> keep (C.n cfg ~stripe));
       ("quorum_size", fun cfg stripe -> keep (C.quorum_size cfg ~stripe));
       ("fault_bound", fun cfg stripe -> keep (C.fault_bound cfg ~stripe));
       ("codec", fun cfg stripe -> keep (C.codec cfg ~stripe));
@@ -395,7 +394,7 @@ let test_pool_delete_in_flight () =
       ignore
         (Runtime.timer rt ~delay:at (fun () ->
              ignore (Pool.delete_volume pool "v")));
-      Pool.run pool;
+      Core.Cluster.run (Pool.cluster pool);
       match !result with
       | Some (Ok ()) -> ()
       | _ -> Alcotest.failf "write with a delete at t = %g did not finish" at)

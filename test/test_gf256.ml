@@ -365,21 +365,6 @@ let test_identity_mul () =
     Alcotest.(check bool) "A*I = A" true (M.equal (M.mul a (M.identity n)) a)
   done
 
-let test_mul_vec_agrees () =
-  let rng = Random.State.make [| 8 |] in
-  for _ = 1 to 20 do
-    let rows = 1 + Random.State.int rng 6 in
-    let cols = 1 + Random.State.int rng 6 in
-    let a = random_matrix rng ~rows ~cols in
-    let v = Array.init cols (fun _ -> Random.State.int rng 256) in
-    let vm = M.init ~rows:cols ~cols:1 (fun r _ -> v.(r)) in
-    let prod = M.mul a vm in
-    let pv = M.mul_vec a v in
-    for r = 0 to rows - 1 do
-      check_int "entry" (M.get prod r 0) pv.(r)
-    done
-  done
-
 let test_invert_roundtrip () =
   let rng = Random.State.make [| 9 |] in
   let tried = ref 0 and inverted = ref 0 in
@@ -434,13 +419,6 @@ let test_cauchy_overlap_rejected () =
     (Invalid_argument "Gf256.Matrix.cauchy: xs and ys are not disjoint")
     (fun () -> ignore (M.cauchy ~xs:[| 1; 2 |] ~ys:[| 2; 3 |]))
 
-let test_vandermonde () =
-  let v = M.vandermonde ~rows:5 ~cols:3 in
-  check_int "v[0][0]" 1 (M.get v 0 0);
-  check_int "v[0][2]" 0 (M.get v 0 2);
-  check_int "v[2][1]" 2 (M.get v 2 1);
-  check_int "v[3][2]" (F.mul 3 3) (M.get v 3 2)
-
 let test_sub_rows () =
   let a = M.init ~rows:4 ~cols:2 (fun r c -> (r * 2) + c) in
   let b = M.sub_rows a [ 3; 1 ] in
@@ -490,14 +468,12 @@ let () =
       ( "matrix",
         [
           Alcotest.test_case "identity mul" `Quick test_identity_mul;
-          Alcotest.test_case "mul_vec agrees with mul" `Quick test_mul_vec_agrees;
           Alcotest.test_case "invert roundtrip" `Quick test_invert_roundtrip;
           Alcotest.test_case "singular detected" `Quick test_singular;
           Alcotest.test_case "cauchy submatrices invertible" `Quick
             test_cauchy_submatrices_invertible;
           Alcotest.test_case "cauchy overlap rejected" `Quick
             test_cauchy_overlap_rejected;
-          Alcotest.test_case "vandermonde entries" `Quick test_vandermonde;
           Alcotest.test_case "sub_rows" `Quick test_sub_rows;
           Alcotest.test_case "bounds checking" `Quick test_bounds;
         ] );

@@ -363,7 +363,7 @@ let test_slow_write_one_content_per_ts () =
    with
   | Some _ -> ()
   | None -> Alcotest.fail "block write did not finish");
-  Simnet.Faultnet.reset fnet ~drop:0.;
+  Simnet.Faultnet.reset fnet;
   (* Every m members holding a block at the newest timestamp decode to
      the same stripe. *)
   let logs =

@@ -909,7 +909,7 @@ let test_mc_cancel_drops_callback () =
     (fun domains ->
       with_pool ~domains @@ fun pool rt ->
       let weak = Weak.create 1 and ran = Atomic.make false in
-      let armed = Runtime_mc.now pool in
+      let armed = Runtime.now rt in
       if domains = 1 then (arm_captured rt weak ran).Runtime.tcancel ()
       else begin
         let handle = Runtime.Ivar.create rt in
@@ -925,7 +925,7 @@ let test_mc_cancel_drops_callback () =
         (name "captured value reclaimed") false (Weak.check weak 0);
       Alcotest.(check int)
         (name "cancel purged") 1 (Runtime_mc.timer_stats pool).Runtime_mc.purged;
-      wait_until (fun () -> Runtime_mc.now pool > armed +. 0.35);
+      wait_until (fun () -> Runtime.now rt > armed +. 0.35);
       Alcotest.(check bool) (name "callback never ran") false (Atomic.get ran))
     [ 1; 2 ]
 
@@ -934,17 +934,17 @@ let test_mc_cancel_drops_callback () =
    most 1 ms late; the median of ten is checked against that bound, so
    one preemption of the worker by the OS cannot fail the test. *)
 let test_mc_live_timer_on_time () =
-  with_pool ~domains:1 @@ fun pool rt ->
+  with_pool ~domains:1 @@ fun _ rt ->
   let tick = 0.001 in
   let lateness =
     List.init 10 (fun i ->
         let delay = 0.02 +. (float_of_int i *. 0.0003) in
         let fired = Atomic.make None in
-        let due = Runtime_mc.now pool +. delay in
+        let due = Runtime.now rt +. delay in
         (rt.Runtime.timer ~delay ignore).Runtime.tcancel ();
         ignore
           (rt.Runtime.timer ~delay (fun () ->
-               Atomic.set fired (Some (Runtime_mc.now pool))));
+               Atomic.set fired (Some (Runtime.now rt))));
         (rt.Runtime.timer ~delay:(delay +. tick) ignore).Runtime.tcancel ();
         wait_until (fun () -> Atomic.get fired <> None);
         Option.get (Atomic.get fired) -. due)
@@ -983,21 +983,21 @@ let test_mc_timers_fire_in_due_order () =
     a
   in
   (* Timer [i] is due at [base + i * 20 us]. *)
-  let base = Runtime_mc.now pool +. 0.2 in
+  let base = Runtime.now rt +. 0.2 in
   let due i = base +. (float_of_int i *. 20e-6) in
   let order = ref [] and early = Atomic.make 0 and lock = Mutex.create () in
   let handles = Array.make n None and slack = Array.make n 0. in
   Array.iter
     (fun i ->
-      let before = Runtime_mc.now pool in
+      let before = Runtime.now rt in
       handles.(i) <-
         Some
           (rt.Runtime.timer ~delay:(due i -. before) (fun () ->
-               if Runtime_mc.now pool < due i then Atomic.incr early;
+               if Runtime.now rt < due i then Atomic.incr early;
                Mutex.lock lock;
                order := i :: !order;
                Mutex.unlock lock));
-      slack.(i) <- Runtime_mc.now pool -. before)
+      slack.(i) <- Runtime.now rt -. before)
     (shuffled ());
   let cancelled = Array.make n false in
   Array.iteri
@@ -1071,9 +1071,9 @@ let test_mc_try_await_idle_times_out () =
    timer. *)
 let test_mc_try_await_idle_worker_busy () =
   with_pool ~domains:1 @@ fun pool rt ->
-  let spin_until = Runtime_mc.now pool +. 0.6 in
+  let spin_until = Runtime.now rt +. 0.6 in
   Runtime.spawn rt (fun () ->
-      while Runtime_mc.now pool < spin_until do Domain.cpu_relax () done);
+      while Runtime.now rt < spin_until do Domain.cpu_relax () done);
   let idle, took =
     timed (fun () -> Runtime_mc.try_await_idle pool ~timeout:0.1)
   in

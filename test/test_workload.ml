@@ -149,6 +149,35 @@ let test_disjoint_clients_no_aborts () =
   Alcotest.(check int) "client2 done" 50 stats2.Client.ops;
   Alcotest.(check int) "client2 no aborts" 0 stats2.Client.aborts
 
+(* Each block of a multi-block write carries its write's stamp: after
+   the same client writes one 3-block extent twice, no block reads
+   back as it did after the first write. Two identical volumes hold
+   the state after one and after two writes (the sim is deterministic,
+   so the first write is the same on both). *)
+let test_every_block_stamped () =
+  let extent_after ~ops =
+    let v = Fab.Volume.create ~m:2 ~n:4 ~stripes:4 ~block_size:64 () in
+    let g =
+      Gen.make
+        { Gen.read_fraction = 0.; addr = Gen.Sequential; op_blocks = 3 }
+        ~capacity_blocks:3 ~rng:(rng ())
+    in
+    let stats = Client.fresh_stats () in
+    Client.spawn v ~coord:0 ~gen:g ~ops stats;
+    Fab.Volume.run v;
+    Alcotest.(check int) "writes done" ops stats.Client.writes;
+    match Fab.Volume.run_op v (fun () -> Fab.Volume.read v ~coord:1 ~lba:0 ~count:3) with
+    | Some (Ok b) -> b
+    | _ -> Alcotest.fail "read-back failed"
+  in
+  let first = extent_after ~ops:1 and second = extent_after ~ops:2 in
+  for i = 0 to 2 do
+    Alcotest.(check bool)
+      (Printf.sprintf "block %d differs" i)
+      false
+      (Bytes.sub first (i * 64) 64 = Bytes.sub second (i * 64) 64)
+  done
+
 (* [sum] adds every tally and merges the latency histograms. *)
 let test_stats_helpers () =
   let client ~ops ~reads ~aborts ~unavailable lats =
@@ -195,5 +224,7 @@ let () =
           Alcotest.test_case "disjoint clients no aborts" `Quick
             test_disjoint_clients_no_aborts;
           Alcotest.test_case "stats helpers" `Quick test_stats_helpers;
+          Alcotest.test_case "every block of a write is stamped" `Quick
+            test_every_block_stamped;
         ] );
     ]
